@@ -16,15 +16,14 @@ import numpy as np
 
 from .errors import (
     MgfDiverged,
+    NoConvergence,
     NoDerivativeRoot,
     NoFixedPoint,
     NoRootInDomain,
-    UnstableQueue,
 )
 from .laws import Constant
 from .spectral import (
     MapKernel,
-    StabilityRoot,
     cgf,
     cgf_derivative,
     mean_rate,
@@ -78,51 +77,38 @@ def decay_rates(arrival: MapKernel, service: MapKernel):
     return root.kappa_arrival, root.theta_star
 
 
-@dataclass(frozen=True)
-class _BoundContext:
-    root: StabilityRoot
-    h_a: np.ndarray
-    h_s: np.ndarray
-    pi_a_labels: tuple
-    pi_s_labels: tuple
-    varpi_a0: np.ndarray
-    varpi_s0: np.ndarray
-    transition_a: np.ndarray
-
-
-def _context(arrival: MapKernel, service: MapKernel) -> _BoundContext:
+def _context(arrival: MapKernel, service: MapKernel):
+    """(root, h_a, h_s): theta* and both Perron right eigenvectors there."""
     root = stability_root(arrival, service)
     h_a = perron(arrival, root.theta_star).h
     h_s = perron(negate(service), root.theta_star).h
-    return _BoundContext(
-        root,
-        h_a,
-        h_s,
-        arrival.state_labels,
-        service.state_labels,
-        arrival.initial_dist,
-        service.initial_dist,
-        arrival.transition,
-    )
+    return root, h_a, h_s
 
 
-def _h_constants_delay(ctx):
-    h_plus = (ctx.h_a.max() / ctx.h_a.min()) / ctx.h_s.min()
-    h_minus = (
-        math.exp(-ctx.root.kappa_arrival)
-        * (ctx.h_a.min() / ctx.h_a.max()) ** 2
-        / ctx.h_s.max()
-    )
+def _h_constants_delay(root, h_a, h_s):
+    h_plus = (h_a.max() / h_a.min()) / h_s.min()
+    h_minus = math.exp(-root.kappa_arrival) * (h_a.min() / h_a.max()) ** 2 / h_s.max()
     return h_plus, h_minus
 
-def _h_constants_backlog(ctx):
-    h_plus = 1.0 / (ctx.h_a.min() * ctx.h_s.min())
-    h_minus = (
-        math.exp(-ctx.root.kappa_arrival)
-        * ctx.h_a.min()
-        / (ctx.h_a.max() ** 2 * ctx.h_s.max())
-    )
+
+def _h_constants_backlog(root, h_a, h_s):
+    h_plus = 1.0 / (h_a.min() * h_s.min())
+    h_minus = math.exp(-root.kappa_arrival) * h_a.min() / (h_a.max() ** 2 * h_s.max())
     return h_plus, h_minus
+
+
+def _state_pairs(arrival: MapKernel, service: MapKernel, arrival_time: str):
+    """(arrival index, service index, conditioning label) per state pair.
+
+    A one-state arrival chain (constant traffic among them) has nothing to
+    condition on, so its labels name the service state alone.
+    """
+    for ia, la in enumerate(arrival.state_labels):
+        for i_s, ls in enumerate(service.state_labels):
+            if arrival.n_states == 1:
+                yield ia, i_s, f"S[{ls}]@0"
+            else:
+                yield ia, i_s, f"A[{la}]@{arrival_time},S[{ls}]@0"
 
 
 def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
@@ -133,25 +119,23 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
     propagated as varpi_0 P^d.  The bound value itself depends on the
     service state only, through h^{-S}_{J_0}.
     """
-    ctx = _context(arrival, service)
-    h_plus, h_minus = _h_constants_delay(ctx)
-    kappa = ctx.root.kappa_arrival
-    theta = ctx.root.theta_star
+    root, h_a, h_s = _context(arrival, service)
+    h_plus, h_minus = _h_constants_delay(root, h_a, h_s)
+    kappa = root.kappa_arrival
+    theta = root.theta_star
     out = []
     for d in d_range:
         decay = math.exp(-kappa * d)
-        varpi_a_d = ctx.varpi_a0 @ np.linalg.matrix_power(ctx.transition_a, int(round(d)))
-        for ia, la in enumerate(ctx.pi_a_labels):
-            for i_s, ls in enumerate(ctx.pi_s_labels):
-                lo = h_minus * ctx.h_s[i_s] * decay
-                up = h_plus * ctx.h_s[i_s] * decay
-                out.append(
-                    BoundReport(d, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
-                                f"A[{la}]@d,S[{ls}]@0", lo, up)
-                )
-        weights = np.outer(varpi_a_d, ctx.varpi_s0)
-        lo = float(np.sum(weights * (h_minus * ctx.h_s[None, :] * decay)))
-        up = float(np.sum(weights * (h_plus * ctx.h_s[None, :] * decay)))
+        p_a_d = np.linalg.matrix_power(arrival.transition, int(round(d)))
+        varpi_a_d = arrival.initial_dist @ p_a_d
+        for _, i_s, label in _state_pairs(arrival, service, "d"):
+            lo = h_minus * h_s[i_s] * decay
+            up = h_plus * h_s[i_s] * decay
+            out.append(BoundReport(d, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
+                                   label, lo, up))
+        weights = np.outer(varpi_a_d, service.initial_dist)
+        lo = float(np.sum(weights * (h_minus * h_s[None, :] * decay)))
+        up = float(np.sum(weights * (h_plus * h_s[None, :] * decay)))
         out.append(BoundReport(d, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
                                "average", lo, up))
     return out
@@ -159,20 +143,19 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
 
 def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
     """Double-sided P(B > b) bounds with factor h^A_{J_0} h^{-S}_{J_0} e^{-theta b}."""
-    ctx = _context(arrival, service)
-    h_plus, h_minus = _h_constants_backlog(ctx)
-    theta = ctx.root.theta_star
+    root, h_a, h_s = _context(arrival, service)
+    h_plus, h_minus = _h_constants_backlog(root, h_a, h_s)
+    theta = root.theta_star
     out = []
     for b in b_range:
         decay = math.exp(-theta * b)
-        for ia, la in enumerate(ctx.pi_a_labels):
-            for i_s, ls in enumerate(ctx.pi_s_labels):
-                factor = ctx.h_a[ia] * ctx.h_s[i_s] * decay
-                lo, up = h_minus * factor, h_plus * factor
-                out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
-                                       f"A[{la}]@0,S[{ls}]@0", lo, up))
-        weights = np.outer(ctx.varpi_a0, ctx.varpi_s0)
-        factor = float(np.sum(weights * np.outer(ctx.h_a, ctx.h_s))) * decay
+        for ia, i_s, label in _state_pairs(arrival, service, "0"):
+            factor = h_a[ia] * h_s[i_s] * decay
+            lo, up = h_minus * factor, h_plus * factor
+            out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
+                                   label, lo, up))
+        weights = np.outer(arrival.initial_dist, service.initial_dist)
+        factor = float(np.sum(weights * np.outer(h_a, h_s))) * decay
         lo, up = h_minus * factor, h_plus * factor
         out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
                                "average", lo, up))
@@ -212,9 +195,8 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
     """
     if y <= 1:
         raise ValueError("horizon multiplier y must exceed 1 for the delay bound")
-    ctx = _context(arrival, service)
     neg_service = negate(service)
-    gamma = ctx.root.theta_star
+    gamma = stability_root(arrival, service).theta_star
     da_g = cgf_derivative(arrival, gamma)
     ds_g = cgf_derivative(neg_service, gamma)
     y_gamma = da_g / (da_g + ds_g)
@@ -227,7 +209,7 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
     h_a = perron(arrival, theta).h
     h_s = perron(neg_service, theta).h
     h_plus = (h_a.max() / h_a.min()) / h_s.min()
-    factor = float(ctx.varpi_s0 @ h_s)
+    factor = float(service.initial_dist @ h_s)
     raw = h_plus * factor * math.exp(-d * theta_y)
     branch = "short-horizon" if y < y_gamma else "long-horizon-remainder"
     return HorizonBoundReport(d, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
@@ -237,9 +219,8 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
     """Finite-horizon backlog bound with horizon multiplier y > 0."""
     if y <= 0:
         raise ValueError("horizon multiplier y must be positive")
-    ctx = _context(arrival, service)
     neg_service = negate(service)
-    gamma = ctx.root.theta_star
+    gamma = stability_root(arrival, service).theta_star
     y_gamma = 1.0 / (cgf_derivative(arrival, gamma) + cgf_derivative(neg_service, gamma))
 
     theta = _derivative_root(
@@ -250,57 +231,10 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
     h_a = perron(arrival, theta).h
     h_s = perron(neg_service, theta).h
     h_plus = 1.0 / (h_a.min() * h_s.min())
-    factor = float(ctx.varpi_a0 @ h_a) * float(ctx.varpi_s0 @ h_s)
+    factor = float(arrival.initial_dist @ h_a) * float(service.initial_dist @ h_s)
     raw = h_plus * factor * math.exp(-b * theta_y)
     branch = "short-horizon" if y < y_gamma else "long-horizon-remainder"
     return HorizonBoundReport(b, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
-
-
-def _constant_arrival_context(lam: float, service: MapKernel):
-    if lam >= mean_rate(service):
-        raise UnstableQueue(lam, mean_rate(service))
-    arrival = single_state_kernel(Constant(lam), label="const")
-    root = stability_root(arrival, service)
-    # h(-theta): right eigenvector of the service transform at -theta*
-    h = perron(negate(service), root.theta_star).h
-    return root.theta_star, h
-
-
-def constant_arrival_bounds(lam: float, service: MapKernel, d_range) -> list:
-    """Constant-arrival specialization: per-state and averaged delay bounds."""
-    theta, h = _constant_arrival_context(lam, service)
-    varpi = service.initial_dist
-    out = []
-    for d in d_range:
-        decay = math.exp(-theta * lam * d)
-        for i, label in enumerate(service.state_labels):
-            lo = math.exp(-theta * lam) * h[i] * decay / h.max()
-            up = h[i] * decay / h.min()
-            out.append(BoundReport(d, _clamp(lo), _clamp(up), theta,
-                                   1.0 / h.min(), math.exp(-theta * lam) / h.max(),
-                                   f"S[{label}]@0", lo, up))
-        avg = float(varpi @ h)
-        lo = math.exp(-theta * lam) * avg * decay / h.max()
-        up = avg * decay / h.min()
-        out.append(BoundReport(d, _clamp(lo), _clamp(up), theta,
-                               1.0 / h.min(), math.exp(-theta * lam) / h.max(),
-                               "average", lo, up))
-    return out
-
-
-def constant_arrival_backlog_bounds(lam: float, service: MapKernel, b_range) -> list:
-    """P(B > b) = P(D > b/lam) under constant fluid arrival."""
-    if lam <= 0.0:
-        raise NoRootInDomain("zero arrival rate: backlog tail bounds degenerate")
-    b_range = list(b_range)
-    reports = constant_arrival_bounds(lam, service, [b / lam for b in b_range])
-    per_level = len(reports) // len(b_range)
-    out = []
-    for k, r in enumerate(reports):
-        b = b_range[k // per_level]
-        out.append(BoundReport(b, r.lower, r.upper, r.theta_star, r.h_plus, r.h_minus,
-                               r.conditioning, r.lower_raw, r.upper_raw))
-    return out
 
 
 def _dcc_value(theta, d, epsilon, arrival, neg_service, varpi_s):
@@ -331,7 +265,9 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) 
         try:
             _dcc_value(theta_max, d, epsilon, arrival, neg_service, varpi_s)
             break
-        except MgfDiverged:
+        except (MgfDiverged, NoConvergence):
+            # far above theta* the service transform's entries can span more
+            # magnitudes than the eigensolve resolves, as in stability_root
             theta_max *= 0.5
     grid = np.geomspace(theta_star / 100.0, theta_max, 200)
     grid = np.unique(np.append(grid, theta_star))
@@ -339,7 +275,7 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) 
     for t in grid:
         try:
             values.append(_dcc_value(t, d, epsilon, arrival, neg_service, varpi_s))
-        except MgfDiverged:
+        except (MgfDiverged, NoConvergence):
             values.append(math.inf)
     k = int(np.argmin(values))
     lo = grid[max(k - 1, 0)]
@@ -386,12 +322,14 @@ def constant_dcc_interval(service: MapKernel, d: float, epsilon: float, varpi) -
     mu = mean_rate(service)
     lam_max = 0.999999 * mu
     log_eps = math.log(epsilon)
+    neg_service = negate(service)
 
     def violates(lam, endpoint):
         try:
-            theta, h = _constant_arrival_context(lam, service)
+            theta = stability_root(single_state_kernel(Constant(lam)), service).theta_star
         except NoRootInDomain:
             return False
+        h = perron(neg_service, theta).h
         avg = float(varpi @ h)
         if endpoint == "hi":
             log_bound = math.log(avg / h.min()) - theta * lam * d

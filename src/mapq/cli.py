@@ -120,14 +120,10 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
     out = _out_dir(config, args)
     path = os.path.join(out, f"bounds_{mode}.csv")
 
+    arrival = _arrival_kernel(config)
     if mode in ("delay", "backlog"):
-        if config.arrival_rate is not None:
-            fn = (bd.constant_arrival_bounds if mode == "delay"
-                  else bd.constant_arrival_backlog_bounds)
-            reports = fn(config.arrival_rate, config.service, levels)
-        else:
-            fn = bd.delay_bounds if mode == "delay" else bd.backlog_bounds
-            reports = fn(config.arrival, config.service, levels)
+        fn = bd.delay_bounds if mode == "delay" else bd.backlog_bounds
+        reports = fn(arrival, config.service, levels)
         rows = [
             (r.level, r.conditioning, r.lower, r.upper, r.theta_star,
              r.lower != r.lower_raw, r.upper != r.upper_raw)
@@ -137,7 +133,6 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
                           "lower_clamped", "upper_clamped"), rows)
     elif mode == "horizon":
         y = args.y if args.y is not None else 2.0
-        arrival = _arrival_kernel(config)
         rows = []
         for level in levels:
             r = bd.horizon_delay_bound(arrival, config.service, y, level)
@@ -147,7 +142,6 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
                           "bound", "clamped"), rows)
     elif mode == "dcc":
         epsilon = args.epsilon if args.epsilon is not None else 1e-6
-        arrival = _arrival_kernel(config)
         rows = []
         for level in levels:
             r = bd.dcc_upper(arrival, config.service, level, epsilon)
@@ -237,13 +231,8 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
     bound_map = {}
     theta_star = math.nan
     try:
-        if config.arrival_rate is not None:
-            fn = (bd.constant_arrival_bounds if metric == "delay"
-                  else bd.constant_arrival_backlog_bounds)
-            reports = fn(config.arrival_rate, config.service, levels)
-        else:
-            fn = bd.delay_bounds if metric == "delay" else bd.backlog_bounds
-            reports = fn(config.arrival, config.service, levels)
+        fn = bd.delay_bounds if metric == "delay" else bd.backlog_bounds
+        reports = fn(_arrival_kernel(config), config.service, levels)
         for r in reports:
             if r.conditioning == "average":
                 bound_map[r.level] = (r.lower, r.upper)

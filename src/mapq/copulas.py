@@ -264,7 +264,11 @@ class MarginalLadder:
     @classmethod
     def from_masses(cls, varpi) -> "MarginalLadder":
         varpi = np.asarray(varpi, dtype=float)
-        return cls(len(varpi), np.cumsum(varpi))
+        levels = np.cumsum(varpi)
+        # a cumulative sum may round to 1 +- 2^-52; copulas reject levels above 1
+        if abs(levels[-1] - 1.0) <= 1e-12:
+            levels[-1] = 1.0
+        return cls(len(varpi), levels)
 
 
 def transition_from_copula(copula: CopulaSpec, varpi) -> tuple:

@@ -173,12 +173,14 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     f = transform_matrix(kernel, theta)
     n = f.shape[0]
     if n <= _DENSE_LIMIT:
+        # the Perron root of a nonnegative irreducible matrix has the largest
+        # real part; on a periodic chain -lambda ties with it in modulus
         eigvals, right = np.linalg.eig(f)
-        k = int(np.argmax(np.abs(eigvals)))
+        k = int(np.argmax(eigvals.real))
         lam = float(eigvals[k].real)
         h = right[:, k].real
         eigvals_l, left = np.linalg.eig(f.T)
-        kl = int(np.argmax(np.abs(eigvals_l)))
+        kl = int(np.argmax(eigvals_l.real))
         v = left[:, kl].real
     else:
         lam, h, v = _power_pair(f)

@@ -91,7 +91,8 @@ def test_criterion_03_delay_figure_sandwich(delay_figure_channel):
     service = frechet_capacity_kernel(delay_figure_channel, -0.5)
     levels = [1, 2, 3, 4, 5, 6]
     est = sim.tail_estimate(10.0, service, levels, 100_000, 1000, 42, "delay")
-    reports = {r.level: r for r in bd.constant_arrival_bounds(10.0, service, levels)
+    arrival = single_state_kernel(Constant(10.0))
+    reports = {r.level: r for r in bd.delay_bounds(arrival, service, levels)
                if r.conditioning == "average"}
     checked = 0
     for e in est:

@@ -9,8 +9,15 @@ import pytest
 from conftest import random_kernel
 from mapq import bounds as bd
 from mapq.errors import UnstableQueue
-from mapq.laws import Constant, gaussian_quantized
-from mapq.spectral import cgf, negate, single_state_kernel
+from mapq.laws import Constant, DiscretePmf, gaussian_quantized
+from mapq.spectral import (
+    MapKernel,
+    cgf,
+    negate,
+    perron,
+    single_state_kernel,
+    stability_root,
+)
 
 
 def _average(reports):
@@ -124,21 +131,11 @@ def test_horizon_backlog_identity_at_y_gamma(toy_arrival, toy_service):
     assert r.theta_y == pytest.approx(gamma, abs=1e-8)
 
 
-def test_constant_arrival_bounds_match_general_path(toy_service):
-    lam = 1.0
-    d_range = [1.0, 2.0, 5.0]
-    special = _average(bd.constant_arrival_bounds(lam, toy_service, d_range))
-    arrival = single_state_kernel(Constant(lam))
-    general = _average(bd.delay_bounds(arrival, toy_service, d_range))
-    for s, g in zip(special, general):
-        assert s.upper_raw == pytest.approx(g.upper_raw, rel=1e-8)
-        assert s.lower_raw == pytest.approx(g.lower_raw, rel=1e-8)
-
-
 def test_constant_arrival_backlog_is_rescaled_delay(toy_service):
     lam = 2.0
-    b_reports = bd.constant_arrival_backlog_bounds(lam, toy_service, [3.0, 6.0])
-    d_reports = bd.constant_arrival_bounds(lam, toy_service, [1.5, 3.0])
+    arrival = single_state_kernel(Constant(lam))
+    b_reports = bd.backlog_bounds(arrival, toy_service, [3.0, 6.0])
+    d_reports = bd.delay_bounds(arrival, toy_service, [1.5, 3.0])
     for rb, rd in zip(b_reports, d_reports):
         assert rb.lower == rd.lower and rb.upper == rd.upper
         assert rb.conditioning == rd.conditioning
@@ -146,7 +143,7 @@ def test_constant_arrival_backlog_is_rescaled_delay(toy_service):
 
 def test_constant_arrival_unstable(toy_service):
     with pytest.raises(UnstableQueue):
-        bd.constant_arrival_bounds(3.5, toy_service, [1])
+        bd.delay_bounds(single_state_kernel(Constant(3.5)), toy_service, [1])
 
 
 def test_dcc_toy_value_at_root(toy_arrival, toy_service):
@@ -172,6 +169,22 @@ def test_dcc_large_deadline_falls_below_asymptotic_cap(toy_arrival, toy_service)
     assert r_large.value_at_root < r_small.value_at_root
 
 
+def test_dcc_upper_backs_off_where_the_eigensolve_fails():
+    # from 2 theta* up the negated service transform has entries 1e-19 and
+    # 1e-35 apart, and perron rejects the eigenpair (NoConvergence); the
+    # theta_max probe and the grid treat that like a diverged MGF
+    m = (5.248, 9.908)
+    laws = tuple(
+        tuple(DiscretePmf((m[j] - 0.3, m[j], m[j] + 0.3), (0.25, 0.5, 0.25)) for j in range(2))
+        for _ in range(2)
+    )
+    service = MapKernel(("s0", "s1"), np.array([[0.32, 0.68], [0.614, 0.386]]), laws,
+                        np.array([0.5, 0.5]))
+    r = bd.dcc_upper(single_state_kernel(Constant(5.4428)), service, 10.0, 1e-3)
+    assert math.isfinite(r.value) and math.isfinite(r.value_at_root)
+    assert 0.0 <= r.value <= r.value_at_root
+
+
 def test_constant_dcc_interval_defining_equations(toy_service):
     d, eps = 20.0, 1e-2
     varpi = np.array([1.0])
@@ -179,7 +192,8 @@ def test_constant_dcc_interval_defining_equations(toy_service):
     assert 0.0 < lam_lo <= lam_hi < 3.0
     # each endpoint satisfies its displayed equality at the coupled root
     for lam, endpoint in ((lam_lo, "lo"), (lam_hi, "hi")):
-        theta, h = bd._constant_arrival_context(lam, toy_service)
+        theta = stability_root(single_state_kernel(Constant(lam)), toy_service).theta_star
+        h = perron(negate(toy_service), theta).h
         avg = float(varpi @ h)
         if endpoint == "hi":
             target = (-1.0 / (theta * d)) * math.log(eps * h.min() / avg)

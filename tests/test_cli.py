@@ -183,6 +183,40 @@ def test_simulate_requires_seed(tmp_path, toy_config_text):
     assert _run(["simulate", "--config", cfg]) == 2
 
 
+def _pmf(support, probs):
+    return {"law": "pmf", "support": support, "probs": probs}
+
+
+def _two_state(states, row0, row1):
+    return {"kernel": {"states": states, "transition": [[0.8, 0.2], [0.3, 0.7]],
+                       "increments": [[row0, row1], [row0, row1]]}}
+
+
+@pytest.mark.parametrize("arrival, labels", [
+    ({"constant": 1.0}, {"delay": ["S[good]@0", "S[bad]@0"],
+                         "backlog": ["S[good]@0", "S[bad]@0"]}),
+    (_two_state(["on", "off"], _pmf([0.0, 3.0], [0.5, 0.5]), _pmf([0.0, 1.0], [0.5, 0.5])),
+     {m: [f"A[{a}]@{t},S[{s}]@0" for a in ("on", "off") for s in ("good", "bad")]
+      for m, t in (("delay", "d"), ("backlog", "0"))}),
+])
+def test_bounds_conditioning_column(tmp_path, arrival, labels):
+    # a one-state arrival chain has nothing to condition on, so its rows
+    # name the service state alone
+    doc = {"arrival": arrival,
+           "service": _two_state(["good", "bad"], _pmf([1.0, 4.0], [0.5, 0.5]),
+                                 _pmf([0.5, 3.0], [0.5, 0.5]))}
+    cfg = _write(tmp_path, "pairs.yaml", yaml.safe_dump(doc))
+    for mode in ("delay", "backlog"):
+        out = tmp_path / mode
+        assert _run(["bounds", "--config", cfg, "--mode", mode, "--levels", "1,2",
+                     "--out", str(out)]) == 0
+        lines = (out / f"bounds_{mode}.csv").read_text(encoding="utf-8").splitlines()[1:]
+        # the column sits between the level and five numeric cells; a pair
+        # label carries its own comma, unquoted
+        got = [",".join(line.split(",")[1:-5]) for line in lines]
+        assert got == (labels[mode] + ["average"]) * 2
+
+
 def test_simulate_zero_traffic_all_zero(tmp_path, toy_config_text):
     doc = yaml.safe_load(toy_config_text)
     doc["arrival"]["constant"] = 0.0

@@ -132,6 +132,16 @@ def test_marginal_ladder_validation():
         MarginalLadder(2, np.array([0.5, 0.9]))
 
 
+def test_marginal_ladder_ends_at_exactly_one():
+    # 0.56 + 0.33 + 0.11 sums to 1 + 2^-52 in floating point
+    assert MarginalLadder.from_masses([0.56, 0.33, 0.11]).cdf_levels[-1] == 1.0
+    assert transition_from_copula(Gaussian2(0.3), [0.56, 0.33, 0.11])[0].shape == (3, 3)
+    # a distribution propagated by this plan used to reach the copula as 1 + 2^-52
+    plan = dependence_control([Gaussian2(0.21)], [[0.05, 0.75, 0.2]], 3)
+    for p in plan.per_dimension[0].transitions:
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_transition_extraction_printed_matrices():
     p_pos, _ = transition_from_copula(one_param_frechet(0.5), [0.3, 0.7])
     assert np.allclose(p_pos, [[0.4125, 0.5875], [0.2518, 0.7482]], atol=5e-5)

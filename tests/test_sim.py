@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kernel
+from mapq import sim as sim_module
 from mapq.errors import DimensionMismatch, LengthMismatch, UnknownExperiment
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.sim import (
@@ -21,7 +22,7 @@ from mapq.sim import (
     supermodular_battery,
     tail_estimate,
 )
-from mapq.spectral import single_state_kernel
+from mapq.spectral import MapKernel, single_state_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,31 @@ def test_sample_path_deterministic():
     s1, i1 = sample_path(k, 200, 5)
     s2, i2 = sample_path(k, 200, 5)
     assert np.array_equal(s1, s2) and np.array_equal(i1, i2)
+
+
+class _TopUniforms:
+    """Generator stub: every uniform is the largest double below 1."""
+
+    def choice(self, n, size=None, p=None):
+        return 0 if size is None else np.zeros(size, dtype=np.int64)
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+def test_state_samplers_stay_in_range_on_short_rows(monkeypatch):
+    # row 0 sums to 1 - 1e-13, inside the kernel's 1e-12 tolerance; a
+    # uniform above that sum must still land on the last state
+    p = np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5]])
+    laws = ((Constant(1.0), Constant(2.0)), (Constant(3.0), Constant(4.0)))
+    kernel = MapKernel(("a", "b"), p, laws, np.array([0.5, 0.5]))
+    monkeypatch.setattr(sim_module, "_stream", lambda seed, replication=None: _TopUniforms())
+    states, increments = sample_path(kernel, 3, 0)
+    assert states.tolist() == [0, 1, 1, 1]
+    assert increments.tolist() == [2.0, 4.0, 4.0]
+    batched = sim_module._batched_states(kernel, 4, 3, _TopUniforms())
+    assert batched[:, 0].tolist() == [0, 0, 0, 0]
+    assert np.all(batched[:, 1:] == 1)
 
 
 def test_tail_estimate_reproducible_and_monotone(toy_service):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_kernel
 from mapq.errors import NoRootInDomain, UnstableQueue
-from mapq.laws import Constant, DiscretePmf
+from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
     MapKernel,
     cgf,
@@ -142,3 +142,21 @@ def test_stability_root_deterministic_queue_has_no_root():
     service = single_state_kernel(Constant(2.0))
     with pytest.raises(NoRootInDomain):
         stability_root(arrival, service)
+
+
+def test_periodic_chain_perron_root_and_stability_root():
+    # on the period-2 chain the transform has eigenvalues +-lambda with
+    # lambda^2 = M01 M10, so kappa(theta) = (log M01 + log M10) / 2 and, for
+    # Gaussian edges, theta* = 2(m01 + m10 - 2 lam) / (s01^2 + s10^2)
+    m01, m10, s01, s10, lam = 1.5, 2.5, 0.7, 0.9, 1.2
+    law01, law10 = gaussian_quantized(m01, s01), gaussian_quantized(m10, s10)
+    service = MapKernel(("even", "odd"), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                        ((law10, law01), (law10, law01)), np.array([0.5, 0.5]))
+    for theta in (-0.2, 0.2):
+        sol = perron(service, theta)
+        closed = 0.5 * (math.log(law01.mgf(theta)) + math.log(law10.mgf(theta)))
+        assert sol.kappa == pytest.approx(closed, abs=1e-12)
+        assert np.all(sol.h > 0) and np.all(sol.v > 0)
+    root = stability_root(single_state_kernel(Constant(lam)), service)
+    closed_root = 2.0 * (m01 + m10 - 2.0 * lam) / (s01 ** 2 + s10 ** 2)
+    assert root.theta_star == pytest.approx(closed_root, abs=1e-9)
