@@ -14,7 +14,7 @@ import numpy as np
 
 from .copulas import ControlPlan
 from .laws import DiscretePmf, RayleighCapacity
-from .spectral import MapKernel
+from .spectral import MapKernel, stationary_distribution
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,15 @@ def capacity_kernel(transition, channel: ChannelSpec) -> MapKernel:
     capacity at the (i, j) entry of the SNR matrix."""
     transition = np.asarray(transition, dtype=float)
     n = len(channel.power_states)
-    increments = tuple(
-        tuple(RayleighCapacity(channel.bandwidth, float(channel.snr_matrix[i, j])) for j in range(n))
-        for i in range(n)
-    )
+    # one law per distinct SNR, so equal cells share one transform memo
+    laws = {snr: RayleighCapacity(channel.bandwidth, snr)
+            for snr in map(float, np.unique(channel.snr_matrix))}
+    increments = tuple(tuple(laws[float(snr)] for snr in row) for row in channel.snr_matrix)
     # start the chain at its stationary distribution unless told otherwise
-    from .spectral import stationary_distribution
-
     probe = MapKernel(channel.power_states, transition, increments,
                       np.full(n, 1.0 / n))
-    pi = stationary_distribution(probe)
-    return MapKernel(channel.power_states, transition, increments, pi)
+    return MapKernel(channel.power_states, transition, increments,
+                     stationary_distribution(probe))
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,13 @@ def controlled_capacity_process(
     states = np.empty(horizon + 1, dtype=np.int64)
     states[0] = rng.choice(n, p=w0)
     u = rng.random(horizon)
+    # imported here: sim pulls in scipy.stats, which loading a config never needs
+    from .sim import _cumulative_rows
+
+    cums = [_cumulative_rows(p) for p in dim.transitions]
     for t in range(horizon):
-        p = dim.transitions[min(t, len(dim.transitions) - 1)]
-        states[t + 1] = np.searchsorted(np.cumsum(p[states[t]]), u[t], side="right")
+        cum = cums[min(t, len(cums) - 1)]
+        states[t + 1] = np.searchsorted(cum[states[t]], u[t], side="right")
     gains = rng.exponential(size=horizon)
     snr = channel.snr_matrix[states[:-1], states[1:]]
     capacity = channel.bandwidth * np.log2(1.0 + snr * gains)

@@ -43,7 +43,9 @@ EXIT_UNSTABLE = 4
 EXIT_COPULA = 5
 
 _PARSE_ERRORS = (ConfigError, LengthMismatch, DimensionMismatch, UnknownExperiment, ValueError)
-_NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, NoDerivativeRoot, NoFixedPoint)
+# LinAlgError is a ValueError, so it must be matched before _PARSE_ERRORS
+_NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, NoDerivativeRoot, NoFixedPoint,
+                   np.linalg.LinAlgError)
 _COPULA_ERRORS = (IncompatibleCopula, OutOfUnitInterval, ZeroMassState)
 
 

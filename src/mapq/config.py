@@ -113,10 +113,14 @@ class ExperimentConfig:
     output_dir: str
 
 
+# libyaml's scanner, where built, with the same safe constructor and resolver
+_SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_SAFE_LOADER)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -20,6 +20,8 @@ from .errors import MgfDiverged
 
 _LN2 = math.log(2.0)
 _QUAD_TOL = 1e-10
+# a law's transform memo is cleared when full, so a long-lived process stays bounded
+_MEMO_LIMIT = 4096
 
 
 class IncrementLaw:
@@ -110,11 +112,14 @@ class RayleighCapacity(IncrementLaw):
 
     X = bandwidth * log2(1 + snr * G), G ~ Exp(1).  The MGF integrand
     e^{-g} (1 + snr*g)^{theta*bandwidth/ln2} is smooth with sub-exponential
-    decay; there is no closed form for general theta.
+    decay; there is no closed form for general theta.  Each integral is
+    computed once per (transform, theta) for the life of the law object;
+    failures are not remembered.
     """
 
     bandwidth: float
     snr: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -125,7 +130,11 @@ class RayleighCapacity(IncrementLaw):
     def _exponent(self, theta):
         return theta * self.bandwidth / _LN2
 
-    def _integrate(self, f, theta):
+    def _integrate(self, kind, theta, f):
+        key = (kind, theta)
+        val = self._memo.get(key)
+        if val is not None:
+            return val
         split = 1.0 / self.snr
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
@@ -139,11 +148,15 @@ class RayleighCapacity(IncrementLaw):
         val = lo + hi
         if not math.isfinite(val):
             raise MgfDiverged(f"capacity MGF not finite at theta={theta}")
+        if len(self._memo) >= _MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = val
         return val
 
     def mgf(self, theta):
         n = self._exponent(theta)
-        return self._integrate(lambda g: math.exp(-g + n * math.log1p(self.snr * g)), theta)
+        return self._integrate("mgf", theta,
+                               lambda g: math.exp(-g + n * math.log1p(self.snr * g)))
 
     def tilted_mean(self, theta):
         n = self._exponent(theta)
@@ -153,7 +166,7 @@ class RayleighCapacity(IncrementLaw):
             lg = math.log1p(self.snr * g)
             return scale * lg * math.exp(-g + n * lg)
 
-        return self._integrate(f, theta)
+        return self._integrate("tilted_mean", theta, f)
 
     def mean(self):
         # closed form: (W/ln2) e^{1/snr} E1(1/snr)

@@ -28,13 +28,13 @@ def _stream(seed, replication=None):
     return np.random.default_rng([int(seed), int(replication)])
 
 
-def _cumulative_rows(kernel: MapKernel) -> np.ndarray:
+def _cumulative_rows(transition: np.ndarray) -> np.ndarray:
     """Row-wise transition CDFs ending at exactly 1.
 
     Rows may sum to 1 - 1e-12; a uniform draw above that sum would
     otherwise map to the nonexistent state n.
     """
-    cum = np.cumsum(kernel.transition, axis=1)
+    cum = np.cumsum(transition, axis=1)
     cum[:, -1] = 1.0
     return cum
 
@@ -48,7 +48,7 @@ def sample_path(kernel: MapKernel, horizon: int, seed) -> tuple:
     """
     rng = _stream(seed)
     n = kernel.n_states
-    cum = _cumulative_rows(kernel)
+    cum = _cumulative_rows(kernel.transition)
     states = np.empty(horizon + 1, dtype=np.int64)
     states[0] = rng.choice(n, p=kernel.initial_dist)
     u = rng.random(horizon)
@@ -117,7 +117,7 @@ class TailEstimate:
 def _batched_states(kernel, replications, horizon, rng):
     """State matrix (replications, horizon + 1) advanced one slot at a time."""
     n = kernel.n_states
-    cum = _cumulative_rows(kernel)
+    cum = _cumulative_rows(kernel.transition)
     states = np.empty((replications, horizon + 1), dtype=np.int64)
     states[:, 0] = rng.choice(n, size=replications, p=kernel.initial_dist)
     for t in range(horizon):

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eig
 from scipy.optimize import brentq
 
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
 from .laws import IncrementLaw, Negated
-
-_DENSE_LIMIT = 64
-_EIG_TOL = 1e-12
-_EIG_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -62,6 +60,24 @@ class MapKernel:
 
     def law(self, i, j) -> IncrementLaw:
         return self.increments[i][j]
+
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """Stationary distribution of the chain, solved once per kernel; read-only."""
+        p = self.transition
+        n = p.shape[0]
+        if n == 1:
+            pi = np.array([1.0])
+        else:
+            # left null space of (P - I), with the normalization row appended
+            a = np.vstack([p.T - np.eye(n), np.ones(n)])
+            b = np.zeros(n + 1)
+            b[-1] = 1.0
+            pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+            pi = np.clip(pi, 0.0, None)
+            pi = pi / pi.sum()
+        pi.setflags(write=False)
+        return pi
 
 
 def _irreducible(p: np.ndarray) -> bool:
@@ -133,35 +149,8 @@ def _transform_derivative(kernel: MapKernel, theta: float) -> np.ndarray:
 
 
 def stationary_distribution(kernel: MapKernel) -> np.ndarray:
-    p = kernel.transition
-    n = p.shape[0]
-    if n == 1:
-        return np.array([1.0])
-    # left null space of (P - I), with the normalization row appended
-    a = np.vstack([p.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
-
-
-def _power_pair(f: np.ndarray):
-    n = f.shape[0]
-    h = np.full(n, 1.0 / n)
-    v = np.full(n, 1.0 / n)
-    lam = 0.0
-    for _ in range(_EIG_CAP):
-        h_new = f @ h
-        v_new = v @ f
-        lam = float(np.linalg.norm(h_new))
-        h_new = h_new / lam
-        v_new = v_new / np.linalg.norm(v_new)
-        res = max(np.max(np.abs(h_new - h)), np.max(np.abs(v_new - v)))
-        h, v = h_new, v_new
-        if res < _EIG_TOL:
-            return lam, h, v
-    raise NoConvergence(f"power iteration residual {res!r} above {_EIG_TOL}")
+    """The kernel's stationary distribution (cached on the kernel; read-only)."""
+    return kernel.stationary
 
 
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
@@ -171,19 +160,13 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     reduces to h = ones and v = pi.
     """
     f = transform_matrix(kernel, theta)
-    n = f.shape[0]
-    if n <= _DENSE_LIMIT:
-        # the Perron root of a nonnegative irreducible matrix has the largest
-        # real part; on a periodic chain -lambda ties with it in modulus
-        eigvals, right = np.linalg.eig(f)
-        k = int(np.argmax(eigvals.real))
-        lam = float(eigvals[k].real)
-        h = right[:, k].real
-        eigvals_l, left = np.linalg.eig(f.T)
-        kl = int(np.argmax(eigvals_l.real))
-        v = left[:, kl].real
-    else:
-        lam, h, v = _power_pair(f)
+    # the Perron root of a nonnegative irreducible matrix has the largest
+    # real part; on a periodic chain -lambda ties with it in modulus
+    eigvals, left, right = eig(f, left=True, right=True)
+    k = int(np.argmax(eigvals.real))
+    lam = float(eigvals[k].real)
+    h = right[:, k].real
+    v = left[:, k].real
     if lam <= 0:
         raise NoConvergence(f"nonpositive dominant eigenvalue {lam!r}")
     if np.sum(h) < 0:

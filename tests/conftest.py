@@ -66,6 +66,19 @@ def random_kernel(rng, n, mean_offset=0.0, spread=1.0):
     return MapKernel(tuple(f"s{i}" for i in range(n)), p, laws, np.full(n, 1.0 / n))
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so each call appends its arguments to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.fixture
 def toy_config_text():
     return """\

@@ -12,7 +12,7 @@ from mapq.channel import (
     instantaneous_capacity,
     quantize_capacity,
 )
-from mapq.copulas import dependence_control, one_param_frechet
+from mapq.copulas import ControlPlan, DimensionPlan, dependence_control, one_param_frechet
 from mapq.laws import RayleighCapacity
 from mapq.spectral import mean_rate
 
@@ -76,3 +76,28 @@ def test_controlled_capacity_state_occupancy(power_control_channel):
     plan = dependence_control([one_param_frechet(0.0)], [np.array([0.3, 0.7])], 1)
     path = controlled_capacity_process(plan, power_control_channel, 20_000, 3)
     assert np.mean(path.states == 0) == pytest.approx(0.3, abs=0.02)
+
+
+class _TopUniforms:
+    """Generator stub: every uniform is the largest double below 1."""
+
+    def choice(self, n, size=None, p=None):
+        return 0
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+    def exponential(self, size=None):
+        return np.ones(size)
+
+
+def test_controlled_capacity_process_stays_in_range_on_short_rows(monkeypatch,
+                                                                  power_control_channel):
+    # row 0 sums to 1 - 1e-13; a uniform above that sum must land on the last state
+    p = np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5]])
+    w0 = np.array([1.0, 0.0])
+    plan = ControlPlan(1, (DimensionPlan((p,), (w0, w0 @ p)),))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _TopUniforms())
+    path = controlled_capacity_process(plan, power_control_channel, 3, 0)
+    assert path.states.tolist() == [1, 1, 1]
+    assert path.capacity.tolist() == [20.0 * math.log2(1.0 + 1e4)] + [20.0 * math.log2(11.0)] * 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from mapq import spectral
 from mapq.cli import main
 
 
@@ -110,6 +111,16 @@ service:
     increments: [[{law: constant, value: 2.0}]]
 """)
     assert _run(["bounds", "--config", cfg, "--mode", "delay", "--levels", "1"]) == 3
+
+
+def test_eigensolver_failure_exits_3(tmp_path, toy_cfg, monkeypatch):
+    # LinAlgError subclasses ValueError, which alone would map to exit 2
+    def failing_eig(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral, "eig", failing_eig)
+    assert _run(["bounds", "--config", toy_cfg, "--mode", "delay", "--levels", "1",
+                 "--out", str(tmp_path)]) == 3
 
 
 def test_parse_error_exits_2(tmp_path):

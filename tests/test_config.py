@@ -111,3 +111,28 @@ def test_load_config_rejects_non_mapping(tmp_path):
     path.write_text("- just\n- a list\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+CHANNEL_CONFIG_TEXT = """\
+arrival: {kernel: {states: [on, off], transition: [[0.9, 0.1], [0.2, 0.8]],
+  increments: [[{law: constant, value: 2}, {law: pmf, support: [0, 1], probs: [0.5, 0.5]}],
+               [{law: shifted, inner: {law: constant, value: 1}, offset: -0.5},
+                {law: negated, inner: {law: normal, mean: 1.0, std: 0.5, points: 32}}]]}}
+service:
+  channel:
+    bandwidth: 20.0
+    snr: [["db:40", "db:10"], ['db:40', 1.0e-3]]
+    states: [hi, lo]
+  copula: {family: frechet1, alpha: -0.5}
+  varpi: [0.3, 0.7]
+simulation: {horizon: 50, replications: 10, seed: ~, levels: [1, 2.5, .5]}
+output: {directory: "out dir"}
+"""
+
+
+@pytest.mark.parametrize("which", ["toy", "channel"])
+def test_load_config_parses_like_safe_load(tmp_path, toy_config_text, which):
+    text = toy_config_text if which == "toy" else CHANNEL_CONFIG_TEXT
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert load_config(path).raw == yaml.safe_load(text)

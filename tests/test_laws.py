@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import count_calls
+from mapq import laws as laws_module
 from mapq.errors import MgfDiverged
 from mapq.laws import (
     Constant,
@@ -105,3 +107,33 @@ def test_negated_and_shifted_wrappers():
     rng = np.random.default_rng(2)
     assert np.all(neg.sample(rng, 100) < 0)
     assert np.all(sh.sample(rng, 100) >= 5.0)
+
+
+def test_rayleigh_transforms_are_memoized_per_law_object(monkeypatch):
+    calls = count_calls(monkeypatch, laws_module, "quad")
+    law = RayleighCapacity(20.0, 10.0)
+    mgf, tilted = law.mgf(0.3), law.tilted_mean(0.3)
+    assert len(calls) == 4  # two quad integrals per transform
+    assert law.mgf(0.3) == mgf and law.tilted_mean(0.3) == tilted
+    assert Negated(law).mgf(-0.3) == mgf
+    assert len(calls) == 4
+    # a value-equal law built separately shares nothing and integrates again
+    twin = RayleighCapacity(20.0, 10.0)
+    assert twin == law and hash(twin) == hash(law)
+    assert twin.mgf(0.3) == mgf and twin.tilted_mean(0.3) == tilted
+    assert len(calls) == 8
+
+
+def test_rayleigh_memo_keeps_no_failure_and_stays_bounded(monkeypatch):
+    calls = count_calls(monkeypatch, laws_module, "quad")
+    law = RayleighCapacity(20.0, 10.0)
+    for expected in (2, 4):
+        with pytest.raises(MgfDiverged):
+            law.mgf(5.0)
+        assert len(calls) == expected
+    assert law._memo == {}
+    monkeypatch.setattr(laws_module, "_MEMO_LIMIT", 3)
+    for theta in (0.01, 0.02, 0.03, 0.04, 0.05):
+        law.mgf(theta)
+        assert len(law._memo) <= 3
+    assert law.mgf(0.05) == RayleighCapacity(20.0, 10.0).mgf(0.05)

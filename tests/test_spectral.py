@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_kernel
+from conftest import count_calls, random_kernel
+from mapq import laws as laws_module
+from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.errors import NoRootInDomain, UnstableQueue
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
@@ -160,3 +162,43 @@ def test_periodic_chain_perron_root_and_stability_root():
     root = stability_root(single_state_kernel(Constant(lam)), service)
     closed_root = 2.0 * (m01 + m10 - 2.0 * lam) / (s01 ** 2 + s10 ** 2)
     assert root.theta_star == pytest.approx(closed_root, abs=1e-9)
+
+
+def test_perron_on_100_states_with_constant_laws():
+    # F = e^{c theta} P for every law Constant(c): kappa = c theta and h = 1
+    rng = np.random.default_rng(100)
+    n, c, theta = 100, 0.7, 1.3
+    p = rng.random((n, n)) + 0.01
+    p /= p.sum(axis=1, keepdims=True)
+    laws = ((Constant(c),) * n,) * n
+    k = MapKernel(tuple(range(n)), p, laws, np.full(n, 1.0 / n))
+    sol = perron(k, theta)
+    assert sol.kappa == pytest.approx(c * theta, rel=1e-12)
+    assert np.max(np.abs(sol.h - 1.0)) <= 1e-12
+    assert sol.residual <= 1e-10
+
+
+def test_transform_quadrature_once_per_distinct_law(monkeypatch):
+    quad_calls = count_calls(monkeypatch, laws_module, "quad")
+    # row-constant SNR: nine cells, three distinct laws
+    snr = np.array([[10.0] * 3, [5.0] * 3, [1.0] * 3])
+    p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
+    k = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
+    transform_matrix(k, 0.2)
+    assert len(quad_calls) == 6
+    perron(k, 0.2)
+    perron(negate(k), -0.2)
+    assert len(quad_calls) == 6
+    fresh = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
+    assert np.array_equal(transform_matrix(fresh, 0.2), transform_matrix(k, 0.2))
+    assert len(quad_calls) == 12
+
+
+def test_stationary_distribution_is_solved_once_and_read_only(monkeypatch):
+    solves = count_calls(monkeypatch, np.linalg, "lstsq")
+    k = random_kernel(np.random.default_rng(5), 3)
+    pi = stationary_distribution(k)
+    assert stationary_distribution(k) is pi and perron(k, 0.4).pi is pi
+    assert len(solves) == 1
+    with pytest.raises(ValueError):
+        pi[0] = 0.5
