@@ -71,6 +71,14 @@ def _clamp(x):
     return min(max(x, 0.0), 1.0)
 
 
+def _delay_level(d, whole: bool = True):
+    """d itself if it is finite, >= 0 and (when `whole`) integral, else ValueError."""
+    if not (math.isfinite(d) and d >= 0 and (float(d).is_integer() or not whole)):
+        kind = "whole" if whole else "finite"
+        raise ValueError(f"delay level must be {kind} slots >= 0, got {d!r}")
+    return d
+
+
 def decay_rates(arrival: MapKernel, service: MapKernel):
     """(delay_rate, backlog_rate) = (kappa^A(theta*), theta*)."""
     root = stability_root(arrival, service)
@@ -117,8 +125,10 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
     The conditioning pairs the arrival chain state at time d with the
     service chain state at time 0; the arrival state distribution at d is
     propagated as varpi_0 P^d.  The bound value itself depends on the
-    service state only, through h^{-S}_{J_0}.
+    service state only, through h^{-S}_{J_0}.  Levels are whole slots d >= 0;
+    a one-state arrival chain has P^d = [1], so any real d >= 0 is defined.
     """
+    d_range = [_delay_level(d, whole=arrival.n_states > 1) for d in d_range]
     root, h_a, h_s = _context(arrival, service)
     h_plus, h_minus = _h_constants_delay(root, h_a, h_s)
     kappa = root.kappa_arrival
@@ -126,7 +136,7 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
     out = []
     for d in d_range:
         decay = math.exp(-kappa * d)
-        p_a_d = np.linalg.matrix_power(arrival.transition, int(round(d)))
+        p_a_d = np.linalg.matrix_power(arrival.transition, int(d))
         varpi_a_d = arrival.initial_dist @ p_a_d
         for _, i_s, label in _state_pairs(arrival, service, "d"):
             lo = h_minus * h_s[i_s] * decay

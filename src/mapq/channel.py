@@ -14,6 +14,7 @@ import numpy as np
 
 from .copulas import ControlPlan
 from .laws import DiscretePmf, RayleighCapacity
+from .sim import _cumulative_rows, _path_states
 from .spectral import MapKernel, stationary_distribution
 
 
@@ -81,17 +82,9 @@ def controlled_capacity_process(
     if dim.transitions[0].shape != (n, n):
         raise ValueError("plan dimension does not match power state count")
     rng = np.random.default_rng(seed)
-    w0 = np.asarray(dim.distributions[0], dtype=float)
-    states = np.empty(horizon + 1, dtype=np.int64)
-    states[0] = rng.choice(n, p=w0)
-    u = rng.random(horizon)
-    # imported here: sim pulls in scipy.stats, which loading a config never needs
-    from .sim import _cumulative_rows
-
-    cums = [_cumulative_rows(p) for p in dim.transitions]
-    for t in range(horizon):
-        cum = cums[min(t, len(cums) - 1)]
-        states[t + 1] = np.searchsorted(cum[states[t]], u[t], side="right")
+    cums = _cumulative_rows(np.stack(dim.transitions))
+    cum = cums[np.minimum(np.arange(horizon), len(cums) - 1)]
+    states = _path_states(cum, np.asarray(dim.distributions[0], dtype=float), horizon, rng)
     gains = rng.exponential(size=horizon)
     snr = channel.snr_matrix[states[:-1], states[1:]]
     capacity = channel.bandwidth * np.log2(1.0 + snr * gains)

@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     IncompatibleCopula,
+    InconclusiveTail,
     LengthMismatch,
     MgfDiverged,
     NoConvergence,
@@ -34,8 +35,8 @@ from .errors import (
     UnstableQueue,
     ZeroMassState,
 )
-from .laws import Constant, DiscretePmf
-from .spectral import cgf, cgf_derivative, negate, perron, single_state_kernel
+from .laws import DiscretePmf
+from .spectral import cgf, cgf_derivative, negate, perron
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
@@ -43,9 +44,9 @@ EXIT_UNSTABLE = 4
 EXIT_COPULA = 5
 
 _PARSE_ERRORS = (ConfigError, LengthMismatch, DimensionMismatch, UnknownExperiment, ValueError)
-# LinAlgError is a ValueError, so it must be matched before _PARSE_ERRORS
+# LinAlgError and InconclusiveTail are ValueErrors: match them before _PARSE_ERRORS
 _NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, NoDerivativeRoot, NoFixedPoint,
-                   np.linalg.LinAlgError)
+                   InconclusiveTail, np.linalg.LinAlgError)
 _COPULA_ERRORS = (IncompatibleCopula, OutOfUnitInterval, ZeroMassState)
 
 
@@ -73,12 +74,6 @@ def _float_list(text):
         raise ConfigError(f"bad numeric list {text!r}: {exc}") from exc
 
 
-def _arrival_kernel(config: cf.ExperimentConfig):
-    if config.arrival is not None:
-        return config.arrival
-    return single_state_kernel(Constant(config.arrival_rate), label="const")
-
-
 def _out_dir(config, args):
     out = args.out or config.output_dir
     os.makedirs(out, exist_ok=True)
@@ -91,7 +86,7 @@ def _out_dir(config, args):
 
 def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
     thetas = _float_list(args.theta) if args.theta else [0.0, 0.5, 1.0]
-    kernels = [("arrival", _arrival_kernel(config)), ("neg_service", negate(config.service))]
+    kernels = [("arrival", config.arrival), ("neg_service", negate(config.service))]
     rows = []
     for theta in thetas:
         per_role = {}
@@ -122,7 +117,7 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
     out = _out_dir(config, args)
     path = os.path.join(out, f"bounds_{mode}.csv")
 
-    arrival = _arrival_kernel(config)
+    arrival = config.arrival
     if mode in ("delay", "backlog"):
         fn = bd.delay_bounds if mode == "delay" else bd.backlog_bounds
         reports = fn(arrival, config.service, levels)
@@ -226,15 +221,14 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
     horizon = config.horizon or 1000
     replications = config.replications or 10_000
 
-    arrival = config.arrival if config.arrival is not None else config.arrival_rate
-    estimates = sim.tail_estimate(arrival, config.service, levels, replications,
+    estimates = sim.tail_estimate(config.arrival, config.service, levels, replications,
                                   horizon, seed, metric=metric)
 
     bound_map = {}
     theta_star = math.nan
     try:
         fn = bd.delay_bounds if metric == "delay" else bd.backlog_bounds
-        reports = fn(_arrival_kernel(config), config.service, levels)
+        reports = fn(config.arrival, config.service, levels)
         for r in reports:
             if r.conditioning == "average":
                 bound_map[r.level] = (r.lower, r.upper)

@@ -12,7 +12,7 @@ from . import copulas as cp
 from .channel import ChannelSpec, capacity_kernel
 from .errors import ConfigError
 from .laws import Constant, DiscretePmf, Negated, RayleighCapacity, Shifted, gaussian_quantized
-from .spectral import MapKernel
+from .spectral import MapKernel, single_state_kernel
 
 
 def parse_law(doc) -> object:
@@ -53,7 +53,10 @@ def parse_kernel(doc) -> MapKernel:
     try:
         states = list(doc["states"])
         transition = np.asarray(doc["transition"], dtype=float)
-        increments = tuple(tuple(parse_law(cell) for cell in row) for row in doc["increments"])
+        # value-equal cells share one law object, and with it one transform memo
+        laws = {}
+        increments = tuple(tuple(laws.setdefault(law, law) for law in map(parse_law, row))
+                           for row in doc["increments"])
         initial = np.asarray(doc.get("initial_dist", np.full(len(states), 1.0 / len(states))),
                              dtype=float)
         return MapKernel(tuple(states), transition, increments, initial)
@@ -102,8 +105,7 @@ def parse_channel(doc) -> ChannelSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
-    arrival_rate: float | None  # constant-rate arrival, exclusive with kernel
-    arrival: MapKernel | None
+    arrival: MapKernel  # a constant rate is the one-state kernel "const"
     service: MapKernel
     service_channel: ChannelSpec | None
     copulas: list | None  # copula section, kept raw for the control command
@@ -134,11 +136,10 @@ def build_config(doc: dict) -> ExperimentConfig:
         {"constant", "kernel"} & set(arrival_doc)
     ) != 1:
         raise ConfigError("arrival must specify exactly one of: constant, kernel")
-    arrival_rate = arrival_kernel = None
     if "constant" in arrival_doc:
-        arrival_rate = float(arrival_doc["constant"])
+        arrival = single_state_kernel(Constant(float(arrival_doc["constant"])), label="const")
     else:
-        arrival_kernel = parse_kernel(arrival_doc["kernel"])
+        arrival = parse_kernel(arrival_doc["kernel"])
 
     service_doc = doc.get("service")
     if not isinstance(service_doc, dict) or len(
@@ -172,8 +173,7 @@ def build_config(doc: dict) -> ExperimentConfig:
     seed = sim_doc.get("seed")
     return ExperimentConfig(
         raw=doc,
-        arrival_rate=arrival_rate,
-        arrival=arrival_kernel,
+        arrival=arrival,
         service=service,
         service_channel=channel,
         copulas=copulas_doc,

@@ -40,6 +40,10 @@ class NoDerivativeRoot(MapqError):
     """The finite-horizon derivative equation has no root in the domain."""
 
 
+class InconclusiveTail(MapqError, ValueError):
+    """Too few tail levels had enough exceedances to fit a decay slope."""
+
+
 class NoFixedPoint(MapqError):
     """Fixed-point iteration failed to converge within the iteration cap."""
 

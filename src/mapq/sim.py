@@ -1,8 +1,8 @@
 """Monte Carlo queue simulation and empirical stochastic-order checks.
 
-Replications are independent units of work with per-replication random
-streams keyed (seed, replication), so results are reproducible and
-order-independent across workers.
+Each call draws from one stream seeded by its `seed`, so results are
+reproducible.  All state sampling goes through one successor rule
+(`_successors`) and all increment draws through `_increments`.
 """
 
 from __future__ import annotations
@@ -11,21 +11,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
-from .errors import DimensionMismatch, LengthMismatch, UnknownExperiment
+from .bounds import _delay_level
+from .errors import DimensionMismatch, InconclusiveTail, LengthMismatch, UnknownExperiment
 from .laws import Constant, DiscretePmf
-from .spectral import MapKernel, cgf, mean_rate, perron, stability_root
+from .spectral import MapKernel, mean_rate, perron, single_state_kernel, stability_root
 
 
 # ---------------------------------------------------------------------------
 # sample paths and the queue recursion
 
 
-def _stream(seed, replication=None):
-    if replication is None:
-        return np.random.default_rng(seed)
-    return np.random.default_rng([int(seed), int(replication)])
+def _stream(seed):
+    return np.random.default_rng(seed)
 
 
 def _cumulative_rows(transition: np.ndarray) -> np.ndarray:
@@ -34,9 +32,58 @@ def _cumulative_rows(transition: np.ndarray) -> np.ndarray:
     Rows may sum to 1 - 1e-12; a uniform draw above that sum would
     otherwise map to the nonexistent state n.
     """
-    cum = np.cumsum(transition, axis=1)
-    cum[:, -1] = 1.0
+    cum = np.cumsum(transition, axis=-1)
+    cum[..., -1] = 1.0
     return cum
+
+
+def _successors(cum, states, u):
+    """First j with u < cum[state, j]; `cum` may be a per-slot stack of CDF matrices."""
+    return (cum[..., states, :] <= u[..., None]).sum(axis=-1)
+
+
+def _states(kernel: MapKernel, replications: int, horizon: int, rng) -> np.ndarray:
+    """State matrix (replications, horizon + 1); a one-state chain draws nothing."""
+    n = kernel.n_states
+    if n == 1:
+        return np.broadcast_to(np.int64(0), (replications, horizon + 1))
+    cum = _cumulative_rows(kernel.transition)
+    states = np.empty((replications, horizon + 1), dtype=np.int64)
+    states[:, 0] = rng.choice(n, size=replications, p=kernel.initial_dist)
+    for t in range(horizon):
+        states[:, t + 1] = _successors(cum, states[:, t], rng.random(replications))
+    return states
+
+
+def _path_states(cum, initial_dist, horizon: int, rng) -> np.ndarray:
+    """State series (horizon + 1) of one path, chained through a flat table of
+    every slot's successors; a one-state chain draws nothing."""
+    n = len(initial_dist)
+    if n == 1:
+        return np.zeros(horizon + 1, dtype=np.int64)
+    state = int(rng.choice(n, p=initial_dist))
+    table = _successors(cum, np.arange(n), rng.random(horizon)[:, None]).ravel().tolist()
+    path = [state]
+    for base in range(0, n * horizon, n):
+        state = table[base + state]
+        path.append(state)
+    return np.array(path, dtype=np.int64)
+
+
+def _increments(kernel: MapKernel, src, dst, rng) -> np.ndarray:
+    """Increments of the (src, dst) transitions, any shape, drawn edge by
+    edge in (i, j) order."""
+    n = kernel.n_states
+    if n == 1:  # the one edge takes every slot
+        return kernel.law(0, 0).sample(rng, src.size).reshape(src.shape)
+    edge = src * n + dst
+    out = np.empty(edge.shape)
+    for e in range(n * n):
+        mask = edge == e
+        count = np.count_nonzero(mask)
+        if count:
+            out[mask] = kernel.law(*divmod(e, n)).sample(rng, count)
+    return out
 
 
 def sample_path(kernel: MapKernel, horizon: int, seed) -> tuple:
@@ -47,22 +94,9 @@ def sample_path(kernel: MapKernel, horizon: int, seed) -> tuple:
     (state_{t-1}, state_t) pair.
     """
     rng = _stream(seed)
-    n = kernel.n_states
     cum = _cumulative_rows(kernel.transition)
-    states = np.empty(horizon + 1, dtype=np.int64)
-    states[0] = rng.choice(n, p=kernel.initial_dist)
-    u = rng.random(horizon)
-    for t in range(horizon):
-        states[t + 1] = np.searchsorted(cum[states[t]], u[t], side="right")
-    increments = np.empty(horizon)
-    src, dst = states[:-1], states[1:]
-    for i in range(n):
-        for j in range(n):
-            mask = (src == i) & (dst == j)
-            count = int(mask.sum())
-            if count:
-                increments[mask] = kernel.law(i, j).sample(rng, count)
-    return states, increments
+    states = _path_states(cum, kernel.initial_dist, horizon, rng)
+    return states, _increments(kernel, states[:-1], states[1:], rng)
 
 
 @dataclass(frozen=True)
@@ -114,35 +148,8 @@ class TailEstimate:
     conclusive: bool
 
 
-def _batched_states(kernel, replications, horizon, rng):
-    """State matrix (replications, horizon + 1) advanced one slot at a time."""
-    n = kernel.n_states
-    cum = _cumulative_rows(kernel.transition)
-    states = np.empty((replications, horizon + 1), dtype=np.int64)
-    states[:, 0] = rng.choice(n, size=replications, p=kernel.initial_dist)
-    for t in range(horizon):
-        u = rng.random(replications)
-        states[:, t + 1] = (u[:, None] > cum[states[:, t]]).sum(axis=1)
-    return states
-
-
-def _batched_increments(kernel, states, rng):
-    replications, cols = states.shape
-    horizon = cols - 1
-    out = np.empty((replications, horizon))
-    src, dst = states[:, :-1], states[:, 1:]
-    n = kernel.n_states
-    for i in range(n):
-        for j in range(n):
-            mask = (src == i) & (dst == j)
-            count = int(mask.sum())
-            if count:
-                out[mask] = kernel.law(i, j).sample(rng, count)
-    return out
-
-
 def tail_estimate(
-    arrival,
+    arrival: MapKernel,
     service: MapKernel,
     levels,
     replications: int,
@@ -153,64 +160,36 @@ def tail_estimate(
 ) -> list:
     """Empirical stationary tail P(B > b) or P(D > d) with binomial errors.
 
-    `arrival` is a MapKernel or a constant rate (bits/slot).  Each
-    replication contributes its end-of-horizon observation, taken after the
-    queue has relaxed; levels with fewer than `min_hits` exceedances are
-    flagged inconclusive.
+    A constant arrival at rate lam is `single_state_kernel(Constant(lam))`.
+    Each replication contributes its end-of-horizon observation, taken after
+    the queue has relaxed; levels with fewer than `min_hits` exceedances are
+    flagged inconclusive.  Delay levels are whole slots d >= 0: D > d iff
+    the backlog exceeds the arrivals of the last d slots.
     """
+    if metric == "delay":
+        d_max = max(int(_delay_level(d)) for d in levels) + 1
+        window = np.zeros((replications, d_max))  # trailing arrivals ring
+    elif metric != "backlog":
+        raise ValueError(f"unknown metric {metric!r}")
     rng = _stream(seed)
-    constant_rate = None if isinstance(arrival, MapKernel) else float(arrival)
-    d_max = int(max(levels)) + 1 if metric == "delay" else 0
+    service_states = _states(service, replications, horizon, rng)
+    arrival_states = _states(arrival, replications, horizon, rng)
 
     backlog = np.zeros(replications)
-    if metric == "delay" and constant_rate is None:
-        window = np.zeros((replications, max(d_max, 1)))  # trailing arrivals ring
-
-    service_states = _batched_states(service, replications, horizon, rng)
-    if constant_rate is None:
-        arrival_states = _batched_states(arrival, replications, horizon, rng)
-
     for t in range(horizon):
-        if constant_rate is None:
-            src = arrival_states[:, t]
-            dst = arrival_states[:, t + 1]
-            a = np.empty(replications)
-            for i in range(arrival.n_states):
-                for j in range(arrival.n_states):
-                    mask = (src == i) & (dst == j)
-                    count = int(mask.sum())
-                    if count:
-                        a[mask] = arrival.law(i, j).sample(rng, count)
-        else:
-            a = constant_rate
-        src = service_states[:, t]
-        dst = service_states[:, t + 1]
-        c = np.empty(replications)
-        for i in range(service.n_states):
-            for j in range(service.n_states):
-                mask = (src == i) & (dst == j)
-                count = int(mask.sum())
-                if count:
-                    c[mask] = service.law(i, j).sample(rng, count)
+        a = _increments(arrival, arrival_states[:, t], arrival_states[:, t + 1], rng)
+        c = _increments(service, service_states[:, t], service_states[:, t + 1], rng)
         backlog = np.maximum(backlog + a - c, 0.0)
-        if metric == "delay" and constant_rate is None:
+        if metric == "delay":
             window[:, t % d_max] = a
 
     out = []
     for level in levels:
         if metric == "backlog":
             exceed = backlog > level
-        elif metric == "delay":
-            d = int(level)
-            if constant_rate is not None:
-                # with constant arrivals, D > d iff B > lambda * d
-                exceed = backlog > constant_rate * d
-            else:
-                idx = (np.arange(horizon - d, horizon)) % d_max
-                trailing = window[:, idx].sum(axis=1) if d > 0 else np.zeros(replications)
-                exceed = backlog > trailing
         else:
-            raise ValueError(f"unknown metric {metric!r}")
+            idx = np.arange(horizon - int(level), horizon) % d_max
+            exceed = backlog > window[:, idx].sum(axis=1)
         hits = int(exceed.sum())
         p_hat = hits / replications
         se = math.sqrt(p_hat * (1.0 - p_hat) / replications)
@@ -222,7 +201,8 @@ def decay_slope(estimates, min_hits: int = 50) -> float:
     """Least-squares slope of log p_hat over the conclusive tail region."""
     pts = [(e.level, math.log(e.p_hat)) for e in estimates if e.hits >= min_hits and 0 < e.p_hat < 1]
     if len(pts) < 2:
-        raise ValueError("not enough conclusive levels for a slope fit")
+        raise InconclusiveTail(f"not enough conclusive levels for a slope fit: {len(pts)} "
+                               f"of {len(estimates)} have {min_hits}+ hits")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     return float(np.polyfit(x, y, 1)[0])
@@ -236,8 +216,8 @@ def martingale_check(kernel: MapKernel, theta: float, horizon: int, replications
     """Sample mean and standard error of L(T) = (h_{J_T}/h_{J_0}) e^{theta S(T) - T kappa}."""
     sol = perron(kernel, theta)
     rng = _stream(seed)
-    states = _batched_states(kernel, replications, horizon, rng)
-    increments = _batched_increments(kernel, states, rng)
+    states = _states(kernel, replications, horizon, rng)
+    increments = _increments(kernel, states[:, :-1], states[:, 1:], rng)
     s_total = increments.sum(axis=1)
     ell = (
         sol.h[states[:, -1]]
@@ -309,6 +289,9 @@ def supermodular_battery(samples_x, samples_y, alpha: float = 0.01) -> OrderRepo
     y = np.asarray(samples_y, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"sample shapes {x.shape} and {y.shape} do not align")
+    # imported here: scipy.stats is slow to import, and only this check needs it
+    from scipy.stats import ks_2samp
+
     k = x.shape[1]
     for col in range(k):
         if ks_2samp(x[:, col], y[:, col]).pvalue < alpha / k:
@@ -408,7 +391,8 @@ def _experiment_arrival_vs_constant(config, seed):
         theta = stability_root(bursty, service).theta_star
         levels = list(np.linspace(0.0, 4.0 / theta, 9)[1:])
     slope_const = decay_slope(
-        tail_estimate(rate, service, levels, replications, horizon, seed, "backlog")
+        tail_estimate(single_state_kernel(Constant(rate)), service, levels, replications,
+                      horizon, seed, "backlog")
     )
     slope_bursty = decay_slope(
         tail_estimate(bursty, service, levels, replications, horizon, seed + 1, "backlog")
@@ -436,7 +420,8 @@ def _experiment_service_sweep(config, seed):
     for alpha in alphas:
         p, _ = transition_from_copula(one_param_frechet(alpha), varpi)
         kernel = capacity_kernel(p, channel)
-        est = tail_estimate(rate, kernel, levels, replications, horizon, seed, "delay")
+        est = tail_estimate(single_state_kernel(Constant(rate)), kernel, levels, replications,
+                            horizon, seed, "delay")
         rates[f"alpha={alpha}"] = -decay_slope(est)
     values = [rates[f"alpha={a}"] for a in alphas]
     holds = all(values[i] >= values[i + 1] for i in range(len(values) - 1))

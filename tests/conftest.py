@@ -66,6 +66,21 @@ def random_kernel(rng, n, mean_offset=0.0, spread=1.0):
     return MapKernel(tuple(f"s{i}" for i in range(n)), p, laws, np.full(n, 1.0 / n))
 
 
+def searchsorted_walk(transitions, initial_dist, horizon, seed):
+    """Reference state walk: one searchsorted per slot on the pinned CDF row,
+    with slot t moving by transitions[min(t, len - 1)]."""
+    rng = np.random.default_rng(seed)
+    state = int(rng.choice(len(initial_dist), p=initial_dist))
+    u = rng.random(horizon)
+    states = [state]
+    for t in range(horizon):
+        cum = np.cumsum(transitions[min(t, len(transitions) - 1)][state])
+        cum[-1] = 1.0
+        state = int(np.searchsorted(cum, u[t], side="right"))
+        states.append(state)
+    return states
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name so each call appends its arguments to the returned list."""
     calls = []

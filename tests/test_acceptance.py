@@ -90,8 +90,8 @@ def test_criterion_02_analytic_root_oracle(toy_arrival, toy_service):
 def test_criterion_03_delay_figure_sandwich(delay_figure_channel):
     service = frechet_capacity_kernel(delay_figure_channel, -0.5)
     levels = [1, 2, 3, 4, 5, 6]
-    est = sim.tail_estimate(10.0, service, levels, 100_000, 1000, 42, "delay")
     arrival = single_state_kernel(Constant(10.0))
+    est = sim.tail_estimate(arrival, service, levels, 100_000, 1000, 42, "delay")
     reports = {r.level: r for r in bd.delay_bounds(arrival, service, levels)
                if r.conditioning == "average"}
     checked = 0
@@ -109,15 +109,15 @@ def test_criterion_03_delay_figure_sandwich(delay_figure_channel):
 
 
 def test_criterion_04_decay_rate_slopes(toy_service, delay_figure_channel):
-    est = sim.tail_estimate(1.0, toy_service, [2.0, 2.5, 3.0, 3.5, 4.0],
-                            2_000_000, 60, 123, "backlog")
+    est = sim.tail_estimate(single_state_kernel(Constant(1.0)), toy_service,
+                            [2.0, 2.5, 3.0, 3.5, 4.0], 2_000_000, 60, 123, "backlog")
     slope_toy = sim.decay_slope(est)
     theta_toy = bd.decay_rates(single_state_kernel(Constant(1.0)), toy_service)[1]
     assert abs(slope_toy + theta_toy) / theta_toy < 0.10, slope_toy
 
     service = frechet_capacity_kernel(delay_figure_channel, -0.5)
-    est = sim.tail_estimate(10.0, service, [10, 15, 20, 25, 30],
-                            100_000, 1000, 7, "backlog")
+    est = sim.tail_estimate(single_state_kernel(Constant(10.0)), service,
+                            [10, 15, 20, 25, 30], 100_000, 1000, 7, "backlog")
     slope_fig = sim.decay_slope(est)
     theta_fig = bd.decay_rates(single_state_kernel(Constant(10.0)), service)[1]
     assert abs(slope_fig + theta_fig) / theta_fig < 0.10, slope_fig

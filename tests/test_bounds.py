@@ -141,6 +141,22 @@ def test_constant_arrival_backlog_is_rescaled_delay(toy_service):
         assert rb.conditioning == rd.conditioning
 
 
+def test_delay_levels_are_whole_slots(toy_service):
+    # P^d of a multi-state arrival chain needs whole d >= 0 (d = -1 used to
+    # invert P, and 2.5 to mix P^2 with the decay at 2.5)
+    arrival = MapKernel(("on", "off"), np.array([[0.8, 0.2], [0.3, 0.7]]),
+                        ((Constant(1.0), Constant(0.0)), (Constant(1.0), Constant(0.0))),
+                        np.array([0.5, 0.5]))
+    for bad in (2.5, -1, float("inf")):
+        with pytest.raises(ValueError, match="whole slots"):
+            bd.delay_bounds(arrival, toy_service, [1, bad])
+    # a one-state chain has P^d = [1], so any finite d >= 0 is defined
+    constant = single_state_kernel(Constant(1.0))
+    assert len(bd.delay_bounds(constant, toy_service, [2.5])) == 2
+    with pytest.raises(ValueError, match="delay level"):
+        bd.delay_bounds(constant, toy_service, [-1])
+
+
 def test_constant_arrival_unstable(toy_service):
     with pytest.raises(UnstableQueue):
         bd.delay_bounds(single_state_kernel(Constant(3.5)), toy_service, [1])

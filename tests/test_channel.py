@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import searchsorted_walk
 from mapq.channel import (
     ChannelSpec,
     capacity_kernel,
@@ -76,6 +77,17 @@ def test_controlled_capacity_state_occupancy(power_control_channel):
     plan = dependence_control([one_param_frechet(0.0)], [np.array([0.3, 0.7])], 1)
     path = controlled_capacity_process(plan, power_control_channel, 20_000, 3)
     assert np.mean(path.states == 0) == pytest.approx(0.3, abs=0.02)
+
+
+def test_controlled_capacity_states_follow_the_searchsorted_walk(delay_figure_channel):
+    # three steps, then the last step's matrix repeats
+    plan = dependence_control([[one_param_frechet(a) for a in (-0.5, 0.2, 0.8)]],
+                              [np.array([0.3, 0.7])], 3)
+    dim = plan.per_dimension[0]
+    assert len(dim.transitions) == 3
+    path = controlled_capacity_process(plan, delay_figure_channel, 400, [5, 1])
+    walk = searchsorted_walk(dim.transitions, dim.distributions[0], 400, [5, 1])
+    assert path.states.tolist() == walk[1:]
 
 
 class _TopUniforms:

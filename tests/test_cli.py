@@ -1,11 +1,15 @@
 """Command-line contract: determinism, CSV shape, exit-code taxonomy."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import yaml
 
 from mapq import spectral
-from mapq.cli import main
+from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, main
 
 
 def _run(args):
@@ -127,6 +131,40 @@ def test_parse_error_exits_2(tmp_path):
     cfg = _write(tmp_path, "broken.yaml", "arrival: {constant: 1.0}\n")
     assert _run(["bounds", "--config", cfg, "--mode", "delay", "--levels", "1"]) == 2
     assert _run(["bounds", "--config", str(tmp_path / "missing.yaml")]) == 2
+
+
+def test_delay_levels_must_be_whole_slots(tmp_path, toy_cfg):
+    doc = {"arrival": _two_state(["on", "off"], _pmf([0.0, 3.0], [0.5, 0.5]),
+                                 _pmf([0.0, 1.0], [0.5, 0.5])),
+           "service": _two_state(["good", "bad"], _pmf([1.0, 4.0], [0.5, 0.5]),
+                                 _pmf([0.5, 3.0], [0.5, 0.5])),
+           "simulation": {"seed": 1, "horizon": 5, "replications": 10}}
+    cfg = _write(tmp_path, "pairs.yaml", yaml.safe_dump(doc))
+    for command in ("bounds", "simulate"):
+        assert _run([command, "--config", cfg, "--mode", "delay", "--levels", "2.5",
+                     "--out", str(tmp_path)]) == EXIT_PARSE
+    assert _run(["bounds", "--config", toy_cfg, "--mode", "delay", "--levels", "-1",
+                 "--out", str(tmp_path)]) == EXIT_PARSE
+
+
+def test_inconclusive_decay_slope_exits_3(tmp_path, toy_config_text):
+    # 20 replications cannot give any level the 50 hits a slope fit needs
+    doc = yaml.safe_load(toy_config_text)
+    doc["experiment"] = {"replications": 20, "horizon": 10}
+    cfg = _write(tmp_path, "tiny.yaml", yaml.safe_dump(doc))
+    assert _run(["ordercheck", "--config", cfg, "--experiment",
+                 "arrival-vs-constant"]) == EXIT_NUMERIC
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, mapq.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert loaded == "False"
 
 
 def test_control_reproduces_printed_matrix(tmp_path):

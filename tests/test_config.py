@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import count_calls
+from mapq import laws as laws_module
 from mapq.config import build_config, load_config, parse_copula, parse_kernel, parse_law, roundtrip
 from mapq.copulas import Frechet, Gaussian2, GridCopula, Product
 from mapq.errors import ConfigError
 from mapq.laws import Constant, DiscretePmf, Negated, RayleighCapacity, Shifted
+from mapq.spectral import transform_matrix
 
 
 def test_parse_law_variants():
@@ -65,7 +68,7 @@ def test_parse_kernel_and_exclusivity():
         },
     }
     cfg = build_config(doc)
-    assert cfg.arrival_rate == 1.0 and cfg.arrival is None
+    assert cfg.arrival.state_labels == ("const",) and cfg.arrival.law(0, 0) == Constant(1.0)
     assert cfg.service.n_states == 2
     with pytest.raises(ConfigError):
         build_config({"arrival": {}, "service": doc["service"]})
@@ -136,3 +139,13 @@ def test_load_config_parses_like_safe_load(tmp_path, toy_config_text, which):
     path = tmp_path / "cfg.yaml"
     path.write_text(text, encoding="utf-8")
     assert load_config(path).raw == yaml.safe_load(text)
+
+
+def test_equal_kernel_cells_share_one_law(monkeypatch):
+    quad_calls = count_calls(monkeypatch, laws_module, "quad")
+    cell = {"law": "rayleigh", "bandwidth": 20, "snr": "db:10"}
+    kernel = parse_kernel({"states": ["a", "b"], "transition": [[0.5, 0.5], [0.5, 0.5]],
+                           "increments": [[cell, dict(cell)], [dict(cell), dict(cell)]]})
+    assert all(kernel.law(i, j) is kernel.law(0, 0) for i in range(2) for j in range(2))
+    transform_matrix(kernel, 0.3)
+    assert len(quad_calls) == 2

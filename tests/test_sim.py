@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_kernel
+from conftest import random_kernel, searchsorted_walk
 from mapq import sim as sim_module
 from mapq.errors import DimensionMismatch, LengthMismatch, UnknownExperiment
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
@@ -111,14 +111,57 @@ def test_state_samplers_stay_in_range_on_short_rows(monkeypatch):
     states, increments = sample_path(kernel, 3, 0)
     assert states.tolist() == [0, 1, 1, 1]
     assert increments.tolist() == [2.0, 4.0, 4.0]
-    batched = sim_module._batched_states(kernel, 4, 3, _TopUniforms())
+    batched = sim_module._states(kernel, 4, 3, _TopUniforms())
     assert batched[:, 0].tolist() == [0, 0, 0, 0]
     assert np.all(batched[:, 1:] == 1)
 
 
+class _NoDraws:
+    """Generator stub for chains that must draw no state."""
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("drew an initial state")
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("drew a uniform")
+
+
+def test_one_state_chains_draw_no_state(monkeypatch):
+    # a constant arrival is a one-state kernel, and like the float rate it
+    # replaced it consumes nothing from the stream
+    arrival = single_state_kernel(Constant(1.0))
+    states = sim_module._states(arrival, 3, 4, _NoDraws())
+    assert states.shape == (3, 5) and not states.any()
+    monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
+    states, increments = sample_path(arrival, 4, 0)
+    assert states.tolist() == [0] * 5 and increments.tolist() == [1.0] * 4
+    service = single_state_kernel(Constant(3.0))
+    est = tail_estimate(arrival, service, [0, 1], 10, 5, 0, "delay")
+    assert [e.hits for e in est] == [0, 0]
+
+
+def test_sample_path_states_follow_the_searchsorted_walk():
+    k = random_kernel(np.random.default_rng(21), 3)
+    states, _ = sample_path(k, 2000, 8)
+    assert states.tolist() == searchsorted_walk([k.transition], k.initial_dist, 2000, 8)
+
+
+def test_tail_estimate_checks_metric_and_levels_before_drawing(monkeypatch):
+    monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
+    kernel = random_kernel(np.random.default_rng(4), 2, mean_offset=2.0)
+    arrival = single_state_kernel(Constant(1.0))
+    with pytest.raises(ValueError, match="unknown metric"):
+        tail_estimate(arrival, kernel, [1.0], 10, 5, 0, "wait")
+    # delay is counted in whole slots: 2.5 used to give the hits of 2
+    for bad in (2.5, -1, float("nan")):
+        with pytest.raises(ValueError, match="delay level"):
+            tail_estimate(arrival, kernel, [1, bad], 10, 5, 0, "delay")
+
+
 def test_tail_estimate_reproducible_and_monotone(toy_service):
-    est1 = tail_estimate(1.0, toy_service, [1.0, 2.0, 3.0], 20_000, 80, 3, "backlog")
-    est2 = tail_estimate(1.0, toy_service, [1.0, 2.0, 3.0], 20_000, 80, 3, "backlog")
+    arrival = single_state_kernel(Constant(1.0))
+    est1 = tail_estimate(arrival, toy_service, [1.0, 2.0, 3.0], 20_000, 80, 3, "backlog")
+    est2 = tail_estimate(arrival, toy_service, [1.0, 2.0, 3.0], 20_000, 80, 3, "backlog")
     assert [e.p_hat for e in est1] == [e.p_hat for e in est2]
     p = [e.p_hat for e in est1]
     assert p[0] >= p[1] >= p[2]
@@ -128,8 +171,9 @@ def test_tail_estimate_reproducible_and_monotone(toy_service):
 def test_tail_estimate_constant_arrival_delay_backlog_link(toy_service):
     # with constant arrivals D > d iff B > lam * d, so the two metrics agree
     lam = 1.0
-    d_est = tail_estimate(lam, toy_service, [2.0], 20_000, 80, 3, "delay")
-    b_est = tail_estimate(lam, toy_service, [2.0 * lam], 20_000, 80, 3, "backlog")
+    arrival = single_state_kernel(Constant(lam))
+    d_est = tail_estimate(arrival, toy_service, [2.0], 20_000, 80, 3, "delay")
+    b_est = tail_estimate(arrival, toy_service, [2.0 * lam], 20_000, 80, 3, "backlog")
     assert d_est[0].p_hat == pytest.approx(b_est[0].p_hat, abs=1e-12)
 
 
@@ -137,7 +181,8 @@ def test_zero_traffic_has_zero_backlog():
     # a nonnegative service law drains everything, so zero arrivals mean
     # zero backlog (laws with negative mass can build backlog on their own)
     service = single_state_kernel(Constant(3.0))
-    est = tail_estimate(0.0, service, [0.0, 1.0], 500, 50, 1, "backlog")
+    est = tail_estimate(single_state_kernel(Constant(0.0)), service, [0.0, 1.0], 500, 50, 1,
+                        "backlog")
     assert est[0].p_hat == 0.0 and est[1].p_hat == 0.0
 
 
