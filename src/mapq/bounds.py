@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     MgfDiverged,
@@ -24,8 +25,6 @@ from .errors import (
 from .laws import Constant
 from .spectral import (
     MapKernel,
-    cgf,
-    cgf_derivative,
     mean_rate,
     negate,
     perron,
@@ -85,26 +84,6 @@ def decay_rates(arrival: MapKernel, service: MapKernel):
     return root.kappa_arrival, root.theta_star
 
 
-def _context(arrival: MapKernel, service: MapKernel):
-    """(root, h_a, h_s): theta* and both Perron right eigenvectors there."""
-    root = stability_root(arrival, service)
-    h_a = perron(arrival, root.theta_star).h
-    h_s = perron(negate(service), root.theta_star).h
-    return root, h_a, h_s
-
-
-def _h_constants_delay(root, h_a, h_s):
-    h_plus = (h_a.max() / h_a.min()) / h_s.min()
-    h_minus = math.exp(-root.kappa_arrival) * (h_a.min() / h_a.max()) ** 2 / h_s.max()
-    return h_plus, h_minus
-
-
-def _h_constants_backlog(root, h_a, h_s):
-    h_plus = 1.0 / (h_a.min() * h_s.min())
-    h_minus = math.exp(-root.kappa_arrival) * h_a.min() / (h_a.max() ** 2 * h_s.max())
-    return h_plus, h_minus
-
-
 def _state_pairs(arrival: MapKernel, service: MapKernel, arrival_time: str):
     """(arrival index, service index, conditioning label) per state pair.
 
@@ -129,10 +108,12 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
     a one-state arrival chain has P^d = [1], so any real d >= 0 is defined.
     """
     d_range = [_delay_level(d, whole=arrival.n_states > 1) for d in d_range]
-    root, h_a, h_s = _context(arrival, service)
-    h_plus, h_minus = _h_constants_delay(root, h_a, h_s)
+    root = stability_root(arrival, service)
+    h_a, h_s = root.arrival.h, root.neg_service.h
     kappa = root.kappa_arrival
     theta = root.theta_star
+    h_plus = (h_a.max() / h_a.min()) / h_s.min()
+    h_minus = math.exp(-kappa) * (h_a.min() / h_a.max()) ** 2 / h_s.max()
     out = []
     for d in d_range:
         decay = math.exp(-kappa * d)
@@ -153,8 +134,10 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
 
 def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
     """Double-sided P(B > b) bounds with factor h^A_{J_0} h^{-S}_{J_0} e^{-theta b}."""
-    root, h_a, h_s = _context(arrival, service)
-    h_plus, h_minus = _h_constants_backlog(root, h_a, h_s)
+    root = stability_root(arrival, service)
+    h_a, h_s = root.arrival.h, root.neg_service.h
+    h_plus = 1.0 / (h_a.min() * h_s.min())
+    h_minus = math.exp(-root.kappa_arrival) * h_a.min() / (h_a.max() ** 2 * h_s.max())
     theta = root.theta_star
     out = []
     for b in b_range:
@@ -191,8 +174,6 @@ def _derivative_root(g, what):
         lo, hi = hi, 2.0 * hi
     else:
         raise NoDerivativeRoot(f"{what}: no sign change found in the bracket scan")
-    from scipy.optimize import brentq
-
     return float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
@@ -206,18 +187,18 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
     if y <= 1:
         raise ValueError("horizon multiplier y must exceed 1 for the delay bound")
     neg_service = negate(service)
-    gamma = stability_root(arrival, service).theta_star
-    da_g = cgf_derivative(arrival, gamma)
-    ds_g = cgf_derivative(neg_service, gamma)
+    root = stability_root(arrival, service)
+    da_g = root.arrival.kappa_dot
+    ds_g = root.neg_service.kappa_dot
     y_gamma = da_g / (da_g + ds_g)
 
     theta = _derivative_root(
-        lambda t: y * cgf_derivative(neg_service, t) + (y - 1) * cgf_derivative(arrival, t),
+        lambda t: y * perron(neg_service, t).kappa_dot + (y - 1) * perron(arrival, t).kappa_dot,
         "horizon delay",
     )
-    theta_y = -y * cgf(neg_service, theta) - (y - 1) * cgf(arrival, theta)
-    h_a = perron(arrival, theta).h
-    h_s = perron(neg_service, theta).h
+    sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
+    theta_y = -y * sol_s.kappa - (y - 1) * sol_a.kappa
+    h_a, h_s = sol_a.h, sol_s.h
     h_plus = (h_a.max() / h_a.min()) / h_s.min()
     factor = float(service.initial_dist @ h_s)
     raw = h_plus * factor * math.exp(-d * theta_y)
@@ -230,16 +211,16 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
     if y <= 0:
         raise ValueError("horizon multiplier y must be positive")
     neg_service = negate(service)
-    gamma = stability_root(arrival, service).theta_star
-    y_gamma = 1.0 / (cgf_derivative(arrival, gamma) + cgf_derivative(neg_service, gamma))
+    root = stability_root(arrival, service)
+    y_gamma = 1.0 / (root.arrival.kappa_dot + root.neg_service.kappa_dot)
 
     theta = _derivative_root(
-        lambda t: y * (cgf_derivative(arrival, t) + cgf_derivative(neg_service, t)) - 1.0,
+        lambda t: y * (perron(arrival, t).kappa_dot + perron(neg_service, t).kappa_dot) - 1.0,
         "horizon backlog",
     )
-    theta_y = theta - y * (cgf(arrival, theta) + cgf(neg_service, theta))
-    h_a = perron(arrival, theta).h
-    h_s = perron(neg_service, theta).h
+    sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
+    theta_y = theta - y * (sol_a.kappa + sol_s.kappa)
+    h_a, h_s = sol_a.h, sol_s.h
     h_plus = 1.0 / (h_a.min() * h_s.min())
     factor = float(arrival.initial_dist @ h_a) * float(service.initial_dist @ h_s)
     raw = h_plus * factor * math.exp(-b * theta_y)
@@ -311,7 +292,7 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) 
     theta_opt = c if fc < fe else e
     best = min(values[k], fc, fe)
     cap = root.kappa_arrival / theta_star
-    at_root = _dcc_value(theta_star, d, epsilon, arrival, neg_service, varpi_s)
+    at_root = values[int(np.searchsorted(grid, theta_star))]
     return DccReport(max(best, 0.0), float(theta_opt), cap, at_root)
 
 
@@ -332,14 +313,13 @@ def constant_dcc_interval(service: MapKernel, d: float, epsilon: float, varpi) -
     mu = mean_rate(service)
     lam_max = 0.999999 * mu
     log_eps = math.log(epsilon)
-    neg_service = negate(service)
 
     def violates(lam, endpoint):
         try:
-            theta = stability_root(single_state_kernel(Constant(lam)), service).theta_star
+            root = stability_root(single_state_kernel(Constant(lam)), service)
         except NoRootInDomain:
             return False
-        h = perron(neg_service, theta).h
+        theta, h = root.theta_star, root.neg_service.h
         avg = float(varpi @ h)
         if endpoint == "hi":
             log_bound = math.log(avg / h.min()) - theta * lam * d

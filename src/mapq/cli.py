@@ -36,7 +36,7 @@ from .errors import (
     ZeroMassState,
 )
 from .laws import DiscretePmf
-from .spectral import cgf, cgf_derivative, negate, perron
+from .spectral import negate, perron
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
@@ -92,17 +92,17 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
         per_role = {}
         for role, kernel in kernels:
             try:
-                per_role[role] = (cgf(kernel, theta), cgf_derivative(kernel, theta),
-                                  perron(kernel, theta))
+                sol = perron(kernel, theta)
+                per_role[role] = (sol, sol.kappa_dot)
             except _NUMERIC_ERRORS as exc:
                 raise MgfDiverged(
                     f"spectral evaluation failed for {role} kernel at theta={theta}: {exc}"
                 ) from exc
-        kappa_sum = per_role["arrival"][0] + per_role["neg_service"][0]
+        kappa_sum = per_role["arrival"][0].kappa + per_role["neg_service"][0].kappa
         for role, kernel in kernels:
-            kappa, kappa_dot, sol = per_role[role]
+            sol, kappa_dot = per_role[role]
             for i, label in enumerate(kernel.state_labels):
-                rows.append((theta, role, label, kappa, kappa_dot, kappa_sum,
+                rows.append((theta, role, label, sol.kappa, kappa_dot, kappa_sum,
                              sol.h[i], sol.v[i], sol.pi[i]))
     path = os.path.join(_out_dir(config, args), "spectral.csv")
     _write_csv(path, ("theta", "role", "state", "kappa", "kappa_dot", "kappa_sum",
@@ -311,7 +311,7 @@ def cmd_ordercheck(config, args) -> int:
         for s in report.statistics:
             lines.append(f"{s.name},{_fmt(s.mean_difference)},{_fmt(s.std_err)}")
     elif args.experiment:
-        doc = dict(config.raw.get("experiment", {}) or {})
+        doc = dict((config.raw if config is not None else {}).get("experiment") or {})
         doc["name"] = args.experiment
         if args.seed is not None:
             doc["seed"] = args.seed

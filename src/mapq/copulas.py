@@ -197,13 +197,6 @@ class GridCopula(CopulaSpec):
             + fx * fy * c[x + 1, y + 1]
         )
 
-    def eval_grid(self, u, v):
-        out = np.empty((len(u), len(v)))
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                out[i, j] = self.eval(float(ui), float(vj))
-        return out
-
 
 def frechet_homogeneous(h: float) -> Frechet:
     """Frechet member of the homogeneous Markov semigroup at lag h >= 0."""

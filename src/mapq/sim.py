@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _delay_level
-from .errors import DimensionMismatch, InconclusiveTail, LengthMismatch, UnknownExperiment
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    InconclusiveTail,
+    LengthMismatch,
+    UnknownExperiment,
+)
 from .laws import Constant, DiscretePmf
 from .spectral import MapKernel, mean_rate, perron, single_state_kernel, stability_root
 
@@ -111,26 +117,25 @@ class QueueTrace:
 def lindley(arrival_path, service_path) -> QueueTrace:
     """Reflected queue recursion plus the virtual delay series.
 
-    backlog[t+1] = max(backlog[t] + a(t) - c(t), 0); virtual_delay[t] is
-    the smallest d with A(t-d) <= A(t) - B(t).
+    backlog[t+1] = max(backlog[t] + a(t) - c(t), 0), i.e. the net work
+    X(t) = sum_{s<t} (a(s) - c(s)) minus its running minimum;
+    virtual_delay[t] is the smallest d with A(t-d) <= A(t) - B(t).
     """
     a = np.asarray(arrival_path, dtype=float)
     c = np.asarray(service_path, dtype=float)
     if a.shape != c.shape or a.ndim != 1:
         raise LengthMismatch(f"paths have shapes {a.shape} and {c.shape}")
+    if np.any(a < 0) or np.any(c < 0):
+        raise ValueError("arrival and service entries must be nonnegative")
     t_max = len(a)
-    backlog = np.zeros(t_max + 1)
-    for t in range(t_max):
-        backlog[t + 1] = max(backlog[t] + a[t] - c[t], 0.0)
+    net = np.concatenate(([0.0], np.cumsum(a - c)))
+    backlog = net - np.minimum.accumulate(net)
     cum_a = np.concatenate(([0.0], np.cumsum(a)))
-    delay = np.zeros(t_max + 1)
-    for t in range(t_max + 1):
-        served = cum_a[t] - backlog[t]
-        # smallest d >= 0 with A(t - d) <= served
-        d = 0
-        while cum_a[t - d] > served + 1e-12 * max(1.0, cum_a[t]):
-            d += 1
-        delay[t] = d
+    served = cum_a - backlog
+    # cum_a is nondecreasing, so the last s with A(s) <= served is a search
+    last = np.searchsorted(cum_a, served + 1e-12 * np.maximum(1.0, cum_a), side="right") - 1
+    t = np.arange(t_max + 1)
+    delay = (t - np.minimum(t, last)).astype(float)
     return QueueTrace(t_max, a, c, backlog, delay)
 
 
@@ -372,6 +377,13 @@ def ordering_experiment(config: dict) -> ExperimentResult:
     raise UnknownExperiment(f"no experiment named {name!r}; known: {EXPERIMENTS}")
 
 
+def _required(config, key):
+    """config[key], or ConfigError naming the experiment that needs it."""
+    if key not in config:
+        raise ConfigError(f"experiment {config.get('name')!r} needs {key!r}")
+    return config[key]
+
+
 def _bursty_arrival(rate, burst_factor=2.0):
     lo = rate / burst_factor
     hi = 2.0 * rate - lo
@@ -381,7 +393,7 @@ def _bursty_arrival(rate, burst_factor=2.0):
 
 
 def _experiment_arrival_vs_constant(config, seed):
-    service = config["service"]
+    service = _required(config, "service")
     rate = config.get("rate", 0.8 * mean_rate(service))
     levels = config.get("levels")
     replications = config.get("replications", 40_000)
@@ -409,8 +421,8 @@ def _experiment_service_sweep(config, seed):
     from .channel import capacity_kernel
     from .copulas import one_param_frechet, transition_from_copula
 
-    channel = config["channel"]
-    rate = config["rate"]
+    channel = _required(config, "channel")
+    rate = _required(config, "rate")
     varpi = config.get("varpi", [0.3, 0.7])
     alphas = config.get("alphas", (-0.5, 0.0, 0.5))
     levels = config.get("levels", list(range(1, 9)))

@@ -110,14 +110,26 @@ class SpectralSolution:
     h: np.ndarray
     v: np.ndarray
     pi: np.ndarray
-    residual: float = field(default=0.0)
+    residual: float
+    kernel: MapKernel = field(compare=False, repr=False)
+
+    @cached_property
+    def kappa_dot(self) -> float:
+        """kappa'(theta) = v . F_hat'[theta] . h * e^{-kappa(theta)}, on first read."""
+        fprime = _transform_derivative(self.kernel, self.theta)
+        return float(self.v @ fprime @ self.h) * math.exp(-self.kappa)
 
 
 @dataclass(frozen=True)
 class StabilityRoot:
     theta_star: float
-    kappa_arrival: float
     residual: float
+    arrival: SpectralSolution
+    neg_service: SpectralSolution
+
+    @property
+    def kappa_arrival(self) -> float:
+        return self.arrival.kappa
 
 
 def transform_matrix(kernel: MapKernel, theta: float) -> np.ndarray:
@@ -184,28 +196,16 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     )
     if residual > 1e-10:
         raise NoConvergence(f"eigen residual {residual!r} above 1e-10")
-    return SpectralSolution(theta, math.log(lam), h, v, pi, residual)
-
-
-def cgf(kernel: MapKernel, theta: float) -> float:
-    """kappa(theta): the log Perron eigenvalue of the transform matrix."""
-    return perron(kernel, theta).kappa
-
-
-def cgf_derivative(kernel: MapKernel, theta: float) -> float:
-    """kappa'(theta) = v . F_hat'[theta] . h * e^{-kappa(theta)}."""
-    sol = perron(kernel, theta)
-    fprime = _transform_derivative(kernel, theta)
-    return float(sol.v @ fprime @ sol.h) * math.exp(-sol.kappa)
+    return SpectralSolution(theta, math.log(lam), h, v, pi, residual, kernel)
 
 
 def mean_rate(kernel: MapKernel) -> float:
     """Long-run mean increment per slot: kappa'(0) = sum_ij pi_i p_ij E[H_ij]."""
-    return cgf_derivative(kernel, 0.0)
+    return perron(kernel, 0.0).kappa_dot
 
 
 def negate(kernel: MapKernel) -> MapKernel:
-    """Sign-flip every increment law; cgf(negate(k), theta) = cgf(k, -theta)."""
+    """Sign-flip every increment law; kappa of negate(k) at theta is kappa of k at -theta."""
     increments = tuple(
         tuple(law.inner if isinstance(law, Negated) else Negated(law) for law in row)
         for row in kernel.increments
@@ -220,19 +220,20 @@ def stability_root(
 
     kappa is convex through the origin with negative drift at a stable
     queue, so there is at most one positive root; we bracket by doubling
-    from 1e-3 and then bisect.
+    from 1e-3 (or by halving, when theta* lies below it) and then bisect.
     """
     drift_a = mean_rate(arrival)
     drift_s = mean_rate(service)
     if drift_a >= drift_s:
         raise UnstableQueue(drift_a, drift_s)
     neg_service = negate(service)
+    solutions = []
 
     def f(theta):
-        return cgf(arrival, theta) + cgf(neg_service, theta)
+        solutions[:] = perron(arrival, theta), perron(neg_service, theta)
+        return solutions[0].kappa + solutions[1].kappa
 
     lo, hi = 0.0, 1e-3
-    f_hi = None
     for _ in range(128):
         try:
             f_hi = f(hi)
@@ -252,11 +253,21 @@ def stability_root(
         lo, hi = hi, 2.0 * hi
     else:
         raise NoRootInDomain("combined cgf never recrossed zero within the bracket scan")
+    if lo == 0.0:
+        # theta* < 1e-3: halve towards the origin until the cgf is negative;
+        # at theta = 0 it is exactly 0, which brackets only the trivial root
+        for _ in range(64):
+            lo = 0.5 * hi
+            if f(lo) < 0:
+                break
+            hi = lo
+        else:
+            raise NoRootInDomain(f"combined cgf stays nonnegative down to theta={lo}")
 
     # brentq is the hybrid bisection/secant step; the bracket scan above
     # guarantees exactly one sign change because kappa is convex in theta.
-    theta = float(brentq(f, lo if lo > 0 else 1e-300, hi, xtol=1e-15, rtol=8.9e-16))
+    theta = float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
     residual = abs(f(theta))
     if residual > residual_tol:
         raise NoRootInDomain(f"root residual {residual!r} above {residual_tol}")
-    return StabilityRoot(theta, cgf(arrival, theta), residual)
+    return StabilityRoot(theta, residual, *solutions)

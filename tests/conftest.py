@@ -81,6 +81,24 @@ def searchsorted_walk(transitions, initial_dist, horizon, seed):
     return states
 
 
+def lindley_loop(a, c):
+    """Reference queue recursion, one slot at a time: (backlog, virtual delay)."""
+    t_max = len(a)
+    backlog = np.zeros(t_max + 1)
+    for t in range(t_max):
+        backlog[t + 1] = max(backlog[t] + a[t] - c[t], 0.0)
+    cum_a = np.concatenate(([0.0], np.cumsum(a)))
+    delay = np.zeros(t_max + 1)
+    for t in range(t_max + 1):
+        served = cum_a[t] - backlog[t]
+        # smallest d >= 0 with A(t - d) <= served
+        d = 0
+        while cum_a[t - d] > served + 1e-12 * max(1.0, cum_a[t]):
+            d += 1
+        delay[t] = d
+    return backlog, delay
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name so each call appends its arguments to the returned list."""
     calls = []

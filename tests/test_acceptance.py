@@ -29,7 +29,7 @@ from mapq.copulas import (
     transition_from_copula,
 )
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
-from mapq.spectral import MapKernel, cgf, mean_rate, single_state_kernel
+from mapq.spectral import MapKernel, mean_rate, perron, single_state_kernel
 
 
 def _report(number, text):
@@ -288,7 +288,7 @@ def test_criterion_10_mean_rate_identity():
         assert rel < 0.005, (kidx, rel)
         worst_rel = max(worst_rel, rel)
         for theta in np.linspace(0.05, 0.5, 6):
-            gap = cgf(kernel, float(theta)) / float(theta) - mu
+            gap = perron(kernel, float(theta)).kappa / float(theta) - mu
             assert gap >= -1e-10, (kidx, theta)
             worst_gap = min(worst_gap, gap)
     _report(10, f"kappa'(0) matches T=1e6 empirical average within 0.5% "

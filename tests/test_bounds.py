@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_kernel
+from conftest import count_calls, random_kernel
 from mapq import bounds as bd
+from mapq import spectral as spectral_module
 from mapq.errors import UnstableQueue
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
     MapKernel,
-    cgf,
     negate,
     perron,
     single_state_kernel,
@@ -104,7 +104,7 @@ def test_horizon_exponent_is_concave_maximum(toy_arrival, toy_service):
     neg = negate(toy_service)
     r = bd.horizon_delay_bound(toy_arrival, toy_service, y, 1.0)
     grid = np.linspace(0.05, 2.45, 49)
-    vals = [-y * cgf(neg, t) - (y - 1.0) * cgf(toy_arrival, t) for t in grid]
+    vals = [-y * perron(neg, t).kappa - (y - 1.0) * perron(toy_arrival, t).kappa for t in grid]
     assert r.theta_y >= max(vals) - 1e-9
 
 
@@ -231,3 +231,16 @@ def test_constant_dcc_interval_widens_with_eigenvector_spread():
         lam_lo, lam_hi = bd.constant_dcc_interval(service, 20.0, 1e-2, service.initial_dist)
         widths.append(lam_hi - lam_lo)
     assert widths[1] > widths[0]
+
+
+@pytest.mark.parametrize("fn", [bd.delay_bounds, bd.backlog_bounds])
+def test_bounds_solve_nothing_beyond_their_root(monkeypatch, fn):
+    # h at theta* comes from the root's own solutions, not a second solve
+    rng = np.random.default_rng(8)
+    arrival = random_kernel(rng, 2, mean_offset=1.0, spread=0.5)
+    service = random_kernel(rng, 2, mean_offset=2.0, spread=0.5)
+    solves = count_calls(monkeypatch, spectral_module, "eig")
+    stability_root(arrival, service)
+    per_root = len(solves)
+    fn(arrival, service, [1.0, 2.0])
+    assert len(solves) == 2 * per_root

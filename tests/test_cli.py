@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import count_calls
 from mapq import spectral
 from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, main
 
@@ -302,3 +303,32 @@ def test_ordercheck_samples_and_dimension_mismatch(tmp_path, capsys):
 
 def test_ordercheck_needs_inputs():
     assert _run(["ordercheck"]) == 2
+
+
+def test_spectral_solves_once_per_role_and_theta(tmp_path, monkeypatch):
+    # kappa, kappa_dot, h, v and pi of a row all come from one eigensolve
+    solves = count_calls(monkeypatch, spectral, "eig")
+    doc = {"arrival": _two_state(["on", "off"], _pmf([0.0, 3.0], [0.5, 0.5]),
+                                 _pmf([0.0, 1.0], [0.5, 0.5])),
+           "service": _two_state(["good", "bad"], _pmf([1.0, 4.0], [0.5, 0.5]),
+                                 _pmf([0.5, 3.0], [0.5, 0.5]))}
+    cfg = _write(tmp_path, "pairs.yaml", yaml.safe_dump(doc))
+    thetas = (-0.1, 0.0, 0.2, 0.4, 0.8)
+    assert _run(["spectral", "--config", cfg, "--out", str(tmp_path),
+                 "--theta=" + ",".join(map(str, thetas))]) == 0
+    assert len(solves) == 2 * len(thetas)
+
+
+def test_ordercheck_experiment_without_config(capsys):
+    # an experiment that needs no config runs without one
+    assert _run(["ordercheck", "--experiment", "subchannel-aggregation"]) == 0
+    assert "experiment: subchannel-aggregation" in capsys.readouterr().out
+    # one that needs a service kernel says so with the config exit code
+    assert _run(["ordercheck", "--experiment", "arrival-vs-constant"]) == EXIT_PARSE
+    assert "'service'" in capsys.readouterr().err
+
+
+def test_ordercheck_experiment_missing_key_exits_2(tmp_path, toy_cfg, capsys):
+    assert _run(["ordercheck", "--config", toy_cfg, "--experiment",
+                 "service-dependence-sweep"]) == EXIT_PARSE
+    assert "'channel'" in capsys.readouterr().err

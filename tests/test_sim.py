@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_kernel, searchsorted_walk
+from conftest import lindley_loop, random_kernel, searchsorted_walk
 from mapq import sim as sim_module
 from mapq.errors import DimensionMismatch, LengthMismatch, UnknownExperiment
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
@@ -64,6 +64,33 @@ def test_lindley_virtual_delay_definition():
 def test_lindley_length_mismatch():
     with pytest.raises(LengthMismatch):
         lindley(np.ones(3), np.ones(4))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30)
+def test_lindley_matches_the_slot_loop(seed):
+    rng = np.random.default_rng(seed)
+    t_max = int(rng.integers(1, 300))
+    # bursty arrivals with idle slots, so the queue empties and refills
+    a = rng.exponential(2.0, t_max) * (rng.random(t_max) < 0.5)
+    c = rng.exponential(1.1, t_max)
+    trace = lindley(a, c)
+    backlog, delay = lindley_loop(a, c)
+    assert np.allclose(trace.backlog, backlog, rtol=0.0, atol=1e-9)
+    assert np.array_equal(trace.virtual_delay, delay)
+    # whole-number paths add exactly, so both sides agree to the bit
+    a, c = np.floor(4.0 * a), np.floor(2.0 * c)
+    trace = lindley(a, c)
+    backlog, delay = lindley_loop(a, c)
+    assert np.array_equal(trace.backlog, backlog)
+    assert np.array_equal(trace.virtual_delay, delay)
+
+
+def test_lindley_rejects_negative_entries():
+    with pytest.raises(ValueError):
+        lindley([1.0, 1.0, 1.0], [-1.0, 0.5, 0.5])
+    with pytest.raises(ValueError):
+        lindley([1.0, -0.5], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, random_kernel
 from mapq import laws as laws_module
+from mapq import spectral as spectral_module
 from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.errors import NoRootInDomain, UnstableQueue
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
     MapKernel,
-    cgf,
-    cgf_derivative,
     mean_rate,
     negate,
     perron,
@@ -39,15 +38,15 @@ def test_kernel_validation():
 def test_single_state_constant_cgf_is_linear():
     k = single_state_kernel(Constant(2.0))
     for theta in (0.1, 1.0, 3.0):
-        assert cgf(k, theta) == pytest.approx(2.0 * theta, rel=1e-12)
-        assert cgf_derivative(k, theta) == pytest.approx(2.0, rel=1e-12)
+        assert perron(k, theta).kappa == pytest.approx(2.0 * theta, rel=1e-12)
+        assert perron(k, theta).kappa_dot == pytest.approx(2.0, rel=1e-12)
 
 
 def test_toy_service_cgf_quadratic(toy_service):
     # negated toy service has cgf -3*theta + theta^2
     neg = negate(toy_service)
     for theta in (0.25, 1.0, 2.0, 2.5):
-        assert cgf(neg, theta) == pytest.approx(-3.0 * theta + theta**2, abs=1e-10)
+        assert perron(neg, theta).kappa == pytest.approx(-3.0 * theta + theta**2, abs=1e-10)
 
 
 def test_perron_at_zero_reduces_to_chain_quantities():
@@ -86,7 +85,7 @@ def test_cgf_properties_on_random_kernels(seed, n):
     rng = np.random.default_rng(seed)
     k = random_kernel(rng, n)
     thetas = np.linspace(-0.6, 0.6, 9)
-    vals = [cgf(k, t) for t in thetas]
+    vals = [perron(k, t).kappa for t in thetas]
     # passes through the origin
     assert abs(vals[4]) < 1e-12
     # convex along the grid
@@ -95,8 +94,8 @@ def test_cgf_properties_on_random_kernels(seed, n):
     # analytic derivative matches finite differences
     for t in (-0.3, 0.0, 0.4):
         h = 1e-6
-        fd = (cgf(k, t + h) - cgf(k, t - h)) / (2.0 * h)
-        assert cgf_derivative(k, t) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        fd = (perron(k, t + h).kappa - perron(k, t - h).kappa) / (2.0 * h)
+        assert perron(k, t).kappa_dot == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 @given(st.integers(0, 10_000))
@@ -106,7 +105,7 @@ def test_negate_is_cgf_reflection_and_involution(seed):
     k = random_kernel(rng, 2)
     neg = negate(k)
     for t in (-0.4, 0.2, 0.5):
-        assert cgf(neg, t) == pytest.approx(cgf(k, -t), abs=1e-12)
+        assert perron(neg, t).kappa == pytest.approx(perron(k, -t).kappa, abs=1e-12)
     back = negate(neg)
     assert back.increments == k.increments
 
@@ -202,3 +201,36 @@ def test_stationary_distribution_is_solved_once_and_read_only(monkeypatch):
     assert len(solves) == 1
     with pytest.raises(ValueError):
         pi[0] = 0.5
+
+
+@pytest.mark.parametrize("lam", [2.999, 2.9995])
+def test_stability_root_below_the_first_probe(toy_service, lam):
+    # combined cgf theta^2 - (3 - lam) theta: theta* = 3 - lam < 1e-3, so the
+    # first probe already lies above the root and the bracket is halved down
+    root = stability_root(single_state_kernel(Constant(lam)), toy_service)
+    assert root.theta_star == pytest.approx(3.0 - lam, rel=1e-6)
+    assert root.kappa_arrival == pytest.approx(lam * (3.0 - lam), rel=1e-6)
+
+
+def test_stability_root_carries_its_solutions_at_theta_star():
+    rng = np.random.default_rng(11)
+    arrival = random_kernel(rng, 2, mean_offset=1.0, spread=0.5)
+    service = random_kernel(rng, 3, mean_offset=2.0, spread=0.5)
+    root = stability_root(arrival, service)
+    for sol, kernel in ((root.arrival, arrival), (root.neg_service, negate(service))):
+        again = perron(kernel, root.theta_star)
+        assert sol.theta == root.theta_star
+        assert sol.kappa == again.kappa and np.array_equal(sol.h, again.h)
+        assert sol.kappa_dot == again.kappa_dot
+    assert root.kappa_arrival == root.arrival.kappa
+    assert root.residual == abs(root.arrival.kappa + root.neg_service.kappa)
+
+
+def test_kappa_dot_is_computed_once_and_only_when_read(monkeypatch):
+    derivatives = count_calls(monkeypatch, spectral_module, "_transform_derivative")
+    k = random_kernel(np.random.default_rng(6), 3)
+    sol = perron(k, 0.3)
+    assert derivatives == []
+    assert sol.kappa_dot == sol.kappa_dot
+    assert len(derivatives) == 1
+    assert mean_rate(k) == perron(k, 0.0).kappa_dot
