@@ -112,14 +112,11 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
 
 
 def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
-    mode = args.mode or "delay"
     levels = _float_list(args.levels) if args.levels else [1.0, 2.0, 4.0, 8.0]
-    out = _out_dir(config, args)
-    path = os.path.join(out, f"bounds_{mode}.csv")
-
+    path = os.path.join(_out_dir(config, args), f"bounds_{args.mode}.csv")
     arrival = config.arrival
-    if mode in ("delay", "backlog"):
-        fn = bd.delay_bounds if mode == "delay" else bd.backlog_bounds
+    if args.mode in ("delay", "backlog"):
+        fn = bd.delay_bounds if args.mode == "delay" else bd.backlog_bounds
         reports = fn(arrival, config.service, levels)
         rows = [
             (r.level, r.conditioning, r.lower, r.upper, r.theta_star,
@@ -128,55 +125,31 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
         ]
         _write_csv(path, ("level", "conditioning", "lower", "upper", "theta_star",
                           "lower_clamped", "upper_clamped"), rows)
-    elif mode == "horizon":
-        y = args.y if args.y is not None else 2.0
+    elif args.mode == "horizon":
         rows = []
         for level in levels:
-            r = bd.horizon_delay_bound(arrival, config.service, y, level)
+            r = bd.horizon_delay_bound(arrival, config.service, args.y, level)
             rows.append((r.level, r.y, r.theta, r.theta_y, r.y_gamma, r.branch,
                          r.bound, r.bound != r.bound_raw))
         _write_csv(path, ("level", "y", "theta", "theta_y", "y_gamma", "branch",
                           "bound", "clamped"), rows)
-    elif mode == "dcc":
-        epsilon = args.epsilon if args.epsilon is not None else 1e-6
+    else:  # dcc
         rows = []
         for level in levels:
-            r = bd.dcc_upper(arrival, config.service, level, epsilon)
-            rows.append((level, epsilon, r.value, r.theta_opt, r.asymptotic_cap,
+            r = bd.dcc_upper(arrival, config.service, level, args.epsilon)
+            rows.append((level, args.epsilon, r.value, r.theta_opt, r.asymptotic_cap,
                          r.value_at_root))
         _write_csv(path, ("deadline", "epsilon", "value", "theta_opt",
                           "asymptotic_cap", "value_at_root"), rows)
-    else:
-        raise ConfigError(f"unknown bounds mode {mode!r}")
     print(path)
     return 0
-
-
-def _parse_plan(copulas_doc, horizon_default=1):
-    if not isinstance(copulas_doc, dict):
-        raise ConfigError("copulas section must be a mapping")
-    horizon = int(copulas_doc.get("horizon", horizon_default))
-    dims_doc = copulas_doc.get("dimensions")
-    if dims_doc is None:
-        dims_doc = [copulas_doc]
-    temporal, varpi0 = [], []
-    for dim in dims_doc:
-        if "varpi" not in dim:
-            raise ConfigError("each controlled dimension needs a varpi distribution")
-        varpi0.append(np.asarray(dim["varpi"], dtype=float))
-        if "steps" in dim:
-            temporal.append([cf.parse_copula(d) for d in dim["steps"]])
-        elif "copula" in dim:
-            temporal.append(cf.parse_copula(dim["copula"]))
-        else:
-            raise ConfigError("each controlled dimension needs a copula or a steps list")
-    return cp.dependence_control(temporal, varpi0, horizon)
 
 
 def cmd_control(config: cf.ExperimentConfig, args) -> int:
     if config.copulas is None:
         raise ConfigError("control command needs a copulas section")
-    plan = _parse_plan(config.copulas)
+    spec = config.copulas
+    plan = cp.dependence_control(spec.temporal, spec.varpi, spec.horizon)
     out = _out_dir(config, args)
     rows = []
     for d, dim in enumerate(plan.per_dimension):
@@ -212,17 +185,10 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
         raise ConfigError("simulate needs a seed (config simulation.seed or --seed)")
-    sim_doc = config.raw.get("simulation", {}) or {}
-    metric = args.mode or sim_doc.get("metric", "delay")
-    if metric not in ("delay", "backlog"):
-        raise ConfigError(f"simulate mode must be delay or backlog, got {metric!r}")
-    levels = (_float_list(args.levels) if args.levels
-              else [float(x) for x in sim_doc.get("levels", [1, 2, 3, 4])])
-    horizon = config.horizon or 1000
-    replications = config.replications or 10_000
-
-    estimates = sim.tail_estimate(config.arrival, config.service, levels, replications,
-                                  horizon, seed, metric=metric)
+    metric = args.mode or config.metric
+    levels = _float_list(args.levels) if args.levels else list(config.levels)
+    estimates = sim.tail_estimate(config.arrival, config.service, levels, config.replications,
+                                  config.horizon, seed, metric=metric)
 
     bound_map = {}
     theta_star = math.nan
@@ -248,16 +214,15 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
     print(path)
 
     if config.copulas is not None and config.service_channel is not None:
-        plan = _parse_plan(config.copulas, horizon_default=horizon)
-        path_len = int(config.copulas.get("slots", 1000))
-        runs = int(config.copulas.get("runs", 1))
+        spec = config.copulas
+        plan = cp.dependence_control(spec.temporal, spec.varpi, spec.horizon)
         corr_rows = []
-        for r in range(runs):
+        for r in range(spec.runs):
             cap = controlled_capacity_process(plan, config.service_channel,
-                                              path_len, [int(seed), 1 + r])
+                                              spec.slots, [int(seed), 1 + r])
             c = cap.capacity
             lag1 = float(np.corrcoef(c[:-1], c[1:])[0, 1])
-            corr_rows.append((r, 1, lag1, float(c.mean()), path_len))
+            corr_rows.append((r, 1, lag1, float(c.mean()), spec.slots))
         corr_path = os.path.join(out, "correlation.csv")
         _write_csv(corr_path, ("run", "lag", "correlation", "mean_capacity",
                                "slots"), corr_rows)
@@ -311,13 +276,11 @@ def cmd_ordercheck(config, args) -> int:
         for s in report.statistics:
             lines.append(f"{s.name},{_fmt(s.mean_difference)},{_fmt(s.std_err)}")
     elif args.experiment:
-        doc = dict((config.raw if config is not None else {}).get("experiment") or {})
-        doc["name"] = args.experiment
+        params = {**(config.experiment if config is not None else {}),
+                  "name": args.experiment}
         if args.seed is not None:
-            doc["seed"] = args.seed
-        if "service" not in doc and config is not None:
-            doc["service"] = config.service
-        result = sim.ordering_experiment(doc)
+            params["seed"] = args.seed
+        result = sim.ordering_experiment(params)
         lines.append(f"experiment: {result.name}")
         lines.append(f"verdict: {'holds' if result.direction_holds else 'fails'}")
         lines.append(f"note: {result.detail}")
@@ -351,22 +314,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "Markov additive queues.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectral", "bounds", "control", "simulate", "ordercheck"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="YAML experiment config")
+    commands = {name: sub.add_parser(name) for name in _COMMANDS}
+    for name, p in commands.items():
+        p.add_argument("--config", required=name != "ordercheck", help="YAML experiment config")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--theta", help="comma-separated theta list")
-        p.add_argument("--levels", help="comma-separated level list")
-        p.add_argument("--mode", help="bounds: delay|backlog|horizon|dcc; "
-                                      "simulate: delay|backlog")
-        p.add_argument("--y", type=float, help="horizon multiplier for horizon bounds")
-        p.add_argument("--epsilon", type=float, help="violation probability for dcc")
-        p.add_argument("--pmf-x", help="ordercheck: first PMF file (value,prob)")
-        p.add_argument("--pmf-y", help="ordercheck: second PMF file")
-        p.add_argument("--samples-x", help="ordercheck: first sample matrix CSV")
-        p.add_argument("--samples-y", help="ordercheck: second sample matrix CSV")
-        p.add_argument("--experiment", help="ordercheck: named ordering experiment")
+    commands["spectral"].add_argument("--theta", help="comma-separated theta list; write "
+                                      "one that starts below 0 as --theta=-1,0")
+    p = commands["bounds"]
+    p.add_argument("--levels", help="comma-separated level list (default 1,2,4,8)")
+    p.add_argument("--mode", choices=("delay", "backlog", "horizon", "dcc"), default="delay")
+    p.add_argument("--y", type=float, default=2.0, help="horizon multiplier for horizon bounds")
+    p.add_argument("--epsilon", type=float, default=1e-6, help="violation probability for dcc")
+    p = commands["simulate"]
+    p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+    p.add_argument("--levels", help="comma-separated level list (overrides config)")
+    p.add_argument("--mode", choices=("delay", "backlog"), help="metric (overrides config)")
+    p = commands["ordercheck"]
+    p.add_argument("--seed", type=int, help="experiment seed (overrides config)")
+    p.add_argument("--pmf-x", help="first PMF file (value,prob)")
+    p.add_argument("--pmf-y", help="second PMF file")
+    p.add_argument("--samples-x", help="first sample matrix CSV")
+    p.add_argument("--samples-y", help="second sample matrix CSV")
+    p.add_argument("--experiment", help="named ordering experiment")
     return parser
 
 
@@ -383,8 +352,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = cf.load_config(args.config) if args.config else None
-        if config is None and args.command not in ("ordercheck",):
-            raise ConfigError(f"{args.command} needs --config")
         return _COMMANDS[args.command](config, args)
     except UnstableQueue as exc:
         print(f"error: unstable queue: arrival rate {exc.arrival_rate} >= "

@@ -34,8 +34,6 @@ def parse_law(doc) -> object:
         if tag == "normal":
             return gaussian_quantized(float(doc["mean"]), float(doc["std"]),
                                       int(doc.get("points", 96)))
-    except ConfigError:
-        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad {tag!r} law descriptor: {exc}") from exc
     raise ConfigError(f"unknown increment law {tag!r}")
@@ -49,9 +47,17 @@ def _parse_snr(value) -> float:
     return float(value)
 
 
+def _state_labels(labels) -> tuple:
+    labels = tuple(labels)
+    if any(isinstance(x, bool) for x in labels):
+        raise ConfigError(f"state labels {list(labels)} hold a YAML boolean (unquoted "
+                          "on/off/yes/no/true/false); quote the label, e.g. 'on'")
+    return labels
+
+
 def parse_kernel(doc) -> MapKernel:
     try:
-        states = list(doc["states"])
+        states = _state_labels(doc["states"])
         transition = np.asarray(doc["transition"], dtype=float)
         # value-equal cells share one law object, and with it one transform memo
         laws = {}
@@ -59,9 +65,7 @@ def parse_kernel(doc) -> MapKernel:
                            for row in doc["increments"])
         initial = np.asarray(doc.get("initial_dist", np.full(len(states), 1.0 / len(states))),
                              dtype=float)
-        return MapKernel(tuple(states), transition, increments, initial)
-    except ConfigError:
-        raise
+        return MapKernel(states, transition, increments, initial)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad kernel config: {exc}") from exc
 
@@ -84,8 +88,6 @@ def parse_copula(doc) -> cp.CopulaSpec:
             return cp.Gaussian2(float(doc["rho"]))
         if family == "grid":
             return cp.GridCopula(np.asarray(doc["values"], dtype=float))
-    except ConfigError:
-        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad copula descriptor: {exc}") from exc
     raise ConfigError(f"unknown copula family {doc.get('family')!r}")
@@ -93,25 +95,36 @@ def parse_copula(doc) -> cp.CopulaSpec:
 
 def parse_channel(doc) -> ChannelSpec:
     try:
-        states = tuple(doc["states"])
+        states = _state_labels(doc["states"])
         snr = np.array([[_parse_snr(x) for x in row] for row in doc["snr"]], dtype=float)
         return ChannelSpec(float(doc["bandwidth"]), snr, states)
-    except ConfigError:
-        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad channel config: {exc}") from exc
 
 
 @dataclass(frozen=True)
+class PlanSpec:
+    """The `copulas` section: `dependence_control` inputs plus the capacity paths."""
+
+    temporal: tuple  # per dimension: one CopulaSpec, or a list of one per step
+    varpi: tuple  # per dimension: the initial state distribution
+    horizon: int
+    slots: int
+    runs: int
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict
     arrival: MapKernel  # a constant rate is the one-state kernel "const"
     service: MapKernel
     service_channel: ChannelSpec | None
-    copulas: list | None  # copula section, kept raw for the control command
-    horizon: int | None
-    replications: int | None
+    copulas: PlanSpec | None
+    experiment: dict  # ordering-experiment parameters, channel and service parsed
     seed: int | None
+    horizon: int
+    replications: int
+    metric: str
+    levels: tuple
     output_dir: str
 
 
@@ -119,7 +132,8 @@ class ExperimentConfig:
 _SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
-def load_config(path) -> ExperimentConfig:
+def load_document(path) -> dict:
+    """The YAML mapping at `path`, parsed like `yaml.safe_load`."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_SAFE_LOADER)
@@ -127,14 +141,53 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    return build_config(doc)
+    return doc
+
+
+def load_config(path) -> ExperimentConfig:
+    return build_config(load_document(path))
+
+
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be a mapping")
+    return section
+
+
+def _count(section: dict, key: str, default: int, where: str) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{where}.{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _parse_plan(doc: dict) -> PlanSpec:
+    """One controlled dimension, or a `dimensions` list of them, each with a
+    `varpi` and a `copula` or a per-step `steps` list.  The plan horizon is
+    `horizon` if given, else the length of a `steps` list, else 1."""
+    temporal, varpi = [], []
+    try:
+        for dim in doc.get("dimensions") or [doc]:
+            if "varpi" not in dim:
+                raise ConfigError("each controlled dimension needs a varpi distribution")
+            varpi.append(np.asarray(dim["varpi"], dtype=float))
+            if "steps" in dim:
+                temporal.append([parse_copula(d) for d in dim["steps"]])
+            elif "copula" in dim:
+                temporal.append(parse_copula(dim["copula"]))
+            else:
+                raise ConfigError("each controlled dimension needs a copula or a steps list")
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad copulas section: {exc}") from exc
+    steps = next((len(t) for t in temporal if isinstance(t, list)), 1)
+    return PlanSpec(tuple(temporal), tuple(varpi), _count(doc, "horizon", steps, "copulas"),
+                    _count(doc, "slots", 1000, "copulas"), _count(doc, "runs", 1, "copulas"))
 
 
 def build_config(doc: dict) -> ExperimentConfig:
     arrival_doc = doc.get("arrival")
-    if not isinstance(arrival_doc, dict) or len(
-        {"constant", "kernel"} & set(arrival_doc)
-    ) != 1:
+    if not isinstance(arrival_doc, dict) or len({"constant", "kernel"} & set(arrival_doc)) != 1:
         raise ConfigError("arrival must specify exactly one of: constant, kernel")
     if "constant" in arrival_doc:
         arrival = single_state_kernel(Constant(float(arrival_doc["constant"])), label="const")
@@ -142,45 +195,53 @@ def build_config(doc: dict) -> ExperimentConfig:
         arrival = parse_kernel(arrival_doc["kernel"])
 
     service_doc = doc.get("service")
-    if not isinstance(service_doc, dict) or len(
-        {"kernel", "channel"} & set(service_doc)
-    ) != 1:
+    if not isinstance(service_doc, dict) or len({"kernel", "channel"} & set(service_doc)) != 1:
         raise ConfigError("service must specify exactly one of: kernel, channel")
     channel = None
     if "kernel" in service_doc:
         service = parse_kernel(service_doc["kernel"])
     else:
         channel = parse_channel(service_doc["channel"])
+        varpi = service_doc.get("varpi")
         if "transition" in service_doc:
             transition = np.asarray(service_doc["transition"], dtype=float)
-        elif "copula" in service_doc:
-            varpi = np.asarray(service_doc["varpi"], dtype=float)
-            transition, _ = cp.transition_from_copula(
-                parse_copula(service_doc["copula"]), varpi
-            )
+        elif "copula" in service_doc and varpi is not None:
+            transition, _ = cp.transition_from_copula(parse_copula(service_doc["copula"]), varpi)
         else:
-            raise ConfigError("channel service needs a transition matrix or a copula")
+            raise ConfigError("channel service needs a transition matrix, or a copula and varpi")
         service = capacity_kernel(transition, channel)
-        if "varpi" in service_doc:
-            varpi = np.asarray(service_doc["varpi"], dtype=float)
-            service = MapKernel(service.state_labels, service.transition,
-                                service.increments, varpi)
+        if varpi is not None:
+            service = MapKernel(service.state_labels, service.transition, service.increments,
+                                varpi)
 
-    copulas_doc = doc.get("copulas")
-
-    sim_doc = doc.get("simulation", {}) or {}
-    out_doc = doc.get("output", {}) or {}
-    seed = sim_doc.get("seed")
+    # the experiment's channel and service parsed; the config's service by default
+    experiment = dict(_section(doc, "experiment"))
+    if "channel" in experiment:
+        experiment["channel"] = parse_channel(experiment["channel"])
+    experiment["service"] = (parse_kernel(experiment["service"]) if "service" in experiment
+                             else service)
+    copulas = _section(doc, "copulas")
+    sim_doc = _section(doc, "simulation")
+    metric = sim_doc.get("metric", "delay")
+    if metric not in ("delay", "backlog"):
+        raise ConfigError(f"simulation.metric must be delay or backlog, got {metric!r}")
+    try:
+        seed = None if sim_doc.get("seed") is None else int(sim_doc["seed"])
+        levels = tuple(float(x) for x in sim_doc.get("levels", (1, 2, 3, 4)))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad simulation section: {exc}") from exc
     return ExperimentConfig(
-        raw=doc,
         arrival=arrival,
         service=service,
         service_channel=channel,
-        copulas=copulas_doc,
-        horizon=int(sim_doc["horizon"]) if "horizon" in sim_doc else None,
-        replications=int(sim_doc["replications"]) if "replications" in sim_doc else None,
-        seed=int(seed) if seed is not None else None,
-        output_dir=str(out_doc.get("directory", ".")),
+        copulas=_parse_plan(copulas) if copulas else None,
+        experiment=experiment,
+        seed=seed,
+        horizon=_count(sim_doc, "horizon", 1000, "simulation"),
+        replications=_count(sim_doc, "replications", 10_000, "simulation"),
+        metric=metric,
+        levels=levels,
+        output_dir=str(_section(doc, "output").get("directory", ".")),
     )
 
 

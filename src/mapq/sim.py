@@ -143,6 +143,9 @@ def lindley(arrival_path, service_path) -> QueueTrace:
 # batched tail estimation
 
 
+_MIN_HITS = 50  # exceedances that make a level conclusive, for the flag and the slope fit
+
+
 @dataclass(frozen=True)
 class TailEstimate:
     level: float
@@ -161,13 +164,12 @@ def tail_estimate(
     horizon: int,
     seed,
     metric: str = "backlog",
-    min_hits: int = 50,
 ) -> list:
     """Empirical stationary tail P(B > b) or P(D > d) with binomial errors.
 
     A constant arrival at rate lam is `single_state_kernel(Constant(lam))`.
     Each replication contributes its end-of-horizon observation, taken after
-    the queue has relaxed; levels with fewer than `min_hits` exceedances are
+    the queue has relaxed; levels with fewer than 50 exceedances are
     flagged inconclusive.  Delay levels are whole slots d >= 0: D > d iff
     the backlog exceeds the arrivals of the last d slots.
     """
@@ -198,16 +200,17 @@ def tail_estimate(
         hits = int(exceed.sum())
         p_hat = hits / replications
         se = math.sqrt(p_hat * (1.0 - p_hat) / replications)
-        out.append(TailEstimate(level, p_hat, se, hits, replications, hits >= min_hits))
+        out.append(TailEstimate(level, p_hat, se, hits, replications, hits >= _MIN_HITS))
     return out
 
 
-def decay_slope(estimates, min_hits: int = 50) -> float:
+def decay_slope(estimates) -> float:
     """Least-squares slope of log p_hat over the conclusive tail region."""
-    pts = [(e.level, math.log(e.p_hat)) for e in estimates if e.hits >= min_hits and 0 < e.p_hat < 1]
+    pts = [(e.level, math.log(e.p_hat)) for e in estimates
+           if e.hits >= _MIN_HITS and 0 < e.p_hat < 1]
     if len(pts) < 2:
         raise InconclusiveTail(f"not enough conclusive levels for a slope fit: {len(pts)} "
-                               f"of {len(estimates)} have {min_hits}+ hits")
+                               f"of {len(estimates)} have {_MIN_HITS}+ hits")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     return float(np.polyfit(x, y, 1)[0])
@@ -347,15 +350,6 @@ class ExperimentResult:
     detail: str
 
 
-EXPERIMENTS = (
-    "arrival-vs-constant",
-    "service-dependence-sweep",
-    "subchannel-aggregation",
-    "deterministic-multiplexing",
-    "random-multiplexing",
-)
-
-
 def ordering_experiment(config: dict) -> ExperimentResult:
     """Run one named paired-simulation experiment.
 
@@ -363,18 +357,9 @@ def ordering_experiment(config: dict) -> ExperimentResult:
     they mirror; decay estimates are finite-horizon slopes.
     """
     name = config.get("name")
-    seed = config.get("seed", 0)
-    if name == "arrival-vs-constant":
-        return _experiment_arrival_vs_constant(config, seed)
-    if name == "service-dependence-sweep":
-        return _experiment_service_sweep(config, seed)
-    if name == "subchannel-aggregation":
-        return _experiment_subchannel(config, seed)
-    if name == "deterministic-multiplexing":
-        return _experiment_deterministic_multiplexing(config, seed)
-    if name == "random-multiplexing":
-        return _experiment_random_multiplexing(config, seed)
-    raise UnknownExperiment(f"no experiment named {name!r}; known: {EXPERIMENTS}")
+    if name not in EXPERIMENTS:
+        raise UnknownExperiment(f"no experiment named {name!r}; known: {tuple(EXPERIMENTS)}")
+    return EXPERIMENTS[name](config, config.get("seed", 0))
 
 
 def _required(config, key):
@@ -384,8 +369,8 @@ def _required(config, key):
     return config[key]
 
 
-def _bursty_arrival(rate, burst_factor=2.0):
-    lo = rate / burst_factor
+def _bursty_arrival(rate):
+    lo = rate / 2.0
     hi = 2.0 * rate - lo
     p = np.array([[0.9, 0.1], [0.1, 0.9]])
     laws = ((Constant(lo), Constant(lo)), (Constant(hi), Constant(hi)))
@@ -443,59 +428,46 @@ def _experiment_service_sweep(config, seed):
     )
 
 
-def _coupled_batch(rng, marginal_cdf_inv, m, n_samples, comonotone):
-    if comonotone:
-        u = rng.random((n_samples, 1))
-        u = np.repeat(u, m, axis=1)
-    else:
-        u = rng.random((n_samples, m))
-    return marginal_cdf_inv(u)
+def _battery_experiment(name, count_key, count, marginal, detail):
+    """Runner comparing `count` independent coordinates with comonotone ones by
+    the supermodular battery; `marginal(config, rng, u_ind, u_com)` maps the
+    independent uniforms and the shared uniform column, drawn in that order."""
+
+    def run(config, seed):
+        rng = _stream(seed)
+        n_samples = config.get("samples", 50_000)
+        m = config.get(count_key, count)
+        u_ind = rng.random((n_samples, m))
+        u_com = np.repeat(rng.random((n_samples, 1)), m, axis=1)
+        report = supermodular_battery(*marginal(config, rng, u_ind, u_com))
+        return ExperimentResult(name, {}, report, report.verdict == "holds", detail)
+
+    return run
 
 
-def _experiment_subchannel(config, seed):
-    rng = _stream(seed)
-    n_samples = config.get("samples", 50_000)
-    m = config.get("subchannels", 4)
-    inv = lambda u: -np.log1p(-u)  # Exp(1) capacities per sub-channel
-    indep = _coupled_batch(rng, inv, m, n_samples, comonotone=False)
-    como = _coupled_batch(rng, inv, m, n_samples, comonotone=True)
-    report = supermodular_battery(indep, como)
-    return ExperimentResult(
-        "subchannel-aggregation", {}, report, report.verdict == "holds",
-        "independent sub-channel capacities <=_sm comonotone ones",
-    )
-
-
-def _experiment_deterministic_multiplexing(config, seed):
-    rng = _stream(seed)
-    n_samples = config.get("samples", 50_000)
-    m = config.get("flows", 4)
-    inv = lambda u: np.ceil(4.0 * u)  # per-flow packet counts
-    indep = _coupled_batch(rng, inv, m, n_samples, comonotone=False)
-    como = _coupled_batch(rng, inv, m, n_samples, comonotone=True)
-    report = supermodular_battery(indep, como)
-    return ExperimentResult(
-        "deterministic-multiplexing", {}, report, report.verdict == "holds",
-        "aggregating a comonotone flow set dominates the independent one",
-    )
-
-
-def _experiment_random_multiplexing(config, seed):
-    rng = _stream(seed)
-    n_samples = config.get("samples", 50_000)
-    m = config.get("dimensions", 3)
+def _multiplexed_batches(config, rng, *uniforms):
+    """Batch counts 0..max_batches per coordinate, summed over batch sizes that
+    are shared by both couplings and drawn after the counts."""
     max_batches = config.get("max_batches", 6)
-    inv = lambda u: np.floor((max_batches + 1) * u)  # batch counts 0..max
-    counts_ind = _coupled_batch(rng, inv, m, n_samples, comonotone=False).astype(int)
-    counts_com = _coupled_batch(rng, inv, m, n_samples, comonotone=True).astype(int)
-    # shared batch sizes, independent of the counts
+    counts = [np.floor((max_batches + 1) * u).astype(int) for u in uniforms]
+    n_samples, m = uniforms[0].shape
     sizes = rng.exponential(size=(n_samples, m, max_batches + 1))
-    cum = np.cumsum(sizes, axis=2)
-    zero = np.zeros((n_samples, m, 1))
-    cum = np.concatenate([zero, cum], axis=2)
-    take = lambda counts: np.take_along_axis(cum, counts[:, :, None], axis=2)[:, :, 0]
-    report = supermodular_battery(take(counts_ind), take(counts_com))
-    return ExperimentResult(
-        "random-multiplexing", {}, report, report.verdict == "holds",
-        "comonotone batch counts dominate independent ones after multiplexing",
-    )
+    cum = np.concatenate([np.zeros((n_samples, m, 1)), np.cumsum(sizes, axis=2)], axis=2)
+    return [np.take_along_axis(cum, c[:, :, None], axis=2)[:, :, 0] for c in counts]
+
+
+EXPERIMENTS = {
+    "arrival-vs-constant": _experiment_arrival_vs_constant,
+    "service-dependence-sweep": _experiment_service_sweep,
+    "subchannel-aggregation": _battery_experiment(
+        "subchannel-aggregation", "subchannels", 4,
+        lambda config, rng, *u: [-np.log1p(-x) for x in u],  # Exp(1) capacities
+        "independent sub-channel capacities <=_sm comonotone ones"),
+    "deterministic-multiplexing": _battery_experiment(
+        "deterministic-multiplexing", "flows", 4,
+        lambda config, rng, *u: [np.ceil(4.0 * x) for x in u],  # per-flow packet counts
+        "aggregating a comonotone flow set dominates the independent one"),
+    "random-multiplexing": _battery_experiment(
+        "random-multiplexing", "dimensions", 3, _multiplexed_batches,
+        "comonotone batch counts dominate independent ones after multiplexing"),
+}

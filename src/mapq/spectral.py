@@ -132,32 +132,28 @@ class StabilityRoot:
         return self.arrival.kappa
 
 
-def transform_matrix(kernel: MapKernel, theta: float) -> np.ndarray:
-    """F_hat[theta] with entries p_ij * mgf_{H_ij}(theta)."""
+def _entrywise(kernel: MapKernel, theta: float, transform: str, what: str) -> np.ndarray:
+    """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij."""
     n = kernel.n_states
     p = kernel.transition
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if p[i, j] > 0:
-                out[i, j] = p[i, j] * kernel.law(i, j).mgf(theta)
+                out[i, j] = p[i, j] * getattr(kernel.law(i, j), transform)(theta)
     if not np.all(np.isfinite(out)):
-        raise MgfDiverged(f"transform matrix not finite at theta={theta}")
+        raise MgfDiverged(f"{what} not finite at theta={theta}")
     return out
+
+
+def transform_matrix(kernel: MapKernel, theta: float) -> np.ndarray:
+    """F_hat[theta] with entries p_ij * mgf_{H_ij}(theta)."""
+    return _entrywise(kernel, theta, "mgf", "transform matrix")
 
 
 def _transform_derivative(kernel: MapKernel, theta: float) -> np.ndarray:
     """Entrywise theta-derivative: p_ij * E[X e^{theta X}]."""
-    n = kernel.n_states
-    p = kernel.transition
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if p[i, j] > 0:
-                out[i, j] = p[i, j] * kernel.law(i, j).tilted_mean(theta)
-    if not np.all(np.isfinite(out)):
-        raise MgfDiverged(f"transform derivative not finite at theta={theta}")
-    return out
+    return _entrywise(kernel, theta, "tilted_mean", "transform derivative")
 
 
 def stationary_distribution(kernel: MapKernel) -> np.ndarray:
@@ -213,9 +209,11 @@ def negate(kernel: MapKernel) -> MapKernel:
     return MapKernel(kernel.state_labels, kernel.transition, increments, kernel.initial_dist)
 
 
-def stability_root(
-    arrival: MapKernel, service: MapKernel, residual_tol: float = 1e-10
-) -> StabilityRoot:
+# largest |kappa^A + kappa^{-S}| accepted at the root
+_ROOT_RESIDUAL_TOL = 1e-10
+
+
+def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     """Positive root theta* of kappa^A(theta) + kappa^{-S}(theta) = 0.
 
     kappa is convex through the origin with negative drift at a stable
@@ -268,6 +266,6 @@ def stability_root(
     # guarantees exactly one sign change because kappa is convex in theta.
     theta = float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
     residual = abs(f(theta))
-    if residual > residual_tol:
-        raise NoRootInDomain(f"root residual {residual!r} above {residual_tol}")
+    if residual > _ROOT_RESIDUAL_TOL:
+        raise NoRootInDomain(f"root residual {residual!r} above {_ROOT_RESIDUAL_TOL}")
     return StabilityRoot(theta, residual, *solutions)

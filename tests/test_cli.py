@@ -1,5 +1,6 @@
 """Command-line contract: determinism, CSV shape, exit-code taxonomy."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import yaml
 
 from conftest import count_calls
 from mapq import spectral
-from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, main
+from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, build_parser, main
 
 
 def _run(args):
@@ -332,3 +333,142 @@ def test_ordercheck_experiment_missing_key_exits_2(tmp_path, toy_cfg, capsys):
     assert _run(["ordercheck", "--config", toy_cfg, "--experiment",
                  "service-dependence-sweep"]) == EXIT_PARSE
     assert "'channel'" in capsys.readouterr().err
+
+
+# flags each subcommand reads; any other of the thirteen exits 2
+_READS = {
+    "spectral": {"--config", "--out", "--theta"},
+    "bounds": {"--config", "--out", "--levels", "--mode", "--y", "--epsilon"},
+    "control": {"--config", "--out"},
+    "simulate": {"--config", "--out", "--seed", "--levels", "--mode"},
+    "ordercheck": {"--config", "--out", "--seed", "--pmf-x", "--pmf-y", "--samples-x",
+                   "--samples-y", "--experiment"},
+}
+_ALL_FLAGS = set().union(*_READS.values())
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, reads in _READS.items() for flag in sorted(_ALL_FLAGS - reads)
+])
+def test_unread_flag_exits_2(toy_cfg, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", toy_cfg, flag, "1"])
+    assert exc.value.code == EXIT_PARSE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_flag_slots_are_the_ones_read():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+                - {"--help"} for name, p in sub.choices.items()}
+    assert declared == _READS
+    assert sum(map(len, declared.values())) == 24
+
+
+@pytest.mark.parametrize("command", ["spectral", "bounds", "control", "simulate"])
+def test_config_commands_require_a_config(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == EXIT_PARSE
+    assert "--config" in capsys.readouterr().err
+
+
+SWEEP_EXPERIMENT = {
+    "channel": {"bandwidth": 20, "snr": [[1e4, 1e4], [10, 10]], "states": ["hi", "lo"]},
+    "rate": 80, "alphas": [-0.8, 0, 0.8], "levels": [1, 2, 3, 4, 5, 6],
+    "replications": 3000, "horizon": 100,
+}
+
+
+def test_service_sweep_runs_from_the_cli(tmp_path, toy_config_text, capsys):
+    doc = yaml.safe_load(toy_config_text)
+    doc["experiment"] = SWEEP_EXPERIMENT
+    cfg = _write(tmp_path, "sweep.yaml", yaml.safe_dump(doc))
+    assert _run(["ordercheck", "--config", cfg, "--experiment", "service-dependence-sweep",
+                 "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "experiment: service-dependence-sweep" in out and "verdict: holds" in out
+    assert all(f"alpha={a}," in out for a in (-0.8, 0, 0.8))
+
+
+@pytest.mark.parametrize("command", ["ordercheck", "spectral"])
+def test_bad_experiment_channel_exits_2(tmp_path, toy_config_text, capsys, command):
+    # the states list is missing; every command parses the whole document
+    doc = yaml.safe_load(toy_config_text)
+    doc["experiment"] = {"channel": {"bandwidth": 20, "snr": [[10, 10], [1, 1]]}, "rate": 1.0}
+    cfg = _write(tmp_path, "badchan.yaml", yaml.safe_dump(doc))
+    extra = {"ordercheck": ["--experiment", "service-dependence-sweep"], "spectral": []}
+    assert _run([command, "--config", cfg, "--out", str(tmp_path)] + extra[command]) == EXIT_PARSE
+    assert "bad channel config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, value", [
+    ("simulation", {"horizon": 0}),
+    ("simulation", {"replications": 2.5}),
+    ("simulation", {"metric": "horizon"}),
+    ("simulation", [1, 2]),
+    ("experiment", "sweep"),
+    ("copulas", {"varpi": [0.5, 0.5]}),
+])
+@pytest.mark.parametrize("command", ["simulate", "spectral"])
+def test_malformed_section_exits_2(tmp_path, toy_config_text, name, value, command):
+    doc = yaml.safe_load(toy_config_text)
+    doc[name] = {**doc.get(name, {}), **value} if isinstance(value, dict) else value
+    cfg = _write(tmp_path, "bad.yaml", yaml.safe_dump(doc))
+    assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+
+
+STEPS_COPULAS = {"varpi": [0.3, 0.7],
+                 "steps": [{"family": "frechet1", "alpha": 0.5}, {"family": "p"}]}
+
+
+def test_steps_list_sets_the_control_horizon(tmp_path):
+    doc = yaml.safe_load(CONTROL_CFG)
+    doc["copulas"] = STEPS_COPULAS
+    cfg = _write(tmp_path, "steps.yaml", yaml.safe_dump(doc))
+    out = tmp_path / "ctl"
+    assert _run(["control", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "control_plan.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sorted({line.split(",")[1] for line in rows}) == ["0", "1"]
+
+
+def test_steps_list_runs_under_simulate(tmp_path):
+    doc = {"arrival": {"constant": 40.0},
+           "service": {"channel": {"bandwidth": 20.0, "snr": [["db:40", "db:10"]] * 2,
+                                   "states": ["hi", "lo"]},
+                       "copula": {"family": "frechet1", "alpha": -0.5}, "varpi": [0.3, 0.7]},
+           "copulas": dict(STEPS_COPULAS, slots=200),
+           "simulation": {"horizon": 20, "replications": 200, "seed": 1, "levels": [1, 2]}}
+    cfg = _write(tmp_path, "steps.yaml", yaml.safe_dump(doc))
+    out = tmp_path / "sim"
+    assert _run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "correlation.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 2 and rows[1].endswith(",200")
+
+
+BOOL_LABEL_CFG = """\
+arrival:
+  kernel:
+    states: {states}
+    transition: [[0.8, 0.2], [0.3, 0.7]]
+    increments: [[{{law: constant, value: 0.5}}, {{law: constant, value: 1.0}}],
+                 [{{law: constant, value: 0.5}}, {{law: constant, value: 1.0}}]]
+service:
+  kernel:
+    states: [only]
+    transition: [[1.0]]
+    increments: [[{{law: normal, mean: 3.0, std: 1.4142135623730951}}]]
+"""
+
+
+def test_yaml_boolean_state_labels_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "bool.yaml", BOOL_LABEL_CFG.format(states="[on, off]"))
+    assert _run(["spectral", "--config", cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+    assert "quote" in capsys.readouterr().err
+    for states, labels in (("['on', 'off']", ["on", "off"]), ("[1, 2]", ["1", "2"])):
+        cfg = _write(tmp_path, "labels.yaml", BOOL_LABEL_CFG.format(states=states))
+        out = tmp_path / "ok"
+        assert _run(["spectral", "--config", cfg, "--out", str(out), "--theta", "0.5"]) == 0
+        rows = (out / "spectral.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[2] for line in rows if ",arrival," in line] == labels

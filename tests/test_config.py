@@ -8,7 +8,16 @@ import yaml
 
 from conftest import count_calls
 from mapq import laws as laws_module
-from mapq.config import build_config, load_config, parse_copula, parse_kernel, parse_law, roundtrip
+from mapq.config import (
+    build_config,
+    load_config,
+    load_document,
+    parse_channel,
+    parse_copula,
+    parse_kernel,
+    parse_law,
+    roundtrip,
+)
 from mapq.copulas import Frechet, Gaussian2, GridCopula, Product
 from mapq.errors import ConfigError
 from mapq.laws import Constant, DiscretePmf, Negated, RayleighCapacity, Shifted
@@ -138,7 +147,7 @@ def test_load_config_parses_like_safe_load(tmp_path, toy_config_text, which):
     text = toy_config_text if which == "toy" else CHANNEL_CONFIG_TEXT
     path = tmp_path / "cfg.yaml"
     path.write_text(text, encoding="utf-8")
-    assert load_config(path).raw == yaml.safe_load(text)
+    assert load_document(path) == yaml.safe_load(text)
 
 
 def test_equal_kernel_cells_share_one_law(monkeypatch):
@@ -149,3 +158,16 @@ def test_equal_kernel_cells_share_one_law(monkeypatch):
     assert all(kernel.law(i, j) is kernel.law(0, 0) for i in range(2) for j in range(2))
     transform_matrix(kernel, 0.3)
     assert len(quad_calls) == 2
+
+
+def test_yaml_boolean_state_labels_are_rejected():
+    # YAML 1.1 reads unquoted on/off as booleans, which would print as 1/0
+    channel = yaml.safe_load("{bandwidth: 20, snr: [[10, 10], [1, 1]], states: [on, off]}")
+    with pytest.raises(ConfigError, match="quote"):
+        parse_channel(channel)
+    channel["states"] = ["on", 2]
+    assert parse_channel(channel).power_states == ("on", 2)
+    kernel = {"states": [True], "transition": [[1.0]],
+              "increments": [[{"law": "constant", "value": 1}]]}
+    with pytest.raises(ConfigError, match="quote"):
+        parse_kernel(kernel)
