@@ -13,22 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import (
-    MgfDiverged,
-    NoConvergence,
-    NoDerivativeRoot,
-    NoFixedPoint,
-    NoRootInDomain,
-)
-from .laws import Constant
+from .errors import MgfDiverged, NoConvergence, NoFixedPoint, NoRootInDomain
 from .spectral import (
+    _ROOT_RESIDUAL_TOL,
     MapKernel,
     mean_rate,
     negate,
     perron,
-    single_state_kernel,
+    positive_root,
     stability_root,
 )
 
@@ -68,6 +61,13 @@ class DccReport:
 
 def _clamp(x):
     return min(max(x, 0.0), 1.0)
+
+
+def _finite_level(x):
+    """x itself if it is finite, else ValueError."""
+    if not math.isfinite(x):
+        raise ValueError(f"level must be finite, got {x!r}")
+    return x
 
 
 def _delay_level(d, whole: bool = True):
@@ -134,6 +134,7 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
 
 def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
     """Double-sided P(B > b) bounds with factor h^A_{J_0} h^{-S}_{J_0} e^{-theta b}."""
+    b_range = [_finite_level(b) for b in b_range]
     root = stability_root(arrival, service)
     h_a, h_s = root.arrival.h, root.neg_service.h
     h_plus = 1.0 / (h_a.min() * h_s.min())
@@ -155,28 +156,6 @@ def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
     return out
 
 
-def _derivative_root(g, what):
-    """Root of an increasing function g on theta > 0 by doubling bracket."""
-    lo, hi = 1e-8, 1e-3
-    try:
-        g_lo = g(lo)
-    except MgfDiverged as exc:
-        raise NoDerivativeRoot(f"{what}: cgf derivative diverged near zero") from exc
-    if g_lo > 0:
-        raise NoDerivativeRoot(f"{what}: no positive root, derivative equation starts positive")
-    for _ in range(96):
-        try:
-            g_hi = g(hi)
-        except MgfDiverged as exc:
-            raise NoDerivativeRoot(f"{what}: left the MGF domain before a sign change") from exc
-        if g_hi >= 0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NoDerivativeRoot(f"{what}: no sign change found in the bracket scan")
-    return float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
-
-
 def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: float) -> HorizonBoundReport:
     """Finite-horizon delay bound with horizon multiplier y > 1.
 
@@ -186,15 +165,16 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
     """
     if y <= 1:
         raise ValueError("horizon multiplier y must exceed 1 for the delay bound")
-    neg_service = negate(service)
+    d = _delay_level(d, whole=False)
     root = stability_root(arrival, service)
+    neg_service = root.neg_service.kernel
     da_g = root.arrival.kappa_dot
     ds_g = root.neg_service.kappa_dot
     y_gamma = da_g / (da_g + ds_g)
 
-    theta = _derivative_root(
+    theta = positive_root(
         lambda t: y * perron(neg_service, t).kappa_dot + (y - 1) * perron(arrival, t).kappa_dot,
-        "horizon delay",
+        "horizon delay equation y kappa'^-S + (y - 1) kappa'^A",
     )
     sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
     theta_y = -y * sol_s.kappa - (y - 1) * sol_a.kappa
@@ -210,13 +190,14 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
     """Finite-horizon backlog bound with horizon multiplier y > 0."""
     if y <= 0:
         raise ValueError("horizon multiplier y must be positive")
-    neg_service = negate(service)
+    b = _finite_level(b)
     root = stability_root(arrival, service)
+    neg_service = root.neg_service.kernel
     y_gamma = 1.0 / (root.arrival.kappa_dot + root.neg_service.kappa_dot)
 
-    theta = _derivative_root(
+    theta = positive_root(
         lambda t: y * (perron(arrival, t).kappa_dot + perron(neg_service, t).kappa_dot) - 1.0,
-        "horizon backlog",
+        "horizon backlog equation y (kappa'^A + kappa'^-S) - 1",
     )
     sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
     theta_y = theta - y * (sol_a.kappa + sol_s.kappa)
@@ -246,8 +227,10 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) 
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"deadline must be finite slots > 0, got {d!r}")
     root = stability_root(arrival, service)
-    neg_service = negate(service)
+    neg_service = root.neg_service.kernel
     varpi_s = service.initial_dist
     theta_star = root.theta_star
 
@@ -313,13 +296,18 @@ def constant_dcc_interval(service: MapKernel, d: float, epsilon: float, varpi) -
     mu = mean_rate(service)
     lam_max = 0.999999 * mu
     log_eps = math.log(epsilon)
+    neg_service = negate(service)
 
     def violates(lam, endpoint):
-        try:
-            root = stability_root(single_state_kernel(Constant(lam)), service)
+        try:  # theta*(lam) is the positive root of lam theta + kappa^{-S}(theta)
+            theta = positive_root(lambda t: lam * t + perron(neg_service, t).kappa,
+                                  f"combined cgf lam theta + kappa^-S at lam={lam}")
         except NoRootInDomain:
             return False
-        theta, h = root.theta_star, root.neg_service.h
+        sol = perron(neg_service, theta)
+        if abs(lam * theta + sol.kappa) > _ROOT_RESIDUAL_TOL:
+            return False
+        h = sol.h
         avg = float(varpi @ h)
         if endpoint == "hi":
             log_bound = math.log(avg / h.min()) - theta * lam * d

@@ -31,8 +31,8 @@ class ChannelSpec:
             raise ValueError("bandwidth must be positive")
         if snr.shape != (n, n):
             raise ValueError(f"snr matrix must be {n}x{n}, got {snr.shape}")
-        if np.any(snr <= 0):
-            raise ValueError("all SNR entries must be positive")
+        if not np.all((0 < snr) & (snr < np.inf)):
+            raise ValueError("all SNR entries must be positive and finite")
         object.__setattr__(self, "snr_matrix", snr)
         object.__setattr__(self, "power_states", tuple(self.power_states))
         snr.setflags(write=False)

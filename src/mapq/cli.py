@@ -27,7 +27,6 @@ from .errors import (
     LengthMismatch,
     MgfDiverged,
     NoConvergence,
-    NoDerivativeRoot,
     NoFixedPoint,
     NoRootInDomain,
     OutOfUnitInterval,
@@ -45,8 +44,8 @@ EXIT_COPULA = 5
 
 _PARSE_ERRORS = (ConfigError, LengthMismatch, DimensionMismatch, UnknownExperiment, ValueError)
 # LinAlgError and InconclusiveTail are ValueErrors: match them before _PARSE_ERRORS
-_NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, NoDerivativeRoot, NoFixedPoint,
-                   InconclusiveTail, np.linalg.LinAlgError)
+_NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, NoFixedPoint, InconclusiveTail,
+                   np.linalg.LinAlgError)
 _COPULA_ERRORS = (IncompatibleCopula, OutOfUnitInterval, ZeroMassState)
 
 

@@ -34,15 +34,15 @@ def parse_law(doc) -> object:
         if tag == "normal":
             return gaussian_quantized(float(doc["mean"]), float(doc["std"]),
                                       int(doc.get("points", 96)))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {tag!r} law descriptor: {exc}") from exc
     raise ConfigError(f"unknown increment law {tag!r}")
 
 
 def _parse_snr(value) -> float:
-    if isinstance(value, str):
-        if not value.startswith("db:"):
-            raise ConfigError(f"string SNR must be 'db:' prefixed, got {value!r}")
+    """Linear SNR from a number or a numeric string (YAML 1.1 reads 1e4 as
+    one), or from a 'db:<decibels>' string."""
+    if isinstance(value, str) and value.startswith("db:"):
         return 10.0 ** (float(value[3:]) / 10.0)
     return float(value)
 
@@ -98,7 +98,7 @@ def parse_channel(doc) -> ChannelSpec:
         states = _state_labels(doc["states"])
         snr = np.array([[_parse_snr(x) for x in row] for row in doc["snr"]], dtype=float)
         return ChannelSpec(float(doc["bandwidth"]), snr, states)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad channel config: {exc}") from exc
 
 
@@ -216,6 +216,13 @@ def build_config(doc: dict) -> ExperimentConfig:
 
     # the experiment's channel and service parsed; the config's service by default
     experiment = dict(_section(doc, "experiment"))
+    # the ordering experiments' whole-number parameters; an absent one keeps its default
+    for key in ("replications", "horizon", "samples", "subchannels", "flows", "dimensions",
+                "max_batches"):
+        _count(experiment, key, 1, "experiment")
+    rate = experiment.get("rate", 1.0)
+    if type(rate) not in (int, float) or not 0 < rate < float("inf"):
+        raise ConfigError(f"experiment.rate must be a positive finite number, got {rate!r}")
     if "channel" in experiment:
         experiment["channel"] = parse_channel(experiment["channel"])
     experiment["service"] = (parse_kernel(experiment["service"]) if "service" in experiment

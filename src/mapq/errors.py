@@ -33,11 +33,7 @@ class UnstableQueue(MapqError):
 
 
 class NoRootInDomain(MapqError):
-    """The combined cgf never recrosses zero inside the MGF finiteness domain."""
-
-
-class NoDerivativeRoot(MapqError):
-    """The finite-horizon derivative equation has no root in the domain."""
+    """A cgf equation never crosses zero inside the MGF finiteness domain."""
 
 
 class InconclusiveTail(MapqError, ValueError):

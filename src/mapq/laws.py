@@ -124,8 +124,8 @@ class RayleighCapacity(IncrementLaw):
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
+        if not 0 < self.snr < math.inf:
+            raise ValueError(f"snr must be positive and finite, got {self.snr!r}")
 
     def _exponent(self, theta):
         return theta * self.bandwidth / _LN2

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _delay_level
+from .bounds import _delay_level, _finite_level
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -173,10 +173,14 @@ def tail_estimate(
     flagged inconclusive.  Delay levels are whole slots d >= 0: D > d iff
     the backlog exceeds the arrivals of the last d slots.
     """
+    if min(replications, horizon) < 1:
+        raise ValueError(f"replications and horizon must be >= 1, got {replications}, {horizon}")
     if metric == "delay":
         d_max = max(int(_delay_level(d)) for d in levels) + 1
         window = np.zeros((replications, d_max))  # trailing arrivals ring
-    elif metric != "backlog":
+    elif metric == "backlog":
+        levels = [_finite_level(b) for b in levels]
+    else:
         raise ValueError(f"unknown metric {metric!r}")
     rng = _stream(seed)
     service_states = _states(service, replications, horizon, rng)

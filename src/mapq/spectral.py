@@ -209,6 +209,40 @@ def negate(kernel: MapKernel) -> MapKernel:
     return MapKernel(kernel.state_labels, kernel.transition, increments, kernel.initial_dist)
 
 
+def positive_root(f, what: str) -> float:
+    """The one positive root of a cgf equation f that is negative just above 0:
+    bracketed by doubling from 1e-3 (halving below it when f(1e-3) > 0), then
+    refined by brentq.  A transform that diverges or an eigensolve that fails
+    first raises NoRootInDomain naming `what` and theta."""
+
+    def value(theta):
+        try:
+            return f(theta)
+        except (MgfDiverged, NoConvergence) as exc:
+            # far out a service transform underflows to a zero eigenvalue or
+            # spans more magnitudes than the eigensolve resolves
+            raise NoRootInDomain(f"{what}: no root below theta={theta}, where {exc}") from exc
+
+    lo, hi = 0.0, 1e-3
+    for _ in range(128):
+        if value(hi) > 0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NoRootInDomain(f"{what} never crossed zero up to theta={hi}")
+    if lo == 0.0:
+        # the root lies below 1e-3: halve towards the origin until f is
+        # negative; at theta = 0 a cgf is exactly 0, the trivial root
+        for _ in range(64):
+            lo = 0.5 * hi
+            if value(lo) < 0:
+                break
+            hi = lo
+        else:
+            raise NoRootInDomain(f"{what} stays nonnegative down to theta={lo}")
+    return float(brentq(value, lo, hi, xtol=1e-15, rtol=8.9e-16))
+
+
 # largest |kappa^A + kappa^{-S}| accepted at the root
 _ROOT_RESIDUAL_TOL = 1e-10
 
@@ -217,8 +251,7 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     """Positive root theta* of kappa^A(theta) + kappa^{-S}(theta) = 0.
 
     kappa is convex through the origin with negative drift at a stable
-    queue, so there is at most one positive root; we bracket by doubling
-    from 1e-3 (or by halving, when theta* lies below it) and then bisect.
+    queue, so there is at most one positive root.
     """
     drift_a = mean_rate(arrival)
     drift_s = mean_rate(service)
@@ -231,41 +264,9 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
         solutions[:] = perron(arrival, theta), perron(neg_service, theta)
         return solutions[0].kappa + solutions[1].kappa
 
-    lo, hi = 0.0, 1e-3
-    for _ in range(128):
-        try:
-            f_hi = f(hi)
-        except MgfDiverged as exc:
-            raise NoRootInDomain(
-                f"combined cgf diverged at theta={hi} before recrossing zero"
-            ) from exc
-        except NoConvergence as exc:
-            # the service transform underflowed to a zero eigenvalue: the
-            # combined cgf is still far below zero and no larger theta is
-            # representable, so no positive recrossing exists
-            raise NoRootInDomain(
-                f"combined cgf underflowed at theta={hi} before recrossing zero"
-            ) from exc
-        if f_hi > 0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NoRootInDomain("combined cgf never recrossed zero within the bracket scan")
-    if lo == 0.0:
-        # theta* < 1e-3: halve towards the origin until the cgf is negative;
-        # at theta = 0 it is exactly 0, which brackets only the trivial root
-        for _ in range(64):
-            lo = 0.5 * hi
-            if f(lo) < 0:
-                break
-            hi = lo
-        else:
-            raise NoRootInDomain(f"combined cgf stays nonnegative down to theta={lo}")
-
-    # brentq is the hybrid bisection/secant step; the bracket scan above
-    # guarantees exactly one sign change because kappa is convex in theta.
-    theta = float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    theta = positive_root(f, "combined cgf kappa^A + kappa^-S")
     residual = abs(f(theta))
     if residual > _ROOT_RESIDUAL_TOL:
-        raise NoRootInDomain(f"root residual {residual!r} above {_ROOT_RESIDUAL_TOL}")
+        raise NoRootInDomain(f"combined cgf kappa^A + kappa^-S: root residual {residual!r} "
+                             f"above {_ROOT_RESIDUAL_TOL} at theta={theta}")
     return StabilityRoot(theta, residual, *solutions)

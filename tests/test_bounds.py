@@ -233,6 +233,35 @@ def test_constant_dcc_interval_widens_with_eigenvector_spread():
     assert widths[1] > widths[0]
 
 
+def test_constant_dcc_interval_solves_each_rate_on_the_negated_service(monkeypatch, toy_service):
+    # each probed rate is one root of lam theta + kappa^-S on the service
+    # negated once, not a stability_root on a fresh one-state arrival kernel
+    roots = count_calls(monkeypatch, bd, "stability_root")
+    negations = count_calls(monkeypatch, bd, "negate")
+    interval = bd.constant_dcc_interval(toy_service, 20.0, 1e-2, np.array([1.0]))
+    assert roots == [] and len(negations) == 1
+    assert interval == pytest.approx((0.07497151550585462, 0.0788239058088085), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [0.0, -5.0, math.inf, math.nan])
+def test_dcc_upper_needs_a_finite_positive_deadline(toy_arrival, toy_service, d):
+    with pytest.raises(ValueError, match="deadline"):
+        bd.dcc_upper(toy_arrival, toy_service, d, 1e-3)
+
+
+def test_levels_must_be_finite(toy_arrival, toy_service):
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            bd.backlog_bounds(toy_arrival, toy_service, [1.0, level])
+        with pytest.raises(ValueError, match="finite"):
+            bd.horizon_backlog_bound(toy_arrival, toy_service, 2.0, level)
+    # the delay horizon takes real delays d >= 0, whole or not
+    for level in (-3.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delay level"):
+            bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, level)
+    assert bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, 2.5).level == 2.5
+
+
 @pytest.mark.parametrize("fn", [bd.delay_bounds, bd.backlog_bounds])
 def test_bounds_solve_nothing_beyond_their_root(monkeypatch, fn):
     # h at theta* comes from the root's own solutions, not a second solve

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -147,6 +148,30 @@ def test_delay_levels_must_be_whole_slots(tmp_path, toy_cfg):
                      "--out", str(tmp_path)]) == EXIT_PARSE
     assert _run(["bounds", "--config", toy_cfg, "--mode", "delay", "--levels", "-1",
                  "--out", str(tmp_path)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--mode", "dcc", "--levels", "0"],
+    ["bounds", "--mode", "dcc", "--levels", "-5"],
+    ["bounds", "--mode", "backlog", "--levels", "nan"],
+    ["bounds", "--mode", "horizon", "--levels", "-3"],
+    ["bounds", "--mode", "horizon", "--levels", "inf"],
+    ["simulate", "--mode", "backlog", "--levels", "nan"],
+])
+def test_meaningless_levels_exit_2(tmp_path, toy_cfg, argv):
+    assert _run(argv + ["--config", toy_cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+
+
+def test_horizon_equation_without_root_exits_3(tmp_path, capsys):
+    # y kappa'^-S + (y - 1) kappa'^A stays below (y - 1) 4 - 3 y < 0 at y = 1.01
+    doc = {"arrival": {"kernel": {"states": ["a"], "transition": [[1.0]],
+                                  "increments": [[_pmf([0.0, 4.0], [0.5, 0.5])]]}},
+           "service": {"kernel": {"states": ["s"], "transition": [[1.0]],
+                                  "increments": [[_pmf([3.0, 5.0], [0.5, 0.5])]]}}}
+    cfg = _write(tmp_path, "noroot.yaml", yaml.safe_dump(doc))
+    assert _run(["bounds", "--config", cfg, "--mode", "horizon", "--y", "1.01",
+                 "--out", str(tmp_path)]) == EXIT_NUMERIC
+    assert re.search(r"horizon delay equation.*theta=\d", capsys.readouterr().err)
 
 
 def test_inconclusive_decay_slope_exits_3(tmp_path, toy_config_text):
@@ -410,6 +435,13 @@ def test_bad_experiment_channel_exits_2(tmp_path, toy_config_text, capsys, comma
     ("simulation", [1, 2]),
     ("experiment", "sweep"),
     ("copulas", {"varpi": [0.5, 0.5]}),
+    ("experiment", {"replications": 0}),
+    ("experiment", {"horizon": 2.5}),
+    ("experiment", {"samples": True}),
+    ("experiment", {"max_batches": "six"}),
+    ("experiment", {"rate": "fast"}),
+    ("experiment", {"rate": -1.0}),
+    ("experiment", {"rate": float("inf")}),
 ])
 @pytest.mark.parametrize("command", ["simulate", "spectral"])
 def test_malformed_section_exits_2(tmp_path, toy_config_text, name, value, command):

@@ -171,3 +171,19 @@ def test_yaml_boolean_state_labels_are_rejected():
               "increments": [[{"law": "constant", "value": 1}]]}
     with pytest.raises(ConfigError, match="quote"):
         parse_kernel(kernel)
+
+
+def test_snr_strings_are_numbers_unless_db_prefixed():
+    # YAML 1.1 reads 1e4 (no dot) as the string '1e4'
+    channel = yaml.safe_load("{bandwidth: 20, snr: [[1e4, 1.0e+4], ['db:40', 10]], "
+                             "states: [hi, lo]}")
+    assert channel["snr"][0][0] == "1e4"
+    assert parse_channel(channel).snr_matrix[:, 0].tolist() == [1e4, 1e4]
+    ray = parse_law({"law": "rayleigh", "bandwidth": 20, "snr": "2.5"})
+    assert ray.snr == 2.5
+    for bad in ("fast", "nan", "inf", "db:x", "db:4000", None, float("inf")):
+        with pytest.raises(ConfigError, match="bad .rayleigh. law descriptor"):
+            parse_law({"law": "rayleigh", "bandwidth": 20, "snr": bad})
+        channel["snr"][1][1] = bad
+        with pytest.raises(ConfigError, match="bad channel config"):
+            parse_channel(channel)

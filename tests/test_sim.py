@@ -183,6 +183,12 @@ def test_tail_estimate_checks_metric_and_levels_before_drawing(monkeypatch):
     for bad in (2.5, -1, float("nan")):
         with pytest.raises(ValueError, match="delay level"):
             tail_estimate(arrival, kernel, [1, bad], 10, 5, 0, "delay")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            tail_estimate(arrival, kernel, [1.0, bad], 10, 5, 0, "backlog")
+    for replications, horizon in ((0, 5), (10, 0), (-1, 5)):
+        with pytest.raises(ValueError, match="replications and horizon"):
+            tail_estimate(arrival, kernel, [1.0], replications, horizon, 0, "backlog")
 
 
 def test_tail_estimate_reproducible_and_monotone(toy_service):

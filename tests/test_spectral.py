@@ -11,7 +11,7 @@ from conftest import count_calls, random_kernel
 from mapq import laws as laws_module
 from mapq import spectral as spectral_module
 from mapq.channel import ChannelSpec, capacity_kernel
-from mapq.errors import NoRootInDomain, UnstableQueue
+from mapq.errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
     MapKernel,
@@ -210,6 +210,25 @@ def test_stability_root_below_the_first_probe(toy_service, lam):
     root = stability_root(single_state_kernel(Constant(lam)), toy_service)
     assert root.theta_star == pytest.approx(3.0 - lam, rel=1e-6)
     assert root.kappa_arrival == pytest.approx(lam * (3.0 - lam), rel=1e-6)
+
+
+@pytest.mark.parametrize("root", [0.7, 2e-4])
+def test_positive_root_finds_closed_form_roots(root):
+    # a convex cgf through the origin (bracketed by doubling above 1e-3 and
+    # by halving below it) and an increasing derivative equation
+    for f in (lambda t: t * t - root * t, lambda t: math.expm1(t - root)):
+        assert spectral_module.positive_root(f, "test equation") == pytest.approx(root, rel=1e-12)
+
+
+@pytest.mark.parametrize("error", [MgfDiverged, NoConvergence])
+def test_positive_root_failure_names_the_equation_and_theta(error):
+    def f(theta):
+        if theta > 0.1:
+            raise error("transform left its domain")
+        return -theta
+
+    with pytest.raises(NoRootInDomain, match=r"rising equation.*theta=0\.128"):
+        spectral_module.positive_root(f, "rising equation")
 
 
 def test_stability_root_carries_its_solutions_at_theta_star():
