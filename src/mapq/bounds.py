@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MgfDiverged, NoConvergence, NoFixedPoint, NoRootInDomain
+from .errors import MgfDiverged, NoConvergence, NoFixedPoint, NoRootInDomain, UnstableQueue
 from .spectral import (
-    _ROOT_RESIDUAL_TOL,
     MapKernel,
-    mean_rate,
     negate,
     perron,
     positive_root,
@@ -282,62 +280,62 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) 
 def constant_dcc_interval(service: MapKernel, d: float, epsilon: float, varpi) -> tuple:
     """Two-sided admissible-rate interval (lambda_lo, lambda_hi) for constant traffic.
 
-    Each endpoint solves its displayed bound at equality, with -theta the
-    negative root of kappa(theta) = 0 for S(t) - lambda t.  The sign of
-    log(bound) - log(epsilon) is scanned over a log-spaced rate grid and the
-    first change is bisected; rates whose queue has no positive root have a
-    vanishing tail and count as satisfying the bound.  If every stable rate
-    satisfies it the endpoint clamps just below the mean service rate, and
-    if none does the coupled equality has no solution.
+    Each endpoint solves its bound at equality at the root theta of lambda theta
+    + kappa^{-S}(theta) = 0; one eigensolve at theta gives both bounds and the
+    rate lambda(theta) = -kappa^{-S}(theta)/theta, which falls from mu at theta = 0.
+    A theta walk moves the rate by at most one step of a 400-point log grid on
+    [1e-5 mu, mu) and bisects the first sign change in rising rate.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     varpi = np.asarray(varpi, dtype=float)
-    mu = mean_rate(service)
-    lam_max = 0.999999 * mu
-    log_eps = math.log(epsilon)
     neg_service = negate(service)
 
-    def violates(lam, endpoint):
-        try:  # theta*(lam) is the positive root of lam theta + kappa^{-S}(theta)
-            theta = positive_root(lambda t: lam * t + perron(neg_service, t).kappa,
-                                  f"combined cgf lam theta + kappa^-S at lam={lam}")
-        except NoRootInDomain:
-            return False
+    def point(theta):  # (theta, lambda, log(bound/epsilon) for lo, for hi)
         sol = perron(neg_service, theta)
-        if abs(lam * theta + sol.kappa) > _ROOT_RESIDUAL_TOL:
-            return False
-        h = sol.h
-        avg = float(varpi @ h)
-        if endpoint == "hi":
-            log_bound = math.log(avg / h.min()) - theta * lam * d
-        else:
-            log_bound = math.log(avg / h.max()) - theta * lam * (1.0 + d)
-        return log_bound > log_eps
+        avg = float(varpi @ sol.h) / epsilon
+        lam = -sol.kappa / theta if theta > 0 else -sol.kappa_dot
+        return (theta, lam, math.log(avg / sol.h.max()) + (1.0 + d) * sol.kappa,
+                math.log(avg / sol.h.min()) + d * sol.kappa)
 
-    def solve(endpoint):
-        grid = np.geomspace(1e-5 * mu, lam_max, 400)
-        flags = [violates(lam, endpoint) for lam in grid]
+    walk = [point(0.0)]
+    mu = walk[0][1]
+    if mu <= 0:
+        raise UnstableQueue(0.0, mu)
+    ratio = (0.999999 / 1e-5) ** (1.0 / 399.0)
+    step = 1e-3
+    while True:
         try:
-            k = next(i for i in range(len(grid) - 1) if flags[i] != flags[i + 1])
-        except StopIteration:
-            if not any(flags):
-                return lam_max  # every stable rate satisfies the bound
-            raise NoFixedPoint(
-                f"lambda_{endpoint}: the bound exceeds epsilon at every stable rate"
-            ) from None
-        lo, hi = float(grid[k]), float(grid[k + 1])
-        side = flags[k]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if violates(mid, endpoint) == side:
+            nxt = point(walk[-1][0] + step)
+        except (MgfDiverged, NoConvergence) as exc:
+            if walk[-1][3] > 0:  # the larger bound, hi's, still exceeds epsilon
+                raise NoRootInDomain(f"lambda_hi: the bound exceeds epsilon at "
+                                     f"theta={walk[-1][0]}, beyond which {exc}") from exc
+            break  # lower rates, out of reach, satisfy both bounds
+        if nxt[1] * ratio < walk[-1][1]:
+            step *= 0.5
+        elif nxt[1] < 1e-5 * mu:
+            break
+        else:
+            walk.append(nxt)
+            step *= 2.0
+
+    def solve(k, endpoint):
+        violated = [p[k] > 0 for p in walk]
+        changes = [i for i in range(len(walk) - 1) if violated[i] != violated[i + 1]]
+        if not changes:
+            if not violated[0]:
+                return 0.999999 * mu  # every stable rate satisfies the bound
+            raise NoFixedPoint(f"lambda_{endpoint}: the bound exceeds epsilon at every stable rate")
+        lo, hi = walk[changes[-1]], walk[changes[-1] + 1]
+        while 0.5 * (lo[0] + hi[0]) not in (lo[0], hi[0]):
+            mid = point(0.5 * (lo[0] + hi[0]))
+            if (mid[k] > 0) == (lo[k] > 0):
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= 1e-13 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
+        return lo[1]
 
-    lam_lo = solve("lo")
-    lam_hi = solve("hi")
+    lam_lo = solve(2, "lo")
+    lam_hi = solve(3, "hi")
     return min(lam_lo, lam_hi), max(lam_lo, lam_hi)

@@ -168,6 +168,12 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     reduces to h = ones and v = pi.
     """
     f = transform_matrix(kernel, theta)
+    # eig returns a wrong eigenvalue once entries pass about 1e138 (or fall
+    # below 1e-138): scale F exactly by a power of two far from 1 and add it
+    # back to kappa; ldexp by 0 leaves every other matrix's bits unchanged
+    e = math.frexp(f.max())[1]
+    e = e if abs(e) > 400 else 0
+    f = np.ldexp(f, -e)
     # the Perron root of a nonnegative irreducible matrix has the largest
     # real part; on a periodic chain -lambda ties with it in modulus
     eigvals, left, right = eig(f, left=True, right=True)
@@ -192,7 +198,7 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     )
     if residual > 1e-10:
         raise NoConvergence(f"eigen residual {residual!r} above 1e-10")
-    return SpectralSolution(theta, math.log(lam), h, v, pi, residual, kernel)
+    return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, pi, residual, kernel)
 
 
 def mean_rate(kernel: MapKernel) -> float:

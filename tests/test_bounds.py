@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_kernel
+from conftest import count_calls, frechet_capacity_kernel, random_kernel
 from mapq import bounds as bd
 from mapq import spectral as spectral_module
-from mapq.errors import UnstableQueue
+from mapq.errors import NoRootInDomain, UnstableQueue
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
     MapKernel,
@@ -233,14 +233,51 @@ def test_constant_dcc_interval_widens_with_eigenvector_spread():
     assert widths[1] > widths[0]
 
 
-def test_constant_dcc_interval_solves_each_rate_on_the_negated_service(monkeypatch, toy_service):
-    # each probed rate is one root of lam theta + kappa^-S on the service
-    # negated once, not a stability_root on a fresh one-state arrival kernel
+@pytest.mark.parametrize("case", ["toy", "spread-0.2", "spread-1.5", "rayleigh"])
+def test_constant_dcc_interval_solves_each_rate_on_the_negated_service(
+        monkeypatch, toy_service, delay_figure_channel, case):
+    # each theta of the walk is one eigensolve on the service negated once,
+    # and names its own rate -kappa^-S(theta)/theta: no root solve per rate
+    rng = np.random.default_rng(21)
+    spread_02 = random_kernel(rng, 2, mean_offset=3.0, spread=0.2)
+    spread_15 = random_kernel(rng, 2, mean_offset=3.0, spread=1.5)
+    rayleigh = frechet_capacity_kernel(delay_figure_channel, 0.5)
+    args, expected, max_solves = {  # (service, d, epsilon, varpi), endpoints, eigensolve cap
+        "toy": ((toy_service, 20.0, 1e-2, np.array([1.0])),
+                (0.07497151550585462, 0.0788239058088085), 2000),
+        "spread-0.2": ((spread_02, 20.0, 1e-2, spread_02.initial_dist),
+                       (3.08035179280931, 3.0803762062732645), 1000),
+        "spread-1.5": ((spread_15, 20.0, 1e-2, spread_15.initial_dist),
+                       (2.9022062014910635, 2.904139497685752), 1000),
+        "rayleigh": ((rayleigh, 10.0, 1e-3, np.array([0.3, 0.7])),
+                     (16.817084046034104, 17.237114838372875), 2000),
+    }[case]
     roots = count_calls(monkeypatch, bd, "stability_root")
     negations = count_calls(monkeypatch, bd, "negate")
-    interval = bd.constant_dcc_interval(toy_service, 20.0, 1e-2, np.array([1.0]))
+    solves = count_calls(monkeypatch, spectral_module, "eig")
+    interval = bd.constant_dcc_interval(*args)
     assert roots == [] and len(negations) == 1
-    assert interval == pytest.approx((0.07497151550585462, 0.0788239058088085), abs=1e-12)
+    assert len(solves) <= max_solves
+    assert interval == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("low", [-2.0, -1.0])
+def test_constant_dcc_interval_needs_a_positive_mean_service_rate(low):
+    service = single_state_kernel(DiscretePmf((low, 1.0), (0.5, 0.5)))
+    with pytest.raises(UnstableQueue) as err:
+        bd.constant_dcc_interval(service, 5.0, 1e-2, np.array([1.0]))
+    assert err.value.arrival_rate == 0.0
+    assert err.value.service_rate == pytest.approx((low + 1.0) / 2.0, abs=1e-15)
+
+
+def test_constant_dcc_interval_endpoint_beyond_the_eigensolve():
+    # lambda_hi's bound still exceeds epsilon at theta ~ 36, beyond which the
+    # negated transform spans more magnitudes than the eigensolve resolves
+    laws = ((DiscretePmf((2.0, 4.8), (0.5, 0.5)),) * 2, (DiscretePmf((0.3, 2.4), (0.5, 0.5)),) * 2)
+    service = MapKernel(("s0", "s1"), np.array([[0.53, 0.47], [0.28, 0.72]]), laws,
+                        np.array([0.5, 0.5]))
+    with pytest.raises(NoRootInDomain, match=r"lambda_hi: .* theta=\d"):
+        bd.constant_dcc_interval(service, 5.0, 0.01, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("d", [0.0, -5.0, math.inf, math.nan])

@@ -36,10 +36,12 @@ def test_kernel_validation():
 
 
 def test_single_state_constant_cgf_is_linear():
-    k = single_state_kernel(Constant(2.0))
-    for theta in (0.1, 1.0, 3.0):
-        assert perron(k, theta).kappa == pytest.approx(2.0 * theta, rel=1e-12)
-        assert perron(k, theta).kappa_dot == pytest.approx(2.0, rel=1e-12)
+    # at rate +-400 the transform e^{+-400} lies beyond the range where eig
+    # resolves a 1x1 matrix, so perron scales it by a power of two
+    for rate, theta in ((2.0, 0.1), (2.0, 1.0), (2.0, 3.0), (400.0, 1.0), (-400.0, 1.0)):
+        k = single_state_kernel(Constant(rate))
+        assert perron(k, theta).kappa == pytest.approx(rate * theta, rel=1e-12)
+        assert perron(k, theta).kappa_dot == pytest.approx(rate, rel=1e-12)
 
 
 def test_toy_service_cgf_quadratic(toy_service):
@@ -210,6 +212,14 @@ def test_stability_root_below_the_first_probe(toy_service, lam):
     root = stability_root(single_state_kernel(Constant(lam)), toy_service)
     assert root.theta_star == pytest.approx(3.0 - lam, rel=1e-6)
     assert root.kappa_arrival == pytest.approx(lam * (3.0 - lam), rel=1e-6)
+
+
+def test_stability_root_with_transforms_beyond_1e138():
+    # combined cgf 400 theta - 401 theta + theta^2: theta* = 1, where the
+    # arrival transform is e^400 and the negated service's about e^-400
+    arrival = single_state_kernel(Constant(400.0))
+    service = single_state_kernel(gaussian_quantized(401.0, math.sqrt(2.0)))
+    assert stability_root(arrival, service).theta_star == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("root", [0.7, 2e-4])
