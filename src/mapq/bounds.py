@@ -17,8 +17,10 @@ import numpy as np
 from .errors import MgfDiverged, NoConvergence, NoFixedPoint, NoRootInDomain, UnstableQueue
 from .spectral import (
     MapKernel,
+    SpectralSolution,
     negate,
     perron,
+    perron_grid,
     positive_root,
     stability_root,
 )
@@ -207,12 +209,15 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
     return HorizonBoundReport(b, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
 
 
-def _dcc_value(theta, d, epsilon, arrival, neg_service, varpi_s):
-    h_a = perron(arrival, theta).h
-    h_s = perron(neg_service, theta).h
+def _dcc_bound(theta, h_a, h_s, d, epsilon, varpi_s):
     h_plus = (h_a.max() / h_a.min()) / h_s.min()
     vals = (-1.0 / (theta * d)) * np.log(epsilon / (h_plus * h_s))
     return float(varpi_s @ vals)
+
+
+def _dcc_value(theta, d, epsilon, arrival, neg_service, varpi_s):
+    return _dcc_bound(theta, perron(arrival, theta).h, perron(neg_service, theta).h,
+                      d, epsilon, varpi_s)
 
 
 def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) -> DccReport:
@@ -220,7 +225,8 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) 
 
     Evaluates the conditional bound averaged over the service initial
     distribution on a 200-point log grid in (0, theta_max) that always
-    contains theta*, then refines around the grid argmin by golden-section.
+    contains theta*, with one perron_grid call per kernel, then refines
+    around the grid argmin by golden-section.
     The asymptotic cap kappa^A(theta*)/theta* is reported alongside.
     """
     if not 0.0 < epsilon < 1.0:
@@ -243,12 +249,12 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) 
             theta_max *= 0.5
     grid = np.geomspace(theta_star / 100.0, theta_max, 200)
     grid = np.unique(np.append(grid, theta_star))
-    values = []
-    for t in grid:
-        try:
-            values.append(_dcc_value(t, d, epsilon, arrival, neg_service, varpi_s))
-        except (MgfDiverged, NoConvergence):
-            values.append(math.inf)
+    values = [
+        _dcc_bound(t, sol_a.h, sol_s.h, d, epsilon, varpi_s)
+        if isinstance(sol_a, SpectralSolution) and isinstance(sol_s, SpectralSolution)
+        else math.inf  # where the transform diverges or the eigensolve fails
+        for t, sol_a, sol_s in zip(grid, perron_grid(arrival, grid), perron_grid(neg_service, grid))
+    ]
     k = int(np.argmin(values))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]

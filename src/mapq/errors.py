@@ -14,7 +14,8 @@ class ConfigError(MapqError):
 
 
 class MgfDiverged(MapqError):
-    """Moment generating function quadrature failed to converge."""
+    """A transform is not finite at theta: it overflows a double, or its
+    numerical integration does not certify convergence."""
 
 
 class NoConvergence(MapqError):

@@ -4,22 +4,24 @@ Each law knows its moment generating function E[e^{theta X}], the tilted
 first moment E[X e^{theta X}] (used for cgf derivatives), its plain mean,
 and how to sample itself.  All laws here are light-tailed: the MGF is
 finite on an open interval around every operating theta.
+
+Both transforms take a float or an ndarray of theta.  A float gives a
+float and raises MgfDiverged where the transform diverges; an array gives
+an array, non-finite at each theta where it diverges, and raises nothing.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # noqa: F401  (perfbench/tracing.py counts calls to laws.quad)
 from scipy.special import exp1
 
 from .errors import MgfDiverged
 
 _LN2 = math.log(2.0)
-_QUAD_TOL = 1e-10
 # a law's transform memo is cleared when full, so a long-lived process stays bounded
 _MEMO_LIMIT = 4096
 
@@ -27,10 +29,11 @@ _MEMO_LIMIT = 4096
 class IncrementLaw:
     """Common interface of all increment laws."""
 
-    def mgf(self, theta: float) -> float:
+    def mgf(self, theta):
+        """E[e^{theta X}] for a float theta, or elementwise for an ndarray."""
         raise NotImplementedError
 
-    def tilted_mean(self, theta: float) -> float:
+    def tilted_mean(self, theta):
         """E[X e^{theta X}], the derivative of the MGF in theta."""
         raise NotImplementedError
 
@@ -41,11 +44,26 @@ class IncrementLaw:
         raise NotImplementedError
 
 
-def _safe_exp(x: float) -> float:
+def _safe_exp(x):
+    """e^x: a float raises MgfDiverged on overflow, an array gives inf there."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.exp(x)
     try:
         return math.exp(x)
     except OverflowError as exc:
         raise MgfDiverged(f"exponent {x} overflows the MGF evaluation") from exc
+
+
+def _finite(val, theta, what):
+    """val as a float for a float theta, raising MgfDiverged unless it is finite;
+    an array of theta passes its values through."""
+    if isinstance(theta, np.ndarray):
+        return val
+    val = float(val)
+    if not math.isfinite(val):
+        raise MgfDiverged(f"{what} at theta={theta}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -87,18 +105,14 @@ class DiscretePmf(IncrementLaw):
     def mgf(self, theta):
         x, p = self._arrays()
         with np.errstate(over="ignore"):
-            val = float(np.sum(p * np.exp(theta * x)))
-        if not math.isfinite(val):
-            raise MgfDiverged(f"discrete MGF overflowed at theta={theta}")
-        return val
+            val = np.sum(p * np.exp(np.multiply.outer(theta, x)), axis=-1)
+        return _finite(val, theta, "discrete MGF overflowed")
 
     def tilted_mean(self, theta):
         x, p = self._arrays()
         with np.errstate(over="ignore", invalid="ignore"):
-            val = float(np.sum(p * x * np.exp(theta * x)))
-        if not math.isfinite(val):
-            raise MgfDiverged(f"tilted mean overflowed at theta={theta}")
-        return val
+            val = np.sum(p * x * np.exp(np.multiply.outer(theta, x)), axis=-1)
+        return _finite(val, theta, "tilted mean overflowed")
 
     def sample(self, rng, size):
         x, p = self._arrays()
@@ -106,20 +120,104 @@ class DiscretePmf(IncrementLaw):
         return x[np.minimum(idx, len(x) - 1)]
 
 
+# The Rayleigh transforms E[(1 + snr G)^n], n = theta W / ln 2, are split at
+# g = 1.  On [0, 1] the integrand is taken in s = log(1 + snr g), where the
+# power is the exponential e^{n s}, by a tanh-sinh rule; on [1, inf) it is
+# taken in g, where e^{-g} is, by an exp-sinh rule g = 1 + e^u, u = (pi/2) sinh t.
+# The nodes depend on the law alone, so each law computes log(1 + snr g) and
+# the log weights once per step, and a theta costs one exp per node.  The
+# step in t halves from 1/8 to 1/512 until two successive sums agree within
+# _DE_TOL.  With n in [-150, 100] and snr in [1e-4, 1e7] the certified values
+# met 30-digit quadrature within 3.4e-14 (80 random cases; the floor is the
+# rounding of n log(1 + snr g) at large n) and the rule's own 1/512 sums
+# within 5e-14 (7,600 cases); for snr in [1e-30, 1e-4] within 1.4e-15.
+_DE_STEPS = (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512)
+_DE_T = ((-3.75, 3.75), (-5.0, 3.25))  # t-ranges of the tanh-sinh and exp-sinh parts
+_DE_TOL = 1e-9
+# the nodes at the ends of the t-ranges may carry at most this share of the sum
+_DE_END = 2.0 ** -60
+
+
+def _de_ts(lo, hi, level):
+    """The t-nodes on [lo, hi] that step _DE_STEPS[level] adds (every node at 0)."""
+    h = _DE_STEPS[level]
+    k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    return k * h if level == 0 else k[k % 2 == 1] * h
+
+
+# positions of the t-range ends among the nodes of the first step
+_DE_ENDS = np.cumsum([0, len(_de_ts(*_DE_T[0], 0)) - 1, 1, len(_de_ts(*_DE_T[1], 0)) - 1])
+
+
+def _de_nodes(snr, level):
+    """log(1 + snr g) and log(weight) - g at the nodes that step _DE_STEPS[level] adds."""
+    x = 1.0 / snr
+    s1 = math.log1p(snr)
+    t = _de_ts(*_DE_T[0], level)
+    u = 0.5 * math.pi * np.sinh(t)
+    tau = 1.0 / (1.0 + np.exp(-2.0 * u))  # s = s1 tau on [0, s1]
+    log_w = np.log(s1 * math.pi * np.cosh(t) * tau) - np.log1p(np.exp(2.0 * u))
+    s = s1 * tau
+    lg, c = [s], [s + math.log(x) - x * np.expm1(s) + log_w]  # dg = x e^s ds
+    t = _de_ts(*_DE_T[1], level)
+    u = 0.5 * math.pi * np.sinh(t)  # g = 1 + e^u on [1, inf)
+    g = 1.0 + np.exp(u)
+    lg.append(np.log1p(snr * g))
+    c.append(u + np.log(0.5 * math.pi * np.cosh(t)) - g)
+    return np.concatenate(lg), np.concatenate(c)
+
+
+def _capacity_integrals(n, snr, nodes, tilted):
+    """E[(1 + snr G)^n] (or E[log(1 + snr G) (1 + snr G)^n] if `tilted`), G ~ Exp(1),
+    for each exponent of the 1-d array n: NaN where two successive steps never
+    agree, inf where the value overflows.  `nodes` is the law's list of node
+    arrays per step (the first two steps as one), extended here on demand."""
+    if not nodes:
+        nodes.append(tuple(map(np.concatenate, zip(_de_nodes(snr, 0), _de_nodes(snr, 1)))))
+    out = np.full(len(n), np.nan)
+    todo = np.arange(len(n))
+    n = n[:, None]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for level, h in enumerate(_DE_STEPS[1:], start=1):
+            if level > len(nodes):
+                nodes.append(_de_nodes(snr, level))
+            lg, c = nodes[level - 1]
+            terms = np.exp(n * lg + c)
+            if tilted:
+                terms *= lg
+            if level == 1:
+                first = _DE_ENDS[-1] + 1  # the nodes of step 1/8 come first
+                prev = 2.0 * h * terms[:, :first].sum(axis=1)
+                total = 0.5 * prev + h * terms[:, first:].sum(axis=1)
+                # strict, so that a sum of zero (every node underflowed) never certifies
+                end_ok = 2.0 * h * terms[:, _DE_ENDS].max(axis=1) < _DE_END * total
+            else:
+                prev, total = total, 0.5 * total + h * terms.sum(axis=1)
+            done = (np.abs(total - prev) <= _DE_TOL * total) & end_ok | (total == math.inf)
+            if done.all():
+                out[todo] = total
+                break
+            out[todo[done]] = total[done]
+            keep = ~done
+            todo, total, n, end_ok = todo[keep], total[keep], n[keep], end_ok[keep]
+    return out
+
+
 @dataclass(frozen=True)
 class RayleighCapacity(IncrementLaw):
     """Shannon capacity of a Rayleigh block with unit-mean exponential power gain.
 
-    X = bandwidth * log2(1 + snr * G), G ~ Exp(1).  The MGF integrand
-    e^{-g} (1 + snr*g)^{theta*bandwidth/ln2} is smooth with sub-exponential
-    decay; there is no closed form for general theta.  Each integral is
-    computed once per (transform, theta) for the life of the law object;
-    failures are not remembered.
+    X = bandwidth * log2(1 + snr * G), G ~ Exp(1).  The MGF E[(1 + snr G)^n],
+    n = theta * bandwidth / ln 2, has no closed form for general theta; both
+    transforms are integrated by _capacity_integrals for all theta of a call at
+    once.  A float theta is computed once per (transform, theta) for the life
+    of the law object; failures and array calls are not remembered.
     """
 
     bandwidth: float
     snr: float
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _nodes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -127,46 +225,31 @@ class RayleighCapacity(IncrementLaw):
         if not 0 < self.snr < math.inf:
             raise ValueError(f"snr must be positive and finite, got {self.snr!r}")
 
-    def _exponent(self, theta):
-        return theta * self.bandwidth / _LN2
+    def _integrals(self, kind, thetas):
+        scale = self.bandwidth / _LN2
+        val = _capacity_integrals(thetas * scale, self.snr, self._nodes, kind == "tilted_mean")
+        return scale * val if kind == "tilted_mean" else val
 
-    def _integrate(self, kind, theta, f):
+    def _transform(self, kind, theta):
+        if isinstance(theta, np.ndarray):
+            return self._integrals(kind, np.asarray(theta, dtype=float))
         key = (kind, theta)
         val = self._memo.get(key)
-        if val is not None:
-            return val
-        split = 1.0 / self.snr
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            try:
-                lo, _ = quad(f, 0.0, split, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-                hi, _ = quad(f, split, np.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-            except (IntegrationWarning, OverflowError) as exc:
-                raise MgfDiverged(
-                    f"capacity MGF quadrature failed at theta={theta}"
-                ) from exc
-        val = lo + hi
-        if not math.isfinite(val):
-            raise MgfDiverged(f"capacity MGF not finite at theta={theta}")
-        if len(self._memo) >= _MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = val
+        if val is None:
+            val = float(self._integrals(kind, np.array([theta], dtype=float))[0])
+            if not math.isfinite(val):
+                why = "overflows a double" if val == math.inf else "quadrature did not converge"
+                raise MgfDiverged(f"capacity {kind} {why} at theta={theta}")
+            if len(self._memo) >= _MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[key] = val
         return val
 
     def mgf(self, theta):
-        n = self._exponent(theta)
-        return self._integrate("mgf", theta,
-                               lambda g: math.exp(-g + n * math.log1p(self.snr * g)))
+        return self._transform("mgf", theta)
 
     def tilted_mean(self, theta):
-        n = self._exponent(theta)
-        scale = self.bandwidth / _LN2
-
-        def f(g):
-            lg = math.log1p(self.snr * g)
-            return scale * lg * math.exp(-g + n * lg)
-
-        return self._integrate("tilted_mean", theta, f)
+        return self._transform("tilted_mean", theta)
 
     def mean(self):
         # closed form: (W/ln2) e^{1/snr} E1(1/snr)

@@ -79,6 +79,11 @@ class MapKernel:
         pi.setflags(write=False)
         return pi
 
+    @cached_property
+    def mean_rate(self) -> float:
+        """Long-run mean increment per slot, kappa'(0), solved once per kernel."""
+        return perron(self, 0.0).kappa_dot
+
 
 def _irreducible(p: np.ndarray) -> bool:
     # breadth-first reachability on the support graph, both directions
@@ -132,10 +137,24 @@ class StabilityRoot:
         return self.arrival.kappa
 
 
-def _entrywise(kernel: MapKernel, theta: float, transform: str, what: str) -> np.ndarray:
-    """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij."""
+def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarray:
+    """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij.
+
+    For an array of theta it is the stack of those matrices, with one transform
+    call per distinct law; a theta where a transform diverges leaves its matrix
+    non-finite instead of raising.
+    """
     n = kernel.n_states
     p = kernel.transition
+    if isinstance(theta, np.ndarray):
+        out = np.zeros((len(theta), n, n))
+        values = {}
+        for i, j in zip(*np.nonzero(p > 0)):
+            law = kernel.law(i, j)
+            if law not in values:
+                values[law] = getattr(law, transform)(theta)
+            out[:, i, j] = p[i, j] * values[law]
+        return out
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -146,8 +165,8 @@ def _entrywise(kernel: MapKernel, theta: float, transform: str, what: str) -> np
     return out
 
 
-def transform_matrix(kernel: MapKernel, theta: float) -> np.ndarray:
-    """F_hat[theta] with entries p_ij * mgf_{H_ij}(theta)."""
+def transform_matrix(kernel: MapKernel, theta) -> np.ndarray:
+    """F_hat[theta] with entries p_ij * mgf_{H_ij}(theta); a stack for an array of theta."""
     return _entrywise(kernel, theta, "mgf", "transform matrix")
 
 
@@ -161,49 +180,105 @@ def stationary_distribution(kernel: MapKernel) -> np.ndarray:
     return kernel.stationary
 
 
+def _eigen(f: np.ndarray):
+    """Eigenvalues and right eigenvectors, then eigenvalues and left eigenvectors,
+    of each matrix of the stack f.  One matrix goes to scipy's eig, which returns
+    both sides from one LAPACK call; a larger stack to numpy's batched eig, on F
+    and on F^T."""
+    if len(f) == 1:
+        w, left, right = eig(f[0], left=True, right=True)
+        return w[None], right[None], w[None], left[None]
+    w, right = np.linalg.eig(f)
+    wl, left = np.linalg.eig(np.swapaxes(f, 1, 2))
+    return w, right, wl, left
+
+
+def _solve(kernel: MapKernel, thetas, f) -> list:
+    """SpectralSolution or NoConvergence naming theta, per theta, from the stack f
+    of finite transform matrices at thetas."""
+    # eig returns a wrong eigenvalue once entries pass about 1e138 (or fall
+    # below 1e-138): scale F exactly by a power of two far from 1 and add it
+    # back to kappa; ldexp by 0 leaves every other matrix's bits unchanged
+    e = np.frexp(f.max(axis=(1, 2)))[1]
+    e[np.abs(e) <= 400] = 0
+    scaled = np.ldexp(f, -e[:, None, None]) if e.any() else f
+    try:
+        w, right, wl, left = _eigen(scaled)
+    except np.linalg.LinAlgError as exc:
+        if len(f) == 1:
+            return [NoConvergence(f"eigensolve failed at theta={thetas[0]}: {exc}")]
+        # numpy fails the whole stack for one slice: solve each on its own
+        return [_solve(kernel, thetas[k:k + 1], f[k:k + 1])[0] for k in range(len(f))]
+    rows = np.arange(len(f))
+    # the Perron root of a nonnegative irreducible matrix has the largest
+    # real part; on a periodic chain -lambda ties with it in modulus
+    k = w.real.argmax(axis=1)
+    lam = w.real[rows, k]
+    hv = np.stack((right[rows, :, k].real, left[rows, :, wl.real.argmax(axis=1)].real))
+    # an eigenvector's sign is arbitrary; multiplying by -1 is exact
+    hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
+    positive = hv.min(axis=(0, 2)) > 0
+    h, v = hv
+    # relative residuals of both eigenpairs, which scaling h or v leaves
+    # unchanged; a slice with lam <= 0 fails anyway, so dividing by at least
+    # the smallest normal double (times a unit vector's max entry) is safe
+    scale = np.maximum(lam, np.finfo(float).tiny)
+    residual = np.maximum(
+        abs((scaled @ h[:, :, None])[:, :, 0] - lam[:, None] * h).max(axis=1)
+        / (scale * abs(h).max(axis=1)),
+        abs((v[:, None, :] @ scaled)[:, 0, :] - lam[:, None] * v).max(axis=1)
+        / (scale * abs(v).max(axis=1)),
+    )
+    pi = stationary_distribution(kernel)
+    out = []
+    for i, (theta, lam_i, ok, res, e_i) in enumerate(
+            zip(thetas, lam.tolist(), positive.tolist(), residual.tolist(), e.tolist())):
+        if lam_i <= 0:
+            out.append(NoConvergence(f"nonpositive dominant eigenvalue {lam_i!r} at theta={theta}"))
+        elif not ok:
+            out.append(NoConvergence(f"Perron eigenvectors are not strictly positive "
+                                     f"at theta={theta}"))
+        elif not res <= 1e-10:
+            out.append(NoConvergence(f"eigen residual {res!r} above 1e-10 at theta={theta}"))
+        else:
+            h_i = h[i] / float(pi @ h[i])
+            v_i = v[i] / float(v[i] @ h_i)
+            kappa = math.log(lam_i) + e_i * math.log(2.0)
+            out.append(SpectralSolution(theta, kappa, h_i, v_i, pi, res, kernel))
+    return out
+
+
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     """Dominant eigentriple of the transform matrix at theta.
 
     h and v are scaled so that pi . h = 1 and v . h = 1; at theta = 0 this
     reduces to h = ones and v = pi.
     """
-    f = transform_matrix(kernel, theta)
-    # eig returns a wrong eigenvalue once entries pass about 1e138 (or fall
-    # below 1e-138): scale F exactly by a power of two far from 1 and add it
-    # back to kappa; ldexp by 0 leaves every other matrix's bits unchanged
-    e = math.frexp(f.max())[1]
-    e = e if abs(e) > 400 else 0
-    f = np.ldexp(f, -e)
-    # the Perron root of a nonnegative irreducible matrix has the largest
-    # real part; on a periodic chain -lambda ties with it in modulus
-    eigvals, left, right = eig(f, left=True, right=True)
-    k = int(np.argmax(eigvals.real))
-    lam = float(eigvals[k].real)
-    h = right[:, k].real
-    v = left[:, k].real
-    if lam <= 0:
-        raise NoConvergence(f"nonpositive dominant eigenvalue {lam!r}")
-    if np.sum(h) < 0:
-        h = -h
-    if np.sum(v) < 0:
-        v = -v
-    if np.any(h <= 0) or np.any(v <= 0):
-        raise NoConvergence("Perron eigenvectors are not strictly positive")
-    pi = stationary_distribution(kernel)
-    h = h / float(pi @ h)
-    v = v / float(v @ h)
-    residual = max(
-        float(np.max(np.abs(f @ h - lam * h)) / (lam * np.max(np.abs(h)))),
-        float(np.max(np.abs(v @ f - lam * v)) / (lam * np.max(np.abs(v)))),
-    )
-    if residual > 1e-10:
-        raise NoConvergence(f"eigen residual {residual!r} above 1e-10")
-    return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, pi, residual, kernel)
+    sol, = _solve(kernel, [theta], transform_matrix(kernel, theta)[None])
+    if isinstance(sol, NoConvergence):
+        raise sol
+    return sol
+
+
+def perron_grid(kernel: MapKernel, thetas) -> list:
+    """perron at every theta of `thetas`, from one transform call per distinct
+    law and one batched eigensolve.
+
+    Entry k is the SpectralSolution at thetas[k], or the MgfDiverged or
+    NoConvergence that perron raises there: a theta fails alone.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    f = transform_matrix(kernel, thetas)
+    finite = np.isfinite(f).all(axis=(1, 2))
+    solved = iter(_solve(kernel, thetas[finite], f[finite]))
+    return [next(solved) if ok else MgfDiverged(f"transform matrix not finite at theta={t}")
+            for t, ok in zip(thetas, finite)]
 
 
 def mean_rate(kernel: MapKernel) -> float:
-    """Long-run mean increment per slot: kappa'(0) = sum_ij pi_i p_ij E[H_ij]."""
-    return perron(kernel, 0.0).kappa_dot
+    """Long-run mean increment per slot: kappa'(0) = sum_ij pi_i p_ij E[H_ij],
+    cached on the kernel."""
+    return kernel.mean_rate
 
 
 def negate(kernel: MapKernel) -> MapKernel:
@@ -264,15 +339,17 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     if drift_a >= drift_s:
         raise UnstableQueue(drift_a, drift_s)
     neg_service = negate(service)
-    solutions = []
+    solutions = {}  # brentq starts from the bracket ends and returns a probed theta
 
     def f(theta):
-        solutions[:] = perron(arrival, theta), perron(neg_service, theta)
-        return solutions[0].kappa + solutions[1].kappa
+        if theta not in solutions:
+            solutions[theta] = perron(arrival, theta), perron(neg_service, theta)
+        sol_a, sol_s = solutions[theta]
+        return sol_a.kappa + sol_s.kappa
 
     theta = positive_root(f, "combined cgf kappa^A + kappa^-S")
     residual = abs(f(theta))
     if residual > _ROOT_RESIDUAL_TOL:
         raise NoRootInDomain(f"combined cgf kappa^A + kappa^-S: root residual {residual!r} "
                              f"above {_ROOT_RESIDUAL_TOL} at theta={theta}")
-    return StabilityRoot(theta, residual, *solutions)
+    return StabilityRoot(theta, residual, *solutions[theta])

@@ -185,6 +185,22 @@ def test_dcc_large_deadline_falls_below_asymptotic_cap(toy_arrival, toy_service)
     assert r_large.value_at_root < r_small.value_at_root
 
 
+def test_dcc_upper_solves_its_grid_in_one_stacked_eigensolve_per_kernel(
+        monkeypatch, toy_arrival, toy_service):
+    # before the grid was batched, dcc_upper(toy, 10, 1e-3) made 554 scipy eig
+    # calls: 2 mean rates, 42 for theta*, 2 for the theta_max probe, 402 for
+    # the 201-point grid and 106 for the golden section; the grid is now four
+    # stacked numpy calls, and theta* takes 36 (no theta solved twice)
+    solves = count_calls(monkeypatch, spectral_module, "eig")
+    stacked = count_calls(monkeypatch, np.linalg, "eig")
+    arrival = single_state_kernel(toy_arrival.law(0, 0), label="const")
+    service = single_state_kernel(toy_service.law(0, 0))
+    r = bd.dcc_upper(arrival, service, 10.0, 1e-3)
+    assert len(stacked) == 4  # F and F^T of each kernel
+    assert len(solves) <= 146
+    assert r.value_at_root == pytest.approx(-math.log(1e-3) / 20.0, rel=1e-9)
+
+
 def test_dcc_upper_backs_off_where_the_eigensolve_fails():
     # from 2 theta* up the negated service transform has entries 1e-19 and
     # 1e-35 apart, and perron rejects the eigenpair (NoConvergence); the
@@ -306,7 +322,9 @@ def test_bounds_solve_nothing_beyond_their_root(monkeypatch, fn):
     arrival = random_kernel(rng, 2, mean_offset=1.0, spread=0.5)
     service = random_kernel(rng, 2, mean_offset=2.0, spread=0.5)
     solves = count_calls(monkeypatch, spectral_module, "eig")
+    stability_root(arrival, service)  # also solves the two mean rates, once per kernel
+    before = len(solves)
     stability_root(arrival, service)
-    per_root = len(solves)
+    per_root = len(solves) - before
     fn(arrival, service, [1.0, 2.0])
-    assert len(solves) == 2 * per_root
+    assert len(solves) == before + 2 * per_root

@@ -151,13 +151,13 @@ def test_load_config_parses_like_safe_load(tmp_path, toy_config_text, which):
 
 
 def test_equal_kernel_cells_share_one_law(monkeypatch):
-    quad_calls = count_calls(monkeypatch, laws_module, "quad")
+    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     cell = {"law": "rayleigh", "bandwidth": 20, "snr": "db:10"}
     kernel = parse_kernel({"states": ["a", "b"], "transition": [[0.5, 0.5], [0.5, 0.5]],
                            "increments": [[cell, dict(cell)], [dict(cell), dict(cell)]]})
     assert all(kernel.law(i, j) is kernel.law(0, 0) for i in range(2) for j in range(2))
     transform_matrix(kernel, 0.3)
-    assert len(quad_calls) == 2
+    assert len(integrals) == 1
 
 
 def test_yaml_boolean_state_labels_are_rejected():

@@ -1,11 +1,13 @@
-"""Increment-law transforms: closed forms, quadrature, and sampling."""
+"""Increment-law transforms: closed forms, the Rayleigh rule, and sampling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expn, gamma, gammaincc, gammaln
 
 from conftest import count_calls
 from mapq import laws as laws_module
@@ -110,25 +112,25 @@ def test_negated_and_shifted_wrappers():
 
 
 def test_rayleigh_transforms_are_memoized_per_law_object(monkeypatch):
-    calls = count_calls(monkeypatch, laws_module, "quad")
+    calls = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     law = RayleighCapacity(20.0, 10.0)
     mgf, tilted = law.mgf(0.3), law.tilted_mean(0.3)
-    assert len(calls) == 4  # two quad integrals per transform
+    assert len(calls) == 2  # one integration per transform
     assert law.mgf(0.3) == mgf and law.tilted_mean(0.3) == tilted
     assert Negated(law).mgf(-0.3) == mgf
-    assert len(calls) == 4
+    assert len(calls) == 2
     # a value-equal law built separately shares nothing and integrates again
     twin = RayleighCapacity(20.0, 10.0)
     assert twin == law and hash(twin) == hash(law)
     assert twin.mgf(0.3) == mgf and twin.tilted_mean(0.3) == tilted
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_rayleigh_memo_keeps_no_failure_and_stays_bounded(monkeypatch):
-    calls = count_calls(monkeypatch, laws_module, "quad")
+    calls = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     law = RayleighCapacity(20.0, 10.0)
-    for expected in (2, 4):
-        with pytest.raises(MgfDiverged):
+    for expected in (1, 2):
+        with pytest.raises(MgfDiverged, match=r"overflows a double at theta=5\.0"):
             law.mgf(5.0)
         assert len(calls) == expected
     assert law._memo == {}
@@ -137,3 +139,54 @@ def test_rayleigh_memo_keeps_no_failure_and_stays_bounded(monkeypatch):
         law.mgf(theta)
         assert len(law._memo) <= 3
     assert law.mgf(0.05) == RayleighCapacity(20.0, 10.0).mgf(0.05)
+
+
+RAYLEIGH_SNRS = [0.01, 0.3, 1.0, 10.0, 300.0, 1e4, 1e6]
+
+
+@pytest.mark.parametrize("snr", RAYLEIGH_SNRS)
+def test_rayleigh_mgf_matches_exponential_integral_closed_form(snr):
+    # at bandwidth ln 2 the exponent n = theta W / ln 2 is theta itself, and for
+    # n = -k the MGF E[(1 + snr G)^-k] is (1/snr) e^{1/snr} E_k(1/snr)
+    law = RayleighCapacity(math.log(2.0), snr)
+    for k in (1, 3, 10, 30, 100):
+        closed = (1.0 / snr) * math.exp(1.0 / snr) * expn(k, 1.0 / snr)
+        assert law.mgf(-float(k)) == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("snr", RAYLEIGH_SNRS)
+def test_rayleigh_mgf_matches_incomplete_gamma_closed_form(snr):
+    # E[(1 + snr G)^n] = snr^n e^{1/snr} Gamma(n + 1, 1/snr); it must raise
+    # MgfDiverged exactly where that exceeds the largest double
+    law = RayleighCapacity(math.log(2.0), snr)
+    for n in (-0.5, 0.5, 1.4, 5.0, 20.0, 60.0):
+        upper = gammaincc(n + 1.0, 1.0 / snr)
+        log_value = n * math.log(snr) + 1.0 / snr + gammaln(n + 1.0) + math.log(upper)
+        if log_value > math.log(sys.float_info.max):
+            with pytest.raises(MgfDiverged, match="overflows"):
+                law.mgf(n)
+            continue
+        closed = snr ** n * math.exp(1.0 / snr) * gamma(n + 1.0) * upper
+        assert law.mgf(n) == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("snr", RAYLEIGH_SNRS)
+def test_rayleigh_tilted_mean_at_zero_is_the_closed_form_mean(snr):
+    law = RayleighCapacity(20.0, snr)
+    assert law.tilted_mean(0.0) == pytest.approx(law.mean(), rel=1e-13)
+
+
+def test_rayleigh_array_call_equals_the_scalar_calls():
+    thetas = np.array([-3.0, -0.4, -0.05, 0.0, 0.02, 0.3, 5.0])
+    for snr in (0.5, 40.0, 2e3):
+        law = RayleighCapacity(20.0, snr)
+        for kind in ("mgf", "tilted_mean"):
+            values = getattr(law, kind)(thetas)
+            assert values.shape == thetas.shape and law._memo == {}
+            for theta, value in zip(thetas, values):
+                scalar = getattr(RayleighCapacity(20.0, snr), kind)
+                if math.isfinite(value):
+                    assert scalar(float(theta)) == value
+                else:  # the array marks a diverged theta; the scalar call raises
+                    with pytest.raises(MgfDiverged):
+                        scalar(float(theta))

@@ -15,9 +15,11 @@ from mapq.errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueu
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
     MapKernel,
+    SpectralSolution,
     mean_rate,
     negate,
     perron,
+    perron_grid,
     single_state_kernel,
     stability_root,
     stationary_distribution,
@@ -180,19 +182,22 @@ def test_perron_on_100_states_with_constant_laws():
 
 
 def test_transform_quadrature_once_per_distinct_law(monkeypatch):
-    quad_calls = count_calls(monkeypatch, laws_module, "quad")
+    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     # row-constant SNR: nine cells, three distinct laws
     snr = np.array([[10.0] * 3, [5.0] * 3, [1.0] * 3])
     p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
     k = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
     transform_matrix(k, 0.2)
-    assert len(quad_calls) == 6
+    assert len(integrals) == 3
     perron(k, 0.2)
     perron(negate(k), -0.2)
-    assert len(quad_calls) == 6
+    assert len(integrals) == 3
     fresh = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
     assert np.array_equal(transform_matrix(fresh, 0.2), transform_matrix(k, 0.2))
-    assert len(quad_calls) == 12
+    assert len(integrals) == 6
+    # a stack of theta takes one integration per distinct law, negated or not
+    perron_grid(negate(fresh), [0.1, 0.2, 0.3])
+    assert len(integrals) == 9
 
 
 def test_stationary_distribution_is_solved_once_and_read_only(monkeypatch):
@@ -263,3 +268,94 @@ def test_kappa_dot_is_computed_once_and_only_when_read(monkeypatch):
     assert sol.kappa_dot == sol.kappa_dot
     assert len(derivatives) == 1
     assert mean_rate(k) == perron(k, 0.0).kappa_dot
+
+
+def test_mean_rate_is_solved_once_per_kernel(monkeypatch):
+    solves = count_calls(monkeypatch, spectral_module, "eig")
+    k = random_kernel(np.random.default_rng(12), 3)
+    assert mean_rate(k) == mean_rate(k) == perron(k, 0.0).kappa_dot
+    assert len(solves) == 2  # one for both mean_rate calls, one for the perron check
+
+
+def _gate_failing_service():
+    """The 2-state service of test_dcc_upper_backs_off_where_the_eigensolve_fails
+    and its theta* against constant arrivals at rate 5.4428; from about 2 theta*
+    up perron rejects the eigenpair of its negation."""
+    m = (5.248, 9.908)
+    laws = tuple(
+        tuple(DiscretePmf((m[j] - 0.3, m[j], m[j] + 0.3), (0.25, 0.5, 0.25)) for j in range(2))
+        for _ in range(2)
+    )
+    service = MapKernel(("s0", "s1"), np.array([[0.32, 0.68], [0.614, 0.386]]), laws,
+                        np.array([0.5, 0.5]))
+    theta_star = stability_root(single_state_kernel(Constant(5.4428)), service).theta_star
+    return service, theta_star
+
+
+def test_perron_failures_name_theta():
+    service, theta_star = _gate_failing_service()
+    theta = 4.0 * theta_star
+    with pytest.raises(NoConvergence, match=f"theta={theta}"):
+        perron(negate(service), theta)
+    failure = perron_grid(negate(service), [theta, 0.5 * theta_star])[0]
+    assert isinstance(failure, NoConvergence) and f"theta={theta}" in str(failure)
+
+
+def _assert_same_solution(got, sol):
+    assert isinstance(got, SpectralSolution) and got.theta == sol.theta
+    assert got.kappa == pytest.approx(sol.kappa, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(got.h, sol.h, rtol=1e-12)
+    np.testing.assert_allclose(got.v, sol.v, rtol=1e-12)
+    assert got.kappa_dot == pytest.approx(sol.kappa_dot, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["random", "rayleigh"])
+def test_perron_grid_matches_perron_slice_by_slice(case):
+    if case == "random":
+        kernel = random_kernel(np.random.default_rng(13), 4)
+        thetas = np.linspace(-0.8, 0.8, 17)
+    else:
+        snr = np.array([[300.0] * 3, [20.0] * 3, [0.7] * 3])
+        p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
+        kernel = negate(capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c"))))
+        thetas = np.geomspace(1e-3, 0.5, 21)
+    for theta, got in zip(thetas, perron_grid(kernel, thetas)):
+        _assert_same_solution(got, perron(kernel, theta))
+
+
+def test_perron_grid_fails_each_theta_alone():
+    service, theta_star = _gate_failing_service()
+    neg = negate(service)
+    # at theta -100 the negated transforms overflow; 4 theta* fails the residual gate
+    thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star, 1.5 * theta_star]
+    got = perron_grid(neg, thetas)
+    assert isinstance(got[1], MgfDiverged) and "theta=-100.0" in str(got[1])
+    assert isinstance(got[3], NoConvergence)
+    for k in (0, 2, 4):
+        _assert_same_solution(got[k], perron(neg, thetas[k]))
+
+
+def test_perron_grid_survives_a_failed_stacked_eigensolve(monkeypatch):
+    # numpy raises LinAlgError for the whole stack when one slice does not
+    # converge; each slice is then solved on its own, and only the bad one fails
+    kernel = random_kernel(np.random.default_rng(14), 3)
+    thetas = np.array([-0.3, 0.1, 0.4])
+    expected = [perron(kernel, t) for t in thetas]
+    bad = transform_matrix(kernel, thetas[1])
+
+    def stacked_eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    real_eig = spectral_module.eig
+
+    def single_eig(a, **kwargs):
+        if np.array_equal(a, bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eig(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", stacked_eig)
+    monkeypatch.setattr(spectral_module, "eig", single_eig)
+    got = perron_grid(kernel, thetas)
+    assert isinstance(got[1], NoConvergence) and "theta=0.1" in str(got[1])
+    _assert_same_solution(got[0], expected[0])
+    _assert_same_solution(got[2], expected[2])

@@ -1,0 +1,134 @@
+"""Run every analytic-fading pool job against one or two mapq source trees.
+
+    python3 tools/pool_diff.py                     # this checkout's src/
+    python3 tools/pool_diff.py --base OTHER/src    # and compare with another tree
+
+Each tree's jobs run in-process in one child interpreter that imports mapq
+from that tree; the jobs, their reference checks and the output parser come
+from perfbench/workloads.py and perfbench/checks.py.  The report lists, per
+tree, the jobs that fail their check against perfbench/reference.json and,
+with --base, how many output files are byte-identical and the worst relative
+difference of a numeric cell per job kind (the last part of the job id).
+"""
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def run_tree(src, out):
+    """Child: run every pool job with mapq from `src`; write problems.json to `out`."""
+    sys.path[:0] = [os.path.abspath(src), PERFBENCH]
+    import checks
+    import workloads
+
+    reference = workloads.load_reference(os.path.join(PERFBENCH, "reference.json"))
+    jobs = workloads.build("analytic-fading", 0, out, reference,
+                           entries=workloads.analytic_pool())
+    problems = {}
+    for job in jobs:
+        result = err = None
+        try:
+            result = job.run()
+        except Exception as exc:  # reported as a problem of the job
+            err = exc
+        signature = checks.failure_signature(job, result, err)
+        if signature is None:
+            found = job.check(result)
+        elif job.known_defect and signature == checks.KNOWN_DEFECTS[job.known_defect]:
+            found = []
+        else:
+            found = [f"failed with {signature}"]
+        problems[job.id] = {"problems": found,
+                            "files": [os.path.relpath(p, out) for p in job.files]}
+    with open(os.path.join(out, "problems.json"), "w", encoding="utf-8") as fh:
+        json.dump(problems, fh)
+
+
+def _spawn(src, out):
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--run", src, "--out", out],
+                   check=True)
+    with open(os.path.join(out, "problems.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _worst(a, b, where, worst):
+    """Walk two parsed outputs; keep the largest relative cell difference."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            rel = abs(a - b) / max(abs(a), abs(b))
+            if rel > worst[0]:
+                worst[:] = [rel, where, a, b]
+    elif isinstance(a, (list, dict)) and type(a) is type(b) and len(a) == len(b):
+        keys = a.keys() if isinstance(a, dict) else range(len(a))
+        for k in keys:
+            if isinstance(a, dict) and k not in b:
+                worst[:] = [math.inf, f"{where}.{k}", "key", "missing"]
+                return
+            _worst(a[k], b[k], f"{where}[{k}]", worst)
+    elif a != b:
+        worst[:] = [math.inf, where, a, b]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    parser.add_argument("--base", help="a second mapq src/ tree to compare with")
+    parser.add_argument("--run", help=argparse.SUPPRESS)
+    parser.add_argument("--out", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.run:
+        run_tree(args.run, args.out)
+        return 0
+    sys.path.insert(0, PERFBENCH)
+    import checks
+
+    with tempfile.TemporaryDirectory() as work:
+        trees = {"src": args.src, **({"base": args.base} if args.base else {})}
+        runs = {name: _spawn(src, os.path.join(work, name)) for name, src in trees.items()}
+        failed = 0
+        for name, problems in runs.items():
+            bad = {k: v["problems"] for k, v in problems.items() if v["problems"]}
+            failed += len(bad) if name == "src" else 0
+            print(f"{name} ({trees[name]}): {len(problems)} jobs, {len(bad)} failing their check")
+            for job_id, found in sorted(bad.items()):
+                print(f"  {job_id}: {'; '.join(found)[:300]}")
+        if args.base:
+            files = {}  # kind -> [byte-identical, compared]
+            worst = {}
+            for job_id, info in sorted(runs["src"].items()):
+                kind = job_id.rsplit("-", 1)[-1]
+                for rel in info["files"]:
+                    paths = [os.path.join(work, name, rel) for name in ("src", "base")]
+                    if not all(os.path.exists(p) for p in paths):
+                        continue
+                    count = files.setdefault(kind, [0, 0])
+                    count[1] += 1
+                    with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
+                        if fa.read() == fb.read():
+                            count[0] += 1
+                            continue
+                    w = worst.setdefault(kind, [0.0, None, None, None])
+                    _worst(checks.read_output(paths[1]), checks.read_output(paths[0]),
+                           f"{job_id}/{os.path.basename(rel)}", w)
+            print(f"{sum(c[0] for c in files.values())} of {sum(c[1] for c in files.values())}"
+                  " output files byte-identical")
+            for kind in sorted(files):
+                line = f"  {kind}: {files[kind][0]} of {files[kind][1]} byte-identical"
+                if kind in worst:
+                    rel, where, a, b = worst[kind]
+                    line += (f", worst relative cell difference {rel:.3g}"
+                             f" at {where} (base {a!r}, src {b!r})")
+                print(line)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
