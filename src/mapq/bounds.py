@@ -163,8 +163,8 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
     records whether the bound applies to P(D(t)>d; t<=yd) (y < y_gamma) or
     to the long-horizon remainder (y > y_gamma).
     """
-    if y <= 1:
-        raise ValueError("horizon multiplier y must exceed 1 for the delay bound")
+    if not (math.isfinite(y) and y > 1):
+        raise ValueError(f"delay horizon multiplier y must be finite and > 1, got {y!r}")
     d = _delay_level(d, whole=False)
     root = stability_root(arrival, service)
     neg_service = root.neg_service.kernel
@@ -188,8 +188,8 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
 
 def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: float) -> HorizonBoundReport:
     """Finite-horizon backlog bound with horizon multiplier y > 0."""
-    if y <= 0:
-        raise ValueError("horizon multiplier y must be positive")
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"horizon multiplier y must be finite and positive, got {y!r}")
     b = _finite_level(b)
     root = stability_root(arrival, service)
     neg_service = root.neg_service.kernel

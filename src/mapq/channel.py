@@ -50,10 +50,8 @@ def capacity_kernel(transition, channel: ChannelSpec) -> MapKernel:
     capacity at the (i, j) entry of the SNR matrix."""
     transition = np.asarray(transition, dtype=float)
     n = len(channel.power_states)
-    # one law per distinct SNR, so equal cells share one transform memo
-    laws = {snr: RayleighCapacity(channel.bandwidth, snr)
-            for snr in map(float, np.unique(channel.snr_matrix))}
-    increments = tuple(tuple(laws[float(snr)] for snr in row) for row in channel.snr_matrix)
+    increments = tuple(tuple(RayleighCapacity(channel.bandwidth, float(snr)) for snr in row)
+                       for row in channel.snr_matrix)
     # start the chain at its stationary distribution unless told otherwise
     probe = MapKernel(channel.power_states, transition, increments,
                       np.full(n, 1.0 / n))

@@ -59,10 +59,7 @@ def parse_kernel(doc) -> MapKernel:
     try:
         states = _state_labels(doc["states"])
         transition = np.asarray(doc["transition"], dtype=float)
-        # value-equal cells share one law object, and with it one transform memo
-        laws = {}
-        increments = tuple(tuple(laws.setdefault(law, law) for law in map(parse_law, row))
-                           for row in doc["increments"])
+        increments = tuple(tuple(map(parse_law, row)) for row in doc["increments"])
         initial = np.asarray(doc.get("initial_dist", np.full(len(states), 1.0 / len(states))),
                              dtype=float)
         return MapKernel(states, transition, increments, initial)

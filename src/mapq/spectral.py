@@ -19,6 +19,9 @@ from scipy.optimize import brentq
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
 from .laws import IncrementLaw, Negated
 
+# a kernel's perron solutions are cleared at this many, so a long-lived process stays bounded
+_SOLUTION_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class MapKernel:
@@ -26,6 +29,8 @@ class MapKernel:
     transition: np.ndarray
     increments: tuple  # tuple of tuples of IncrementLaw, indexed (source, dest)
     initial_dist: np.ndarray
+    # perron's solutions by theta, filled on success only
+    _solutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
@@ -80,9 +85,22 @@ class MapKernel:
         return pi
 
     @cached_property
-    def mean_rate(self) -> float:
-        """Long-run mean increment per slot, kappa'(0), solved once per kernel."""
-        return perron(self, 0.0).kappa_dot
+    def _law_groups(self) -> dict:
+        """Rows and columns of the positive transitions per distinct law: equal
+        laws, separate objects or not, are grouped once per kernel."""
+        groups = {}
+        for i, j in zip(*np.nonzero(self.transition > 0)):
+            groups.setdefault(self.law(i, j), []).append((i, j))
+        return {law: np.transpose(cells) for law, cells in groups.items()}
+
+    @cached_property
+    def negated(self) -> MapKernel:
+        """The kernel with every increment law sign-flipped, built once per kernel."""
+        increments = tuple(
+            tuple(law.inner if isinstance(law, Negated) else Negated(law) for law in row)
+            for row in self.increments
+        )
+        return MapKernel(self.state_labels, self.transition, increments, self.initial_dist)
 
 
 def _irreducible(p: np.ndarray) -> bool:
@@ -138,31 +156,24 @@ class StabilityRoot:
 
 
 def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarray:
-    """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij.
+    """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij, with one
+    transform call per distinct law.
 
-    For an array of theta it is the stack of those matrices, with one transform
-    call per distinct law; a theta where a transform diverges leaves its matrix
-    non-finite instead of raising.
+    For an array of theta it is the stack of those matrices, non-finite at a
+    theta where a transform diverges; a float theta raises MgfDiverged there.
     """
+    stack = isinstance(theta, np.ndarray)
+    thetas = theta if stack else np.array([theta], dtype=float)
     n = kernel.n_states
     p = kernel.transition
-    if isinstance(theta, np.ndarray):
-        out = np.zeros((len(theta), n, n))
-        values = {}
-        for i, j in zip(*np.nonzero(p > 0)):
-            law = kernel.law(i, j)
-            if law not in values:
-                values[law] = getattr(law, transform)(theta)
-            out[:, i, j] = p[i, j] * values[law]
+    out = np.zeros((len(thetas), n, n))
+    for law, (rows, cols) in kernel._law_groups.items():
+        out[:, rows, cols] = p[rows, cols] * getattr(law, transform)(thetas)[:, None]
+    if stack:
         return out
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if p[i, j] > 0:
-                out[i, j] = p[i, j] * getattr(kernel.law(i, j), transform)(theta)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise MgfDiverged(f"{what} not finite at theta={theta}")
-    return out
+    return out[0]
 
 
 def transform_matrix(kernel: MapKernel, theta) -> np.ndarray:
@@ -243,26 +254,34 @@ def _solve(kernel: MapKernel, thetas, f) -> list:
         else:
             h_i = h[i] / float(pi @ h[i])
             v_i = v[i] / float(v[i] @ h_i)
+            h_i.setflags(write=False)
+            v_i.setflags(write=False)
             kappa = math.log(lam_i) + e_i * math.log(2.0)
             out.append(SpectralSolution(theta, kappa, h_i, v_i, pi, res, kernel))
     return out
 
 
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
-    """Dominant eigentriple of the transform matrix at theta.
+    """Dominant eigentriple of the transform matrix at theta, solved once per
+    (kernel, theta) and kept on the kernel.
 
-    h and v are scaled so that pi . h = 1 and v . h = 1; at theta = 0 this
-    reduces to h = ones and v = pi.
+    h and v are scaled so that pi . h = 1 and v . h = 1, and are read-only;
+    at theta = 0 this reduces to h = ones and v = pi.
     """
-    sol, = _solve(kernel, [theta], transform_matrix(kernel, theta)[None])
-    if isinstance(sol, NoConvergence):
-        raise sol
+    sol = kernel._solutions.get(theta)
+    if sol is None:
+        sol, = _solve(kernel, [theta], transform_matrix(kernel, theta)[None])
+        if isinstance(sol, NoConvergence):
+            raise sol
+        if len(kernel._solutions) >= _SOLUTION_LIMIT:
+            kernel._solutions.clear()
+        kernel._solutions[theta] = sol
     return sol
 
 
 def perron_grid(kernel: MapKernel, thetas) -> list:
     """perron at every theta of `thetas`, from one transform call per distinct
-    law and one batched eigensolve.
+    law and one batched eigensolve; it neither reads nor fills perron's cache.
 
     Entry k is the SpectralSolution at thetas[k], or the MgfDiverged or
     NoConvergence that perron raises there: a theta fails alone.
@@ -276,18 +295,14 @@ def perron_grid(kernel: MapKernel, thetas) -> list:
 
 
 def mean_rate(kernel: MapKernel) -> float:
-    """Long-run mean increment per slot: kappa'(0) = sum_ij pi_i p_ij E[H_ij],
-    cached on the kernel."""
-    return kernel.mean_rate
+    """Long-run mean increment per slot: kappa'(0) = sum_ij pi_i p_ij E[H_ij]."""
+    return perron(kernel, 0.0).kappa_dot
 
 
 def negate(kernel: MapKernel) -> MapKernel:
-    """Sign-flip every increment law; kappa of negate(k) at theta is kappa of k at -theta."""
-    increments = tuple(
-        tuple(law.inner if isinstance(law, Negated) else Negated(law) for law in row)
-        for row in kernel.increments
-    )
-    return MapKernel(kernel.state_labels, kernel.transition, increments, kernel.initial_dist)
+    """Sign-flip every increment law; kappa of negate(k) at theta is kappa of k at -theta.
+    The negated kernel is built once per kernel, so its solutions are kept too."""
+    return kernel.negated
 
 
 def positive_root(f, what: str) -> float:
@@ -339,17 +354,13 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     if drift_a >= drift_s:
         raise UnstableQueue(drift_a, drift_s)
     neg_service = negate(service)
-    solutions = {}  # brentq starts from the bracket ends and returns a probed theta
 
     def f(theta):
-        if theta not in solutions:
-            solutions[theta] = perron(arrival, theta), perron(neg_service, theta)
-        sol_a, sol_s = solutions[theta]
-        return sol_a.kappa + sol_s.kappa
+        return perron(arrival, theta).kappa + perron(neg_service, theta).kappa
 
     theta = positive_root(f, "combined cgf kappa^A + kappa^-S")
     residual = abs(f(theta))
     if residual > _ROOT_RESIDUAL_TOL:
         raise NoRootInDomain(f"combined cgf kappa^A + kappa^-S: root residual {residual!r} "
                              f"above {_ROOT_RESIDUAL_TOL} at theta={theta}")
-    return StabilityRoot(theta, residual, *solutions[theta])
+    return StabilityRoot(theta, residual, perron(arrival, theta), perron(neg_service, theta))

@@ -258,8 +258,9 @@ def test_constant_dcc_interval_solves_each_rate_on_the_negated_service(
     spread_02 = random_kernel(rng, 2, mean_offset=3.0, spread=0.2)
     spread_15 = random_kernel(rng, 2, mean_offset=3.0, spread=1.5)
     rayleigh = frechet_capacity_kernel(delay_figure_channel, 0.5)
+    toy = single_state_kernel(toy_service.law(0, 0))  # no solutions kept from other tests
     args, expected, max_solves = {  # (service, d, epsilon, varpi), endpoints, eigensolve cap
-        "toy": ((toy_service, 20.0, 1e-2, np.array([1.0])),
+        "toy": ((toy, 20.0, 1e-2, np.array([1.0])),
                 (0.07497151550585462, 0.0788239058088085), 2000),
         "spread-0.2": ((spread_02, 20.0, 1e-2, spread_02.initial_dist),
                        (3.08035179280931, 3.0803762062732645), 1000),
@@ -323,8 +324,22 @@ def test_bounds_solve_nothing_beyond_their_root(monkeypatch, fn):
     service = random_kernel(rng, 2, mean_offset=2.0, spread=0.5)
     solves = count_calls(monkeypatch, spectral_module, "eig")
     stability_root(arrival, service)  # also solves the two mean rates, once per kernel
+    assert len(solves) > 0
     before = len(solves)
+    # the kernels keep every solution of the first root search
     stability_root(arrival, service)
-    per_root = len(solves) - before
     fn(arrival, service, [1.0, 2.0])
-    assert len(solves) == before + 2 * per_root
+    assert len(solves) == before
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_horizon_multiplier_must_be_finite(monkeypatch, y):
+    # a non-finite y is bad input, rejected before any eigensolve
+    arrival = single_state_kernel(Constant(1.0))
+    service = single_state_kernel(DiscretePmf((2.0, 4.0), (0.5, 0.5)))
+    solves = count_calls(monkeypatch, spectral_module, "eig")
+    with pytest.raises(ValueError, match="horizon multiplier y must be finite"):
+        bd.horizon_delay_bound(arrival, service, y, 2.0)
+    with pytest.raises(ValueError, match="horizon multiplier y must be finite"):
+        bd.horizon_backlog_bound(arrival, service, y, 2.0)
+    assert solves == []

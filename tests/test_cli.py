@@ -157,6 +157,9 @@ def test_delay_levels_must_be_whole_slots(tmp_path, toy_cfg):
     ["bounds", "--mode", "horizon", "--levels", "-3"],
     ["bounds", "--mode", "horizon", "--levels", "inf"],
     ["simulate", "--mode", "backlog", "--levels", "nan"],
+    # a horizon multiplier that is not finite is bad input too, not a failed root search
+    ["bounds", "--mode", "horizon", "--y", "nan"],
+    ["bounds", "--mode", "horizon", "--y", "inf"],
 ])
 def test_meaningless_levels_exit_2(tmp_path, toy_cfg, argv):
     assert _run(argv + ["--config", toy_cfg, "--out", str(tmp_path)]) == EXIT_PARSE
@@ -172,6 +175,39 @@ def test_horizon_equation_without_root_exits_3(tmp_path, capsys):
     assert _run(["bounds", "--config", cfg, "--mode", "horizon", "--y", "1.01",
                  "--out", str(tmp_path)]) == EXIT_NUMERIC
     assert re.search(r"horizon delay equation.*theta=\d", capsys.readouterr().err)
+
+
+# the n2-constant-frechet1-0 config of the benchmark's analytic pool: a 2-state
+# Rayleigh service (26.11 dB and -0.86 dB) under constant traffic
+POOL_CFG = """\
+arrival: {constant: 57.385116}
+service:
+  channel:
+    bandwidth: 20.0
+    snr: [[db:26.11, db:26.11], [db:-0.86, db:-0.86]]
+    states: [p0, p1]
+  copula: {family: frechet1, alpha: 0.459}
+  varpi: [0.5066, 0.49339999999999995]
+"""
+
+
+@pytest.mark.parametrize("argv, one, many", [
+    (["--mode", "dcc"], "5", "5,10,20"),
+    (["--mode", "horizon"], "2", "2,4,8"),
+])
+def test_more_levels_make_no_more_eigensolves(tmp_path, monkeypatch, argv, one, many):
+    # the levels of one run share the root and, for dcc, the theta of the
+    # optimum (the bound is 1/d times a function of theta): every further level
+    # reads the solutions the first one kept on the kernels
+    cfg = _write(tmp_path, "pool.yaml", POOL_CFG)
+    solves = count_calls(monkeypatch, spectral, "eig")
+    counts = []
+    for levels in (one, many):
+        del solves[:]
+        assert _run(["bounds", "--config", cfg, *argv, "--levels", levels,
+                     "--out", str(tmp_path)]) == 0
+        counts.append(len(solves))
+    assert 0 < counts[1] <= counts[0]
 
 
 def test_inconclusive_decay_slope_exits_3(tmp_path, toy_config_text):

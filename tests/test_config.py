@@ -155,7 +155,7 @@ def test_equal_kernel_cells_share_one_law(monkeypatch):
     cell = {"law": "rayleigh", "bandwidth": 20, "snr": "db:10"}
     kernel = parse_kernel({"states": ["a", "b"], "transition": [[0.5, 0.5], [0.5, 0.5]],
                            "increments": [[cell, dict(cell)], [dict(cell), dict(cell)]]})
-    assert all(kernel.law(i, j) is kernel.law(0, 0) for i in range(2) for j in range(2))
+    # each transform call integrates each distinct law once
     transform_matrix(kernel, 0.3)
     assert len(integrals) == 1
 

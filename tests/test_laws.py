@@ -111,34 +111,14 @@ def test_negated_and_shifted_wrappers():
     assert np.all(sh.sample(rng, 100) >= 5.0)
 
 
-def test_rayleigh_transforms_are_memoized_per_law_object(monkeypatch):
+def test_rayleigh_float_call_integrates_once_and_raises_on_overflow(monkeypatch):
     calls = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     law = RayleighCapacity(20.0, 10.0)
-    mgf, tilted = law.mgf(0.3), law.tilted_mean(0.3)
-    assert len(calls) == 2  # one integration per transform
-    assert law.mgf(0.3) == mgf and law.tilted_mean(0.3) == tilted
-    assert Negated(law).mgf(-0.3) == mgf
-    assert len(calls) == 2
-    # a value-equal law built separately shares nothing and integrates again
-    twin = RayleighCapacity(20.0, 10.0)
-    assert twin == law and hash(twin) == hash(law)
-    assert twin.mgf(0.3) == mgf and twin.tilted_mean(0.3) == tilted
-    assert len(calls) == 4
-
-
-def test_rayleigh_memo_keeps_no_failure_and_stays_bounded(monkeypatch):
-    calls = count_calls(monkeypatch, laws_module, "_capacity_integrals")
-    law = RayleighCapacity(20.0, 10.0)
-    for expected in (1, 2):
-        with pytest.raises(MgfDiverged, match=r"overflows a double at theta=5\.0"):
-            law.mgf(5.0)
-        assert len(calls) == expected
-    assert law._memo == {}
-    monkeypatch.setattr(laws_module, "_MEMO_LIMIT", 3)
-    for theta in (0.01, 0.02, 0.03, 0.04, 0.05):
-        law.mgf(theta)
-        assert len(law._memo) <= 3
-    assert law.mgf(0.05) == RayleighCapacity(20.0, 10.0).mgf(0.05)
+    assert law.mgf(0.3) == law.mgf(np.array([0.3]))[0]
+    assert len(calls) == 2  # one integration per call; the law keeps no values
+    with pytest.raises(MgfDiverged, match=r"overflows a double at theta=5\.0"):
+        law.mgf(5.0)
+    assert len(calls) == 3
 
 
 RAYLEIGH_SNRS = [0.01, 0.3, 1.0, 10.0, 300.0, 1e4, 1e6]
@@ -176,13 +156,24 @@ def test_rayleigh_tilted_mean_at_zero_is_the_closed_form_mean(snr):
     assert law.tilted_mean(0.0) == pytest.approx(law.mean(), rel=1e-13)
 
 
+@pytest.mark.parametrize("snr", [1e-3, 1e-6])
+def test_rayleigh_mean_below_minus_28_db(snr):
+    # e^{1/snr} overflows a double here while E1(1/snr) underflows; the mean
+    # (W/ln2) e^x E1(x), x = 1/snr, has the asymptotic series
+    # (W/ln2) sum_k (-1)^k k! snr^{k+1}, whose terms after k = 5 are below 1e-15
+    law = RayleighCapacity(20.0, snr)
+    series = sum((-1) ** k * math.factorial(k) * snr ** (k + 1) for k in range(6))
+    assert law.mean() == pytest.approx(20.0 / math.log(2.0) * series, rel=1e-14)
+    assert law.mean() == pytest.approx(law.tilted_mean(0.0), rel=1e-13)
+
+
 def test_rayleigh_array_call_equals_the_scalar_calls():
     thetas = np.array([-3.0, -0.4, -0.05, 0.0, 0.02, 0.3, 5.0])
     for snr in (0.5, 40.0, 2e3):
         law = RayleighCapacity(20.0, snr)
         for kind in ("mgf", "tilted_mean"):
             values = getattr(law, kind)(thetas)
-            assert values.shape == thetas.shape and law._memo == {}
+            assert values.shape == thetas.shape
             for theta, value in zip(thetas, values):
                 scalar = getattr(RayleighCapacity(20.0, snr), kind)
                 if math.isfinite(value):

@@ -181,23 +181,79 @@ def test_perron_on_100_states_with_constant_laws():
     assert sol.residual <= 1e-10
 
 
-def test_transform_quadrature_once_per_distinct_law(monkeypatch):
-    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
-    # row-constant SNR: nine cells, three distinct laws
+def _row_constant_capacity_kernel():
+    """3-state Rayleigh service with nine cells and three distinct laws."""
     snr = np.array([[10.0] * 3, [5.0] * 3, [1.0] * 3])
     p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
-    k = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
+    return capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
+
+
+def test_transform_quadrature_once_per_distinct_law(monkeypatch):
+    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
+    k = _row_constant_capacity_kernel()
     transform_matrix(k, 0.2)
     assert len(integrals) == 3
+    # the laws keep no values: perron integrates again, then keeps its solution
     perron(k, 0.2)
-    perron(negate(k), -0.2)
-    assert len(integrals) == 3
-    fresh = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
-    assert np.array_equal(transform_matrix(fresh, 0.2), transform_matrix(k, 0.2))
+    perron(k, 0.2)
     assert len(integrals) == 6
+    fresh = _row_constant_capacity_kernel()
+    assert perron(fresh, 0.2).kappa == perron(k, 0.2).kappa
+    assert len(integrals) == 9
     # a stack of theta takes one integration per distinct law, negated or not
     perron_grid(negate(fresh), [0.1, 0.2, 0.3])
-    assert len(integrals) == 9
+    assert len(integrals) == 12
+
+
+def test_perron_keeps_its_solutions_on_the_kernel(monkeypatch):
+    solves = count_calls(monkeypatch, spectral_module, "eig")
+    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
+    k = _row_constant_capacity_kernel()
+    sol = perron(k, 0.2)
+    assert (len(solves), len(integrals)) == (1, 3)
+    assert perron(k, 0.2) is sol
+    assert (len(solves), len(integrals)) == (1, 3)
+    # negate builds the negated kernel once, so its solutions are kept too
+    assert negate(k) is negate(k)
+    assert perron(negate(k), -0.2) is perron(negate(k), -0.2)
+    assert (len(solves), len(integrals)) == (2, 6)
+    # a value-equal kernel built separately shares nothing
+    twin = _row_constant_capacity_kernel()
+    again = perron(twin, 0.2)
+    assert (len(solves), len(integrals)) == (3, 9)
+    assert again is not sol and again.kappa == sol.kappa
+    assert np.array_equal(again.h, sol.h) and np.array_equal(again.v, sol.v)
+
+
+def test_perron_keeps_no_failure():
+    k = _row_constant_capacity_kernel()
+    for _ in range(2):
+        with pytest.raises(MgfDiverged, match=r"theta=5\.0"):
+            perron(k, 5.0)
+    service, theta_star = _gate_failing_service()
+    neg = negate(service)
+    for _ in range(2):
+        with pytest.raises(NoConvergence):
+            perron(neg, 4.0 * theta_star)
+    assert 5.0 not in k._solutions and 4.0 * theta_star not in neg._solutions
+
+
+def test_perron_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(spectral_module, "_SOLUTION_LIMIT", 3)
+    k = random_kernel(np.random.default_rng(15), 3)
+    for theta in (0.01, 0.02, 0.03, 0.04, 0.05):
+        perron(k, theta)
+        assert len(k._solutions) <= 3
+    fresh = random_kernel(np.random.default_rng(15), 3)
+    assert perron(k, 0.05).kappa == perron(fresh, 0.05).kappa
+
+
+def test_cached_eigenvectors_are_read_only():
+    sol = perron(random_kernel(np.random.default_rng(16), 3), 0.3)
+    with pytest.raises(ValueError):
+        sol.h[0] = 1.0
+    with pytest.raises(ValueError):
+        sol.v[0] = 1.0
 
 
 def test_stationary_distribution_is_solved_once_and_read_only(monkeypatch):
@@ -252,7 +308,10 @@ def test_stability_root_carries_its_solutions_at_theta_star():
     service = random_kernel(rng, 3, mean_offset=2.0, spread=0.5)
     root = stability_root(arrival, service)
     for sol, kernel in ((root.arrival, arrival), (root.neg_service, negate(service))):
-        again = perron(kernel, root.theta_star)
+        # a value-equal kernel keeps no solutions, so this solves theta* again
+        fresh = MapKernel(kernel.state_labels, kernel.transition, kernel.increments,
+                          kernel.initial_dist)
+        again = perron(fresh, root.theta_star)
         assert sol.theta == root.theta_star
         assert sol.kappa == again.kappa and np.array_equal(sol.h, again.h)
         assert sol.kappa_dot == again.kappa_dot
@@ -274,7 +333,7 @@ def test_mean_rate_is_solved_once_per_kernel(monkeypatch):
     solves = count_calls(monkeypatch, spectral_module, "eig")
     k = random_kernel(np.random.default_rng(12), 3)
     assert mean_rate(k) == mean_rate(k) == perron(k, 0.0).kappa_dot
-    assert len(solves) == 2  # one for both mean_rate calls, one for the perron check
+    assert len(solves) == 1  # mean_rate reads perron's solution at theta = 0
 
 
 def _gate_failing_service():

@@ -7,8 +7,13 @@ Each tree's jobs run in-process in one child interpreter that imports mapq
 from that tree; the jobs, their reference checks and the output parser come
 from perfbench/workloads.py and perfbench/checks.py.  The report lists, per
 tree, the jobs that fail their check against perfbench/reference.json and,
-with --base, how many output files are byte-identical and the worst relative
-difference of a numeric cell per job kind (the last part of the job id).
+per job kind (the last part of the job id), the work the jobs did: scalar
+eigensolves (calls of mapq.spectral.eig), stacked eigensolve slices (matrices
+passed to numpy.linalg.eig, F and F^T each counted) and Rayleigh integrations
+(calls of mapq.laws._capacity_integrals).  With --base it also lists the job
+kinds where this tree does more of that work than the base, how many output
+files are byte-identical, and the worst relative difference of a numeric cell
+per job kind.
 """
 
 import argparse
@@ -21,6 +26,30 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+WORK = ("scalar eig", "stacked eig slices", "Rayleigh integrations")
+
+
+def _count_work():
+    """Wrap the three counted calls; returns the list of running counts (WORK order)."""
+    import numpy as np
+
+    from mapq import laws, spectral
+
+    counts = [0, 0, 0]
+
+    def counting(owner, name, k, size):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[k] += size(args[0])
+            return real(*args, **kwargs)
+
+        setattr(owner, name, wrapper)
+
+    counting(spectral, "eig", 0, lambda a: 1)
+    counting(np.linalg, "eig", 1, lambda a: len(a) if np.ndim(a) == 3 else 1)
+    counting(laws, "_capacity_integrals", 2, lambda n: 1)
+    return counts
 
 
 def run_tree(src, out):
@@ -32,8 +61,10 @@ def run_tree(src, out):
     reference = workloads.load_reference(os.path.join(PERFBENCH, "reference.json"))
     jobs = workloads.build("analytic-fading", 0, out, reference,
                            entries=workloads.analytic_pool())
+    counts = _count_work()
     problems = {}
     for job in jobs:
+        before = list(counts)
         result = err = None
         try:
             result = job.run()
@@ -47,7 +78,8 @@ def run_tree(src, out):
         else:
             found = [f"failed with {signature}"]
         problems[job.id] = {"problems": found,
-                            "files": [os.path.relpath(p, out) for p in job.files]}
+                            "files": [os.path.relpath(p, out) for p in job.files],
+                            "work": [c - b for c, b in zip(counts, before)]}
     with open(os.path.join(out, "problems.json"), "w", encoding="utf-8") as fh:
         json.dump(problems, fh)
 
@@ -57,6 +89,15 @@ def _spawn(src, out):
                    check=True)
     with open(os.path.join(out, "problems.json"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _work_by_kind(problems):
+    """The WORK counts of a tree's jobs, summed per job kind."""
+    out = {}
+    for job_id, info in problems.items():
+        total = out.setdefault(job_id.rsplit("-", 1)[-1], [0] * len(WORK))
+        total[:] = [t + n for t, n in zip(total, info["work"])]
+    return out
 
 
 def _worst(a, b, where, worst):
@@ -93,6 +134,7 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         trees = {"src": args.src, **({"base": args.base} if args.base else {})}
         runs = {name: _spawn(src, os.path.join(work, name)) for name, src in trees.items()}
+        work_by_kind = {name: _work_by_kind(problems) for name, problems in runs.items()}
         failed = 0
         for name, problems in runs.items():
             bad = {k: v["problems"] for k, v in problems.items() if v["problems"]}
@@ -100,7 +142,14 @@ def main():
             print(f"{name} ({trees[name]}): {len(problems)} jobs, {len(bad)} failing their check")
             for job_id, found in sorted(bad.items()):
                 print(f"  {job_id}: {'; '.join(found)[:300]}")
+            print(f"  per job kind: {' / '.join(WORK)}")
+            for kind, done in sorted(work_by_kind[name].items()):
+                print(f"    {kind}: {' / '.join(map(str, done))}")
         if args.base:
+            more = [f"{kind} ({WORK[k]} {n} > {work_by_kind['base'][kind][k]})"
+                    for kind, done in sorted(work_by_kind["src"].items())
+                    for k, n in enumerate(done) if n > work_by_kind["base"].get(kind, done)[k]]
+            print("more work than base: " + (", ".join(more) if more else "none"))
             files = {}  # kind -> [byte-identical, compared]
             worst = {}
             for job_id, info in sorted(runs["src"].items()):
