@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (perfbench/tracing.py counts calls to laws.quad)
@@ -112,10 +113,16 @@ class DiscretePmf(IncrementLaw):
             val = np.sum(p * x * np.exp(np.multiply.outer(theta, x)), axis=-1)
         return _finite(val, theta, "tilted mean overflowed")
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """Cumulative probabilities ending at exactly 1, so that every uniform
+        draw below 1 lands on a support point (probs may sum to 1 - 1e-12)."""
+        cdf = np.cumsum(self.probs)
+        cdf[-1] = 1.0
+        return cdf
+
     def sample(self, rng, size):
-        x, p = self._arrays()
-        idx = np.searchsorted(np.cumsum(p), rng.random(size), side="right")
-        return x[np.minimum(idx, len(x) - 1)]
+        return np.asarray(self.support)[np.searchsorted(self._cdf, rng.random(size), side="right")]
 
 
 # The Rayleigh transforms E[(1 + snr G)^n], n = theta W / ln 2, are split at

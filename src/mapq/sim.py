@@ -2,7 +2,11 @@
 
 Each call draws from one stream seeded by its `seed`, so results are
 reproducible.  All state sampling goes through one successor rule
-(`_successors`) and all increment draws through `_increments`.
+(`_successors`, a table of every state's successor per uniform) and all
+increment draws through `_increments` (one draw per distinct law).
+`tail_estimate` and `martingale_check` walk their chains with `_blocks`,
+in blocks of at most `_BLOCK_CELLS` replication-slots, so their memory is
+O(replications x block), not O(replications x horizon).
 """
 
 from __future__ import annotations
@@ -28,37 +32,77 @@ from .spectral import MapKernel, mean_rate, perron, single_state_kernel, stabili
 # sample paths and the queue recursion
 
 
+# replication-slots per block of `_blocks`
+_BLOCK_CELLS = 1 << 16
+
+
 def _stream(seed):
     return np.random.default_rng(seed)
 
 
 def _cumulative_rows(transition: np.ndarray) -> np.ndarray:
-    """Row-wise transition CDFs ending at exactly 1.
+    """Row-wise transition CDFs that are exactly 1 from each row's last
+    positive entry on.
 
     Rows may sum to 1 - 1e-12; a uniform draw above that sum would
-    otherwise map to the nonexistent state n.
+    otherwise map to the nonexistent state n, or to a state that the row
+    gives probability 0 (whose edge has no increment law to draw from).
     """
     cum = np.cumsum(transition, axis=-1)
-    cum[..., -1] = 1.0
+    n = transition.shape[-1]
+    last = n - 1 - np.argmax(transition[..., ::-1] > 0, axis=-1)
+    cum[np.arange(n) >= last[..., None]] = 1.0
     return cum
 
 
-def _successors(cum, states, u):
-    """First j with u < cum[state, j]; `cum` may be a per-slot stack of CDF matrices."""
-    return (cum[..., states, :] <= u[..., None]).sum(axis=-1)
+def _successors(cum, u):
+    """Successor table, shape u.shape + (n,): entry i is the first j with
+    u < cum[..., i, j].  `cum` holds pinned CDF rows (a matrix, or a stack
+    broadcasting against u), so only the n - 1 inner columns are compared;
+    each state's comparisons are accumulated over u as a whole."""
+    n = cum.shape[-1]
+    table = np.empty(u.shape + (n,), dtype=np.intp)
+    for i in range(n):
+        col = np.zeros(u.shape, dtype=np.min_scalar_type(n))
+        for j in range(n - 1):
+            col += cum[..., i, j] <= u
+        table[..., i] = col
+    return table
 
 
-def _states(kernel: MapKernel, replications: int, horizon: int, rng) -> np.ndarray:
-    """State matrix (replications, horizon + 1); a one-state chain draws nothing."""
+def _blocks(kernel: MapKernel, replications: int, horizon: int, rng, step: int):
+    """Walk `replications` chains of `kernel` over `horizon` slots, `step` slots
+    at a time.
+
+    Yields (states (R, b + 1), increments (R, b)) per block of b <= step
+    slots; states[:, 0] is the last state of the block before.  Each block
+    draws its uniforms as one (b, R) array and its increments in one
+    `_increments` call; only the current state vector outlives a block.
+
+    A one-state chain draws no state, and one draw fills its increments
+    replication by replication, so a chunk of whole-horizon blocks takes
+    the same values as one (R, T) draw.  A multi-state chain is walked in
+    slot-major (b, R) arrays, which keep every numpy call long when R is
+    large and b small, and yields their transposed views.
+    """
     n = kernel.n_states
-    if n == 1:
-        return np.broadcast_to(np.int64(0), (replications, horizon + 1))
-    cum = _cumulative_rows(kernel.transition)
-    states = np.empty((replications, horizon + 1), dtype=np.int64)
-    states[:, 0] = rng.choice(n, size=replications, p=kernel.initial_dist)
-    for t in range(horizon):
-        states[:, t + 1] = _successors(cum, states[:, t], rng.random(replications))
-    return states
+    if n > 1:
+        cum = _cumulative_rows(kernel.transition)
+        offsets = np.arange(replications) * n
+        state = rng.choice(n, size=replications, p=kernel.initial_dist)
+    for start in range(0, horizon, step):
+        b = min(step, horizon - start)
+        if n == 1:
+            states = np.broadcast_to(np.intp(0), (replications, b + 1))
+            yield states, _increments(kernel, states[:, :-1], states[:, 1:], rng)
+        else:
+            table = _successors(cum, rng.random((b, replications)))
+            path = np.empty((b + 1, replications), dtype=np.intp)
+            path[0] = state
+            for t in range(b):
+                path[t + 1] = state = table[t].take(offsets + state)
+            del table  # so that two blocks' tables never coexist
+            yield path.T, _increments(kernel, path[:-1], path[1:], rng).T
 
 
 def _path_states(cum, initial_dist, horizon: int, rng) -> np.ndarray:
@@ -68,7 +112,7 @@ def _path_states(cum, initial_dist, horizon: int, rng) -> np.ndarray:
     if n == 1:
         return np.zeros(horizon + 1, dtype=np.int64)
     state = int(rng.choice(n, p=initial_dist))
-    table = _successors(cum, np.arange(n), rng.random(horizon)[:, None]).ravel().tolist()
+    table = _successors(cum, rng.random(horizon)).ravel().tolist()
     path = [state]
     for base in range(0, n * horizon, n):
         state = table[base + state]
@@ -77,19 +121,24 @@ def _path_states(cum, initial_dist, horizon: int, rng) -> np.ndarray:
 
 
 def _increments(kernel: MapKernel, src, dst, rng) -> np.ndarray:
-    """Increments of the (src, dst) transitions, any shape, drawn edge by
-    edge in (i, j) order."""
+    """Increments of the (src, dst) transitions, any shape: one draw per
+    distinct law, in the order of `kernel._law_groups`, which holds every
+    transition the samplers can take (`_cumulative_rows` skips the others)."""
+    groups = kernel._law_groups
+    if len(groups) == 1:  # the one law takes every slot
+        (law,) = groups
+        return law.sample(rng, src.size).reshape(src.shape)
     n = kernel.n_states
-    if n == 1:  # the one edge takes every slot
-        return kernel.law(0, 0).sample(rng, src.size).reshape(src.shape)
-    edge = src * n + dst
-    out = np.empty(edge.shape)
-    for e in range(n * n):
-        mask = edge == e
-        count = np.count_nonzero(mask)
-        if count:
-            out[mask] = kernel.law(*divmod(e, n)).sample(rng, count)
-    return out
+    group_of = np.empty(n * n, dtype=np.intp)
+    for g, (rows, cols) in enumerate(groups.values()):
+        group_of[rows * n + cols] = g
+    group = group_of[src * n + dst]
+    out = np.empty(group.size)
+    for g, law in enumerate(groups):
+        at = np.flatnonzero(group == g)  # in row-major order
+        if at.size:
+            out[at] = law.sample(rng, at.size)
+    return out.reshape(group.shape)
 
 
 def sample_path(kernel: MapKernel, horizon: int, seed) -> tuple:
@@ -176,31 +225,32 @@ def tail_estimate(
     if min(replications, horizon) < 1:
         raise ValueError(f"replications and horizon must be >= 1, got {replications}, {horizon}")
     if metric == "delay":
-        d_max = max(int(_delay_level(d)) for d in levels) + 1
-        window = np.zeros((replications, d_max))  # trailing arrivals ring
+        d_max = max(int(_delay_level(d)) for d in levels)
+        recent = np.zeros((d_max, replications))  # arrivals of the last d_max slots
     elif metric == "backlog":
         levels = [_finite_level(b) for b in levels]
     else:
         raise ValueError(f"unknown metric {metric!r}")
     rng = _stream(seed)
-    service_states = _states(service, replications, horizon, rng)
-    arrival_states = _states(arrival, replications, horizon, rng)
-
+    step = max(1, _BLOCK_CELLS // replications)
     backlog = np.zeros(replications)
-    for t in range(horizon):
-        a = _increments(arrival, arrival_states[:, t], arrival_states[:, t + 1], rng)
-        c = _increments(service, service_states[:, t], service_states[:, t + 1], rng)
-        backlog = np.maximum(backlog + a - c, 0.0)
+    for (_, c), (_, a) in zip(_blocks(service, replications, horizon, rng, step),
+                              _blocks(arrival, replications, horizon, rng, step)):
+        # B after the block is X_b - min(-B, min_s X_s), X the block's net work;
+        # slot-major rows keep every numpy call long on short blocks
+        net = np.ascontiguousarray(a.T - c.T)
+        for t in range(1, len(net)):
+            net[t] += net[t - 1]
+        backlog = net[-1] - np.minimum(-backlog, net.min(axis=0))
         if metric == "delay":
-            window[:, t % d_max] = a
+            recent = np.concatenate((recent, a.T))[len(net):]
 
     out = []
     for level in levels:
         if metric == "backlog":
             exceed = backlog > level
         else:
-            idx = np.arange(horizon - int(level), horizon) % d_max
-            exceed = backlog > window[:, idx].sum(axis=1)
+            exceed = backlog > recent[d_max - int(level):].sum(axis=0)
         hits = int(exceed.sum())
         p_hat = hits / replications
         se = math.sqrt(p_hat * (1.0 - p_hat) / replications)
@@ -226,16 +276,25 @@ def decay_slope(estimates) -> float:
 
 def martingale_check(kernel: MapKernel, theta: float, horizon: int, replications: int, seed):
     """Sample mean and standard error of L(T) = (h_{J_T}/h_{J_0}) e^{theta S(T) - T kappa}."""
+    if replications < 2 or horizon < 1:
+        raise ValueError(f"replications and horizon must be >= 2 and >= 1, got "
+                         f"{replications}, {horizon}")
     sol = perron(kernel, theta)
     rng = _stream(seed)
-    states = _states(kernel, replications, horizon, rng)
-    increments = _increments(kernel, states[:, :-1], states[:, 1:], rng)
-    s_total = increments.sum(axis=1)
-    ell = (
-        sol.h[states[:, -1]]
-        / sol.h[states[:, 0]]
-        * np.exp(theta * s_total - horizon * sol.kappa)
-    )
+    s_total = np.zeros(replications)
+    first = np.empty(replications, dtype=np.intp)
+    last = np.empty(replications, dtype=np.intp)
+    # chunks of replications, each walked over the whole horizon
+    chunk = max(1, _BLOCK_CELLS // horizon)
+    for lo in range(0, replications, chunk):
+        hi = min(lo + chunk, replications)
+        walk = _blocks(kernel, hi - lo, horizon, rng, max(1, _BLOCK_CELLS // (hi - lo)))
+        for k, (states, increments) in enumerate(walk):
+            if k == 0:
+                first[lo:hi] = states[:, 0]
+            s_total[lo:hi] += increments.sum(axis=1)
+        last[lo:hi] = states[:, -1]
+    ell = sol.h[last] / sol.h[first] * np.exp(theta * s_total - horizon * sol.kappa)
     mean = float(ell.mean())
     se = float(ell.std(ddof=1) / math.sqrt(replications))
     return mean, se

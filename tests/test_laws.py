@@ -60,6 +60,17 @@ def test_discrete_pmf_sampler_frequencies():
         assert np.mean(x == value) == pytest.approx(prob, abs=5e-3)
 
 
+def test_discrete_pmf_sample_lands_on_the_last_point_whatever_the_sum_rounds_to():
+    class TopUniforms:
+        def random(self, size):
+            return np.full(size, 1.0 - 2.0 ** -53)
+
+    # the probabilities sum to 1 -/+ 1e-13, inside the 1e-12 tolerance
+    for last in (0.3 - 1e-13, 0.3 + 1e-13):
+        law = DiscretePmf((1.0, 2.0, 5.0), (0.3, 0.4, last))
+        assert law.sample(TopUniforms(), 3).tolist() == [5.0, 5.0, 5.0]
+
+
 @given(st.floats(-0.4, 0.4), st.floats(0.5, 5.0), st.floats(0.2, 2.0))
 def test_tilted_mean_is_mgf_derivative(theta, mean, std):
     law = gaussian_quantized(mean, std, 48)

@@ -1,13 +1,14 @@
 """Queue simulation, tail estimation, and stochastic-order checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lindley_loop, random_kernel, searchsorted_walk
+from conftest import frechet_capacity_kernel, lindley_loop, random_kernel, searchsorted_walk
 from mapq import sim as sim_module
 from mapq.errors import DimensionMismatch, LengthMismatch, UnknownExperiment
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
@@ -128,6 +129,14 @@ class _TopUniforms:
         return np.full(size, 1.0 - 2.0 ** -53)
 
 
+def _walk(kernel, replications, horizon, rng, step):
+    """States (R, T + 1) and increments (R, T) of `sim._blocks`, blocks joined."""
+    blocks = list(sim_module._blocks(kernel, replications, horizon, rng, step))
+    assert all(b[1].shape[1] <= step for b in blocks)
+    states = np.hstack([blocks[0][0][:, :1]] + [b[0][:, 1:] for b in blocks])
+    return states, np.hstack([b[1] for b in blocks])
+
+
 def test_state_samplers_stay_in_range_on_short_rows(monkeypatch):
     # row 0 sums to 1 - 1e-13, inside the kernel's 1e-12 tolerance; a
     # uniform above that sum must still land on the last state
@@ -138,9 +147,23 @@ def test_state_samplers_stay_in_range_on_short_rows(monkeypatch):
     states, increments = sample_path(kernel, 3, 0)
     assert states.tolist() == [0, 1, 1, 1]
     assert increments.tolist() == [2.0, 4.0, 4.0]
-    batched = sim_module._states(kernel, 4, 3, _TopUniforms())
+    batched, increments = _walk(kernel, 4, 3, _TopUniforms(), 2)
     assert batched[:, 0].tolist() == [0, 0, 0, 0]
     assert np.all(batched[:, 1:] == 1)
+    assert np.all(increments == [2.0, 4.0, 4.0])
+
+
+def test_state_samplers_never_take_a_zero_probability_transition(monkeypatch):
+    # row 0 sums to 1 - 1e-13 and gives state c probability 0: a uniform
+    # above that sum lands on b, the row's last positive state
+    p = np.array([[0.5, 0.5 - 1e-13, 0.0], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])
+    laws = tuple(tuple(Constant(3.0 * i + j) for j in range(3)) for i in range(3))
+    kernel = MapKernel(("a", "b", "c"), p, laws, np.array([1.0, 0.0, 0.0]))
+    monkeypatch.setattr(sim_module, "_stream", lambda seed: _TopUniforms())
+    states, increments = sample_path(kernel, 2, 0)
+    assert states.tolist() == [0, 1, 2] and increments.tolist() == [1.0, 5.0]
+    states, increments = _walk(kernel, 2, 2, _TopUniforms(), 1)
+    assert states.tolist() == [[0, 1, 2]] * 2 and increments.tolist() == [[1.0, 5.0]] * 2
 
 
 class _NoDraws:
@@ -157,14 +180,78 @@ def test_one_state_chains_draw_no_state(monkeypatch):
     # a constant arrival is a one-state kernel, and like the float rate it
     # replaced it consumes nothing from the stream
     arrival = single_state_kernel(Constant(1.0))
-    states = sim_module._states(arrival, 3, 4, _NoDraws())
+    states, increments = _walk(arrival, 3, 4, _NoDraws(), 3)
     assert states.shape == (3, 5) and not states.any()
+    assert np.all(increments == 1.0)
     monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
     states, increments = sample_path(arrival, 4, 0)
     assert states.tolist() == [0] * 5 and increments.tolist() == [1.0] * 4
     service = single_state_kernel(Constant(3.0))
     est = tail_estimate(arrival, service, [0, 1], 10, 5, 0, "delay")
     assert [e.hits for e in est] == [0, 0]
+
+
+def test_block_walk_follows_the_searchsorted_walk_across_uneven_blocks(monkeypatch):
+    # one replication walks blocks of 7 slots, the last of 4; constant edge
+    # laws draw nothing, so the uniforms replay those of one searchsorted walk
+    monkeypatch.setattr(sim_module, "_BLOCK_CELLS", 7)
+    p = random_kernel(np.random.default_rng(21), 3).transition
+    laws = tuple(tuple(Constant(3.0 * i + j) for j in range(3)) for i in range(3))
+    kernel = MapKernel(("a", "b", "c"), p, laws, np.array([0.2, 0.3, 0.5]))
+    states, increments = _walk(kernel, 1, 200, np.random.default_rng(8),
+                               sim_module._BLOCK_CELLS)
+    walk = searchsorted_walk([p], kernel.initial_dist, 200, 8)
+    assert states[0].tolist() == walk
+    assert increments[0].tolist() == [3.0 * i + j for i, j in zip(walk[:-1], walk[1:])]
+
+
+def test_block_lindley_matches_the_queue_recursion(monkeypatch):
+    # three replications walk blocks of 2 slots, the last of 1; the walkers
+    # replayed on the seed's stream give each replication's paths
+    monkeypatch.setattr(sim_module, "_BLOCK_CELLS", 7)
+    rng = np.random.default_rng(31)
+    arrival = random_kernel(rng, 2, mean_offset=4.2)
+    service = random_kernel(rng, 3, mean_offset=4.0)
+    replications, horizon, seed = 3, 25, 5
+    stream, step = np.random.default_rng(seed), max(1, sim_module._BLOCK_CELLS // replications)
+    blocks = list(zip(*[sim_module._blocks(k, replications, horizon, stream, step)
+                        for k in (service, arrival)]))
+    c = np.hstack([s[1] for s, _ in blocks])
+    a = np.hstack([r[1] for _, r in blocks])
+    traces = [lindley(a[r], c[r]) for r in range(replications)]
+    ends = [trace.backlog[-1] for trace in traces]
+    assert min(ends) > 0.0 and len(set(np.round(ends, 9))) == replications
+    # hits on either side of each end backlog pin every replication within 1e-12
+    levels = sorted(end + d for end in ends for d in (-1e-12, 1e-12))
+    est = tail_estimate(arrival, service, levels, replications, horizon, seed, "backlog")
+    assert [e.hits for e in est] == [sum(end > level for end in ends) for level in levels]
+    delays = [0, 3, 4, 5, 6, 8, horizon - 1, horizon, horizon + 4]
+    est = tail_estimate(arrival, service, delays, replications, horizon, seed, "delay")
+    assert [e.hits for e in est] == [sum(tr.virtual_delay[-1] > d for tr in traces)
+                                     for d in delays]
+
+
+def test_delay_levels_beyond_the_horizon_count_every_arrival(monkeypatch):
+    # one unit arrives per slot and none is served, so B = horizon = 10, and
+    # D > d iff B exceeds the arrivals of the last d slots: min(d, 10) of them
+    monkeypatch.setattr(sim_module, "_BLOCK_CELLS", 7)
+    est = tail_estimate(single_state_kernel(Constant(1.0)), single_state_kernel(Constant(0.0)),
+                        [0, 4, 9, 10, 15], 3, 10, 0, "delay")
+    assert [e.hits for e in est] == [3, 3, 3, 0, 0]
+
+
+def test_tail_estimate_memory_does_not_grow_with_the_horizon(delay_figure_channel):
+    service = frechet_capacity_kernel(delay_figure_channel, -0.5)
+    arrival = single_state_kernel(Constant(10.0))
+    peaks = []
+    for horizon in (100, 1000):
+        tracemalloc.start()
+        try:
+            tail_estimate(arrival, service, [1, 4, 8], 25_000, horizon, 7, "delay")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_sample_path_states_follow_the_searchsorted_walk():
@@ -236,6 +323,13 @@ def test_martingale_mean_one_toy(toy_service):
     mean, se = martingale_check(toy_service, 0.2, 20, 50_000, 17)
     assert abs(mean - 1.0) <= 3.0 * se
     assert se < 0.05
+
+
+def test_martingale_check_needs_two_replications_and_one_slot(monkeypatch, toy_service):
+    monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
+    for replications, horizon in ((0, 5), (1, 5), (10, 0), (10, -1)):
+        with pytest.raises(ValueError, match="replications and horizon"):
+            martingale_check(toy_service, 0.2, horizon, replications, 0)
 
 
 # ---------------------------------------------------------------------------

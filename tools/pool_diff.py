@@ -1,19 +1,24 @@
-"""Run every analytic-fading pool job against one or two mapq source trees.
+"""Run the CLI jobs of one benchmark workload against one or two mapq source trees.
 
     python3 tools/pool_diff.py                     # this checkout's src/
     python3 tools/pool_diff.py --base OTHER/src    # and compare with another tree
+    python3 tools/pool_diff.py --workload simulate-fading --seed 1 --base OTHER/src
 
 Each tree's jobs run in-process in one child interpreter that imports mapq
-from that tree; the jobs, their reference checks and the output parser come
-from perfbench/workloads.py and perfbench/checks.py.  The report lists, per
-tree, the jobs that fail their check against perfbench/reference.json and,
-per job kind (the last part of the job id), the work the jobs did: scalar
-eigensolves (calls of mapq.spectral.eig), stacked eigensolve slices (matrices
-passed to numpy.linalg.eig, F and F^T each counted) and Rayleigh integrations
-(calls of mapq.laws._capacity_integrals).  With --base it also lists the job
-kinds where this tree does more of that work than the base, how many output
-files are byte-identical, and the worst relative difference of a numeric cell
-per job kind.
+from that tree; the jobs, their checks and the output parser come from
+perfbench/workloads.py and perfbench/checks.py.  analytic-fading runs every
+pool job; simulate-fading runs the `simulate` jobs that --seed generates.
+The report lists, per tree, the jobs that fail their check (against
+perfbench/reference.json for analytic jobs) and, per job kind (the last part
+of the job id), the work the jobs did: scalar eigensolves (calls of
+mapq.spectral.eig), stacked eigensolve slices (matrices passed to
+numpy.linalg.eig, F and F^T each counted) and Rayleigh integrations (calls
+of mapq.laws._capacity_integrals).  With --base it also lists the job kinds
+where this tree does more of that work than the base, how many output files
+are byte-identical, and the worst relative difference of a numeric cell per
+job kind.  For simulate-fading it lists instead, per job, which files are
+byte-identical and, per level of tails.csv, the hits of each tree and
+|p_hat - p_hat_base| in binomial standard errors of the pooled estimate.
 """
 
 import argparse
@@ -52,15 +57,18 @@ def _count_work():
     return counts
 
 
-def run_tree(src, out):
-    """Child: run every pool job with mapq from `src`; write problems.json to `out`."""
+def run_tree(src, out, workload, seed):
+    """Child: run the workload's CLI jobs with mapq from `src`; write problems.json to `out`."""
     sys.path[:0] = [os.path.abspath(src), PERFBENCH]
     import checks
     import workloads
 
     reference = workloads.load_reference(os.path.join(PERFBENCH, "reference.json"))
-    jobs = workloads.build("analytic-fading", 0, out, reference,
-                           entries=workloads.analytic_pool())
+    if workload == "analytic-fading":
+        jobs = workloads.build(workload, 0, out, reference, entries=workloads.analytic_pool())
+    else:
+        jobs = [job for job in workloads.build(workload, seed, out, reference)
+                if job.kind == "cli.simulate"]
     counts = _count_work()
     problems = {}
     for job in jobs:
@@ -84,9 +92,9 @@ def run_tree(src, out):
         json.dump(problems, fh)
 
 
-def _spawn(src, out):
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--run", src, "--out", out],
-                   check=True)
+def _spawn(src, out, workload, seed):
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--run", src, "--out", out,
+                    "--workload", workload, "--seed", str(seed)], check=True)
     with open(os.path.join(out, "problems.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -118,22 +126,64 @@ def _worst(a, b, where, worst):
         worst[:] = [math.inf, where, a, b]
 
 
+def _tails_report(runs, work):
+    """Per simulate job: the byte-identical files and, per tails.csv level, the
+    hits of both trees and |delta p_hat| in pooled binomial standard errors."""
+    import checks
+
+    z_all = []
+    identical = compared = 0
+    for job_id, info in sorted(runs["src"].items(), key=lambda kv: int(kv[0].split("-")[1])):
+        same = []
+        for rel in info["files"]:
+            paths = [os.path.join(work, name, rel) for name in ("src", "base")]
+            if not all(os.path.exists(p) for p in paths):
+                continue
+            with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
+                equal = fa.read() == fb.read()
+            compared += 1
+            identical += equal
+            same.append(f"{os.path.basename(rel)} {'identical' if equal else 'differs'}")
+            if not rel.endswith("tails.csv"):
+                continue
+            rows, base_rows = (checks.read_output(p)[1:] for p in paths)
+            for row, base_row in zip(rows, base_rows):
+                level, hits, base_hits, n = row[0], row[3], base_row[3], row[4]
+                pooled = (hits + base_hits) / (2 * n)
+                se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+                z_all.append(abs(hits - base_hits) / n / se if se > 0 else 0.0)
+                same.append(f"level {level:g}: hits {hits:g} (base {base_hits:g}) of {n:g},"
+                            f" |dp| = {z_all[-1]:.2f} se")
+        print(f"  {job_id}: " + "\n    ".join(same))
+    print(f"{identical} of {compared} output files byte-identical")
+    if z_all:
+        z_all.sort()
+        print(f"tails.csv levels: {len(z_all)}; |dp| in pooled se: median "
+              f"{z_all[len(z_all) // 2]:.2f}, max {z_all[-1]:.2f}; "
+              f"{sum(z > 2 for z in z_all)} above 2, {sum(z > 3 for z in z_all)} above 3")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     parser.add_argument("--base", help="a second mapq src/ tree to compare with")
+    parser.add_argument("--workload", choices=("analytic-fading", "simulate-fading"),
+                        default="analytic-fading")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="run seed of the simulate-fading jobs (default 1)")
     parser.add_argument("--run", help=argparse.SUPPRESS)
     parser.add_argument("--out", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run:
-        run_tree(args.run, args.out)
+        run_tree(args.run, args.out, args.workload, args.seed)
         return 0
     sys.path.insert(0, PERFBENCH)
     import checks
 
     with tempfile.TemporaryDirectory() as work:
         trees = {"src": args.src, **({"base": args.base} if args.base else {})}
-        runs = {name: _spawn(src, os.path.join(work, name)) for name, src in trees.items()}
+        runs = {name: _spawn(src, os.path.join(work, name), args.workload, args.seed)
+                for name, src in trees.items()}
         work_by_kind = {name: _work_by_kind(problems) for name, problems in runs.items()}
         failed = 0
         for name, problems in runs.items():
@@ -145,7 +195,9 @@ def main():
             print(f"  per job kind: {' / '.join(WORK)}")
             for kind, done in sorted(work_by_kind[name].items()):
                 print(f"    {kind}: {' / '.join(map(str, done))}")
-        if args.base:
+        if args.base and args.workload == "simulate-fading":
+            _tails_report(runs, work)
+        elif args.base:
             more = [f"{kind} ({WORK[k]} {n} > {work_by_kind['base'][kind][k]})"
                     for kind, done in sorted(work_by_kind["src"].items())
                     for k, n in enumerate(done) if n > work_by_kind["base"].get(kind, done)[k]]
