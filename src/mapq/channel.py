@@ -27,8 +27,8 @@ class ChannelSpec:
     def __post_init__(self):
         snr = np.asarray(self.snr_matrix, dtype=float)
         n = len(self.power_states)
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
         if snr.shape != (n, n):
             raise ValueError(f"snr matrix must be {n}x{n}, got {snr.shape}")
         if not np.all((0 < snr) & (snr < np.inf)):

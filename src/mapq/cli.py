@@ -252,11 +252,10 @@ def cmd_ordercheck(config, args) -> int:
     if args.pmf_x and args.pmf_y:
         x = _read_pmf(args.pmf_x)
         y = _read_pmf(args.pmf_y)
-        mean_x = float(np.dot(x.support, x.probs))
-        mean_y = float(np.dot(y.support, y.probs))
-        if abs(mean_x - mean_y) > 1e-9 * max(1.0, abs(mean_x), abs(mean_y)):
+        means = sim.means_differ(x, y)
+        if means:
             lines.append("verdict: fails")
-            lines.append(f"note: means differ ({_fmt(mean_x)} vs {_fmt(mean_y)})")
+            lines.append(f"note: means differ ({_fmt(means[0])} vs {_fmt(means[1])})")
         else:
             holds = sim.convex_order_leq(x, y)
             lines.append(f"verdict: {'holds' if holds else 'fails'}")

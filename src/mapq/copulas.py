@@ -17,61 +17,50 @@ from scipy.special import ndtr, ndtri
 from .errors import IncompatibleCopula, OutOfUnitInterval, ZeroMassState
 
 
-def _check_unit(*values):
-    for u in values:
-        if not 0.0 <= u <= 1.0:
-            raise OutOfUnitInterval(f"copula argument {u!r} outside [0, 1]")
-
-
 class CopulaSpec:
-    """A bivariate copula evaluable on the unit square."""
+    """A bivariate copula, defined once on product lattices of the unit interval."""
 
-    def eval(self, u: float, v: float) -> float:
+    def _grid(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Values on the lattice u x v; every entry of u and v lies in [0, 1]."""
         raise NotImplementedError
 
-    def eval_grid(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def eval_grid(self, u, v) -> np.ndarray:
         """Values on the product lattice u x v."""
-        out = np.empty((len(u), len(v)))
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                out[i, j] = self.eval(float(ui), float(vj))
-        return out
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        for x in (u, v):
+            outside = x[~((0.0 <= x) & (x <= 1.0))]  # NaN is outside too
+            if outside.size:
+                raise OutOfUnitInterval(f"copula argument {float(outside[0])!r} outside [0, 1]")
+        return self._grid(u, v)
+
+    def eval(self, u: float, v: float) -> float:
+        """C(u, v): the value on the one-node lattice {u} x {v}."""
+        return float(self.eval_grid([u], [v])[0, 0])
 
 
 @dataclass(frozen=True)
 class Comonotone(CopulaSpec):
     """M(u, v) = min(u, v), extremal positive dependence."""
 
-    def eval(self, u, v):
-        _check_unit(u, v)
-        return min(u, v)
-
-    def eval_grid(self, u, v):
-        return np.minimum.outer(np.asarray(u), np.asarray(v))
+    def _grid(self, u, v):
+        return np.minimum.outer(u, v)
 
 
 @dataclass(frozen=True)
 class Countermonotone(CopulaSpec):
     """W(u, v) = max(u + v - 1, 0), extremal negative dependence."""
 
-    def eval(self, u, v):
-        _check_unit(u, v)
-        return max(u + v - 1.0, 0.0)
-
-    def eval_grid(self, u, v):
-        return np.maximum(np.add.outer(np.asarray(u), np.asarray(v)) - 1.0, 0.0)
+    def _grid(self, u, v):
+        return np.maximum(np.add.outer(u, v) - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
 class Product(CopulaSpec):
     """P(u, v) = u v, independence."""
 
-    def eval(self, u, v):
-        _check_unit(u, v)
-        return u * v
-
-    def eval_grid(self, u, v):
-        return np.outer(np.asarray(u), np.asarray(v))
+    def _grid(self, u, v):
+        return np.outer(u, v)
 
 
 @dataclass(frozen=True)
@@ -86,23 +75,12 @@ class Frechet(CopulaSpec):
         w = (self.w_w, self.w_p, self.w_m)
         if any(x < -1e-15 for x in w):
             raise ValueError(f"Frechet weights must be nonnegative, got {w}")
-        if abs(sum(w) - 1.0) > 1e-12:
+        if not abs(sum(w) - 1.0) <= 1e-12:  # a NaN weight fails this too
             raise ValueError(f"Frechet weights sum to {sum(w)!r}, not 1")
 
-    def eval(self, u, v):
-        _check_unit(u, v)
-        return (
-            self.w_w * max(u + v - 1.0, 0.0) + self.w_p * u * v + self.w_m * min(u, v)
-        )
-
-    def eval_grid(self, u, v):
-        u = np.asarray(u)
-        v = np.asarray(v)
-        return (
-            self.w_w * np.maximum(np.add.outer(u, v) - 1.0, 0.0)
-            + self.w_p * np.outer(u, v)
-            + self.w_m * np.minimum.outer(u, v)
-        )
+    def _grid(self, u, v):
+        w, p, m = (c._grid(u, v) for c in (Countermonotone(), Product(), Comonotone()))
+        return self.w_w * w + self.w_p * p + self.w_m * m
 
 
 def one_param_frechet(alpha: float) -> Frechet:
@@ -153,15 +131,14 @@ class Gaussian2(CopulaSpec):
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho!r}")
 
-    def eval(self, u, v):
-        _check_unit(u, v)
-        if u == 0.0 or v == 0.0:
-            return 0.0
-        if u == 1.0:
-            return v
-        if v == 1.0:
-            return u
-        return bvn_cdf(float(ndtri(u)), float(ndtri(v)), self.rho)
+    def _grid(self, u, v):
+        out = Comonotone()._grid(u, v)  # exact on the edges, where every copula is M
+        rows = np.flatnonzero((0.0 < u) & (u < 1.0))
+        cols = np.flatnonzero((0.0 < v) & (v < 1.0))
+        b = ndtri(v[cols])
+        for i, a in zip(rows, ndtri(u[rows])):
+            out[i, cols] = [bvn_cdf(float(a), float(bj), self.rho) for bj in b]
+        return out
 
 
 @dataclass(frozen=True)
@@ -182,19 +159,18 @@ class GridCopula(CopulaSpec):
     def grid_n(self):
         return self.values.shape[0] - 1
 
-    def eval(self, u, v):
-        _check_unit(u, v)
+    def _grid(self, u, v):
         n = self.grid_n
-        x = min(int(u * n), n - 1)
-        y = min(int(v * n), n - 1)
-        fx = u * n - x
-        fy = v * n - y
+        x, y = np.ix_(u * n, v * n)  # lattice coordinates of the rows and columns
+        i = np.minimum(x.astype(int), n - 1)
+        j = np.minimum(y.astype(int), n - 1)
+        fx, fy = x - i, y - j
         c = self.values
-        return float(
-            (1 - fx) * (1 - fy) * c[x, y]
-            + fx * (1 - fy) * c[x + 1, y]
-            + (1 - fx) * fy * c[x, y + 1]
-            + fx * fy * c[x + 1, y + 1]
+        return (
+            (1 - fx) * (1 - fy) * c[i, j]
+            + fx * (1 - fy) * c[i + 1, j]
+            + (1 - fx) * fy * c[i, j + 1]
+            + fx * fy * c[i + 1, j + 1]
         )
 
 
@@ -236,34 +212,6 @@ def star(a: CopulaSpec, b: CopulaSpec, grid_n: int = 512) -> GridCopula:
     return GridCopula(values)
 
 
-@dataclass(frozen=True)
-class MarginalLadder:
-    """CDF of an ordered finite state space: cumulative masses ending at 1."""
-
-    state_count: int
-    cdf_levels: np.ndarray
-
-    def __post_init__(self):
-        levels = np.asarray(self.cdf_levels, dtype=float)
-        if levels.shape != (self.state_count,):
-            raise ValueError("cdf_levels length must equal state_count")
-        if np.any(levels <= 0) or np.any(np.diff(levels) < 0):
-            raise ValueError("cdf_levels must be positive and nondecreasing")
-        if abs(levels[-1] - 1.0) > 1e-12:
-            raise ValueError(f"final cdf level is {levels[-1]!r}, not 1")
-        object.__setattr__(self, "cdf_levels", levels)
-        levels.setflags(write=False)
-
-    @classmethod
-    def from_masses(cls, varpi) -> "MarginalLadder":
-        varpi = np.asarray(varpi, dtype=float)
-        levels = np.cumsum(varpi)
-        # a cumulative sum may round to 1 +- 2^-52; copulas reject levels above 1
-        if abs(levels[-1] - 1.0) <= 1e-12:
-            levels[-1] = 1.0
-        return cls(len(varpi), levels)
-
-
 def transition_from_copula(copula: CopulaSpec, varpi) -> tuple:
     """Extract (P, varpi_next) so the copula couples consecutive state levels.
 
@@ -274,17 +222,18 @@ def transition_from_copula(copula: CopulaSpec, varpi) -> tuple:
     varpi = np.asarray(varpi, dtype=float)
     if np.any(varpi <= 0.0):
         raise ZeroMassState(f"every state needs positive mass, got {varpi.tolist()}")
-    n = len(varpi)
+    levels = np.concatenate(([0.0], np.cumsum(varpi)))
+    if not abs(levels[-1] - 1.0) <= 1e-12:  # a NaN or infinite mass fails this too
+        raise ValueError(f"state masses sum to {float(levels[-1])!r}, not 1")
+    # a cumulative sum may round to 1 +- 2^-52; copulas reject levels above 1
+    levels[-1] = 1.0
 
     # shortcut rows that are exact consequences of the family
     if isinstance(copula, Product):
-        p = np.tile(varpi, (n, 1))
-        return p, varpi.copy()
+        return np.tile(varpi, (len(varpi), 1)), varpi.copy()
     if isinstance(copula, Comonotone):
-        return np.eye(n), varpi.copy()
+        return np.eye(len(varpi)), varpi.copy()
 
-    ladder = MarginalLadder.from_masses(varpi).cdf_levels
-    levels = np.concatenate(([0.0], ladder))
     g = copula.eval_grid(levels, levels)
     mass = g[1:, 1:] - g[:-1, 1:] - g[1:, :-1] + g[:-1, :-1]
     p = mass / varpi[:, None]
@@ -294,7 +243,7 @@ def transition_from_copula(copula: CopulaSpec, varpi) -> tuple:
         )
     np.clip(p, 0.0, None, out=p)
     row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
-    if row_err > 1e-9:
+    if not row_err <= 1e-9:  # NaN node values fail this too
         raise IncompatibleCopula(f"row sums off by {row_err!r} > 1e-9")
     p = p / p.sum(axis=1, keepdims=True)
     return p, varpi @ p

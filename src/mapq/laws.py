@@ -69,6 +69,10 @@ def _finite(val, theta, what):
 class Constant(IncrementLaw):
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant increment must be finite, got {self.value!r}")
+
     def mgf(self, theta):
         return _safe_exp(theta * self.value)
 
@@ -89,6 +93,8 @@ class DiscretePmf(IncrementLaw):
         probs = np.asarray(self.probs, dtype=float)
         if support.ndim != 1 or support.shape != probs.shape:
             raise ValueError("support and probs must be 1-d and equal length")
+        if not (np.isfinite(support).all() and np.isfinite(probs).all()):
+            raise ValueError("support and probs must be finite")
         if np.any(np.diff(support) <= 0):
             raise ValueError("support must be strictly increasing")
         if np.any(probs < 0):
@@ -223,8 +229,8 @@ class RayleighCapacity(IncrementLaw):
     _nodes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
         if not 0 < self.snr < math.inf:
             raise ValueError(f"snr must be positive and finite, got {self.snr!r}")
 
@@ -276,6 +282,10 @@ class Negated(IncrementLaw):
 class Shifted(IncrementLaw):
     inner: IncrementLaw
     offset: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.offset):
+            raise ValueError(f"shift offset must be finite, got {self.offset!r}")
 
     def mgf(self, theta):
         return _safe_exp(theta * self.offset) * self.inner.mgf(theta)

@@ -310,12 +310,20 @@ def stop_loss(pmf: DiscretePmf, t: float) -> float:
     return float(np.sum(p * np.maximum(x - t, 0.0)))
 
 
-def convex_order_leq(x: DiscretePmf, y: DiscretePmf, tol: float = 1e-12) -> bool:
-    """Exact convex-order test: equal means plus stop-loss dominance at every
-    support point of either law (sufficient and necessary for finite laws)."""
+def means_differ(x: DiscretePmf, y: DiscretePmf, tol: float = 1e-12):
+    """(E[X], E[Y]) if they differ by more than tol relative to the larger of 1
+    and their magnitudes, else None; convex order needs equal means."""
     mean_x = float(np.dot(x.support, x.probs))
     mean_y = float(np.dot(y.support, y.probs))
     if abs(mean_x - mean_y) > tol * max(1.0, abs(mean_x), abs(mean_y)):
+        return mean_x, mean_y
+    return None
+
+
+def convex_order_leq(x: DiscretePmf, y: DiscretePmf, tol: float = 1e-12) -> bool:
+    """Exact convex-order test: equal means plus stop-loss dominance at every
+    support point of either law (sufficient and necessary for finite laws)."""
+    if means_differ(x, y, tol):
         return False
     points = np.union1d(np.asarray(x.support), np.asarray(y.support))
     return all(stop_loss(x, t) <= stop_loss(y, t) + tol for t in points)

@@ -19,8 +19,9 @@ from mapq.spectral import mean_rate
 
 
 def test_channel_spec_validation():
-    with pytest.raises(ValueError):
-        ChannelSpec(0.0, np.eye(2) + 1.0, ("a", "b"))
+    for bandwidth in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ChannelSpec(bandwidth, np.eye(2) + 1.0, ("a", "b"))
     with pytest.raises(ValueError):
         ChannelSpec(20.0, np.ones((3, 3)), ("a", "b"))
     with pytest.raises(ValueError):

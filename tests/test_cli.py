@@ -1,6 +1,7 @@
 """Command-line contract: determinism, CSV shape, exit-code taxonomy."""
 
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -263,6 +264,41 @@ def test_control_zero_mass_state_exits_5(tmp_path):
     assert _run(["control", "--config", cfg, "--out", str(tmp_path / "o7")]) == 5
 
 
+CHANNEL = {"bandwidth": 20.0, "snr": [[10, 10], [1, 1]], "states": ["hi", "lo"]}
+
+
+@pytest.mark.parametrize("copula", [{"family": "frechet1", "alpha": 0.5},
+                                    {"family": "gauss2", "rho": 0.5}], ids=["frechet1", "gauss2"])
+@pytest.mark.parametrize("command", ["control", "spectral"])
+def test_nan_state_mass_exits_2(tmp_path, capsys, copula, command):
+    doc = yaml.safe_load(CONTROL_CFG)
+    if command == "control":
+        doc["copulas"].update(varpi=[math.nan, 0.5], copula=copula)
+    else:
+        doc["service"] = {"channel": CHANNEL, "copula": copula, "varpi": [math.nan, 0.5]}
+    cfg = _write(tmp_path, "nanmass.yaml", yaml.safe_dump(doc))
+    assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+    assert "state masses sum to nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value", [
+    ("arrival", {"constant": math.nan}),
+    ("arrival", {"constant": -math.inf}),
+    ("service", {"kernel": {"states": ["only"], "transition": [[1.0]], "increments": [
+        [{"law": "pmf", "support": [2.0, 4.0], "probs": [math.nan, 0.5]}]]}}),
+    ("service", {"channel": {**CHANNEL, "bandwidth": math.nan},
+                 "transition": [[0.5, 0.5], [0.5, 0.5]]}),
+], ids=["constant-nan", "constant-minus-inf", "probs-nan", "bandwidth-nan"])
+@pytest.mark.parametrize("command", ["spectral", "bounds"])
+def test_non_finite_law_parameters_exit_2(tmp_path, toy_config_text, capsys, section, value,
+                                          command):
+    doc = yaml.safe_load(toy_config_text)
+    doc[section] = value
+    cfg = _write(tmp_path, "nonfinite.yaml", yaml.safe_dump(doc))
+    assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+    assert "finite" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_and_joined_with_bounds(tmp_path, toy_cfg):
     out = tmp_path / "o8"
     assert _run(["simulate", "--config", toy_cfg, "--mode", "backlog",
@@ -348,6 +384,15 @@ def test_ordercheck_pmf_holds(tmp_path, capsys):
     y = _write(tmp_path, "y.csv", "0,0.5\n2,0.5\n")
     assert _run(["ordercheck", "--pmf-x", x, "--pmf-y", y]) == 0
     assert "verdict: holds" in capsys.readouterr().out
+
+
+def test_ordercheck_pmf_means_1e_10_apart_differ(tmp_path, capsys):
+    # every stop-loss row of y dominates x's, yet the means are 1 and 1 + 1e-10
+    x = _write(tmp_path, "x.csv", "1,1\n")
+    y = _write(tmp_path, "y.csv", "0,0.5\n2.0000000002,0.5\n")
+    assert _run(["ordercheck", "--pmf-x", x, "--pmf-y", y]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: fails\nnote: means differ (1 vs 1.0000000001" in out
 
 
 def test_ordercheck_samples_and_dimension_mismatch(tmp_path, capsys):

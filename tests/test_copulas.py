@@ -1,19 +1,23 @@
 """Copula families, the star-product, and transition extraction."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
+from conftest import count_calls
+from mapq import copulas as copulas_module
 from mapq.copulas import (
     Comonotone,
     Countermonotone,
+    CopulaSpec,
     Frechet,
     Gaussian2,
     GridCopula,
-    MarginalLadder,
     Product,
     bvn_cdf,
     dependence_control,
@@ -34,12 +38,14 @@ FAMILIES = [
     one_param_frechet(-0.7),
     Gaussian2(0.6),
     Gaussian2(-0.4),
+    star(Comonotone(), one_param_frechet(0.4), 64),
 ]
+FAMILY_IDS = [type(c).__name__ + repr(getattr(c, "rho", getattr(c, "w_m", ""))) for c in FAMILIES]
 
 unit = st.floats(0.0, 1.0)
 
 
-@pytest.mark.parametrize("cop", FAMILIES, ids=lambda c: type(c).__name__ + repr(getattr(c, "rho", getattr(c, "w_m", ""))))
+@pytest.mark.parametrize("cop", FAMILIES, ids=FAMILY_IDS)
 @given(u=unit, v=unit)
 def test_copula_axioms(cop, u, v):
     # uniform margins and groundedness
@@ -52,7 +58,7 @@ def test_copula_axioms(cop, u, v):
     assert max(u + v - 1.0, 0.0) - 1e-7 <= val <= min(u, v) + 1e-7
 
 
-@pytest.mark.parametrize("cop", FAMILIES, ids=lambda c: type(c).__name__ + repr(getattr(c, "rho", getattr(c, "w_m", ""))))
+@pytest.mark.parametrize("cop", FAMILIES, ids=FAMILY_IDS)
 @given(u1=unit, u2=unit, v1=unit, v2=unit)
 def test_copula_two_increasing(cop, u1, u2, v1, v2):
     a, b = sorted((u1, u2))
@@ -66,6 +72,23 @@ def test_out_of_unit_interval_raises():
         Product().eval(1.2, 0.5)
 
 
+@pytest.mark.parametrize("cop", FAMILIES, ids=FAMILY_IDS)
+@pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0 ** -52, math.nan])
+def test_eval_grid_rejects_lattice_entries_outside_unit_interval(cop, bad):
+    inside = np.array([0.0, 0.5, 1.0])
+    for u, v in ((np.append(inside, bad), inside), (inside, np.insert(inside, 1, bad))):
+        with pytest.raises(OutOfUnitInterval, match="outside"):
+            cop.eval_grid(u, v)
+
+
+def test_gaussian_lattice_edges_are_exact_and_only_inner_cells_integrate(monkeypatch):
+    calls = count_calls(monkeypatch, copulas_module, "bvn_cdf")
+    g = Gaussian2(0.6).eval_grid([0.0, 0.3, 1.0], [1.0, 0.7, 0.0])
+    inner = bvn_cdf(float(ndtri(0.3)), float(ndtri(0.7)), 0.6)
+    assert np.array_equal(g, [[0.0, 0.0, 0.0], [0.3, inner, 0.0], [1.0, 0.7, 0.0]])
+    assert calls == [(float(ndtri(0.3)), float(ndtri(0.7)), 0.6)]
+
+
 def test_one_param_frechet_weights():
     c = one_param_frechet(0.5)
     assert c.w_w == pytest.approx(0.0625)
@@ -73,6 +96,8 @@ def test_one_param_frechet_weights():
     assert c.w_m == pytest.approx(0.1875)
     with pytest.raises(ValueError):
         one_param_frechet(1.5)
+    with pytest.raises(ValueError):
+        Frechet(math.nan, 0.5, 0.5)
 
 
 def test_bvn_cdf_reference_values():
@@ -125,16 +150,33 @@ def test_frechet_semigroup_closed_form():
     assert composed[1] == pytest.approx(target.w_m, abs=1e-12)
 
 
-def test_marginal_ladder_validation():
-    ladder = MarginalLadder.from_masses([0.3, 0.7])
-    assert np.allclose(ladder.cdf_levels, [0.3, 1.0])
-    with pytest.raises(ValueError):
-        MarginalLadder(2, np.array([0.5, 0.9]))
+@dataclass(frozen=True)
+class LatticeSpy(CopulaSpec):
+    """The product copula, keeping every lattice it is evaluated on."""
+
+    lattices: list = field(default_factory=list)
+
+    def _grid(self, u, v):
+        self.lattices.append((u.copy(), v.copy()))
+        return np.outer(u, v)
 
 
-def test_marginal_ladder_ends_at_exactly_one():
+def test_transition_extraction_validates_masses():
+    spy = LatticeSpy()
+    transition_from_copula(spy, [0.3, 0.7])
+    assert [u.tolist() for u, _ in spy.lattices] == [[0.0, 0.3, 1.0]]
+    # masses must sum to 1 within 1e-12, a NaN or infinite mass included
+    for varpi in ([0.5, 0.4], [math.nan, 0.5], [math.inf, 0.5]):
+        for cop in (spy, Product(), Comonotone(), one_param_frechet(0.5), Gaussian2(0.3)):
+            with pytest.raises(ValueError, match="sum to"):
+                transition_from_copula(cop, varpi)
+
+
+def test_transition_extraction_levels_end_at_exactly_one():
     # 0.56 + 0.33 + 0.11 sums to 1 + 2^-52 in floating point
-    assert MarginalLadder.from_masses([0.56, 0.33, 0.11]).cdf_levels[-1] == 1.0
+    spy = LatticeSpy()
+    transition_from_copula(spy, [0.56, 0.33, 0.11])
+    assert spy.lattices[0][0][-1] == 1.0 and spy.lattices[0][1][-1] == 1.0
     assert transition_from_copula(Gaussian2(0.3), [0.56, 0.33, 0.11])[0].shape == (3, 3)
     # a distribution propagated by this plan used to reach the copula as 1 + 2^-52
     plan = dependence_control([Gaussian2(0.21)], [[0.05, 0.75, 0.2]], 3)
@@ -201,6 +243,9 @@ def test_transition_extraction_errors():
     bad = GridCopula(np.array([[0.0, 0.0, 0.0], [0.0, 0.55, 0.5], [0.0, 0.5, 1.0]]))
     with pytest.raises(IncompatibleCopula):
         transition_from_copula(bad, [0.5, 0.5])
+    nan_node = GridCopula(np.array([[0.0, 0.0, 0.0], [0.0, math.nan, 0.5], [0.0, 0.5, 1.0]]))
+    with pytest.raises(IncompatibleCopula):
+        transition_from_copula(nan_node, [0.5, 0.5])
 
 
 def test_dependence_control_plan_consistency():

@@ -43,6 +43,21 @@ def test_discrete_pmf_validation():
         DiscretePmf((0.0, 1.0), (-0.1, 1.1))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Constant(math.nan),
+    lambda: Constant(-math.inf),
+    lambda: DiscretePmf((0.0, math.nan), (0.5, 0.5)),
+    lambda: DiscretePmf((0.0, 1.0), (math.nan, 0.5)),
+    lambda: Shifted(Constant(1.0), math.inf),
+    lambda: RayleighCapacity(math.nan, 10.0),
+    lambda: RayleighCapacity(math.inf, 10.0),
+], ids=["constant-nan", "constant-minus-inf", "support-nan", "probs-nan", "offset-inf",
+        "bandwidth-nan", "bandwidth-inf"])
+def test_non_finite_law_parameters_are_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_discrete_pmf_mgf_closed_form():
     law = DiscretePmf((0.0, 1.0, 3.0), (0.2, 0.5, 0.3))
     theta = 0.7

@@ -14,6 +14,7 @@ from mapq.errors import DimensionMismatch, LengthMismatch, UnknownExperiment
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.sim import (
     convex_order_leq,
+    means_differ,
     decay_slope,
     lindley,
     martingale_check,
@@ -354,6 +355,8 @@ def test_convex_order_requires_equal_means():
     x = DiscretePmf((0.0, 1.0), (0.5, 0.5))
     y = DiscretePmf((0.0, 2.0), (0.5, 0.5))
     assert not convex_order_leq(x, y)
+    assert means_differ(x, y) == (0.5, 1.0)
+    assert means_differ(y, DiscretePmf((1.0,), (1.0,))) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ The report lists, per tree, the jobs that fail their check (against
 perfbench/reference.json for analytic jobs) and, per job kind (the last part
 of the job id), the work the jobs did: scalar eigensolves (calls of
 mapq.spectral.eig), stacked eigensolve slices (matrices passed to
-numpy.linalg.eig, F and F^T each counted) and Rayleigh integrations (calls
-of mapq.laws._capacity_integrals).  With --base it also lists the job kinds
-where this tree does more of that work than the base, how many output files
-are byte-identical, and the worst relative difference of a numeric cell per
-job kind.  For simulate-fading it lists instead, per job, which files are
+numpy.linalg.eig, F and F^T each counted), Rayleigh integrations (calls
+of mapq.laws._capacity_integrals) and bivariate normal CDFs (calls of
+mapq.copulas.bvn_cdf, the Gaussian copula's work).  With --base it also
+lists the job kinds where this tree does more of that work than the base,
+how many output files are byte-identical, and the worst relative difference
+of a numeric cell per job kind.  For simulate-fading it lists instead, per job, which files are
 byte-identical and, per level of tails.csv, the hits of each tree and
 |p_hat - p_hat_base| in binomial standard errors of the pooled estimate.
 """
@@ -31,16 +32,16 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-WORK = ("scalar eig", "stacked eig slices", "Rayleigh integrations")
+WORK = ("scalar eig", "stacked eig slices", "Rayleigh integrations", "bvn_cdf calls")
 
 
 def _count_work():
-    """Wrap the three counted calls; returns the list of running counts (WORK order)."""
+    """Wrap the counted calls; returns the list of running counts (WORK order)."""
     import numpy as np
 
-    from mapq import laws, spectral
+    from mapq import copulas, laws, spectral
 
-    counts = [0, 0, 0]
+    counts = [0] * len(WORK)
 
     def counting(owner, name, k, size):
         real = getattr(owner, name)
@@ -54,6 +55,7 @@ def _count_work():
     counting(spectral, "eig", 0, lambda a: 1)
     counting(np.linalg, "eig", 1, lambda a: len(a) if np.ndim(a) == 3 else 1)
     counting(laws, "_capacity_integrals", 2, lambda n: 1)
+    counting(copulas, "bvn_cdf", 3, lambda a: 1)
     return counts
 
 
