@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import eig
+from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import _compute_lwork
 from scipy.optimize import brentq
 
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
@@ -191,49 +192,91 @@ def stationary_distribution(kernel: MapKernel) -> np.ndarray:
     return kernel.stationary
 
 
-def _eigen(f: np.ndarray):
-    """Eigenvalues and right eigenvectors, then eigenvalues and left eigenvectors,
-    of each matrix of the stack f.  One matrix goes to scipy's eig, which returns
-    both sides from one LAPACK call; a larger stack to numpy's batched eig, on F
-    and on F^T."""
+# entries beyond 2^400 (or below 2^-400) are scaled by a power of two first
+_EXP_LIMIT = 400
+# largest relative residual of either Perron eigenpair that perron accepts
+_RESIDUAL_TOL = 1e-10
+_TINY = np.finfo(float).tiny
+
+dgeev, _dgeev_lwork = get_lapack_funcs(("geev", "geev_lwork"), dtype=np.float64)
+
+
+@cache
+def _geev_lwork(n: int) -> int:
+    """The dgeev workspace size that scipy's eig queries for an n x n matrix."""
+    return _compute_lwork(_dgeev_lwork, n, compute_vl=True, compute_vr=True)
+
+
+def _gate(kernel, pi, theta, lam, e, h, v, positive, residual):
+    """The SpectralSolution at theta from the largest real eigenvalue lam of F
+    scaled by 2^-e and its sign-fixed eigenvectors h and v, or the
+    NoConvergence naming theta and the first check they fail."""
+    if lam <= 0:
+        return NoConvergence(f"nonpositive dominant eigenvalue {lam!r} at theta={theta}")
+    if not positive:
+        return NoConvergence(f"Perron eigenvectors are not strictly positive at theta={theta}")
+    if not residual <= _RESIDUAL_TOL:
+        return NoConvergence(f"eigen residual {residual!r} above {_RESIDUAL_TOL} at theta={theta}")
+    h = h / float(pi @ h)
+    v = v / float(v @ h)
+    h.setflags(write=False)
+    v.setflags(write=False)
+    return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, pi, residual, kernel)
+
+
+def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
+    """SpectralSolution or NoConvergence naming theta from the one finite
+    transform matrix f at theta: one dgeev call gives both eigenvector sides,
+    and a one-state kernel needs none (kappa = log F, h = v = pi = [1])."""
+    pi = stationary_distribution(kernel)
+    # LAPACK's geev returns a wrong eigenvalue once entries pass about 1e138
+    # (or fall below 1e-138): scale F exactly by a power of two far from 1
+    # and add it back to kappa
+    e = math.frexp(f.max())[1]
+    if abs(e) <= _EXP_LIMIT:
+        e = 0
+    else:
+        f = np.ldexp(f, -e)
     if len(f) == 1:
-        w, left, right = eig(f[0], left=True, right=True)
-        return w[None], right[None], w[None], left[None]
-    w, right = np.linalg.eig(f)
-    wl, left = np.linalg.eig(np.swapaxes(f, 1, 2))
-    return w, right, wl, left
-
-
-def _solve(kernel: MapKernel, thetas, f) -> list:
-    """SpectralSolution or NoConvergence naming theta, per theta, from the stack f
-    of finite transform matrices at thetas."""
-    # eig returns a wrong eigenvalue once entries pass about 1e138 (or fall
-    # below 1e-138): scale F exactly by a power of two far from 1 and add it
-    # back to kappa; ldexp by 0 leaves every other matrix's bits unchanged
-    e = np.frexp(f.max(axis=(1, 2)))[1]
-    e[np.abs(e) <= 400] = 0
-    scaled = np.ldexp(f, -e[:, None, None]) if e.any() else f
-    try:
-        w, right, wl, left = _eigen(scaled)
-    except np.linalg.LinAlgError as exc:
-        if len(f) == 1:
-            return [NoConvergence(f"eigensolve failed at theta={thetas[0]}: {exc}")]
-        # numpy fails the whole stack for one slice: solve each on its own
-        return [_solve(kernel, thetas[k:k + 1], f[k:k + 1])[0] for k in range(len(f))]
-    rows = np.arange(len(f))
+        return _gate(kernel, pi, theta, float(f[0, 0]), e, np.ones(1), np.ones(1), True, 0.0)
+    wr, _, vl, vr, info = dgeev(f, compute_vl=True, compute_vr=True, lwork=_geev_lwork(len(f)))
+    if info:
+        return NoConvergence(f"eigensolve failed at theta={theta}: dgeev info {info}")
     # the Perron root of a nonnegative irreducible matrix has the largest
-    # real part; on a periodic chain -lambda ties with it in modulus
+    # real part; on a periodic chain -lambda ties with it in modulus.  Column
+    # k of vr and of vl holds the real part of its eigenvectors (a complex
+    # pair keeps it in the first of its two columns, which argmax picks);
+    # their sign is arbitrary, and multiplying by -1 is exact
+    k = int(wr.argmax())
+    lam = float(wr[k])
+    h = vr[:, k] * math.copysign(1.0, vr[:, k].sum())
+    v = vl[:, k] * math.copysign(1.0, vl[:, k].sum())
+    # relative residuals of both eigenpairs, which scaling h or v leaves
+    # unchanged; lam <= 0 fails anyway, so dividing by at least the smallest
+    # normal double (times a unit vector's max entry) is safe
+    scale = max(lam, _TINY)
+    residual = float(np.maximum(abs(f @ h - lam * h).max() / (scale * abs(h).max()),
+                                abs(v @ f - lam * v).max() / (scale * abs(v).max())))
+    return _gate(kernel, pi, theta, lam, e, h, v, h.min() > 0 and v.min() > 0, residual)
+
+
+def _solve_batched(kernel: MapKernel, thetas, f) -> list:
+    """_solve_one at every matrix of the stack f, from numpy's batched eig of F
+    and of F^T; raises LinAlgError when numpy rejects the stack."""
+    e = np.frexp(f.max(axis=(1, 2)))[1]
+    e[np.abs(e) <= _EXP_LIMIT] = 0
+    # ldexp by 0 leaves every other matrix's bits unchanged
+    scaled = np.ldexp(f, -e[:, None, None]) if e.any() else f
+    w, right = np.linalg.eig(scaled)
+    wl, left = np.linalg.eig(np.swapaxes(scaled, 1, 2))
+    rows = np.arange(len(f))
     k = w.real.argmax(axis=1)
     lam = w.real[rows, k]
     hv = np.stack((right[rows, :, k].real, left[rows, :, wl.real.argmax(axis=1)].real))
-    # an eigenvector's sign is arbitrary; multiplying by -1 is exact
     hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
     positive = hv.min(axis=(0, 2)) > 0
     h, v = hv
-    # relative residuals of both eigenpairs, which scaling h or v leaves
-    # unchanged; a slice with lam <= 0 fails anyway, so dividing by at least
-    # the smallest normal double (times a unit vector's max entry) is safe
-    scale = np.maximum(lam, np.finfo(float).tiny)
+    scale = np.maximum(lam, _TINY)
     residual = np.maximum(
         abs((scaled @ h[:, :, None])[:, :, 0] - lam[:, None] * h).max(axis=1)
         / (scale * abs(h).max(axis=1)),
@@ -241,24 +284,21 @@ def _solve(kernel: MapKernel, thetas, f) -> list:
         / (scale * abs(v).max(axis=1)),
     )
     pi = stationary_distribution(kernel)
-    out = []
-    for i, (theta, lam_i, ok, res, e_i) in enumerate(
-            zip(thetas, lam.tolist(), positive.tolist(), residual.tolist(), e.tolist())):
-        if lam_i <= 0:
-            out.append(NoConvergence(f"nonpositive dominant eigenvalue {lam_i!r} at theta={theta}"))
-        elif not ok:
-            out.append(NoConvergence(f"Perron eigenvectors are not strictly positive "
-                                     f"at theta={theta}"))
-        elif not res <= 1e-10:
-            out.append(NoConvergence(f"eigen residual {res!r} above 1e-10 at theta={theta}"))
-        else:
-            h_i = h[i] / float(pi @ h[i])
-            v_i = v[i] / float(v[i] @ h_i)
-            h_i.setflags(write=False)
-            v_i.setflags(write=False)
-            kappa = math.log(lam_i) + e_i * math.log(2.0)
-            out.append(SpectralSolution(theta, kappa, h_i, v_i, pi, res, kernel))
-    return out
+    return [_gate(kernel, pi, *args) for args in zip(
+        thetas, lam.tolist(), e.tolist(), h, v, positive.tolist(), residual.tolist())]
+
+
+def _solve(kernel: MapKernel, thetas, f) -> list:
+    """SpectralSolution or NoConvergence naming theta, per theta, from the stack f
+    of finite transform matrices at thetas: a stack of two or more in one
+    batched eigensolve, a single matrix (or every matrix of a stack numpy
+    rejects, which it does for one bad slice) by _solve_one."""
+    if len(f) > 1:
+        try:
+            return _solve_batched(kernel, thetas, f)
+        except np.linalg.LinAlgError:
+            pass
+    return [_solve_one(kernel, theta, m) for theta, m in zip(thetas, f)]
 
 
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
@@ -270,7 +310,7 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     """
     sol = kernel._solutions.get(theta)
     if sol is None:
-        sol, = _solve(kernel, [theta], transform_matrix(kernel, theta)[None])
+        sol = _solve_one(kernel, theta, transform_matrix(kernel, theta))
         if isinstance(sol, NoConvergence):
             raise sol
         if len(kernel._solutions) >= _SOLUTION_LIMIT:

@@ -187,11 +187,11 @@ def test_dcc_large_deadline_falls_below_asymptotic_cap(toy_arrival, toy_service)
 
 def test_dcc_upper_solves_its_grid_in_one_stacked_eigensolve_per_kernel(
         monkeypatch, toy_arrival, toy_service):
-    # before the grid was batched, dcc_upper(toy, 10, 1e-3) made 554 scipy eig
-    # calls: 2 mean rates, 42 for theta*, 2 for the theta_max probe, 402 for
-    # the 201-point grid and 106 for the golden section; the grid is now four
-    # stacked numpy calls, and theta* takes 36 (no theta solved twice)
-    solves = count_calls(monkeypatch, spectral_module, "eig")
+    # before the grid was batched, dcc_upper(toy, 10, 1e-3) made 554 single-
+    # matrix solves: 2 mean rates, 42 for theta*, 2 for the theta_max probe,
+    # 402 for the 201-point grid and 106 for the golden section; the grid is
+    # now four stacked numpy calls, and theta* takes 36 (no theta solved twice)
+    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     stacked = count_calls(monkeypatch, np.linalg, "eig")
     arrival = single_state_kernel(toy_arrival.law(0, 0), label="const")
     service = single_state_kernel(toy_service.law(0, 0))
@@ -271,7 +271,7 @@ def test_constant_dcc_interval_solves_each_rate_on_the_negated_service(
     }[case]
     roots = count_calls(monkeypatch, bd, "stability_root")
     negations = count_calls(monkeypatch, bd, "negate")
-    solves = count_calls(monkeypatch, spectral_module, "eig")
+    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     interval = bd.constant_dcc_interval(*args)
     assert roots == [] and len(negations) == 1
     assert len(solves) <= max_solves
@@ -322,7 +322,7 @@ def test_bounds_solve_nothing_beyond_their_root(monkeypatch, fn):
     rng = np.random.default_rng(8)
     arrival = random_kernel(rng, 2, mean_offset=1.0, spread=0.5)
     service = random_kernel(rng, 2, mean_offset=2.0, spread=0.5)
-    solves = count_calls(monkeypatch, spectral_module, "eig")
+    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     stability_root(arrival, service)  # also solves the two mean rates, once per kernel
     assert len(solves) > 0
     before = len(solves)
@@ -337,7 +337,7 @@ def test_horizon_multiplier_must_be_finite(monkeypatch, y):
     # a non-finite y is bad input, rejected before any eigensolve
     arrival = single_state_kernel(Constant(1.0))
     service = single_state_kernel(DiscretePmf((2.0, 4.0), (0.5, 0.5)))
-    solves = count_calls(monkeypatch, spectral_module, "eig")
+    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     with pytest.raises(ValueError, match="horizon multiplier y must be finite"):
         bd.horizon_delay_bound(arrival, service, y, 2.0)
     with pytest.raises(ValueError, match="horizon multiplier y must be finite"):

@@ -123,10 +123,10 @@ service:
 
 def test_eigensolver_failure_exits_3(tmp_path, toy_cfg, monkeypatch):
     # LinAlgError subclasses ValueError, which alone would map to exit 2
-    def failing_eig(*args, **kwargs):
+    def failing_solve(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    monkeypatch.setattr(spectral, "eig", failing_eig)
+    monkeypatch.setattr(spectral, "_solve_one", failing_solve)
     assert _run(["bounds", "--config", toy_cfg, "--mode", "delay", "--levels", "1",
                  "--out", str(tmp_path)]) == 3
 
@@ -201,7 +201,7 @@ def test_more_levels_make_no_more_eigensolves(tmp_path, monkeypatch, argv, one, 
     # optimum (the bound is 1/d times a function of theta): every further level
     # reads the solutions the first one kept on the kernels
     cfg = _write(tmp_path, "pool.yaml", POOL_CFG)
-    solves = count_calls(monkeypatch, spectral, "eig")
+    solves = count_calls(monkeypatch, spectral, "_solve_one")
     counts = []
     for levels in (one, many):
         del solves[:]
@@ -209,6 +209,21 @@ def test_more_levels_make_no_more_eigensolves(tmp_path, monkeypatch, argv, one, 
                      "--out", str(tmp_path)]) == 0
         counts.append(len(solves))
     assert 0 < counts[1] <= counts[0]
+
+
+def test_dgeev_failure_exits_3(tmp_path, monkeypatch):
+    # the two-state service needs LAPACK; dgeev reporting no convergence
+    # (info > 0) is a numeric failure
+    real = spectral.dgeev
+
+    def failing_dgeev(a, **kwargs):
+        *out, _ = real(a, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(spectral, "dgeev", failing_dgeev)
+    cfg = _write(tmp_path, "pool.yaml", POOL_CFG)
+    assert _run(["bounds", "--config", cfg, "--mode", "delay", "--levels", "1",
+                 "--out", str(tmp_path)]) == 3
 
 
 def test_inconclusive_decay_slope_exits_3(tmp_path, toy_config_text):
@@ -414,7 +429,7 @@ def test_ordercheck_needs_inputs():
 
 def test_spectral_solves_once_per_role_and_theta(tmp_path, monkeypatch):
     # kappa, kappa_dot, h, v and pi of a row all come from one eigensolve
-    solves = count_calls(monkeypatch, spectral, "eig")
+    solves = count_calls(monkeypatch, spectral, "_solve_one")
     doc = {"arrival": _two_state(["on", "off"], _pmf([0.0, 3.0], [0.5, 0.5]),
                                  _pmf([0.0, 1.0], [0.5, 0.5])),
            "service": _two_state(["good", "bad"], _pmf([1.0, 4.0], [0.5, 0.5]),

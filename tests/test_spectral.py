@@ -46,6 +46,33 @@ def test_single_state_constant_cgf_is_linear():
         assert perron(k, theta).kappa_dot == pytest.approx(rate, rel=1e-12)
 
 
+def test_one_state_perron_is_closed_form(monkeypatch):
+    # kappa = log F, h = v = pi = [1], with no LAPACK call
+    lapack = count_calls(monkeypatch, spectral_module, "dgeev")
+    stacked = count_calls(monkeypatch, np.linalg, "eig")
+    k = single_state_kernel(DiscretePmf((-2.0, 0.5, 3.0), (0.2, 0.5, 0.3)))
+    for theta in (-3.0, -0.1, 0.0, 0.7, 2.0):
+        sol = perron(k, theta)
+        assert sol.kappa == math.log(transform_matrix(k, theta)[0, 0])
+        assert sol.h.tolist() == sol.v.tolist() == sol.pi.tolist() == [1.0]
+        assert sol.residual == 0.0
+    assert lapack == [] and stacked == []
+
+
+def test_one_state_perron_scales_a_huge_transform():
+    k = single_state_kernel(Constant(1.0))
+    assert math.frexp(transform_matrix(k, 300.0)[0, 0])[1] == 433  # past 2^400: scaled
+    assert perron(k, 300.0).kappa == pytest.approx(300.0, rel=1e-15, abs=0.0)
+
+
+def test_one_state_perron_rejects_an_underflowed_transform():
+    k = single_state_kernel(Constant(-1.0))
+    assert transform_matrix(k, 800.0)[0, 0] == 0.0
+    with pytest.raises(NoConvergence,
+                       match=r"nonpositive dominant eigenvalue 0\.0 at theta=800\.0"):
+        perron(k, 800.0)
+
+
 def test_toy_service_cgf_quadratic(toy_service):
     # negated toy service has cgf -3*theta + theta^2
     neg = negate(toy_service)
@@ -206,7 +233,7 @@ def test_transform_quadrature_once_per_distinct_law(monkeypatch):
 
 
 def test_perron_keeps_its_solutions_on_the_kernel(monkeypatch):
-    solves = count_calls(monkeypatch, spectral_module, "eig")
+    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     k = _row_constant_capacity_kernel()
     sol = perron(k, 0.2)
@@ -330,7 +357,7 @@ def test_kappa_dot_is_computed_once_and_only_when_read(monkeypatch):
 
 
 def test_mean_rate_is_solved_once_per_kernel(monkeypatch):
-    solves = count_calls(monkeypatch, spectral_module, "eig")
+    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     k = random_kernel(np.random.default_rng(12), 3)
     assert mean_rate(k) == mean_rate(k) == perron(k, 0.0).kappa_dot
     assert len(solves) == 1  # mean_rate reads perron's solution at theta = 0
@@ -394,6 +421,26 @@ def test_perron_grid_fails_each_theta_alone():
         _assert_same_solution(got[k], perron(neg, thetas[k]))
 
 
+def _fail_dgeev_on(monkeypatch, bad):
+    """Make dgeev report no convergence (info > 0) for the matrix `bad`."""
+    real = spectral_module.dgeev
+
+    def dgeev(a, **kwargs):
+        *out, info = real(a, **kwargs)
+        return (*out, 1 if np.array_equal(a, bad) else info)
+
+    monkeypatch.setattr(spectral_module, "dgeev", dgeev)
+
+
+def test_perron_fails_where_dgeev_does_not_converge(monkeypatch):
+    kernel = random_kernel(np.random.default_rng(14), 3)
+    _fail_dgeev_on(monkeypatch, transform_matrix(kernel, 0.1))
+    with pytest.raises(NoConvergence, match=r"eigensolve failed at theta=0\.1"):
+        perron(kernel, 0.1)
+    assert 0.1 not in kernel._solutions
+    assert isinstance(perron(kernel, 0.2), SpectralSolution)  # another matrix solves
+
+
 def test_perron_grid_survives_a_failed_stacked_eigensolve(monkeypatch):
     # numpy raises LinAlgError for the whole stack when one slice does not
     # converge; each slice is then solved on its own, and only the bad one fails
@@ -405,15 +452,8 @@ def test_perron_grid_survives_a_failed_stacked_eigensolve(monkeypatch):
     def stacked_eig(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    real_eig = spectral_module.eig
-
-    def single_eig(a, **kwargs):
-        if np.array_equal(a, bad):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eig(a, **kwargs)
-
     monkeypatch.setattr(np.linalg, "eig", stacked_eig)
-    monkeypatch.setattr(spectral_module, "eig", single_eig)
+    _fail_dgeev_on(monkeypatch, bad)
     got = perron_grid(kernel, thetas)
     assert isinstance(got[1], NoConvergence) and "theta=0.1" in str(got[1])
     _assert_same_solution(got[0], expected[0])

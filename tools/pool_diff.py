@@ -10,8 +10,10 @@ perfbench/workloads.py and perfbench/checks.py.  analytic-fading runs every
 pool job; simulate-fading runs the `simulate` jobs that --seed generates.
 The report lists, per tree, the jobs that fail their check (against
 perfbench/reference.json for analytic jobs) and, per job kind (the last part
-of the job id), the work the jobs did: scalar eigensolves (calls of
-mapq.spectral.eig), stacked eigensolve slices (matrices passed to
+of the job id), the work the jobs did: scalar Perron solves (calls of
+mapq.spectral._solve_one, one-state closed forms included; in a tree
+without it, calls of mapq.spectral.eig, which that tree's scalar solves
+made once each), stacked eigensolve slices (matrices passed to
 numpy.linalg.eig, F and F^T each counted), Rayleigh integrations (calls
 of mapq.laws._capacity_integrals) and bivariate normal CDFs (calls of
 mapq.copulas.bvn_cdf, the Gaussian copula's work).  With --base it also
@@ -32,7 +34,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-WORK = ("scalar eig", "stacked eig slices", "Rayleigh integrations", "bvn_cdf calls")
+WORK = ("scalar solves", "stacked eig slices", "Rayleigh integrations", "bvn_cdf calls")
 
 
 def _count_work():
@@ -52,7 +54,8 @@ def _count_work():
 
         setattr(owner, name, wrapper)
 
-    counting(spectral, "eig", 0, lambda a: 1)
+    counting(spectral, "_solve_one" if hasattr(spectral, "_solve_one") else "eig", 0,
+             lambda a: 1)
     counting(np.linalg, "eig", 1, lambda a: len(a) if np.ndim(a) == 3 else 1)
     counting(laws, "_capacity_integrals", 2, lambda n: 1)
     counting(copulas, "bvn_cdf", 3, lambda a: 1)
