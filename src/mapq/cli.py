@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+from functools import cache
 
 import numpy as np
 import yaml
@@ -305,7 +306,10 @@ def cmd_ordercheck(config, args) -> int:
 # entry point
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mapq parser, built once per process: parse_args gives each call a
+    namespace of its own and keeps nothing in the parser."""
     parser = argparse.ArgumentParser(
         prog="mapq",
         description="Tail bounds, dependence control, and simulation for "

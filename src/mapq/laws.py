@@ -13,8 +13,8 @@ an array, non-finite at each theta where it diverges, and raises nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (perfbench/tracing.py counts calls to laws.quad)
@@ -178,40 +178,101 @@ def _de_nodes(snr, level):
     return np.concatenate(lg), np.concatenate(c)
 
 
-def _capacity_integrals(n, snr, nodes, tilted):
-    """E[(1 + snr G)^n] (or E[log(1 + snr G) (1 + snr G)^n] if `tilted`), G ~ Exp(1),
-    for each exponent of the 1-d array n: NaN where two successive steps never
-    agree, inf where the value overflows.  `nodes` is the law's list of node
-    arrays per step (the first two steps as one), extended here on demand."""
-    if not nodes:
-        nodes.append(tuple(map(np.concatenate, zip(_de_nodes(snr, 0), _de_nodes(snr, 1)))))
-    out = np.full(len(n), np.nan)
-    todo = np.arange(len(n))
-    n = n[:, None]
+def _capacity_integrals(n, nodes, tilted):
+    """E[(1 + snr_l G)^n_lt] (or E[log(1 + snr_l G) (1 + snr_l G)^n_lt] if `tilted`),
+    G ~ Exp(1), for each pair (l, t) of the (L, T) exponent array n, whose row l
+    belongs to a law of snr snr_l: NaN where two successive steps never agree,
+    inf where the value overflows.  nodes(level) gives the laws' (L, m) arrays of
+    log(1 + snr g) and log(weight) - g at the nodes that step adds (level 1: the
+    first two steps).  Each step is evaluated in one (L, T, m) buffer over the
+    rows and columns that still hold an uncertified pair; a pair keeps the sums
+    of the step that certified it."""
+    out = np.full(n.shape, np.nan)
+    rows, cols = np.arange(n.shape[0]), np.arange(n.shape[1])
+    pending = np.ones(n.shape, dtype=bool)
+    n = n[:, :, None]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for level, h in enumerate(_DE_STEPS[1:], start=1):
-            if level > len(nodes):
-                nodes.append(_de_nodes(snr, level))
-            lg, c = nodes[level - 1]
-            terms = np.exp(n * lg + c)
+            lg, c = nodes(level)
+            if len(rows) < len(lg):
+                lg, c = lg[rows], c[rows]
+            lg = lg[:, None, :]
+            terms = np.multiply(n, lg)
+            terms += c[:, None, :]
+            np.exp(terms, out=terms)
             if tilted:
                 terms *= lg
             if level == 1:
                 first = _DE_ENDS[-1] + 1  # the nodes of step 1/8 come first
-                prev = 2.0 * h * terms[:, :first].sum(axis=1)
-                total = 0.5 * prev + h * terms[:, first:].sum(axis=1)
+                prev = 2.0 * h * terms[:, :, :first].sum(axis=2)
+                total = 0.5 * prev + h * terms[:, :, first:].sum(axis=2)
                 # strict, so that a sum of zero (every node underflowed) never certifies
-                end_ok = 2.0 * h * terms[:, _DE_ENDS].max(axis=1) < _DE_END * total
+                end_ok = 2.0 * h * terms[:, :, _DE_ENDS].max(axis=2) < _DE_END * total
             else:
-                prev, total = total, 0.5 * total + h * terms.sum(axis=1)
+                prev, total = total, 0.5 * total + h * terms.sum(axis=2)
+            del terms  # freed before the next step allocates its buffer
             done = (np.abs(total - prev) <= _DE_TOL * total) & end_ok | (total == math.inf)
-            if done.all():
-                out[todo] = total
+            certified = done & pending
+            if not certified.any():
+                continue
+            if total.shape == out.shape and certified.all():
+                return total  # every pair certifies at this step
+            i, j = np.nonzero(certified)
+            out[rows[i], cols[j]] = total[i, j]
+            pending ^= certified
+            keep_rows, keep_cols = pending.any(axis=1), pending.any(axis=0)
+            if not keep_rows.any():
                 break
-            out[todo[done]] = total[done]
-            keep = ~done
-            todo, total, n, end_ok = todo[keep], total[keep], n[keep], end_ok[keep]
+            if not keep_rows.all():
+                rows, n, total, end_ok, pending = (
+                    a[keep_rows] for a in (rows, n, total, end_ok, pending))
+            if not keep_cols.all():
+                cols, n, total, end_ok, pending = (
+                    a[:, keep_cols] if a.ndim > 1 else a[keep_cols]
+                    for a in (cols, n, total, end_ok, pending))
     return out
+
+
+class RayleighStack:
+    """Rayleigh capacity laws, each plain or Negated, whose transforms are
+    integrated together: row l of a transform is law l's, at theta for a plain
+    law and at -theta inside a Negated one, from one _capacity_integrals call."""
+
+    def __init__(self, laws):
+        self.inner = tuple(law.inner if isinstance(law, Negated) else law for law in laws)
+        self.sign = np.array([[-1.0 if isinstance(law, Negated) else 1.0] for law in laws])
+        self.scale = np.array([[law.bandwidth / _LN2] for law in self.inner])
+        self._nodes = []
+
+    @staticmethod
+    def holds(law) -> bool:
+        """Whether law is a RayleighCapacity, plain or Negated."""
+        return isinstance(law.inner if isinstance(law, Negated) else law, RayleighCapacity)
+
+    def _level_nodes(self, level):
+        """(L, m) arrays of log(1 + snr g) and log(weight) - g at the nodes that
+        `level` of the quadrature adds (level 1: the first two steps), built once
+        per stack: a law's own stack computes them, a larger one stacks its
+        laws' own."""
+        while len(self._nodes) < level:
+            k = len(self._nodes) + 1
+            if len(self.inner) > 1:
+                rows = (law._stack._level_nodes(k) for law in self.inner)
+                self._nodes.append(tuple(map(np.concatenate, zip(*rows))))
+            else:
+                snr = self.inner[0].snr
+                pair = (_de_nodes(snr, k) if k > 1 else
+                        map(np.concatenate, zip(_de_nodes(snr, 0), _de_nodes(snr, 1))))
+                self._nodes.append(tuple(a[None] for a in pair))
+        return self._nodes[level - 1]
+
+    def transform(self, kind, thetas):
+        """(L, T) array: row l is law l's `kind` ("mgf" or "tilted_mean") at the
+        1-d array thetas, non-finite where it diverges."""
+        tilted = kind == "tilted_mean"
+        # the sign flips exactly, so n and the tilted mean are the plain law's, negated
+        val = _capacity_integrals(self.sign * thetas * self.scale, self._level_nodes, tilted)
+        return self.sign * (self.scale * val) if tilted else val
 
 
 @dataclass(frozen=True)
@@ -221,12 +282,11 @@ class RayleighCapacity(IncrementLaw):
     X = bandwidth * log2(1 + snr * G), G ~ Exp(1).  The MGF E[(1 + snr G)^n],
     n = theta * bandwidth / ln 2, has no closed form for general theta; both
     transforms are integrated by _capacity_integrals for all theta of a call at
-    once.
+    once, as the one-law RayleighStack.
     """
 
     bandwidth: float
     snr: float
-    _nodes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.bandwidth < math.inf:
@@ -234,12 +294,13 @@ class RayleighCapacity(IncrementLaw):
         if not 0 < self.snr < math.inf:
             raise ValueError(f"snr must be positive and finite, got {self.snr!r}")
 
+    @cached_property
+    def _stack(self) -> RayleighStack:
+        """The law as a one-law stack, which keeps its quadrature nodes."""
+        return RayleighStack((self,))
+
     def _transform(self, kind, theta):
-        thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-        scale = self.bandwidth / _LN2
-        val = _capacity_integrals(thetas * scale, self.snr, self._nodes, kind == "tilted_mean")
-        if kind == "tilted_mean":
-            val = scale * val
+        val = self._stack.transform(kind, np.atleast_1d(np.asarray(theta, dtype=float)))[0]
         if isinstance(theta, np.ndarray):
             return val
         why = "overflows a double" if val[0] == math.inf else "quadrature did not converge"
@@ -298,6 +359,15 @@ class Shifted(IncrementLaw):
         return self.inner.sample(rng, size) + self.offset
 
 
+@cache
+def _hermite_rule(n_points: int) -> tuple:
+    """Gauss-Hermite nodes and weights of n_points, computed once per size; read-only."""
+    rule = np.polynomial.hermite.hermgauss(n_points)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def gaussian_quantized(mean: float, std: float, n_points: int = 96) -> DiscretePmf:
     """Gauss-Hermite quantization of N(mean, std^2).
 
@@ -305,7 +375,7 @@ def gaussian_quantized(mean: float, std: float, n_points: int = 96) -> DiscreteP
     near machine precision for moderate theta, which keeps analytic root
     oracles sharp while staying inside the finite-support law machinery.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(n_points)
+    nodes, weights = _hermite_rule(n_points)
     support = mean + std * math.sqrt(2.0) * nodes
     probs = weights / math.sqrt(math.pi)
     probs = probs / probs.sum()

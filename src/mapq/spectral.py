@@ -18,7 +18,7 @@ from scipy.linalg.lapack import _compute_lwork
 from scipy.optimize import brentq
 
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
-from .laws import IncrementLaw, Negated
+from .laws import IncrementLaw, Negated, RayleighStack
 
 # a kernel's perron solutions are cleared at this many, so a long-lived process stays bounded
 _SOLUTION_LIMIT = 4096
@@ -95,6 +95,22 @@ class MapKernel:
         return {law: np.transpose(cells) for law, cells in groups.items()}
 
     @cached_property
+    def _transform_groups(self) -> tuple:
+        """(others, stack, cells): (law, rows, cols, p_ij) per law of `_law_groups`
+        that is not a Rayleigh capacity law; the Rayleigh laws, negated or not,
+        as one RayleighStack (None if there are none); and (rows, cols, p_ij)
+        per law of the stack."""
+        p = self.transition
+        others, rayleigh, cells = [], [], []
+        for law, (rows, cols) in self._law_groups.items():
+            if RayleighStack.holds(law):
+                rayleigh.append(law)
+                cells.append((rows, cols, p[rows, cols]))
+            else:
+                others.append((law, rows, cols, p[rows, cols]))
+        return others, RayleighStack(rayleigh) if rayleigh else None, cells
+
+    @cached_property
     def negated(self) -> MapKernel:
         """The kernel with every increment law sign-flipped, built once per kernel."""
         increments = tuple(
@@ -158,7 +174,8 @@ class StabilityRoot:
 
 def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarray:
     """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij, with one
-    transform call per distinct law.
+    quadrature for all of the kernel's Rayleigh laws and one transform call per
+    other distinct law.
 
     For an array of theta it is the stack of those matrices, non-finite at a
     theta where a transform diverges; a float theta raises MgfDiverged there.
@@ -166,10 +183,13 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
     stack = isinstance(theta, np.ndarray)
     thetas = theta if stack else np.array([theta], dtype=float)
     n = kernel.n_states
-    p = kernel.transition
     out = np.zeros((len(thetas), n, n))
-    for law, (rows, cols) in kernel._law_groups.items():
-        out[:, rows, cols] = p[rows, cols] * getattr(law, transform)(thetas)[:, None]
+    others, rayleigh, cells = kernel._transform_groups
+    for law, rows, cols, p in others:
+        out[:, rows, cols] = p * getattr(law, transform)(thetas)[:, None]
+    if rayleigh is not None:
+        for (rows, cols, p), val in zip(cells, rayleigh.transform(transform, thetas)):
+            out[:, rows, cols] = p * val[:, None]
     if stack:
         return out
     if not np.isfinite(out).all():
@@ -320,8 +340,8 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
 
 
 def perron_grid(kernel: MapKernel, thetas) -> list:
-    """perron at every theta of `thetas`, from one transform call per distinct
-    law and one batched eigensolve; it neither reads nor fills perron's cache.
+    """perron at every theta of `thetas`, from one transform_matrix call for the
+    whole grid and one batched eigensolve; it neither reads nor fills perron's cache.
 
     Entry k is the SpectralSolution at thetas[k], or the MgfDiverged or
     NoConvergence that perron raises there: a theta fails alone.

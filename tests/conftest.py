@@ -112,6 +112,12 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def law_integrations(calls):
+    """Laws integrated by recorded laws._capacity_integrals calls: one per row of
+    each call's (law, theta) exponent stack."""
+    return sum(len(args[0]) for args in calls)
+
+
 @pytest.fixture
 def toy_config_text():
     return """\

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from conftest import count_calls
-from mapq import spectral
+from mapq import cli, spectral
 from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, build_parser, main
 
 
@@ -485,6 +485,23 @@ def test_flag_slots_are_the_ones_read():
                 - {"--help"} for name, p in sub.choices.items()}
     assert declared == _READS
     assert sum(map(len, declared.values())) == 24
+
+
+def test_consecutive_calls_share_one_parser_and_nothing_else(toy_cfg, monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "bounds", lambda config, args: seen.append(args) or 0)
+    assert main(["bounds", "--config", toy_cfg, "--mode", "dcc", "--levels", "9",
+                 "--epsilon", "1e-3"]) == 0
+    assert main(["bounds", "--config", toy_cfg]) == 0
+    assert (seen[1].mode, seen[1].levels, seen[1].epsilon) == ("delay", None, 1e-6)
+    # a rejected flag leaves the next call as it was
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", toy_cfg, "--seed", "1"])
+    assert exc.value.code == EXIT_PARSE
+    assert main(["bounds", "--config", toy_cfg, "--levels", "2"]) == 0
+    assert vars(seen[2]) == {**vars(seen[1]), "levels": "2"}
+    assert seen[0] is not seen[1] is not seen[2]
 
 
 @pytest.mark.parametrize("command", ["spectral", "bounds", "control", "simulate"])

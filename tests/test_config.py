@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import count_calls
+from conftest import count_calls, law_integrations
 from mapq import laws as laws_module
 from mapq.config import (
     build_config,
@@ -155,9 +155,27 @@ def test_equal_kernel_cells_share_one_law(monkeypatch):
     cell = {"law": "rayleigh", "bandwidth": 20, "snr": "db:10"}
     kernel = parse_kernel({"states": ["a", "b"], "transition": [[0.5, 0.5], [0.5, 0.5]],
                            "increments": [[cell, dict(cell)], [dict(cell), dict(cell)]]})
-    # each transform call integrates each distinct law once
+    # each transform call integrates each distinct law once, in one quadrature
     transform_matrix(kernel, 0.3)
-    assert len(integrals) == 1
+    assert (len(integrals), law_integrations(integrals)) == (1, 1)
+
+
+def test_two_loads_compute_the_hermite_rule_once(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("arrival: {constant: 1.0}\nservice:\n  kernel: {states: [s], transition: [[1]],"
+                    " increments: [[{law: normal, mean: 1.0, std: 0.5, points: 33}]]}\n",
+                    encoding="utf-8")
+    rules = count_calls(monkeypatch, np.polynomial.hermite, "hermgauss")
+    laws_module._hermite_rule.cache_clear()
+    first, second = (load_config(path).service.law(0, 0) for _ in range(2))
+    assert len(rules) == 1
+    # the law is the uncached rule's, value for value
+    nodes, weights = np.polynomial.hermite.hermgauss(33)
+    probs = weights / math.sqrt(math.pi)
+    expected = DiscretePmf(tuple(1.0 + 0.5 * math.sqrt(2.0) * nodes), tuple(probs / probs.sum()))
+    assert first.support == second.support == expected.support
+    assert first.probs == second.probs == expected.probs
+    assert not laws_module._hermite_rule(33)[0].flags.writeable
 
 
 def test_yaml_boolean_state_labels_are_rejected():

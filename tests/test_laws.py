@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expn, gamma, gammaincc, gammaln
 
-from conftest import count_calls
+from conftest import count_calls, law_integrations
 from mapq import laws as laws_module
 from mapq.errors import MgfDiverged
 from mapq.laws import (
@@ -17,6 +17,7 @@ from mapq.laws import (
     DiscretePmf,
     Negated,
     RayleighCapacity,
+    RayleighStack,
     Shifted,
     gaussian_quantized,
 )
@@ -141,10 +142,11 @@ def test_rayleigh_float_call_integrates_once_and_raises_on_overflow(monkeypatch)
     calls = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     law = RayleighCapacity(20.0, 10.0)
     assert law.mgf(0.3) == law.mgf(np.array([0.3]))[0]
-    assert len(calls) == 2  # one integration per call; the law keeps no values
+    # one integration of the one law per call; the law keeps no values
+    assert (len(calls), law_integrations(calls)) == (2, 2)
     with pytest.raises(MgfDiverged, match=r"overflows a double at theta=5\.0"):
         law.mgf(5.0)
-    assert len(calls) == 3
+    assert (len(calls), law_integrations(calls)) == (3, 3)
 
 
 RAYLEIGH_SNRS = [0.01, 0.3, 1.0, 10.0, 300.0, 1e4, 1e6]
@@ -207,3 +209,68 @@ def test_rayleigh_array_call_equals_the_scalar_calls():
                 else:  # the array marks a diverged theta; the scalar call raises
                     with pytest.raises(MgfDiverged):
                         scalar(float(theta))
+
+
+def _certifying_step(law, theta, tilted):
+    """The quadrature step at which the law's transform at theta certifies (or stops)."""
+    levels = []
+
+    def nodes(level):
+        levels.append(level)
+        return law._stack._level_nodes(level)
+
+    laws_module._capacity_integrals(np.array([[theta * law.bandwidth / math.log(2.0)]]),
+                                    nodes, tilted)
+    return levels[-1]
+
+
+def _assert_rows_are_the_laws_own(laws, thetas):
+    """Each row of the stack's transforms equals its law's own call: equal as
+    doubles (so bit for bit, no value being zero), NaN at the same pairs."""
+    stack = RayleighStack(laws)
+    for kind in ("mgf", "tilted_mean"):
+        rows = stack.transform(kind, thetas)
+        assert rows.shape == (len(laws), len(thetas))
+        for row, law in zip(rows, laws):
+            assert np.array_equal(row, getattr(law, kind)(thetas), equal_nan=True)
+    return stack
+
+
+def test_rayleigh_stack_equals_the_per_law_quadrature():
+    rng = np.random.default_rng(14)
+    laws = []
+    for bandwidth in (1.0, 20.0, math.log(2.0), 3.7, 20.0, 180.0, 20.0, 1.0):
+        law = RayleighCapacity(bandwidth, 10.0 ** rng.uniform(-4.0, 7.0))
+        laws.append(Negated(law) if rng.random() < 0.5 else law)
+    assert any(isinstance(law, Negated) for law in laws)
+    assert not all(isinstance(law, Negated) for law in laws)
+    # both signs of theta, and exponents from a few thousandths to past overflow
+    thetas = np.concatenate([rng.uniform(-4.0, 4.0, 40), [-1e-3, 0.0, 2e-3]])
+    _assert_rows_are_the_laws_own(laws, thetas)
+    # the stack's pairs certify at different steps
+    steps = {_certifying_step(getattr(law, "inner", law), theta, tilted)
+             for law in laws for theta in thetas[::4] for tilted in (False, True)}
+    assert len(steps) >= 3
+
+
+def test_rayleigh_stack_pairs_certify_at_their_own_steps():
+    # one law needs a finer step at every theta than the other (found by
+    # _certifying_step), so each column holds pairs certified at different steps
+    laws = (RayleighCapacity(20.0, 1e-4), RayleighCapacity(20.0, 10.0))
+    thetas = np.array([-2.0, 0.4, 1.0, 3.0])
+    for theta in thetas:
+        assert _certifying_step(laws[0], theta, False) != _certifying_step(laws[1], theta, False)
+    _assert_rows_are_the_laws_own(laws, thetas)
+    _assert_rows_are_the_laws_own(laws[::-1], thetas[::-1])
+
+
+def test_rayleigh_stack_keeps_a_nan_and_an_overflowed_pair_apart():
+    laws = (RayleighCapacity(20.0, 10.0), Negated(RayleighCapacity(5.0, 0.3)))
+    thetas = np.array([0.3, np.nan, 50.0, -50.0])
+    stack = _assert_rows_are_the_laws_own(laws, thetas)
+    mgf = stack.transform("mgf", thetas)
+    # a NaN theta never certifies; theta = 50 overflows the plain law, and
+    # -50 the negated one, which every other pair survives
+    assert np.isnan(mgf[:, 1]).all()
+    assert mgf[0, 2] == math.inf and mgf[1, 3] == math.inf
+    assert np.isfinite(mgf[:, [0]]).all() and np.isfinite([mgf[0, 3], mgf[1, 2]]).all()

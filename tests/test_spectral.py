@@ -1,21 +1,30 @@
 """Spectral quantities of Markov additive kernels: eigentriples, cgf, roots."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, random_kernel
+from conftest import count_calls, law_integrations, random_kernel
 from mapq import laws as laws_module
 from mapq import spectral as spectral_module
 from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
-from mapq.laws import Constant, DiscretePmf, gaussian_quantized
+from mapq.laws import (
+    Constant,
+    DiscretePmf,
+    Negated,
+    RayleighCapacity,
+    Shifted,
+    gaussian_quantized,
+)
 from mapq.spectral import (
     MapKernel,
     SpectralSolution,
+    _transform_derivative,
     mean_rate,
     negate,
     perron,
@@ -218,18 +227,63 @@ def _row_constant_capacity_kernel():
 def test_transform_quadrature_once_per_distinct_law(monkeypatch):
     integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     k = _row_constant_capacity_kernel()
+    # one quadrature call per kernel transform integrates all three laws
     transform_matrix(k, 0.2)
-    assert len(integrals) == 3
+    assert (len(integrals), law_integrations(integrals)) == (1, 3)
     # the laws keep no values: perron integrates again, then keeps its solution
     perron(k, 0.2)
     perron(k, 0.2)
-    assert len(integrals) == 6
+    assert (len(integrals), law_integrations(integrals)) == (2, 6)
     fresh = _row_constant_capacity_kernel()
     assert perron(fresh, 0.2).kappa == perron(k, 0.2).kappa
-    assert len(integrals) == 9
+    assert (len(integrals), law_integrations(integrals)) == (3, 9)
     # a stack of theta takes one integration per distinct law, negated or not
     perron_grid(negate(fresh), [0.1, 0.2, 0.3])
-    assert len(integrals) == 12
+    assert (len(integrals), law_integrations(integrals)) == (4, 12)
+    assert integrals[-1][0].shape == (3, 3)
+
+
+def test_mixed_kernel_transform_is_each_laws_own(monkeypatch):
+    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
+    plain, other = RayleighCapacity(20.0, 10.0), RayleighCapacity(5.0, 0.3)
+    pmf = DiscretePmf((0.0, 1.0, 3.0), (0.2, 0.5, 0.3))
+    shifted = Shifted(RayleighCapacity(20.0, 2.0), -1.5)
+    laws = ((plain, Negated(other), pmf), (pmf, shifted, plain), (Negated(other), pmf, shifted))
+    p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.0, 0.7]])
+    k = MapKernel(("a", "b", "c"), p, laws, np.full(3, 1.0 / 3.0))
+    thetas = np.array([-0.7, -0.1, 0.0, 0.05, 0.3])
+    f = transform_matrix(k, thetas)
+    # the two Rayleigh laws, negated or not, in one quadrature; Shifted keeps its own
+    assert sorted(len(args[0]) for args in integrals) == [1, 2]
+    for kind, fn in (("mgf", transform_matrix), ("tilted_mean", _transform_derivative)):
+        for t, theta in enumerate(thetas):
+            matrix = fn(k, float(theta))
+            for i, j in zip(*np.nonzero(p)):
+                law_value = getattr(laws[i][j], kind)(float(theta))
+                assert matrix[i, j] == p[i, j] * law_value
+                if kind == "mgf":
+                    assert f[t, i, j] == p[i, j] * law_value
+    assert (f[:, 2, 1] == 0.0).all()
+
+
+def test_stacked_transform_evaluates_each_step_in_one_buffer():
+    # 201 theta of a 4-law kernel: the quadrature's peak is at most twice its
+    # (law, theta, node) buffer at the finest step it reaches
+    snr = np.repeat(np.array([[10.0], [5.0], [1.0], [0.3]]), 4, axis=1)
+    k = negate(capacity_kernel(np.full((4, 4), 0.25), ChannelSpec(20.0, snr, tuple("abcd"))))
+    thetas = np.linspace(0.5, 40.0, 201)
+    transform_matrix(k, thetas)  # builds the node arrays
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        transform_matrix(k, thetas)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    stack = k._transform_groups[1]
+    m = stack._level_nodes(len(stack._nodes))[0].shape[1]
+    assert len(stack.inner) == 4
+    assert peak <= 2 * 8 * 4 * len(thetas) * m
 
 
 def test_perron_keeps_its_solutions_on_the_kernel(monkeypatch):
@@ -237,17 +291,18 @@ def test_perron_keeps_its_solutions_on_the_kernel(monkeypatch):
     integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     k = _row_constant_capacity_kernel()
     sol = perron(k, 0.2)
-    assert (len(solves), len(integrals)) == (1, 3)
+    assert (len(solves), law_integrations(integrals)) == (1, 3)
     assert perron(k, 0.2) is sol
-    assert (len(solves), len(integrals)) == (1, 3)
+    assert (len(solves), law_integrations(integrals)) == (1, 3)
     # negate builds the negated kernel once, so its solutions are kept too
     assert negate(k) is negate(k)
     assert perron(negate(k), -0.2) is perron(negate(k), -0.2)
-    assert (len(solves), len(integrals)) == (2, 6)
+    assert (len(solves), law_integrations(integrals)) == (2, 6)
     # a value-equal kernel built separately shares nothing
     twin = _row_constant_capacity_kernel()
     again = perron(twin, 0.2)
-    assert (len(solves), len(integrals)) == (3, 9)
+    assert (len(solves), law_integrations(integrals)) == (3, 9)
+    assert len(integrals) == 3  # one quadrature call per kernel transform
     assert again is not sol and again.kappa == sol.kappa
     assert np.array_equal(again.h, sol.h) and np.array_equal(again.v, sol.v)
 

@@ -14,9 +14,12 @@ of the job id), the work the jobs did: scalar Perron solves (calls of
 mapq.spectral._solve_one, one-state closed forms included; in a tree
 without it, calls of mapq.spectral.eig, which that tree's scalar solves
 made once each), stacked eigensolve slices (matrices passed to
-numpy.linalg.eig, F and F^T each counted), Rayleigh integrations (calls
-of mapq.laws._capacity_integrals) and bivariate normal CDFs (calls of
-mapq.copulas.bvn_cdf, the Gaussian copula's work).  With --base it also
+numpy.linalg.eig, F and F^T each counted), Rayleigh integrations (laws
+integrated by mapq.laws._capacity_integrals: the rows of its (law, theta)
+exponent stack, or one per call in a tree that integrates one law per
+call), quadrature calls (calls of mapq.laws._capacity_integrals) and
+bivariate normal CDFs (calls of mapq.copulas.bvn_cdf, the Gaussian
+copula's work).  With --base it also
 lists the job kinds where this tree does more of that work than the base,
 how many output files are byte-identical, and the worst relative difference
 of a numeric cell per job kind.  For simulate-fading it lists instead, per job, which files are
@@ -34,7 +37,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-WORK = ("scalar solves", "stacked eig slices", "Rayleigh integrations", "bvn_cdf calls")
+WORK = ("scalar solves", "stacked eig slices", "Rayleigh integrations", "quadrature calls",
+        "bvn_cdf calls")
 
 
 def _count_work():
@@ -57,8 +61,9 @@ def _count_work():
     counting(spectral, "_solve_one" if hasattr(spectral, "_solve_one") else "eig", 0,
              lambda a: 1)
     counting(np.linalg, "eig", 1, lambda a: len(a) if np.ndim(a) == 3 else 1)
-    counting(laws, "_capacity_integrals", 2, lambda n: 1)
-    counting(copulas, "bvn_cdf", 3, lambda a: 1)
+    counting(laws, "_capacity_integrals", 2, lambda n: len(n) if np.ndim(n) == 2 else 1)
+    counting(laws, "_capacity_integrals", 3, lambda n: 1)
+    counting(copulas, "bvn_cdf", 4, lambda a: 1)
     return counts
 
 
