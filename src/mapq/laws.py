@@ -321,8 +321,13 @@ class RayleighCapacity(IncrementLaw):
         return self.bandwidth / _LN2 * scaled_e1
 
     def sample(self, rng, size):
-        g = rng.exponential(size=size)
-        return self.bandwidth * np.log2(1.0 + self.snr * g)
+        # bandwidth * log2(1 + snr * g), computed in place on the draws
+        c = rng.exponential(size=size)
+        c *= self.snr
+        c += 1.0
+        np.log2(c, out=c)
+        c *= self.bandwidth
+        return c
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ increment draws through `_increments` (one draw per distinct law).
 `tail_estimate` and `martingale_check` walk their chains with `_blocks`,
 in blocks of at most `_BLOCK_CELLS` replication-slots, so their memory is
 O(replications x block), not O(replications x horizon).
+
+States, successor tables and the cells src * n + dst of a walk are held in
+`_state_type(n)`, the smallest unsigned type that holds n * n (one byte up
+to 15 states), and each cell's law index in the smallest type that holds
+the law count.  The types change no draw: the stream is consumed in the
+same order, by the same arithmetic, as with machine-word indices.
 """
 
 from __future__ import annotations
@@ -55,15 +61,23 @@ def _cumulative_rows(transition: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _state_type(n: int) -> np.dtype:
+    """Smallest unsigned type that holds every cell index src * n + dst."""
+    return np.min_scalar_type(n * n)
+
+
 def _successors(cum, u):
-    """Successor table, shape u.shape + (n,): entry i is the first j with
-    u < cum[..., i, j].  `cum` holds pinned CDF rows (a matrix, or a stack
-    broadcasting against u), so only the n - 1 inner columns are compared;
-    each state's comparisons are accumulated over u as a whole."""
+    """Successor table, shape u.shape + (n,), in `_state_type(n)`: entry i is
+    the first j with u < cum[..., i, j].  `cum` holds pinned CDF rows (a
+    matrix, or a stack broadcasting against u), so only the n - 1 inner
+    columns are compared; each state's comparisons are accumulated over u as
+    a whole in one contiguous column, which is then stored in the table."""
     n = cum.shape[-1]
-    table = np.empty(u.shape + (n,), dtype=np.intp)
+    kind = _state_type(n)
+    table = np.empty(u.shape + (n,), dtype=kind)
+    col = np.empty(u.shape, dtype=kind)
     for i in range(n):
-        col = np.zeros(u.shape, dtype=np.min_scalar_type(n))
+        col.fill(0)
         for j in range(n - 1):
             col += cum[..., i, j] <= u
         table[..., i] = col
@@ -75,9 +89,10 @@ def _blocks(kernel: MapKernel, replications: int, horizon: int, rng, step: int):
     at a time.
 
     Yields (states (R, b + 1), increments (R, b)) per block of b <= step
-    slots; states[:, 0] is the last state of the block before.  Each block
-    draws its uniforms as one (b, R) array and its increments in one
-    `_increments` call; only the current state vector outlives a block.
+    slots, states in `_state_type(n)`; states[:, 0] is the last state of the
+    block before.  Each block draws its uniforms as one (b, R) array and its
+    increments in one `_increments` call; only the current state vector
+    outlives a block.
 
     A one-state chain draws no state, and one draw fills its increments
     replication by replication, so a chunk of whole-horizon blocks takes
@@ -86,18 +101,19 @@ def _blocks(kernel: MapKernel, replications: int, horizon: int, rng, step: int):
     large and b small, and yields their transposed views.
     """
     n = kernel.n_states
+    kind = _state_type(n)
     if n > 1:
         cum = _cumulative_rows(kernel.transition)
         offsets = np.arange(replications) * n
-        state = rng.choice(n, size=replications, p=kernel.initial_dist)
+        state = rng.choice(n, size=replications, p=kernel.initial_dist).astype(kind)
     for start in range(0, horizon, step):
         b = min(step, horizon - start)
         if n == 1:
-            states = np.broadcast_to(np.intp(0), (replications, b + 1))
+            states = np.broadcast_to(kind.type(0), (replications, b + 1))
             yield states, _increments(kernel, states[:, :-1], states[:, 1:], rng)
         else:
             table = _successors(cum, rng.random((b, replications)))
-            path = np.empty((b + 1, replications), dtype=np.intp)
+            path = np.empty((b + 1, replications), dtype=kind)
             path[0] = state
             for t in range(b):
                 path[t + 1] = state = table[t].take(offsets + state)
@@ -123,16 +139,18 @@ def _path_states(cum, initial_dist, horizon: int, rng) -> np.ndarray:
 def _increments(kernel: MapKernel, src, dst, rng) -> np.ndarray:
     """Increments of the (src, dst) transitions, any shape: one draw per
     distinct law, in the order of `kernel._law_groups`, which holds every
-    transition the samplers can take (`_cumulative_rows` skips the others)."""
+    transition the samplers can take (`_cumulative_rows` skips the others).
+    Each cell src * n + dst is formed in `_state_type(n)` and reads its law
+    index from the kernel's `_law_of_cell`."""
     groups = kernel._law_groups
     if len(groups) == 1:  # the one law takes every slot
         (law,) = groups
         return law.sample(rng, src.size).reshape(src.shape)
-    n = kernel.n_states
-    group_of = np.empty(n * n, dtype=np.intp)
-    for g, (rows, cols) in enumerate(groups.values()):
-        group_of[rows * n + cols] = g
-    group = group_of[src * n + dst]
+    kind = _state_type(kernel.n_states)
+    cell = src.astype(kind)
+    cell *= kernel.n_states
+    cell += dst.astype(kind, copy=False)
+    group = kernel._law_of_cell.take(cell)
     out = np.empty(group.size)
     for g, law in enumerate(groups):
         at = np.flatnonzero(group == g)  # in row-major order

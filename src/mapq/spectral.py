@@ -95,6 +95,18 @@ class MapKernel:
         return {law: np.transpose(cells) for law, cells in groups.items()}
 
     @cached_property
+    def _law_of_cell(self) -> np.ndarray:
+        """Index in `_law_groups` of each positive transition's law, by cell
+        i * n + j, in the smallest unsigned type that holds the index; the
+        other cells hold 0.  Read-only."""
+        n = self.n_states
+        law_of = np.zeros(n * n, dtype=np.min_scalar_type(len(self._law_groups)))
+        for g, (rows, cols) in enumerate(self._law_groups.values()):
+            law_of[rows * n + cols] = g
+        law_of.setflags(write=False)
+        return law_of
+
+    @cached_property
     def _transform_groups(self) -> tuple:
         """(others, stack, cells): (law, rows, cols, p_ij) per law of `_law_groups`
         that is not a Rayleigh capacity law; the Rayleigh laws, negated or not,

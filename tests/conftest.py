@@ -47,10 +47,14 @@ def frechet_capacity_kernel(channel, alpha, varpi=(0.3, 0.7)):
     return MapKernel(k.state_labels, k.transition, k.increments, varpi)
 
 
-def random_kernel(rng, n, mean_offset=0.0, spread=1.0):
-    """Random irreducible kernel with 3-atom discrete increments per transition."""
+def random_kernel(rng, n, mean_offset=0.0, spread=1.0, concentration=2.0):
+    """Random irreducible kernel with 3-atom discrete increments per transition.
+
+    Rows are Dirichlet(concentration) draws, redrawn until every entry
+    exceeds 1e-3; past about 30 states that takes a concentration well
+    above 2, so that the rows stay near uniform."""
     while True:
-        p = rng.dirichlet(np.ones(n) * 2.0, size=n)
+        p = rng.dirichlet(np.ones(n) * concentration, size=n)
         if np.all(p > 1e-3):
             break
     laws = tuple(

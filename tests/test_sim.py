@@ -1,5 +1,6 @@
 """Queue simulation, tail estimation, and stochastic-order checks."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import frechet_capacity_kernel, lindley_loop, random_kernel, searchsorted_walk
 from mapq import sim as sim_module
+from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.errors import DimensionMismatch, LengthMismatch, UnknownExperiment
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.sim import (
@@ -206,6 +208,38 @@ def test_block_walk_follows_the_searchsorted_walk_across_uneven_blocks(monkeypat
     assert increments[0].tolist() == [3.0 * i + j for i, j in zip(walk[:-1], walk[1:])]
 
 
+@pytest.mark.parametrize("n, cells, concentration", [(16, 7, 2.0), (70, 97, 20.0)])
+def test_block_walk_widens_its_state_type_past_fifteen_states(monkeypatch, n, cells,
+                                                              concentration):
+    # n * n = 256 is the first cell count past one byte, and 70 states go past 64
+    k = random_kernel(np.random.default_rng(n), n, concentration=concentration)
+    # one replication walks uneven blocks; constant laws numbered by cell draw nothing
+    monkeypatch.setattr(sim_module, "_BLOCK_CELLS", cells)
+    laws = tuple(tuple(Constant(float(n * i + j)) for j in range(n)) for i in range(n))
+    numbered = MapKernel(k.state_labels, k.transition, laws, k.initial_dist)
+    states, increments = _walk(numbered, 1, 300, np.random.default_rng(8), cells)
+    assert states.dtype == np.uint16
+    walk = searchsorted_walk([k.transition], k.initial_dist, 300, 8)
+    assert states[0].tolist() == walk
+    assert increments[0].tolist() == [n * i + j for i, j in zip(walk[:-1], walk[1:])]
+    # the kernel's own 3-atom laws: every increment is an atom of its cell's law
+    states, increments = _walk(k, 4, 60, np.random.default_rng(9), cells)
+    for src, dst, x in zip(states[:, :-1].ravel(), states[:, 1:].ravel(), increments.ravel()):
+        assert x in k.law(src, dst).support
+
+
+def test_successor_tables_take_one_byte_up_to_fifteen_states():
+    u = np.random.default_rng(5).random((3, 40))
+    for n in range(2, 17):
+        p = np.random.default_rng(n).dirichlet(np.ones(n), size=n)
+        cum = sim_module._cumulative_rows(p)
+        table = sim_module._successors(cum, u)
+        assert table.itemsize == (1 if n <= 15 else 2)
+        expected = [[[np.searchsorted(cum[i], x, side="right") for i in range(n)] for x in row]
+                    for row in u]
+        assert table.tolist() == expected
+
+
 def test_block_lindley_matches_the_queue_recursion(monkeypatch):
     # three replications walk blocks of 2 slots, the last of 1; the walkers
     # replayed on the seed's stream give each replication's paths
@@ -259,6 +293,33 @@ def test_sample_path_states_follow_the_searchsorted_walk():
     k = random_kernel(np.random.default_rng(21), 3)
     states, _ = sample_path(k, 2000, 8)
     assert states.tolist() == searchsorted_walk([k.transition], k.initial_dist, 2000, 8)
+
+
+def test_samplers_keep_their_draw_order():
+    # exact outputs of a 3-state Rayleigh service (nine laws) against a
+    # 2-state pmf arrival: any change to the order or arithmetic of the draws
+    # moves them; tail_estimate runs 3 blocks, martingale_check 2 chunks
+    channel = ChannelSpec(2.0, np.array([[8.0, 5.0, 3.0], [4.0, 2.5, 1.5], [2.0, 1.2, 0.6]]),
+                          ("hi", "mid", "lo"))
+    service = capacity_kernel(
+        np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]), channel)
+    arrival = MapKernel(
+        ("calm", "burst"), np.array([[0.9, 0.1], [0.2, 0.8]]),
+        ((DiscretePmf((0.0, 2.0), (0.5, 0.5)), DiscretePmf((1.0, 3.0), (0.4, 0.6))),
+         (DiscretePmf((2.0, 5.0), (0.5, 0.5)), DiscretePmf((3.0, 6.0), (0.3, 0.7)))),
+        np.array([0.5, 0.5]))
+    est = tail_estimate(arrival, service, [0.5, 2.0, 5.0, 10.0], 3000, 60, 13, "backlog")
+    assert [e.hits for e in est] == [2142, 1888, 1638, 1299]
+    est = tail_estimate(arrival, service, [0, 1, 3], 3000, 60, 13, "delay")
+    assert [e.hits for e in est] == [2212, 1860, 1400]
+    assert martingale_check(service, 0.05, 20, 4000, 29) == (1.0046158884003618,
+                                                             0.015180480453781418)
+    states, increments = sample_path(service, 5000, 41)
+    assert states.dtype == np.int64 and increments.dtype == np.float64
+    assert hashlib.sha256(states.tobytes()).hexdigest() == (
+        "c0177e2858c0c146afe8d5d38bc9fe6e5313560e43a45fd20d41d94f83cd089d")
+    assert hashlib.sha256(increments.tobytes()).hexdigest() == (
+        "3a51096b097b9e0615a18b29f90e4839acff750500037f29527ed562afcb7f86")
 
 
 def test_tail_estimate_checks_metric_and_levels_before_drawing(monkeypatch):

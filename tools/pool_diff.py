@@ -7,7 +7,10 @@
 Each tree's jobs run in-process in one child interpreter that imports mapq
 from that tree; the jobs, their checks and the output parser come from
 perfbench/workloads.py and perfbench/checks.py.  analytic-fading runs every
-pool job; simulate-fading runs the `simulate` jobs that --seed generates.
+pool job; simulate-fading runs every job that --seed generates: the 20
+`simulate` CLI jobs and the 90 library jobs (45 `martingale_check` and 45
+`sample_path` calls), each of whose return values is written to a file as
+bytes (each array's dtype, shape and data, each float's 8 bytes).
 The report lists, per tree, the jobs that fail their check (against
 perfbench/reference.json for analytic jobs) and, per job kind (the last part
 of the job id), the work the jobs did: scalar Perron solves (calls of
@@ -24,7 +27,9 @@ lists the job kinds where this tree does more of that work than the base,
 how many output files are byte-identical, and the worst relative difference
 of a numeric cell per job kind.  For simulate-fading it lists instead, per job, which files are
 byte-identical and, per level of tails.csv, the hits of each tree and
-|p_hat - p_hat_base| in binomial standard errors of the pooled estimate.
+|p_hat - p_hat_base| in binomial standard errors of the pooled estimate,
+then how many library return values are byte-identical, naming any that
+differ.
 """
 
 import argparse
@@ -68,17 +73,25 @@ def _count_work():
 
 
 def run_tree(src, out, workload, seed):
-    """Child: run the workload's CLI jobs with mapq from `src`; write problems.json to `out`."""
+    """Child: run the workload's jobs with mapq from `src`; write problems.json to `out`."""
     sys.path[:0] = [os.path.abspath(src), PERFBENCH]
     import checks
+    import numpy as np
     import workloads
 
     reference = workloads.load_reference(os.path.join(PERFBENCH, "reference.json"))
     if workload == "analytic-fading":
         jobs = workloads.build(workload, 0, out, reference, entries=workloads.analytic_pool())
     else:
-        jobs = [job for job in workloads.build(workload, seed, out, reference)
-                if job.kind == "cli.simulate"]
+        jobs = workloads.build(workload, seed, out, reference)
+        os.makedirs(os.path.join(out, "lib"), exist_ok=True)
+
+    def as_bytes(value):
+        if isinstance(value, tuple):
+            return b"".join(as_bytes(v) for v in value)
+        a = np.asarray(value)
+        return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+
     counts = _count_work()
     problems = {}
     for job in jobs:
@@ -95,8 +108,13 @@ def run_tree(src, out, workload, seed):
             found = []
         else:
             found = [f"failed with {signature}"]
+        files = job.files
+        if not files and result is not None:  # a library job: its return value
+            files = [os.path.join(out, "lib", f"{job.id}.bin")]
+            with open(files[0], "wb") as fh:
+                fh.write(as_bytes(result))
         problems[job.id] = {"problems": found,
-                            "files": [os.path.relpath(p, out) for p in job.files],
+                            "files": [os.path.relpath(p, out) for p in files],
                             "work": [c - b for c, b in zip(counts, before)]}
     with open(os.path.join(out, "problems.json"), "w", encoding="utf-8") as fh:
         json.dump(problems, fh)
@@ -110,10 +128,11 @@ def _spawn(src, out, workload, seed):
 
 
 def _work_by_kind(problems):
-    """The WORK counts of a tree's jobs, summed per job kind."""
+    """The WORK counts of a tree's jobs, summed per job kind (the id's last
+    part without its number: sf-mart3 is a mart job)."""
     out = {}
     for job_id, info in problems.items():
-        total = out.setdefault(job_id.rsplit("-", 1)[-1], [0] * len(WORK))
+        total = out.setdefault(job_id.rsplit("-", 1)[-1].rstrip("0123456789"), [0] * len(WORK))
         total[:] = [t + n for t, n in zip(total, info["work"])]
     return out
 
@@ -136,14 +155,24 @@ def _worst(a, b, where, worst):
         worst[:] = [math.inf, where, a, b]
 
 
+def _simulate_order(item):
+    """Simulate jobs first, by number, then library jobs by name and number:
+    sf-12-delay, then sf-mart3, then sf-path7."""
+    head = item[0].split("-")[1]
+    name = head.rstrip("0123456789")
+    return name, int(head[len(name):])
+
+
 def _tails_report(runs, work):
     """Per simulate job: the byte-identical files and, per tails.csv level, the
-    hits of both trees and |delta p_hat| in pooled binomial standard errors."""
+    hits of both trees and |delta p_hat| in pooled binomial standard errors;
+    then the byte-identical library return values."""
     import checks
 
     z_all = []
     identical = compared = 0
-    for job_id, info in sorted(runs["src"].items(), key=lambda kv: int(kv[0].split("-")[1])):
+    library = [0, 0]  # byte-identical, compared
+    for job_id, info in sorted(runs["src"].items(), key=_simulate_order):
         same = []
         for rel in info["files"]:
             paths = [os.path.join(work, name, rel) for name in ("src", "base")]
@@ -151,6 +180,12 @@ def _tails_report(runs, work):
                 continue
             with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
                 equal = fa.read() == fb.read()
+            if rel.endswith(".bin"):
+                library[0] += equal
+                library[1] += 1
+                if not equal:
+                    print(f"  {job_id}: return value differs")
+                continue
             compared += 1
             identical += equal
             same.append(f"{os.path.basename(rel)} {'identical' if equal else 'differs'}")
@@ -164,8 +199,10 @@ def _tails_report(runs, work):
                 z_all.append(abs(hits - base_hits) / n / se if se > 0 else 0.0)
                 same.append(f"level {level:g}: hits {hits:g} (base {base_hits:g}) of {n:g},"
                             f" |dp| = {z_all[-1]:.2f} se")
-        print(f"  {job_id}: " + "\n    ".join(same))
+        if same:
+            print(f"  {job_id}: " + "\n    ".join(same))
     print(f"{identical} of {compared} output files byte-identical")
+    print(f"{library[0]} of {library[1]} library return values byte-identical")
     if z_all:
         z_all.sort()
         print(f"tails.csv levels: {len(z_all)}; |dp| in pooled se: median "
