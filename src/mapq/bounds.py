@@ -17,7 +17,7 @@ import numpy as np
 from .errors import MgfDiverged, NoConvergence, NoFixedPoint, NoRootInDomain, UnstableQueue
 from .spectral import (
     MapKernel,
-    SpectralSolution,
+    PerronStack,
     negate,
     perron,
     perron_grid,
@@ -209,39 +209,58 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
     return HorizonBoundReport(b, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
 
 
-def _dcc_bound(theta, h_a, h_s, d, epsilon, varpi_s):
-    h_plus = (h_a.max() / h_a.min()) / h_s.min()
-    vals = (-1.0 / (theta * d)) * np.log(epsilon / (h_plus * h_s))
-    return float(varpi_s @ vals)
+# interior points per round of dcc_upper's section search
+_SECTION_POINTS = 15
 
 
-def _dcc_value(theta, d, epsilon, arrival, neg_service, varpi_s):
-    return _dcc_bound(theta, perron(arrival, theta).h, perron(neg_service, theta).h,
-                      d, epsilon, varpi_s)
+def _dcc_objective(arrival: PerronStack, neg_service: PerronStack, epsilon, varpi_s):
+    """g(theta) per theta of the two stacks, +inf where either kernel's solve failed."""
+    h_a, h_s = arrival.h, neg_service.h
+    h_plus = (h_a.max(axis=1) / h_a.min(axis=1)) / h_s.min(axis=1)
+    g = (-1.0 / arrival.theta) * (np.log(epsilon / (h_plus[:, None] * h_s)) @ varpi_s)
+    g[~(arrival.solved & neg_service.solved)] = math.inf
+    return g
 
 
-def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) -> DccReport:
-    """Upper bound on delay-constrained capacity, optimized over theta.
+def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float):
+    """Upper bound on delay-constrained capacity at each deadline, optimized over theta.
 
-    Evaluates the conditional bound averaged over the service initial
-    distribution on a 200-point log grid in (0, theta_max) that always
-    contains theta*, with one perron_grid call per kernel, then refines
-    around the grid argmin by golden-section.
-    The asymptotic cap kappa^A(theta*)/theta* is reported alongside.
+    The bound at deadline d is g(theta) / d, where
+    g(theta) = -(1/theta) sum_j varpi_j log(epsilon / (h+(theta) h^{-S}_j(theta))),
+    h+ = (max h^A / min h^A) / min h^{-S} and varpi is the service initial
+    distribution.  Only 1/d depends on the deadline, so one search serves every
+    deadline.  g is evaluated on a 200-point log grid on [theta*/100, theta_max]
+    with theta* added, one perron_grid call per kernel; theta_max = 8 theta*,
+    halved while perron fails there.  A section search then refines the grid
+    argmin: each round evaluates _SECTION_POINTS equally spaced interior points of
+    [a, b] (at first the argmin's grid neighbours) as one stack per kernel and
+    keeps the two neighbours of their argmin, until b - a < 1e-12 max(1, b).
+    `value` is the least g/d over the grid and the rounds, clamped at 0;
+    `theta_opt` is the last round's argmin, and `value_at_root` the bound at
+    theta*.  The asymptotic cap kappa^A(theta*)/theta* is reported alongside.
+
+    A float deadline gives its DccReport, a sequence of deadlines a list of them.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"deadline must be finite slots > 0, got {d!r}")
+    single = np.ndim(deadlines) == 0
+    deadlines = [deadlines] if single else list(deadlines)
+    for d in deadlines:
+        if not (math.isfinite(d) and d > 0):
+            raise ValueError(f"deadline must be finite slots > 0, got {d!r}")
     root = stability_root(arrival, service)
     neg_service = root.neg_service.kernel
-    varpi_s = service.initial_dist
     theta_star = root.theta_star
+
+    def objective(thetas):
+        return _dcc_objective(perron_grid(arrival, thetas), perron_grid(neg_service, thetas),
+                              epsilon, service.initial_dist)
 
     theta_max = 8.0 * theta_star
     while theta_max > theta_star:
         try:
-            _dcc_value(theta_max, d, epsilon, arrival, neg_service, varpi_s)
+            perron(arrival, theta_max)
+            perron(neg_service, theta_max)
             break
         except (MgfDiverged, NoConvergence):
             # far above theta* the service transform's entries can span more
@@ -249,38 +268,24 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, d: float, epsilon: float) 
             theta_max *= 0.5
     grid = np.geomspace(theta_star / 100.0, theta_max, 200)
     grid = np.unique(np.append(grid, theta_star))
-    values = [
-        _dcc_bound(t, sol_a.h, sol_s.h, d, epsilon, varpi_s)
-        if isinstance(sol_a, SpectralSolution) and isinstance(sol_s, SpectralSolution)
-        else math.inf  # where the transform diverges or the eigensolve fails
-        for t, sol_a, sol_s in zip(grid, perron_grid(arrival, grid), perron_grid(neg_service, grid))
-    ]
+    values = objective(grid)
     k = int(np.argmin(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    e = a + inv_phi * (b - a)
-    fc = _dcc_value(c, d, epsilon, arrival, neg_service, varpi_s)
-    fe = _dcc_value(e, d, epsilon, arrival, neg_service, varpi_s)
-    for _ in range(80):
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _dcc_value(c, d, epsilon, arrival, neg_service, varpi_s)
-        else:
-            a, c, fc = c, e, fe
-            e = a + inv_phi * (b - a)
-            fe = _dcc_value(e, d, epsilon, arrival, neg_service, varpi_s)
+    best = values[k]
+    at_root = values[int(np.searchsorted(grid, theta_star))]
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    inner = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
+    while True:
+        points = np.concatenate(([a], a + (b - a) * inner, [b]))
+        g = objective(points[1:-1])
+        j = int(np.argmin(g))
+        best = min(best, g[j])
+        theta_opt, a, b = points[j + 1], points[j], points[j + 2]
         if b - a < 1e-12 * max(1.0, b):
             break
-    theta_opt = c if fc < fe else e
-    best = min(values[k], fc, fe)
     cap = root.kappa_arrival / theta_star
-    at_root = values[int(np.searchsorted(grid, theta_star))]
-    return DccReport(max(best, 0.0), float(theta_opt), cap, at_root)
+    reports = [DccReport(max(float(best) / d, 0.0), float(theta_opt), cap, float(at_root) / d)
+               for d in deadlines]
+    return reports[0] if single else reports
 
 
 def constant_dcc_interval(service: MapKernel, d: float, epsilon: float, varpi) -> tuple:

@@ -48,6 +48,8 @@ _PARSE_ERRORS = (ConfigError, LengthMismatch, DimensionMismatch, UnknownExperime
 _NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, NoFixedPoint, InconclusiveTail,
                    np.linalg.LinAlgError)
 _COPULA_ERRORS = (IncompatibleCopula, OutOfUnitInterval, ZeroMassState)
+# libyaml's emitter where PyYAML is built with it; both write yaml.safe_dump's bytes
+_SAFE_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 def _fmt(x) -> str:
@@ -134,11 +136,9 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
         _write_csv(path, ("level", "y", "theta", "theta_y", "y_gamma", "branch",
                           "bound", "clamped"), rows)
     else:  # dcc
-        rows = []
-        for level in levels:
-            r = bd.dcc_upper(arrival, config.service, level, args.epsilon)
-            rows.append((level, args.epsilon, r.value, r.theta_opt, r.asymptotic_cap,
-                         r.value_at_root))
+        reports = bd.dcc_upper(arrival, config.service, levels, args.epsilon)
+        rows = [(level, args.epsilon, r.value, r.theta_opt, r.asymptotic_cap, r.value_at_root)
+                for level, r in zip(levels, reports)]
         _write_csv(path, ("deadline", "epsilon", "value", "theta_opt",
                           "asymptotic_cap", "value_at_root"), rows)
     print(path)
@@ -175,7 +175,7 @@ def cmd_control(config: cf.ExperimentConfig, args) -> int:
     }
     frag_path = os.path.join(out, "control_kernel.yaml")
     with open(frag_path, "w", encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump({"kernel": fragment}, fh, sort_keys=True)
+        yaml.dump({"kernel": fragment}, fh, Dumper=_SAFE_DUMPER, sort_keys=True)
     print(csv_path)
     print(frag_path)
     return 0

@@ -173,6 +173,30 @@ class SpectralSolution:
 
 
 @dataclass(frozen=True)
+class PerronStack:
+    """perron at every theta of a stack, as arrays: row k of kappa (T,), h (T, n)
+    and v (T, n) is the solution at theta[k], NaN where failure[k] holds the
+    MgfDiverged or NoConvergence that perron raises there."""
+
+    theta: np.ndarray
+    kappa: np.ndarray
+    h: np.ndarray
+    v: np.ndarray
+    failure: tuple
+    kernel: MapKernel = field(compare=False, repr=False)
+
+    @property
+    def solved(self) -> np.ndarray:
+        return np.array([f is None for f in self.failure], dtype=bool)
+
+    @cached_property
+    def kappa_dot(self) -> np.ndarray:
+        """kappa'(theta) per row, from one stacked transform derivative on first read."""
+        fprime = _transform_derivative(self.kernel, self.theta)
+        return (self.v[:, None, :] @ fprime @ self.h[:, :, None])[:, 0, 0] * np.exp(-self.kappa)
+
+
+@dataclass(frozen=True)
 class StabilityRoot:
     theta_star: float
     residual: float
@@ -239,16 +263,26 @@ def _geev_lwork(n: int) -> int:
     return _compute_lwork(_dgeev_lwork, n, compute_vl=True, compute_vr=True)
 
 
-def _gate(kernel, pi, theta, lam, e, h, v, positive, residual):
-    """The SpectralSolution at theta from the largest real eigenvalue lam of F
-    scaled by 2^-e and its sign-fixed eigenvectors h and v, or the
-    NoConvergence naming theta and the first check they fail."""
+def _failure(theta, lam, positive, residual):
+    """The NoConvergence naming theta and the first Perron check that the
+    largest real eigenvalue lam, the sign of its eigenvectors or their relative
+    residual fails, or None where all three pass."""
     if lam <= 0:
         return NoConvergence(f"nonpositive dominant eigenvalue {lam!r} at theta={theta}")
     if not positive:
         return NoConvergence(f"Perron eigenvectors are not strictly positive at theta={theta}")
     if not residual <= _RESIDUAL_TOL:
         return NoConvergence(f"eigen residual {residual!r} above {_RESIDUAL_TOL} at theta={theta}")
+    return None
+
+
+def _gate(kernel, pi, theta, lam, e, h, v, positive, residual):
+    """The SpectralSolution at theta from the largest real eigenvalue lam of F
+    scaled by 2^-e and its sign-fixed eigenvectors h and v, or the
+    NoConvergence naming theta and the first check they fail."""
+    failure = _failure(theta, lam, positive, residual)
+    if failure is not None:
+        return failure
     h = h / float(pi @ h)
     v = v / float(v @ h)
     h.setflags(write=False)
@@ -292,45 +326,64 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
     return _gate(kernel, pi, theta, lam, e, h, v, h.min() > 0 and v.min() > 0, residual)
 
 
-def _solve_batched(kernel: MapKernel, thetas, f) -> list:
-    """_solve_one at every matrix of the stack f, from numpy's batched eig of F
-    and of F^T; raises LinAlgError when numpy rejects the stack."""
+def _solve_batched(kernel: MapKernel, thetas, f):
+    """(kappa, h, v, failures) at every matrix of the stack f, with _solve_one's
+    scaling, pick, checks and normalization as array operations over the stack:
+    one batched numpy eig of F and one of F^T, and none for a one-state kernel
+    (kappa = log F, h = v = [1]).  A failed row holds NaN and its NoConvergence;
+    raises LinAlgError when numpy rejects the stack."""
     e = np.frexp(f.max(axis=(1, 2)))[1]
     e[np.abs(e) <= _EXP_LIMIT] = 0
     # ldexp by 0 leaves every other matrix's bits unchanged
     scaled = np.ldexp(f, -e[:, None, None]) if e.any() else f
-    w, right = np.linalg.eig(scaled)
-    wl, left = np.linalg.eig(np.swapaxes(scaled, 1, 2))
-    rows = np.arange(len(f))
-    k = w.real.argmax(axis=1)
-    lam = w.real[rows, k]
-    hv = np.stack((right[rows, :, k].real, left[rows, :, wl.real.argmax(axis=1)].real))
-    hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
-    positive = hv.min(axis=(0, 2)) > 0
-    h, v = hv
-    scale = np.maximum(lam, _TINY)
-    residual = np.maximum(
-        abs((scaled @ h[:, :, None])[:, :, 0] - lam[:, None] * h).max(axis=1)
-        / (scale * abs(h).max(axis=1)),
-        abs((v[:, None, :] @ scaled)[:, 0, :] - lam[:, None] * v).max(axis=1)
-        / (scale * abs(v).max(axis=1)),
-    )
-    pi = stationary_distribution(kernel)
-    return [_gate(kernel, pi, *args) for args in zip(
-        thetas, lam.tolist(), e.tolist(), h, v, positive.tolist(), residual.tolist())]
+    t, n = f.shape[:2]
+    if n == 1:
+        lam = scaled[:, 0, 0]
+        h = v = np.ones((t, 1))
+        positive = np.ones(t, dtype=bool)
+        residual = np.zeros(t)
+    else:
+        w, right = np.linalg.eig(scaled)
+        wl, left = np.linalg.eig(np.swapaxes(scaled, 1, 2))
+        rows = np.arange(t)
+        k = w.real.argmax(axis=1)
+        lam = w.real[rows, k]
+        hv = np.stack((right[rows, :, k].real, left[rows, :, wl.real.argmax(axis=1)].real))
+        hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
+        positive = hv.min(axis=(0, 2)) > 0
+        h, v = hv
+        scale = np.maximum(lam, _TINY)
+        residual = np.maximum(
+            abs((scaled @ h[:, :, None])[:, :, 0] - lam[:, None] * h).max(axis=1)
+            / (scale * abs(h).max(axis=1)),
+            abs((v[:, None, :] @ scaled)[:, 0, :] - lam[:, None] * v).max(axis=1)
+            / (scale * abs(v).max(axis=1)),
+        )
+    # _failure's checks over the whole stack; it words the failures
+    ok = (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
+    bad = np.flatnonzero(~ok)
+    failures = [None] * t
+    for k, *args in zip(bad.tolist(), thetas[bad].tolist(), lam[bad].tolist(),
+                        positive[bad].tolist(), residual[bad].tolist()):
+        failures[k] = _failure(*args)
+    # a failed row is NaN before any arithmetic, which keeps it silent
+    kappa = np.log(np.where(ok, lam, np.nan)) + e * math.log(2.0)
+    h = np.where(ok[:, None], h, np.nan)
+    h = h / (h @ kernel.stationary)[:, None]
+    v = np.where(ok[:, None], v, np.nan)
+    return kappa, h, v / (v * h).sum(axis=1)[:, None], failures
 
 
-def _solve(kernel: MapKernel, thetas, f) -> list:
-    """SpectralSolution or NoConvergence naming theta, per theta, from the stack f
-    of finite transform matrices at thetas: a stack of two or more in one
-    batched eigensolve, a single matrix (or every matrix of a stack numpy
-    rejects, which it does for one bad slice) by _solve_one."""
-    if len(f) > 1:
-        try:
-            return _solve_batched(kernel, thetas, f)
-        except np.linalg.LinAlgError:
-            pass
-    return [_solve_one(kernel, theta, m) for theta, m in zip(thetas, f)]
+def _solve_each(kernel: MapKernel, thetas, f):
+    """_solve_batched's (kappa, h, v, failures) from one _solve_one call per matrix."""
+    t, n = f.shape[:2]
+    kappa, h, v = np.full(t, np.nan), np.full((t, n), np.nan), np.full((t, n), np.nan)
+    failures = [_solve_one(kernel, theta, m) for theta, m in zip(thetas.tolist(), f)]
+    for k, sol in enumerate(failures):
+        if isinstance(sol, SpectralSolution):
+            kappa[k], h[k], v[k] = sol.kappa, sol.h, sol.v
+            failures[k] = None
+    return kappa, h, v, failures
 
 
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
@@ -351,19 +404,30 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     return sol
 
 
-def perron_grid(kernel: MapKernel, thetas) -> list:
-    """perron at every theta of `thetas`, from one transform_matrix call for the
-    whole grid and one batched eigensolve; it neither reads nor fills perron's cache.
+def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
+    """perron at every theta of `thetas` as one PerronStack, from one
+    transform_matrix call for the whole stack and one batched eigensolve of it;
+    it neither reads nor fills perron's cache.
 
-    Entry k is the SpectralSolution at thetas[k], or the MgfDiverged or
-    NoConvergence that perron raises there: a theta fails alone.
+    A theta fails alone: its failure is the MgfDiverged or NoConvergence that
+    perron raises there.  When numpy rejects the stack, which it does for one
+    bad slice, each matrix is solved by _solve_one.
     """
     thetas = np.asarray(thetas, dtype=float)
     f = transform_matrix(kernel, thetas)
     finite = np.isfinite(f).all(axis=(1, 2))
-    solved = iter(_solve(kernel, thetas[finite], f[finite]))
-    return [next(solved) if ok else MgfDiverged(f"transform matrix not finite at theta={t}")
-            for t, ok in zip(thetas, finite)]
+    t, n = f.shape[:2]
+    kappa, h, v = np.full(t, np.nan), np.full((t, n), np.nan), np.full((t, n), np.nan)
+    try:
+        kappa[finite], h[finite], v[finite], failures = _solve_batched(
+            kernel, thetas[finite], f[finite])
+    except np.linalg.LinAlgError:
+        kappa[finite], h[finite], v[finite], failures = _solve_each(
+            kernel, thetas[finite], f[finite])
+    solved = iter(failures)
+    failure = tuple(next(solved) if ok else MgfDiverged(f"transform matrix not finite at theta={x}")
+                    for x, ok in zip(thetas.tolist(), finite.tolist()))
+    return PerronStack(thetas, kappa, h, v, failure, kernel)
 
 
 def mean_rate(kernel: MapKernel) -> float:

@@ -9,12 +9,14 @@ import pytest
 from conftest import count_calls, frechet_capacity_kernel, random_kernel
 from mapq import bounds as bd
 from mapq import spectral as spectral_module
+from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.errors import NoRootInDomain, UnstableQueue
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
     MapKernel,
     negate,
     perron,
+    perron_grid,
     single_state_kernel,
     stability_root,
 )
@@ -187,18 +189,60 @@ def test_dcc_large_deadline_falls_below_asymptotic_cap(toy_arrival, toy_service)
 
 def test_dcc_upper_solves_its_grid_in_one_stacked_eigensolve_per_kernel(
         monkeypatch, toy_arrival, toy_service):
-    # before the grid was batched, dcc_upper(toy, 10, 1e-3) made 554 single-
-    # matrix solves: 2 mean rates, 42 for theta*, 2 for the theta_max probe,
-    # 402 for the 201-point grid and 106 for the golden section; the grid is
-    # now four stacked numpy calls, and theta* takes 36 (no theta solved twice)
+    # with a golden-section refinement dcc_upper(toy, 10, 1e-3) made up to 146
+    # single-matrix solves: 2 mean rates, 36 for theta*, 2 for the theta_max
+    # probe and 106 for the golden section.  The grid and every round of the
+    # section search are now one stack per kernel, which a one-state kernel
+    # solves in closed form, so only theta* and the probe solve one matrix
     solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     stacked = count_calls(monkeypatch, np.linalg, "eig")
+    grids = count_calls(monkeypatch, bd, "perron_grid")
     arrival = single_state_kernel(toy_arrival.law(0, 0), label="const")
     service = single_state_kernel(toy_service.law(0, 0))
     r = bd.dcc_upper(arrival, service, 10.0, 1e-3)
-    assert len(stacked) == 4  # F and F^T of each kernel
-    assert len(solves) <= 146
+    assert len(solves) <= 40
+    assert stacked == []
+    sizes = [len(args[1]) for args in grids]
+    assert sizes[:2] == [201, 201] and len(sizes) > 2
+    assert set(sizes[2:]) == {bd._SECTION_POINTS}
     assert r.value_at_root == pytest.approx(-math.log(1e-3) / 20.0, rel=1e-9)
+
+
+def test_dcc_upper_shares_one_search_across_deadlines(delay_figure_channel, monkeypatch):
+    # only the 1/d factor depends on the deadline, so every deadline has the
+    # same theta_opt, and value * d is the one minimum of g
+    arrival = single_state_kernel(Constant(10.0))
+    service = frechet_capacity_kernel(delay_figure_channel, 0.5)
+    grids = count_calls(monkeypatch, bd, "perron_grid")
+    reports = bd.dcc_upper(arrival, service, [1.0, 5.0, 20.0], 1e-3)
+    searched = len(grids)
+    alone = [bd.dcc_upper(arrival, service, d, 1e-3) for d in (1.0, 5.0, 20.0)]
+    assert len(grids) == 4 * searched  # a list of deadlines costs one search
+    assert len({r.theta_opt for r in reports + alone}) == 1
+    for d, r, single in zip((1.0, 5.0, 20.0), reports, alone):
+        assert r == single
+        assert r.value * d == pytest.approx(reports[0].value, rel=1e-15)
+        assert r.value_at_root * d == pytest.approx(reports[0].value_at_root, rel=1e-15)
+    assert 0.0 < reports[0].value <= reports[0].value_at_root
+
+
+def test_dcc_objective_stack_matches_the_formula_per_theta():
+    # g(theta) / d against the bound written per theta from perron; the plain
+    # 3-state capacity transform overflows at theta = 5, which gives +inf
+    snr = np.array([[300.0] * 3, [20.0] * 3, [0.7] * 3])
+    p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
+    arrival = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
+    service = random_kernel(np.random.default_rng(21), 2, mean_offset=3.0, spread=1.5)
+    neg = negate(service)
+    thetas = np.append(np.geomspace(1e-3, 0.5, 19), 5.0)
+    d, eps, varpi = 7.0, 1e-4, service.initial_dist
+    got = bd._dcc_objective(perron_grid(arrival, thetas), perron_grid(neg, thetas), eps, varpi) / d
+    for theta, g in zip(thetas[:-1], got[:-1]):
+        h_a, h_s = perron(arrival, theta).h, perron(neg, theta).h
+        h_plus = (h_a.max() / h_a.min()) / h_s.min()
+        expected = float(varpi @ ((-1.0 / (theta * d)) * np.log(eps / (h_plus * h_s))))
+        assert g == pytest.approx(expected, rel=1e-13)
+    assert got[-1] == math.inf
 
 
 def test_dcc_upper_backs_off_where_the_eigensolve_fails():

@@ -197,18 +197,22 @@ service:
     (["--mode", "horizon"], "2", "2,4,8"),
 ])
 def test_more_levels_make_no_more_eigensolves(tmp_path, monkeypatch, argv, one, many):
-    # the levels of one run share the root and, for dcc, the theta of the
-    # optimum (the bound is 1/d times a function of theta): every further level
-    # reads the solutions the first one kept on the kernels
+    # the levels of one run share the root and, for dcc, the search for the
+    # theta of the optimum (the bound is 1/d times a function of theta): every
+    # further level reads the solutions the first one kept on the kernels, and
+    # dcc solves its theta stacks once for all levels
     cfg = _write(tmp_path, "pool.yaml", POOL_CFG)
     solves = count_calls(monkeypatch, spectral, "_solve_one")
+    stacked = count_calls(monkeypatch, np.linalg, "eig")
     counts = []
     for levels in (one, many):
-        del solves[:]
+        del solves[:], stacked[:]
         assert _run(["bounds", "--config", cfg, *argv, "--levels", levels,
                      "--out", str(tmp_path)]) == 0
-        counts.append(len(solves))
-    assert 0 < counts[1] <= counts[0]
+        counts.append((len(solves), len(stacked)))
+    assert 0 < counts[1][0] <= counts[0][0]
+    assert counts[1][1] <= counts[0][1]
+    assert (counts[0][1] > 0) == (argv[1] == "dcc")
 
 
 def test_dgeev_failure_exits_3(tmp_path, monkeypatch):
@@ -260,6 +264,50 @@ def test_control_reproduces_printed_matrix(tmp_path):
     fragment = yaml.safe_load((out / "control_kernel.yaml").read_text(encoding="utf-8"))
     assert np.allclose(fragment["kernel"]["transition"], mat, atol=1e-12)
     assert fragment["kernel"]["initial_dist"] == [0.3, 0.7]
+
+
+CONTROL_KERNEL_3 = """\
+kernel:
+  increments:
+""" + """\
+  - - law: constant
+      value: 0.0
+    - law: constant
+      value: 0.0
+    - law: constant
+      value: 0.0
+""" * 3 + """\
+  initial_dist:
+  - 0.2
+  - 0.3
+  - 0.5
+  states:
+  - 0
+  - 1
+  - 2
+  transition:
+  - - 0.33749999999999997
+    - 0.225
+    - 0.4375
+  - - 0.15000000000000008
+    - 0.41250000000000003
+    - 0.43749999999999994
+  - - 0.17500000000000004
+    - 0.26249999999999996
+    - 0.5625
+"""
+
+
+def test_control_kernel_yaml_bytes(tmp_path):
+    # libyaml's emitter, where PyYAML has it, writes yaml.safe_dump's bytes
+    doc = yaml.safe_load(CONTROL_CFG)
+    doc["copulas"]["varpi"] = [0.2, 0.3, 0.5]
+    cfg = _write(tmp_path, "ctl3.yaml", yaml.safe_dump(doc))
+    out = tmp_path / "o3"
+    assert _run(["control", "--config", cfg, "--out", str(out)]) == 0
+    written = (out / "control_kernel.yaml").read_bytes()
+    assert written == CONTROL_KERNEL_3.encode("utf-8")
+    assert yaml.safe_dump(yaml.safe_load(written), sort_keys=True) == CONTROL_KERNEL_3
 
 
 def test_control_product_copula_rows_equal_varpi(tmp_path):

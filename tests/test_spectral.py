@@ -438,16 +438,22 @@ def test_perron_failures_name_theta():
     theta = 4.0 * theta_star
     with pytest.raises(NoConvergence, match=f"theta={theta}"):
         perron(negate(service), theta)
-    failure = perron_grid(negate(service), [theta, 0.5 * theta_star])[0]
+    failure = perron_grid(negate(service), [theta, 0.5 * theta_star]).failure[0]
     assert isinstance(failure, NoConvergence) and f"theta={theta}" in str(failure)
 
 
-def _assert_same_solution(got, sol):
-    assert isinstance(got, SpectralSolution) and got.theta == sol.theta
-    assert got.kappa == pytest.approx(sol.kappa, rel=1e-12, abs=1e-12)
-    np.testing.assert_allclose(got.h, sol.h, rtol=1e-12)
-    np.testing.assert_allclose(got.v, sol.v, rtol=1e-12)
-    assert got.kappa_dot == pytest.approx(sol.kappa_dot, rel=1e-12, abs=1e-12)
+def _assert_row_is_solution(stack, k, sol):
+    assert stack.failure[k] is None and stack.theta[k] == sol.theta
+    assert stack.kappa[k] == pytest.approx(sol.kappa, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(stack.h[k], sol.h, rtol=1e-12)
+    np.testing.assert_allclose(stack.v[k], sol.v, rtol=1e-12)
+    assert stack.kappa_dot[k] == pytest.approx(sol.kappa_dot, rel=1e-12, abs=1e-12)
+
+
+def _assert_row_failed(stack, k, error, theta):
+    assert isinstance(stack.failure[k], error) and f"theta={theta}" in str(stack.failure[k])
+    assert not stack.solved[k]
+    assert np.isnan(stack.kappa[k]) and np.isnan(stack.h[k]).all() and np.isnan(stack.v[k]).all()
 
 
 @pytest.mark.parametrize("case", ["random", "rayleigh"])
@@ -460,8 +466,11 @@ def test_perron_grid_matches_perron_slice_by_slice(case):
         p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
         kernel = negate(capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c"))))
         thetas = np.geomspace(1e-3, 0.5, 21)
-    for theta, got in zip(thetas, perron_grid(kernel, thetas)):
-        _assert_same_solution(got, perron(kernel, theta))
+    stack = perron_grid(kernel, thetas)
+    assert stack.h.shape == stack.v.shape == (len(thetas), kernel.n_states)
+    assert stack.solved.all()
+    for k, theta in enumerate(thetas):
+        _assert_row_is_solution(stack, k, perron(kernel, theta))
 
 
 def test_perron_grid_fails_each_theta_alone():
@@ -470,10 +479,46 @@ def test_perron_grid_fails_each_theta_alone():
     # at theta -100 the negated transforms overflow; 4 theta* fails the residual gate
     thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star, 1.5 * theta_star]
     got = perron_grid(neg, thetas)
-    assert isinstance(got[1], MgfDiverged) and "theta=-100.0" in str(got[1])
-    assert isinstance(got[3], NoConvergence)
+    _assert_row_failed(got, 1, MgfDiverged, -100.0)
+    _assert_row_failed(got, 3, NoConvergence, thetas[3])
     for k in (0, 2, 4):
-        _assert_same_solution(got[k], perron(neg, thetas[k]))
+        _assert_row_is_solution(got, k, perron(neg, thetas[k]))
+
+
+def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
+    # kappa = log F, h = v = [1] for the whole stack, with no eigensolve
+    stacked = count_calls(monkeypatch, np.linalg, "eig")
+    lapack = count_calls(monkeypatch, spectral_module, "dgeev")
+    kernel = single_state_kernel(gaussian_quantized(3.0, math.sqrt(2.0)))
+    # at rate 400 the transform e^400 is scaled by a power of two first
+    thetas = np.array([-1.0, 0.0, 0.4, 2.5])
+    stack = perron_grid(kernel, thetas)
+    big = perron_grid(single_state_kernel(Constant(400.0)), [1.0])
+    assert stacked == [] and lapack == []
+    for k, theta in enumerate(thetas):
+        _assert_row_is_solution(stack, k, perron(kernel, theta))
+    assert (stack.h == 1.0).all() and (stack.v == 1.0).all()
+    assert big.kappa[0] == pytest.approx(400.0, rel=1e-12)
+
+
+def test_perron_grid_of_no_theta_is_empty():
+    kernel = random_kernel(np.random.default_rng(13), 3)
+    stack = perron_grid(kernel, [])
+    assert stack.theta.shape == stack.kappa.shape == stack.kappa_dot.shape == (0,)
+    assert stack.h.shape == stack.v.shape == (0, 3)
+    assert stack.failure == () and stack.solved.shape == (0,)
+
+
+def test_perron_grid_where_every_theta_fails():
+    service, theta_star = _gate_failing_service()
+    neg = negate(service)
+    # the two large theta fail the residual gate, the negative ones overflow
+    thetas = [4.0 * theta_star, -100.0, 6.0 * theta_star, -200.0]
+    stack = perron_grid(neg, thetas)
+    assert not stack.solved.any()
+    for k, (theta, error) in enumerate(zip(thetas, (NoConvergence, MgfDiverged) * 2)):
+        _assert_row_failed(stack, k, error, theta)
+    assert np.isnan(stack.kappa_dot).all()
 
 
 def _fail_dgeev_on(monkeypatch, bad):
@@ -510,6 +555,6 @@ def test_perron_grid_survives_a_failed_stacked_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", stacked_eig)
     _fail_dgeev_on(monkeypatch, bad)
     got = perron_grid(kernel, thetas)
-    assert isinstance(got[1], NoConvergence) and "theta=0.1" in str(got[1])
-    _assert_same_solution(got[0], expected[0])
-    _assert_same_solution(got[2], expected[2])
+    _assert_row_failed(got, 1, NoConvergence, 0.1)
+    _assert_row_is_solution(got, 0, expected[0])
+    _assert_row_is_solution(got, 2, expected[2])

@@ -17,15 +17,18 @@ of the job id), the work the jobs did: scalar Perron solves (calls of
 mapq.spectral._solve_one, one-state closed forms included; in a tree
 without it, calls of mapq.spectral.eig, which that tree's scalar solves
 made once each), stacked eigensolve slices (matrices passed to
-numpy.linalg.eig, F and F^T each counted), Rayleigh integrations (laws
-integrated by mapq.laws._capacity_integrals: the rows of its (law, theta)
-exponent stack, or one per call in a tree that integrates one law per
-call), quadrature calls (calls of mapq.laws._capacity_integrals) and
-bivariate normal CDFs (calls of mapq.copulas.bvn_cdf, the Gaussian
-copula's work).  With --base it also
-lists the job kinds where this tree does more of that work than the base,
-how many output files are byte-identical, and the worst relative difference
-of a numeric cell per job kind.  For simulate-fading it lists instead, per job, which files are
+numpy.linalg.eig, F and F^T each counted; a tree whose perron_grid solves
+a one-state kernel's stack in closed form passes it none), Rayleigh
+integrations (laws integrated by mapq.laws._capacity_integrals: the rows of
+its (law, theta) exponent stack, or one per call in a tree that integrates
+one law per call), quadrature calls (calls of mapq.laws._capacity_integrals)
+and bivariate normal CDFs (calls of mapq.copulas.bvn_cdf, the Gaussian
+copula's work).  With --base it also lists the job kinds where this tree
+does more of that work than the base, how many output files are
+byte-identical, the worst relative difference of a numeric cell per job
+kind and, per CSV column whose cells move, the worst relative difference
+and the worst |difference| / max(1, |base|).  For simulate-fading it lists
+instead, per job, which files are
 byte-identical and, per level of tails.csv, the hits of each tree and
 |p_hat - p_hat_base| in binomial standard errors of the pooled estimate,
 then how many library return values are byte-identical, naming any that
@@ -155,6 +158,17 @@ def _worst(a, b, where, worst):
         worst[:] = [math.inf, where, a, b]
 
 
+def _column_moves(base_rows, src_rows, moves):
+    """Per column of two parsed CSVs with one header: keep the largest relative
+    and the largest |difference| / max(1, |base|) of its numeric cells."""
+    for base_row, src_row in zip(base_rows[1:], src_rows[1:]):
+        for name, a, b in zip(base_rows[0], base_row, src_row):
+            if isinstance(a, float) and isinstance(b, float) and a != b:
+                worst = moves.setdefault(name, [0.0, 0.0])
+                worst[0] = max(worst[0], abs(a - b) / max(abs(a), abs(b)))
+                worst[1] = max(worst[1], abs(a - b) / max(1.0, abs(a)))
+
+
 def _simulate_order(item):
     """Simulate jobs first, by number, then library jobs by name and number:
     sf-12-delay, then sf-mart3, then sf-path7."""
@@ -251,6 +265,7 @@ def main():
             print("more work than base: " + (", ".join(more) if more else "none"))
             files = {}  # kind -> [byte-identical, compared]
             worst = {}
+            columns = {}  # kind -> {column: [relative, scaled]}
             for job_id, info in sorted(runs["src"].items()):
                 kind = job_id.rsplit("-", 1)[-1]
                 for rel in info["files"]:
@@ -264,8 +279,10 @@ def main():
                             count[0] += 1
                             continue
                     w = worst.setdefault(kind, [0.0, None, None, None])
-                    _worst(checks.read_output(paths[1]), checks.read_output(paths[0]),
-                           f"{job_id}/{os.path.basename(rel)}", w)
+                    base, src = checks.read_output(paths[1]), checks.read_output(paths[0])
+                    _worst(base, src, f"{job_id}/{os.path.basename(rel)}", w)
+                    if rel.endswith(".csv"):
+                        _column_moves(base, src, columns.setdefault(kind, {}))
             print(f"{sum(c[0] for c in files.values())} of {sum(c[1] for c in files.values())}"
                   " output files byte-identical")
             for kind in sorted(files):
@@ -275,6 +292,9 @@ def main():
                     line += (f", worst relative cell difference {rel:.3g}"
                              f" at {where} (base {a!r}, src {b!r})")
                 print(line)
+                for name, (relative, scaled) in sorted(columns.get(kind, {}).items()):
+                    print(f"    column {name} moves: relative {relative:.3g},"
+                          f" |difference| / max(1, |base|) {scaled:.3g}")
     return 1 if failed else 0
 
 
