@@ -15,7 +15,6 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.linalg.lapack import _compute_lwork
-from scipy.optimize import brentq
 
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
 from .laws import IncrementLaw, Negated, RayleighStack
@@ -441,11 +440,69 @@ def negate(kernel: MapKernel) -> MapKernel:
     return kernel.negated
 
 
+# brentq's tolerances, as positive_root passed them, and scipy's default iteration cap
+_XTOL, _RTOL, _MAXITER = 1e-15, 8.9e-16, 100
+
+
+def _zeroin(f, lo, hi, what: str) -> float:
+    """Brent's zeroin (Brent 1973, ch. 4) on a bracket where f changes sign,
+    step for step as scipy's brentq runs it (scipy/optimize/Zeros/brentq.c):
+    the same choice between inverse interpolation, extrapolation and
+    bisection, and the same convergence test, so every theta it evaluates and
+    the root it returns are brentq's bit for bit.  A NaN value, or no
+    convergence in _MAXITER steps, raises NoRootInDomain naming `what` and theta."""
+
+    def at(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NoRootInDomain(f"{what} is NaN at theta={x}")
+        return fx
+
+    xpre, xcur = lo, hi
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless the secant or the parabola steps short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # C divides to inf or NaN there, which fails the test below too
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = at(xcur)
+    raise NoRootInDomain(f"{what} did not converge in {_MAXITER} steps, at theta={xcur}")
+
+
 def positive_root(f, what: str) -> float:
     """The one positive root of a cgf equation f that is negative just above 0:
     bracketed by doubling from 1e-3 (halving below it when f(1e-3) > 0), then
-    refined by brentq.  A transform that diverges or an eigensolve that fails
-    first raises NoRootInDomain naming `what` and theta."""
+    refined by Brent's zeroin (_zeroin).  A transform that diverges or an
+    eigensolve that fails first raises NoRootInDomain naming `what` and theta,
+    as do a NaN value and a refinement that does not converge."""
 
     def value(theta):
         try:
@@ -472,7 +529,7 @@ def positive_root(f, what: str) -> float:
             hi = lo
         else:
             raise NoRootInDomain(f"{what} stays nonnegative down to theta={lo}")
-    return float(brentq(value, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return _zeroin(value, lo, hi, what)
 
 
 # largest |kappa^A + kappa^{-S}| accepted at the root

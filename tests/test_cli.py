@@ -178,6 +178,31 @@ def test_horizon_equation_without_root_exits_3(tmp_path, capsys):
     assert re.search(r"horizon delay equation.*theta=\d", capsys.readouterr().err)
 
 
+def _nan_after_the_bracket(monkeypatch):
+    real = spectral._zeroin
+
+    def zeroin(f, lo, hi, what):
+        values = iter([f(lo), f(hi)])
+        return real(lambda t: next(values, math.nan), lo, hi, what)
+
+    monkeypatch.setattr(spectral, "_zeroin", zeroin)
+
+
+@pytest.mark.parametrize("failure, message", [
+    (_nan_after_the_bracket, r"is NaN at theta=\d"),
+    (lambda monkeypatch: monkeypatch.setattr(spectral, "_MAXITER", 3),
+     r"did not converge in 3 steps, at theta=\d"),
+], ids=["nan", "iteration-cap"])
+def test_root_refinement_failure_exits_3(tmp_path, toy_cfg, monkeypatch, capsys, failure,
+                                         message):
+    # a NaN value is a numeric failure, not a parse error, and so is running
+    # out of steps
+    failure(monkeypatch)
+    assert _run(["bounds", "--config", toy_cfg, "--mode", "delay", "--levels", "1",
+                 "--out", str(tmp_path)]) == EXIT_NUMERIC
+    assert re.search(r"combined cgf kappa\^A \+ kappa\^-S " + message, capsys.readouterr().err)
+
+
 # the n2-constant-frechet1-0 config of the benchmark's analytic pool: a 2-state
 # Rayleigh service (26.11 dB and -0.86 dB) under constant traffic
 POOL_CFG = """\
@@ -248,6 +273,23 @@ def test_importing_the_cli_leaves_scipy_stats_out():
         [sys.executable, "-c", "import sys, mapq.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout.strip()
     assert loaded == "False"
+
+
+def test_importing_the_cli_leaves_scipy_optimize_and_integrate_out():
+    # scipy.integrate's quad stays reachable as mapq.laws.quad, which
+    # perfbench/tracing.py reads and then patches through the module dict
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys, mapq.cli, mapq.laws\n"
+            "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats')"
+            " if m in sys.modules])\n"
+            "quad = getattr(mapq.laws, 'quad')\n"
+            "print(vars(mapq.laws).get('quad') is quad is sys.modules['scipy.integrate'].quad)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == ["[]", "True"]
 
 
 def test_control_reproduces_printed_matrix(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from conftest import count_calls
 from mapq import copulas as copulas_module
@@ -109,6 +109,39 @@ def test_bvn_cdf_reference_values():
     for rho in (-0.9, -0.3, 0.7):
         exact = 0.25 + math.asin(rho) / (2.0 * math.pi)
         assert bvn_cdf(0.0, 0.0, rho) == pytest.approx(exact, abs=1e-9)
+
+
+LATTICE = np.linspace(-3.0, 3.0, 7)  # holds 0, where alpha_a or alpha_b is infinite
+
+
+@pytest.mark.parametrize("rho", [-0.99, -0.9, -0.3, 0.3, 0.9, 0.99])
+def test_bvn_cdf_at_the_origin_is_the_arcsine_law(rho):
+    assert abs(bvn_cdf(0.0, 0.0, rho) - (0.25 + math.asin(rho) / (2.0 * math.pi))) <= 4e-16
+
+
+@pytest.mark.parametrize("rho", [-0.99, -0.9, -0.5, 0.3, 0.8, 0.99])
+def test_bvn_cdf_reflection_identity(rho):
+    # (X, Y) and (X, -Y): Phi2(a, b; rho) + Phi2(a, -b; -rho) = Phi(a)
+    for a in LATTICE:
+        for b in LATTICE:
+            total = bvn_cdf(a, b, rho) + bvn_cdf(a, -b, -rho)
+            assert abs(total - float(ndtr(a))) <= 5e-16, (a, b)
+
+
+@pytest.mark.parametrize("rho", [-0.8, -0.5, -0.1, 0.1, 0.5, 0.8])
+def test_bvn_cdf_matches_the_tetrachoric_integral(rho):
+    # Phi(a) Phi(b) + int_0^rho phi2(a, b; r) dr, integrated adaptively
+    from scipy.integrate import quad
+
+    for a in LATTICE:
+        for b in LATTICE:
+            def density(r):
+                om = 1.0 - r * r
+                return math.exp(-(a * a - 2.0 * r * a * b + b * b) / (2.0 * om)) / (
+                    2.0 * math.pi * math.sqrt(om))
+
+            corr, _ = quad(density, 0.0, rho, epsabs=1e-10, epsrel=1e-10, limit=200)
+            assert abs(bvn_cdf(a, b, rho) - (ndtr(a) * ndtr(b) + corr)) <= 1e-15, (a, b)
 
 
 def test_gaussian_copula_diagonal_value():

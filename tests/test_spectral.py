@@ -384,6 +384,84 @@ def test_positive_root_failure_names_the_equation_and_theta(error):
         spectral_module.positive_root(f, "rising equation")
 
 
+def _recording(f, thetas):
+    def g(theta):
+        thetas.append(theta)
+        return f(theta)
+
+    return g
+
+
+def _refines_as_brentq(monkeypatch, f, what):
+    """Whether positive_root refined f as scipy's brentq does on the same
+    bracket: the same thetas evaluated, the same root bit for bit.  None
+    where the bracket search raised NoRootInDomain before refining."""
+    from scipy.optimize import brentq  # the reference; mapq itself never imports it
+
+    real, ours = spectral_module._zeroin, []
+
+    def spy(g, lo, hi, what):
+        ours.append((lo, hi))
+        return real(_recording(g, ours), lo, hi, what)
+
+    monkeypatch.setattr(spectral_module, "_zeroin", spy)
+    try:
+        root = spectral_module.positive_root(f, what)
+    except NoRootInDomain:
+        assert not ours
+        return None
+    (lo, hi), *evaluated = ours
+    theirs = []
+    expected = brentq(_recording(f, theirs), lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return root.hex() == float(expected).hex() and evaluated == theirs
+
+
+@pytest.mark.parametrize("root", [0.7, 2e-4])
+def test_zeroin_is_brentq_on_closed_form_roots(monkeypatch, root):
+    for f in (lambda t: t * t - root * t, lambda t: math.expm1(t - root)):
+        assert _refines_as_brentq(monkeypatch, f, "test equation")
+
+
+def test_zeroin_is_brentq_on_random_kernel_equations(monkeypatch):
+    # 36 stable pairs: the stability equation and horizon_delay_bound's
+    # derivative equation at y = 2, where its bracket search finds a bracket
+    rng = np.random.default_rng(2024)
+    pairs = []
+    while len(pairs) < 36:
+        arrival = random_kernel(rng, 2)
+        service = random_kernel(rng, 1 + len(pairs) % 4, mean_offset=0.5)
+        if mean_rate(arrival) < mean_rate(service):
+            pairs.append((arrival, negate(service)))
+    horizon = []
+    for a, s in pairs:
+        assert _refines_as_brentq(monkeypatch, lambda t: perron(a, t).kappa + perron(s, t).kappa,
+                                  "stability equation")
+        horizon.append(_refines_as_brentq(
+            monkeypatch, lambda t: 2.0 * perron(s, t).kappa_dot + perron(a, t).kappa_dot,
+            "horizon delay equation"))
+    assert False not in horizon and horizon.count(True) >= 30
+
+
+def test_zeroin_names_a_nan_value_and_theta():
+    # bracketed on [0.256, 0.512]; the first secant step lands in the NaN gap
+    def f(theta):
+        return math.nan if 0.26 < theta < 0.5 else theta - 0.3
+
+    with pytest.raises(NoRootInDomain, match=r"gap equation is NaN at theta=0\.\d"):
+        spectral_module.positive_root(f, "gap equation")
+
+
+def test_zeroin_names_the_iteration_cap_and_theta():
+    # a triple root: each secant step stays short, but the bracket shrinks
+    # too slowly to pass the tolerance test within 100 steps
+    thetas = []
+    f = _recording(lambda t: (t - 0.3) ** 3, thetas)
+    with pytest.raises(NoRootInDomain,
+                       match=r"cubic equation did not converge in 100 steps, at theta=0\.\d"):
+        spectral_module.positive_root(f, "cubic equation")
+    assert len(thetas) == 10 + 2 + 100  # bracket search, the bracket again, one value per step
+
+
 def test_stability_root_carries_its_solutions_at_theta_star():
     rng = np.random.default_rng(11)
     arrival = random_kernel(rng, 2, mean_offset=1.0, spread=0.5)

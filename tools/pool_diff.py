@@ -24,15 +24,15 @@ its (law, theta) exponent stack, or one per call in a tree that integrates
 one law per call), quadrature calls (calls of mapq.laws._capacity_integrals)
 and bivariate normal CDFs (calls of mapq.copulas.bvn_cdf, the Gaussian
 copula's work).  With --base it also lists the job kinds where this tree
-does more of that work than the base, how many output files are
-byte-identical, the worst relative difference of a numeric cell per job
-kind and, per CSV column whose cells move, the worst relative difference
-and the worst |difference| / max(1, |base|).  For simulate-fading it lists
-instead, per job, which files are
-byte-identical and, per level of tails.csv, the hits of each tree and
-|p_hat - p_hat_base| in binomial standard errors of the pooled estimate,
-then how many library return values are byte-identical, naming any that
-differ.
+does more of that work than the base, the jobs whose exit code or failure
+differs, how many output files are byte-identical, the configs whose files
+differ (with how many files each), the worst relative difference of a
+numeric cell per job kind and, per CSV column whose cells move, the worst
+relative difference and the worst |difference| / max(1, |base|).  For
+simulate-fading it lists instead, per job, which files are byte-identical
+and, per level of tails.csv, the hits of each tree and |p_hat - p_hat_base|
+in binomial standard errors of the pooled estimate, then how many library
+return values are byte-identical, naming any that differ.
 """
 
 import argparse
@@ -116,7 +116,7 @@ def run_tree(src, out, workload, seed):
             files = [os.path.join(out, "lib", f"{job.id}.bin")]
             with open(files[0], "wb") as fh:
                 fh.write(as_bytes(result))
-        problems[job.id] = {"problems": found,
+        problems[job.id] = {"problems": found, "signature": signature,
                             "files": [os.path.relpath(p, out) for p in files],
                             "work": [c - b for c, b in zip(counts, before)]}
     with open(os.path.join(out, "problems.json"), "w", encoding="utf-8") as fh:
@@ -263,9 +263,13 @@ def main():
                     for kind, done in sorted(work_by_kind["src"].items())
                     for k, n in enumerate(done) if n > work_by_kind["base"].get(kind, done)[k]]
             print("more work than base: " + (", ".join(more) if more else "none"))
+            moved_exit = [job_id for job_id, info in sorted(runs["src"].items())
+                          if info["signature"] != runs["base"].get(job_id, {}).get("signature")]
+            print("exit codes or failures that differ: " + (", ".join(moved_exit) or "none"))
             files = {}  # kind -> [byte-identical, compared]
             worst = {}
             columns = {}  # kind -> {column: [relative, scaled]}
+            moved = {}  # config (the job id without its kind) -> files that differ
             for job_id, info in sorted(runs["src"].items()):
                 kind = job_id.rsplit("-", 1)[-1]
                 for rel in info["files"]:
@@ -278,6 +282,8 @@ def main():
                         if fa.read() == fb.read():
                             count[0] += 1
                             continue
+                    config = job_id.rsplit("-", 1)[0]
+                    moved[config] = moved.get(config, 0) + 1
                     w = worst.setdefault(kind, [0.0, None, None, None])
                     base, src = checks.read_output(paths[1]), checks.read_output(paths[0])
                     _worst(base, src, f"{job_id}/{os.path.basename(rel)}", w)
@@ -285,6 +291,8 @@ def main():
                         _column_moves(base, src, columns.setdefault(kind, {}))
             print(f"{sum(c[0] for c in files.values())} of {sum(c[1] for c in files.values())}"
                   " output files byte-identical")
+            print("files that differ, per config: "
+                  + (", ".join(f"{c} ({n})" for c, n in sorted(moved.items())) or "none"))
             for kind in sorted(files):
                 line = f"  {kind}: {files[kind][0]} of {files[kind][1]} byte-identical"
                 if kind in worst:
