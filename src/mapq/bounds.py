@@ -18,7 +18,6 @@ from .errors import MgfDiverged, NoConvergence, NoFixedPoint, NoRootInDomain, Un
 from .spectral import (
     MapKernel,
     PerronStack,
-    negate,
     perron,
     perron_grid,
     positive_root,
@@ -296,11 +295,19 @@ def constant_dcc_interval(service: MapKernel, d: float, epsilon: float, varpi) -
     rate lambda(theta) = -kappa^{-S}(theta)/theta, which falls from mu at theta = 0.
     A theta walk moves the rate by at most one step of a 400-point log grid on
     [1e-5 mu, mu) and bisects the first sign change in rising rate.
+
+    Each endpoint is the lower edge of its admissible band.  On the toy
+    service (cgf -3 theta + theta^2) the bound at equality is
+    (d + lag) lambda (3 - lambda) = log(1/epsilon), lag 1 for lo and 0 for hi,
+    whose smaller root is returned; the larger root
+    (3 + sqrt(9 - 4 log(1/epsilon)/(d + lag)))/2 is the upper edge, also a
+    fixed point of dcc_upper(...).value_at_root at deadline d + lag, and what
+    a capacity reports.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     varpi = np.asarray(varpi, dtype=float)
-    neg_service = negate(service)
+    neg_service = service.negated
 
     def point(theta):  # (theta, lambda, log(bound/epsilon) for lo, for hi)
         sol = perron(neg_service, theta)

@@ -15,7 +15,7 @@ import numpy as np
 from .copulas import ControlPlan
 from .laws import DiscretePmf, RayleighCapacity
 from .sim import _cumulative_rows, _path_states
-from .spectral import MapKernel, stationary_distribution
+from .spectral import MapKernel
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ def capacity_kernel(transition, channel: ChannelSpec) -> MapKernel:
     # start the chain at its stationary distribution unless told otherwise
     probe = MapKernel(channel.power_states, transition, increments,
                       np.full(n, 1.0 / n))
-    return MapKernel(channel.power_states, transition, increments,
-                     stationary_distribution(probe))
+    return MapKernel(channel.power_states, transition, increments, probe.stationary)
 
 
 @dataclass(frozen=True)

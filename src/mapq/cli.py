@@ -36,7 +36,7 @@ from .errors import (
     ZeroMassState,
 )
 from .laws import DiscretePmf
-from .spectral import negate, perron
+from .spectral import perron
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
@@ -88,7 +88,7 @@ def _out_dir(config, args):
 
 def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
     thetas = _float_list(args.theta) if args.theta else [0.0, 0.5, 1.0]
-    kernels = [("arrival", config.arrival), ("neg_service", negate(config.service))]
+    kernels = [("arrival", config.arrival), ("neg_service", config.service.negated)]
     rows = []
     for theta in thetas:
         per_role = {}

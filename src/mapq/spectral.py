@@ -38,11 +38,12 @@ class MapKernel:
         n = len(self.state_labels)
         if p.shape != (n, n):
             raise ValueError(f"transition must be {n}x{n}, got {p.shape}")
-        if np.any(p < 0):
-            raise ValueError("transition entries must be nonnegative")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
+        # written so that NaN fails each check
+        if not np.all((p >= 0) & (p < np.inf)):
+            raise ValueError("transition entries must be nonnegative and finite")
+        if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12:
             raise ValueError("transition rows must sum to 1 within 1e-12")
-        if w.shape != (n,) or abs(w.sum() - 1.0) > 1e-12:
+        if w.shape != (n,) or not (np.isfinite(w).all() and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("initial_dist must be a length-n probability vector")
         if len(self.increments) != n or any(len(row) != n for row in self.increments):
             raise ValueError("increments must be an n x n matrix of laws")
@@ -242,11 +243,6 @@ def _transform_derivative(kernel: MapKernel, theta: float) -> np.ndarray:
     return _entrywise(kernel, theta, "tilted_mean", "transform derivative")
 
 
-def stationary_distribution(kernel: MapKernel) -> np.ndarray:
-    """The kernel's stationary distribution (cached on the kernel; read-only)."""
-    return kernel.stationary
-
-
 # entries beyond 2^400 (or below 2^-400) are scaled by a power of two first
 _EXP_LIMIT = 400
 # largest relative residual of either Perron eigenpair that perron accepts
@@ -262,10 +258,12 @@ def _geev_lwork(n: int) -> int:
     return _compute_lwork(_dgeev_lwork, n, compute_vl=True, compute_vr=True)
 
 
-def _failure(theta, lam, positive, residual):
-    """The NoConvergence naming theta and the first Perron check that the
-    largest real eigenvalue lam, the sign of its eigenvectors or their relative
-    residual fails, or None where all three pass."""
+def _failure(theta, info, lam, positive, residual):
+    """The NoConvergence naming theta and the first Perron check that fails:
+    dgeev's info, the largest real eigenvalue lam, the sign of its eigenvectors
+    or their relative residual; None where all four pass."""
+    if info:
+        return NoConvergence(f"eigensolve failed at theta={theta}: dgeev info {info}")
     if lam <= 0:
         return NoConvergence(f"nonpositive dominant eigenvalue {lam!r} at theta={theta}")
     if not positive:
@@ -279,7 +277,7 @@ def _gate(kernel, pi, theta, lam, e, h, v, positive, residual):
     """The SpectralSolution at theta from the largest real eigenvalue lam of F
     scaled by 2^-e and its sign-fixed eigenvectors h and v, or the
     NoConvergence naming theta and the first check they fail."""
-    failure = _failure(theta, lam, positive, residual)
+    failure = _failure(theta, 0, lam, positive, residual)
     if failure is not None:
         return failure
     h = h / float(pi @ h)
@@ -289,11 +287,27 @@ def _gate(kernel, pi, theta, lam, e, h, v, positive, residual):
     return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, pi, residual, kernel)
 
 
+def _dgeev_perron(f: np.ndarray):
+    """(info, lam, right, left) from one dgeev call on f: its largest real
+    eigenvalue and the real parts of that eigenvalue's eigenvectors.
+
+    The Perron root of a nonnegative irreducible matrix has the largest real
+    part; on a periodic chain -lambda ties with it in modulus.  Column k of vr
+    and of vl holds the real part of its eigenvectors (a complex pair keeps it
+    in the first of its two columns, which argmax picks).  Where info is
+    nonzero dgeev computed no eigenvectors."""
+    # compute_vl, compute_vr and lwork by position: f2py parses keywords
+    # about 1 us slower, which a stack pays per matrix
+    wr, _, vl, vr, info = dgeev(f, 1, 1, _geev_lwork(len(f)))
+    k = wr.argmax()
+    return info, float(wr[k]), vr[:, k], vl[:, k]
+
+
 def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
     """SpectralSolution or NoConvergence naming theta from the one finite
     transform matrix f at theta: one dgeev call gives both eigenvector sides,
     and a one-state kernel needs none (kappa = log F, h = v = pi = [1])."""
-    pi = stationary_distribution(kernel)
+    pi = kernel.stationary
     # LAPACK's geev returns a wrong eigenvalue once entries pass about 1e138
     # (or fall below 1e-138): scale F exactly by a power of two far from 1
     # and add it back to kappa
@@ -304,18 +318,12 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
         f = np.ldexp(f, -e)
     if len(f) == 1:
         return _gate(kernel, pi, theta, float(f[0, 0]), e, np.ones(1), np.ones(1), True, 0.0)
-    wr, _, vl, vr, info = dgeev(f, compute_vl=True, compute_vr=True, lwork=_geev_lwork(len(f)))
+    info, lam, h, v = _dgeev_perron(f)
     if info:
-        return NoConvergence(f"eigensolve failed at theta={theta}: dgeev info {info}")
-    # the Perron root of a nonnegative irreducible matrix has the largest
-    # real part; on a periodic chain -lambda ties with it in modulus.  Column
-    # k of vr and of vl holds the real part of its eigenvectors (a complex
-    # pair keeps it in the first of its two columns, which argmax picks);
-    # their sign is arbitrary, and multiplying by -1 is exact
-    k = int(wr.argmax())
-    lam = float(wr[k])
-    h = vr[:, k] * math.copysign(1.0, vr[:, k].sum())
-    v = vl[:, k] * math.copysign(1.0, vl[:, k].sum())
+        return _failure(theta, info, lam, False, math.nan)
+    # the eigenvectors' sign is arbitrary, and multiplying by -1 is exact
+    h = h * math.copysign(1.0, h.sum())
+    v = v * math.copysign(1.0, v.sum())
     # relative residuals of both eigenpairs, which scaling h or v leaves
     # unchanged; lam <= 0 fails anyway, so dividing by at least the smallest
     # normal double (times a unit vector's max entry) is safe
@@ -326,28 +334,30 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
 
 
 def _solve_batched(kernel: MapKernel, thetas, f):
-    """(kappa, h, v, failures) at every matrix of the stack f, with _solve_one's
-    scaling, pick, checks and normalization as array operations over the stack:
-    one batched numpy eig of F and one of F^T, and none for a one-state kernel
-    (kappa = log F, h = v = [1]).  A failed row holds NaN and its NoConvergence;
-    raises LinAlgError when numpy rejects the stack."""
+    """(kappa, h, v, failures) at every matrix of the stack f: _solve_one's
+    scaling, dgeev call and Perron pick per matrix, and its sign fix, checks and
+    normalization as array operations over the stack; a one-state kernel needs
+    no dgeev call (kappa = log F, h = v = [1]).  A failed row holds NaN and
+    its NoConvergence."""
     e = np.frexp(f.max(axis=(1, 2)))[1]
     e[np.abs(e) <= _EXP_LIMIT] = 0
     # ldexp by 0 leaves every other matrix's bits unchanged
     scaled = np.ldexp(f, -e[:, None, None]) if e.any() else f
     t, n = f.shape[:2]
+    info = np.zeros(t, dtype=int)
     if n == 1:
         lam = scaled[:, 0, 0]
         h = v = np.ones((t, 1))
         positive = np.ones(t, dtype=bool)
         residual = np.zeros(t)
     else:
-        w, right = np.linalg.eig(scaled)
-        wl, left = np.linalg.eig(np.swapaxes(scaled, 1, 2))
-        rows = np.arange(t)
-        k = w.real.argmax(axis=1)
-        lam = w.real[rows, k]
-        hv = np.stack((right[rows, :, k].real, left[rows, :, wl.real.argmax(axis=1)].real))
+        lam = np.empty(t)
+        hv = np.empty((2, t, n))
+        for k, m in enumerate(scaled):
+            info[k], lam[k], hv[0, k], hv[1, k] = _dgeev_perron(m)
+        # where dgeev failed it computed no eigenvectors: check ones instead
+        lam[info != 0] = 1.0
+        hv[:, info != 0] = 1.0
         hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
         positive = hv.min(axis=(0, 2)) > 0
         h, v = hv
@@ -359,11 +369,11 @@ def _solve_batched(kernel: MapKernel, thetas, f):
             / (scale * abs(v).max(axis=1)),
         )
     # _failure's checks over the whole stack; it words the failures
-    ok = (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
+    ok = (info == 0) & (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
     bad = np.flatnonzero(~ok)
     failures = [None] * t
-    for k, *args in zip(bad.tolist(), thetas[bad].tolist(), lam[bad].tolist(),
-                        positive[bad].tolist(), residual[bad].tolist()):
+    for k, *args in zip(bad.tolist(), thetas[bad].tolist(), info[bad].tolist(),
+                        lam[bad].tolist(), positive[bad].tolist(), residual[bad].tolist()):
         failures[k] = _failure(*args)
     # a failed row is NaN before any arithmetic, which keeps it silent
     kappa = np.log(np.where(ok, lam, np.nan)) + e * math.log(2.0)
@@ -371,18 +381,6 @@ def _solve_batched(kernel: MapKernel, thetas, f):
     h = h / (h @ kernel.stationary)[:, None]
     v = np.where(ok[:, None], v, np.nan)
     return kappa, h, v / (v * h).sum(axis=1)[:, None], failures
-
-
-def _solve_each(kernel: MapKernel, thetas, f):
-    """_solve_batched's (kappa, h, v, failures) from one _solve_one call per matrix."""
-    t, n = f.shape[:2]
-    kappa, h, v = np.full(t, np.nan), np.full((t, n), np.nan), np.full((t, n), np.nan)
-    failures = [_solve_one(kernel, theta, m) for theta, m in zip(thetas.tolist(), f)]
-    for k, sol in enumerate(failures):
-        if isinstance(sol, SpectralSolution):
-            kappa[k], h[k], v[k] = sol.kappa, sol.h, sol.v
-            failures[k] = None
-    return kappa, h, v, failures
 
 
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
@@ -405,24 +403,19 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
 
 def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
     """perron at every theta of `thetas` as one PerronStack, from one
-    transform_matrix call for the whole stack and one batched eigensolve of it;
-    it neither reads nor fills perron's cache.
+    transform_matrix call for the whole stack and perron's dgeev call per
+    finite matrix of it; it neither reads nor fills perron's cache.
 
     A theta fails alone: its failure is the MgfDiverged or NoConvergence that
-    perron raises there.  When numpy rejects the stack, which it does for one
-    bad slice, each matrix is solved by _solve_one.
+    perron raises there.
     """
     thetas = np.asarray(thetas, dtype=float)
     f = transform_matrix(kernel, thetas)
     finite = np.isfinite(f).all(axis=(1, 2))
     t, n = f.shape[:2]
     kappa, h, v = np.full(t, np.nan), np.full((t, n), np.nan), np.full((t, n), np.nan)
-    try:
-        kappa[finite], h[finite], v[finite], failures = _solve_batched(
-            kernel, thetas[finite], f[finite])
-    except np.linalg.LinAlgError:
-        kappa[finite], h[finite], v[finite], failures = _solve_each(
-            kernel, thetas[finite], f[finite])
+    kappa[finite], h[finite], v[finite], failures = _solve_batched(
+        kernel, thetas[finite], f[finite])
     solved = iter(failures)
     failure = tuple(next(solved) if ok else MgfDiverged(f"transform matrix not finite at theta={x}")
                     for x, ok in zip(thetas.tolist(), finite.tolist()))
@@ -432,12 +425,6 @@ def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
 def mean_rate(kernel: MapKernel) -> float:
     """Long-run mean increment per slot: kappa'(0) = sum_ij pi_i p_ij E[H_ij]."""
     return perron(kernel, 0.0).kappa_dot
-
-
-def negate(kernel: MapKernel) -> MapKernel:
-    """Sign-flip every increment law; kappa of negate(k) at theta is kappa of k at -theta.
-    The negated kernel is built once per kernel, so its solutions are kept too."""
-    return kernel.negated
 
 
 # brentq's tolerances, as positive_root passed them, and scipy's default iteration cap
@@ -546,7 +533,7 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     drift_s = mean_rate(service)
     if drift_a >= drift_s:
         raise UnstableQueue(drift_a, drift_s)
-    neg_service = negate(service)
+    neg_service = service.negated
 
     def f(theta):
         return perron(arrival, theta).kappa + perron(neg_service, theta).kappa

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_calls, frechet_capacity_kernel, random_kernel
+from conftest import count_calls, count_stacked_dgeev, frechet_capacity_kernel, random_kernel
 from mapq import bounds as bd
 from mapq import spectral as spectral_module
 from mapq.channel import ChannelSpec, capacity_kernel
@@ -14,7 +14,6 @@ from mapq.errors import NoRootInDomain, UnstableQueue
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import (
     MapKernel,
-    negate,
     perron,
     perron_grid,
     single_state_kernel,
@@ -103,7 +102,7 @@ def test_horizon_backlog_toy_closed_form(toy_arrival, toy_service):
 
 def test_horizon_exponent_is_concave_maximum(toy_arrival, toy_service):
     y = 2.0
-    neg = negate(toy_service)
+    neg = toy_service.negated
     r = bd.horizon_delay_bound(toy_arrival, toy_service, y, 1.0)
     grid = np.linspace(0.05, 2.45, 49)
     vals = [-y * perron(neg, t).kappa - (y - 1.0) * perron(toy_arrival, t).kappa for t in grid]
@@ -195,7 +194,7 @@ def test_dcc_upper_solves_its_grid_in_one_stacked_eigensolve_per_kernel(
     # section search are now one stack per kernel, which a one-state kernel
     # solves in closed form, so only theta* and the probe solve one matrix
     solves = count_calls(monkeypatch, spectral_module, "_solve_one")
-    stacked = count_calls(monkeypatch, np.linalg, "eig")
+    stacked = count_stacked_dgeev(monkeypatch)
     grids = count_calls(monkeypatch, bd, "perron_grid")
     arrival = single_state_kernel(toy_arrival.law(0, 0), label="const")
     service = single_state_kernel(toy_service.law(0, 0))
@@ -233,7 +232,7 @@ def test_dcc_objective_stack_matches_the_formula_per_theta():
     p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
     arrival = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
     service = random_kernel(np.random.default_rng(21), 2, mean_offset=3.0, spread=1.5)
-    neg = negate(service)
+    neg = service.negated
     thetas = np.append(np.geomspace(1e-3, 0.5, 19), 5.0)
     d, eps, varpi = 7.0, 1e-4, service.initial_dist
     got = bd._dcc_objective(perron_grid(arrival, thetas), perron_grid(neg, thetas), eps, varpi) / d
@@ -269,7 +268,7 @@ def test_constant_dcc_interval_defining_equations(toy_service):
     # each endpoint satisfies its displayed equality at the coupled root
     for lam, endpoint in ((lam_lo, "lo"), (lam_hi, "hi")):
         theta = stability_root(single_state_kernel(Constant(lam)), toy_service).theta_star
-        h = perron(negate(toy_service), theta).h
+        h = perron(toy_service.negated, theta).h
         avg = float(varpi @ h)
         if endpoint == "hi":
             target = (-1.0 / (theta * d)) * math.log(eps * h.min() / avg)
@@ -281,6 +280,20 @@ def test_constant_dcc_interval_defining_equations(toy_service):
     # single-state service: endpoints differ only via the e^{theta lam} factor,
     # i.e. lam_hi ~= lam_lo (1 + 1/d) up to the slow drift of theta with lam
     assert lam_hi - lam_lo == pytest.approx(lam_lo / d, rel=5e-2)
+
+
+@pytest.mark.parametrize("d, eps", [(20.0, 1e-2), (10.0, 1e-3), (5.0, 0.05)])
+def test_constant_dcc_interval_closed_form_on_the_toy(toy_service, d, eps):
+    # kappa^-S(theta) = -3 theta + theta^2 names the rate lambda = 3 - theta,
+    # and h = [1]: each endpoint is the smaller root of
+    # (d + lag) lambda (3 - lambda) = log(1/eps), lag 1 for lo and 0 for hi
+    def smaller_root(lag):
+        c = math.log(1.0 / eps) / (d + lag)
+        return 2.0 * c / (3.0 + math.sqrt(9.0 - 4.0 * c))  # c over the larger root
+
+    lam_lo, lam_hi = bd.constant_dcc_interval(toy_service, d, eps, np.array([1.0]))
+    assert lam_lo == pytest.approx(smaller_root(1.0), rel=1e-12)
+    assert lam_hi == pytest.approx(smaller_root(0.0), rel=1e-12)
 
 
 def test_constant_dcc_interval_widens_with_eigenvector_spread():
@@ -314,10 +327,9 @@ def test_constant_dcc_interval_solves_each_rate_on_the_negated_service(
                      (16.817084046034104, 17.237114838372875), 2000),
     }[case]
     roots = count_calls(monkeypatch, bd, "stability_root")
-    negations = count_calls(monkeypatch, bd, "negate")
     solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     interval = bd.constant_dcc_interval(*args)
-    assert roots == [] and len(negations) == 1
+    assert roots == [] and all(solve[0] is args[0].negated for solve in solves)
     assert len(solves) <= max_solves
     assert interval == pytest.approx(expected, rel=1e-12)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import count_calls
+from conftest import count_calls, count_stacked_dgeev
 from mapq import cli, spectral
 from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, build_parser, main
 
@@ -137,6 +137,42 @@ def test_parse_error_exits_2(tmp_path):
     assert _run(["bounds", "--config", str(tmp_path / "missing.yaml")]) == 2
 
 
+NAN_KERNEL_CFG = """\
+arrival: {constant: 1.0}
+service:
+  kernel:
+    states: [a, b]
+    transition: [[.nan, 1.0], [0.5, 0.5]]
+    increments: [[{law: constant, value: 2.0}, {law: constant, value: 2.0}],
+                 [{law: constant, value: 2.0}, {law: constant, value: 2.0}]]
+"""
+
+NAN_VARPI_CFG = """\
+arrival: {constant: 1.0}
+service:
+  channel:
+    bandwidth: 20.0
+    snr: [[db:26.11, db:26.11], [db:-0.86, db:-0.86]]
+    states: [p0, p1]
+  transition: [[0.6, 0.4], [0.3, 0.7]]
+  varpi: [.nan, 0.5]
+"""
+
+
+@pytest.mark.parametrize("text, field", [(NAN_KERNEL_CFG, "transition"),
+                                         (NAN_VARPI_CFG, "initial_dist")],
+                         ids=["kernel-transition", "channel-varpi"])
+@pytest.mark.parametrize("command", [["spectral"], ["bounds", "--mode", "delay"]],
+                         ids=["spectral", "bounds"])
+def test_non_finite_kernel_entries_exit_2(tmp_path, capsys, text, field, command):
+    # a NaN transition entry used to reach lstsq (exit 3), and a NaN varpi
+    # gave NaN bounds with exit 0
+    cfg = _write(tmp_path, "nan.yaml", text)
+    assert _run([command[0], "--config", cfg, *command[1:], "--out", str(tmp_path)]) == EXIT_PARSE
+    assert field in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_delay_levels_must_be_whole_slots(tmp_path, toy_cfg):
     doc = {"arrival": _two_state(["on", "off"], _pmf([0.0, 3.0], [0.5, 0.5]),
                                  _pmf([0.0, 1.0], [0.5, 0.5])),
@@ -228,7 +264,7 @@ def test_more_levels_make_no_more_eigensolves(tmp_path, monkeypatch, argv, one, 
     # dcc solves its theta stacks once for all levels
     cfg = _write(tmp_path, "pool.yaml", POOL_CFG)
     solves = count_calls(monkeypatch, spectral, "_solve_one")
-    stacked = count_calls(monkeypatch, np.linalg, "eig")
+    stacked = count_stacked_dgeev(monkeypatch)
     counts = []
     for levels in (one, many):
         del solves[:], stacked[:]
@@ -245,8 +281,8 @@ def test_dgeev_failure_exits_3(tmp_path, monkeypatch):
     # (info > 0) is a numeric failure
     real = spectral.dgeev
 
-    def failing_dgeev(a, **kwargs):
-        *out, _ = real(a, **kwargs)
+    def failing_dgeev(a, *args, **kwargs):
+        *out, _ = real(a, *args, **kwargs)
         return (*out, 1)
 
     monkeypatch.setattr(spectral, "dgeev", failing_dgeev)

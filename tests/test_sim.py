@@ -108,9 +108,7 @@ def test_sample_path_statistics():
     assert states.shape == (5001,)
     assert inc.shape == (5000,)
     # occupation frequencies close to the stationary law
-    from mapq.spectral import stationary_distribution
-
-    pi = stationary_distribution(k)
+    pi = k.stationary
     assert np.mean(states == 0) == pytest.approx(pi[0], abs=0.05)
 
 

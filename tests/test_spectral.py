@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, law_integrations, random_kernel
+from conftest import count_calls, count_stacked_dgeev, law_integrations, random_kernel
 from mapq import laws as laws_module
 from mapq import spectral as spectral_module
 from mapq.channel import ChannelSpec, capacity_kernel
@@ -26,12 +26,10 @@ from mapq.spectral import (
     SpectralSolution,
     _transform_derivative,
     mean_rate,
-    negate,
     perron,
     perron_grid,
     single_state_kernel,
     stability_root,
-    stationary_distribution,
     transform_matrix,
 )
 
@@ -46,6 +44,19 @@ def test_kernel_validation():
         MapKernel(("a", "b"), p, laws, np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_non_finite_entries(bad):
+    # a NaN fails no comparison-style check unless the check is written for it
+    laws = ((Constant(0.0),) * 2,) * 2
+    p = np.array([[0.5, 0.5], [0.5, 0.5]])
+    for transition in ([[bad, 1.0], [0.5, 0.5]], [[0.5, 0.5], [bad, -bad]]):
+        with pytest.raises(ValueError, match="transition"):
+            MapKernel(("a", "b"), np.array(transition), laws, np.array([0.5, 0.5]))
+    for initial in ([bad, 0.5], [bad, -bad]):
+        with pytest.raises(ValueError, match="initial_dist"):
+            MapKernel(("a", "b"), p, laws, np.array(initial))
+
+
 def test_single_state_constant_cgf_is_linear():
     # at rate +-400 the transform e^{+-400} lies beyond the range where eig
     # resolves a 1x1 matrix, so perron scales it by a power of two
@@ -57,8 +68,8 @@ def test_single_state_constant_cgf_is_linear():
 
 def test_one_state_perron_is_closed_form(monkeypatch):
     # kappa = log F, h = v = pi = [1], with no LAPACK call
+    stacked = count_stacked_dgeev(monkeypatch)
     lapack = count_calls(monkeypatch, spectral_module, "dgeev")
-    stacked = count_calls(monkeypatch, np.linalg, "eig")
     k = single_state_kernel(DiscretePmf((-2.0, 0.5, 3.0), (0.2, 0.5, 0.3)))
     for theta in (-3.0, -0.1, 0.0, 0.7, 2.0):
         sol = perron(k, theta)
@@ -84,7 +95,7 @@ def test_one_state_perron_rejects_an_underflowed_transform():
 
 def test_toy_service_cgf_quadratic(toy_service):
     # negated toy service has cgf -3*theta + theta^2
-    neg = negate(toy_service)
+    neg = toy_service.negated
     for theta in (0.25, 1.0, 2.0, 2.5):
         assert perron(neg, theta).kappa == pytest.approx(-3.0 * theta + theta**2, abs=1e-10)
 
@@ -114,7 +125,7 @@ def test_transform_matrix_entries():
 def test_stationary_distribution_fixed_point():
     rng = np.random.default_rng(4)
     k = random_kernel(rng, 4)
-    pi = stationary_distribution(k)
+    pi = k.stationary
     assert np.allclose(pi @ k.transition, pi, atol=1e-12)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -143,10 +154,10 @@ def test_cgf_properties_on_random_kernels(seed, n):
 def test_negate_is_cgf_reflection_and_involution(seed):
     rng = np.random.default_rng(seed)
     k = random_kernel(rng, 2)
-    neg = negate(k)
+    neg = k.negated
     for t in (-0.4, 0.2, 0.5):
         assert perron(neg, t).kappa == pytest.approx(perron(k, -t).kappa, abs=1e-12)
-    back = negate(neg)
+    back = neg.negated
     assert back.increments == k.increments
 
 
@@ -238,7 +249,7 @@ def test_transform_quadrature_once_per_distinct_law(monkeypatch):
     assert perron(fresh, 0.2).kappa == perron(k, 0.2).kappa
     assert (len(integrals), law_integrations(integrals)) == (3, 9)
     # a stack of theta takes one integration per distinct law, negated or not
-    perron_grid(negate(fresh), [0.1, 0.2, 0.3])
+    perron_grid(fresh.negated, [0.1, 0.2, 0.3])
     assert (len(integrals), law_integrations(integrals)) == (4, 12)
     assert integrals[-1][0].shape == (3, 3)
 
@@ -270,7 +281,7 @@ def test_stacked_transform_evaluates_each_step_in_one_buffer():
     # 201 theta of a 4-law kernel: the quadrature's peak is at most twice its
     # (law, theta, node) buffer at the finest step it reaches
     snr = np.repeat(np.array([[10.0], [5.0], [1.0], [0.3]]), 4, axis=1)
-    k = negate(capacity_kernel(np.full((4, 4), 0.25), ChannelSpec(20.0, snr, tuple("abcd"))))
+    k = capacity_kernel(np.full((4, 4), 0.25), ChannelSpec(20.0, snr, tuple("abcd"))).negated
     thetas = np.linspace(0.5, 40.0, 201)
     transform_matrix(k, thetas)  # builds the node arrays
     tracemalloc.start()
@@ -294,9 +305,9 @@ def test_perron_keeps_its_solutions_on_the_kernel(monkeypatch):
     assert (len(solves), law_integrations(integrals)) == (1, 3)
     assert perron(k, 0.2) is sol
     assert (len(solves), law_integrations(integrals)) == (1, 3)
-    # negate builds the negated kernel once, so its solutions are kept too
-    assert negate(k) is negate(k)
-    assert perron(negate(k), -0.2) is perron(negate(k), -0.2)
+    # the negated kernel is built once, so its solutions are kept too
+    assert k.negated is k.negated
+    assert perron(k.negated, -0.2) is perron(k.negated, -0.2)
     assert (len(solves), law_integrations(integrals)) == (2, 6)
     # a value-equal kernel built separately shares nothing
     twin = _row_constant_capacity_kernel()
@@ -313,7 +324,7 @@ def test_perron_keeps_no_failure():
         with pytest.raises(MgfDiverged, match=r"theta=5\.0"):
             perron(k, 5.0)
     service, theta_star = _gate_failing_service()
-    neg = negate(service)
+    neg = service.negated
     for _ in range(2):
         with pytest.raises(NoConvergence):
             perron(neg, 4.0 * theta_star)
@@ -341,8 +352,8 @@ def test_cached_eigenvectors_are_read_only():
 def test_stationary_distribution_is_solved_once_and_read_only(monkeypatch):
     solves = count_calls(monkeypatch, np.linalg, "lstsq")
     k = random_kernel(np.random.default_rng(5), 3)
-    pi = stationary_distribution(k)
-    assert stationary_distribution(k) is pi and perron(k, 0.4).pi is pi
+    pi = k.stationary
+    assert k.stationary is pi and perron(k, 0.4).pi is pi
     assert len(solves) == 1
     with pytest.raises(ValueError):
         pi[0] = 0.5
@@ -431,7 +442,7 @@ def test_zeroin_is_brentq_on_random_kernel_equations(monkeypatch):
         arrival = random_kernel(rng, 2)
         service = random_kernel(rng, 1 + len(pairs) % 4, mean_offset=0.5)
         if mean_rate(arrival) < mean_rate(service):
-            pairs.append((arrival, negate(service)))
+            pairs.append((arrival, service.negated))
     horizon = []
     for a, s in pairs:
         assert _refines_as_brentq(monkeypatch, lambda t: perron(a, t).kappa + perron(s, t).kappa,
@@ -467,7 +478,7 @@ def test_stability_root_carries_its_solutions_at_theta_star():
     arrival = random_kernel(rng, 2, mean_offset=1.0, spread=0.5)
     service = random_kernel(rng, 3, mean_offset=2.0, spread=0.5)
     root = stability_root(arrival, service)
-    for sol, kernel in ((root.arrival, arrival), (root.neg_service, negate(service))):
+    for sol, kernel in ((root.arrival, arrival), (root.neg_service, service.negated)):
         # a value-equal kernel keeps no solutions, so this solves theta* again
         fresh = MapKernel(kernel.state_labels, kernel.transition, kernel.increments,
                           kernel.initial_dist)
@@ -515,8 +526,8 @@ def test_perron_failures_name_theta():
     service, theta_star = _gate_failing_service()
     theta = 4.0 * theta_star
     with pytest.raises(NoConvergence, match=f"theta={theta}"):
-        perron(negate(service), theta)
-    failure = perron_grid(negate(service), [theta, 0.5 * theta_star]).failure[0]
+        perron(service.negated, theta)
+    failure = perron_grid(service.negated, [theta, 0.5 * theta_star]).failure[0]
     assert isinstance(failure, NoConvergence) and f"theta={theta}" in str(failure)
 
 
@@ -542,7 +553,7 @@ def test_perron_grid_matches_perron_slice_by_slice(case):
     else:
         snr = np.array([[300.0] * 3, [20.0] * 3, [0.7] * 3])
         p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
-        kernel = negate(capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c"))))
+        kernel = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c"))).negated
         thetas = np.geomspace(1e-3, 0.5, 21)
     stack = perron_grid(kernel, thetas)
     assert stack.h.shape == stack.v.shape == (len(thetas), kernel.n_states)
@@ -553,7 +564,7 @@ def test_perron_grid_matches_perron_slice_by_slice(case):
 
 def test_perron_grid_fails_each_theta_alone():
     service, theta_star = _gate_failing_service()
-    neg = negate(service)
+    neg = service.negated
     # at theta -100 the negated transforms overflow; 4 theta* fails the residual gate
     thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star, 1.5 * theta_star]
     got = perron_grid(neg, thetas)
@@ -563,9 +574,21 @@ def test_perron_grid_fails_each_theta_alone():
         _assert_row_is_solution(got, k, perron(neg, thetas[k]))
 
 
+def test_perron_grid_makes_one_dgeev_call_per_finite_matrix(monkeypatch):
+    # a diverged transform is not solved; every other theta, failing the
+    # residual gate or not, is one dgeev call and no scalar solve
+    service, theta_star = _gate_failing_service()
+    thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star]
+    stacked = count_stacked_dgeev(monkeypatch)
+    lapack = count_calls(monkeypatch, spectral_module, "dgeev")
+    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
+    perron_grid(service.negated, thetas)
+    assert len(stacked) == len(lapack) == 3 and solves == []
+
+
 def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
     # kappa = log F, h = v = [1] for the whole stack, with no eigensolve
-    stacked = count_calls(monkeypatch, np.linalg, "eig")
+    stacked = count_stacked_dgeev(monkeypatch)
     lapack = count_calls(monkeypatch, spectral_module, "dgeev")
     kernel = single_state_kernel(gaussian_quantized(3.0, math.sqrt(2.0)))
     # at rate 400 the transform e^400 is scaled by a power of two first
@@ -589,7 +612,7 @@ def test_perron_grid_of_no_theta_is_empty():
 
 def test_perron_grid_where_every_theta_fails():
     service, theta_star = _gate_failing_service()
-    neg = negate(service)
+    neg = service.negated
     # the two large theta fail the residual gate, the negative ones overflow
     thetas = [4.0 * theta_star, -100.0, 6.0 * theta_star, -200.0]
     stack = perron_grid(neg, thetas)
@@ -603,8 +626,8 @@ def _fail_dgeev_on(monkeypatch, bad):
     """Make dgeev report no convergence (info > 0) for the matrix `bad`."""
     real = spectral_module.dgeev
 
-    def dgeev(a, **kwargs):
-        *out, info = real(a, **kwargs)
+    def dgeev(a, *args, **kwargs):
+        *out, info = real(a, *args, **kwargs)
         return (*out, 1 if np.array_equal(a, bad) else info)
 
     monkeypatch.setattr(spectral_module, "dgeev", dgeev)
@@ -620,19 +643,17 @@ def test_perron_fails_where_dgeev_does_not_converge(monkeypatch):
 
 
 def test_perron_grid_survives_a_failed_stacked_eigensolve(monkeypatch):
-    # numpy raises LinAlgError for the whole stack when one slice does not
-    # converge; each slice is then solved on its own, and only the bad one fails
+    # each matrix of a stack is its own dgeev call, so a matrix where dgeev
+    # does not converge fails its theta alone, as perron fails there
     kernel = random_kernel(np.random.default_rng(14), 3)
     thetas = np.array([-0.3, 0.1, 0.4])
-    expected = [perron(kernel, t) for t in thetas]
-    bad = transform_matrix(kernel, thetas[1])
-
-    def stacked_eig(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eig", stacked_eig)
-    _fail_dgeev_on(monkeypatch, bad)
+    expected = {k: perron(kernel, thetas[k]) for k in (0, 2)}
+    _fail_dgeev_on(monkeypatch, transform_matrix(kernel, thetas[1]))
     got = perron_grid(kernel, thetas)
     _assert_row_failed(got, 1, NoConvergence, 0.1)
-    _assert_row_is_solution(got, 0, expected[0])
-    _assert_row_is_solution(got, 2, expected[2])
+    assert str(got.failure[1]) == "eigensolve failed at theta=0.1: dgeev info 1"
+    for k, sol in expected.items():
+        _assert_row_is_solution(got, k, sol)
+    with pytest.raises(NoConvergence) as err:
+        perron(kernel, 0.1)
+    assert str(err.value) == str(got.failure[1])

@@ -16,12 +16,13 @@ perfbench/reference.json for analytic jobs) and, per job kind (the last part
 of the job id), the work the jobs did: scalar Perron solves (calls of
 mapq.spectral._solve_one, one-state closed forms included; in a tree
 without it, calls of mapq.spectral.eig, which that tree's scalar solves
-made once each), stacked eigensolve slices (matrices passed to
-numpy.linalg.eig, F and F^T each counted; a tree whose perron_grid solves
-a one-state kernel's stack in closed form passes it none), Rayleigh
-integrations (laws integrated by mapq.laws._capacity_integrals: the rows of
-its (law, theta) exponent stack, or one per call in a tree that integrates
-one law per call), quadrature calls (calls of mapq.laws._capacity_integrals)
+made once each), stacked matrices (dgeev calls inside
+mapq.spectral._solve_batched, one per matrix of a perron_grid stack; in a
+tree whose stacks go to numpy.linalg.eig, half of its slices, since F and
+F^T are both passed; a one-state kernel's stack is solved in closed form,
+with none), Rayleigh integrations (laws integrated by
+mapq.laws._capacity_integrals: the rows of its (law, theta) exponent stack,
+or one per call in a tree that integrates one law per call), quadrature calls (calls of mapq.laws._capacity_integrals)
 and bivariate normal CDFs (calls of mapq.copulas.bvn_cdf, the Gaussian
 copula's work).  With --base it also lists the job kinds where this tree
 does more of that work than the base, the jobs whose exit code or failure
@@ -45,17 +46,18 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-WORK = ("scalar solves", "stacked eig slices", "Rayleigh integrations", "quadrature calls",
+WORK = ("scalar solves", "stacked matrices", "Rayleigh integrations", "quadrature calls",
         "bvn_cdf calls")
 
 
 def _count_work():
-    """Wrap the counted calls; returns the list of running counts (WORK order)."""
+    """Wrap the counted calls; returns the list of running counts: WORK order,
+    then the numpy.linalg.eig slices of a tree whose stacks go to numpy."""
     import numpy as np
 
     from mapq import copulas, laws, spectral
 
-    counts = [0] * len(WORK)
+    counts = [0] * (len(WORK) + 1)
 
     def counting(owner, name, k, size):
         real = getattr(owner, name)
@@ -68,11 +70,31 @@ def _count_work():
 
     counting(spectral, "_solve_one" if hasattr(spectral, "_solve_one") else "eig", 0,
              lambda a: 1)
-    counting(np.linalg, "eig", 1, lambda a: len(a) if np.ndim(a) == 3 else 1)
+    if hasattr(spectral, "dgeev") and hasattr(spectral, "_solve_batched"):
+        batched, inside = spectral._solve_batched, []  # inside: non-empty while it runs
+
+        def stacked(*args):
+            inside.append(True)
+            try:
+                return batched(*args)
+            finally:
+                inside.pop()
+
+        spectral._solve_batched = stacked
+        counting(spectral, "dgeev", 1, lambda a: 1 if inside else 0)
+    counting(np.linalg, "eig", len(WORK), lambda a: len(a) if np.ndim(a) == 3 else 1)
     counting(laws, "_capacity_integrals", 2, lambda n: len(n) if np.ndim(n) == 2 else 1)
     counting(laws, "_capacity_integrals", 3, lambda n: 1)
     counting(copulas, "bvn_cdf", 4, lambda a: 1)
     return counts
+
+
+def _work(counts, before):
+    """A job's WORK counts from the running counts before and after it: half
+    of its numpy.linalg.eig slices are stacked matrices."""
+    *work, slices = [c - b for c, b in zip(counts, before)]
+    work[1] += slices // 2
+    return work
 
 
 def run_tree(src, out, workload, seed):
@@ -118,7 +140,7 @@ def run_tree(src, out, workload, seed):
                 fh.write(as_bytes(result))
         problems[job.id] = {"problems": found, "signature": signature,
                             "files": [os.path.relpath(p, out) for p in files],
-                            "work": [c - b for c, b in zip(counts, before)]}
+                            "work": _work(counts, before)}
     with open(os.path.join(out, "problems.json"), "w", encoding="utf-8") as fh:
         json.dump(problems, fh)
 
