@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MgfDiverged, NoConvergence, NoFixedPoint, NoRootInDomain, UnstableQueue
+from .errors import MgfDiverged, NoConvergence
 from .spectral import (
     MapKernel,
     PerronStack,
+    cgf_as,
     perron,
     perron_grid,
     positive_root,
@@ -172,7 +173,8 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
     y_gamma = da_g / (da_g + ds_g)
 
     theta = positive_root(
-        lambda t: y * perron(neg_service, t).kappa_dot + (y - 1) * perron(arrival, t).kappa_dot,
+        lambda t: (y * cgf_as("negated service", neg_service, t, derivative=True)
+                   + (y - 1) * cgf_as("arrival", arrival, t, derivative=True)),
         "horizon delay equation y kappa'^-S + (y - 1) kappa'^A",
     )
     sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
@@ -195,7 +197,8 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
     y_gamma = 1.0 / (root.arrival.kappa_dot + root.neg_service.kappa_dot)
 
     theta = positive_root(
-        lambda t: y * (perron(arrival, t).kappa_dot + perron(neg_service, t).kappa_dot) - 1.0,
+        lambda t: y * (cgf_as("arrival", arrival, t, derivative=True)
+                       + cgf_as("negated service", neg_service, t, derivative=True)) - 1.0,
         "horizon backlog equation y (kappa'^A + kappa'^-S) - 1",
     )
     sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
@@ -237,6 +240,11 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
     `value` is the least g/d over the grid and the rounds, clamped at 0;
     `theta_opt` is the last round's argmin, and `value_at_root` the bound at
     theta*.  The asymptotic cap kappa^A(theta*)/theta* is reported alongside.
+
+    For constant traffic the capacity edges at (d, epsilon) are the fixed
+    points lam = dcc_upper(Constant(lam), S, d, epsilon).value_at_root; on the
+    toy service (cgf -3 theta + theta^2) they are the roots of
+    d lam (3 - lam) = log(1/epsilon).
 
     A float deadline gives its DccReport, a sequence of deadlines a list of them.
     """
@@ -285,75 +293,3 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
     reports = [DccReport(max(float(best) / d, 0.0), float(theta_opt), cap, float(at_root) / d)
                for d in deadlines]
     return reports[0] if single else reports
-
-
-def constant_dcc_interval(service: MapKernel, d: float, epsilon: float, varpi) -> tuple:
-    """Two-sided admissible-rate interval (lambda_lo, lambda_hi) for constant traffic.
-
-    Each endpoint solves its bound at equality at the root theta of lambda theta
-    + kappa^{-S}(theta) = 0; one eigensolve at theta gives both bounds and the
-    rate lambda(theta) = -kappa^{-S}(theta)/theta, which falls from mu at theta = 0.
-    A theta walk moves the rate by at most one step of a 400-point log grid on
-    [1e-5 mu, mu) and bisects the first sign change in rising rate.
-
-    Each endpoint is the lower edge of its admissible band.  On the toy
-    service (cgf -3 theta + theta^2) the bound at equality is
-    (d + lag) lambda (3 - lambda) = log(1/epsilon), lag 1 for lo and 0 for hi,
-    whose smaller root is returned; the larger root
-    (3 + sqrt(9 - 4 log(1/epsilon)/(d + lag)))/2 is the upper edge, also a
-    fixed point of dcc_upper(...).value_at_root at deadline d + lag, and what
-    a capacity reports.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    varpi = np.asarray(varpi, dtype=float)
-    neg_service = service.negated
-
-    def point(theta):  # (theta, lambda, log(bound/epsilon) for lo, for hi)
-        sol = perron(neg_service, theta)
-        avg = float(varpi @ sol.h) / epsilon
-        lam = -sol.kappa / theta if theta > 0 else -sol.kappa_dot
-        return (theta, lam, math.log(avg / sol.h.max()) + (1.0 + d) * sol.kappa,
-                math.log(avg / sol.h.min()) + d * sol.kappa)
-
-    walk = [point(0.0)]
-    mu = walk[0][1]
-    if mu <= 0:
-        raise UnstableQueue(0.0, mu)
-    ratio = (0.999999 / 1e-5) ** (1.0 / 399.0)
-    step = 1e-3
-    while True:
-        try:
-            nxt = point(walk[-1][0] + step)
-        except (MgfDiverged, NoConvergence) as exc:
-            if walk[-1][3] > 0:  # the larger bound, hi's, still exceeds epsilon
-                raise NoRootInDomain(f"lambda_hi: the bound exceeds epsilon at "
-                                     f"theta={walk[-1][0]}, beyond which {exc}") from exc
-            break  # lower rates, out of reach, satisfy both bounds
-        if nxt[1] * ratio < walk[-1][1]:
-            step *= 0.5
-        elif nxt[1] < 1e-5 * mu:
-            break
-        else:
-            walk.append(nxt)
-            step *= 2.0
-
-    def solve(k, endpoint):
-        violated = [p[k] > 0 for p in walk]
-        changes = [i for i in range(len(walk) - 1) if violated[i] != violated[i + 1]]
-        if not changes:
-            if not violated[0]:
-                return 0.999999 * mu  # every stable rate satisfies the bound
-            raise NoFixedPoint(f"lambda_{endpoint}: the bound exceeds epsilon at every stable rate")
-        lo, hi = walk[changes[-1]], walk[changes[-1] + 1]
-        while 0.5 * (lo[0] + hi[0]) not in (lo[0], hi[0]):
-            mid = point(0.5 * (lo[0] + hi[0]))
-            if (mid[k] > 0) == (lo[k] > 0):
-                lo = mid
-            else:
-                hi = mid
-        return lo[1]
-
-    lam_lo = solve(2, "lo")
-    lam_hi = solve(3, "hi")
-    return min(lam_lo, lam_hi), max(lam_lo, lam_hi)

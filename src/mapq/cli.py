@@ -28,7 +28,6 @@ from .errors import (
     LengthMismatch,
     MgfDiverged,
     NoConvergence,
-    NoFixedPoint,
     NoRootInDomain,
     OutOfUnitInterval,
     UnknownExperiment,
@@ -45,7 +44,7 @@ EXIT_COPULA = 5
 
 _PARSE_ERRORS = (ConfigError, LengthMismatch, DimensionMismatch, UnknownExperiment, ValueError)
 # LinAlgError and InconclusiveTail are ValueErrors: match them before _PARSE_ERRORS
-_NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, NoFixedPoint, InconclusiveTail,
+_NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, InconclusiveTail,
                    np.linalg.LinAlgError)
 _COPULA_ERRORS = (IncompatibleCopula, OutOfUnitInterval, ZeroMassState)
 # libyaml's emitter where PyYAML is built with it; both write yaml.safe_dump's bytes

@@ -41,10 +41,6 @@ class InconclusiveTail(MapqError, ValueError):
     """Too few tail levels had enough exceedances to fit a decay slope."""
 
 
-class NoFixedPoint(MapqError):
-    """Fixed-point iteration failed to converge within the iteration cap."""
-
-
 class OutOfUnitInterval(MapqError):
     """Copula argument outside [0, 1]."""
 

@@ -43,7 +43,8 @@ class MapKernel:
             raise ValueError("transition entries must be nonnegative and finite")
         if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12:
             raise ValueError("transition rows must sum to 1 within 1e-12")
-        if w.shape != (n,) or not (np.isfinite(w).all() and abs(w.sum() - 1.0) <= 1e-12):
+        nonnegative_finite = np.all((w >= 0) & (w < np.inf))
+        if w.shape != (n,) or not (nonnegative_finite and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("initial_dist must be a length-n probability vector")
         if len(self.increments) != n or any(len(row) != n for row in self.increments):
             raise ValueError("increments must be an n x n matrix of laws")
@@ -401,6 +402,17 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     return sol
 
 
+def cgf_as(role: str, kernel: MapKernel, theta: float, derivative: bool = False) -> float:
+    """kappa(theta), or kappa'(theta) with `derivative`, from perron; a transform
+    that diverges or an eigensolve that fails names the kernel's role in the
+    equation ("arrival" or "negated service")."""
+    try:
+        sol = perron(kernel, theta)
+        return sol.kappa_dot if derivative else sol.kappa
+    except (MgfDiverged, NoConvergence) as exc:
+        raise type(exc)(f"the {role} kernel fails: {exc}") from exc
+
+
 def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
     """perron at every theta of `thetas` as one PerronStack, from one
     transform_matrix call for the whole stack and perron's dgeev call per
@@ -536,7 +548,7 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     neg_service = service.negated
 
     def f(theta):
-        return perron(arrival, theta).kappa + perron(neg_service, theta).kappa
+        return cgf_as("arrival", arrival, theta) + cgf_as("negated service", neg_service, theta)
 
     theta = positive_root(f, "combined cgf kappa^A + kappa^-S")
     residual = abs(f(theta))

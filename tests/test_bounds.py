@@ -10,8 +10,8 @@ from conftest import count_calls, count_stacked_dgeev, frechet_capacity_kernel, 
 from mapq import bounds as bd
 from mapq import spectral as spectral_module
 from mapq.channel import ChannelSpec, capacity_kernel
-from mapq.errors import NoRootInDomain, UnstableQueue
-from mapq.laws import Constant, DiscretePmf, gaussian_quantized
+from mapq.errors import UnstableQueue
+from mapq.laws import Constant, DiscretePmf
 from mapq.spectral import (
     MapKernel,
     perron,
@@ -260,97 +260,17 @@ def test_dcc_upper_backs_off_where_the_eigensolve_fails():
     assert 0.0 <= r.value <= r.value_at_root
 
 
-def test_constant_dcc_interval_defining_equations(toy_service):
-    d, eps = 20.0, 1e-2
-    varpi = np.array([1.0])
-    lam_lo, lam_hi = bd.constant_dcc_interval(toy_service, d, eps, varpi)
-    assert 0.0 < lam_lo <= lam_hi < 3.0
-    # each endpoint satisfies its displayed equality at the coupled root
-    for lam, endpoint in ((lam_lo, "lo"), (lam_hi, "hi")):
-        theta = stability_root(single_state_kernel(Constant(lam)), toy_service).theta_star
-        h = perron(toy_service.negated, theta).h
-        avg = float(varpi @ h)
-        if endpoint == "hi":
-            target = (-1.0 / (theta * d)) * math.log(eps * h.min() / avg)
-        else:
-            target = (-1.0 / (theta * d)) * math.log(
-                math.exp(theta * lam) * eps * h.max() / avg
-            )
-        assert lam == pytest.approx(target, abs=1e-8)
-    # single-state service: endpoints differ only via the e^{theta lam} factor,
-    # i.e. lam_hi ~= lam_lo (1 + 1/d) up to the slow drift of theta with lam
-    assert lam_hi - lam_lo == pytest.approx(lam_lo / d, rel=5e-2)
-
-
 @pytest.mark.parametrize("d, eps", [(20.0, 1e-2), (10.0, 1e-3), (5.0, 0.05)])
-def test_constant_dcc_interval_closed_form_on_the_toy(toy_service, d, eps):
-    # kappa^-S(theta) = -3 theta + theta^2 names the rate lambda = 3 - theta,
-    # and h = [1]: each endpoint is the smaller root of
-    # (d + lag) lambda (3 - lambda) = log(1/eps), lag 1 for lo and 0 for hi
-    def smaller_root(lag):
-        c = math.log(1.0 / eps) / (d + lag)
-        return 2.0 * c / (3.0 + math.sqrt(9.0 - 4.0 * c))  # c over the larger root
-
-    lam_lo, lam_hi = bd.constant_dcc_interval(toy_service, d, eps, np.array([1.0]))
-    assert lam_lo == pytest.approx(smaller_root(1.0), rel=1e-12)
-    assert lam_hi == pytest.approx(smaller_root(0.0), rel=1e-12)
-
-
-def test_constant_dcc_interval_widens_with_eigenvector_spread():
-    rng = np.random.default_rng(21)
-    widths = []
-    for spread in (0.2, 1.5):
-        service = random_kernel(rng, 2, mean_offset=3.0, spread=spread)
-        lam_lo, lam_hi = bd.constant_dcc_interval(service, 20.0, 1e-2, service.initial_dist)
-        widths.append(lam_hi - lam_lo)
-    assert widths[1] > widths[0]
-
-
-@pytest.mark.parametrize("case", ["toy", "spread-0.2", "spread-1.5", "rayleigh"])
-def test_constant_dcc_interval_solves_each_rate_on_the_negated_service(
-        monkeypatch, toy_service, delay_figure_channel, case):
-    # each theta of the walk is one eigensolve on the service negated once,
-    # and names its own rate -kappa^-S(theta)/theta: no root solve per rate
-    rng = np.random.default_rng(21)
-    spread_02 = random_kernel(rng, 2, mean_offset=3.0, spread=0.2)
-    spread_15 = random_kernel(rng, 2, mean_offset=3.0, spread=1.5)
-    rayleigh = frechet_capacity_kernel(delay_figure_channel, 0.5)
-    toy = single_state_kernel(toy_service.law(0, 0))  # no solutions kept from other tests
-    args, expected, max_solves = {  # (service, d, epsilon, varpi), endpoints, eigensolve cap
-        "toy": ((toy, 20.0, 1e-2, np.array([1.0])),
-                (0.07497151550585462, 0.0788239058088085), 2000),
-        "spread-0.2": ((spread_02, 20.0, 1e-2, spread_02.initial_dist),
-                       (3.08035179280931, 3.0803762062732645), 1000),
-        "spread-1.5": ((spread_15, 20.0, 1e-2, spread_15.initial_dist),
-                       (2.9022062014910635, 2.904139497685752), 1000),
-        "rayleigh": ((rayleigh, 10.0, 1e-3, np.array([0.3, 0.7])),
-                     (16.817084046034104, 17.237114838372875), 2000),
-    }[case]
-    roots = count_calls(monkeypatch, bd, "stability_root")
-    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
-    interval = bd.constant_dcc_interval(*args)
-    assert roots == [] and all(solve[0] is args[0].negated for solve in solves)
-    assert len(solves) <= max_solves
-    assert interval == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("low", [-2.0, -1.0])
-def test_constant_dcc_interval_needs_a_positive_mean_service_rate(low):
-    service = single_state_kernel(DiscretePmf((low, 1.0), (0.5, 0.5)))
-    with pytest.raises(UnstableQueue) as err:
-        bd.constant_dcc_interval(service, 5.0, 1e-2, np.array([1.0]))
-    assert err.value.arrival_rate == 0.0
-    assert err.value.service_rate == pytest.approx((low + 1.0) / 2.0, abs=1e-15)
-
-
-def test_constant_dcc_interval_endpoint_beyond_the_eigensolve():
-    # lambda_hi's bound still exceeds epsilon at theta ~ 36, beyond which the
-    # negated transform spans more magnitudes than the eigensolve resolves
-    laws = ((DiscretePmf((2.0, 4.8), (0.5, 0.5)),) * 2, (DiscretePmf((0.3, 2.4), (0.5, 0.5)),) * 2)
-    service = MapKernel(("s0", "s1"), np.array([[0.53, 0.47], [0.28, 0.72]]), laws,
-                        np.array([0.5, 0.5]))
-    with pytest.raises(NoRootInDomain, match=r"lambda_hi: .* theta=\d"):
-        bd.constant_dcc_interval(service, 5.0, 0.01, np.array([0.5, 0.5]))
+@pytest.mark.parametrize("edge", ["lower", "upper"])
+def test_dcc_constant_traffic_edges_are_fixed_points_on_the_toy(toy_service, d, eps, edge):
+    # Constant(lam) against the toy service has theta* = 3 - lam and h = [1], so
+    # value_at_root = log(1/eps) / ((3 - lam) d): its fixed points are the
+    # roots of d lam (3 - lam) = log(1/eps), the edges of the admissible band
+    c = math.log(1.0 / eps) / d
+    larger = (3.0 + math.sqrt(9.0 - 4.0 * c)) / 2.0
+    lam = larger if edge == "upper" else c / larger  # c over the larger root
+    r = bd.dcc_upper(single_state_kernel(Constant(lam)), toy_service, d, eps)
+    assert r.value_at_root == pytest.approx(lam, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [0.0, -5.0, math.inf, math.nan])

@@ -159,14 +159,31 @@ service:
 """
 
 
-@pytest.mark.parametrize("text, field", [(NAN_KERNEL_CFG, "transition"),
-                                         (NAN_VARPI_CFG, "initial_dist")],
-                         ids=["kernel-transition", "channel-varpi"])
+NEGATIVE_INITIAL_CFG = """\
+arrival: {constant: 1.0}
+service:
+  kernel:
+    states: [a, b]
+    transition: [[0.6, 0.4], [0.3, 0.7]]
+    increments: [[{law: constant, value: 2.0}, {law: constant, value: 2.0}],
+                 [{law: constant, value: 2.0}, {law: constant, value: 2.0}]]
+    initial_dist: [1.5, -0.5]
+"""
+
+
+@pytest.mark.parametrize("text, field", [
+    (NAN_KERNEL_CFG, "transition"),
+    (NAN_VARPI_CFG, "initial_dist"),
+    (NAN_VARPI_CFG.replace("[.nan, 0.5]", "[1.5, -0.5]"), "initial_dist"),
+    (NEGATIVE_INITIAL_CFG, "initial_dist"),
+], ids=["kernel-transition", "channel-varpi", "channel-varpi-negative",
+        "kernel-initial-negative"])
 @pytest.mark.parametrize("command", [["spectral"], ["bounds", "--mode", "delay"]],
                          ids=["spectral", "bounds"])
 def test_non_finite_kernel_entries_exit_2(tmp_path, capsys, text, field, command):
-    # a NaN transition entry used to reach lstsq (exit 3), and a NaN varpi
-    # gave NaN bounds with exit 0
+    # a NaN transition entry used to reach lstsq (exit 3), a NaN varpi gave
+    # NaN bounds with exit 0, and a negative varpi entry clamped bounds to 0
+    # with exit 0
     cfg = _write(tmp_path, "nan.yaml", text)
     assert _run([command[0], "--config", cfg, *command[1:], "--out", str(tmp_path)]) == EXIT_PARSE
     assert field in capsys.readouterr().err

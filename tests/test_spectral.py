@@ -395,6 +395,26 @@ def test_positive_root_failure_names_the_equation_and_theta(error):
         spectral_module.positive_root(f, "rising equation")
 
 
+def _pmf_service_beyond_the_eigensolve():
+    laws = ((DiscretePmf((2.0, 4.8), (0.5, 0.5)),) * 2, (DiscretePmf((0.3, 2.4), (0.5, 0.5)),) * 2)
+    return MapKernel(("s0", "s1"), np.array([[0.53, 0.47], [0.28, 0.72]]), laws,
+                     np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("role, arrival, service", [
+    # from theta ~ 65 the negated service transform spans more magnitudes
+    # than the eigensolve resolves
+    ("negated service", lambda: Constant(0.3), _pmf_service_beyond_the_eigensolve),
+    # theta* = 1, but e^{800 theta} overflows from theta ~ 0.89
+    ("arrival", lambda: Constant(800.0),
+     lambda: single_state_kernel(gaussian_quantized(801.0, math.sqrt(2.0)))),
+], ids=["negated-service", "arrival"])
+def test_stability_root_failure_names_the_kernel_role(role, arrival, service):
+    with pytest.raises(NoRootInDomain, match=rf"combined cgf .* theta=\d.*where the {role} "
+                                             rf"kernel fails: .* theta=\d"):
+        stability_root(single_state_kernel(arrival()), service())
+
+
 def _recording(f, thetas):
     def g(theta):
         thetas.append(theta)

@@ -14,18 +14,16 @@ bytes (each array's dtype, shape and data, each float's 8 bytes).
 The report lists, per tree, the jobs that fail their check (against
 perfbench/reference.json for analytic jobs) and, per job kind (the last part
 of the job id), the work the jobs did: scalar Perron solves (calls of
-mapq.spectral._solve_one, one-state closed forms included; in a tree
-without it, calls of mapq.spectral.eig, which that tree's scalar solves
-made once each), stacked matrices (dgeev calls inside
-mapq.spectral._solve_batched, one per matrix of a perron_grid stack; in a
-tree whose stacks go to numpy.linalg.eig, half of its slices, since F and
-F^T are both passed; a one-state kernel's stack is solved in closed form,
+mapq.spectral._solve_one, one-state closed forms included), stacked matrices
+(dgeev calls inside mapq.spectral._solve_batched, one per matrix of a
+perron_grid stack; a one-state kernel's stack is solved in closed form,
 with none), Rayleigh integrations (laws integrated by
-mapq.laws._capacity_integrals: the rows of its (law, theta) exponent stack,
-or one per call in a tree that integrates one law per call), quadrature calls (calls of mapq.laws._capacity_integrals)
-and bivariate normal CDFs (calls of mapq.copulas.bvn_cdf, the Gaussian
-copula's work).  With --base it also lists the job kinds where this tree
-does more of that work than the base, the jobs whose exit code or failure
+mapq.laws._capacity_integrals: the rows of its (law, theta) exponent stack),
+quadrature calls (calls of mapq.laws._capacity_integrals) and bivariate
+normal CDFs (calls of mapq.copulas.bvn_cdf, the Gaussian copula's work).
+A tree that lacks one of these names fails before any job runs.  With
+--base it also lists the job kinds where this tree does more of that work
+than the base, the jobs whose exit code or failure
 differs, how many output files are byte-identical, the configs whose files
 differ (with how many files each), the worst relative difference of a
 numeric cell per job kind and, per CSV column whose cells move, the worst
@@ -51,13 +49,11 @@ WORK = ("scalar solves", "stacked matrices", "Rayleigh integrations", "quadratur
 
 
 def _count_work():
-    """Wrap the counted calls; returns the list of running counts: WORK order,
-    then the numpy.linalg.eig slices of a tree whose stacks go to numpy."""
-    import numpy as np
-
+    """Wrap the counted calls; returns the list of running counts, in WORK order.
+    A counted name that the tree lacks raises AttributeError."""
     from mapq import copulas, laws, spectral
 
-    counts = [0] * (len(WORK) + 1)
+    counts = [0] * len(WORK)
 
     def counting(owner, name, k, size):
         real = getattr(owner, name)
@@ -68,33 +64,22 @@ def _count_work():
 
         setattr(owner, name, wrapper)
 
-    counting(spectral, "_solve_one" if hasattr(spectral, "_solve_one") else "eig", 0,
-             lambda a: 1)
-    if hasattr(spectral, "dgeev") and hasattr(spectral, "_solve_batched"):
-        batched, inside = spectral._solve_batched, []  # inside: non-empty while it runs
+    counting(spectral, "_solve_one", 0, lambda a: 1)
+    batched, inside = spectral._solve_batched, []  # inside: non-empty while it runs
 
-        def stacked(*args):
-            inside.append(True)
-            try:
-                return batched(*args)
-            finally:
-                inside.pop()
+    def stacked(*args):
+        inside.append(True)
+        try:
+            return batched(*args)
+        finally:
+            inside.pop()
 
-        spectral._solve_batched = stacked
-        counting(spectral, "dgeev", 1, lambda a: 1 if inside else 0)
-    counting(np.linalg, "eig", len(WORK), lambda a: len(a) if np.ndim(a) == 3 else 1)
-    counting(laws, "_capacity_integrals", 2, lambda n: len(n) if np.ndim(n) == 2 else 1)
+    spectral._solve_batched = stacked
+    counting(spectral, "dgeev", 1, lambda a: 1 if inside else 0)
+    counting(laws, "_capacity_integrals", 2, len)
     counting(laws, "_capacity_integrals", 3, lambda n: 1)
     counting(copulas, "bvn_cdf", 4, lambda a: 1)
     return counts
-
-
-def _work(counts, before):
-    """A job's WORK counts from the running counts before and after it: half
-    of its numpy.linalg.eig slices are stacked matrices."""
-    *work, slices = [c - b for c, b in zip(counts, before)]
-    work[1] += slices // 2
-    return work
 
 
 def run_tree(src, out, workload, seed):
@@ -140,7 +125,7 @@ def run_tree(src, out, workload, seed):
                 fh.write(as_bytes(result))
         problems[job.id] = {"problems": found, "signature": signature,
                             "files": [os.path.relpath(p, out) for p in files],
-                            "work": _work(counts, before)}
+                            "work": [c - b for c, b in zip(counts, before)]}
     with open(os.path.join(out, "problems.json"), "w", encoding="utf-8") as fh:
         json.dump(problems, fh)
 
