@@ -87,6 +87,9 @@ def _out_dir(config, args):
 
 def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
     thetas = _float_list(args.theta) if args.theta else [0.0, 0.5, 1.0]
+    for theta in thetas:
+        if not math.isfinite(theta):
+            raise ConfigError(f"--theta must be finite, got {theta}")
     kernels = [("arrival", config.arrival), ("neg_service", config.service.negated)]
     rows = []
     for theta in thetas:

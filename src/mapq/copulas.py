@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
+from .counters import COUNTS
 from .errors import IncompatibleCopula, OutOfUnitInterval, ZeroMassState
 
 
@@ -104,6 +105,7 @@ def bvn_cdf(a: float, b: float, rho: float) -> float:
     1/4 + asin(rho) / (2 pi).  Within 2.2e-16 absolute of 30-digit values
     for |rho| up to 0.99.
     """
+    COUNTS["bvn_cdf_calls"] += 1
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho!r}")
     if a == -math.inf or b == -math.inf:

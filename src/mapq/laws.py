@@ -19,6 +19,7 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.special import exp1, hyperu
 
+from .counters import COUNTS
 from .errors import MgfDiverged
 
 _LN2 = math.log(2.0)
@@ -198,6 +199,8 @@ def _capacity_integrals(n, nodes, tilted):
     first two steps).  Each step is evaluated in one (L, T, m) buffer over the
     rows and columns that still hold an uncertified pair; a pair keeps the sums
     of the step that certified it."""
+    COUNTS["quadrature_calls"] += 1
+    COUNTS["rayleigh_integrations"] += n.shape[0]
     out = np.full(n.shape, np.nan)
     rows, cols = np.arange(n.shape[0]), np.arange(n.shape[1])
     pending = np.ones(n.shape, dtype=bool)

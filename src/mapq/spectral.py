@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.linalg.lapack import _compute_lwork
 
+from .counters import COUNTS
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
 from .laws import IncrementLaw, Negated, RayleighStack
 
@@ -184,17 +185,10 @@ class PerronStack:
     h: np.ndarray
     v: np.ndarray
     failure: tuple
-    kernel: MapKernel = field(compare=False, repr=False)
 
     @property
     def solved(self) -> np.ndarray:
         return np.array([f is None for f in self.failure], dtype=bool)
-
-    @cached_property
-    def kappa_dot(self) -> np.ndarray:
-        """kappa'(theta) per row, from one stacked transform derivative on first read."""
-        fprime = _transform_derivative(self.kernel, self.theta)
-        return (self.v[:, None, :] @ fprime @ self.h[:, :, None])[:, 0, 0] * np.exp(-self.kappa)
 
 
 @dataclass(frozen=True)
@@ -308,6 +302,7 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
     """SpectralSolution or NoConvergence naming theta from the one finite
     transform matrix f at theta: one dgeev call gives both eigenvector sides,
     and a one-state kernel needs none (kappa = log F, h = v = pi = [1])."""
+    COUNTS["scalar_solves"] += 1
     pi = kernel.stationary
     # LAPACK's geev returns a wrong eigenvalue once entries pass about 1e138
     # (or fall below 1e-138): scale F exactly by a power of two far from 1
@@ -352,6 +347,7 @@ def _solve_batched(kernel: MapKernel, thetas, f):
         positive = np.ones(t, dtype=bool)
         residual = np.zeros(t)
     else:
+        COUNTS["stacked_matrices"] += t
         lam = np.empty(t)
         hv = np.empty((2, t, n))
         for k, m in enumerate(scaled):
@@ -431,7 +427,7 @@ def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
     solved = iter(failures)
     failure = tuple(next(solved) if ok else MgfDiverged(f"transform matrix not finite at theta={x}")
                     for x, ok in zip(thetas.tolist(), finite.tolist()))
-    return PerronStack(thetas, kappa, h, v, failure, kernel)
+    return PerronStack(thetas, kappa, h, v, failure)
 
 
 def mean_rate(kernel: MapKernel) -> float:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mapq import spectral
 from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.copulas import one_param_frechet, transition_from_copula
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
@@ -117,34 +116,10 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def count_stacked_dgeev(monkeypatch):
-    """Record each matrix that spectral.dgeev solves inside spectral._solve_batched:
-    the stacked eigensolves, one dgeev call per matrix of a stack."""
-    calls = []
-    real_dgeev, real_batched = spectral.dgeev, spectral._solve_batched
-    stacked = [False]
-
-    def dgeev(a, *args, **kwargs):
-        if stacked[0]:
-            calls.append(a)
-        return real_dgeev(a, *args, **kwargs)
-
-    def batched(*args):
-        stacked[0] = True
-        try:
-            return real_batched(*args)
-        finally:
-            stacked[0] = False
-
-    monkeypatch.setattr(spectral, "dgeev", dgeev)
-    monkeypatch.setattr(spectral, "_solve_batched", batched)
-    return calls
-
-
-def law_integrations(calls):
-    """Laws integrated by recorded laws._capacity_integrals calls: one per row of
-    each call's (law, theta) exponent stack."""
-    return sum(len(args[0]) for args in calls)
+def quadratures(done):
+    """(quadrature calls, Rayleigh integrations) read from a counters.tally() function."""
+    work = done()
+    return work["quadrature_calls"], work["rayleigh_integrations"]
 
 
 @pytest.fixture

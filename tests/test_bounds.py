@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_calls, count_stacked_dgeev, frechet_capacity_kernel, random_kernel
+from conftest import count_calls, frechet_capacity_kernel, random_kernel
 from mapq import bounds as bd
-from mapq import spectral as spectral_module
+from mapq import counters
 from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.errors import UnstableQueue
 from mapq.laws import Constant, DiscretePmf
@@ -193,14 +193,13 @@ def test_dcc_upper_solves_its_grid_in_one_stacked_eigensolve_per_kernel(
     # probe and 106 for the golden section.  The grid and every round of the
     # section search are now one stack per kernel, which a one-state kernel
     # solves in closed form, so only theta* and the probe solve one matrix
-    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
-    stacked = count_stacked_dgeev(monkeypatch)
     grids = count_calls(monkeypatch, bd, "perron_grid")
     arrival = single_state_kernel(toy_arrival.law(0, 0), label="const")
     service = single_state_kernel(toy_service.law(0, 0))
+    done = counters.tally()
     r = bd.dcc_upper(arrival, service, 10.0, 1e-3)
-    assert len(solves) <= 40
-    assert stacked == []
+    assert done()["scalar_solves"] <= 40
+    assert done()["stacked_matrices"] == 0
     sizes = [len(args[1]) for args in grids]
     assert sizes[:2] == [201, 201] and len(sizes) > 2
     assert set(sizes[2:]) == {bd._SECTION_POINTS}
@@ -293,29 +292,29 @@ def test_levels_must_be_finite(toy_arrival, toy_service):
 
 
 @pytest.mark.parametrize("fn", [bd.delay_bounds, bd.backlog_bounds])
-def test_bounds_solve_nothing_beyond_their_root(monkeypatch, fn):
+def test_bounds_solve_nothing_beyond_their_root(fn):
     # h at theta* comes from the root's own solutions, not a second solve
     rng = np.random.default_rng(8)
     arrival = random_kernel(rng, 2, mean_offset=1.0, spread=0.5)
     service = random_kernel(rng, 2, mean_offset=2.0, spread=0.5)
-    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
+    done = counters.tally()
     stability_root(arrival, service)  # also solves the two mean rates, once per kernel
-    assert len(solves) > 0
-    before = len(solves)
+    assert done()["scalar_solves"] > 0
+    before = done()["scalar_solves"]
     # the kernels keep every solution of the first root search
     stability_root(arrival, service)
     fn(arrival, service, [1.0, 2.0])
-    assert len(solves) == before
+    assert done()["scalar_solves"] == before
 
 
 @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
-def test_horizon_multiplier_must_be_finite(monkeypatch, y):
+def test_horizon_multiplier_must_be_finite(y):
     # a non-finite y is bad input, rejected before any eigensolve
     arrival = single_state_kernel(Constant(1.0))
     service = single_state_kernel(DiscretePmf((2.0, 4.0), (0.5, 0.5)))
-    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
+    done = counters.tally()
     with pytest.raises(ValueError, match="horizon multiplier y must be finite"):
         bd.horizon_delay_bound(arrival, service, y, 2.0)
     with pytest.raises(ValueError, match="horizon multiplier y must be finite"):
         bd.horizon_backlog_bound(arrival, service, y, 2.0)
-    assert solves == []
+    assert done()["scalar_solves"] == 0

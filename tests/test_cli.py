@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import count_calls, count_stacked_dgeev
-from mapq import cli, spectral
+from mapq import cli, counters, spectral
 from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, build_parser, main
 
 
@@ -274,20 +273,18 @@ service:
     (["--mode", "dcc"], "5", "5,10,20"),
     (["--mode", "horizon"], "2", "2,4,8"),
 ])
-def test_more_levels_make_no_more_eigensolves(tmp_path, monkeypatch, argv, one, many):
+def test_more_levels_make_no_more_eigensolves(tmp_path, argv, one, many):
     # the levels of one run share the root and, for dcc, the search for the
     # theta of the optimum (the bound is 1/d times a function of theta): every
     # further level reads the solutions the first one kept on the kernels, and
     # dcc solves its theta stacks once for all levels
     cfg = _write(tmp_path, "pool.yaml", POOL_CFG)
-    solves = count_calls(monkeypatch, spectral, "_solve_one")
-    stacked = count_stacked_dgeev(monkeypatch)
     counts = []
     for levels in (one, many):
-        del solves[:], stacked[:]
+        done = counters.tally()
         assert _run(["bounds", "--config", cfg, *argv, "--levels", levels,
                      "--out", str(tmp_path)]) == 0
-        counts.append((len(solves), len(stacked)))
+        counts.append((done()["scalar_solves"], done()["stacked_matrices"]))
     assert 0 < counts[1][0] <= counts[0][0]
     assert counts[1][1] <= counts[0][1]
     assert (counts[0][1] > 0) == (argv[1] == "dcc")
@@ -570,9 +567,9 @@ def test_ordercheck_needs_inputs():
     assert _run(["ordercheck"]) == 2
 
 
-def test_spectral_solves_once_per_role_and_theta(tmp_path, monkeypatch):
+def test_spectral_solves_once_per_role_and_theta(tmp_path):
     # kappa, kappa_dot, h, v and pi of a row all come from one eigensolve
-    solves = count_calls(monkeypatch, spectral, "_solve_one")
+    done = counters.tally()
     doc = {"arrival": _two_state(["on", "off"], _pmf([0.0, 3.0], [0.5, 0.5]),
                                  _pmf([0.0, 1.0], [0.5, 0.5])),
            "service": _two_state(["good", "bad"], _pmf([1.0, 4.0], [0.5, 0.5]),
@@ -581,7 +578,24 @@ def test_spectral_solves_once_per_role_and_theta(tmp_path, monkeypatch):
     thetas = (-0.1, 0.0, 0.2, 0.4, 0.8)
     assert _run(["spectral", "--config", cfg, "--out", str(tmp_path),
                  "--theta=" + ",".join(map(str, thetas))]) == 0
-    assert len(solves) == 2 * len(thetas)
+    assert done()["scalar_solves"] == 2 * len(thetas)
+
+
+@pytest.mark.parametrize("theta, code, message", [
+    # a non-finite theta is bad input, not a transform that fails to converge
+    ("nan", EXIT_PARSE, "--theta must be finite, got nan"),
+    ("inf", EXIT_PARSE, "--theta must be finite, got inf"),
+    ("-inf", EXIT_PARSE, "--theta must be finite, got -inf"),
+    ("0.5,nan", EXIT_PARSE, "--theta must be finite, got nan"),
+    # a finite theta whose transform overflows is a numeric failure
+    ("1e308", EXIT_NUMERIC, "transform matrix not finite at theta=1e+308"),
+])
+def test_theta_exit_codes_before_any_solve(tmp_path, toy_cfg, capsys, theta, code, message):
+    done = counters.tally()
+    assert _run(["spectral", "--config", toy_cfg, "--out", str(tmp_path),
+                 "--theta=" + theta]) == code
+    assert message in capsys.readouterr().err
+    assert done()["scalar_solves"] == 0
 
 
 def test_ordercheck_experiment_without_config(capsys):

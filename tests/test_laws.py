@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expn, gamma, gammaincc, gammaln
 
-from conftest import count_calls, law_integrations
+from conftest import quadratures
+from mapq import counters
 from mapq import laws as laws_module
 from mapq.errors import MgfDiverged
 from mapq.laws import (
@@ -138,15 +139,15 @@ def test_negated_and_shifted_wrappers():
     assert np.all(sh.sample(rng, 100) >= 5.0)
 
 
-def test_rayleigh_float_call_integrates_once_and_raises_on_overflow(monkeypatch):
-    calls = count_calls(monkeypatch, laws_module, "_capacity_integrals")
+def test_rayleigh_float_call_integrates_once_and_raises_on_overflow():
     law = RayleighCapacity(20.0, 10.0)
+    done = counters.tally()
     assert law.mgf(0.3) == law.mgf(np.array([0.3]))[0]
     # one integration of the one law per call; the law keeps no values
-    assert (len(calls), law_integrations(calls)) == (2, 2)
+    assert quadratures(done) == (2, 2)
     with pytest.raises(MgfDiverged, match=r"overflows a double at theta=5\.0"):
         law.mgf(5.0)
-    assert (len(calls), law_integrations(calls)) == (3, 3)
+    assert quadratures(done) == (3, 3)
 
 
 RAYLEIGH_SNRS = [0.01, 0.3, 1.0, 10.0, 300.0, 1e4, 1e6]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, count_stacked_dgeev, law_integrations, random_kernel
+from conftest import count_calls, quadratures, random_kernel
+from mapq import counters
 from mapq import laws as laws_module
 from mapq import spectral as spectral_module
 from mapq.channel import ChannelSpec, capacity_kernel
@@ -68,7 +69,7 @@ def test_single_state_constant_cgf_is_linear():
 
 def test_one_state_perron_is_closed_form(monkeypatch):
     # kappa = log F, h = v = pi = [1], with no LAPACK call
-    stacked = count_stacked_dgeev(monkeypatch)
+    done = counters.tally()
     lapack = count_calls(monkeypatch, spectral_module, "dgeev")
     k = single_state_kernel(DiscretePmf((-2.0, 0.5, 3.0), (0.2, 0.5, 0.3)))
     for theta in (-3.0, -0.1, 0.0, 0.7, 2.0):
@@ -76,7 +77,7 @@ def test_one_state_perron_is_closed_form(monkeypatch):
         assert sol.kappa == math.log(transform_matrix(k, theta)[0, 0])
         assert sol.h.tolist() == sol.v.tolist() == sol.pi.tolist() == [1.0]
         assert sol.residual == 0.0
-    assert lapack == [] and stacked == []
+    assert lapack == [] and done()["stacked_matrices"] == 0
 
 
 def test_one_state_perron_scales_a_huge_transform():
@@ -236,26 +237,26 @@ def _row_constant_capacity_kernel():
 
 
 def test_transform_quadrature_once_per_distinct_law(monkeypatch):
-    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     k = _row_constant_capacity_kernel()
+    done = counters.tally()
     # one quadrature call per kernel transform integrates all three laws
     transform_matrix(k, 0.2)
-    assert (len(integrals), law_integrations(integrals)) == (1, 3)
+    assert quadratures(done) == (1, 3)
     # the laws keep no values: perron integrates again, then keeps its solution
     perron(k, 0.2)
     perron(k, 0.2)
-    assert (len(integrals), law_integrations(integrals)) == (2, 6)
+    assert quadratures(done) == (2, 6)
     fresh = _row_constant_capacity_kernel()
     assert perron(fresh, 0.2).kappa == perron(k, 0.2).kappa
-    assert (len(integrals), law_integrations(integrals)) == (3, 9)
+    assert quadratures(done) == (3, 9)
     # a stack of theta takes one integration per distinct law, negated or not
+    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
     perron_grid(fresh.negated, [0.1, 0.2, 0.3])
-    assert (len(integrals), law_integrations(integrals)) == (4, 12)
+    assert quadratures(done) == (4, 12)
     assert integrals[-1][0].shape == (3, 3)
 
 
-def test_mixed_kernel_transform_is_each_laws_own(monkeypatch):
-    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
+def test_mixed_kernel_transform_is_each_laws_own():
     plain, other = RayleighCapacity(20.0, 10.0), RayleighCapacity(5.0, 0.3)
     pmf = DiscretePmf((0.0, 1.0, 3.0), (0.2, 0.5, 0.3))
     shifted = Shifted(RayleighCapacity(20.0, 2.0), -1.5)
@@ -263,9 +264,10 @@ def test_mixed_kernel_transform_is_each_laws_own(monkeypatch):
     p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.0, 0.7]])
     k = MapKernel(("a", "b", "c"), p, laws, np.full(3, 1.0 / 3.0))
     thetas = np.array([-0.7, -0.1, 0.0, 0.05, 0.3])
+    done = counters.tally()
     f = transform_matrix(k, thetas)
     # the two Rayleigh laws, negated or not, in one quadrature; Shifted keeps its own
-    assert sorted(len(args[0]) for args in integrals) == [1, 2]
+    assert quadratures(done) == (2, 3)
     for kind, fn in (("mgf", transform_matrix), ("tilted_mean", _transform_derivative)):
         for t, theta in enumerate(thetas):
             matrix = fn(k, float(theta))
@@ -297,23 +299,27 @@ def test_stacked_transform_evaluates_each_step_in_one_buffer():
     assert peak <= 2 * 8 * 4 * len(thetas) * m
 
 
-def test_perron_keeps_its_solutions_on_the_kernel(monkeypatch):
-    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
-    integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
+def test_perron_keeps_its_solutions_on_the_kernel():
     k = _row_constant_capacity_kernel()
+    done = counters.tally()
+
+    def work():
+        counted = done()
+        return counted["scalar_solves"], counted["rayleigh_integrations"]
+
     sol = perron(k, 0.2)
-    assert (len(solves), law_integrations(integrals)) == (1, 3)
+    assert work() == (1, 3)
     assert perron(k, 0.2) is sol
-    assert (len(solves), law_integrations(integrals)) == (1, 3)
+    assert work() == (1, 3)
     # the negated kernel is built once, so its solutions are kept too
     assert k.negated is k.negated
     assert perron(k.negated, -0.2) is perron(k.negated, -0.2)
-    assert (len(solves), law_integrations(integrals)) == (2, 6)
+    assert work() == (2, 6)
     # a value-equal kernel built separately shares nothing
     twin = _row_constant_capacity_kernel()
     again = perron(twin, 0.2)
-    assert (len(solves), law_integrations(integrals)) == (3, 9)
-    assert len(integrals) == 3  # one quadrature call per kernel transform
+    assert work() == (3, 9)
+    assert done()["quadrature_calls"] == 3  # one quadrature call per kernel transform
     assert again is not sol and again.kappa == sol.kappa
     assert np.array_equal(again.h, sol.h) and np.array_equal(again.v, sol.v)
 
@@ -520,11 +526,11 @@ def test_kappa_dot_is_computed_once_and_only_when_read(monkeypatch):
     assert mean_rate(k) == perron(k, 0.0).kappa_dot
 
 
-def test_mean_rate_is_solved_once_per_kernel(monkeypatch):
-    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
+def test_mean_rate_is_solved_once_per_kernel():
     k = random_kernel(np.random.default_rng(12), 3)
+    done = counters.tally()
     assert mean_rate(k) == mean_rate(k) == perron(k, 0.0).kappa_dot
-    assert len(solves) == 1  # mean_rate reads perron's solution at theta = 0
+    assert done()["scalar_solves"] == 1  # mean_rate reads perron's solution at theta = 0
 
 
 def _gate_failing_service():
@@ -556,7 +562,6 @@ def _assert_row_is_solution(stack, k, sol):
     assert stack.kappa[k] == pytest.approx(sol.kappa, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(stack.h[k], sol.h, rtol=1e-12)
     np.testing.assert_allclose(stack.v[k], sol.v, rtol=1e-12)
-    assert stack.kappa_dot[k] == pytest.approx(sol.kappa_dot, rel=1e-12, abs=1e-12)
 
 
 def _assert_row_failed(stack, k, error, theta):
@@ -599,23 +604,22 @@ def test_perron_grid_makes_one_dgeev_call_per_finite_matrix(monkeypatch):
     # residual gate or not, is one dgeev call and no scalar solve
     service, theta_star = _gate_failing_service()
     thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star]
-    stacked = count_stacked_dgeev(monkeypatch)
+    done = counters.tally()
     lapack = count_calls(monkeypatch, spectral_module, "dgeev")
-    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
     perron_grid(service.negated, thetas)
-    assert len(stacked) == len(lapack) == 3 and solves == []
+    assert len(lapack) == done()["stacked_matrices"] == 3 and done()["scalar_solves"] == 0
 
 
 def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
     # kappa = log F, h = v = [1] for the whole stack, with no eigensolve
-    stacked = count_stacked_dgeev(monkeypatch)
+    done = counters.tally()
     lapack = count_calls(monkeypatch, spectral_module, "dgeev")
     kernel = single_state_kernel(gaussian_quantized(3.0, math.sqrt(2.0)))
     # at rate 400 the transform e^400 is scaled by a power of two first
     thetas = np.array([-1.0, 0.0, 0.4, 2.5])
     stack = perron_grid(kernel, thetas)
     big = perron_grid(single_state_kernel(Constant(400.0)), [1.0])
-    assert stacked == [] and lapack == []
+    assert done()["stacked_matrices"] == 0 and lapack == []
     for k, theta in enumerate(thetas):
         _assert_row_is_solution(stack, k, perron(kernel, theta))
     assert (stack.h == 1.0).all() and (stack.v == 1.0).all()
@@ -625,7 +629,7 @@ def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
 def test_perron_grid_of_no_theta_is_empty():
     kernel = random_kernel(np.random.default_rng(13), 3)
     stack = perron_grid(kernel, [])
-    assert stack.theta.shape == stack.kappa.shape == stack.kappa_dot.shape == (0,)
+    assert stack.theta.shape == stack.kappa.shape == (0,)
     assert stack.h.shape == stack.v.shape == (0, 3)
     assert stack.failure == () and stack.solved.shape == (0,)
 
@@ -639,7 +643,6 @@ def test_perron_grid_where_every_theta_fails():
     assert not stack.solved.any()
     for k, (theta, error) in enumerate(zip(thetas, (NoConvergence, MgfDiverged) * 2)):
         _assert_row_failed(stack, k, error, theta)
-    assert np.isnan(stack.kappa_dot).all()
 
 
 def _fail_dgeev_on(monkeypatch, bad):

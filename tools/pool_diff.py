@@ -13,15 +13,11 @@ pool job; simulate-fading runs every job that --seed generates: the 20
 bytes (each array's dtype, shape and data, each float's 8 bytes).
 The report lists, per tree, the jobs that fail their check (against
 perfbench/reference.json for analytic jobs) and, per job kind (the last part
-of the job id), the work the jobs did: scalar Perron solves (calls of
-mapq.spectral._solve_one, one-state closed forms included), stacked matrices
-(dgeev calls inside mapq.spectral._solve_batched, one per matrix of a
-perron_grid stack; a one-state kernel's stack is solved in closed form,
-with none), Rayleigh integrations (laws integrated by
-mapq.laws._capacity_integrals: the rows of its (law, theta) exponent stack),
-quadrature calls (calls of mapq.laws._capacity_integrals) and bivariate
-normal CDFs (calls of mapq.copulas.bvn_cdf, the Gaussian copula's work).
-A tree that lacks one of these names fails before any job runs.  With
+of the job id), the work the jobs did: what each job added to the counts
+that mapq's solvers keep in mapq.counters (scalar solves, stacked matrices,
+Rayleigh integrations, quadrature calls and bivariate normal CDFs; that
+module defines each).  A tree without mapq.counters runs its jobs and is
+compared all the same; its work prints as "not counted".  With
 --base it also lists the job kinds where this tree does more of that work
 than the base, the jobs whose exit code or failure
 differs, how many output files are byte-identical, the configs whose files
@@ -44,42 +40,20 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-WORK = ("scalar solves", "stacked matrices", "Rayleigh integrations", "quadrature calls",
-        "bvn_cdf calls")
+# the keys of mapq.counters.COUNTS, in report order
+WORK = ("scalar_solves", "stacked_matrices", "rayleigh_integrations", "quadrature_calls",
+        "bvn_cdf_calls")
 
 
-def _count_work():
-    """Wrap the counted calls; returns the list of running counts, in WORK order.
-    A counted name that the tree lacks raises AttributeError."""
-    from mapq import copulas, laws, spectral
-
-    counts = [0] * len(WORK)
-
-    def counting(owner, name, k, size):
-        real = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            counts[k] += size(args[0])
-            return real(*args, **kwargs)
-
-        setattr(owner, name, wrapper)
-
-    counting(spectral, "_solve_one", 0, lambda a: 1)
-    batched, inside = spectral._solve_batched, []  # inside: non-empty while it runs
-
-    def stacked(*args):
-        inside.append(True)
-        try:
-            return batched(*args)
-        finally:
-            inside.pop()
-
-    spectral._solve_batched = stacked
-    counting(spectral, "dgeev", 1, lambda a: 1 if inside else 0)
-    counting(laws, "_capacity_integrals", 2, len)
-    counting(laws, "_capacity_integrals", 3, lambda n: 1)
-    counting(copulas, "bvn_cdf", 4, lambda a: 1)
-    return counts
+def work_since():
+    """A function that returns the work mapq has done since this call, in WORK
+    order, or None for a tree without mapq.counters."""
+    try:
+        from mapq import counters
+    except ImportError:  # a tree from before mapq counted its own work
+        return lambda: None
+    done = counters.tally()
+    return lambda: [done()[k] for k in WORK]
 
 
 def run_tree(src, out, workload, seed):
@@ -102,10 +76,9 @@ def run_tree(src, out, workload, seed):
         a = np.asarray(value)
         return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
 
-    counts = _count_work()
     problems = {}
     for job in jobs:
-        before = list(counts)
+        done = work_since()
         result = err = None
         try:
             result = job.run()
@@ -125,7 +98,7 @@ def run_tree(src, out, workload, seed):
                 fh.write(as_bytes(result))
         problems[job.id] = {"problems": found, "signature": signature,
                             "files": [os.path.relpath(p, out) for p in files],
-                            "work": [c - b for c, b in zip(counts, before)]}
+                            "work": done()}
     with open(os.path.join(out, "problems.json"), "w", encoding="utf-8") as fh:
         json.dump(problems, fh)
 
@@ -139,9 +112,12 @@ def _spawn(src, out, workload, seed):
 
 def _work_by_kind(problems):
     """The WORK counts of a tree's jobs, summed per job kind (the id's last
-    part without its number: sf-mart3 is a mart job)."""
+    part without its number: sf-mart3 is a mart job); None for a tree that
+    does not count its work."""
     out = {}
     for job_id, info in problems.items():
+        if info["work"] is None:
+            return None
         total = out.setdefault(job_id.rsplit("-", 1)[-1].rstrip("0123456789"), [0] * len(WORK))
         total[:] = [t + n for t, n in zip(total, info["work"])]
     return out
@@ -260,16 +236,23 @@ def main():
             print(f"{name} ({trees[name]}): {len(problems)} jobs, {len(bad)} failing their check")
             for job_id, found in sorted(bad.items()):
                 print(f"  {job_id}: {'; '.join(found)[:300]}")
+            if work_by_kind[name] is None:
+                print("  work: not counted (no mapq.counters)")
+                continue
             print(f"  per job kind: {' / '.join(WORK)}")
             for kind, done in sorted(work_by_kind[name].items()):
                 print(f"    {kind}: {' / '.join(map(str, done))}")
         if args.base and args.workload == "simulate-fading":
             _tails_report(runs, work)
         elif args.base:
-            more = [f"{kind} ({WORK[k]} {n} > {work_by_kind['base'][kind][k]})"
-                    for kind, done in sorted(work_by_kind["src"].items())
-                    for k, n in enumerate(done) if n > work_by_kind["base"].get(kind, done)[k]]
-            print("more work than base: " + (", ".join(more) if more else "none"))
+            if None in work_by_kind.values():
+                print("more work than base: not counted")
+            else:
+                more = [f"{kind} ({WORK[k]} {n} > {work_by_kind['base'][kind][k]})"
+                        for kind, done in sorted(work_by_kind["src"].items())
+                        for k, n in enumerate(done)
+                        if n > work_by_kind["base"].get(kind, done)[k]]
+                print("more work than base: " + (", ".join(more) if more else "none"))
             moved_exit = [job_id for job_id, info in sorted(runs["src"].items())
                           if info["signature"] != runs["base"].get(job_id, {}).get("signature")]
             print("exit codes or failures that differ: " + (", ".join(moved_exit) or "none"))
