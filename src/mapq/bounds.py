@@ -78,12 +78,6 @@ def _delay_level(d, whole: bool = True):
     return d
 
 
-def decay_rates(arrival: MapKernel, service: MapKernel):
-    """(delay_rate, backlog_rate) = (kappa^A(theta*), theta*)."""
-    root = stability_root(arrival, service)
-    return root.kappa_arrival, root.theta_star
-
-
 def _state_pairs(arrival: MapKernel, service: MapKernel, arrival_time: str):
     """(arrival index, service index, conditioning label) per state pair.
 

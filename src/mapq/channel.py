@@ -38,13 +38,6 @@ class ChannelSpec:
         snr.setflags(write=False)
 
 
-def instantaneous_capacity(gain_power: float, snr: float, bandwidth: float) -> float:
-    """Shannon capacity W log2(1 + snr * g) of one slot."""
-    if gain_power < 0 or snr < 0 or bandwidth < 0:
-        raise ValueError("capacity inputs must be nonnegative")
-    return bandwidth * math.log2(1.0 + snr * gain_power)
-
-
 def capacity_kernel(transition, channel: ChannelSpec) -> MapKernel:
     """Markov additive service kernel: increment (i, j) is the Rayleigh
     capacity at the (i, j) entry of the SNR matrix."""

@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     IncompatibleCopula,
     InconclusiveTail,
-    LengthMismatch,
     MgfDiverged,
     NoConvergence,
     NoRootInDomain,
@@ -42,7 +41,7 @@ EXIT_NUMERIC = 3
 EXIT_UNSTABLE = 4
 EXIT_COPULA = 5
 
-_PARSE_ERRORS = (ConfigError, LengthMismatch, DimensionMismatch, UnknownExperiment, ValueError)
+_PARSE_ERRORS = (ConfigError, DimensionMismatch, UnknownExperiment, ValueError)
 # LinAlgError and InconclusiveTail are ValueErrors: match them before _PARSE_ERRORS
 _NUMERIC_ERRORS = (MgfDiverged, NoConvergence, NoRootInDomain, InconclusiveTail,
                    np.linalg.LinAlgError)

@@ -247,8 +247,3 @@ def build_config(doc: dict) -> ExperimentConfig:
         levels=levels,
         output_dir=str(_section(doc, "output").get("directory", ".")),
     )
-
-
-def roundtrip(doc: dict) -> dict:
-    """Serialize and re-parse; equality is the config stability contract."""
-    return yaml.safe_load(yaml.safe_dump(doc, sort_keys=True))

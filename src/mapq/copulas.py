@@ -297,33 +297,3 @@ def dependence_control(temporal_copulas, varpi0, horizon: int) -> ControlPlan:
             distributions.append(w)
         dims.append(DimensionPlan(tuple(transitions), tuple(distributions)))
     return ControlPlan(horizon, tuple(dims))
-
-
-@dataclass(frozen=True)
-class GrangerReport:
-    max_deviation: float
-    grid_n: int
-
-
-def granger_product_check(joint, temporal_marginal: CopulaSpec, grid_n: int) -> GrangerReport:
-    """Sup-norm check of the product-spatial no-Granger identity.
-
-    The identity: the 4-argument copula with the second next-step argument
-    saturated equals v1 times the temporal copula of the first coordinate.
-    `joint` is a callable (u1, v1, u2, v2) -> value or a 4-d lattice array.
-    """
-    t = np.linspace(0.0, 1.0, grid_n + 1)
-    if callable(joint):
-        lhs = np.empty((grid_n + 1,) * 3)
-        for i, u1 in enumerate(t):
-            for j, v1 in enumerate(t):
-                for k, u2 in enumerate(t):
-                    lhs[i, j, k] = joint(u1, v1, u2, 1.0)
-    else:
-        joint = np.asarray(joint, dtype=float)
-        if joint.shape != (grid_n + 1,) * 4:
-            raise ValueError("lattice joint must be (N+1)^4 with matching grid_n")
-        lhs = joint[:, :, :, -1]
-    temporal = temporal_marginal.eval_grid(t, t)
-    rhs = t[None, :, None] * temporal[:, None, :]
-    return GrangerReport(float(np.max(np.abs(lhs - rhs))), grid_n)

@@ -53,10 +53,6 @@ class IncompatibleCopula(MapqError):
     """Copula/marginal pair produced a genuinely negative transition mass."""
 
 
-class LengthMismatch(MapqError):
-    """Paired sample paths must have equal length."""
-
-
 class DimensionMismatch(MapqError):
     """Sample matrices must have matching column dimensions."""
 

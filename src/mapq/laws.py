@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import exp1, hyperu
 
 from .counters import COUNTS
 from .errors import MgfDiverged
@@ -325,14 +324,6 @@ class RayleighCapacity(IncrementLaw):
 
     def tilted_mean(self, theta):
         return self._transform("tilted_mean", theta)
-
-    def mean(self):
-        # closed form: (W/ln2) e^x E1(x), x = 1/snr.  e^x overflows from x ~ 709,
-        # so from x = 100 it is U(1, 1, x) = e^x E1(x), which scipy 1.17 resolves
-        # within 1.1e-15 there (but only within 5e-10 for x in [1, 50])
-        x = 1.0 / self.snr
-        scaled_e1 = math.exp(x) * float(exp1(x)) if x < 100.0 else float(hyperu(1.0, 1.0, x))
-        return self.bandwidth / _LN2 * scaled_e1
 
     def sample(self, rng, size):
         # bandwidth * log2(1 + snr * g), computed in place on the draws

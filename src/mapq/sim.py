@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     InconclusiveTail,
-    LengthMismatch,
     UnknownExperiment,
 )
 from .laws import Constant, DiscretePmf
@@ -35,7 +34,7 @@ from .spectral import MapKernel, mean_rate, perron, single_state_kernel, stabili
 
 
 # ---------------------------------------------------------------------------
-# sample paths and the queue recursion
+# sample paths
 
 
 # replication-slots per block of `_blocks`
@@ -170,40 +169,6 @@ def sample_path(kernel: MapKernel, horizon: int, seed) -> tuple:
     cum = _cumulative_rows(kernel.transition)
     states = _path_states(cum, kernel.initial_dist, horizon, rng)
     return states, _increments(kernel, states[:-1], states[1:], rng)
-
-
-@dataclass(frozen=True)
-class QueueTrace:
-    horizon: int
-    arrivals: np.ndarray
-    services: np.ndarray
-    backlog: np.ndarray  # length horizon + 1, backlog[0] = 0
-    virtual_delay: np.ndarray  # length horizon + 1
-
-
-def lindley(arrival_path, service_path) -> QueueTrace:
-    """Reflected queue recursion plus the virtual delay series.
-
-    backlog[t+1] = max(backlog[t] + a(t) - c(t), 0), i.e. the net work
-    X(t) = sum_{s<t} (a(s) - c(s)) minus its running minimum;
-    virtual_delay[t] is the smallest d with A(t-d) <= A(t) - B(t).
-    """
-    a = np.asarray(arrival_path, dtype=float)
-    c = np.asarray(service_path, dtype=float)
-    if a.shape != c.shape or a.ndim != 1:
-        raise LengthMismatch(f"paths have shapes {a.shape} and {c.shape}")
-    if np.any(a < 0) or np.any(c < 0):
-        raise ValueError("arrival and service entries must be nonnegative")
-    t_max = len(a)
-    net = np.concatenate(([0.0], np.cumsum(a - c)))
-    backlog = net - np.minimum.accumulate(net)
-    cum_a = np.concatenate(([0.0], np.cumsum(a)))
-    served = cum_a - backlog
-    # cum_a is nondecreasing, so the last s with A(s) <= served is a search
-    last = np.searchsorted(cum_a, served + 1e-12 * np.maximum(1.0, cum_a), side="right") - 1
-    t = np.arange(t_max + 1)
-    delay = (t - np.minimum(t, last)).astype(float)
-    return QueueTrace(t_max, a, c, backlog, delay)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from mapq.copulas import (
     transition_from_copula,
 )
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
-from mapq.spectral import MapKernel, mean_rate, perron, single_state_kernel
+from mapq.spectral import MapKernel, mean_rate, perron, single_state_kernel, stability_root
 
 
 def _report(number, text):
@@ -76,9 +76,9 @@ def test_criterion_01_frechet_transition_reproduction(tmp_path):
 
 def test_criterion_02_analytic_root_oracle(toy_arrival, toy_service):
     t0 = time.perf_counter()
-    delay_rate, backlog_rate = bd.decay_rates(toy_arrival, toy_service)
-    assert delay_rate == pytest.approx(2.0, abs=1e-9)
-    assert backlog_rate == pytest.approx(2.0, abs=1e-9)
+    root = stability_root(toy_arrival, toy_service)
+    assert root.kappa_arrival == pytest.approx(2.0, abs=1e-9)
+    assert root.theta_star == pytest.approx(2.0, abs=1e-9)
     r = bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, 1.0)
     assert r.theta == pytest.approx(1.25, abs=1e-9)
     assert r.theta_y == pytest.approx(3.125, abs=1e-9)
@@ -112,14 +112,14 @@ def test_criterion_04_decay_rate_slopes(toy_service, delay_figure_channel):
     est = sim.tail_estimate(single_state_kernel(Constant(1.0)), toy_service,
                             [2.0, 2.5, 3.0, 3.5, 4.0], 2_000_000, 60, 123, "backlog")
     slope_toy = sim.decay_slope(est)
-    theta_toy = bd.decay_rates(single_state_kernel(Constant(1.0)), toy_service)[1]
+    theta_toy = stability_root(single_state_kernel(Constant(1.0)), toy_service).theta_star
     assert abs(slope_toy + theta_toy) / theta_toy < 0.10, slope_toy
 
     service = frechet_capacity_kernel(delay_figure_channel, -0.5)
     est = sim.tail_estimate(single_state_kernel(Constant(10.0)), service,
                             [10, 15, 20, 25, 30], 100_000, 1000, 7, "backlog")
     slope_fig = sim.decay_slope(est)
-    theta_fig = bd.decay_rates(single_state_kernel(Constant(10.0)), service)[1]
+    theta_fig = stability_root(single_state_kernel(Constant(10.0)), service).theta_star
     assert abs(slope_fig + theta_fig) / theta_fig < 0.10, slope_fig
     _report(4, f"backlog log-tail slopes {slope_toy:.3f} vs -{theta_toy:.3f} (toy) and "
                f"{slope_fig:.4f} vs -{theta_fig:.4f} (delay figure), both within 10%")

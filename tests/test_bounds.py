@@ -26,17 +26,17 @@ def _average(reports):
 
 
 def test_decay_rates_toy(toy_arrival, toy_service):
-    delay_rate, backlog_rate = bd.decay_rates(toy_arrival, toy_service)
-    assert delay_rate == pytest.approx(2.0, abs=1e-9)
-    assert backlog_rate == pytest.approx(2.0, abs=1e-9)
+    root = stability_root(toy_arrival, toy_service)
+    assert root.kappa_arrival == pytest.approx(2.0, abs=1e-9)
+    assert root.theta_star == pytest.approx(2.0, abs=1e-9)
 
 
 def test_decay_rates_constant_arrival_scaling(toy_service):
     # with arrival Constant(lam), kappa^A(theta) = lam * theta exactly
     for lam in (0.5, 1.0, 2.0):
         arrival = single_state_kernel(Constant(lam))
-        delay_rate, theta = bd.decay_rates(arrival, toy_service)
-        assert delay_rate == pytest.approx(lam * theta, rel=1e-12)
+        root = stability_root(arrival, toy_service)
+        assert root.kappa_arrival == pytest.approx(lam * root.theta_star, rel=1e-12)
 
 
 def test_delay_bounds_toy_hand_algebra(toy_arrival, toy_service):
@@ -69,14 +69,14 @@ def test_upper_bound_decay_slope_is_exact():
     arrival = single_state_kernel(Constant(2.0))
     d_range = [2.0, 5.0, 9.0]
     reports = _average(bd.delay_bounds(arrival, service, d_range))
-    root = bd.decay_rates(arrival, service)
+    root = stability_root(arrival, service)
     for r1, r2 in zip(reports, reports[1:]):
         slope = (math.log(r2.upper_raw) - math.log(r1.upper_raw)) / (r2.level - r1.level)
-        assert slope == pytest.approx(-root[0], rel=1e-9)
+        assert slope == pytest.approx(-root.kappa_arrival, rel=1e-9)
     b_reports = _average(bd.backlog_bounds(arrival, service, d_range))
     for r1, r2 in zip(b_reports, b_reports[1:]):
         slope = (math.log(r2.upper_raw) - math.log(r1.upper_raw)) / (r2.level - r1.level)
-        assert slope == pytest.approx(-root[1], rel=1e-9)
+        assert slope == pytest.approx(-root.theta_star, rel=1e-9)
 
 
 def test_bounds_clamped_to_unit_interval(toy_arrival, toy_service):
@@ -127,7 +127,7 @@ def test_horizon_exponent_large_y_limits(toy_arrival, toy_service):
 def test_horizon_backlog_identity_at_y_gamma(toy_arrival, toy_service):
     probe = bd.horizon_backlog_bound(toy_arrival, toy_service, 0.5, 1.0)
     r = bd.horizon_backlog_bound(toy_arrival, toy_service, probe.y_gamma, 1.0)
-    gamma = bd.decay_rates(toy_arrival, toy_service)[1]
+    gamma = stability_root(toy_arrival, toy_service).theta_star
     assert r.theta == pytest.approx(gamma, abs=1e-8)
     assert r.theta_y == pytest.approx(gamma, abs=1e-8)
 

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import searchsorted_walk
+from conftest import rayleigh_mean, searchsorted_walk
 from mapq.channel import (
     ChannelSpec,
     capacity_kernel,
     controlled_capacity_process,
-    instantaneous_capacity,
     quantize_capacity,
 )
 from mapq.copulas import ControlPlan, DimensionPlan, dependence_control, one_param_frechet
@@ -26,13 +25,6 @@ def test_channel_spec_validation():
         ChannelSpec(20.0, np.ones((3, 3)), ("a", "b"))
     with pytest.raises(ValueError):
         ChannelSpec(20.0, np.array([[1.0, -1.0], [1.0, 1.0]]), ("a", "b"))
-
-
-def test_instantaneous_capacity_formula():
-    assert instantaneous_capacity(3.0, 1.0, 20.0) == pytest.approx(40.0, rel=1e-14)
-    assert instantaneous_capacity(0.0, 5.0, 20.0) == 0.0
-    with pytest.raises(ValueError):
-        instantaneous_capacity(-1.0, 1.0, 1.0)
 
 
 def test_capacity_kernel_maps_snr_entries(delay_figure_channel):
@@ -51,15 +43,14 @@ def test_capacity_kernel_maps_snr_entries(delay_figure_channel):
 def test_capacity_kernel_mean_rate_mixes_states(delay_figure_channel):
     p = np.array([[0.3, 0.7], [0.3, 0.7]])
     k = capacity_kernel(p, delay_figure_channel)
-    hi = RayleighCapacity(20.0, math.exp(0.5)).mean()
-    lo = RayleighCapacity(20.0, 0.7 * math.exp(0.5)).mean()
+    hi = rayleigh_mean(20.0, math.exp(0.5))
+    lo = rayleigh_mean(20.0, 0.7 * math.exp(0.5))
     assert mean_rate(k) == pytest.approx(0.3 * hi + 0.7 * lo, rel=1e-9)
 
 
 def test_quantize_capacity_mean_accuracy():
-    law = RayleighCapacity(20.0, 10.0)
     q = quantize_capacity(10.0, 20.0, 256)
-    assert q.mean() == pytest.approx(law.mean(), rel=1e-2)
+    assert q.mean() == pytest.approx(rayleigh_mean(20.0, 10.0), rel=1e-2)
     assert len(q.support) == 256
 
 

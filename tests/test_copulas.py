@@ -23,7 +23,6 @@ from mapq.copulas import (
     dependence_control,
     frechet_compose,
     frechet_homogeneous,
-    granger_product_check,
     one_param_frechet,
     star,
     transition_from_copula,
@@ -294,20 +293,3 @@ def test_dependence_control_plan_consistency():
     # homogeneous copula with its stationary marginal: time-invariant matrices
     assert np.allclose(dim0.transitions[0], dim0.transitions[1], atol=1e-12)
     assert np.allclose(dim0.distributions[-1], [0.3, 0.7], atol=1e-9)
-
-
-def test_granger_product_identity_for_independent_coordinates():
-    temporal = one_param_frechet(0.5)
-
-    def joint(u1, v1, u2, v2):
-        # product spatial coupling of two coordinates, each with its own
-        # temporal copula; saturating (u2, v2) must leave v1 * C(u1, u2)...
-        return temporal.eval(u1, u2) * v1 * v2
-
-    report = granger_product_check(joint, temporal, grid_n=16)
-    assert report.max_deviation < 1e-12
-
-
-def test_granger_lattice_input_shape_check():
-    with pytest.raises(ValueError):
-        granger_product_check(np.zeros((3, 3, 3, 3)), Product(), grid_n=4)

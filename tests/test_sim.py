@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from conftest import frechet_capacity_kernel, lindley_loop, random_kernel, searchsorted_walk
 from mapq import sim as sim_module
 from mapq.channel import ChannelSpec, capacity_kernel
-from mapq.errors import DimensionMismatch, LengthMismatch, UnknownExperiment
+from mapq.errors import DimensionMismatch, UnknownExperiment
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.sim import (
     convex_order_leq,
     means_differ,
     decay_slope,
-    lindley,
     martingale_check,
     ordering_experiment,
     sample_path,
@@ -40,14 +39,14 @@ def test_lindley_matches_sup_representation(seed):
     t_max = int(rng.integers(2, 40))
     a = rng.exponential(1.0, t_max)
     c = rng.exponential(1.2, t_max)
-    trace = lindley(a, c)
+    backlog, _ = lindley_loop(a, c)
     net = a - c
     for t in range(t_max + 1):
         # B(t) = max over window starts of the net increment sum
         brute = max(
             [0.0] + [net[s:t].sum() for s in range(t)]
         )
-        assert trace.backlog[t] == pytest.approx(brute, abs=1e-9)
+        assert backlog[t] == pytest.approx(brute, abs=1e-9)
 
 
 def test_lindley_virtual_delay_definition():
@@ -55,46 +54,14 @@ def test_lindley_virtual_delay_definition():
     # arriving at slot t waits about t/2 extra slots
     a = np.full(10, 2.0)
     c = np.full(10, 1.0)
-    trace = lindley(a, c)
+    backlog, delay = lindley_loop(a, c)
     for t in range(11):
-        d = int(trace.virtual_delay[t])
+        d = int(delay[t])
         cum_a = np.concatenate(([0.0], np.cumsum(a)))
-        served = cum_a[t] - trace.backlog[t]
+        served = cum_a[t] - backlog[t]
         assert cum_a[t - d] <= served + 1e-9
         if d > 0:
             assert cum_a[t - d + 1] > served + 1e-9
-
-
-def test_lindley_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        lindley(np.ones(3), np.ones(4))
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=30)
-def test_lindley_matches_the_slot_loop(seed):
-    rng = np.random.default_rng(seed)
-    t_max = int(rng.integers(1, 300))
-    # bursty arrivals with idle slots, so the queue empties and refills
-    a = rng.exponential(2.0, t_max) * (rng.random(t_max) < 0.5)
-    c = rng.exponential(1.1, t_max)
-    trace = lindley(a, c)
-    backlog, delay = lindley_loop(a, c)
-    assert np.allclose(trace.backlog, backlog, rtol=0.0, atol=1e-9)
-    assert np.array_equal(trace.virtual_delay, delay)
-    # whole-number paths add exactly, so both sides agree to the bit
-    a, c = np.floor(4.0 * a), np.floor(2.0 * c)
-    trace = lindley(a, c)
-    backlog, delay = lindley_loop(a, c)
-    assert np.array_equal(trace.backlog, backlog)
-    assert np.array_equal(trace.virtual_delay, delay)
-
-
-def test_lindley_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        lindley([1.0, 1.0, 1.0], [-1.0, 0.5, 0.5])
-    with pytest.raises(ValueError):
-        lindley([1.0, -0.5], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +218,8 @@ def test_block_lindley_matches_the_queue_recursion(monkeypatch):
                         for k in (service, arrival)]))
     c = np.hstack([s[1] for s, _ in blocks])
     a = np.hstack([r[1] for _, r in blocks])
-    traces = [lindley(a[r], c[r]) for r in range(replications)]
-    ends = [trace.backlog[-1] for trace in traces]
+    traces = [lindley_loop(a[r], c[r]) for r in range(replications)]
+    ends = [backlog[-1] for backlog, _ in traces]
     assert min(ends) > 0.0 and len(set(np.round(ends, 9))) == replications
     # hits on either side of each end backlog pin every replication within 1e-12
     levels = sorted(end + d for end in ends for d in (-1e-12, 1e-12))
@@ -260,7 +227,7 @@ def test_block_lindley_matches_the_queue_recursion(monkeypatch):
     assert [e.hits for e in est] == [sum(end > level for end in ends) for level in levels]
     delays = [0, 3, 4, 5, 6, 8, horizon - 1, horizon, horizon + 4]
     est = tail_estimate(arrival, service, delays, replications, horizon, seed, "delay")
-    assert [e.hits for e in est] == [sum(tr.virtual_delay[-1] > d for tr in traces)
+    assert [e.hits for e in est] == [sum(delay[-1] > d for _, delay in traces)
                                      for d in delays]
 
 

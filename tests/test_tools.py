@@ -1,6 +1,9 @@
-"""The repository's tools against this tree: the work that pool_diff reports."""
+"""The repository's tools against this tree: the work that pool_diff reports,
+and the public names of mapq that nothing in mapq uses."""
 
+import ast
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -11,6 +14,20 @@ from mapq.laws import DiscretePmf
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 import pool_diff  # noqa: E402
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mapq"
+
+# public names whose only consumers live outside src/mapq, each with its consumer
+OUTSIDE_CONSUMERS = {
+    "sim.sample_path": "perfbench's simulate-fading library jobs",
+    "sim.martingale_check": "perfbench's simulate-fading library jobs",
+    "counters.tally": "tools/pool_diff.py's work columns",
+    "bounds.horizon_backlog_bound": "a backlog form of `bounds --mode horizon` (ROADMAP)",
+    "channel.quantize_capacity": "the lattice oracle of ROADMAP item 9",
+    "copulas.star": "criterion_06's star-product identities",
+    "copulas.frechet_compose": "criterion_06's star-product identities",
+    "copulas.frechet_homogeneous": "criterion_06's star-product identities",
+}
 
 
 def test_pool_diff_counts_every_work_column_of_this_tree():
@@ -31,3 +48,43 @@ def test_pool_diff_counts_every_work_column_of_this_tree():
     assert dict(zip(pool_diff.WORK, done())) == {
         "scalar_solves": 1, "stacked_matrices": 2, "rayleigh_integrations": 2,
         "quadrature_calls": 1, "bvn_cdf_calls": 2}
+
+
+def _references(module, tree):
+    """{top-level node: the "module.name" strings it uses}, resolving names
+    imported from sibling modules and attributes of an imported sibling."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    names[local] = f"{node.module}.{alias.name}"
+    refs = {}
+    for top in tree.body:
+        used = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                used.add(names.get(node.id, f"{module}.{node.id}"))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                used.add(f"{modules[node.value.id]}.{node.attr}")
+        refs[top] = used
+    return refs
+
+
+def test_every_public_name_of_mapq_has_a_consumer():
+    public, refs = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs.update(_references(path.stem, tree))
+        for top in tree.body:
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and not top.name.startswith("_")):
+                public[f"{path.stem}.{top.name}"] = top
+    # a name's own definition (a recursive call, a class naming itself) is no use
+    unused = {name for name, top in public.items()
+              if not any(name in used for node, used in refs.items() if node is not top)}
+    assert unused == set(OUTSIDE_CONSUMERS)
