@@ -32,8 +32,6 @@ class BoundReport:
     lower: float
     upper: float
     theta_star: float
-    h_plus: float
-    h_minus: float
     conditioning: str
     lower_raw: float
     upper_raw: float
@@ -104,7 +102,7 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
     d_range = [_delay_level(d, whole=arrival.n_states > 1) for d in d_range]
     root = stability_root(arrival, service)
     h_a, h_s = root.arrival.h, root.neg_service.h
-    kappa = root.kappa_arrival
+    kappa = root.arrival.kappa
     theta = root.theta_star
     h_plus = (h_a.max() / h_a.min()) / h_s.min()
     h_minus = math.exp(-kappa) * (h_a.min() / h_a.max()) ** 2 / h_s.max()
@@ -116,13 +114,11 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
         for _, i_s, label in _state_pairs(arrival, service, "d"):
             lo = h_minus * h_s[i_s] * decay
             up = h_plus * h_s[i_s] * decay
-            out.append(BoundReport(d, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
-                                   label, lo, up))
+            out.append(BoundReport(d, _clamp(lo), _clamp(up), theta, label, lo, up))
         weights = np.outer(varpi_a_d, service.initial_dist)
         lo = float(np.sum(weights * (h_minus * h_s[None, :] * decay)))
         up = float(np.sum(weights * (h_plus * h_s[None, :] * decay)))
-        out.append(BoundReport(d, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
-                               "average", lo, up))
+        out.append(BoundReport(d, _clamp(lo), _clamp(up), theta, "average", lo, up))
     return out
 
 
@@ -132,7 +128,7 @@ def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
     root = stability_root(arrival, service)
     h_a, h_s = root.arrival.h, root.neg_service.h
     h_plus = 1.0 / (h_a.min() * h_s.min())
-    h_minus = math.exp(-root.kappa_arrival) * h_a.min() / (h_a.max() ** 2 * h_s.max())
+    h_minus = math.exp(-root.arrival.kappa) * h_a.min() / (h_a.max() ** 2 * h_s.max())
     theta = root.theta_star
     out = []
     for b in b_range:
@@ -140,13 +136,11 @@ def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
         for ia, i_s, label in _state_pairs(arrival, service, "0"):
             factor = h_a[ia] * h_s[i_s] * decay
             lo, up = h_minus * factor, h_plus * factor
-            out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
-                                   label, lo, up))
+            out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, label, lo, up))
         weights = np.outer(arrival.initial_dist, service.initial_dist)
         factor = float(np.sum(weights * np.outer(h_a, h_s))) * decay
         lo, up = h_minus * factor, h_plus * factor
-        out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, h_plus, h_minus,
-                               "average", lo, up))
+        out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, "average", lo, up))
     return out
 
 
@@ -283,7 +277,7 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
         theta_opt, a, b = points[j + 1], points[j], points[j + 2]
         if b - a < 1e-12 * max(1.0, b):
             break
-    cap = root.kappa_arrival / theta_star
+    cap = root.arrival.kappa / theta_star
     reports = [DccReport(max(float(best) / d, 0.0), float(theta_opt), cap, float(at_root) / d)
                for d in deadlines]
     return reports[0] if single else reports

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import ControlPlan
+from .copulas import DimensionPlan
 from .laws import DiscretePmf, RayleighCapacity
 from .sim import _cumulative_rows, _path_states
 from .spectral import MapKernel
@@ -51,23 +51,16 @@ def capacity_kernel(transition, channel: ChannelSpec) -> MapKernel:
     return MapKernel(channel.power_states, transition, increments, probe.stationary)
 
 
-@dataclass(frozen=True)
-class CapacityPath:
-    states: np.ndarray
-    gains: np.ndarray
-    capacity: np.ndarray
-    transient: np.ndarray  # S(t)/t series
+def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizon: int,
+                                seed) -> tuple:
+    """(state series, capacity series) of the power chain driven by one
+    dimension's plan.
 
-
-def controlled_capacity_process(
-    plan: ControlPlan, channel: ChannelSpec, horizon: int, seed
-) -> CapacityPath:
-    """Simulate the power chain from the plan and emit per-slot capacities.
-
-    The SNR of slot t is taken at the realized (previous, current) state
-    pair; plans shorter than the horizon repeat their last matrix.
+    States include the initial state, so the state series has length
+    horizon + 1; the SNR of slot t is taken at the realized
+    (state_{t-1}, state_t) pair.  Plans shorter than the horizon repeat their
+    last matrix.
     """
-    dim = plan.per_dimension[0]
     n = len(channel.power_states)
     if dim.transitions[0].shape != (n, n):
         raise ValueError("plan dimension does not match power state count")
@@ -77,9 +70,7 @@ def controlled_capacity_process(
     states = _path_states(cum, np.asarray(dim.distributions[0], dtype=float), horizon, rng)
     gains = rng.exponential(size=horizon)
     snr = channel.snr_matrix[states[:-1], states[1:]]
-    capacity = channel.bandwidth * np.log2(1.0 + snr * gains)
-    transient = np.cumsum(capacity) / np.arange(1, horizon + 1)
-    return CapacityPath(states[1:], gains, capacity, transient)
+    return states, channel.bandwidth * np.log2(1.0 + snr * gains)
 
 
 def quantize_capacity(snr: float, bandwidth: float, n_points: int) -> DiscretePmf:

@@ -34,7 +34,7 @@ from .errors import (
     ZeroMassState,
 )
 from .laws import DiscretePmf
-from .spectral import perron
+from .spectral import cgf_as, perron
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
@@ -92,18 +92,11 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
     kernels = [("arrival", config.arrival), ("neg_service", config.service.negated)]
     rows = []
     for theta in thetas:
-        per_role = {}
-        for role, kernel in kernels:
-            try:
-                sol = perron(kernel, theta)
-                per_role[role] = (sol, sol.kappa_dot)
-            except _NUMERIC_ERRORS as exc:
-                raise MgfDiverged(
-                    f"spectral evaluation failed for {role} kernel at theta={theta}: {exc}"
-                ) from exc
-        kappa_sum = per_role["arrival"][0].kappa + per_role["neg_service"][0].kappa
-        for role, kernel in kernels:
-            sol, kappa_dot = per_role[role]
+        # cgf_as names the role in a failure; perron is then a cache hit
+        kappa_dots = [cgf_as(role, kernel, theta, derivative=True) for role, kernel in kernels]
+        sols = [perron(kernel, theta) for _, kernel in kernels]
+        kappa_sum = sols[0].kappa + sols[1].kappa
+        for (role, kernel), sol, kappa_dot in zip(kernels, sols, kappa_dots):
             for i, label in enumerate(kernel.state_labels):
                 rows.append((theta, role, label, sol.kappa, kappa_dot, kappa_sum,
                              sol.h[i], sol.v[i], sol.pi[i]))
@@ -153,7 +146,7 @@ def cmd_control(config: cf.ExperimentConfig, args) -> int:
     plan = cp.dependence_control(spec.temporal, spec.varpi, spec.horizon)
     out = _out_dir(config, args)
     rows = []
-    for d, dim in enumerate(plan.per_dimension):
+    for d, dim in enumerate(plan):
         for step, p in enumerate(dim.transitions):
             for i in range(p.shape[0]):
                 for j in range(p.shape[1]):
@@ -164,7 +157,7 @@ def cmd_control(config: cf.ExperimentConfig, args) -> int:
 
     # kernel fragment for the first dimension's first step, directly pluggable
     # into a spectral/service kernel config once increments are filled in
-    dim = plan.per_dimension[0]
+    dim = plan[0]
     p0 = dim.transitions[0]
     n = p0.shape[0]
     fragment = {
@@ -216,12 +209,11 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
 
     if config.copulas is not None and config.service_channel is not None:
         spec = config.copulas
-        plan = cp.dependence_control(spec.temporal, spec.varpi, spec.horizon)
+        dim = cp.dependence_control(spec.temporal, spec.varpi, spec.horizon)[0]
         corr_rows = []
         for r in range(spec.runs):
-            cap = controlled_capacity_process(plan, config.service_channel,
-                                              spec.slots, [int(seed), 1 + r])
-            c = cap.capacity
+            _, c = controlled_capacity_process(dim, config.service_channel,
+                                               spec.slots, [int(seed), 1 + r])
             lag1 = float(np.corrcoef(c[:-1], c[1:])[0, 1])
             corr_rows.append((r, 1, lag1, float(c.mean()), spec.slots))
         corr_path = os.path.join(out, "correlation.csv")

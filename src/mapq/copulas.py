@@ -34,10 +34,6 @@ class CopulaSpec:
                 raise OutOfUnitInterval(f"copula argument {float(outside[0])!r} outside [0, 1]")
         return self._grid(u, v)
 
-    def eval(self, u: float, v: float) -> float:
-        """C(u, v): the value on the one-node lattice {u} x {v}."""
-        return float(self.eval_grid([u], [v])[0, 0])
-
 
 @dataclass(frozen=True)
 class Comonotone(CopulaSpec):
@@ -260,27 +256,15 @@ class DimensionPlan:
     distributions: tuple  # varpi_0 .. varpi_t
 
 
-@dataclass(frozen=True)
-class ControlPlan:
-    horizon: int
-    per_dimension: tuple  # of DimensionPlan
-
-    def __post_init__(self):
-        for dim in self.per_dimension:
-            for j, p in enumerate(dim.transitions):
-                if np.max(np.abs(np.sum(p, axis=1) - 1.0)) > 1e-9:
-                    raise ValueError(f"step {j} transition is not row-stochastic")
-                step = dim.distributions[j] @ p
-                if np.max(np.abs(step - dim.distributions[j + 1])) > 1e-12:
-                    raise ValueError(f"step {j} distribution update inconsistent")
-
-
-def dependence_control(temporal_copulas, varpi0, horizon: int) -> ControlPlan:
-    """Per-step transition matrices realizing the requested temporal copulas.
+def dependence_control(temporal_copulas, varpi0, horizon: int) -> tuple:
+    """Per-step transition matrices realizing the requested temporal copulas,
+    as one DimensionPlan per controllable dimension.
 
     temporal_copulas: per controllable dimension, either one CopulaSpec
     (homogeneous in time) or a sequence of length `horizon`.  Dimensions are
-    treated independently (product spatial copula).
+    treated independently (product spatial copula).  Each step's rows sum to
+    1 and its next distribution is varpi @ P, as transition_from_copula
+    returns them.
     """
     dims = []
     for copulas, w0 in zip(temporal_copulas, varpi0):
@@ -296,4 +280,4 @@ def dependence_control(temporal_copulas, varpi0, horizon: int) -> ControlPlan:
             transitions.append(p)
             distributions.append(w)
         dims.append(DimensionPlan(tuple(transitions), tuple(distributions)))
-    return ControlPlan(horizon, tuple(dims))
+    return tuple(dims)

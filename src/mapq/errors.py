@@ -19,7 +19,10 @@ class MgfDiverged(MapqError):
 
 
 class NoConvergence(MapqError):
-    """Eigen iteration residual stayed above tolerance at the iteration cap."""
+    """A Perron eigensolve failed one of spectral._failure's checks: dgeev
+    returned info != 0, the dominant eigenvalue is not positive, the
+    eigenvectors are not strictly positive, or their relative residual is
+    above 1e-10."""
 
 
 class UnstableQueue(MapqError):

@@ -47,9 +47,6 @@ class IncrementLaw:
         """E[X e^{theta X}], the derivative of the MGF in theta."""
         raise NotImplementedError
 
-    def mean(self) -> float:
-        return self.tilted_mean(0.0)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 

@@ -177,18 +177,17 @@ class SpectralSolution:
 @dataclass(frozen=True)
 class PerronStack:
     """perron at every theta of a stack, as arrays: row k of kappa (T,), h (T, n)
-    and v (T, n) is the solution at theta[k], NaN where failure[k] holds the
-    MgfDiverged or NoConvergence that perron raises there."""
+    and v (T, n) is the solution at theta[k], all NaN where perron raises
+    MgfDiverged or NoConvergence at theta[k]; a solved row's kappa is finite."""
 
     theta: np.ndarray
     kappa: np.ndarray
     h: np.ndarray
     v: np.ndarray
-    failure: tuple
 
     @property
     def solved(self) -> np.ndarray:
-        return np.array([f is None for f in self.failure], dtype=bool)
+        return ~np.isnan(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -197,10 +196,6 @@ class StabilityRoot:
     residual: float
     arrival: SpectralSolution
     neg_service: SpectralSolution
-
-    @property
-    def kappa_arrival(self) -> float:
-        return self.arrival.kappa
 
 
 def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarray:
@@ -329,12 +324,12 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
     return _gate(kernel, pi, theta, lam, e, h, v, h.min() > 0 and v.min() > 0, residual)
 
 
-def _solve_batched(kernel: MapKernel, thetas, f):
-    """(kappa, h, v, failures) at every matrix of the stack f: _solve_one's
-    scaling, dgeev call and Perron pick per matrix, and its sign fix, checks and
+def _solve_batched(kernel: MapKernel, f):
+    """(kappa, h, v) at every matrix of the stack f: _solve_one's scaling,
+    dgeev call and Perron pick per matrix, and its sign fix, checks and
     normalization as array operations over the stack; a one-state kernel needs
-    no dgeev call (kappa = log F, h = v = [1]).  A failed row holds NaN and
-    its NoConvergence."""
+    no dgeev call (kappa = log F, h = v = [1]).  A row that fails a check of
+    _failure holds NaN."""
     e = np.frexp(f.max(axis=(1, 2)))[1]
     e[np.abs(e) <= _EXP_LIMIT] = 0
     # ldexp by 0 leaves every other matrix's bits unchanged
@@ -365,19 +360,13 @@ def _solve_batched(kernel: MapKernel, thetas, f):
             abs((v[:, None, :] @ scaled)[:, 0, :] - lam[:, None] * v).max(axis=1)
             / (scale * abs(v).max(axis=1)),
         )
-    # _failure's checks over the whole stack; it words the failures
     ok = (info == 0) & (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
-    bad = np.flatnonzero(~ok)
-    failures = [None] * t
-    for k, *args in zip(bad.tolist(), thetas[bad].tolist(), info[bad].tolist(),
-                        lam[bad].tolist(), positive[bad].tolist(), residual[bad].tolist()):
-        failures[k] = _failure(*args)
     # a failed row is NaN before any arithmetic, which keeps it silent
     kappa = np.log(np.where(ok, lam, np.nan)) + e * math.log(2.0)
     h = np.where(ok[:, None], h, np.nan)
     h = h / (h @ kernel.stationary)[:, None]
     v = np.where(ok[:, None], v, np.nan)
-    return kappa, h, v / (v * h).sum(axis=1)[:, None], failures
+    return kappa, h, v / (v * h).sum(axis=1)[:, None]
 
 
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
@@ -414,20 +403,16 @@ def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
     transform_matrix call for the whole stack and perron's dgeev call per
     finite matrix of it; it neither reads nor fills perron's cache.
 
-    A theta fails alone: its failure is the MgfDiverged or NoConvergence that
-    perron raises there.
+    A theta fails alone, as a NaN row: a non-finite transform matrix or a
+    failed check of _failure.  Only perron words the error at a theta.
     """
     thetas = np.asarray(thetas, dtype=float)
     f = transform_matrix(kernel, thetas)
     finite = np.isfinite(f).all(axis=(1, 2))
     t, n = f.shape[:2]
     kappa, h, v = np.full(t, np.nan), np.full((t, n), np.nan), np.full((t, n), np.nan)
-    kappa[finite], h[finite], v[finite], failures = _solve_batched(
-        kernel, thetas[finite], f[finite])
-    solved = iter(failures)
-    failure = tuple(next(solved) if ok else MgfDiverged(f"transform matrix not finite at theta={x}")
-                    for x, ok in zip(thetas.tolist(), finite.tolist()))
-    return PerronStack(thetas, kappa, h, v, failure)
+    kappa[finite], h[finite], v[finite] = _solve_batched(kernel, f[finite])
+    return PerronStack(thetas, kappa, h, v)
 
 
 def mean_rate(kernel: MapKernel) -> float:

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-import yaml
 
 from conftest import frechet_capacity_kernel, random_kernel
 from mapq import bounds as bd
@@ -28,8 +27,8 @@ from mapq.copulas import (
     star,
     transition_from_copula,
 )
-from mapq.laws import Constant, DiscretePmf, gaussian_quantized
-from mapq.spectral import MapKernel, mean_rate, perron, single_state_kernel, stability_root
+from mapq.laws import Constant, DiscretePmf
+from mapq.spectral import mean_rate, perron, single_state_kernel, stability_root
 
 
 def _report(number, text):
@@ -77,7 +76,7 @@ def test_criterion_01_frechet_transition_reproduction(tmp_path):
 def test_criterion_02_analytic_root_oracle(toy_arrival, toy_service):
     t0 = time.perf_counter()
     root = stability_root(toy_arrival, toy_service)
-    assert root.kappa_arrival == pytest.approx(2.0, abs=1e-9)
+    assert root.arrival.kappa == pytest.approx(2.0, abs=1e-9)
     assert root.theta_star == pytest.approx(2.0, abs=1e-9)
     r = bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, 1.0)
     assert r.theta == pytest.approx(1.25, abs=1e-9)
@@ -183,13 +182,12 @@ def test_criterion_07_copula_extraction_consistency():
 def test_criterion_08_power_control_correlation_signs(power_control_channel):
     stats = {}
     for tag, rho in (("neg", -0.5), ("pos", 0.5)):
-        plan = dependence_control([Gaussian2(rho)], [np.array([0.3, 0.7])], 1)
+        (dim,) = dependence_control([Gaussian2(rho)], [np.array([0.3, 0.7])], 1)
         corrs, means = [], []
         for run in range(100):
-            path = controlled_capacity_process(
-                plan, power_control_channel, 1000, [99, 0 if rho < 0 else 1, run]
+            _, c = controlled_capacity_process(
+                dim, power_control_channel, 1000, [99, 0 if rho < 0 else 1, run]
             )
-            c = path.capacity
             corrs.append(float(np.corrcoef(c[:-1], c[1:])[0, 1]))
             means.append(float(c.mean()))
         corrs, means = np.array(corrs), np.array(means)

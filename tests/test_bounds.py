@@ -27,7 +27,7 @@ def _average(reports):
 
 def test_decay_rates_toy(toy_arrival, toy_service):
     root = stability_root(toy_arrival, toy_service)
-    assert root.kappa_arrival == pytest.approx(2.0, abs=1e-9)
+    assert root.arrival.kappa == pytest.approx(2.0, abs=1e-9)
     assert root.theta_star == pytest.approx(2.0, abs=1e-9)
 
 
@@ -36,7 +36,7 @@ def test_decay_rates_constant_arrival_scaling(toy_service):
     for lam in (0.5, 1.0, 2.0):
         arrival = single_state_kernel(Constant(lam))
         root = stability_root(arrival, toy_service)
-        assert root.kappa_arrival == pytest.approx(lam * root.theta_star, rel=1e-12)
+        assert root.arrival.kappa == pytest.approx(lam * root.theta_star, rel=1e-12)
 
 
 def test_delay_bounds_toy_hand_algebra(toy_arrival, toy_service):
@@ -72,7 +72,7 @@ def test_upper_bound_decay_slope_is_exact():
     root = stability_root(arrival, service)
     for r1, r2 in zip(reports, reports[1:]):
         slope = (math.log(r2.upper_raw) - math.log(r1.upper_raw)) / (r2.level - r1.level)
-        assert slope == pytest.approx(-root.kappa_arrival, rel=1e-9)
+        assert slope == pytest.approx(-root.arrival.kappa, rel=1e-9)
     b_reports = _average(bd.backlog_bounds(arrival, service, d_range))
     for r1, r2 in zip(b_reports, b_reports[1:]):
         slope = (math.log(r2.upper_raw) - math.log(r1.upper_raw)) / (r2.level - r1.level)

@@ -12,7 +12,7 @@ from mapq.channel import (
     controlled_capacity_process,
     quantize_capacity,
 )
-from mapq.copulas import ControlPlan, DimensionPlan, dependence_control, one_param_frechet
+from mapq.copulas import DimensionPlan, dependence_control, one_param_frechet
 from mapq.laws import RayleighCapacity
 from mapq.spectral import mean_rate
 
@@ -50,36 +50,34 @@ def test_capacity_kernel_mean_rate_mixes_states(delay_figure_channel):
 
 def test_quantize_capacity_mean_accuracy():
     q = quantize_capacity(10.0, 20.0, 256)
-    assert q.mean() == pytest.approx(rayleigh_mean(20.0, 10.0), rel=1e-2)
+    assert q.tilted_mean(0.0) == pytest.approx(rayleigh_mean(20.0, 10.0), rel=1e-2)
     assert len(q.support) == 256
 
 
 def test_controlled_capacity_process_reproducible(power_control_channel):
-    plan = dependence_control([one_param_frechet(0.5)], [np.array([0.3, 0.7])], 1)
-    a = controlled_capacity_process(plan, power_control_channel, 500, 42)
-    b = controlled_capacity_process(plan, power_control_channel, 500, 42)
-    assert np.array_equal(a.capacity, b.capacity)
-    assert np.array_equal(a.states, b.states)
-    assert a.capacity.shape == (500,)
-    assert a.transient.shape == (500,)
-    assert a.transient[-1] == pytest.approx(a.capacity.mean(), rel=1e-12)
+    (dim,) = dependence_control([one_param_frechet(0.5)], [np.array([0.3, 0.7])], 1)
+    states_a, capacity_a = controlled_capacity_process(dim, power_control_channel, 500, 42)
+    states_b, capacity_b = controlled_capacity_process(dim, power_control_channel, 500, 42)
+    assert np.array_equal(capacity_a, capacity_b)
+    assert np.array_equal(states_a, states_b)
+    assert capacity_a.shape == (500,)
+    assert states_a.shape == (501,)
 
 
 def test_controlled_capacity_state_occupancy(power_control_channel):
-    plan = dependence_control([one_param_frechet(0.0)], [np.array([0.3, 0.7])], 1)
-    path = controlled_capacity_process(plan, power_control_channel, 20_000, 3)
-    assert np.mean(path.states == 0) == pytest.approx(0.3, abs=0.02)
+    (dim,) = dependence_control([one_param_frechet(0.0)], [np.array([0.3, 0.7])], 1)
+    states, _ = controlled_capacity_process(dim, power_control_channel, 20_000, 3)
+    assert np.mean(states[1:] == 0) == pytest.approx(0.3, abs=0.02)
 
 
 def test_controlled_capacity_states_follow_the_searchsorted_walk(delay_figure_channel):
     # three steps, then the last step's matrix repeats
-    plan = dependence_control([[one_param_frechet(a) for a in (-0.5, 0.2, 0.8)]],
-                              [np.array([0.3, 0.7])], 3)
-    dim = plan.per_dimension[0]
+    (dim,) = dependence_control([[one_param_frechet(a) for a in (-0.5, 0.2, 0.8)]],
+                                [np.array([0.3, 0.7])], 3)
     assert len(dim.transitions) == 3
-    path = controlled_capacity_process(plan, delay_figure_channel, 400, [5, 1])
+    states, _ = controlled_capacity_process(dim, delay_figure_channel, 400, [5, 1])
     walk = searchsorted_walk(dim.transitions, dim.distributions[0], 400, [5, 1])
-    assert path.states.tolist() == walk[1:]
+    assert states.tolist() == walk
 
 
 class _TopUniforms:
@@ -100,8 +98,8 @@ def test_controlled_capacity_process_stays_in_range_on_short_rows(monkeypatch,
     # row 0 sums to 1 - 1e-13; a uniform above that sum must land on the last state
     p = np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5]])
     w0 = np.array([1.0, 0.0])
-    plan = ControlPlan(1, (DimensionPlan((p,), (w0, w0 @ p)),))
+    dim = DimensionPlan((p,), (w0, w0 @ p))
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _TopUniforms())
-    path = controlled_capacity_process(plan, power_control_channel, 3, 0)
-    assert path.states.tolist() == [1, 1, 1]
-    assert path.capacity.tolist() == [20.0 * math.log2(1.0 + 1e4)] + [20.0 * math.log2(11.0)] * 2
+    states, capacity = controlled_capacity_process(dim, power_control_channel, 3, 0)
+    assert states.tolist() == [0, 1, 1, 1]
+    assert capacity.tolist() == [20.0 * math.log2(1.0 + 1e4)] + [20.0 * math.log2(11.0)] * 2

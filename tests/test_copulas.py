@@ -48,12 +48,12 @@ unit = st.floats(0.0, 1.0)
 @given(u=unit, v=unit)
 def test_copula_axioms(cop, u, v):
     # uniform margins and groundedness
-    assert cop.eval(u, 0.0) == pytest.approx(0.0, abs=1e-9)
-    assert cop.eval(0.0, v) == pytest.approx(0.0, abs=1e-9)
-    assert cop.eval(u, 1.0) == pytest.approx(u, abs=1e-7)
-    assert cop.eval(1.0, v) == pytest.approx(v, abs=1e-7)
+    assert cop.eval_grid([u], [0.0])[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert cop.eval_grid([0.0], [v])[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert cop.eval_grid([u], [1.0])[0, 0] == pytest.approx(u, abs=1e-7)
+    assert cop.eval_grid([1.0], [v])[0, 0] == pytest.approx(v, abs=1e-7)
     # Frechet-Hoeffding envelope
-    val = cop.eval(u, v)
+    val = cop.eval_grid([u], [v])[0, 0]
     assert max(u + v - 1.0, 0.0) - 1e-7 <= val <= min(u, v) + 1e-7
 
 
@@ -62,13 +62,14 @@ def test_copula_axioms(cop, u, v):
 def test_copula_two_increasing(cop, u1, u2, v1, v2):
     a, b = sorted((u1, u2))
     c, d = sorted((v1, v2))
-    mass = cop.eval(b, d) - cop.eval(a, d) - cop.eval(b, c) + cop.eval(a, c)
+    mass = (cop.eval_grid([b], [d])[0, 0] - cop.eval_grid([a], [d])[0, 0]
+            - cop.eval_grid([b], [c])[0, 0] + cop.eval_grid([a], [c])[0, 0])
     assert mass >= -1e-7
 
 
 def test_out_of_unit_interval_raises():
     with pytest.raises(OutOfUnitInterval):
-        Product().eval(1.2, 0.5)
+        Product().eval_grid([1.2], [0.5])
 
 
 @pytest.mark.parametrize("cop", FAMILIES, ids=FAMILY_IDS)
@@ -146,16 +147,18 @@ def test_bvn_cdf_matches_the_tetrachoric_integral(rho):
 def test_gaussian_copula_diagonal_value():
     c = Gaussian2(0.5)
     u = 0.5
-    assert c.eval(u, u) == pytest.approx(1.0 / 3.0, abs=1e-8)
-    assert Gaussian2(-0.99).eval(0.5, 0.5) < Gaussian2(0.99).eval(0.5, 0.5)
+    assert c.eval_grid([u], [u])[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-8)
+    assert (Gaussian2(-0.99).eval_grid([0.5], [0.5])[0, 0]
+            < Gaussian2(0.99).eval_grid([0.5], [0.5])[0, 0])
 
 
 def test_grid_copula_interpolates_nodes():
     t = np.linspace(0.0, 1.0, 5)
     vals = np.minimum.outer(t, t)
     g = GridCopula(vals)
-    assert g.eval(0.5, 0.75) == pytest.approx(0.5, abs=1e-12)
-    assert g.eval(0.3, 0.3) == pytest.approx(Comonotone().eval(0.3, 0.3), abs=0.25 / 4)
+    assert g.eval_grid([0.5], [0.75])[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert g.eval_grid([0.3], [0.3])[0, 0] == pytest.approx(
+        Comonotone().eval_grid([0.3], [0.3])[0, 0], abs=0.25 / 4)
 
 
 def test_star_identities_moderate_grid():
@@ -212,7 +215,7 @@ def test_transition_extraction_levels_end_at_exactly_one():
     assert transition_from_copula(Gaussian2(0.3), [0.56, 0.33, 0.11])[0].shape == (3, 3)
     # a distribution propagated by this plan used to reach the copula as 1 + 2^-52
     plan = dependence_control([Gaussian2(0.21)], [[0.05, 0.75, 0.2]], 3)
-    for p in plan.per_dimension[0].transitions:
+    for p in plan[0].transitions:
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -286,9 +289,8 @@ def test_dependence_control_plan_consistency():
         [np.array([0.3, 0.7]), np.array([0.5, 0.5])],
         horizon=2,
     )
-    assert plan.horizon == 2
-    assert len(plan.per_dimension) == 2
-    dim0 = plan.per_dimension[0]
+    assert len(plan) == 2
+    dim0 = plan[0]
     assert len(dim0.transitions) == 2
     # homogeneous copula with its stationary marginal: time-invariant matrices
     assert np.allclose(dim0.transitions[0], dim0.transitions[1], atol=1e-12)

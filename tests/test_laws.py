@@ -27,7 +27,7 @@ from mapq.laws import (
 def test_constant_mgf_and_mean():
     law = Constant(2.0)
     assert law.mgf(1.0) == pytest.approx(math.exp(2.0), rel=1e-15)
-    assert law.mean() == 2.0
+    assert law.tilted_mean(0.0) == 2.0
     assert law.tilted_mean(0.5) == pytest.approx(2.0 * math.exp(1.0), rel=1e-15)
 
 
@@ -102,7 +102,7 @@ def test_gaussian_quantized_matches_exact_gaussian_mgf():
     for theta in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.0):
         exact = math.exp(theta * mean + 0.5 * (std * theta) ** 2)
         assert law.mgf(theta) == pytest.approx(exact, rel=1e-12)
-    assert law.mean() == pytest.approx(mean, abs=1e-12)
+    assert law.tilted_mean(0.0) == pytest.approx(mean, abs=1e-12)
 
 
 def test_rayleigh_capacity_mean_closed_form_vs_quadrature():
@@ -130,10 +130,10 @@ def test_negated_and_shifted_wrappers():
     base = DiscretePmf((1.0, 2.0), (0.5, 0.5))
     neg = Negated(base)
     assert neg.mgf(0.3) == pytest.approx(base.mgf(-0.3), rel=1e-15)
-    assert neg.mean() == pytest.approx(-base.mean(), rel=1e-15)
+    assert neg.tilted_mean(0.0) == pytest.approx(-base.tilted_mean(0.0), rel=1e-15)
     sh = Shifted(base, 4.0)
     assert sh.mgf(0.3) == pytest.approx(math.exp(1.2) * base.mgf(0.3), rel=1e-14)
-    assert sh.mean() == pytest.approx(base.mean() + 4.0, rel=1e-12)
+    assert sh.tilted_mean(0.0) == pytest.approx(base.tilted_mean(0.0) + 4.0, rel=1e-12)
     rng = np.random.default_rng(2)
     assert np.all(neg.sample(rng, 100) < 0)
     assert np.all(sh.sample(rng, 100) >= 5.0)

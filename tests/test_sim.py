@@ -13,7 +13,7 @@ from conftest import frechet_capacity_kernel, lindley_loop, random_kernel, searc
 from mapq import sim as sim_module
 from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.errors import DimensionMismatch, UnknownExperiment
-from mapq.laws import Constant, DiscretePmf, gaussian_quantized
+from mapq.laws import Constant, DiscretePmf
 from mapq.sim import (
     convex_order_leq,
     means_differ,

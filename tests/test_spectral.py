@@ -1,6 +1,7 @@
 """Spectral quantities of Markov additive kernels: eigentriples, cgf, roots."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_mean_rate_is_pi_weighted_average():
 def test_stability_root_toy(toy_arrival, toy_service):
     root = stability_root(toy_arrival, toy_service)
     assert root.theta_star == pytest.approx(2.0, abs=1e-9)
-    assert root.kappa_arrival == pytest.approx(2.0, abs=1e-9)
+    assert root.arrival.kappa == pytest.approx(2.0, abs=1e-9)
     assert root.residual <= 1e-10
 
 
@@ -371,7 +372,7 @@ def test_stability_root_below_the_first_probe(toy_service, lam):
     # first probe already lies above the root and the bracket is halved down
     root = stability_root(single_state_kernel(Constant(lam)), toy_service)
     assert root.theta_star == pytest.approx(3.0 - lam, rel=1e-6)
-    assert root.kappa_arrival == pytest.approx(lam * (3.0 - lam), rel=1e-6)
+    assert root.arrival.kappa == pytest.approx(lam * (3.0 - lam), rel=1e-6)
 
 
 def test_stability_root_with_transforms_beyond_1e138():
@@ -512,7 +513,6 @@ def test_stability_root_carries_its_solutions_at_theta_star():
         assert sol.theta == root.theta_star
         assert sol.kappa == again.kappa and np.array_equal(sol.h, again.h)
         assert sol.kappa_dot == again.kappa_dot
-    assert root.kappa_arrival == root.arrival.kappa
     assert root.residual == abs(root.arrival.kappa + root.neg_service.kappa)
 
 
@@ -553,20 +553,22 @@ def test_perron_failures_name_theta():
     theta = 4.0 * theta_star
     with pytest.raises(NoConvergence, match=f"theta={theta}"):
         perron(service.negated, theta)
-    failure = perron_grid(service.negated, [theta, 0.5 * theta_star]).failure[0]
-    assert isinstance(failure, NoConvergence) and f"theta={theta}" in str(failure)
+    stack = perron_grid(service.negated, [theta, 0.5 * theta_star])
+    _assert_row_failed(stack, 0, service.negated, NoConvergence, theta)
 
 
 def _assert_row_is_solution(stack, k, sol):
-    assert stack.failure[k] is None and stack.theta[k] == sol.theta
+    assert stack.solved[k] and stack.theta[k] == sol.theta
     assert stack.kappa[k] == pytest.approx(sol.kappa, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(stack.h[k], sol.h, rtol=1e-12)
     np.testing.assert_allclose(stack.v[k], sol.v, rtol=1e-12)
 
 
-def _assert_row_failed(stack, k, error, theta):
-    assert isinstance(stack.failure[k], error) and f"theta={theta}" in str(stack.failure[k])
-    assert not stack.solved[k]
+def _assert_row_failed(stack, k, kernel, error, theta):
+    """Row k of the stack is NaN at theta, where perron raises `error` naming theta."""
+    with pytest.raises(error, match=f"theta={re.escape(str(theta))}"):
+        perron(kernel, theta)
+    assert stack.theta[k] == theta and not stack.solved[k]
     assert np.isnan(stack.kappa[k]) and np.isnan(stack.h[k]).all() and np.isnan(stack.v[k]).all()
 
 
@@ -593,8 +595,8 @@ def test_perron_grid_fails_each_theta_alone():
     # at theta -100 the negated transforms overflow; 4 theta* fails the residual gate
     thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star, 1.5 * theta_star]
     got = perron_grid(neg, thetas)
-    _assert_row_failed(got, 1, MgfDiverged, -100.0)
-    _assert_row_failed(got, 3, NoConvergence, thetas[3])
+    _assert_row_failed(got, 1, neg, MgfDiverged, -100.0)
+    _assert_row_failed(got, 3, neg, NoConvergence, thetas[3])
     for k in (0, 2, 4):
         _assert_row_is_solution(got, k, perron(neg, thetas[k]))
 
@@ -631,7 +633,7 @@ def test_perron_grid_of_no_theta_is_empty():
     stack = perron_grid(kernel, [])
     assert stack.theta.shape == stack.kappa.shape == (0,)
     assert stack.h.shape == stack.v.shape == (0, 3)
-    assert stack.failure == () and stack.solved.shape == (0,)
+    assert stack.solved.shape == (0,)
 
 
 def test_perron_grid_where_every_theta_fails():
@@ -642,7 +644,7 @@ def test_perron_grid_where_every_theta_fails():
     stack = perron_grid(neg, thetas)
     assert not stack.solved.any()
     for k, (theta, error) in enumerate(zip(thetas, (NoConvergence, MgfDiverged) * 2)):
-        _assert_row_failed(stack, k, error, theta)
+        _assert_row_failed(stack, k, neg, error, theta)
 
 
 def _fail_dgeev_on(monkeypatch, bad):
@@ -673,10 +675,9 @@ def test_perron_grid_survives_a_failed_stacked_eigensolve(monkeypatch):
     expected = {k: perron(kernel, thetas[k]) for k in (0, 2)}
     _fail_dgeev_on(monkeypatch, transform_matrix(kernel, thetas[1]))
     got = perron_grid(kernel, thetas)
-    _assert_row_failed(got, 1, NoConvergence, 0.1)
-    assert str(got.failure[1]) == "eigensolve failed at theta=0.1: dgeev info 1"
+    _assert_row_failed(got, 1, kernel, NoConvergence, 0.1)
     for k, sol in expected.items():
         _assert_row_is_solution(got, k, sol)
     with pytest.raises(NoConvergence) as err:
         perron(kernel, 0.1)
-    assert str(err.value) == str(got.failure[1])
+    assert str(err.value) == "eigensolve failed at theta=0.1: dgeev info 1"

@@ -1,5 +1,6 @@
 """The repository's tools against this tree: the work that pool_diff reports,
-and the public names of mapq that nothing in mapq uses."""
+the public names of mapq that nothing in mapq uses, and imports that nothing
+uses."""
 
 import ast
 import os
@@ -15,7 +16,8 @@ from mapq.laws import DiscretePmf
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 import pool_diff  # noqa: E402
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mapq"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mapq"
 
 # public names whose only consumers live outside src/mapq, each with its consumer
 OUTSIDE_CONSUMERS = {
@@ -88,3 +90,25 @@ def test_every_public_name_of_mapq_has_a_consumer():
     unused = {name for name, top in public.items()
               if not any(name in used for node, used in refs.items() if node is not top)}
     assert unused == set(OUTSIDE_CONSUMERS)
+
+
+def _imported_names(tree):
+    """(local name, line) per name a module imports, except from __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs on this repository, so an import left behind shows here
+    unused = []
+    for path in sorted(p for d in (SRC, ROOT / "tools", ROOT / "tests") for p in d.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in _imported_names(tree) if name not in used]
+    assert unused == []
