@@ -230,16 +230,14 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
     theta*.  The asymptotic cap kappa^A(theta*)/theta* is reported alongside.
 
     For constant traffic the capacity edges at (d, epsilon) are the fixed
-    points lam = dcc_upper(Constant(lam), S, d, epsilon).value_at_root; on the
-    toy service (cgf -3 theta + theta^2) they are the roots of
+    points lam = dcc_upper(Constant(lam), S, [d], epsilon)[0].value_at_root;
+    on the toy service (cgf -3 theta + theta^2) they are the roots of
     d lam (3 - lam) = log(1/epsilon).
 
-    A float deadline gives its DccReport, a sequence of deadlines a list of them.
+    Returns one DccReport per deadline of the sequence `deadlines`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    single = np.ndim(deadlines) == 0
-    deadlines = [deadlines] if single else list(deadlines)
     for d in deadlines:
         if not (math.isfinite(d) and d > 0):
             raise ValueError(f"deadline must be finite slots > 0, got {d!r}")
@@ -278,6 +276,5 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
         if b - a < 1e-12 * max(1.0, b):
             break
     cap = root.arrival.kappa / theta_star
-    reports = [DccReport(max(float(best) / d, 0.0), float(theta_opt), cap, float(at_root) / d)
-               for d in deadlines]
-    return reports[0] if single else reports
+    return [DccReport(max(float(best) / d, 0.0), float(theta_opt), cap, float(at_root) / d)
+            for d in deadlines]

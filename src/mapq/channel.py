@@ -67,7 +67,7 @@ def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizo
     rng = np.random.default_rng(seed)
     cums = _cumulative_rows(np.stack(dim.transitions))
     cum = cums[np.minimum(np.arange(horizon), len(cums) - 1)]
-    states = _path_states(cum, np.asarray(dim.distributions[0], dtype=float), horizon, rng)
+    states = _path_states(cum, dim.initial, horizon, rng)
     gains = rng.exponential(size=horizon)
     snr = channel.snr_matrix[states[:-1], states[1:]]
     return states, channel.bandwidth * np.log2(1.0 + snr * gains)

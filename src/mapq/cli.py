@@ -163,7 +163,7 @@ def cmd_control(config: cf.ExperimentConfig, args) -> int:
     fragment = {
         "states": list(range(n)),
         "transition": [[float(x) for x in row] for row in p0],
-        "initial_dist": [float(x) for x in dim.distributions[0]],
+        "initial_dist": [float(x) for x in dim.initial],
         "increments": [[{"law": "constant", "value": 0.0} for _ in range(n)]
                        for _ in range(n)],
     }

@@ -253,7 +253,7 @@ def transition_from_copula(copula: CopulaSpec, varpi) -> tuple:
 @dataclass(frozen=True)
 class DimensionPlan:
     transitions: tuple  # P_0 .. P_{t-1}
-    distributions: tuple  # varpi_0 .. varpi_t
+    initial: np.ndarray  # varpi_0
 
 
 def dependence_control(temporal_copulas, varpi0, horizon: int) -> tuple:
@@ -272,12 +272,10 @@ def dependence_control(temporal_copulas, varpi0, horizon: int) -> tuple:
             copulas = [copulas] * horizon
         if len(copulas) != horizon:
             raise ValueError("need one copula per step (or a single homogeneous one)")
-        w = np.asarray(w0, dtype=float)
+        w = initial = np.asarray(w0, dtype=float)
         transitions = []
-        distributions = [w]
         for c in copulas:
             p, w = transition_from_copula(c, w)
             transitions.append(p)
-            distributions.append(w)
-        dims.append(DimensionPlan(tuple(transitions), tuple(distributions)))
+        dims.append(DimensionPlan(tuple(transitions), initial))
     return tuple(dims)

@@ -1,13 +1,12 @@
 """Per-transition increment laws and their transform calculus.
 
 Each law knows its moment generating function E[e^{theta X}], the tilted
-first moment E[X e^{theta X}] (used for cgf derivatives), its plain mean,
-and how to sample itself.  All laws here are light-tailed: the MGF is
-finite on an open interval around every operating theta.
+first moment E[X e^{theta X}] (used for cgf derivatives; at theta = 0 it is
+the mean), and how to sample itself.  All laws here are light-tailed: the
+MGF is finite on an open interval around every operating theta.
 
-Both transforms take a float or an ndarray of theta.  A float gives a
-float and raises MgfDiverged where the transform diverges; an array gives
-an array, non-finite at each theta where it diverges, and raises nothing.
+Both transforms take arrays only: a 1-d ndarray of theta gives an array,
+non-finite at each theta where the transform diverges, and raises nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from .counters import COUNTS
-from .errors import MgfDiverged
 
 _LN2 = math.log(2.0)
 
@@ -39,12 +37,12 @@ def __getattr__(name):
 class IncrementLaw:
     """Common interface of all increment laws."""
 
-    def mgf(self, theta):
-        """E[e^{theta X}] for a float theta, or elementwise for an ndarray."""
+    def mgf(self, theta: np.ndarray) -> np.ndarray:
+        """E[e^{theta X}] elementwise for a 1-d ndarray of theta."""
         raise NotImplementedError
 
-    def tilted_mean(self, theta):
-        """E[X e^{theta X}], the derivative of the MGF in theta."""
+    def tilted_mean(self, theta: np.ndarray) -> np.ndarray:
+        """E[X e^{theta X}], the derivative of the MGF in theta, elementwise."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -52,25 +50,9 @@ class IncrementLaw:
 
 
 def _safe_exp(x):
-    """e^x: a float raises MgfDiverged on overflow, an array gives inf there."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            return np.exp(x)
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise MgfDiverged(f"exponent {x} overflows the MGF evaluation") from exc
-
-
-def _finite(val, theta, what):
-    """val as a float for a float theta, raising MgfDiverged unless it is finite;
-    an array of theta passes its values through."""
-    if isinstance(theta, np.ndarray):
-        return val
-    val = float(val)
-    if not math.isfinite(val):
-        raise MgfDiverged(f"{what} at theta={theta}")
-    return val
+    """e^x elementwise, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(x)
 
 
 @dataclass(frozen=True)
@@ -118,14 +100,12 @@ class DiscretePmf(IncrementLaw):
     def mgf(self, theta):
         x, p = self._arrays()
         with np.errstate(over="ignore"):
-            val = np.sum(p * np.exp(np.multiply.outer(theta, x)), axis=-1)
-        return _finite(val, theta, "discrete MGF overflowed")
+            return np.sum(p * np.exp(np.multiply.outer(theta, x)), axis=-1)
 
     def tilted_mean(self, theta):
         x, p = self._arrays()
         with np.errstate(over="ignore", invalid="ignore"):
-            val = np.sum(p * x * np.exp(np.multiply.outer(theta, x)), axis=-1)
-        return _finite(val, theta, "tilted mean overflowed")
+            return np.sum(p * x * np.exp(np.multiply.outer(theta, x)), axis=-1)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -309,18 +289,11 @@ class RayleighCapacity(IncrementLaw):
         """The law as a one-law stack, which keeps its quadrature nodes."""
         return RayleighStack((self,))
 
-    def _transform(self, kind, theta):
-        val = self._stack.transform(kind, np.atleast_1d(np.asarray(theta, dtype=float)))[0]
-        if isinstance(theta, np.ndarray):
-            return val
-        why = "overflows a double" if val[0] == math.inf else "quadrature did not converge"
-        return _finite(val[0], theta, f"capacity {kind} {why}")
-
     def mgf(self, theta):
-        return self._transform("mgf", theta)
+        return self._stack.transform("mgf", theta)[0]
 
     def tilted_mean(self, theta):
-        return self._transform("tilted_mean", theta)
+        return self._stack.transform("tilted_mean", theta)[0]
 
     def sample(self, rng, size):
         # bandwidth * log2(1 + snr * g), computed in place on the draws

@@ -340,11 +340,14 @@ def _supermodular_functions(samples, quantile_levels):
     return stats
 
 
-def supermodular_battery(samples_x, samples_y, alpha: float = 0.01) -> OrderReport:
+_KS_LEVEL = 0.01  # level of supermodular_battery's marginal Kolmogorov-Smirnov check
+
+
+def supermodular_battery(samples_x, samples_y) -> OrderReport:
     """Necessary-condition check of X <=_sm Y via a fixed supermodular battery.
 
-    Marginals are compared first (two-sample Kolmogorov-Smirnov at the
-    given level, Bonferroni-corrected); if they differ the verdict is
+    Marginals are compared first (two-sample Kolmogorov-Smirnov at level
+    _KS_LEVEL, Bonferroni-corrected); if they differ the verdict is
     inconclusive, since the supermodular order fixes marginals.
     """
     x = np.asarray(samples_x, dtype=float)
@@ -356,9 +359,9 @@ def supermodular_battery(samples_x, samples_y, alpha: float = 0.01) -> OrderRepo
 
     k = x.shape[1]
     for col in range(k):
-        if ks_2samp(x[:, col], y[:, col]).pvalue < alpha / k:
+        if ks_2samp(x[:, col], y[:, col]).pvalue < _KS_LEVEL / k:
             return OrderReport(
-                "inconclusive", (), f"marginal {col} differs (KS at {alpha:.0%}/{k})"
+                "inconclusive", (), f"marginal {col} differs (KS at {_KS_LEVEL:.0%}/{k})"
             )
 
     pooled = np.vstack([x, y])

@@ -128,6 +128,12 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def at(transform, theta):
+    """A law transform (`law.mgf` or `law.tilted_mean`) at one theta: the entry
+    of its call on the one-element array [theta]."""
+    return transform(np.array([theta], dtype=float))[0]
+
+
 def quadratures(done):
     """(quadrature calls, Rayleigh integrations) read from a counters.tally() function."""
     work = done()

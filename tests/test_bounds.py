@@ -165,7 +165,7 @@ def test_constant_arrival_unstable(toy_service):
 
 def test_dcc_toy_value_at_root(toy_arrival, toy_service):
     # flat eigenvectors: bound at theta* = 2 is (-1/(2*10)) log(1e-3)
-    r = bd.dcc_upper(toy_arrival, toy_service, 10.0, 1e-3)
+    r = bd.dcc_upper(toy_arrival, toy_service, [10.0], 1e-3)[0]
     assert r.value_at_root == pytest.approx(-math.log(1e-3) / 20.0, rel=1e-9)
     assert 0.0 <= r.value <= r.value_at_root + 1e-12
     assert r.asymptotic_cap == pytest.approx(1.0, abs=1e-9)
@@ -174,21 +174,21 @@ def test_dcc_toy_value_at_root(toy_arrival, toy_service):
 def test_dcc_tightens_as_epsilon_shrinks(toy_arrival, toy_service):
     # a stricter violation probability permits less traffic only in the
     # -log(epsilon) numerator, so the rate bound grows as epsilon shrinks
-    vals = [bd.dcc_upper(toy_arrival, toy_service, 10.0, eps).value
+    vals = [bd.dcc_upper(toy_arrival, toy_service, [10.0], eps)[0].value
             for eps in (1e-2, 1e-4, 1e-6)]
     assert 0.0 <= vals[0] <= vals[1] <= vals[2]
 
 
 def test_dcc_large_deadline_falls_below_asymptotic_cap(toy_arrival, toy_service):
-    r_small = bd.dcc_upper(toy_arrival, toy_service, 1.0, 1e-6)
-    r_large = bd.dcc_upper(toy_arrival, toy_service, 1000.0, 1e-6)
+    r_small = bd.dcc_upper(toy_arrival, toy_service, [1.0], 1e-6)[0]
+    r_large = bd.dcc_upper(toy_arrival, toy_service, [1000.0], 1e-6)[0]
     assert r_large.value <= r_large.asymptotic_cap + 1e-12
     assert r_large.value_at_root < r_small.value_at_root
 
 
 def test_dcc_upper_solves_its_grid_in_one_stacked_eigensolve_per_kernel(
         monkeypatch, toy_arrival, toy_service):
-    # with a golden-section refinement dcc_upper(toy, 10, 1e-3) made up to 146
+    # with a golden-section refinement dcc_upper(toy, [10], 1e-3) made up to 146
     # single-matrix solves: 2 mean rates, 36 for theta*, 2 for the theta_max
     # probe and 106 for the golden section.  The grid and every round of the
     # section search are now one stack per kernel, which a one-state kernel
@@ -197,7 +197,7 @@ def test_dcc_upper_solves_its_grid_in_one_stacked_eigensolve_per_kernel(
     arrival = single_state_kernel(toy_arrival.law(0, 0), label="const")
     service = single_state_kernel(toy_service.law(0, 0))
     done = counters.tally()
-    r = bd.dcc_upper(arrival, service, 10.0, 1e-3)
+    r = bd.dcc_upper(arrival, service, [10.0], 1e-3)[0]
     assert done()["scalar_solves"] <= 40
     assert done()["stacked_matrices"] == 0
     sizes = [len(args[1]) for args in grids]
@@ -214,7 +214,7 @@ def test_dcc_upper_shares_one_search_across_deadlines(delay_figure_channel, monk
     grids = count_calls(monkeypatch, bd, "perron_grid")
     reports = bd.dcc_upper(arrival, service, [1.0, 5.0, 20.0], 1e-3)
     searched = len(grids)
-    alone = [bd.dcc_upper(arrival, service, d, 1e-3) for d in (1.0, 5.0, 20.0)]
+    alone = [bd.dcc_upper(arrival, service, [d], 1e-3)[0] for d in (1.0, 5.0, 20.0)]
     assert len(grids) == 4 * searched  # a list of deadlines costs one search
     assert len({r.theta_opt for r in reports + alone}) == 1
     for d, r, single in zip((1.0, 5.0, 20.0), reports, alone):
@@ -254,7 +254,7 @@ def test_dcc_upper_backs_off_where_the_eigensolve_fails():
     )
     service = MapKernel(("s0", "s1"), np.array([[0.32, 0.68], [0.614, 0.386]]), laws,
                         np.array([0.5, 0.5]))
-    r = bd.dcc_upper(single_state_kernel(Constant(5.4428)), service, 10.0, 1e-3)
+    r = bd.dcc_upper(single_state_kernel(Constant(5.4428)), service, [10.0], 1e-3)[0]
     assert math.isfinite(r.value) and math.isfinite(r.value_at_root)
     assert 0.0 <= r.value <= r.value_at_root
 
@@ -268,14 +268,14 @@ def test_dcc_constant_traffic_edges_are_fixed_points_on_the_toy(toy_service, d, 
     c = math.log(1.0 / eps) / d
     larger = (3.0 + math.sqrt(9.0 - 4.0 * c)) / 2.0
     lam = larger if edge == "upper" else c / larger  # c over the larger root
-    r = bd.dcc_upper(single_state_kernel(Constant(lam)), toy_service, d, eps)
+    r = bd.dcc_upper(single_state_kernel(Constant(lam)), toy_service, [d], eps)[0]
     assert r.value_at_root == pytest.approx(lam, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [0.0, -5.0, math.inf, math.nan])
 def test_dcc_upper_needs_a_finite_positive_deadline(toy_arrival, toy_service, d):
     with pytest.raises(ValueError, match="deadline"):
-        bd.dcc_upper(toy_arrival, toy_service, d, 1e-3)
+        bd.dcc_upper(toy_arrival, toy_service, [d], 1e-3)
 
 
 def test_levels_must_be_finite(toy_arrival, toy_service):

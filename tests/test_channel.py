@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rayleigh_mean, searchsorted_walk
+from conftest import at, rayleigh_mean, searchsorted_walk
 from mapq.channel import (
     ChannelSpec,
     capacity_kernel,
@@ -50,7 +50,7 @@ def test_capacity_kernel_mean_rate_mixes_states(delay_figure_channel):
 
 def test_quantize_capacity_mean_accuracy():
     q = quantize_capacity(10.0, 20.0, 256)
-    assert q.tilted_mean(0.0) == pytest.approx(rayleigh_mean(20.0, 10.0), rel=1e-2)
+    assert at(q.tilted_mean, 0.0) == pytest.approx(rayleigh_mean(20.0, 10.0), rel=1e-2)
     assert len(q.support) == 256
 
 
@@ -76,7 +76,7 @@ def test_controlled_capacity_states_follow_the_searchsorted_walk(delay_figure_ch
                                 [np.array([0.3, 0.7])], 3)
     assert len(dim.transitions) == 3
     states, _ = controlled_capacity_process(dim, delay_figure_channel, 400, [5, 1])
-    walk = searchsorted_walk(dim.transitions, dim.distributions[0], 400, [5, 1])
+    walk = searchsorted_walk(dim.transitions, dim.initial, 400, [5, 1])
     assert states.tolist() == walk
 
 
@@ -98,7 +98,7 @@ def test_controlled_capacity_process_stays_in_range_on_short_rows(monkeypatch,
     # row 0 sums to 1 - 1e-13; a uniform above that sum must land on the last state
     p = np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5]])
     w0 = np.array([1.0, 0.0])
-    dim = DimensionPlan((p,), (w0, w0 @ p))
+    dim = DimensionPlan((p,), w0)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _TopUniforms())
     states, capacity = controlled_capacity_process(dim, power_control_channel, 3, 0)
     assert states.tolist() == [0, 1, 1, 1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import count_calls, quadratures
+from conftest import at, count_calls, quadratures
 from mapq import counters
 from mapq import laws as laws_module
 from mapq.config import (
@@ -35,7 +35,7 @@ def test_parse_law_variants():
     sh = parse_law({"law": "shifted", "inner": {"law": "constant", "value": 1}, "offset": 2})
     assert isinstance(sh, Shifted)
     normal = parse_law({"law": "normal", "mean": 0.0, "std": 1.0, "points": 32})
-    assert normal.mgf(0.5) == pytest.approx(math.exp(0.125), rel=1e-10)
+    assert at(normal.mgf, 0.5) == pytest.approx(math.exp(0.125), rel=1e-10)
 
 
 def test_parse_law_errors():

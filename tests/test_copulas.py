@@ -294,4 +294,8 @@ def test_dependence_control_plan_consistency():
     assert len(dim0.transitions) == 2
     # homogeneous copula with its stationary marginal: time-invariant matrices
     assert np.allclose(dim0.transitions[0], dim0.transitions[1], atol=1e-12)
-    assert np.allclose(dim0.distributions[-1], [0.3, 0.7], atol=1e-9)
+    # varpi_0 pushed through both steps stays the stationary marginal
+    w = dim0.initial
+    for p in dim0.transitions:
+        w = w @ p
+    assert np.allclose(w, [0.3, 0.7], atol=1e-9)

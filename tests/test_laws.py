@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expn, gamma, gammaincc, gammaln
 
-from conftest import quadratures, rayleigh_mean
+from conftest import at, quadratures, rayleigh_mean
 from mapq import counters
 from mapq import laws as laws_module
-from mapq.errors import MgfDiverged
 from mapq.laws import (
     Constant,
     DiscretePmf,
@@ -26,14 +26,37 @@ from mapq.laws import (
 
 def test_constant_mgf_and_mean():
     law = Constant(2.0)
-    assert law.mgf(1.0) == pytest.approx(math.exp(2.0), rel=1e-15)
-    assert law.tilted_mean(0.0) == 2.0
-    assert law.tilted_mean(0.5) == pytest.approx(2.0 * math.exp(1.0), rel=1e-15)
+    assert at(law.mgf, 1.0) == pytest.approx(math.exp(2.0), rel=1e-15)
+    assert at(law.tilted_mean, 0.0) == 2.0
+    assert at(law.tilted_mean, 0.5) == pytest.approx(2.0 * math.exp(1.0), rel=1e-15)
 
 
-def test_constant_overflow_raises():
-    with pytest.raises(MgfDiverged):
-        Constant(1.0).mgf(1e9)
+def test_constant_overflow_is_inf():
+    assert at(Constant(1.0).mgf, 1e9) == math.inf
+
+
+# one law of each class, with a theta at which its transforms diverge
+DIVERGING = {
+    "constant": (Constant(2.0), 1e9),
+    "discrete-pmf": (DiscretePmf((0.0, 1.0, 3.0), (0.2, 0.5, 0.3)), 1e3),
+    "rayleigh": (RayleighCapacity(20.0, 10.0), 5.0),
+    "negated": (Negated(RayleighCapacity(20.0, 10.0)), -5.0),
+    "shifted": (Shifted(gaussian_quantized(1.0, 0.5, 48), 4.0), 200.0),
+}
+
+
+@pytest.mark.parametrize("name", DIVERGING)
+def test_a_diverging_theta_is_non_finite_and_leaves_the_others_alone(name):
+    law, diverging = DIVERGING[name]
+    thetas = np.array([-0.5, 0.0, diverging, 0.02, 0.3])
+    for kind in ("mgf", "tilted_mean"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor does it warn
+            values = getattr(law, kind)(thetas)
+        assert values.shape == thetas.shape
+        assert not np.isfinite(values[2])
+        for theta, value in zip(np.delete(thetas, 2), np.delete(values, 2)):
+            assert math.isfinite(value) and value == at(getattr(law, kind), theta)
 
 
 def test_discrete_pmf_validation():
@@ -64,9 +87,9 @@ def test_discrete_pmf_mgf_closed_form():
     law = DiscretePmf((0.0, 1.0, 3.0), (0.2, 0.5, 0.3))
     theta = 0.7
     expected = 0.2 + 0.5 * math.exp(0.7) + 0.3 * math.exp(2.1)
-    assert law.mgf(theta) == pytest.approx(expected, rel=1e-14)
+    assert at(law.mgf, theta) == pytest.approx(expected, rel=1e-14)
     expected_tilted = 0.5 * math.exp(0.7) + 0.9 * math.exp(2.1)
-    assert law.tilted_mean(theta) == pytest.approx(expected_tilted, rel=1e-14)
+    assert at(law.tilted_mean, theta) == pytest.approx(expected_tilted, rel=1e-14)
 
 
 def test_discrete_pmf_sampler_frequencies():
@@ -92,8 +115,8 @@ def test_discrete_pmf_sample_lands_on_the_last_point_whatever_the_sum_rounds_to(
 def test_tilted_mean_is_mgf_derivative(theta, mean, std):
     law = gaussian_quantized(mean, std, 48)
     h = 1e-6
-    fd = (law.mgf(theta + h) - law.mgf(theta - h)) / (2.0 * h)
-    assert law.tilted_mean(theta) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    fd = (at(law.mgf, theta + h) - at(law.mgf, theta - h)) / (2.0 * h)
+    assert at(law.tilted_mean, theta) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_gaussian_quantized_matches_exact_gaussian_mgf():
@@ -101,22 +124,23 @@ def test_gaussian_quantized_matches_exact_gaussian_mgf():
     law = gaussian_quantized(mean, std)
     for theta in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.0):
         exact = math.exp(theta * mean + 0.5 * (std * theta) ** 2)
-        assert law.mgf(theta) == pytest.approx(exact, rel=1e-12)
-    assert law.tilted_mean(0.0) == pytest.approx(mean, abs=1e-12)
+        assert at(law.mgf, theta) == pytest.approx(exact, rel=1e-12)
+    assert at(law.tilted_mean, 0.0) == pytest.approx(mean, abs=1e-12)
 
 
 def test_rayleigh_capacity_mean_closed_form_vs_quadrature():
     law = RayleighCapacity(20.0, math.exp(0.5))
     # tilted_mean at 0 integrates E[X] numerically; rayleigh_mean is the closed form
-    assert rayleigh_mean(20.0, math.exp(0.5)) == pytest.approx(law.tilted_mean(0.0), rel=1e-9)
-    assert law.mgf(0.0) == pytest.approx(1.0, rel=1e-10)
+    assert rayleigh_mean(20.0, math.exp(0.5)) == pytest.approx(at(law.tilted_mean, 0.0),
+                                                               rel=1e-9)
+    assert at(law.mgf, 0.0) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_rayleigh_capacity_mgf_monotone_in_snr():
     lo = RayleighCapacity(20.0, 1.0)
     hi = RayleighCapacity(20.0, 10.0)
-    assert hi.mgf(0.05) > lo.mgf(0.05)
-    assert hi.mgf(-0.05) < lo.mgf(-0.05)
+    assert at(hi.mgf, 0.05) > at(lo.mgf, 0.05)
+    assert at(hi.mgf, -0.05) < at(lo.mgf, -0.05)
 
 
 def test_rayleigh_capacity_sampling_mean():
@@ -129,24 +153,24 @@ def test_rayleigh_capacity_sampling_mean():
 def test_negated_and_shifted_wrappers():
     base = DiscretePmf((1.0, 2.0), (0.5, 0.5))
     neg = Negated(base)
-    assert neg.mgf(0.3) == pytest.approx(base.mgf(-0.3), rel=1e-15)
-    assert neg.tilted_mean(0.0) == pytest.approx(-base.tilted_mean(0.0), rel=1e-15)
+    assert at(neg.mgf, 0.3) == pytest.approx(at(base.mgf, -0.3), rel=1e-15)
+    assert at(neg.tilted_mean, 0.0) == pytest.approx(-at(base.tilted_mean, 0.0), rel=1e-15)
     sh = Shifted(base, 4.0)
-    assert sh.mgf(0.3) == pytest.approx(math.exp(1.2) * base.mgf(0.3), rel=1e-14)
-    assert sh.tilted_mean(0.0) == pytest.approx(base.tilted_mean(0.0) + 4.0, rel=1e-12)
+    assert at(sh.mgf, 0.3) == pytest.approx(math.exp(1.2) * at(base.mgf, 0.3), rel=1e-14)
+    assert at(sh.tilted_mean, 0.0) == pytest.approx(at(base.tilted_mean, 0.0) + 4.0,
+                                                    rel=1e-12)
     rng = np.random.default_rng(2)
     assert np.all(neg.sample(rng, 100) < 0)
     assert np.all(sh.sample(rng, 100) >= 5.0)
 
 
-def test_rayleigh_float_call_integrates_once_and_raises_on_overflow():
+def test_rayleigh_call_integrates_once_and_is_inf_on_overflow():
     law = RayleighCapacity(20.0, 10.0)
     done = counters.tally()
-    assert law.mgf(0.3) == law.mgf(np.array([0.3]))[0]
+    assert at(law.mgf, 0.3) == at(law.mgf, 0.3)
     # one integration of the one law per call; the law keeps no values
     assert quadratures(done) == (2, 2)
-    with pytest.raises(MgfDiverged, match=r"overflows a double at theta=5\.0"):
-        law.mgf(5.0)
+    assert at(law.mgf, 5.0) == math.inf
     assert quadratures(done) == (3, 3)
 
 
@@ -160,29 +184,28 @@ def test_rayleigh_mgf_matches_exponential_integral_closed_form(snr):
     law = RayleighCapacity(math.log(2.0), snr)
     for k in (1, 3, 10, 30, 100):
         closed = (1.0 / snr) * math.exp(1.0 / snr) * expn(k, 1.0 / snr)
-        assert law.mgf(-float(k)) == pytest.approx(closed, rel=1e-13, abs=0.0)
+        assert at(law.mgf, -float(k)) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("snr", RAYLEIGH_SNRS)
 def test_rayleigh_mgf_matches_incomplete_gamma_closed_form(snr):
-    # E[(1 + snr G)^n] = snr^n e^{1/snr} Gamma(n + 1, 1/snr); it must raise
-    # MgfDiverged exactly where that exceeds the largest double
+    # E[(1 + snr G)^n] = snr^n e^{1/snr} Gamma(n + 1, 1/snr); it must be inf
+    # exactly where that exceeds the largest double
     law = RayleighCapacity(math.log(2.0), snr)
     for n in (-0.5, 0.5, 1.4, 5.0, 20.0, 60.0):
         upper = gammaincc(n + 1.0, 1.0 / snr)
         log_value = n * math.log(snr) + 1.0 / snr + gammaln(n + 1.0) + math.log(upper)
         if log_value > math.log(sys.float_info.max):
-            with pytest.raises(MgfDiverged, match="overflows"):
-                law.mgf(n)
+            assert at(law.mgf, n) == math.inf
             continue
         closed = snr ** n * math.exp(1.0 / snr) * gamma(n + 1.0) * upper
-        assert law.mgf(n) == pytest.approx(closed, rel=1e-13, abs=0.0)
+        assert at(law.mgf, n) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("snr", RAYLEIGH_SNRS)
 def test_rayleigh_tilted_mean_at_zero_is_the_closed_form_mean(snr):
     law = RayleighCapacity(20.0, snr)
-    assert law.tilted_mean(0.0) == pytest.approx(rayleigh_mean(20.0, snr), rel=1e-13)
+    assert at(law.tilted_mean, 0.0) == pytest.approx(rayleigh_mean(20.0, snr), rel=1e-13)
 
 
 @pytest.mark.parametrize("snr", [1e-3, 1e-6])
@@ -193,7 +216,7 @@ def test_rayleigh_mean_below_minus_28_db(snr):
     law = RayleighCapacity(20.0, snr)
     series = sum((-1) ** k * math.factorial(k) * snr ** (k + 1) for k in range(6))
     assert rayleigh_mean(20.0, snr) == pytest.approx(20.0 / math.log(2.0) * series, rel=1e-14)
-    assert rayleigh_mean(20.0, snr) == pytest.approx(law.tilted_mean(0.0), rel=1e-13)
+    assert rayleigh_mean(20.0, snr) == pytest.approx(at(law.tilted_mean, 0.0), rel=1e-13)
 
 
 def test_rayleigh_array_call_equals_the_scalar_calls():
@@ -204,12 +227,10 @@ def test_rayleigh_array_call_equals_the_scalar_calls():
             values = getattr(law, kind)(thetas)
             assert values.shape == thetas.shape
             for theta, value in zip(thetas, values):
+                # a one-theta call of a fresh law gives the same double, and
+                # the same non-finite mark at a diverged theta
                 scalar = getattr(RayleighCapacity(20.0, snr), kind)
-                if math.isfinite(value):
-                    assert scalar(float(theta)) == value
-                else:  # the array marks a diverged theta; the scalar call raises
-                    with pytest.raises(MgfDiverged):
-                        scalar(float(theta))
+                assert np.array_equal([at(scalar, theta)], [value], equal_nan=True)
 
 
 def _certifying_step(law, theta, tilted):

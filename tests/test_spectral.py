@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, quadratures, random_kernel
+from conftest import at, count_calls, quadratures, random_kernel
 from mapq import counters
 from mapq import laws as laws_module
 from mapq import spectral as spectral_module
@@ -208,7 +208,7 @@ def test_periodic_chain_perron_root_and_stability_root():
                         ((law10, law01), (law10, law01)), np.array([0.5, 0.5]))
     for theta in (-0.2, 0.2):
         sol = perron(service, theta)
-        closed = 0.5 * (math.log(law01.mgf(theta)) + math.log(law10.mgf(theta)))
+        closed = 0.5 * (math.log(at(law01.mgf, theta)) + math.log(at(law10.mgf, theta)))
         assert sol.kappa == pytest.approx(closed, abs=1e-12)
         assert np.all(sol.h > 0) and np.all(sol.v > 0)
     root = stability_root(single_state_kernel(Constant(lam)), service)

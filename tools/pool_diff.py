@@ -16,12 +16,10 @@ perfbench/reference.json for analytic jobs) and, per job kind (the last part
 of the job id), the work the jobs did: what each job added to the counts
 that mapq's solvers keep in mapq.counters (scalar solves, stacked matrices,
 Rayleigh integrations, quadrature calls and bivariate normal CDFs; that
-module defines each).  A tree without mapq.counters runs its jobs and is
-compared all the same; its work prints as "not counted".  With
---base it also lists the job kinds where this tree does more of that work
-than the base, the jobs whose exit code or failure
-differs, how many output files are byte-identical, the configs whose files
-differ (with how many files each), the worst relative difference of a
+module defines each).  With --base it also lists the job kinds where this
+tree does more of that work than the base, the jobs whose exit code or
+failure differs, how many output files are byte-identical, the configs whose
+files differ (with how many files each), the worst relative difference of a
 numeric cell per job kind and, per CSV column whose cells move, the worst
 relative difference and the worst |difference| / max(1, |base|).  For
 simulate-fading it lists instead, per job, which files are byte-identical
@@ -46,12 +44,9 @@ WORK = ("scalar_solves", "stacked_matrices", "rayleigh_integrations", "quadratur
 
 
 def work_since():
-    """A function that returns the work mapq has done since this call, in WORK
-    order, or None for a tree without mapq.counters."""
-    try:
-        from mapq import counters
-    except ImportError:  # a tree from before mapq counted its own work
-        return lambda: None
+    """A function that returns the work mapq has done since this call, in WORK order."""
+    from mapq import counters
+
     done = counters.tally()
     return lambda: [done()[k] for k in WORK]
 
@@ -112,12 +107,9 @@ def _spawn(src, out, workload, seed):
 
 def _work_by_kind(problems):
     """The WORK counts of a tree's jobs, summed per job kind (the id's last
-    part without its number: sf-mart3 is a mart job); None for a tree that
-    does not count its work."""
+    part without its number: sf-mart3 is a mart job)."""
     out = {}
     for job_id, info in problems.items():
-        if info["work"] is None:
-            return None
         total = out.setdefault(job_id.rsplit("-", 1)[-1].rstrip("0123456789"), [0] * len(WORK))
         total[:] = [t + n for t, n in zip(total, info["work"])]
     return out
@@ -236,23 +228,17 @@ def main():
             print(f"{name} ({trees[name]}): {len(problems)} jobs, {len(bad)} failing their check")
             for job_id, found in sorted(bad.items()):
                 print(f"  {job_id}: {'; '.join(found)[:300]}")
-            if work_by_kind[name] is None:
-                print("  work: not counted (no mapq.counters)")
-                continue
             print(f"  per job kind: {' / '.join(WORK)}")
             for kind, done in sorted(work_by_kind[name].items()):
                 print(f"    {kind}: {' / '.join(map(str, done))}")
         if args.base and args.workload == "simulate-fading":
             _tails_report(runs, work)
         elif args.base:
-            if None in work_by_kind.values():
-                print("more work than base: not counted")
-            else:
-                more = [f"{kind} ({WORK[k]} {n} > {work_by_kind['base'][kind][k]})"
-                        for kind, done in sorted(work_by_kind["src"].items())
-                        for k, n in enumerate(done)
-                        if n > work_by_kind["base"].get(kind, done)[k]]
-                print("more work than base: " + (", ".join(more) if more else "none"))
+            more = [f"{kind} ({WORK[k]} {n} > {work_by_kind['base'][kind][k]})"
+                    for kind, done in sorted(work_by_kind["src"].items())
+                    for k, n in enumerate(done)
+                    if n > work_by_kind["base"].get(kind, done)[k]]
+            print("more work than base: " + (", ".join(more) if more else "none"))
             moved_exit = [job_id for job_id, info in sorted(runs["src"].items())
                           if info["signature"] != runs["base"].get(job_id, {}).get("signature")]
             print("exit codes or failures that differ: " + (", ".join(moved_exit) or "none"))
