@@ -143,7 +143,8 @@ def cmd_control(config: cf.ExperimentConfig, args) -> int:
     if config.copulas is None:
         raise ConfigError("control command needs a copulas section")
     spec = config.copulas
-    plan = cp.dependence_control(spec.temporal, spec.varpi, spec.horizon)
+    # dimensions are planned independently (a product spatial copula)
+    plan = [cp.dependence_control(steps, w0) for steps, w0 in zip(spec.temporal, spec.varpi)]
     out = _out_dir(config, args)
     rows = []
     for d, dim in enumerate(plan):
@@ -209,7 +210,7 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
 
     if config.copulas is not None and config.service_channel is not None:
         spec = config.copulas
-        dim = cp.dependence_control(spec.temporal, spec.varpi, spec.horizon)[0]
+        dim = cp.dependence_control(spec.temporal[0], spec.varpi[0])
         corr_rows = []
         for r in range(spec.runs):
             _, c = controlled_capacity_process(dim, config.service_channel,

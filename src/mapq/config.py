@@ -103,9 +103,8 @@ def parse_channel(doc) -> ChannelSpec:
 class PlanSpec:
     """The `copulas` section: `dependence_control` inputs plus the capacity paths."""
 
-    temporal: tuple  # per dimension: one CopulaSpec, or a list of one per step
+    temporal: tuple  # per dimension: a tuple of one CopulaSpec per plan step
     varpi: tuple  # per dimension: the initial state distribution
-    horizon: int
     slots: int
     runs: int
 
@@ -161,8 +160,10 @@ def _count(section: dict, key: str, default: int, where: str) -> int:
 
 def _parse_plan(doc: dict) -> PlanSpec:
     """One controlled dimension, or a `dimensions` list of them, each with a
-    `varpi` and a `copula` or a per-step `steps` list.  The plan horizon is
-    `horizon` if given, else the length of a `steps` list, else 1."""
+    `varpi` and a `copula` or a per-step `steps` list, as `horizon` copulas per
+    dimension (a single copula is repeated).  The plan horizon is `horizon` if
+    given, else the length of a `steps` list, else 1; a `steps` list of
+    another length raises ConfigError."""
     temporal, varpi = [], []
     try:
         for dim in doc.get("dimensions") or [doc]:
@@ -178,8 +179,12 @@ def _parse_plan(doc: dict) -> PlanSpec:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad copulas section: {exc}") from exc
     steps = next((len(t) for t in temporal if isinstance(t, list)), 1)
-    return PlanSpec(tuple(temporal), tuple(varpi), _count(doc, "horizon", steps, "copulas"),
-                    _count(doc, "slots", 1000, "copulas"), _count(doc, "runs", 1, "copulas"))
+    horizon = _count(doc, "horizon", steps, "copulas")
+    temporal = tuple(tuple(t) if isinstance(t, list) else (t,) * horizon for t in temporal)
+    if any(len(t) != horizon for t in temporal):
+        raise ConfigError("need one copula per step (or a single homogeneous one)")
+    return PlanSpec(temporal, tuple(varpi), _count(doc, "slots", 1000, "copulas"),
+                    _count(doc, "runs", 1, "copulas"))
 
 
 def build_config(doc: dict) -> ExperimentConfig:

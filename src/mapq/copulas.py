@@ -240,12 +240,12 @@ def transition_from_copula(copula: CopulaSpec, varpi) -> tuple:
     p = mass / varpi[:, None]
     if np.any(p < -1e-9):
         raise IncompatibleCopula(
-            f"copula/marginal pair yields transition entry {p.min()!r} < -1e-9"
+            f"copula/marginal pair yields transition entry {float(p.min())!r} < -1e-9"
         )
     np.clip(p, 0.0, None, out=p)
     row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
     if not row_err <= 1e-9:  # NaN node values fail this too
-        raise IncompatibleCopula(f"row sums off by {row_err!r} > 1e-9")
+        raise IncompatibleCopula(f"row sums off by {float(row_err)!r} > 1e-9")
     p = p / p.sum(axis=1, keepdims=True)
     return p, varpi @ p
 
@@ -256,26 +256,15 @@ class DimensionPlan:
     initial: np.ndarray  # varpi_0
 
 
-def dependence_control(temporal_copulas, varpi0, horizon: int) -> tuple:
-    """Per-step transition matrices realizing the requested temporal copulas,
-    as one DimensionPlan per controllable dimension.
-
-    temporal_copulas: per controllable dimension, either one CopulaSpec
-    (homogeneous in time) or a sequence of length `horizon`.  Dimensions are
-    treated independently (product spatial copula).  Each step's rows sum to
-    1 and its next distribution is varpi @ P, as transition_from_copula
-    returns them.
+def dependence_control(steps, varpi0) -> DimensionPlan:
+    """The DimensionPlan of one controllable dimension: the transition matrix
+    realizing each temporal copula of `steps`, one per plan step, starting
+    from the state distribution varpi0.  Each step's rows sum to 1 and its
+    next distribution is varpi @ P, as transition_from_copula returns them.
     """
-    dims = []
-    for copulas, w0 in zip(temporal_copulas, varpi0):
-        if isinstance(copulas, CopulaSpec):
-            copulas = [copulas] * horizon
-        if len(copulas) != horizon:
-            raise ValueError("need one copula per step (or a single homogeneous one)")
-        w = initial = np.asarray(w0, dtype=float)
-        transitions = []
-        for c in copulas:
-            p, w = transition_from_copula(c, w)
-            transitions.append(p)
-        dims.append(DimensionPlan(tuple(transitions), initial))
-    return tuple(dims)
+    w = initial = np.asarray(varpi0, dtype=float)
+    transitions = []
+    for c in steps:
+        p, w = transition_from_copula(c, w)
+        transitions.append(p)
+    return DimensionPlan(tuple(transitions), initial)

@@ -19,7 +19,7 @@ class MgfDiverged(MapqError):
 
 
 class NoConvergence(MapqError):
-    """A Perron eigensolve failed one of spectral._failure's checks: dgeev
+    """A Perron eigensolve failed one of spectral._check's checks: dgeev
     returned info != 0, the dominant eigenvalue is not positive, the
     eigenvectors are not strictly positive, or their relative residual is
     above 1e-10."""

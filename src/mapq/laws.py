@@ -90,7 +90,7 @@ class DiscretePmf(IncrementLaw):
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "probs", tuple(probs))
 

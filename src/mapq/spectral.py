@@ -176,18 +176,13 @@ class SpectralSolution:
 
 @dataclass(frozen=True)
 class PerronStack:
-    """perron at every theta of a stack, as arrays: row k of kappa (T,), h (T, n)
-    and v (T, n) is the solution at theta[k], all NaN where perron raises
-    MgfDiverged or NoConvergence at theta[k]; a solved row's kappa is finite."""
+    """perron's h at every theta of a stack: row k of h (T, n) is the solution
+    at theta[k], and solved[k] is False, with row k all NaN, exactly where
+    perron raises MgfDiverged or NoConvergence at theta[k]."""
 
     theta: np.ndarray
-    kappa: np.ndarray
     h: np.ndarray
-    v: np.ndarray
-
-    @property
-    def solved(self) -> np.ndarray:
-        return ~np.isnan(self.kappa)
+    solved: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -248,33 +243,18 @@ def _geev_lwork(n: int) -> int:
     return _compute_lwork(_dgeev_lwork, n, compute_vl=True, compute_vr=True)
 
 
-def _failure(theta, info, lam, positive, residual):
-    """The NoConvergence naming theta and the first Perron check that fails:
-    dgeev's info, the largest real eigenvalue lam, the sign of its eigenvectors
-    or their relative residual; None where all four pass."""
+def _check(theta, info, lam, positive, residual):
+    """Raise the NoConvergence naming theta and the first Perron check that
+    fails: dgeev's info, the largest real eigenvalue lam, the sign of its
+    eigenvectors or their relative residual."""
     if info:
-        return NoConvergence(f"eigensolve failed at theta={theta}: dgeev info {info}")
+        raise NoConvergence(f"eigensolve failed at theta={theta}: dgeev info {info}")
     if lam <= 0:
-        return NoConvergence(f"nonpositive dominant eigenvalue {lam!r} at theta={theta}")
+        raise NoConvergence(f"nonpositive dominant eigenvalue {lam!r} at theta={theta}")
     if not positive:
-        return NoConvergence(f"Perron eigenvectors are not strictly positive at theta={theta}")
+        raise NoConvergence(f"Perron eigenvectors are not strictly positive at theta={theta}")
     if not residual <= _RESIDUAL_TOL:
-        return NoConvergence(f"eigen residual {residual!r} above {_RESIDUAL_TOL} at theta={theta}")
-    return None
-
-
-def _gate(kernel, pi, theta, lam, e, h, v, positive, residual):
-    """The SpectralSolution at theta from the largest real eigenvalue lam of F
-    scaled by 2^-e and its sign-fixed eigenvectors h and v, or the
-    NoConvergence naming theta and the first check they fail."""
-    failure = _failure(theta, 0, lam, positive, residual)
-    if failure is not None:
-        return failure
-    h = h / float(pi @ h)
-    v = v / float(v @ h)
-    h.setflags(write=False)
-    v.setflags(write=False)
-    return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, pi, residual, kernel)
+        raise NoConvergence(f"eigen residual {residual!r} above {_RESIDUAL_TOL} at theta={theta}")
 
 
 def _dgeev_perron(f: np.ndarray):
@@ -293,12 +273,12 @@ def _dgeev_perron(f: np.ndarray):
     return info, float(wr[k]), vr[:, k], vl[:, k]
 
 
-def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
-    """SpectralSolution or NoConvergence naming theta from the one finite
-    transform matrix f at theta: one dgeev call gives both eigenvector sides,
-    and a one-state kernel needs none (kappa = log F, h = v = pi = [1])."""
+def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
+    """SpectralSolution at theta from the one finite transform matrix f: one
+    dgeev call gives both eigenvector sides, and a one-state kernel needs none
+    (kappa = log F, h = v = pi = [1]).  Raises the NoConvergence of the first
+    check of _check that fails."""
     COUNTS["scalar_solves"] += 1
-    pi = kernel.stationary
     # LAPACK's geev returns a wrong eigenvalue once entries pass about 1e138
     # (or fall below 1e-138): scale F exactly by a power of two far from 1
     # and add it back to kappa
@@ -308,28 +288,36 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray):
     else:
         f = np.ldexp(f, -e)
     if len(f) == 1:
-        return _gate(kernel, pi, theta, float(f[0, 0]), e, np.ones(1), np.ones(1), True, 0.0)
-    info, lam, h, v = _dgeev_perron(f)
-    if info:
-        return _failure(theta, info, lam, False, math.nan)
-    # the eigenvectors' sign is arbitrary, and multiplying by -1 is exact
-    h = h * math.copysign(1.0, h.sum())
-    v = v * math.copysign(1.0, v.sum())
-    # relative residuals of both eigenpairs, which scaling h or v leaves
-    # unchanged; lam <= 0 fails anyway, so dividing by at least the smallest
-    # normal double (times a unit vector's max entry) is safe
-    scale = max(lam, _TINY)
-    residual = float(np.maximum(abs(f @ h - lam * h).max() / (scale * abs(h).max()),
-                                abs(v @ f - lam * v).max() / (scale * abs(v).max())))
-    return _gate(kernel, pi, theta, lam, e, h, v, h.min() > 0 and v.min() > 0, residual)
+        lam, h, v, positive, residual = float(f[0, 0]), np.ones(1), np.ones(1), True, 0.0
+    else:
+        info, lam, h, v = _dgeev_perron(f)
+        if info:
+            _check(theta, info, lam, False, math.nan)  # dgeev computed no eigenvectors
+        # the eigenvectors' sign is arbitrary, and multiplying by -1 is exact
+        h = h * math.copysign(1.0, h.sum())
+        v = v * math.copysign(1.0, v.sum())
+        positive = h.min() > 0 and v.min() > 0
+        # relative residuals of both eigenpairs, which scaling h or v leaves
+        # unchanged; lam <= 0 fails anyway, so dividing by at least the smallest
+        # normal double (times a unit vector's max entry) is safe
+        scale = max(lam, _TINY)
+        residual = float(np.maximum(abs(f @ h - lam * h).max() / (scale * abs(h).max()),
+                                    abs(v @ f - lam * v).max() / (scale * abs(v).max())))
+    _check(theta, 0, lam, positive, residual)
+    pi = kernel.stationary
+    h = h / float(pi @ h)
+    v = v / float(v @ h)
+    h.setflags(write=False)
+    v.setflags(write=False)
+    return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, pi, residual, kernel)
 
 
 def _solve_batched(kernel: MapKernel, f):
-    """(kappa, h, v) at every matrix of the stack f: _solve_one's scaling,
-    dgeev call and Perron pick per matrix, and its sign fix, checks and
-    normalization as array operations over the stack; a one-state kernel needs
-    no dgeev call (kappa = log F, h = v = [1]).  A row that fails a check of
-    _failure holds NaN."""
+    """(h, ok) at every matrix of the stack f: _solve_one's scaling, dgeev
+    call and Perron pick per matrix, and its sign fix and checks as array
+    operations over the stack; a one-state kernel needs no dgeev call
+    (h = [1]).  ok is False where a row fails a check of _check, and h is
+    normalized to pi . h = 1 where ok and NaN elsewhere."""
     e = np.frexp(f.max(axis=(1, 2)))[1]
     e[np.abs(e) <= _EXP_LIMIT] = 0
     # ldexp by 0 leaves every other matrix's bits unchanged
@@ -338,7 +326,7 @@ def _solve_batched(kernel: MapKernel, f):
     info = np.zeros(t, dtype=int)
     if n == 1:
         lam = scaled[:, 0, 0]
-        h = v = np.ones((t, 1))
+        h = np.ones((t, 1))
         positive = np.ones(t, dtype=bool)
         residual = np.zeros(t)
     else:
@@ -362,11 +350,8 @@ def _solve_batched(kernel: MapKernel, f):
         )
     ok = (info == 0) & (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
     # a failed row is NaN before any arithmetic, which keeps it silent
-    kappa = np.log(np.where(ok, lam, np.nan)) + e * math.log(2.0)
     h = np.where(ok[:, None], h, np.nan)
-    h = h / (h @ kernel.stationary)[:, None]
-    v = np.where(ok[:, None], v, np.nan)
-    return kappa, h, v / (v * h).sum(axis=1)[:, None]
+    return h / (h @ kernel.stationary)[:, None], ok
 
 
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
@@ -379,8 +364,6 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     sol = kernel._solutions.get(theta)
     if sol is None:
         sol = _solve_one(kernel, theta, transform_matrix(kernel, theta))
-        if isinstance(sol, NoConvergence):
-            raise sol
         if len(kernel._solutions) >= _SOLUTION_LIMIT:
             kernel._solutions.clear()
         kernel._solutions[theta] = sol
@@ -399,20 +382,20 @@ def cgf_as(role: str, kernel: MapKernel, theta: float, derivative: bool = False)
 
 
 def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
-    """perron at every theta of `thetas` as one PerronStack, from one
+    """perron's h at every theta of `thetas` as one PerronStack, from one
     transform_matrix call for the whole stack and perron's dgeev call per
     finite matrix of it; it neither reads nor fills perron's cache.
 
-    A theta fails alone, as a NaN row: a non-finite transform matrix or a
-    failed check of _failure.  Only perron words the error at a theta.
+    A theta fails alone, as an unsolved NaN row: a non-finite transform matrix
+    or a failed check of _check.  Only perron words the error at a theta.
     """
     thetas = np.asarray(thetas, dtype=float)
     f = transform_matrix(kernel, thetas)
     finite = np.isfinite(f).all(axis=(1, 2))
     t, n = f.shape[:2]
-    kappa, h, v = np.full(t, np.nan), np.full((t, n), np.nan), np.full((t, n), np.nan)
-    kappa[finite], h[finite], v[finite] = _solve_batched(kernel, f[finite])
-    return PerronStack(thetas, kappa, h, v)
+    h, solved = np.full((t, n), np.nan), np.zeros(t, dtype=bool)
+    h[finite], solved[finite] = _solve_batched(kernel, f[finite])
+    return PerronStack(thetas, h, solved)
 
 
 def mean_rate(kernel: MapKernel) -> float:

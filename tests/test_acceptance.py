@@ -182,7 +182,7 @@ def test_criterion_07_copula_extraction_consistency():
 def test_criterion_08_power_control_correlation_signs(power_control_channel):
     stats = {}
     for tag, rho in (("neg", -0.5), ("pos", 0.5)):
-        (dim,) = dependence_control([Gaussian2(rho)], [np.array([0.3, 0.7])], 1)
+        dim = dependence_control([Gaussian2(rho)], np.array([0.3, 0.7]))
         corrs, means = [], []
         for run in range(100):
             _, c = controlled_capacity_process(

@@ -55,7 +55,7 @@ def test_quantize_capacity_mean_accuracy():
 
 
 def test_controlled_capacity_process_reproducible(power_control_channel):
-    (dim,) = dependence_control([one_param_frechet(0.5)], [np.array([0.3, 0.7])], 1)
+    dim = dependence_control([one_param_frechet(0.5)], np.array([0.3, 0.7]))
     states_a, capacity_a = controlled_capacity_process(dim, power_control_channel, 500, 42)
     states_b, capacity_b = controlled_capacity_process(dim, power_control_channel, 500, 42)
     assert np.array_equal(capacity_a, capacity_b)
@@ -65,15 +65,15 @@ def test_controlled_capacity_process_reproducible(power_control_channel):
 
 
 def test_controlled_capacity_state_occupancy(power_control_channel):
-    (dim,) = dependence_control([one_param_frechet(0.0)], [np.array([0.3, 0.7])], 1)
+    dim = dependence_control([one_param_frechet(0.0)], np.array([0.3, 0.7]))
     states, _ = controlled_capacity_process(dim, power_control_channel, 20_000, 3)
     assert np.mean(states[1:] == 0) == pytest.approx(0.3, abs=0.02)
 
 
 def test_controlled_capacity_states_follow_the_searchsorted_walk(delay_figure_channel):
     # three steps, then the last step's matrix repeats
-    (dim,) = dependence_control([[one_param_frechet(a) for a in (-0.5, 0.2, 0.8)]],
-                                [np.array([0.3, 0.7])], 3)
+    dim = dependence_control([one_param_frechet(a) for a in (-0.5, 0.2, 0.8)],
+                             np.array([0.3, 0.7]))
     assert len(dim.transitions) == 3
     states, _ = controlled_capacity_process(dim, delay_figure_channel, 400, [5, 1])
     walk = searchsorted_walk(dim.transitions, dim.initial, 400, [5, 1])

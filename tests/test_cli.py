@@ -749,6 +749,51 @@ def test_steps_list_runs_under_simulate(tmp_path):
     assert len(rows) == 2 and rows[1].endswith(",200")
 
 
+FIRST_DIMENSION = {"varpi": [0.3, 0.7], "copula": {"family": "frechet1", "alpha": 0.5}}
+# this grid copula on the marginal [0.5, 0.5] gives the transition entry -0.2
+INCOMPATIBLE_DIMENSION = {"varpi": [0.5, 0.5],
+                          "copula": {"family": "grid",
+                                     "values": [[0, 0, 0], [0, 0.6, 0.5], [0, 0.5, 1]]}}
+
+
+def _two_dimension_doc(dimensions):
+    return {"arrival": {"constant": 40.0},
+            "service": {"channel": {"bandwidth": 20.0, "snr": [["db:40", "db:10"]] * 2,
+                                    "states": ["hi", "lo"]},
+                        "copula": {"family": "frechet1", "alpha": -0.5}, "varpi": [0.3, 0.7]},
+            "copulas": {"dimensions": dimensions, "slots": 200, "runs": 2},
+            "simulation": {"horizon": 20, "replications": 200, "seed": 1, "levels": [1, 2]}}
+
+
+def test_simulate_plans_the_first_copulas_dimension_alone(tmp_path):
+    # simulate reads dimension 0 only, so an incompatible later dimension
+    # changes none of its files
+    files = {}
+    for name, dims in (("one", [FIRST_DIMENSION]),
+                       ("two", [FIRST_DIMENSION, INCOMPATIBLE_DIMENSION])):
+        cfg = _write(tmp_path, f"{name}.yaml", yaml.safe_dump(_two_dimension_doc(dims)))
+        out = tmp_path / name
+        assert _run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        files[name] = [(out / f).read_bytes() for f in ("tails.csv", "correlation.csv")]
+    assert files["one"] == files["two"]
+
+
+def test_control_names_the_incompatible_entry_as_a_plain_number(tmp_path, capsys):
+    doc = _two_dimension_doc([FIRST_DIMENSION, INCOMPATIBLE_DIMENSION])
+    cfg = _write(tmp_path, "two.yaml", yaml.safe_dump(doc))
+    assert _run(["control", "--config", cfg, "--out", str(tmp_path / "ctl")]) == 5
+    err = capsys.readouterr().err
+    assert "transition entry -0.19999999999999996 < -1e-9" in err and "np.float64(" not in err
+
+
+def test_steps_list_of_another_length_than_horizon_fails_at_load(tmp_path, capsys):
+    doc = yaml.safe_load(CONTROL_CFG)
+    doc["copulas"] = dict(STEPS_COPULAS, horizon=3)
+    cfg = _write(tmp_path, "steps3.yaml", yaml.safe_dump(doc))
+    assert _run(["spectral", "--config", cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+    assert "need one copula per step" in capsys.readouterr().err
+
+
 BOOL_LABEL_CFG = """\
 arrival:
   kernel:

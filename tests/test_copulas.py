@@ -214,8 +214,8 @@ def test_transition_extraction_levels_end_at_exactly_one():
     assert spy.lattices[0][0][-1] == 1.0 and spy.lattices[0][1][-1] == 1.0
     assert transition_from_copula(Gaussian2(0.3), [0.56, 0.33, 0.11])[0].shape == (3, 3)
     # a distribution propagated by this plan used to reach the copula as 1 + 2^-52
-    plan = dependence_control([Gaussian2(0.21)], [[0.05, 0.75, 0.2]], 3)
-    for p in plan[0].transitions:
+    dim = dependence_control([Gaussian2(0.21)] * 3, [0.05, 0.75, 0.2])
+    for p in dim.transitions:
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -284,14 +284,9 @@ def test_transition_extraction_errors():
 
 
 def test_dependence_control_plan_consistency():
-    plan = dependence_control(
-        [one_param_frechet(0.5), [Product(), Comonotone()]],
-        [np.array([0.3, 0.7]), np.array([0.5, 0.5])],
-        horizon=2,
-    )
-    assert len(plan) == 2
-    dim0 = plan[0]
-    assert len(dim0.transitions) == 2
+    dim0 = dependence_control([one_param_frechet(0.5)] * 2, np.array([0.3, 0.7]))
+    dim1 = dependence_control([Product(), Comonotone()], np.array([0.5, 0.5]))
+    assert len(dim0.transitions) == len(dim1.transitions) == 2
     # homogeneous copula with its stationary marginal: time-invariant matrices
     assert np.allclose(dim0.transitions[0], dim0.transitions[1], atol=1e-12)
     # varpi_0 pushed through both steps stays the stationary marginal

@@ -111,6 +111,12 @@ def test_discrete_pmf_sample_lands_on_the_last_point_whatever_the_sum_rounds_to(
         assert law.sample(TopUniforms(), 3).tolist() == [5.0, 5.0, 5.0]
 
 
+def test_discrete_pmf_sum_message_names_a_plain_number():
+    with pytest.raises(ValueError) as err:
+        DiscretePmf((1.0, 2.0), (0.5, 0.6))
+    assert str(err.value) == "probabilities sum to 1.1, not 1"
+
+
 @given(st.floats(-0.4, 0.4), st.floats(0.5, 5.0), st.floats(0.2, 2.0))
 def test_tilted_mean_is_mgf_derivative(theta, mean, std):
     law = gaussian_quantized(mean, std, 48)

@@ -559,9 +559,7 @@ def test_perron_failures_name_theta():
 
 def _assert_row_is_solution(stack, k, sol):
     assert stack.solved[k] and stack.theta[k] == sol.theta
-    assert stack.kappa[k] == pytest.approx(sol.kappa, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(stack.h[k], sol.h, rtol=1e-12)
-    np.testing.assert_allclose(stack.v[k], sol.v, rtol=1e-12)
 
 
 def _assert_row_failed(stack, k, kernel, error, theta):
@@ -569,7 +567,7 @@ def _assert_row_failed(stack, k, kernel, error, theta):
     with pytest.raises(error, match=f"theta={re.escape(str(theta))}"):
         perron(kernel, theta)
     assert stack.theta[k] == theta and not stack.solved[k]
-    assert np.isnan(stack.kappa[k]) and np.isnan(stack.h[k]).all() and np.isnan(stack.v[k]).all()
+    assert np.isnan(stack.h[k]).all()
 
 
 @pytest.mark.parametrize("case", ["random", "rayleigh"])
@@ -583,7 +581,7 @@ def test_perron_grid_matches_perron_slice_by_slice(case):
         kernel = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c"))).negated
         thetas = np.geomspace(1e-3, 0.5, 21)
     stack = perron_grid(kernel, thetas)
-    assert stack.h.shape == stack.v.shape == (len(thetas), kernel.n_states)
+    assert stack.h.shape == (len(thetas), kernel.n_states)
     assert stack.solved.all()
     for k, theta in enumerate(thetas):
         _assert_row_is_solution(stack, k, perron(kernel, theta))
@@ -613,7 +611,7 @@ def test_perron_grid_makes_one_dgeev_call_per_finite_matrix(monkeypatch):
 
 
 def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
-    # kappa = log F, h = v = [1] for the whole stack, with no eigensolve
+    # h = [1] for the whole stack, with no eigensolve
     done = counters.tally()
     lapack = count_calls(monkeypatch, spectral_module, "dgeev")
     kernel = single_state_kernel(gaussian_quantized(3.0, math.sqrt(2.0)))
@@ -624,16 +622,30 @@ def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
     assert done()["stacked_matrices"] == 0 and lapack == []
     for k, theta in enumerate(thetas):
         _assert_row_is_solution(stack, k, perron(kernel, theta))
-    assert (stack.h == 1.0).all() and (stack.v == 1.0).all()
-    assert big.kappa[0] == pytest.approx(400.0, rel=1e-12)
+    assert (stack.h == 1.0).all()
+    assert big.solved[0] and big.h[0, 0] == 1.0
+
+
+def test_perron_grid_scales_a_multi_state_stack_by_powers_of_two():
+    # the largest entries of F lie near 2^253, 2^508, 2^763 and 2^1017: the last
+    # three pass 2^400, and unscaled dgeev fails the residual check there
+    p = np.array([[0.4, 0.6], [0.7, 0.3]])
+    laws = ((DiscretePmf((340.0, 347.0), (0.5, 0.5)), DiscretePmf((343.0, 350.0), (0.3, 0.7))),
+            (DiscretePmf((345.0, 353.0), (0.6, 0.4)), DiscretePmf((341.0, 352.0), (0.5, 0.5))))
+    kernel = MapKernel(("a", "b"), p, laws, np.array([0.5, 0.5]))
+    thetas = np.array([0.5, 1.0, 1.5, 2.0])
+    exponents = np.frexp(transform_matrix(kernel, thetas).max(axis=(1, 2)))[1]
+    assert exponents.tolist() == [253, 508, 763, 1017]
+    stack = perron_grid(kernel, thetas)
+    for k, theta in enumerate(thetas):
+        _assert_row_is_solution(stack, k, perron(kernel, theta))
 
 
 def test_perron_grid_of_no_theta_is_empty():
     kernel = random_kernel(np.random.default_rng(13), 3)
     stack = perron_grid(kernel, [])
-    assert stack.theta.shape == stack.kappa.shape == (0,)
-    assert stack.h.shape == stack.v.shape == (0, 3)
-    assert stack.solved.shape == (0,)
+    assert stack.theta.shape == stack.solved.shape == (0,)
+    assert stack.h.shape == (0, 3)
 
 
 def test_perron_grid_where_every_theta_fails():
