@@ -76,50 +76,45 @@ def _delay_level(d, whole: bool = True):
     return d
 
 
-def _state_pairs(arrival: MapKernel, service: MapKernel, arrival_time: str):
-    """(arrival index, service index, conditioning label) per state pair.
-
-    A one-state arrival chain (constant traffic among them) has nothing to
-    condition on, so its labels name the service state alone.
-    """
-    for ia, la in enumerate(arrival.state_labels):
-        for i_s, ls in enumerate(service.state_labels):
-            if arrival.n_states == 1:
-                yield ia, i_s, f"S[{ls}]@0"
-            else:
-                yield ia, i_s, f"A[{la}]@{arrival_time},S[{ls}]@0"
+def _sandwich_rows(arrival: MapKernel, service: MapKernel, levels, root, f_a,
+                   h_minus: float, h_plus: float, rate: float, arrival_time: str) -> list:
+    """Per level x: the row h± f_A[i] h^{-S}_j e^{-rate x} of each state pair
+    (i, j), arrival state outer, then "average", the pair rows weighted by
+    varpi_A[i] varpi_S[j].  A one-state arrival chain (constant traffic among
+    them) has nothing to condition on, so its labels name the service state
+    alone."""
+    labels = [f"S[{ls}]@0" if arrival.n_states == 1 else f"A[{la}]@{arrival_time},S[{ls}]@0"
+              for la in arrival.state_labels for ls in service.state_labels]
+    pairs = (f_a[:, None] * root.neg_service.h).ravel()
+    weights = np.outer(arrival.initial_dist, service.initial_dist).ravel()
+    out = []
+    for x in levels:
+        decay = math.exp(-rate * x)
+        lo_x, up_x = h_minus * pairs * decay, h_plus * pairs * decay
+        average = ("average", float(np.sum(weights * lo_x)), float(np.sum(weights * up_x)))
+        for label, lo, up in [*zip(labels, lo_x, up_x), average]:
+            out.append(BoundReport(x, _clamp(lo), _clamp(up), root.theta_star, label, lo, up))
+    return out
 
 
 def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
     """Double-sided P(D > d) bounds, per initial-state pair and averaged.
 
-    The conditioning pairs the arrival chain state at time d with the
-    service chain state at time 0; the arrival state distribution at d is
-    propagated as varpi_0 P^d.  The bound value itself depends on the
-    service state only, through h^{-S}_{J_0}.  Levels are whole slots d >= 0;
-    a one-state arrival chain has P^d = [1], so any real d >= 0 is defined.
+    The conditioning pairs the arrival chain state at slot d with the
+    service chain state at time 0.  The bound depends on the service state
+    only, through h^{-S}_{J_0}, so the average's arrival weights sum to one.
+    A multi-state arrival's rows are conditioned on its state at slot d, so
+    its levels are whole slots d >= 0; a one-state arrival chain admits any
+    real d >= 0.
     """
     d_range = [_delay_level(d, whole=arrival.n_states > 1) for d in d_range]
     root = stability_root(arrival, service)
     h_a, h_s = root.arrival.h, root.neg_service.h
     kappa = root.arrival.kappa
-    theta = root.theta_star
     h_plus = (h_a.max() / h_a.min()) / h_s.min()
     h_minus = math.exp(-kappa) * (h_a.min() / h_a.max()) ** 2 / h_s.max()
-    out = []
-    for d in d_range:
-        decay = math.exp(-kappa * d)
-        p_a_d = np.linalg.matrix_power(arrival.transition, int(d))
-        varpi_a_d = arrival.initial_dist @ p_a_d
-        for _, i_s, label in _state_pairs(arrival, service, "d"):
-            lo = h_minus * h_s[i_s] * decay
-            up = h_plus * h_s[i_s] * decay
-            out.append(BoundReport(d, _clamp(lo), _clamp(up), theta, label, lo, up))
-        weights = np.outer(varpi_a_d, service.initial_dist)
-        lo = float(np.sum(weights * (h_minus * h_s[None, :] * decay)))
-        up = float(np.sum(weights * (h_plus * h_s[None, :] * decay)))
-        out.append(BoundReport(d, _clamp(lo), _clamp(up), theta, "average", lo, up))
-    return out
+    return _sandwich_rows(arrival, service, d_range, root, np.ones(arrival.n_states),
+                          h_minus, h_plus, kappa, "d")
 
 
 def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
@@ -129,19 +124,8 @@ def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
     h_a, h_s = root.arrival.h, root.neg_service.h
     h_plus = 1.0 / (h_a.min() * h_s.min())
     h_minus = math.exp(-root.arrival.kappa) * h_a.min() / (h_a.max() ** 2 * h_s.max())
-    theta = root.theta_star
-    out = []
-    for b in b_range:
-        decay = math.exp(-theta * b)
-        for ia, i_s, label in _state_pairs(arrival, service, "0"):
-            factor = h_a[ia] * h_s[i_s] * decay
-            lo, up = h_minus * factor, h_plus * factor
-            out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, label, lo, up))
-        weights = np.outer(arrival.initial_dist, service.initial_dist)
-        factor = float(np.sum(weights * np.outer(h_a, h_s))) * decay
-        lo, up = h_minus * factor, h_plus * factor
-        out.append(BoundReport(b, _clamp(lo), _clamp(up), theta, "average", lo, up))
-    return out
+    return _sandwich_rows(arrival, service, b_range, root, h_a,
+                          h_minus, h_plus, root.theta_star, "0")
 
 
 def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: float) -> HorizonBoundReport:

@@ -182,9 +182,7 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
         raise ConfigError("simulate needs a seed (config simulation.seed or --seed)")
     metric = args.mode or config.metric
     levels = _float_list(args.levels) if args.levels else list(config.levels)
-    estimates = sim.tail_estimate(config.arrival, config.service, levels, config.replications,
-                                  config.horizon, seed, metric=metric)
-
+    # the bounds first: an unstable queue exits before the Monte Carlo runs
     bound_map = {}
     theta_star = math.nan
     try:
@@ -196,6 +194,8 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
                 theta_star = r.theta_star
     except (NoRootInDomain, MgfDiverged):
         pass  # e.g. zero traffic: the tail estimate stands on its own
+    estimates = sim.tail_estimate(config.arrival, config.service, levels, config.replications,
+                                  config.horizon, seed, metric=metric)
 
     rows = []
     for e in estimates:

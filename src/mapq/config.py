@@ -160,16 +160,24 @@ def _count(section: dict, key: str, default: int, where: str) -> int:
 
 def _parse_plan(doc: dict) -> PlanSpec:
     """One controlled dimension, or a `dimensions` list of them, each with a
-    `varpi` and a `copula` or a per-step `steps` list, as `horizon` copulas per
-    dimension (a single copula is repeated).  The plan horizon is `horizon` if
-    given, else the length of a `steps` list, else 1; a `steps` list of
-    another length raises ConfigError."""
+    `varpi` and either a `copula` or a per-step `steps` list, as `horizon`
+    copulas per dimension (a single copula is repeated).  The plan horizon is
+    `horizon` if given, else the length of a `steps` list, else 1; a `steps`
+    list of another length, or a dimension key beside `dimensions`, raises
+    ConfigError."""
+    dimensions = doc.get("dimensions")
+    if dimensions and not {"varpi", "copula", "steps"}.isdisjoint(doc):
+        raise ConfigError("a copulas section with dimensions takes varpi, copula and steps "
+                          "in each dimension only")
     temporal, varpi = [], []
     try:
-        for dim in doc.get("dimensions") or [doc]:
+        for dim in dimensions or [doc]:
             if "varpi" not in dim:
                 raise ConfigError("each controlled dimension needs a varpi distribution")
             varpi.append(np.asarray(dim["varpi"], dtype=float))
+            if "steps" in dim and "copula" in dim:
+                raise ConfigError("a controlled dimension takes a copula or a steps list, "
+                                  "not both")
             if "steps" in dim:
                 temporal.append([parse_copula(d) for d in dim["steps"]])
             elif "copula" in dim:

@@ -173,12 +173,12 @@ def _capacity_integrals(n, nodes, tilted):
     inf where the value overflows.  nodes(level) gives the laws' (L, m) arrays of
     log(1 + snr g) and log(weight) - g at the nodes that step adds (level 1: the
     first two steps).  Each step is evaluated in one (L, T, m) buffer over the
-    rows and columns that still hold an uncertified pair; a pair keeps the sums
-    of the step that certified it."""
+    rows that still hold an uncertified pair; a pair keeps the sums of the
+    step that certified it."""
     COUNTS["quadrature_calls"] += 1
     COUNTS["rayleigh_integrations"] += n.shape[0]
     out = np.full(n.shape, np.nan)
-    rows, cols = np.arange(n.shape[0]), np.arange(n.shape[1])
+    rows = np.arange(n.shape[0])
     pending = np.ones(n.shape, dtype=bool)
     n = n[:, :, None]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -208,18 +208,14 @@ def _capacity_integrals(n, nodes, tilted):
             if total.shape == out.shape and certified.all():
                 return total  # every pair certifies at this step
             i, j = np.nonzero(certified)
-            out[rows[i], cols[j]] = total[i, j]
+            out[rows[i], j] = total[i, j]
             pending ^= certified
-            keep_rows, keep_cols = pending.any(axis=1), pending.any(axis=0)
+            keep_rows = pending.any(axis=1)
             if not keep_rows.any():
                 break
             if not keep_rows.all():
                 rows, n, total, end_ok, pending = (
                     a[keep_rows] for a in (rows, n, total, end_ok, pending))
-            if not keep_cols.all():
-                cols, n, total, end_ok, pending = (
-                    a[:, keep_cols] if a.ndim > 1 else a[keep_cols]
-                    for a in (cols, n, total, end_ok, pending))
     return out
 
 

@@ -143,19 +143,47 @@ def test_constant_arrival_backlog_is_rescaled_delay(toy_service):
 
 
 def test_delay_levels_are_whole_slots(toy_service):
-    # P^d of a multi-state arrival chain needs whole d >= 0 (d = -1 used to
-    # invert P, and 2.5 to mix P^2 with the decay at 2.5)
+    # a multi-state arrival's rows are conditioned on its state at slot d,
+    # so d must be whole slots >= 0
     arrival = MapKernel(("on", "off"), np.array([[0.8, 0.2], [0.3, 0.7]]),
                         ((Constant(1.0), Constant(0.0)), (Constant(1.0), Constant(0.0))),
                         np.array([0.5, 0.5]))
     for bad in (2.5, -1, float("inf")):
         with pytest.raises(ValueError, match="whole slots"):
             bd.delay_bounds(arrival, toy_service, [1, bad])
-    # a one-state chain has P^d = [1], so any finite d >= 0 is defined
+    # a one-state chain has no state to condition on, so any finite d >= 0 is defined
     constant = single_state_kernel(Constant(1.0))
     assert len(bd.delay_bounds(constant, toy_service, [2.5])) == 2
     with pytest.raises(ValueError, match="delay level"):
         bd.delay_bounds(constant, toy_service, [-1])
+
+
+def test_delay_rows_are_the_service_factor_times_the_decay():
+    # each row, "average" among them, is h+- h^{-S}_j e^{-kappa^A(theta*) d}:
+    # the arrival state and its initial distribution drop out
+    rng = np.random.default_rng(5)
+    service = random_kernel(rng, 2, mean_offset=3.0)
+    increments = ((Constant(3.0), Constant(1.0)), (Constant(3.0), Constant(1.0)))
+    transition = np.array([[0.8, 0.2], [0.3, 0.7]])
+    rows = []
+    for initial in ([0.5, 0.5], [0.9, 0.1]):
+        arrival = MapKernel(("on", "off"), transition, increments, np.array(initial))
+        rows.append(bd.delay_bounds(arrival, service, [0, 1, 3]))
+    root = stability_root(arrival, service)
+    h_a, h_s = root.arrival.h, root.neg_service.h
+    kappa = root.arrival.kappa
+    h_plus = (h_a.max() / h_a.min()) / h_s.min()
+    h_minus = math.exp(-kappa) * (h_a.min() / h_a.max()) ** 2 / h_s.max()
+    service_factor = {f"S[{s}]@0": h for s, h in zip(service.state_labels, h_s)}
+    average = float(service.initial_dist @ h_s)
+    for r, r_other in zip(*rows):
+        assert (r.level, r.conditioning) == (r_other.level, r_other.conditioning)
+        factor = service_factor.get(r.conditioning.split(",")[-1], average)
+        decay = math.exp(-kappa * r.level)
+        for row in (r, r_other):
+            assert row.lower_raw == pytest.approx(h_minus * factor * decay, rel=1e-14)
+            assert row.upper_raw == pytest.approx(h_plus * factor * decay, rel=1e-14)
+    assert len(rows[0]) == 3 * (2 * 2 + 1)
 
 
 def test_constant_arrival_unstable(toy_service):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 import yaml
 
-from mapq import cli, counters, spectral
-from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, build_parser, main
+from conftest import count_calls
+from mapq import cli, counters, sim, spectral
+from mapq.cli import EXIT_NUMERIC, EXIT_PARSE, EXIT_UNSTABLE, build_parser, main
 
 
 def _run(args):
@@ -106,6 +107,15 @@ def test_unstable_config_exits_4(tmp_path, toy_config_text):
     doc["arrival"]["constant"] = 99.0
     cfg = _write(tmp_path, "unstable.yaml", yaml.safe_dump(doc))
     assert _run(["bounds", "--config", cfg, "--mode", "delay", "--levels", "1"]) == 4
+
+
+def test_unstable_simulate_exits_4_before_sampling(tmp_path, toy_config_text, monkeypatch):
+    doc = yaml.safe_load(toy_config_text)
+    doc["arrival"]["constant"] = 3.5
+    cfg = _write(tmp_path, "unstable.yaml", yaml.safe_dump(doc))
+    calls = count_calls(monkeypatch, sim, "tail_estimate")
+    assert _run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_UNSTABLE
+    assert calls == []
 
 
 def test_degenerate_root_exits_3(tmp_path):
@@ -567,6 +577,32 @@ def test_ordercheck_needs_inputs():
     assert _run(["ordercheck"]) == 2
 
 
+def test_ordercheck_out_writes_the_printed_report(tmp_path, capsys):
+    x = _write(tmp_path, "x.csv", "1,1\n")
+    y = _write(tmp_path, "y.csv", "0,0.5\n2,0.5\n")
+    out = tmp_path / "report"
+    assert _run(["ordercheck", "--pmf-x", x, "--pmf-y", y, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert (out / "order_report.txt").read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("option, text", [
+    ("--pmf-x", "1,0.5,2\n3,0.5,4\n"),  # a PMF file has two columns
+    ("--samples-x", "0.1,abc\n0.2,0.3\n"),
+], ids=["pmf-three-columns", "samples-unparsable"])
+def test_ordercheck_bad_input_file_exits_2(tmp_path, capsys, option, text):
+    bad = _write(tmp_path, "bad.csv", text)
+    good = _write(tmp_path, "good.csv", "1,1\n" if option == "--pmf-x" else "0.1,0.2\n")
+    other = option.replace("-x", "-y")
+    assert _run(["ordercheck", option, bad, other, good]) == EXIT_PARSE
+    assert "bad.csv" in capsys.readouterr().err
+
+
+def test_control_without_copulas_section_exits_2(tmp_path, toy_cfg, capsys):
+    assert _run(["control", "--config", toy_cfg, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert "copulas section" in capsys.readouterr().err
+
+
 def test_spectral_solves_once_per_role_and_theta(tmp_path):
     # kappa, kappa_dot, h, v and pi of a row all come from one eigensolve
     done = counters.tally()
@@ -712,6 +748,11 @@ def test_bad_experiment_channel_exits_2(tmp_path, toy_config_text, capsys, comma
     ("experiment", {"rate": "fast"}),
     ("experiment", {"rate": -1.0}),
     ("experiment", {"rate": float("inf")}),
+    # a dimension key that would go unread: copula beside steps, or beside dimensions
+    ("copulas", {"varpi": [0.3, 0.7], "copula": {"family": "frechet1", "alpha": 0.5},
+                 "steps": [{"family": "p"}]}),
+    ("copulas", {"copula": {"family": "frechet1", "alpha": 0.5},
+                 "dimensions": [{"varpi": [0.3, 0.7], "copula": {"family": "p"}}]}),
 ])
 @pytest.mark.parametrize("command", ["simulate", "spectral"])
 def test_malformed_section_exits_2(tmp_path, toy_config_text, name, value, command):
