@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
 
 from .counters import COUNTS
 from .errors import IncompatibleCopula, OutOfUnitInterval, ZeroMassState
@@ -101,6 +100,9 @@ def bvn_cdf(a: float, b: float, rho: float) -> float:
     1/4 + asin(rho) / (2 pi).  Within 2.2e-16 absolute of 30-digit values
     for |rho| up to 0.99.
     """
+    # imported here, as in Gaussian2._grid: only a Gaussian copula loads scipy.special
+    from scipy.special import ndtr, owens_t
+
     COUNTS["bvn_cdf_calls"] += 1
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho!r}")
@@ -133,6 +135,8 @@ class Gaussian2(CopulaSpec):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho!r}")
 
     def _grid(self, u, v):
+        from scipy.special import ndtri
+
         out = Comonotone()._grid(u, v)  # exact on the edges, where every copula is M
         rows = np.flatnonzero((0.0 < u) & (u < 1.0))
         cols = np.flatnonzero((0.0 < v) & (v < 1.0))

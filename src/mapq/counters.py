@@ -2,8 +2,9 @@
 
     scalar_solves          perron's eigensolves (a kept solution adds none), one-state
                            closed forms included
-    stacked_matrices       matrices of perron_grid stacks that go to dgeev (a
-                           one-state stack is solved in closed form, with none)
+    stacked_matrices       matrices of perron_grid stacks that go to the batched
+                           eigensolve (a one-state stack is solved in closed
+                           form, with none)
     rayleigh_integrations  Rayleigh capacity laws integrated: the rows of each
                            quadrature's (law, theta) exponent stack
     quadrature_calls       those quadratures, one per Rayleigh transform of a call

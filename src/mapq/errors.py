@@ -19,8 +19,8 @@ class MgfDiverged(MapqError):
 
 
 class NoConvergence(MapqError):
-    """A Perron eigensolve failed one of spectral._check's checks: dgeev
-    returned info != 0, the dominant eigenvalue is not positive, the
+    """A Perron eigensolve failed one of spectral._check's checks: LAPACK's
+    eigensolve came back NaN, the dominant eigenvalue is not positive, the
     eigenvectors are not strictly positive, or their relative residual is
     above 1e-10."""
 

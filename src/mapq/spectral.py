@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.lapack import _compute_lwork
+from numpy.linalg import _umath_linalg
 
 from .counters import COUNTS
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
@@ -234,21 +233,25 @@ _EXP_LIMIT = 400
 _RESIDUAL_TOL = 1e-10
 _TINY = np.finfo(float).tiny
 
-dgeev, _dgeev_lwork = get_lapack_funcs(("geev", "geev_lwork"), dtype=np.float64)
+
+def _eig(f: np.ndarray):
+    """(w, vr, vl) of the matrix or stack f from numpy's LAPACK gufuncs: the
+    complex eigenvalues, right eigenvectors (columns of vr, geev's) and left
+    eigenvectors (rows of vl = vr^-1).  A matrix whose eigensolve or inverse
+    fails comes back NaN, and the other matrices of a stack are unaffected;
+    the public np.linalg.eig raises LinAlgError for the whole stack there,
+    and its wrapping costs several times the gufunc call on a 2x2 matrix."""
+    with np.errstate(invalid="ignore"):
+        w, vr = _umath_linalg.eig(f, signature="d->DD")
+        return w, vr, _umath_linalg.inv(vr, signature="D->D")
 
 
-@cache
-def _geev_lwork(n: int) -> int:
-    """The dgeev workspace size that scipy's eig queries for an n x n matrix."""
-    return _compute_lwork(_dgeev_lwork, n, compute_vl=True, compute_vr=True)
-
-
-def _check(theta, info, lam, positive, residual):
+def _check(theta, failed, lam, positive, residual):
     """Raise the NoConvergence naming theta and the first Perron check that
-    fails: dgeev's info, the largest real eigenvalue lam, the sign of its
-    eigenvectors or their relative residual."""
-    if info:
-        raise NoConvergence(f"eigensolve failed at theta={theta}: dgeev info {info}")
+    fails: a non-finite eigensolve, the largest real eigenvalue lam, the sign
+    of its eigenvectors or their relative residual."""
+    if failed:
+        raise NoConvergence(f"eigensolve failed at theta={theta}: eigenpair not finite")
     if lam <= 0:
         raise NoConvergence(f"nonpositive dominant eigenvalue {lam!r} at theta={theta}")
     if not positive:
@@ -257,27 +260,15 @@ def _check(theta, info, lam, positive, residual):
         raise NoConvergence(f"eigen residual {residual!r} above {_RESIDUAL_TOL} at theta={theta}")
 
 
-def _dgeev_perron(f: np.ndarray):
-    """(info, lam, right, left) from one dgeev call on f: its largest real
-    eigenvalue and the real parts of that eigenvalue's eigenvectors.
-
-    The Perron root of a nonnegative irreducible matrix has the largest real
-    part; on a periodic chain -lambda ties with it in modulus.  Column k of vr
-    and of vl holds the real part of its eigenvectors (a complex pair keeps it
-    in the first of its two columns, which argmax picks).  Where info is
-    nonzero dgeev computed no eigenvectors."""
-    # compute_vl, compute_vr and lwork by position: f2py parses keywords
-    # about 1 us slower, which a stack pays per matrix
-    wr, _, vl, vr, info = dgeev(f, 1, 1, _geev_lwork(len(f)))
-    k = wr.argmax()
-    return info, float(wr[k]), vr[:, k], vl[:, k]
-
-
 def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
     """SpectralSolution at theta from the one finite transform matrix f: one
-    dgeev call gives both eigenvector sides, and a one-state kernel needs none
+    _eig call gives both eigenvector sides, and a one-state kernel needs none
     (kappa = log F, h = v = pi = [1]).  Raises the NoConvergence of the first
-    check of _check that fails."""
+    check of _check that fails.
+
+    The Perron root of a nonnegative irreducible matrix has the largest real
+    part; on a periodic chain -lambda ties with it in modulus.  Its
+    eigenvectors are real up to rounding, so their real parts are kept."""
     COUNTS["scalar_solves"] += 1
     # LAPACK's geev returns a wrong eigenvalue once entries pass about 1e138
     # (or fall below 1e-138): scale F exactly by a power of two far from 1
@@ -290,9 +281,11 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
     if len(f) == 1:
         lam, h, v, positive, residual = float(f[0, 0]), np.ones(1), np.ones(1), True, 0.0
     else:
-        info, lam, h, v = _dgeev_perron(f)
-        if info:
-            _check(theta, info, lam, False, math.nan)  # dgeev computed no eigenvectors
+        w, vr, vl = _eig(f)
+        k = w.real.argmax()
+        lam, h, v = float(w.real[k]), vr[:, k].real, vl[k].real
+        if not (np.isfinite(h).all() and np.isfinite(v).all()):
+            _check(theta, True, lam, False, math.nan)
         # the eigenvectors' sign is arbitrary, and multiplying by -1 is exact
         h = h * math.copysign(1.0, h.sum())
         v = v * math.copysign(1.0, v.sum())
@@ -303,7 +296,7 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
         scale = max(lam, _TINY)
         residual = float(np.maximum(abs(f @ h - lam * h).max() / (scale * abs(h).max()),
                                     abs(v @ f - lam * v).max() / (scale * abs(v).max())))
-    _check(theta, 0, lam, positive, residual)
+    _check(theta, False, lam, positive, residual)
     pi = kernel.stationary
     h = h / float(pi @ h)
     v = v / float(v @ h)
@@ -313,17 +306,16 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
 
 
 def _solve_batched(kernel: MapKernel, f):
-    """(h, ok) at every matrix of the stack f: _solve_one's scaling, dgeev
-    call and Perron pick per matrix, and its sign fix and checks as array
-    operations over the stack; a one-state kernel needs no dgeev call
-    (h = [1]).  ok is False where a row fails a check of _check, and h is
-    normalized to pi . h = 1 where ok and NaN elsewhere."""
+    """(h, ok) at every matrix of the stack f: _solve_one's scaling and
+    Perron pick, with one _eig call for the whole stack, and its sign fix and
+    checks as array operations over the stack; a one-state kernel needs no
+    eigensolve (h = [1]).  ok is False where a row fails a check of _check,
+    and h is normalized to pi . h = 1 where ok and NaN elsewhere."""
     e = np.frexp(f.max(axis=(1, 2)))[1]
     e[np.abs(e) <= _EXP_LIMIT] = 0
     # ldexp by 0 leaves every other matrix's bits unchanged
     scaled = np.ldexp(f, -e[:, None, None]) if e.any() else f
     t, n = f.shape[:2]
-    info = np.zeros(t, dtype=int)
     if n == 1:
         lam = scaled[:, 0, 0]
         h = np.ones((t, 1))
@@ -331,13 +323,11 @@ def _solve_batched(kernel: MapKernel, f):
         residual = np.zeros(t)
     else:
         COUNTS["stacked_matrices"] += t
-        lam = np.empty(t)
-        hv = np.empty((2, t, n))
-        for k, m in enumerate(scaled):
-            info[k], lam[k], hv[0, k], hv[1, k] = _dgeev_perron(m)
-        # where dgeev failed it computed no eigenvectors: check ones instead
-        lam[info != 0] = 1.0
-        hv[:, info != 0] = 1.0
+        w, vr, vl = _eig(scaled)
+        rows = np.arange(t)
+        k = w.real.argmax(axis=1)
+        lam = w.real[rows, k]
+        hv = np.stack([vr[rows, :, k].real, vl[rows, k].real])
         hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
         positive = hv.min(axis=(0, 2)) > 0
         h, v = hv
@@ -348,8 +338,9 @@ def _solve_batched(kernel: MapKernel, f):
             abs((v[:, None, :] @ scaled)[:, 0, :] - lam[:, None] * v).max(axis=1)
             / (scale * abs(v).max(axis=1)),
         )
-    ok = (info == 0) & (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
-    # a failed row is NaN before any arithmetic, which keeps it silent
+    # a row whose eigensolve failed is NaN and fails every check; each failed
+    # row is NaN before the normalization, which keeps it silent
+    ok = (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
     h = np.where(ok[:, None], h, np.nan)
     return h / (h @ kernel.stationary)[:, None], ok
 
@@ -383,8 +374,8 @@ def cgf_as(role: str, kernel: MapKernel, theta: float, derivative: bool = False)
 
 def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
     """perron's h at every theta of `thetas` as one PerronStack, from one
-    transform_matrix call for the whole stack and perron's dgeev call per
-    finite matrix of it; it neither reads nor fills perron's cache.
+    transform_matrix call for the whole stack and one _eig call for its
+    finite matrices; it neither reads nor fills perron's cache.
 
     A theta fails alone, as an unsolved NaN row: a non-finite transform matrix
     or a failed check of _check.  Only perron words the error at a theta.

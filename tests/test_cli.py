@@ -301,15 +301,14 @@ def test_more_levels_make_no_more_eigensolves(tmp_path, argv, one, many):
 
 
 def test_dgeev_failure_exits_3(tmp_path, monkeypatch):
-    # the two-state service needs LAPACK; dgeev reporting no convergence
-    # (info > 0) is a numeric failure
-    real = spectral.dgeev
+    # the two-state service needs LAPACK; dgeev not converging, which numpy's
+    # eigensolve reports as NaN, is a numeric failure
+    real = spectral._eig
 
-    def failing_dgeev(a, *args, **kwargs):
-        *out, _ = real(a, *args, **kwargs)
-        return (*out, 1)
+    def failing_eig(f):
+        return tuple(np.full_like(x, np.nan) for x in real(f))
 
-    monkeypatch.setattr(spectral, "dgeev", failing_dgeev)
+    monkeypatch.setattr(spectral, "_eig", failing_eig)
     cfg = _write(tmp_path, "pool.yaml", POOL_CFG)
     assert _run(["bounds", "--config", cfg, "--mode", "delay", "--levels", "1",
                  "--out", str(tmp_path)]) == 3
@@ -335,21 +334,28 @@ def test_importing_the_cli_leaves_scipy_stats_out():
     assert loaded == "False"
 
 
-def test_importing_the_cli_leaves_scipy_optimize_and_integrate_out():
-    # scipy.integrate's quad stays reachable as mapq.laws.quad, which
-    # perfbench/tracing.py reads and then patches through the module dict
+def test_importing_the_cli_leaves_scipy_optimize_and_integrate_out(tmp_path):
+    # in a fresh interpreter: no scipy module loads with the CLI; scipy.integrate's
+    # quad stays reachable as mapq.laws.quad, which perfbench/tracing.py reads
+    # and then patches through the module dict; a Gaussian copula loads
+    # scipy.special on first use
+    doc = yaml.safe_load(CONTROL_CFG)
+    doc["copulas"]["copula"] = {"family": "gauss2", "rho": 0.5}
+    cfg = _write(tmp_path, "gauss2.yaml", yaml.safe_dump(doc))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     code = ("import sys, mapq.cli, mapq.laws\n"
-            "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats')"
-            " if m in sys.modules])\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n"
             "quad = getattr(mapq.laws, 'quad')\n"
-            "print(vars(mapq.laws).get('quad') is quad is sys.modules['scipy.integrate'].quad)")
+            "print(vars(mapq.laws).get('quad') is quad is sys.modules['scipy.integrate'].quad)\n"
+            f"print(mapq.cli.main(['control', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))\n"
+            "print('scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout.splitlines()
-    assert out == ["[]", "True"]
+    # control prints its output paths before main returns 0
+    assert out[:2] == ["[]", "True"] and out[-2:] == ["0", "True"]
 
 
 def test_control_reproduces_printed_matrix(tmp_path):

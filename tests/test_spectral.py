@@ -71,7 +71,7 @@ def test_single_state_constant_cgf_is_linear():
 def test_one_state_perron_is_closed_form(monkeypatch):
     # kappa = log F, h = v = pi = [1], with no LAPACK call
     done = counters.tally()
-    lapack = count_calls(monkeypatch, spectral_module, "dgeev")
+    lapack = count_calls(monkeypatch, spectral_module, "_eig")
     k = single_state_kernel(DiscretePmf((-2.0, 0.5, 3.0), (0.2, 0.5, 0.3)))
     for theta in (-3.0, -0.1, 0.0, 0.7, 2.0):
         sol = perron(k, theta)
@@ -599,21 +599,23 @@ def test_perron_grid_fails_each_theta_alone():
         _assert_row_is_solution(got, k, perron(neg, thetas[k]))
 
 
-def test_perron_grid_makes_one_dgeev_call_per_finite_matrix(monkeypatch):
+def test_perron_grid_makes_one_eig_call_per_stack(monkeypatch):
     # a diverged transform is not solved; every other theta, failing the
-    # residual gate or not, is one dgeev call and no scalar solve
+    # residual gate or not, is a matrix of the stack's one _eig call, and
+    # no scalar solve
     service, theta_star = _gate_failing_service()
     thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star]
     done = counters.tally()
-    lapack = count_calls(monkeypatch, spectral_module, "dgeev")
+    lapack = count_calls(monkeypatch, spectral_module, "_eig")
     perron_grid(service.negated, thetas)
-    assert len(lapack) == done()["stacked_matrices"] == 3 and done()["scalar_solves"] == 0
+    assert len(lapack) == 1 and np.isfinite(lapack[0][0]).all()
+    assert len(lapack[0][0]) == done()["stacked_matrices"] == 3 and done()["scalar_solves"] == 0
 
 
 def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
     # h = [1] for the whole stack, with no eigensolve
     done = counters.tally()
-    lapack = count_calls(monkeypatch, spectral_module, "dgeev")
+    lapack = count_calls(monkeypatch, spectral_module, "_eig")
     kernel = single_state_kernel(gaussian_quantized(3.0, math.sqrt(2.0)))
     # at rate 400 the transform e^400 is scaled by a power of two first
     thetas = np.array([-1.0, 0.0, 0.4, 2.5])
@@ -659,15 +661,64 @@ def test_perron_grid_where_every_theta_fails():
         _assert_row_failed(stack, k, neg, error, theta)
 
 
+def _oracle_perron(kernel, theta):
+    """kappa, h and v at theta from scipy's eig with both eigenvector sides,
+    normalized as perron normalizes them."""
+    from scipy.linalg import eig  # the reference; mapq itself never imports it
+
+    w, vl, vr = eig(transform_matrix(kernel, theta), left=True)
+    k = w.real.argmax()
+    h = vr[:, k].real / (kernel.stationary @ vr[:, k].real)
+    v = vl[:, k].real / (vl[:, k].real @ h)
+    return math.log(w[k].real), h, v
+
+
+def test_perron_matches_scipys_eig_on_random_kernels():
+    # kappa and h come from the same LAPACK geev as scipy's; v comes from the
+    # inverse of the right eigenvectors, which rounds differently from geev's
+    # own left eigenvectors
+    rng = np.random.default_rng(27)
+    cases = [(random_kernel(np.random.default_rng(seed), 2 + seed % 7), rng.uniform(-1.0, 1.0))
+             for seed in range(50)]
+    cases.append((random_kernel(np.random.default_rng(70), 70, concentration=20.0), 0.4))
+    for kernel, theta in cases:
+        sol = perron(kernel, theta)
+        kappa, h, v = _oracle_perron(kernel, theta)
+        assert sol.kappa == pytest.approx(kappa, rel=1e-13)
+        np.testing.assert_allclose(sol.h, h, rtol=1e-13)
+        np.testing.assert_allclose(sol.v, v, rtol=1e-12)
+
+
+def test_perron_grid_mixing_real_and_complex_spectra_matches_perron():
+    # a 3-cycle with self-loops: F has a complex non-Perron pair at small
+    # theta, and growing distinct diagonal entries make its spectrum real at
+    # large theta
+    p = np.array([[0.1, 0.9, 0.0], [0.0, 0.1, 0.9], [0.9, 0.0, 0.1]])
+    zero = Constant(0.0)
+    laws = ((zero, zero, zero), (zero, Constant(1.0), zero), (zero, zero, Constant(2.0)))
+    kernel = MapKernel(("a", "b", "c"), p, laws, np.full(3, 1.0 / 3.0))
+    thetas = np.array([0.0, 3.0, 1.0, 3.5, 2.0, 4.0])
+    complex_pair = [bool(np.iscomplex(np.linalg.eigvals(f)).any())
+                    for f in transform_matrix(kernel, thetas)]
+    assert complex_pair == [True, False, True, False, True, False]
+    stack = perron_grid(kernel, thetas)
+    for k, theta in enumerate(thetas):
+        _assert_row_is_solution(stack, k, perron(kernel, theta))
+
+
 def _fail_dgeev_on(monkeypatch, bad):
-    """Make dgeev report no convergence (info > 0) for the matrix `bad`."""
-    real = spectral_module.dgeev
+    """Make _eig return NaN for the matrix `bad`, alone or in a stack, as
+    numpy's eigensolve does where dgeev does not converge."""
+    real = spectral_module._eig
 
-    def dgeev(a, *args, **kwargs):
-        *out, info = real(a, *args, **kwargs)
-        return (*out, 1 if np.array_equal(a, bad) else info)
+    def eig(f):
+        out = real(f)
+        hit = (f == bad).all(axis=(-2, -1))
+        for x in out:
+            x[hit] = np.nan
+        return out
 
-    monkeypatch.setattr(spectral_module, "dgeev", dgeev)
+    monkeypatch.setattr(spectral_module, "_eig", eig)
 
 
 def test_perron_fails_where_dgeev_does_not_converge(monkeypatch):
@@ -680,8 +731,8 @@ def test_perron_fails_where_dgeev_does_not_converge(monkeypatch):
 
 
 def test_perron_grid_survives_a_failed_stacked_eigensolve(monkeypatch):
-    # each matrix of a stack is its own dgeev call, so a matrix where dgeev
-    # does not converge fails its theta alone, as perron fails there
+    # a matrix of a stack where dgeev does not converge comes back NaN from
+    # the stack's one eigensolve, so it fails its theta alone, as perron fails there
     kernel = random_kernel(np.random.default_rng(14), 3)
     thetas = np.array([-0.3, 0.1, 0.4])
     expected = {k: perron(kernel, thetas[k]) for k in (0, 2)}
@@ -692,4 +743,4 @@ def test_perron_grid_survives_a_failed_stacked_eigensolve(monkeypatch):
         _assert_row_is_solution(got, k, sol)
     with pytest.raises(NoConvergence) as err:
         perron(kernel, 0.1)
-    assert str(err.value) == "eigensolve failed at theta=0.1: dgeev info 1"
+    assert str(err.value) == "eigensolve failed at theta=0.1: eigenpair not finite"

@@ -52,6 +52,16 @@ def test_pool_diff_counts_every_work_column_of_this_tree():
         "quadrature_calls": 1, "bvn_cdf_calls": 2}
 
 
+def test_pool_diff_attributes_no_cell_of_a_row_wider_than_its_header():
+    # the 3-cell row's last cell has no column name, and its second cell
+    # would be mistaken for kappa's if rows were named by position
+    base = [["theta", "kappa"], [0.5, 1.0], [1.0, 2.0, 3.0]]
+    src = [["theta", "kappa"], [0.5, 1.5], [1.0, 4.0, 5.0]]
+    moves = {}
+    assert pool_diff._column_moves(base, src, moves) == 1
+    assert moves == {"kappa": [0.5 / 1.5, 0.5]}
+
+
 def _references(module, tree):
     """{top-level node: the "module.name" strings it uses}, resolving names
     imported from sibling modules and attributes of an imported sibling."""

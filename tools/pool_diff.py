@@ -21,7 +21,8 @@ tree does more of that work than the base, the jobs whose exit code or
 failure differs, how many output files are byte-identical, the configs whose
 files differ (with how many files each), the worst relative difference of a
 numeric cell per job kind and, per CSV column whose cells move, the worst
-relative difference and the worst |difference| / max(1, |base|).  For
+relative difference and the worst |difference| / max(1, |base|); rows not as
+wide as their header are counted apart, unattributed to any column.  For
 simulate-fading it lists instead, per job, which files are byte-identical
 and, per level of tails.csv, the hits of each tree and |p_hat - p_hat_base|
 in binomial standard errors of the pooled estimate, then how many library
@@ -135,13 +136,21 @@ def _worst(a, b, where, worst):
 
 def _column_moves(base_rows, src_rows, moves):
     """Per column of two parsed CSVs with one header: keep the largest relative
-    and the largest |difference| / max(1, |base|) of its numeric cells."""
+    and the largest |difference| / max(1, |base|) of its numeric cells.  A row
+    whose width differs from the header's cannot name its cells' columns:
+    return how many such rows there are."""
+    header = base_rows[0]
+    unattributed = 0
     for base_row, src_row in zip(base_rows[1:], src_rows[1:]):
-        for name, a, b in zip(base_rows[0], base_row, src_row):
+        if len(base_row) != len(header) or len(src_row) != len(header):
+            unattributed += 1
+            continue
+        for name, a, b in zip(header, base_row, src_row):
             if isinstance(a, float) and isinstance(b, float) and a != b:
                 worst = moves.setdefault(name, [0.0, 0.0])
                 worst[0] = max(worst[0], abs(a - b) / max(abs(a), abs(b)))
                 worst[1] = max(worst[1], abs(a - b) / max(1.0, abs(a)))
+    return unattributed
 
 
 def _simulate_order(item):
@@ -245,6 +254,7 @@ def main():
             files = {}  # kind -> [byte-identical, compared]
             worst = {}
             columns = {}  # kind -> {column: [relative, scaled]}
+            unattributed = {}  # kind -> rows of differing CSVs not as wide as the header
             moved = {}  # config (the job id without its kind) -> files that differ
             for job_id, info in sorted(runs["src"].items()):
                 kind = job_id.rsplit("-", 1)[-1]
@@ -264,7 +274,8 @@ def main():
                     base, src = checks.read_output(paths[1]), checks.read_output(paths[0])
                     _worst(base, src, f"{job_id}/{os.path.basename(rel)}", w)
                     if rel.endswith(".csv"):
-                        _column_moves(base, src, columns.setdefault(kind, {}))
+                        n = _column_moves(base, src, columns.setdefault(kind, {}))
+                        unattributed[kind] = unattributed.get(kind, 0) + n
             print(f"{sum(c[0] for c in files.values())} of {sum(c[1] for c in files.values())}"
                   " output files byte-identical")
             print("files that differ, per config: "
@@ -279,6 +290,9 @@ def main():
                 for name, (relative, scaled) in sorted(columns.get(kind, {}).items()):
                     print(f"    column {name} moves: relative {relative:.3g},"
                           f" |difference| / max(1, |base|) {scaled:.3g}")
+                if unattributed.get(kind):
+                    print(f"    {unattributed[kind]} rows not as wide as their header:"
+                          " their cells are attributed to no column")
     return 1 if failed else 0
 
 
