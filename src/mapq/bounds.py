@@ -148,6 +148,7 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
         lambda t: (y * cgf_as("negated service", neg_service, t, derivative=True)
                    + (y - 1) * cgf_as("arrival", arrival, t, derivative=True)),
         "horizon delay equation y kappa'^-S + (y - 1) kappa'^A",
+        stacked=[(k, t) for k in (arrival, neg_service) for t in ("mgf", "tilted_mean")],
     )
     sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
     theta_y = -y * sol_s.kappa - (y - 1) * sol_a.kappa
@@ -172,6 +173,7 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
         lambda t: y * (cgf_as("arrival", arrival, t, derivative=True)
                        + cgf_as("negated service", neg_service, t, derivative=True)) - 1.0,
         "horizon backlog equation y (kappa'^A + kappa'^-S) - 1",
+        stacked=[(k, t) for k in (arrival, neg_service) for t in ("mgf", "tilted_mean")],
     )
     sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
     theta_y = theta - y * (sol_a.kappa + sol_s.kappa)

@@ -46,9 +46,8 @@ def capacity_kernel(transition, channel: ChannelSpec) -> MapKernel:
     increments = tuple(tuple(RayleighCapacity(channel.bandwidth, float(snr)) for snr in row)
                        for row in channel.snr_matrix)
     # start the chain at its stationary distribution unless told otherwise
-    probe = MapKernel(channel.power_states, transition, increments,
-                      np.full(n, 1.0 / n))
-    return MapKernel(channel.power_states, transition, increments, probe.stationary)
+    probe = MapKernel(channel.power_states, transition, increments, np.full(n, 1.0 / n))
+    return probe.started_at(probe.stationary)
 
 
 def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizon: int,
@@ -68,7 +67,7 @@ def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizo
     cums = _cumulative_rows(np.stack(dim.transitions))
     cum = cums[np.minimum(np.arange(horizon), len(cums) - 1)]
     states = _path_states(cum, dim.initial, horizon, rng)
-    gains = rng.exponential(size=horizon)
+    gains = rng.standard_exponential(horizon)
     snr = channel.snr_matrix[states[:-1], states[1:]]
     return states, channel.bandwidth * np.log2(1.0 + snr * gains)
 

@@ -221,8 +221,7 @@ def build_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("channel service needs a transition matrix, or a copula and varpi")
         service = capacity_kernel(transition, channel)
         if varpi is not None:
-            service = MapKernel(service.state_labels, service.transition, service.increments,
-                                varpi)
+            service = service.started_at(varpi)
 
     # the experiment's channel and service parsed; the config's service by default
     experiment = dict(_section(doc, "experiment"))

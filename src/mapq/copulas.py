@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -88,6 +89,15 @@ def one_param_frechet(alpha: float) -> Frechet:
     return Frechet(w_w, 1.0 - alpha * alpha, w_m)
 
 
+@cache
+def _special():
+    """(ndtr, owens_t, ndtri) of scipy.special, imported once, on first use: only
+    a Gaussian copula loads scipy.special."""
+    from scipy.special import ndtr, ndtri, owens_t
+
+    return ndtr, owens_t, ndtri
+
+
 def bvn_cdf(a: float, b: float, rho: float) -> float:
     """Bivariate standard normal CDF Phi2(a, b; rho).
 
@@ -100,9 +110,7 @@ def bvn_cdf(a: float, b: float, rho: float) -> float:
     1/4 + asin(rho) / (2 pi).  Within 2.2e-16 absolute of 30-digit values
     for |rho| up to 0.99.
     """
-    # imported here, as in Gaussian2._grid: only a Gaussian copula loads scipy.special
-    from scipy.special import ndtr, owens_t
-
+    ndtr, owens_t, _ = _special()
     COUNTS["bvn_cdf_calls"] += 1
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho!r}")
@@ -135,8 +143,7 @@ class Gaussian2(CopulaSpec):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho!r}")
 
     def _grid(self, u, v):
-        from scipy.special import ndtri
-
+        ndtri = _special()[2]
         out = Comonotone()._grid(u, v)  # exact on the edges, where every copula is M
         rows = np.flatnonzero((0.0 < u) & (u < 1.0))
         cols = np.flatnonzero((0.0 < v) & (v < 1.0))

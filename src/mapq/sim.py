@@ -508,7 +508,7 @@ def _multiplexed_batches(config, rng, *uniforms):
     max_batches = config.get("max_batches", 6)
     counts = [np.floor((max_batches + 1) * u).astype(int) for u in uniforms]
     n_samples, m = uniforms[0].shape
-    sizes = rng.exponential(size=(n_samples, m, max_batches + 1))
+    sizes = rng.standard_exponential((n_samples, m, max_batches + 1))
     cum = np.concatenate([np.zeros((n_samples, m, 1)), np.cumsum(sizes, axis=2)], axis=2)
     return [np.take_along_axis(cum, c[:, :, None], axis=2)[:, :, 0] for c in counts]
 

@@ -31,10 +31,12 @@ class MapKernel:
     initial_dist: np.ndarray
     # perron's solutions by theta, filled on success only
     _solutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # transform matrices by (transform, theta) that a root stacked ahead of its
+    # scalar solves; positive_root empties it when it returns
+    _ladder: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
-        w = np.asarray(self.initial_dist, dtype=float)
         n = len(self.state_labels)
         if p.shape != (n, n):
             raise ValueError(f"transition must be {n}x{n}, got {p.shape}")
@@ -43,9 +45,7 @@ class MapKernel:
             raise ValueError("transition entries must be nonnegative and finite")
         if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12:
             raise ValueError("transition rows must sum to 1 within 1e-12")
-        nonnegative_finite = np.all((w >= 0) & (w < np.inf))
-        if w.shape != (n,) or not (nonnegative_finite and abs(w.sum() - 1.0) <= 1e-12):
-            raise ValueError("initial_dist must be a length-n probability vector")
+        w = _initial_dist(self.initial_dist, n)
         if len(self.increments) != n or any(len(row) != n for row in self.increments):
             raise ValueError("increments must be an n x n matrix of laws")
         for row in self.increments:
@@ -123,14 +123,47 @@ class MapKernel:
                 others.append((law, rows, cols, p[rows, cols]))
         return others, RayleighStack(rayleigh) if rayleigh else None, cells
 
+    def _on_chain(self, increments, initial_dist) -> MapKernel:
+        """A kernel on this kernel's validated chain, built without a second
+        __post_init__: it shares the chain's stationary array."""
+        kernel = object.__new__(MapKernel)
+        kernel.__dict__.update(state_labels=self.state_labels, transition=self.transition,
+                               increments=increments, initial_dist=initial_dist,
+                               _solutions={}, _ladder={}, stationary=self.stationary)
+        return kernel
+
+    def started_at(self, initial_dist) -> MapKernel:
+        """This kernel with another initial distribution, which is validated; the
+        chain and the laws are not validated again."""
+        w = _initial_dist(initial_dist, self.n_states)
+        w.setflags(write=False)
+        return self._on_chain(self.increments, w)
+
     @cached_property
     def negated(self) -> MapKernel:
-        """The kernel with every increment law sign-flipped, built once per kernel."""
+        """The kernel with every increment law sign-flipped, built once per kernel
+        on its chain; its Rayleigh stack shares this kernel's quadrature nodes."""
         increments = tuple(
             tuple(law.inner if isinstance(law, Negated) else Negated(law) for law in row)
             for row in self.increments
         )
-        return MapKernel(self.state_labels, self.transition, increments, self.initial_dist)
+        neg = self._on_chain(increments, self.initial_dist)
+        stack, neg_stack = self._transform_groups[1], neg._transform_groups[1]
+        # the nodes depend on the snrs alone; the stacks can hold different laws
+        # (a doubly negated Rayleigh law is no stack law, but its flip is)
+        if stack is not None and np.array_equal(stack.snr, neg_stack.snr):
+            neg_stack._nodes = stack._nodes
+        return neg
+
+
+def _initial_dist(w, n: int) -> np.ndarray:
+    """w as a float array if it is a length-n probability vector, else ValueError."""
+    w = np.asarray(w, dtype=float)
+    # written so that NaN fails each check
+    nonnegative_finite = np.all((w >= 0) & (w < np.inf))
+    if w.shape != (n,) or not (nonnegative_finite and abs(w.sum() - 1.0) <= 1e-12):
+        raise ValueError("initial_dist must be a length-n probability vector")
+    return w
 
 
 def _irreducible(p: np.ndarray) -> bool:
@@ -198,9 +231,14 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
     other distinct law.
 
     For an array of theta it is the stack of those matrices, non-finite at a
-    theta where a transform diverges; a float theta raises MgfDiverged there.
+    theta where a transform diverges; a float theta raises MgfDiverged there,
+    and takes the matrix a root stacked for it (positive_root) if there is one.
     """
     stack = isinstance(theta, np.ndarray)
+    if not stack:
+        stacked = kernel._ladder.pop((transform, theta), None)
+        if stacked is not None:
+            return stacked
     thetas = theta if stack else np.array([theta], dtype=float)
     n = kernel.n_states
     out = np.zeros((len(thetas), n, n))
@@ -390,8 +428,9 @@ def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
 
 
 def mean_rate(kernel: MapKernel) -> float:
-    """Long-run mean increment per slot: kappa'(0) = sum_ij pi_i p_ij E[H_ij]."""
-    return perron(kernel, 0.0).kappa_dot
+    """Long-run mean increment per slot, sum_ij pi_i p_ij E[H_ij], from the
+    transform derivative at theta = 0; it is kappa'(0), with no eigensolve."""
+    return float(kernel.stationary @ _transform_derivative(kernel, 0.0).sum(axis=1))
 
 
 # brentq's tolerances, as positive_root passed them, and scipy's default iteration cap
@@ -451,12 +490,34 @@ def _zeroin(f, lo, hi, what: str) -> float:
     raise NoRootInDomain(f"{what} did not converge in {_MAXITER} steps, at theta={xcur}")
 
 
-def positive_root(f, what: str) -> float:
+# the first points of positive_root's bracket ladder 1e-3 * 2^k (doubling is
+# exact), whose transforms a root may compute as one stack
+_LADDER = tuple(1e-3 * 2.0 ** k for k in range(8))
+
+
+def _stack_ladder(kernel: MapKernel, transform: str):
+    """Put the kernel's `transform` matrices ("mgf" or "tilted_mean") at the
+    _LADDER points on its _ladder map, from one _entrywise stack: the finite
+    ones, and no transform matrix of a theta that perron has solved."""
+    thetas = np.array([t for t in _LADDER if transform != "mgf" or t not in kernel._solutions])
+    if len(thetas):
+        rows = _entrywise(kernel, thetas, transform, transform)
+        kernel._ladder.update(((transform, float(t)), row) for t, row in zip(thetas, rows)
+                              if np.isfinite(row).all())
+
+
+def positive_root(f, what: str, stacked=()) -> float:
     """The one positive root of a cgf equation f that is negative just above 0:
     bracketed by doubling from 1e-3 (halving below it when f(1e-3) > 0), then
     refined by Brent's zeroin (_zeroin).  A transform that diverges or an
     eigensolve that fails first raises NoRootInDomain naming `what` and theta,
-    as do a NaN value and a refinement that does not converge."""
+    as do a NaN value and a refinement that does not converge.
+
+    Each (kernel, transform) of `stacked` has its transforms at the _LADDER
+    points computed first, as one stack (_stack_ladder); the scalar call at
+    such a theta returns the stacked matrix, which equals its own bit for
+    bit.  A non-finite matrix is not kept, so that call raises as it would
+    unstacked, and the kernels keep none once the root returns."""
 
     def value(theta):
         try:
@@ -466,24 +527,30 @@ def positive_root(f, what: str) -> float:
             # spans more magnitudes than the eigensolve resolves
             raise NoRootInDomain(f"{what}: no root below theta={theta}, where {exc}") from exc
 
-    lo, hi = 0.0, 1e-3
-    for _ in range(128):
-        if value(hi) > 0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NoRootInDomain(f"{what} never crossed zero up to theta={hi}")
-    if lo == 0.0:
-        # the root lies below 1e-3: halve towards the origin until f is
-        # negative; at theta = 0 a cgf is exactly 0, the trivial root
-        for _ in range(64):
-            lo = 0.5 * hi
-            if value(lo) < 0:
+    try:
+        for kernel, transform in stacked:
+            _stack_ladder(kernel, transform)
+        lo, hi = 0.0, 1e-3
+        for _ in range(128):
+            if value(hi) > 0:
                 break
-            hi = lo
+            lo, hi = hi, 2.0 * hi
         else:
-            raise NoRootInDomain(f"{what} stays nonnegative down to theta={lo}")
-    return _zeroin(value, lo, hi, what)
+            raise NoRootInDomain(f"{what} never crossed zero up to theta={hi}")
+        if lo == 0.0:
+            # the root lies below 1e-3: halve towards the origin until f is
+            # negative; at theta = 0 a cgf is exactly 0, the trivial root
+            for _ in range(64):
+                lo = 0.5 * hi
+                if value(lo) < 0:
+                    break
+                hi = lo
+            else:
+                raise NoRootInDomain(f"{what} stays nonnegative down to theta={lo}")
+        return _zeroin(value, lo, hi, what)
+    finally:
+        for kernel, _ in stacked:
+            kernel._ladder.clear()
 
 
 # largest |kappa^A + kappa^{-S}| accepted at the root
@@ -505,7 +572,8 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     def f(theta):
         return cgf_as("arrival", arrival, theta) + cgf_as("negated service", neg_service, theta)
 
-    theta = positive_root(f, "combined cgf kappa^A + kappa^-S")
+    theta = positive_root(f, "combined cgf kappa^A + kappa^-S",
+                          stacked=((arrival, "mgf"), (neg_service, "mgf")))
     residual = abs(f(theta))
     if residual > _ROOT_RESIDUAL_TOL:
         raise NoRootInDomain(f"combined cgf kappa^A + kappa^-S: root residual {residual!r} "

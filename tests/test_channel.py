@@ -89,7 +89,7 @@ class _TopUniforms:
     def random(self, size=None):
         return np.full(size, 1.0 - 2.0 ** -53)
 
-    def exponential(self, size=None):
+    def standard_exponential(self, size=None):
         return np.ones(size)
 
 

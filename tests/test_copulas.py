@@ -1,5 +1,6 @@
 """Copula families, the star-product, and transition extraction."""
 
+import builtins
 import math
 from dataclasses import dataclass, field
 
@@ -87,6 +88,14 @@ def test_gaussian_lattice_edges_are_exact_and_only_inner_cells_integrate(monkeyp
     inner = bvn_cdf(float(ndtri(0.3)), float(ndtri(0.7)), 0.6)
     assert np.array_equal(g, [[0.0, 0.0, 0.0], [0.3, inner, 0.0], [1.0, 0.7, 0.0]])
     assert calls == [(float(ndtri(0.3)), float(ndtri(0.7)), 0.6)]
+
+
+def test_a_gaussian_grid_imports_nothing_once_scipy_special_is_loaded(monkeypatch):
+    Gaussian2(0.6).eval_grid([0.3], [0.7])
+    imports = count_calls(monkeypatch, builtins, "__import__")
+    Gaussian2(0.6).eval_grid([0.0, 0.3, 0.5, 1.0], [0.2, 0.7])
+    assert bvn_cdf(0.4, -0.2, 0.5) > 0.0
+    assert imports == []
 
 
 def test_one_param_frechet_weights():

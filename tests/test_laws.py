@@ -302,3 +302,38 @@ def test_rayleigh_stack_keeps_a_nan_and_an_overflowed_pair_apart():
     assert np.isnan(mgf[:, 1]).all()
     assert mgf[0, 2] == math.inf and mgf[1, 3] == math.inf
     assert np.isfinite(mgf[:, [0]]).all() and np.isfinite([mgf[0, 3], mgf[1, 2]]).all()
+
+
+def _one_law_nodes(snr, step):
+    """The nodes of one law at quadrature step `step`, evaluated one law at a
+    time: the oracle of RayleighStack's node rows."""
+    x = 1.0 / snr
+    s1 = math.log1p(snr)
+    t = laws_module._de_ts(*laws_module._DE_T[0], step)
+    u = 0.5 * math.pi * np.sinh(t)
+    tau = 1.0 / (1.0 + np.exp(-2.0 * u))
+    log_w = np.log(s1 * math.pi * np.cosh(t) * tau) - np.log1p(np.exp(2.0 * u))
+    s = s1 * tau
+    lg, c = [s], [s + math.log(x) - x * np.expm1(s) + log_w]
+    t = laws_module._de_ts(*laws_module._DE_T[1], step)
+    u = 0.5 * math.pi * np.sinh(t)
+    g = 1.0 + np.exp(u)
+    lg.append(np.log1p(snr * g))
+    c.append(u + np.log(0.5 * math.pi * np.cosh(t)) - g)
+    return np.concatenate(lg), np.concatenate(c)
+
+
+def test_stack_nodes_are_each_laws_own_bit_for_bit():
+    snrs = (1e-30, 1e-4, 1.0, 300.0, 1e7)
+    stack = RayleighStack([RayleighCapacity(20.0, snr) for snr in snrs])
+    steps = len(laws_module._DE_STEPS)
+    # level 1 holds the first two steps, each later level one more step
+    for level in range(1, steps):
+        rows = stack._level_nodes(level)
+        for l, snr in enumerate(snrs):
+            own = _one_law_nodes(snr, level)
+            if level == 1:
+                own = [np.concatenate(a) for a in zip(_one_law_nodes(snr, 0), own)]
+            for got, want in zip(rows, own):
+                assert got[l].tobytes() == want.tobytes()
+    assert len(stack._nodes) == steps - 1

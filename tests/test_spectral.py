@@ -523,14 +523,132 @@ def test_kappa_dot_is_computed_once_and_only_when_read(monkeypatch):
     assert derivatives == []
     assert sol.kappa_dot == sol.kappa_dot
     assert len(derivatives) == 1
-    assert mean_rate(k) == perron(k, 0.0).kappa_dot
+    # kappa'(0) read from the solution at theta = 0 is the mean rate
+    assert perron(k, 0.0).kappa_dot == pytest.approx(mean_rate(k), rel=1e-12)
 
 
-def test_mean_rate_is_solved_once_per_kernel():
+def test_mean_rate_is_the_stationary_mean_with_no_eigensolve():
     k = random_kernel(np.random.default_rng(12), 3)
     done = counters.tally()
-    assert mean_rate(k) == mean_rate(k) == perron(k, 0.0).kappa_dot
-    assert done()["scalar_solves"] == 1  # mean_rate reads perron's solution at theta = 0
+    rate = mean_rate(k)
+    assert done()["scalar_solves"] == 0 and k._solutions == {}
+    # sum_ij pi_i p_ij E[H_ij], from each law's own tilted mean at 0
+    zero = np.zeros(1)
+    expected = [[k.transition[i, j] * k.law(i, j).tilted_mean(zero)[0] for j in range(3)]
+                for i in range(3)]
+    assert rate == float(k.stationary @ np.array(expected).sum(axis=1))
+    assert rate == pytest.approx(perron(k, 0.0).kappa_dot, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    _row_constant_capacity_kernel,
+    lambda: random_kernel(np.random.default_rng(30), 3),
+    lambda: single_state_kernel(Constant(0.7)),
+], ids=["rayleigh", "pmf", "one-state-constant"])
+def test_ladder_stack_rows_are_the_scalar_transforms_bit_for_bit(make):
+    k = make()
+    for transform, scalar in (("mgf", transform_matrix), ("tilted_mean", _transform_derivative)):
+        spectral_module._stack_ladder(k, transform)
+        stacked = dict(k._ladder)
+        assert sorted(t for _, t in stacked) == list(spectral_module._LADDER)
+        k._ladder.clear()
+        for (_, theta), row in stacked.items():
+            assert scalar(k, theta).tobytes() == row.tobytes()
+        # a scalar call at a stacked theta returns the stacked row, once
+        k._ladder.update(stacked)
+        theta = spectral_module._LADDER[3]
+        assert scalar(k, theta) is stacked[(transform, theta)]
+        assert scalar(k, theta) is not stacked[(transform, theta)]
+        k._ladder.clear()
+
+
+def test_ladder_stack_skips_the_transform_matrices_perron_has_solved():
+    k = random_kernel(np.random.default_rng(31), 2)
+    solved = spectral_module._LADDER[2]
+    perron(k, solved)
+    spectral_module._stack_ladder(k, "mgf")
+    assert ("mgf", solved) not in k._ladder and len(k._ladder) == 7
+    k._ladder.clear()
+    spectral_module._stack_ladder(k, "tilted_mean")
+    assert ("tilted_mean", solved) in k._ladder
+
+
+def test_a_diverged_ladder_row_is_left_out_and_its_scalar_call_raises():
+    # e^{6000 theta} overflows from theta = 0.128, the ladder's last point
+    k = single_state_kernel(Constant(6000.0))
+    top = spectral_module._LADDER[-1]
+    with pytest.raises(MgfDiverged) as unstacked:
+        transform_matrix(single_state_kernel(Constant(6000.0)), top)
+    spectral_module._stack_ladder(k, "mgf")
+    assert sorted(t for _, t in k._ladder) == list(spectral_module._LADDER[:-1])
+    with pytest.raises(MgfDiverged) as stacked:
+        transform_matrix(k, top)
+    assert str(stacked.value) == str(unstacked.value)
+    assert str(stacked.value) == f"transform matrix not finite at theta={top}"
+    k._ladder.clear()
+    # a root that walks into it fails as it would unstacked, and keeps no row
+    failures = []
+    for stack in (False, True):
+        kernel = single_state_kernel(Constant(6000.0))
+        with pytest.raises(NoRootInDomain) as err:
+            spectral_module.positive_root(lambda t: perron(kernel, t).kappa - 7000.0 * t, "f",
+                                          stacked=[(kernel, "mgf")] if stack else [])
+        failures.append(str(err.value))
+        assert kernel._ladder == {}
+    assert failures[0] == failures[1] and f"theta={top}" in failures[0]
+
+
+def test_stability_root_on_stacked_ladder_transforms_is_the_unstacked_root(monkeypatch):
+    # theta* is about 0.027, so the walk leaves the rows from 0.064 up unread
+    roots = []
+    for ladder in (spectral_module._LADDER, ()):
+        monkeypatch.setattr(spectral_module, "_LADDER", ladder)
+        arrival = random_kernel(np.random.default_rng(32), 2, mean_offset=30.0, spread=0.5)
+        service = _row_constant_capacity_kernel()
+        roots.append(stability_root(arrival, service))
+        assert arrival._ladder == {} and service.negated._ladder == {}
+    stacked, unstacked = roots
+    assert 0.02 < stacked.theta_star < 0.032
+    assert stacked.theta_star == unstacked.theta_star
+    for a, b in ((stacked.arrival, unstacked.arrival),
+                 (stacked.neg_service, unstacked.neg_service)):
+        assert a.kappa == b.kappa and a.h.tobytes() == b.h.tobytes()
+
+
+def test_stability_root_quadratures_on_a_fresh_capacity_kernel():
+    # one for the mean rate, one for the ladder stack and one per Brent step
+    service = _row_constant_capacity_kernel()
+    done = counters.tally()
+    stability_root(single_state_kernel(Constant(30.0)), service)
+    assert quadratures(done) == (9, 27)
+
+
+def test_a_capacity_kernel_family_is_validated_once(monkeypatch):
+    checks = count_calls(monkeypatch, MapKernel, "__post_init__")
+    k = _row_constant_capacity_kernel()
+    neg = k.negated
+    assert len(checks) == 1
+    assert neg.stationary is k.stationary and neg.transition is k.transition
+    # the negated laws' quadrature runs on the nodes of the plain ones
+    assert neg._transform_groups[1]._nodes is k._transform_groups[1]._nodes
+    started = k.started_at([0.2, 0.3, 0.5])
+    assert len(checks) == 1 and started.stationary is k.stationary
+    assert started.initial_dist.tolist() == [0.2, 0.3, 0.5]
+    assert not started.initial_dist.flags.writeable
+    with pytest.raises(ValueError, match="initial_dist must be a length-n probability vector"):
+        k.started_at([0.2, 0.3, 0.6])
+
+
+def test_a_negated_kernel_shares_quadrature_nodes_only_on_equal_snrs():
+    # a doubly negated Rayleigh law is no stack law, and its flip is one, so
+    # the two kernels' stacks hold different laws
+    r1, r2 = RayleighCapacity(20.0, 10.0), RayleighCapacity(20.0, 0.5)
+    k = MapKernel(("a", "b"), np.full((2, 2), 0.5), ((r1, Negated(Negated(r2))),) * 2,
+                  np.array([0.5, 0.5]))
+    transform_matrix(k, 0.1)
+    neg = k.negated
+    twin = MapKernel(neg.state_labels, neg.transition, neg.increments, neg.initial_dist)
+    assert transform_matrix(neg, -0.1).tobytes() == transform_matrix(twin, -0.1).tobytes()
 
 
 def _gate_failing_service():

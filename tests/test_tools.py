@@ -62,6 +62,17 @@ def test_pool_diff_attributes_no_cell_of_a_row_wider_than_its_header():
     assert moves == {"kappa": [0.5 / 1.5, 0.5]}
 
 
+def test_pool_diff_names_the_kinds_with_more_work_and_the_moved_failures():
+    runs = {"src": {"c1-delay": {"signature": None}, "c1-dcc": {"signature": "exit 3"}},
+            "base": {"c1-delay": {"signature": None}, "c1-dcc": {"signature": None}}}
+    work = {"src": {"delay": [4, 0, 6, 2, 0], "dcc": [3, 9, 0, 0, 0]},
+            "base": {"delay": [4, 0, 9, 3, 0], "dcc": [3, 9, 0, 0, 0]}}
+    assert pool_diff._regressions(runs, work) == ([], ["c1-dcc"])
+    runs["src"]["c1-dcc"]["signature"] = None
+    work["src"]["delay"][3] = 5
+    assert pool_diff._regressions(runs, work) == (["delay (quadrature_calls 5 > 3)"], [])
+
+
 def _references(module, tree):
     """{top-level node: the "module.name" strings it uses}, resolving names
     imported from sibling modules and attributes of an imported sibling."""

@@ -17,16 +17,21 @@ of the job id), the work the jobs did: what each job added to the counts
 that mapq's solvers keep in mapq.counters (scalar solves, stacked matrices,
 Rayleigh integrations, quadrature calls and bivariate normal CDFs; that
 module defines each).  With --base it also lists the job kinds where this
-tree does more of that work than the base, the jobs whose exit code or
-failure differs, how many output files are byte-identical, the configs whose
-files differ (with how many files each), the worst relative difference of a
-numeric cell per job kind and, per CSV column whose cells move, the worst
-relative difference and the worst |difference| / max(1, |base|); rows not as
-wide as their header are counted apart, unattributed to any column.  For
-simulate-fading it lists instead, per job, which files are byte-identical
-and, per level of tails.csv, the hits of each tree and |p_hat - p_hat_base|
-in binomial standard errors of the pooled estimate, then how many library
-return values are byte-identical, naming any that differ.
+tree does more of that work than the base and the jobs whose exit code or
+failure differs.  For analytic-fading it then lists how many output files
+are byte-identical, the configs whose files differ (with how many files
+each), the worst relative difference of a numeric cell per job kind and,
+per CSV column whose cells move, the worst relative difference and the
+worst |difference| / max(1, |base|); rows not as wide as their header are
+counted apart, unattributed to any column.  For simulate-fading it lists
+instead, per job, which files are byte-identical and, per level of
+tails.csv, the hits of each tree and |p_hat - p_hat_base| in binomial
+standard errors of the pooled estimate, then how many library return
+values are byte-identical, naming any that differ.
+
+The exit status is 1 when a job of this tree fails its check and, with
+--base, when a job kind does more work than the base or a job's exit code
+or failure differs; else 0.
 """
 
 import argparse
@@ -114,6 +119,18 @@ def _work_by_kind(problems):
         total = out.setdefault(job_id.rsplit("-", 1)[-1].rstrip("0123456789"), [0] * len(WORK))
         total[:] = [t + n for t, n in zip(total, info["work"])]
     return out
+
+
+def _regressions(runs, work_by_kind):
+    """(the job kinds that do more of some work in src than in base, each with
+    the count that grew; the jobs whose exit code or failure differs)."""
+    base = work_by_kind["base"]
+    more = [f"{kind} ({WORK[k]} {n} > {base[kind][k]})"
+            for kind, done in sorted(work_by_kind["src"].items())
+            for k, n in enumerate(done) if n > base.get(kind, done)[k]]
+    moved = [job_id for job_id, info in sorted(runs["src"].items())
+             if info["signature"] != runs["base"].get(job_id, {}).get("signature")]
+    return more, moved
 
 
 def _worst(a, b, where, worst):
@@ -240,17 +257,15 @@ def main():
             print(f"  per job kind: {' / '.join(WORK)}")
             for kind, done in sorted(work_by_kind[name].items()):
                 print(f"    {kind}: {' / '.join(map(str, done))}")
+        regressions = []
+        if args.base:
+            more, moved_exit = _regressions(runs, work_by_kind)
+            print("more work than base: " + (", ".join(more) if more else "none"))
+            print("exit codes or failures that differ: " + (", ".join(moved_exit) or "none"))
+            regressions = more + moved_exit
         if args.base and args.workload == "simulate-fading":
             _tails_report(runs, work)
         elif args.base:
-            more = [f"{kind} ({WORK[k]} {n} > {work_by_kind['base'][kind][k]})"
-                    for kind, done in sorted(work_by_kind["src"].items())
-                    for k, n in enumerate(done)
-                    if n > work_by_kind["base"].get(kind, done)[k]]
-            print("more work than base: " + (", ".join(more) if more else "none"))
-            moved_exit = [job_id for job_id, info in sorted(runs["src"].items())
-                          if info["signature"] != runs["base"].get(job_id, {}).get("signature")]
-            print("exit codes or failures that differ: " + (", ".join(moved_exit) or "none"))
             files = {}  # kind -> [byte-identical, compared]
             worst = {}
             columns = {}  # kind -> {column: [relative, scaled]}
@@ -293,7 +308,7 @@ def main():
                 if unattributed.get(kind):
                     print(f"    {unattributed[kind]} rows not as wide as their header:"
                           " their cells are attributed to no column")
-    return 1 if failed else 0
+    return 1 if failed or regressions else 0
 
 
 if __name__ == "__main__":
