@@ -14,7 +14,7 @@ import numpy as np
 
 from .copulas import DimensionPlan
 from .laws import DiscretePmf, RayleighCapacity
-from .sim import _cumulative_rows, _path_states
+from .sim import _cumulative_rows, _path_states, _whole_horizon
 from .spectral import MapKernel
 
 
@@ -58,8 +58,9 @@ def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizo
     States include the initial state, so the state series has length
     horizon + 1; the SNR of slot t is taken at the realized
     (state_{t-1}, state_t) pair.  Plans shorter than the horizon repeat their
-    last matrix.
+    last matrix.  The horizon is a whole number >= 0.
     """
+    horizon = _whole_horizon(horizon)
     n = len(channel.power_states)
     if dim.transitions[0].shape != (n, n):
         raise ValueError("plan dimension does not match power state count")

@@ -10,6 +10,9 @@
     quadrature_calls       those quadratures, one per Rayleigh transform of a call
     bvn_cdf_calls          bivariate normal CDFs (copulas.bvn_cdf, the Gaussian
                            copula's work)
+    state_draws            uniforms the state samplers (sim._blocks and
+                           sim._path_states) draw, for initial states and moves
+    increment_draws        increments sim._increments returns
 
 A plain dict, since mapq runs in one thread.  The counts only grow and nothing
 resets them, so a reader takes differences:
@@ -20,7 +23,7 @@ resets them, so a reader takes differences:
 """
 
 COUNTS = dict.fromkeys(("scalar_solves", "stacked_matrices", "rayleigh_integrations",
-                        "quadrature_calls", "bvn_cdf_calls"), 0)
+                        "quadrature_calls", "bvn_cdf_calls", "state_draws", "increment_draws"), 0)
 
 
 def tally():

@@ -9,6 +9,7 @@ cumulant generating function kappa(theta) of the additive part.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,8 +32,8 @@ class MapKernel:
     initial_dist: np.ndarray
     # perron's solutions by theta, filled on success only
     _solutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # transform matrices by (transform, theta) that a root stacked ahead of its
-    # scalar solves; positive_root empties it when it returns
+    # transform matrices by (transform, theta) stacked ahead of their scalar
+    # solves (stacked_transforms), which empties it when its block exits
     _ladder: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -232,7 +233,7 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
 
     For an array of theta it is the stack of those matrices, non-finite at a
     theta where a transform diverges; a float theta raises MgfDiverged there,
-    and takes the matrix a root stacked for it (positive_root) if there is one.
+    and takes the matrix stacked for it (stacked_transforms) if there is one.
     """
     stack = isinstance(theta, np.ndarray)
     if not stack:
@@ -495,15 +496,32 @@ def _zeroin(f, lo, hi, what: str) -> float:
 _LADDER = tuple(1e-3 * 2.0 ** k for k in range(8))
 
 
-def _stack_ladder(kernel: MapKernel, transform: str):
-    """Put the kernel's `transform` matrices ("mgf" or "tilted_mean") at the
-    _LADDER points on its _ladder map, from one _entrywise stack: the finite
-    ones, and no transform matrix of a theta that perron has solved."""
-    thetas = np.array([t for t in _LADDER if transform != "mgf" or t not in kernel._solutions])
+def _stack_ladder(kernel: MapKernel, transform: str, thetas=_LADDER):
+    """Put the kernel's `transform` matrices ("mgf" or "tilted_mean") at
+    `thetas` (positive_root's _LADDER points by default) on its _ladder map,
+    from one _entrywise stack: the finite ones, and no transform matrix of a
+    theta that perron has solved."""
+    thetas = np.array([t for t in thetas if transform != "mgf" or t not in kernel._solutions])
     if len(thetas):
         rows = _entrywise(kernel, thetas, transform, transform)
         kernel._ladder.update(((transform, float(t)), row) for t, row in zip(thetas, rows)
                               if np.isfinite(row).all())
+
+
+@contextmanager
+def stacked_transforms(stacked, thetas):
+    """Within the block, each (kernel, transform) of `stacked` has its
+    transforms at `thetas` computed ahead, as one stack (_stack_ladder); the
+    scalar call at such a theta returns the stacked matrix, which equals its
+    own bit for bit.  A non-finite matrix is not kept, so that call raises as
+    it would unstacked, and the kernels keep none once the block exits."""
+    try:
+        for kernel, transform in stacked:
+            _stack_ladder(kernel, transform, thetas)
+        yield
+    finally:
+        for kernel, _ in stacked:
+            kernel._ladder.clear()
 
 
 def positive_root(f, what: str, stacked=()) -> float:
@@ -514,10 +532,7 @@ def positive_root(f, what: str, stacked=()) -> float:
     as do a NaN value and a refinement that does not converge.
 
     Each (kernel, transform) of `stacked` has its transforms at the _LADDER
-    points computed first, as one stack (_stack_ladder); the scalar call at
-    such a theta returns the stacked matrix, which equals its own bit for
-    bit.  A non-finite matrix is not kept, so that call raises as it would
-    unstacked, and the kernels keep none once the root returns."""
+    points computed first (stacked_transforms)."""
 
     def value(theta):
         try:
@@ -527,9 +542,7 @@ def positive_root(f, what: str, stacked=()) -> float:
             # spans more magnitudes than the eigensolve resolves
             raise NoRootInDomain(f"{what}: no root below theta={theta}, where {exc}") from exc
 
-    try:
-        for kernel, transform in stacked:
-            _stack_ladder(kernel, transform)
+    with stacked_transforms(stacked, _LADDER):
         lo, hi = 0.0, 1e-3
         for _ in range(128):
             if value(hi) > 0:
@@ -548,9 +561,6 @@ def positive_root(f, what: str, stacked=()) -> float:
             else:
                 raise NoRootInDomain(f"{what} stays nonnegative down to theta={lo}")
         return _zeroin(value, lo, hi, what)
-    finally:
-        for kernel, _ in stacked:
-            kernel._ladder.clear()
 
 
 # largest |kappa^A + kappa^{-S}| accepted at the root

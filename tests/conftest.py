@@ -8,7 +8,7 @@ from hypothesis import settings
 from scipy.special import exp1, hyperu
 
 from mapq.channel import ChannelSpec, capacity_kernel
-from mapq.copulas import one_param_frechet, transition_from_copula
+from mapq.copulas import DimensionPlan, one_param_frechet, transition_from_copula
 from mapq.laws import Constant, DiscretePmf, gaussian_quantized
 from mapq.spectral import MapKernel, single_state_kernel
 
@@ -38,6 +38,18 @@ def delay_figure_channel():
 def power_control_channel():
     """High-contrast channel of the power-control figure: SNR rows 1e4 / 10."""
     return ChannelSpec(20.0, np.array([[1e4, 1e4], [10.0, 10.0]]), ("hi", "lo"))
+
+
+def short_plan_channel():
+    """(channel, plan): a 3-state Rayleigh power channel and a plan of two
+    matrices, the second with zero entries, which any horizon past 2 slots
+    outlasts (its last matrix repeats)."""
+    channel = ChannelSpec(2.0, np.array([[8.0, 5.0, 3.0], [4.0, 2.5, 1.5], [2.0, 1.2, 0.6]]),
+                          ("hi", "mid", "lo"))
+    plan = DimensionPlan((np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]),
+                          np.array([[0.1, 0.0, 0.9], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]])),
+                         np.array([0.2, 0.3, 0.5]))
+    return channel, plan
 
 
 def frechet_capacity_kernel(channel, alpha, varpi=(0.3, 0.7)):

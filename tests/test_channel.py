@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import at, rayleigh_mean, searchsorted_walk
+from conftest import at, rayleigh_mean, searchsorted_walk, short_plan_channel
 from mapq.channel import (
     ChannelSpec,
     capacity_kernel,
@@ -78,6 +78,15 @@ def test_controlled_capacity_states_follow_the_searchsorted_walk(delay_figure_ch
     states, _ = controlled_capacity_process(dim, delay_figure_channel, 400, [5, 1])
     walk = searchsorted_walk(dim.transitions, dim.initial, 400, [5, 1])
     assert states.tolist() == walk
+
+
+def test_controlled_capacity_states_follow_the_searchsorted_walk_past_a_short_plan():
+    # 1609 slots: blocks of 10, the last of 9, all but the first slot on the
+    # plan's second matrix
+    channel, plan = short_plan_channel()
+    for seed in range(4):
+        states, _ = controlled_capacity_process(plan, channel, 1609, seed)
+        assert states.tolist() == searchsorted_walk(plan.transitions, plan.initial, 1609, seed)
 
 
 class _TopUniforms:

@@ -623,6 +623,31 @@ def test_spectral_solves_once_per_role_and_theta(tmp_path):
     assert done()["scalar_solves"] == 2 * len(thetas)
 
 
+def test_spectral_stacks_each_transform_of_a_kernel_once(tmp_path, capsys, monkeypatch):
+    # both transforms of the Rayleigh service at every theta come from one
+    # quadrature each; the pmf arrival takes none
+    rayleigh = [{"law": "rayleigh", "bandwidth": 2.0, "snr": snr} for snr in (10.0, 1.0)]
+    doc = {"arrival": _two_state(["on", "off"], _pmf([0.0, 3.0], [0.5, 0.5]),
+                                 _pmf([0.0, 1.0], [0.5, 0.5])),
+           "service": _two_state(["good", "bad"], *rayleigh)}
+    cfg = _write(tmp_path, "fading.yaml", yaml.safe_dump(doc))
+    stacks = count_calls(monkeypatch, spectral, "_stack_ladder")
+    done = counters.tally()
+    assert _run(["spectral", "--config", cfg, "--out", str(tmp_path),
+                 "--theta=-0.5,0,0.5,1.5"]) == 0
+    assert done()["quadrature_calls"] == 2
+    # a theta whose arrival transform overflows fails alone, with the scalar
+    # message, after the rows before it are solved
+    done = counters.tally()
+    assert _run(["spectral", "--config", cfg, "--out", str(tmp_path),
+                 "--theta=0.5,300,1"]) == EXIT_NUMERIC
+    assert ("the arrival kernel fails: transform matrix not finite at theta=300.0"
+            in capsys.readouterr().err)
+    assert done()["scalar_solves"] == 2
+    assert [args[1] for args in stacks] == ["mgf", "tilted_mean"] * 4
+    assert not any(kernel._ladder for kernel, *_ in stacks)
+
+
 @pytest.mark.parametrize("theta, code, message", [
     # a non-finite theta is bad input, not a transform that fails to converge
     ("nan", EXIT_PARSE, "--theta must be finite, got nan"),

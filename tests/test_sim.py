@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frechet_capacity_kernel, lindley_loop, random_kernel, searchsorted_walk
+from conftest import (
+    frechet_capacity_kernel,
+    lindley_loop,
+    random_kernel,
+    searchsorted_walk,
+    short_plan_channel,
+)
 from mapq import sim as sim_module
-from mapq.channel import ChannelSpec, capacity_kernel
+from mapq.channel import ChannelSpec, capacity_kernel, controlled_capacity_process
+from mapq.copulas import DimensionPlan
 from mapq.errors import DimensionMismatch, UnknownExperiment
 from mapq.laws import Constant, DiscretePmf
 from mapq.sim import (
@@ -260,6 +267,82 @@ def test_sample_path_states_follow_the_searchsorted_walk():
     assert states.tolist() == searchsorted_walk([k.transition], k.initial_dist, 2000, 8)
 
 
+# horizons at the edges of the path walk's blocks of b = isqrt(T) // 4 slots
+# (at least 1): 64 is the first with b = 2; 255, 256 and 1600 fill their last
+# block, 257 and 1601 put one slot in it, and 399 and 1609 put b - 1
+_WALK_HORIZONS = (0, 1, 2, 3, 16, 17, 63, 64, 255, 256, 257, 399, 1600, 1601, 1609, 5000)
+
+
+@given(st.integers(2, 20), st.sampled_from(_WALK_HORIZONS), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_sample_path_states_follow_the_searchsorted_walk_at_every_block_edge(
+        n, horizon, sparse, seed):
+    # n = 16 is the first state count whose successor table takes two bytes;
+    # sparse rows keep a cycle i -> i + 1 and drop about half the other entries
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n), size=n)
+    if sparse:
+        p *= rng.random((n, n)) < 0.5
+        p[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+        p /= p.sum(axis=1, keepdims=True)
+    kernel = MapKernel(tuple(range(n)), p, ((Constant(0.0),) * n,) * n, np.full(n, 1.0 / n))
+    states, increments = sample_path(kernel, horizon, seed)
+    assert states.dtype == np.int64 and states.shape == (horizon + 1,)
+    assert states.tolist() == searchsorted_walk([p], kernel.initial_dist, horizon, seed)
+    assert increments.shape == (horizon,)
+
+
+def test_sample_path_walks_a_periodic_chain_exactly():
+    laws = ((Constant(0.0), Constant(1.0)), (Constant(2.0), Constant(3.0)))
+    kernel = MapKernel(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), laws,
+                       np.array([0.5, 0.5]))
+    for horizon in _WALK_HORIZONS:
+        states, increments = sample_path(kernel, horizon, horizon)
+        assert states.tolist() == [(states[0] + t) % 2 for t in range(horizon + 1)]
+        assert increments.tolist() == [1.0 + (states[0] + t) % 2 for t in range(horizon)]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_path_walk_holds_no_machine_word_per_state_and_slot(n):
+    # sample_path's peak stays within that of a walk over a list of the
+    # table's T * n successors (8n + 16 bytes a slot), and the walk's own
+    # within n + 12: the uniforms, then the table, its walked states in the
+    # state type and the int64 path; T * n machine words alone take 8n
+    kernel = random_kernel(np.random.default_rng(n), n)
+    horizon = 200_000
+    cum = sim_module._cumulative_rows(kernel.transition)
+    peaks = []
+    for call in (lambda: sample_path(kernel, horizon, 3),
+                 lambda: sim_module._path_states(cum, kernel.initial_dist, horizon,
+                                                 np.random.default_rng(3))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / horizon)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8 * n + 16 and peaks[1] <= n + 12, peaks
+
+
+def test_path_samplers_check_the_horizon_before_drawing(monkeypatch, delay_figure_channel):
+    monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
+    kernel = random_kernel(np.random.default_rng(4), 2)
+    dim = DimensionPlan((kernel.transition,), kernel.initial_dist)
+    for bad in (-1, 2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="horizon must be a whole number"):
+            sample_path(kernel, bad, 0)
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", lambda seed: _NoDraws())
+            with pytest.raises(ValueError, match="horizon must be a whole number"):
+                controlled_capacity_process(dim, delay_figure_channel, bad, 0)
+    # a horizon of 0 gives the initial state alone
+    monkeypatch.undo()
+    states, increments = sample_path(kernel, np.int64(0), 5)
+    assert states.shape == (1,) and increments.shape == (0,)
+    states, capacity = controlled_capacity_process(dim, delay_figure_channel, 0, 5)
+    assert states.shape == (1,) and capacity.shape == (0,)
+
+
 def test_samplers_keep_their_draw_order():
     # exact outputs of a 3-state Rayleigh service (nine laws) against a
     # 2-state pmf arrival: any change to the order or arithmetic of the draws
@@ -285,6 +368,17 @@ def test_samplers_keep_their_draw_order():
         "c0177e2858c0c146afe8d5d38bc9fe6e5313560e43a45fd20d41d94f83cd089d")
     assert hashlib.sha256(increments.tobytes()).hexdigest() == (
         "3a51096b097b9e0615a18b29f90e4839acff750500037f29527ed562afcb7f86")
+
+
+def test_controlled_capacity_process_keeps_its_draw_order():
+    # exact output of a 3-state power chain whose plan is shorter than the horizon
+    channel, plan = short_plan_channel()
+    states, capacity = controlled_capacity_process(plan, channel, 5000, 41)
+    assert states.dtype == np.int64 and capacity.dtype == np.float64
+    assert hashlib.sha256(states.tobytes()).hexdigest() == (
+        "a258c260392d1d73312fd157ab0a5de9e82b88f476f2f8cc295741bedbde3206")
+    assert hashlib.sha256(capacity.tobytes()).hexdigest() == (
+        "7786d1cea2566c110bae35c915b551f69dba4b2d96f98cb8ddacc5cd0b405721")
 
 
 def test_tail_estimate_checks_metric_and_levels_before_drawing(monkeypatch):

@@ -9,9 +9,9 @@ import sys
 
 import numpy as np
 
-from mapq import copulas, counters, spectral
+from mapq import copulas, counters, sim, spectral
 from mapq.channel import ChannelSpec, capacity_kernel
-from mapq.laws import DiscretePmf
+from mapq.laws import Constant, DiscretePmf
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 import pool_diff  # noqa: E402
@@ -47,9 +47,13 @@ def test_pool_diff_counts_every_work_column_of_this_tree():
     spectral.perron_grid(kernel, np.array([0.25, 0.75]))
     spectral.transform_matrix(service, 0.5)
     copulas.Gaussian2(0.5).eval_grid([0.0, 0.5, 1.0], [0.3, 0.7])
+    # a path of 5 slots draws 1 + 5 uniforms and 5 increments; 3 replications
+    # of 4 slots draw 3 + 12 and 12, and the one-state arrival 12 increments
+    sim.sample_path(kernel, 5, 0)
+    sim.tail_estimate(spectral.single_state_kernel(Constant(1.0)), kernel, [1.0], 3, 4, 0)
     assert dict(zip(pool_diff.WORK, done())) == {
         "scalar_solves": 1, "stacked_matrices": 2, "rayleigh_integrations": 2,
-        "quadrature_calls": 1, "bvn_cdf_calls": 2}
+        "quadrature_calls": 1, "bvn_cdf_calls": 2, "state_draws": 21, "increment_draws": 29}
 
 
 def test_pool_diff_attributes_no_cell_of_a_row_wider_than_its_header():
@@ -65,12 +69,21 @@ def test_pool_diff_attributes_no_cell_of_a_row_wider_than_its_header():
 def test_pool_diff_names_the_kinds_with_more_work_and_the_moved_failures():
     runs = {"src": {"c1-delay": {"signature": None}, "c1-dcc": {"signature": "exit 3"}},
             "base": {"c1-delay": {"signature": None}, "c1-dcc": {"signature": None}}}
-    work = {"src": {"delay": [4, 0, 6, 2, 0], "dcc": [3, 9, 0, 0, 0]},
-            "base": {"delay": [4, 0, 9, 3, 0], "dcc": [3, 9, 0, 0, 0]}}
+    # a base that keeps no draw counts (None) is compared on the others only
+    work = {"src": {"delay": [4, 0, 6, 2, 0, 7, 7], "dcc": [3, 9, 0, 0, 0, 0, 0]},
+            "base": {"delay": [4, 0, 9, 3, 0, None, None], "dcc": [3, 9, 0, 0, 0, 0, 0]}}
     assert pool_diff._regressions(runs, work) == ([], ["c1-dcc"])
     runs["src"]["c1-dcc"]["signature"] = None
     work["src"]["delay"][3] = 5
-    assert pool_diff._regressions(runs, work) == (["delay (quadrature_calls 5 > 3)"], [])
+    work["src"]["dcc"][5] = 1
+    assert pool_diff._regressions(runs, work) == (
+        ["dcc (state_draws 1 > 0)", "delay (quadrature_calls 5 > 3)"], [])
+
+
+def test_pool_diff_sums_a_count_a_tree_does_not_keep_to_none():
+    problems = {"c1-mart1": {"work": [1, 0, 0, 0, 0, None, None]},
+                "c1-mart2": {"work": [2, 0, 0, 0, 0, None, None]}}
+    assert pool_diff._work_by_kind(problems) == {"mart": [3, 0, 0, 0, 0, None, None]}
 
 
 def _references(module, tree):

@@ -14,10 +14,12 @@ bytes (each array's dtype, shape and data, each float's 8 bytes).
 The report lists, per tree, the jobs that fail their check (against
 perfbench/reference.json for analytic jobs) and, per job kind (the last part
 of the job id), the work the jobs did: what each job added to the counts
-that mapq's solvers keep in mapq.counters (scalar solves, stacked matrices,
-Rayleigh integrations, quadrature calls and bivariate normal CDFs; that
-module defines each).  With --base it also lists the job kinds where this
-tree does more of that work than the base and the jobs whose exit code or
+that mapq's solvers and samplers keep in mapq.counters (scalar solves,
+stacked matrices, Rayleigh integrations, quadrature calls, bivariate normal
+CDFs, state draws and increment draws; that module defines each), with "-"
+for a count that a tree does not keep.  With --base it also lists the job
+kinds where this tree does more of that work than the base (a count that
+either tree does not keep is not compared) and the jobs whose exit code or
 failure differs.  For analytic-fading it then lists how many output files
 are byte-identical, the configs whose files differ (with how many files
 each), the worst relative difference of a numeric cell per job kind and,
@@ -46,15 +48,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 # the keys of mapq.counters.COUNTS, in report order
 WORK = ("scalar_solves", "stacked_matrices", "rayleigh_integrations", "quadrature_calls",
-        "bvn_cdf_calls")
+        "bvn_cdf_calls", "state_draws", "increment_draws")
 
 
 def work_since():
-    """A function that returns the work mapq has done since this call, in WORK order."""
+    """A function that returns the work mapq has done since this call, in WORK
+    order, with None for a count that this mapq does not keep."""
     from mapq import counters
 
     done = counters.tally()
-    return lambda: [done()[k] for k in WORK]
+    return lambda: [done().get(k) for k in WORK]
 
 
 def run_tree(src, out, workload, seed):
@@ -117,17 +120,19 @@ def _work_by_kind(problems):
     out = {}
     for job_id, info in problems.items():
         total = out.setdefault(job_id.rsplit("-", 1)[-1].rstrip("0123456789"), [0] * len(WORK))
-        total[:] = [t + n for t, n in zip(total, info["work"])]
+        total[:] = [None if n is None else t + n for t, n in zip(total, info["work"])]
     return out
 
 
 def _regressions(runs, work_by_kind):
     """(the job kinds that do more of some work in src than in base, each with
-    the count that grew; the jobs whose exit code or failure differs)."""
+    the count that grew; the jobs whose exit code or failure differs).  A
+    count that either tree does not keep is not compared."""
     base = work_by_kind["base"]
-    more = [f"{kind} ({WORK[k]} {n} > {base[kind][k]})"
+    more = [f"{kind} ({name} {n} > {b})"
             for kind, done in sorted(work_by_kind["src"].items())
-            for k, n in enumerate(done) if n > base.get(kind, done)[k]]
+            for name, n, b in zip(WORK, done, base.get(kind, done))
+            if None not in (n, b) and n > b]
     moved = [job_id for job_id, info in sorted(runs["src"].items())
              if info["signature"] != runs["base"].get(job_id, {}).get("signature")]
     return more, moved
@@ -256,7 +261,7 @@ def main():
                 print(f"  {job_id}: {'; '.join(found)[:300]}")
             print(f"  per job kind: {' / '.join(WORK)}")
             for kind, done in sorted(work_by_kind[name].items()):
-                print(f"    {kind}: {' / '.join(map(str, done))}")
+                print(f"    {kind}: {' / '.join('-' if n is None else str(n) for n in done)}")
         regressions = []
         if args.base:
             more, moved_exit = _regressions(runs, work_by_kind)
