@@ -65,12 +65,14 @@ def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizo
     if dim.transitions[0].shape != (n, n):
         raise ValueError("plan dimension does not match power state count")
     rng = np.random.default_rng(seed)
-    cums = _cumulative_rows(np.stack(dim.transitions))
-    cum = cums[np.minimum(np.arange(horizon), len(cums) - 1)]
-    states = _path_states(cum, dim.initial, horizon, rng)
-    gains = rng.standard_exponential(horizon)
-    snr = channel.snr_matrix[states[:-1], states[1:]]
-    return states, channel.bandwidth * np.log2(1.0 + snr * gains)
+    states = _path_states(_cumulative_rows(np.stack(dim.transitions)), dim.initial, horizon, rng)
+    # bandwidth * log2(1 + snr * gain), computed in place on the SNRs
+    capacity = channel.snr_matrix[states[:-1], states[1:]]
+    capacity *= rng.standard_exponential(horizon)
+    capacity += 1.0
+    np.log2(capacity, out=capacity)
+    capacity *= channel.bandwidth
+    return states, capacity
 
 
 def quantize_capacity(snr: float, bandwidth: float, n_points: int) -> DiscretePmf:

@@ -115,8 +115,72 @@ class DiscretePmf(IncrementLaw):
         cdf[-1] = 1.0
         return cdf
 
+    @cached_property
+    def _inverse(self) -> InverseCdf:
+        return InverseCdf(self._cdf)
+
     def sample(self, rng, size):
-        return np.asarray(self.support)[np.searchsorted(self._cdf, rng.random(size), side="right")]
+        return np.asarray(self.support).take(self._inverse(rng.random(size)))
+
+
+def count_at_or_below(points, u, out):
+    """out = #{j : points[j] <= u} elementwise, for a nonempty iterable of
+    arrays or scalars that broadcast against u; returns out.
+
+    On the inner points cdf[:-1] of a nondecreasing CDF that ends at 1 this
+    is the CDF's inverse for u in [0, 1), searchsorted(cdf, u, side="right"),
+    counted in one compare pass per point."""
+    points = iter(points)
+    # compares stay bytes (a one-byte count takes the first as is): a cast
+    # to a wider type costs a call about a microsecond, as much as a compare
+    # of a few thousand elements
+    np.less_equal(next(points), u, out=out.view(bool) if out.itemsize == 1 else out)
+    for p in points:
+        out += np.less_equal(p, u).view(np.uint8)
+    return out
+
+
+# CDFs of up to this many points are inverted by counting, longer ones through
+# a guide table
+_COUNTED_POINTS = 8
+
+
+class InverseCdf:
+    """Inverse of a nondecreasing CDF that ends at exactly 1: called on an
+    array of uniforms u in [0, 1), it returns searchsorted(cdf, u, side="right")
+    with no binary search per draw.
+
+    Up to _COUNTED_POINTS points the index is counted (`count_at_or_below`).
+    A longer CDF goes through a guide table (Chen & Asau 1974; Devroye 1986,
+    III.2.4) of K >= 4m cells, K a power of two, so that k = floor(u K) is
+    exact and u lies in [k/K, (k+1)/K).  Cell k holds lo[k], the index of
+    k/K, and the CDF point there: when no other point falls inside the cell,
+    the index of u is lo[k] plus one if u reaches that point.  The draws in
+    the at most (m - 1) / 2 cells that hold two points or more, under 1/8 of
+    the mass, are searched.
+    """
+
+    def __init__(self, cdf):
+        self.cdf = cdf
+        if len(cdf) > _COUNTED_POINTS:
+            self.cells = 1 << (4 * len(cdf) - 1).bit_length()
+            edges = np.arange(self.cells + 1) / self.cells
+            self.lo = np.searchsorted(cdf, edges[:-1], side="right")
+            self.next_point = cdf[self.lo]
+            self.crowded = np.searchsorted(cdf, edges[1:], side="left") - self.lo > 1
+
+    def __call__(self, u):
+        if len(self.cdf) == 1:
+            return np.zeros(u.shape, dtype=np.intp)
+        if len(self.cdf) <= _COUNTED_POINTS:
+            return count_at_or_below(self.cdf[:-1], u, np.empty(u.shape, dtype=np.uint8))
+        k = (u * self.cells).astype(np.intp)
+        index = self.lo.take(k)
+        index += self.next_point.take(k) <= u
+        far = np.flatnonzero(self.crowded.take(k))
+        if far.size:
+            index[far] = np.searchsorted(self.cdf, u[far], side="right")
+        return index
 
 
 # The Rayleigh transforms E[(1 + snr G)^n], n = theta W / ln 2, are split at

@@ -1,16 +1,18 @@
 """Monte Carlo queue simulation and empirical stochastic-order checks.
 
 Each call draws from one stream seeded by its `seed`, so results are
-reproducible.  All state sampling goes through one successor rule
-(`_successors`, a table of every state's successor per uniform) and all
-increment draws through `_increments` (one draw per distinct law).
-`tail_estimate` and `martingale_check` walk their chains with `_blocks`,
-in blocks of at most `_BLOCK_CELLS` replication-slots, so their memory is
-O(replications x block), not O(replications x horizon).  A single path
-(`sample_path`, and `channel.controlled_capacity_process`) is walked by
-`_path_states` in two numpy passes over blocks of about sqrt(horizon) / 4
-slots, chained by one Python step per block, with the states of a
-slot-by-slot walk.
+reproducible.  All state sampling goes through one successor rule, the
+count of a pinned CDF row's inner entries at or below the uniform
+(`laws.count_at_or_below`), and all increment draws through `_increments`
+(one draw per distinct law).  `tail_estimate` and `martingale_check` walk
+their chains with `_blocks`, in blocks of at most `_BLOCK_CELLS`
+replication-slots, each slot moving every chain by its own CDF row alone,
+so their memory is O(replications x block), not O(replications x horizon).
+A single path (`sample_path`, and `channel.controlled_capacity_process`)
+takes the rule over every row, as a table of every state's successor per
+uniform (`_successors`), and is walked by `_path_states` in two numpy
+passes over blocks of about sqrt(horizon) / 4 slots, chained by one Python
+step per block, with the states of a slot-by-slot walk.
 
 States, successor tables and the cells src * n + dst of a walk are held in
 `_state_type(n)`, the smallest unsigned type that holds n * n (one byte up
@@ -35,7 +37,7 @@ from .errors import (
     InconclusiveTail,
     UnknownExperiment,
 )
-from .laws import Constant, DiscretePmf
+from .laws import Constant, DiscretePmf, count_at_or_below
 from .spectral import MapKernel, mean_rate, perron, single_state_kernel, stability_root
 
 
@@ -71,21 +73,19 @@ def _state_type(n: int) -> np.dtype:
     return np.min_scalar_type(n * n)
 
 
-def _successors(cum, u):
-    """Successor table, shape u.shape + (n,), in `_state_type(n)`: entry i is
-    the first j with u < cum[..., i, j].  `cum` holds pinned CDF rows (a
-    matrix, or a stack broadcasting against u), so only the n - 1 inner
-    columns are compared; each state's comparisons are accumulated over u as
-    a whole in one contiguous column, which is then stored in the table."""
+def _successors(cum, u, out=None):
+    """Successor table, shape u.shape + (n,), in `_state_type(n)`, written to
+    `out` if given: entry i is row i's successor, the first j with
+    u < cum[..., i, j], for pinned CDF rows `cum` (a matrix, or a stack
+    broadcasting against u).  Each is the count of the row's n - 1 inner
+    columns at or below u (`count_at_or_below`, the one successor rule),
+    taken over u as a whole in one contiguous column, then stored."""
     n = cum.shape[-1]
     kind = _state_type(n)
-    table = np.empty(u.shape + (n,), dtype=kind)
+    table = np.empty(u.shape + (n,), dtype=kind) if out is None else out
     col = np.empty(u.shape, dtype=kind)
     for i in range(n):
-        col.fill(0)
-        for j in range(n - 1):
-            col += cum[..., i, j] <= u
-        table[..., i] = col
+        table[..., i] = count_at_or_below((cum[..., i, j] for j in range(n - 1)), u, col)
     return table
 
 
@@ -97,7 +97,11 @@ def _blocks(kernel: MapKernel, replications: int, horizon: int, rng, step: int):
     slots, states in `_state_type(n)`; states[:, 0] is the last state of the
     block before.  Each block draws its uniforms as one (b, R) array and its
     increments in one `_increments` call; only the current state vector
-    outlives a block.
+    outlives a block.  Each slot moves every chain by its own pinned CDF
+    row alone: one `take` gathers the n - 1 inner entries of the rows at
+    the chains' states, as n - 1 rows of R, which are counted at or below
+    the slot's uniforms (`count_at_or_below`, the successor rule of
+    `_successors`).
 
     A one-state chain draws no state, and one draw fills its increments
     replication by replication, so a chunk of whole-horizon blocks takes
@@ -109,7 +113,7 @@ def _blocks(kernel: MapKernel, replications: int, horizon: int, rng, step: int):
     kind = _state_type(n)
     if n > 1:
         cum = _cumulative_rows(kernel.transition)
-        offsets = np.arange(replications) * n
+        inner = np.ascontiguousarray(cum[:, :-1].T)  # row j: column j of every CDF row
         state = rng.choice(n, size=replications, p=kernel.initial_dist).astype(kind)
         COUNTS["state_draws"] += replications
     for start in range(0, horizon, step):
@@ -118,19 +122,23 @@ def _blocks(kernel: MapKernel, replications: int, horizon: int, rng, step: int):
             states = np.broadcast_to(kind.type(0), (replications, b + 1))
             yield states, _increments(kernel, states[:, :-1], states[:, 1:], rng)
         else:
-            table = _successors(cum, rng.random((b, replications)))
+            u = rng.random((b, replications))
             COUNTS["state_draws"] += b * replications
             path = np.empty((b + 1, replications), dtype=kind)
             path[0] = state
-            for t in range(b):
-                path[t + 1] = state = table[t].take(offsets + state)
-            del table  # so that two blocks' tables never coexist
+            for u_t, moved in zip(u, path[1:]):
+                state = count_at_or_below(inner.take(state, axis=1), u_t, moved)
             yield path.T, _increments(kernel, path[:-1], path[1:], rng).T
 
 
 def _path_states(cum, initial_dist, horizon: int, rng) -> np.ndarray:
     """State series (horizon + 1) of one path, walked in two passes over the
     successor table of every slot; a one-state chain draws nothing.
+
+    `cum` holds pinned CDF rows: one (n, n) matrix, or a (P, n, n) stack of
+    plan steps, slot t moving by step min(t, P - 1).  The slots before the
+    last step take their successors from their own steps, and the slots from
+    it on from its one matrix, each part written into the table in place.
 
     The slots are cut into blocks of b ~ sqrt(horizon) / 4 slots, the last
     holding the horizon % b that remain.  Pass 1 walks every full block from
@@ -147,7 +155,14 @@ def _path_states(cum, initial_dist, horizon: int, rng) -> np.ndarray:
     if n == 1:
         return np.zeros(horizon + 1, dtype=np.int64)
     state = int(rng.choice(n, p=initial_dist))
-    table = _successors(cum, rng.random(horizon)).ravel()
+    u = rng.random(horizon)
+    table = np.empty((horizon, n), dtype=_state_type(n))
+    steps = cum.reshape(-1, n, n)
+    head = min(len(steps) - 1, horizon)  # slots before the last step
+    _successors(steps[:head], u[:head], table[:head])
+    _successors(steps[-1], u[head:], table[head:])
+    del u  # the walk holds no uniform
+    table = table.ravel()
     COUNTS["state_draws"] += 1 + horizon
     b = max(1, math.isqrt(horizon) // 4)
     full, last = divmod(horizon, b)
@@ -187,18 +202,24 @@ def _increments(kernel: MapKernel, src, dst, rng) -> np.ndarray:
     """Increments of the (src, dst) transitions, any shape: one draw per
     distinct law, in the order of `kernel._law_groups`, which holds every
     transition the samplers can take (`_cumulative_rows` skips the others).
-    Each cell src * n + dst is formed in `_state_type(n)` and reads its law
-    index from the kernel's `_law_of_cell`."""
+    Where law g is that of every move out of state g (`_law_is_source`, as
+    in a capacity kernel whose SNR follows the source state) the law index
+    is src itself; otherwise each cell src * n + dst is formed in
+    `_state_type(n)` and reads its law index from the kernel's
+    `_law_of_cell`."""
     groups = kernel._law_groups
     COUNTS["increment_draws"] += src.size
     if len(groups) == 1:  # the one law takes every slot
         (law,) = groups
         return law.sample(rng, src.size).reshape(src.shape)
-    kind = _state_type(kernel.n_states)
-    cell = src.astype(kind)
-    cell *= kernel.n_states
-    cell += dst.astype(kind, copy=False)
-    group = kernel._law_of_cell.take(cell)
+    if kernel._law_is_source:
+        group = src
+    else:
+        kind = _state_type(kernel.n_states)
+        cell = src.astype(kind)
+        cell *= kernel.n_states
+        cell += dst.astype(kind, copy=False)
+        group = kernel._law_of_cell.take(cell)
     out = np.empty(group.size)
     for g, law in enumerate(groups):
         at = np.flatnonzero(group == g)  # in row-major order
@@ -207,9 +228,14 @@ def _increments(kernel: MapKernel, src, dst, rng) -> np.ndarray:
     return out.reshape(group.shape)
 
 
+def _is_whole(value, least: int) -> bool:
+    """Whether value is a whole number (an Integral: 3.0 is not) >= least."""
+    return isinstance(value, numbers.Integral) and value >= least
+
+
 def _whole_horizon(horizon) -> int:
     """horizon as an int if it is a whole number >= 0, else ValueError."""
-    if not isinstance(horizon, numbers.Integral) or horizon < 0:
+    if not _is_whole(horizon, 0):
         raise ValueError(f"horizon must be a whole number of slots >= 0, got {horizon!r}")
     return int(horizon)
 
@@ -260,13 +286,16 @@ def tail_estimate(
     Each replication contributes its end-of-horizon observation, taken after
     the queue has relaxed; levels with fewer than 50 exceedances are
     flagged inconclusive.  Delay levels are whole slots d >= 0: D > d iff
-    the backlog exceeds the arrivals of the last d slots.
+    the backlog exceeds the arrivals of the last d slots.  Replications and
+    horizon are whole numbers >= 1, checked before any draw.
     """
-    if min(replications, horizon) < 1:
-        raise ValueError(f"replications and horizon must be >= 1, got {replications}, {horizon}")
+    if not (_is_whole(replications, 1) and _is_whole(horizon, 1)):
+        raise ValueError(f"replications and horizon must be whole numbers >= 1, got "
+                         f"{replications!r}, {horizon!r}")
+    replications, horizon = int(replications), int(horizon)
     if metric == "delay":
-        d_max = max(int(_delay_level(d)) for d in levels)
-        recent = np.zeros((d_max, replications))  # arrivals of the last d_max slots
+        d_max = max((int(_delay_level(d)) for d in levels), default=0)
+        window = []  # the arrival blocks that reach into the last d_max slots
     elif metric == "backlog":
         levels = [_finite_level(b) for b in levels]
     else:
@@ -274,6 +303,7 @@ def tail_estimate(
     rng = _stream(seed)
     step = max(1, _BLOCK_CELLS // replications)
     backlog = np.zeros(replications)
+    end = 0  # slots walked
     for (_, c), (_, a) in zip(_blocks(service, replications, horizon, rng, step),
                               _blocks(arrival, replications, horizon, rng, step)):
         # B after the block is X_b - min(-B, min_s X_s), X the block's net work;
@@ -282,8 +312,13 @@ def tail_estimate(
         for t in range(1, len(net)):
             net[t] += net[t - 1]
         backlog = net[-1] - np.minimum(-backlog, net.min(axis=0))
-        if metric == "delay":
-            recent = np.concatenate((recent, a.T))[len(net):]
+        end += len(net)
+        if metric == "delay" and end > horizon - d_max:
+            window.append(a.T)
+    if metric == "delay":
+        # arrivals of the last d_max slots, slot-major, none before slot 0
+        recent = np.concatenate([np.zeros((max(0, d_max - horizon), replications))] + window)
+        recent = recent[len(recent) - d_max:]
 
     out = []
     for level in levels:
@@ -315,10 +350,12 @@ def decay_slope(estimates) -> float:
 
 
 def martingale_check(kernel: MapKernel, theta: float, horizon: int, replications: int, seed):
-    """Sample mean and standard error of L(T) = (h_{J_T}/h_{J_0}) e^{theta S(T) - T kappa}."""
-    if replications < 2 or horizon < 1:
-        raise ValueError(f"replications and horizon must be >= 2 and >= 1, got "
-                         f"{replications}, {horizon}")
+    """Sample mean and standard error of L(T) = (h_{J_T}/h_{J_0}) e^{theta S(T) - T kappa},
+    over whole numbers of replications >= 2 and slots >= 1, checked before any draw."""
+    if not (_is_whole(replications, 2) and _is_whole(horizon, 1)):
+        raise ValueError(f"replications and horizon must be whole numbers >= 2 and >= 1, got "
+                         f"{replications!r}, {horizon!r}")
+    replications, horizon = int(replications), int(horizon)
     sol = perron(kernel, theta)
     rng = _stream(seed)
     s_total = np.zeros(replications)

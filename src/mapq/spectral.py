@@ -109,6 +109,12 @@ class MapKernel:
         return law_of
 
     @cached_property
+    def _law_is_source(self) -> bool:
+        """Whether law g of `_law_groups` is that of every positive transition
+        out of state g, so that a transition's law index is its source state."""
+        return all((rows == g).all() for g, (rows, _) in enumerate(self._law_groups.values()))
+
+    @cached_property
     def _transform_groups(self) -> tuple:
         """(others, stack, cells): (law, rows, cols, p_ij) per law of `_law_groups`
         that is not a Rayleigh capacity law; the Rayleigh laws, negated or not,

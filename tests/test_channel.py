@@ -1,11 +1,12 @@
 """Fading-channel service kernels and controlled capacity paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import at, rayleigh_mean, searchsorted_walk, short_plan_channel
+from conftest import at, random_kernel, rayleigh_mean, searchsorted_walk, short_plan_channel
 from mapq.channel import (
     ChannelSpec,
     capacity_kernel,
@@ -112,3 +113,23 @@ def test_controlled_capacity_process_stays_in_range_on_short_rows(monkeypatch,
     states, capacity = controlled_capacity_process(dim, power_control_channel, 3, 0)
     assert states.tolist() == [0, 1, 1, 1]
     assert capacity.tolist() == [20.0 * math.log2(1.0 + 1e4)] + [20.0 * math.log2(11.0)] * 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_controlled_capacity_process_holds_no_cdf_per_slot(n):
+    # within sample_path's bound of 8n + 16 bytes a slot over 200,000 slots: a
+    # CDF stack of n * n float64 per slot took 72 (2 states) and 168 (4)
+    if n == 3:
+        channel, plan = short_plan_channel()  # two plan steps, the last repeated
+    else:
+        kernel = random_kernel(np.random.default_rng(n), n)
+        channel = ChannelSpec(2.0, np.outer(1.0 + np.arange(n), np.ones(n)), tuple(range(n)))
+        plan = DimensionPlan((kernel.transition,), kernel.initial_dist)
+    horizon = 200_000
+    tracemalloc.start()
+    try:
+        controlled_capacity_process(plan, channel, horizon, 3)
+        peak = tracemalloc.get_traced_memory()[1] / horizon
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 16, peak

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expn, gamma, gammaincc, gammaln
 
@@ -16,6 +16,7 @@ from mapq import laws as laws_module
 from mapq.laws import (
     Constant,
     DiscretePmf,
+    InverseCdf,
     Negated,
     RayleighCapacity,
     RayleighStack,
@@ -109,6 +110,46 @@ def test_discrete_pmf_sample_lands_on_the_last_point_whatever_the_sum_rounds_to(
     for last in (0.3 - 1e-13, 0.3 + 1e-13):
         law = DiscretePmf((1.0, 2.0, 5.0), (0.3, 0.4, last))
         assert law.sample(TopUniforms(), 3).tolist() == [5.0, 5.0, 5.0]
+
+
+@st.composite
+def _pmf_probs(draw):
+    """Probabilities of 1 to 120 points, short (counted) and long (guided),
+    some with zero-probability atoms (repeated CDF values), some scaled to
+    sum to about 1 - 1e-12."""
+    m = draw(st.one_of(st.integers(1, laws_module._COUNTED_POINTS),
+                       st.integers(laws_module._COUNTED_POINTS + 1, 120)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.dirichlet(np.full(m, draw(st.sampled_from([0.05, 1.0, 5.0]))))
+    if draw(st.booleans()):
+        p[rng.random(m) < 0.3] = 0.0
+        p[rng.integers(m)] += 1e-3
+        p /= p.sum()
+    if draw(st.booleans()):  # the sum of its rounded terms must stay inside 1e-12 of 1
+        p *= (1.0 - 0.999e-12) / p.sum()
+    return p
+
+
+@given(_pmf_probs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80)
+def test_inverse_cdf_is_searchsorted_on_the_right(probs, seed):
+    # u at every CDF point and its neighbours, cell edges of the guide table,
+    # and random draws, all in [0, 1)
+    law = DiscretePmf(tuple(np.arange(len(probs), dtype=float)), tuple(probs))
+    cdf = law._cdf
+    u = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                        np.arange(1024) / 1024, np.random.default_rng(seed).random(2000)))
+    u = u[u < 1.0]
+    index = InverseCdf(cdf)(u)
+    assert index.tolist() == np.searchsorted(cdf, u, side="right").tolist()
+    # sample draws one uniform per value and returns the support point it inverts to
+    x = law.sample(np.random.default_rng(seed), 500)
+    u = np.random.default_rng(seed).random(500)
+    assert x.tolist() == [law.support[i] for i in np.searchsorted(cdf, u, side="right")]
+
+
+def test_inverse_cdf_of_a_point_law_is_zero():
+    assert InverseCdf(np.array([1.0]))(np.array([0.0, 0.5, 1.0 - 2.0 ** -53])).tolist() == [0] * 3
 
 
 def test_discrete_pmf_sum_message_names_a_plain_number():

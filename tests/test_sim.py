@@ -200,6 +200,32 @@ def test_block_walk_widens_its_state_type_past_fifteen_states(monkeypatch, n, ce
         assert x in k.law(src, dst).support
 
 
+@pytest.mark.parametrize("n", [2, 3, 16, 70])
+def test_block_walk_moves_each_chain_by_its_own_cdf_row(n):
+    # constant laws draw nothing, so one replication's uniforms replay those of
+    # a searchsorted walk; blocks of 7 slots, the last of 1
+    k = random_kernel(np.random.default_rng(n), n, concentration=20.0 if n > 30 else 2.0)
+    kind = sim_module._state_type(n)
+    laws = ((Constant(0.0),) * n,) * n
+    kernel = MapKernel(k.state_labels, k.transition, laws, k.initial_dist)
+    states, _ = _walk(kernel, 1, 50, np.random.default_rng(8), 7)
+    assert states.dtype == kind
+    assert states[0].tolist() == searchsorted_walk([k.transition], k.initial_dist, 50, 8)
+    # five chains in one walk: chain r moves on column r of each block's (b, R)
+    # uniforms by the row of its own state
+    states, _ = _walk(kernel, 5, 50, np.random.default_rng(9), 7)
+    assert states.dtype == kind
+    rng = np.random.default_rng(9)
+    start = rng.choice(n, size=5, p=k.initial_dist)
+    u = np.vstack([rng.random((min(7, 50 - t), 5)) for t in range(0, 50, 7)])
+    cum = sim_module._cumulative_rows(k.transition)
+    for r in range(5):
+        walk = [int(start[r])]
+        for t in range(50):
+            walk.append(int(np.searchsorted(cum[walk[-1]], u[t, r], side="right")))
+        assert states[r].tolist() == walk
+
+
 def test_successor_tables_take_one_byte_up_to_fifteen_states():
     u = np.random.default_rng(5).random((3, 40))
     for n in range(2, 17):
@@ -212,6 +238,17 @@ def test_successor_tables_take_one_byte_up_to_fifteen_states():
         assert table.tolist() == expected
 
 
+def _replayed_traces(arrival, service, replications, horizon, seed):
+    """(backlog, delay) traces of each replication, from the block walkers
+    replayed on the seed's stream as tail_estimate runs them."""
+    stream, step = np.random.default_rng(seed), max(1, sim_module._BLOCK_CELLS // replications)
+    blocks = list(zip(*[sim_module._blocks(k, replications, horizon, stream, step)
+                        for k in (service, arrival)]))
+    c = np.hstack([s[1] for s, _ in blocks])
+    a = np.hstack([r[1] for _, r in blocks])
+    return [lindley_loop(a[r], c[r]) for r in range(replications)]
+
+
 def test_block_lindley_matches_the_queue_recursion(monkeypatch):
     # three replications walk blocks of 2 slots, the last of 1; the walkers
     # replayed on the seed's stream give each replication's paths
@@ -220,12 +257,7 @@ def test_block_lindley_matches_the_queue_recursion(monkeypatch):
     arrival = random_kernel(rng, 2, mean_offset=4.2)
     service = random_kernel(rng, 3, mean_offset=4.0)
     replications, horizon, seed = 3, 25, 5
-    stream, step = np.random.default_rng(seed), max(1, sim_module._BLOCK_CELLS // replications)
-    blocks = list(zip(*[sim_module._blocks(k, replications, horizon, stream, step)
-                        for k in (service, arrival)]))
-    c = np.hstack([s[1] for s, _ in blocks])
-    a = np.hstack([r[1] for _, r in blocks])
-    traces = [lindley_loop(a[r], c[r]) for r in range(replications)]
+    traces = _replayed_traces(arrival, service, replications, horizon, seed)
     ends = [backlog[-1] for backlog, _ in traces]
     assert min(ends) > 0.0 and len(set(np.round(ends, 9))) == replications
     # hits on either side of each end backlog pin every replication within 1e-12
@@ -245,6 +277,28 @@ def test_delay_levels_beyond_the_horizon_count_every_arrival(monkeypatch):
     est = tail_estimate(single_state_kernel(Constant(1.0)), single_state_kernel(Constant(0.0)),
                         [0, 4, 9, 10, 15], 3, 10, 0, "delay")
     assert [e.hits for e in est] == [3, 3, 3, 0, 0]
+
+
+# (horizon, delays) for blocks of 4 slots (3 replications, 12 cells): the
+# window of the last d_max slots reaches past slot 0, is the last block
+# exactly, or spans the last two blocks, the last one short
+@pytest.mark.parametrize("horizon, delays", [(10, [1, 2, 12]), (9, [0, 1, 11]),
+                                             (24, [0, 1, 4]), (26, [2, 4, 5]), (26, [3, 4, 6])])
+def test_delay_window_holds_the_arrivals_of_the_last_d_max_slots(monkeypatch, horizon, delays):
+    monkeypatch.setattr(sim_module, "_BLOCK_CELLS", 12)
+    rng = np.random.default_rng(31)
+    arrival = random_kernel(rng, 2, mean_offset=4.2)
+    service = random_kernel(rng, 3, mean_offset=4.0)
+    traces = _replayed_traces(arrival, service, 3, horizon, 5)
+    est = tail_estimate(arrival, service, delays, 3, horizon, 5, "delay")
+    assert [e.hits for e in est] == [sum(delay[-1] > d for _, delay in traces) for d in delays]
+
+
+def test_tail_estimate_of_no_levels_is_empty():
+    kernel = random_kernel(np.random.default_rng(4), 2, mean_offset=2.0)
+    arrival = single_state_kernel(Constant(1.0))
+    for metric in ("backlog", "delay"):
+        assert tail_estimate(arrival, kernel, [], 10, 5, 0, metric) == []
 
 
 def test_tail_estimate_memory_does_not_grow_with_the_horizon(delay_figure_channel):
@@ -341,6 +395,31 @@ def test_path_samplers_check_the_horizon_before_drawing(monkeypatch, delay_figur
     assert states.shape == (1,) and increments.shape == (0,)
     states, capacity = controlled_capacity_process(dim, delay_figure_channel, 0, 5)
     assert states.shape == (1,) and capacity.shape == (0,)
+
+
+def test_increments_read_the_law_index_off_the_source_state_where_laws_follow_it():
+    # each row's moves share one law, as in a capacity kernel whose SNR follows
+    # the source state: the law index is the source state, and the draws are
+    # those of the cell lookup, value for value
+    p = random_kernel(np.random.default_rng(6), 3).transition
+    row_laws = [DiscretePmf((i, i + 0.25, i + 0.5), (0.2, 0.5, 0.3)) for i in range(3)]
+    kernel = MapKernel(("a", "b", "c"), p, tuple((law,) * 3 for law in row_laws),
+                       np.full(3, 1.0 / 3.0))
+    assert kernel._law_is_source
+    looked_up = MapKernel(kernel.state_labels, p, kernel.increments, kernel.initial_dist)
+    looked_up.__dict__["_law_is_source"] = False
+    states, _ = _walk(kernel, 40, 30, np.random.default_rng(2), 7)
+    src, dst = states[:, :-1], states[:, 1:]
+    x = sim_module._increments(kernel, src, dst, np.random.default_rng(3))
+    assert x.tolist() == sim_module._increments(looked_up, src, dst,
+                                                np.random.default_rng(3)).tolist()
+    assert np.all(np.floor(x) == src)
+    # one law shared by rows 0 and 2, or a row of two laws: the cell lookup
+    shared = row_laws[:2] + row_laws[:1]
+    assert not MapKernel(kernel.state_labels, p, tuple((law,) * 3 for law in shared),
+                         kernel.initial_dist)._law_is_source
+    split = ((row_laws[0], row_laws[1], row_laws[0]),) + kernel.increments[1:]
+    assert not MapKernel(kernel.state_labels, p, split, kernel.initial_dist)._law_is_source
 
 
 def test_samplers_keep_their_draw_order():
@@ -450,6 +529,21 @@ def test_martingale_check_needs_two_replications_and_one_slot(monkeypatch, toy_s
     monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
     for replications, horizon in ((0, 5), (1, 5), (10, 0), (10, -1)):
         with pytest.raises(ValueError, match="replications and horizon"):
+            martingale_check(toy_service, 0.2, horizon, replications, 0)
+
+
+def test_tail_and_martingale_take_whole_numbers_before_drawing(monkeypatch, toy_service):
+    arrival = single_state_kernel(Constant(1.0))
+    # numpy integers are whole numbers: the same estimates as Python ints
+    est = tail_estimate(arrival, toy_service, [1.0], np.int64(50), np.int64(8), 3, "backlog")
+    assert est == tail_estimate(arrival, toy_service, [1.0], 50, 8, 3, "backlog")
+    assert martingale_check(toy_service, 0.2, np.int32(8), np.int64(50), 3) == (
+        martingale_check(toy_service, 0.2, 8, 50, 3))
+    monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
+    for replications, horizon in ((10.0, 5), (10, 5.5), (10, 5.0), ("10", 5), (10, None)):
+        with pytest.raises(ValueError, match="replications and horizon must be whole numbers"):
+            tail_estimate(arrival, toy_service, [1.0], replications, horizon, 0, "backlog")
+        with pytest.raises(ValueError, match="replications and horizon must be whole numbers"):
             martingale_check(toy_service, 0.2, horizon, replications, 0)
 
 
