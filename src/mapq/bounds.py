@@ -128,8 +128,9 @@ def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
                           h_minus, h_plus, root.theta_star, "0")
 
 
-def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: float) -> HorizonBoundReport:
-    """Finite-horizon delay bound with horizon multiplier y > 1.
+def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d_range) -> list:
+    """Finite-horizon delay bounds with horizon multiplier y > 1, one per
+    delay d >= 0 of `d_range`, all checked before the one theta solve.
 
     theta solves y kappa'^{-S}(theta) = -(y-1) kappa'^A(theta); the branch
     records whether the bound applies to P(D(t)>d; t<=yd) (y < y_gamma) or
@@ -137,7 +138,7 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
     """
     if not (math.isfinite(y) and y > 1):
         raise ValueError(f"delay horizon multiplier y must be finite and > 1, got {y!r}")
-    d = _delay_level(d, whole=False)
+    d_range = [_delay_level(d, whole=False) for d in d_range]
     root = stability_root(arrival, service)
     neg_service = root.neg_service.kernel
     da_g = root.arrival.kappa_dot
@@ -155,16 +156,17 @@ def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d: flo
     h_a, h_s = sol_a.h, sol_s.h
     h_plus = (h_a.max() / h_a.min()) / h_s.min()
     factor = float(service.initial_dist @ h_s)
-    raw = h_plus * factor * math.exp(-d * theta_y)
     branch = "short-horizon" if y < y_gamma else "long-horizon-remainder"
-    return HorizonBoundReport(d, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
+    return [HorizonBoundReport(d, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
+            for d in d_range for raw in [h_plus * factor * math.exp(-d * theta_y)]]
 
 
-def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: float) -> HorizonBoundReport:
-    """Finite-horizon backlog bound with horizon multiplier y > 0."""
+def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b_range) -> list:
+    """Finite-horizon backlog bounds with horizon multiplier y > 0, one per
+    finite level of `b_range`, all checked before the one theta solve."""
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"horizon multiplier y must be finite and positive, got {y!r}")
-    b = _finite_level(b)
+    b_range = [_finite_level(b) for b in b_range]
     root = stability_root(arrival, service)
     neg_service = root.neg_service.kernel
     y_gamma = 1.0 / (root.arrival.kappa_dot + root.neg_service.kappa_dot)
@@ -180,9 +182,9 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b: f
     h_a, h_s = sol_a.h, sol_s.h
     h_plus = 1.0 / (h_a.min() * h_s.min())
     factor = float(arrival.initial_dist @ h_a) * float(service.initial_dist @ h_s)
-    raw = h_plus * factor * math.exp(-b * theta_y)
     branch = "short-horizon" if y < y_gamma else "long-horizon-remainder"
-    return HorizonBoundReport(b, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
+    return [HorizonBoundReport(b, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
+            for b in b_range for raw in [h_plus * factor * math.exp(-b * theta_y)]]
 
 
 # interior points per round of dcc_upper's section search

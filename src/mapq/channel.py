@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import DimensionPlan
-from .laws import DiscretePmf, RayleighCapacity
-from .sim import _cumulative_rows, _path_states, _whole_horizon
+from .laws import DiscretePmf, RayleighCapacity, rayleigh_capacity
+from .sim import _path_states
 from .spectral import MapKernel
 
 
@@ -60,19 +60,14 @@ def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizo
     (state_{t-1}, state_t) pair.  Plans shorter than the horizon repeat their
     last matrix.  The horizon is a whole number >= 0.
     """
-    horizon = _whole_horizon(horizon)
     n = len(channel.power_states)
     if dim.transitions[0].shape != (n, n):
         raise ValueError("plan dimension does not match power state count")
     rng = np.random.default_rng(seed)
-    states = _path_states(_cumulative_rows(np.stack(dim.transitions)), dim.initial, horizon, rng)
-    # bandwidth * log2(1 + snr * gain), computed in place on the SNRs
-    capacity = channel.snr_matrix[states[:-1], states[1:]]
-    capacity *= rng.standard_exponential(horizon)
-    capacity += 1.0
-    np.log2(capacity, out=capacity)
-    capacity *= channel.bandwidth
-    return states, capacity
+    states = _path_states(dim.transitions, dim.initial, horizon, rng)
+    gains = rng.standard_exponential(len(states) - 1)
+    return states, rayleigh_capacity(gains, channel.snr_matrix[states[:-1], states[1:]],
+                                     channel.bandwidth)
 
 
 def quantize_capacity(snr: float, bandwidth: float, n_points: int) -> DiscretePmf:
@@ -84,8 +79,7 @@ def quantize_capacity(snr: float, bandwidth: float, n_points: int) -> DiscretePm
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     levels = (np.arange(n_points) + 0.5) / n_points
-    gains = -np.log1p(-levels)
-    support = bandwidth * np.log2(1.0 + snr * gains)
+    support = rayleigh_capacity(-np.log1p(-levels), snr, bandwidth)
     probs = np.full(n_points, 1.0 / n_points)
     probs[-1] = 1.0 - probs[:-1].sum()
     return DiscretePmf(tuple(support), tuple(probs))

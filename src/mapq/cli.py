@@ -125,11 +125,9 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
         _write_csv(path, ("level", "conditioning", "lower", "upper", "theta_star",
                           "lower_clamped", "upper_clamped"), rows)
     elif args.mode == "horizon":
-        rows = []
-        for level in levels:
-            r = bd.horizon_delay_bound(arrival, config.service, args.y, level)
-            rows.append((r.level, r.y, r.theta, r.theta_y, r.y_gamma, r.branch,
-                         r.bound, r.bound != r.bound_raw))
+        reports = bd.horizon_delay_bound(arrival, config.service, args.y, levels)
+        rows = [(r.level, r.y, r.theta, r.theta_y, r.y_gamma, r.branch,
+                 r.bound, r.bound != r.bound_raw) for r in reports]
         _write_csv(path, ("level", "y", "theta", "theta_y", "y_gamma", "branch",
                           "bound", "clamped"), rows)
     else:  # dcc

@@ -370,14 +370,17 @@ class RayleighCapacity(IncrementLaw):
         return self._stack.transform("tilted_mean", theta)[0]
 
     def sample(self, rng, size):
-        # bandwidth * log2(1 + snr * g), computed in place on the draws; they are
-        # exponential(size=size)'s, which multiplies them by its scale 1.0
-        c = rng.standard_exponential(size)
-        c *= self.snr
-        c += 1.0
-        np.log2(c, out=c)
-        c *= self.bandwidth
-        return c
+        # the draws are exponential(size=size)'s, which multiplies them by its scale 1.0
+        return rayleigh_capacity(rng.standard_exponential(size), self.snr, self.bandwidth)
+
+
+def rayleigh_capacity(gains, snr, bandwidth):
+    """bandwidth * log2(1 + snr * gains), computed in place on the float64 array gains."""
+    gains *= snr
+    gains += 1.0
+    np.log2(gains, out=gains)
+    gains *= bandwidth
+    return gains
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ def test_criterion_02_analytic_root_oracle(toy_arrival, toy_service):
     root = stability_root(toy_arrival, toy_service)
     assert root.arrival.kappa == pytest.approx(2.0, abs=1e-9)
     assert root.theta_star == pytest.approx(2.0, abs=1e-9)
-    r = bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, 1.0)
+    r = bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, [1.0])[0]
     assert r.theta == pytest.approx(1.25, abs=1e-9)
     assert r.theta_y == pytest.approx(3.125, abs=1e-9)
     elapsed = time.perf_counter() - t0

@@ -14,6 +14,7 @@ from mapq.errors import UnstableQueue
 from mapq.laws import Constant, DiscretePmf
 from mapq.spectral import (
     MapKernel,
+    mean_rate,
     perron,
     perron_grid,
     single_state_kernel,
@@ -87,7 +88,7 @@ def test_bounds_clamped_to_unit_interval(toy_arrival, toy_service):
 def test_horizon_delay_toy_closed_form(toy_arrival, toy_service):
     # y kappa_dot^{-S} = -(y-1) kappa_dot^A with y=2:
     # 2(-3 + 2 theta) = -1 -> theta = 1.25; theta_y = -2(-3.75+1.5625) - 1.25
-    r = bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, 4.0)
+    r = bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, [4.0])[0]
     assert r.theta == pytest.approx(1.25, abs=1e-9)
     assert r.theta_y == pytest.approx(3.125, abs=1e-9)
     assert r.bound_raw == pytest.approx(math.exp(-4.0 * 3.125), rel=1e-7)
@@ -95,7 +96,7 @@ def test_horizon_delay_toy_closed_form(toy_arrival, toy_service):
 
 def test_horizon_backlog_toy_closed_form(toy_arrival, toy_service):
     # y (kappa_dot^A + kappa_dot^{-S}) = 1 with y=1: 2 theta - 2 = 1
-    r = bd.horizon_backlog_bound(toy_arrival, toy_service, 1.0, 2.0)
+    r = bd.horizon_backlog_bound(toy_arrival, toy_service, 1.0, [2.0])[0]
     assert r.theta == pytest.approx(1.5, abs=1e-9)
     assert r.theta_y == pytest.approx(2.25, abs=1e-9)
 
@@ -103,7 +104,7 @@ def test_horizon_backlog_toy_closed_form(toy_arrival, toy_service):
 def test_horizon_exponent_is_concave_maximum(toy_arrival, toy_service):
     y = 2.0
     neg = toy_service.negated
-    r = bd.horizon_delay_bound(toy_arrival, toy_service, y, 1.0)
+    r = bd.horizon_delay_bound(toy_arrival, toy_service, y, [1.0])[0]
     grid = np.linspace(0.05, 2.45, 49)
     vals = [-y * perron(neg, t).kappa - (y - 1.0) * perron(toy_arrival, t).kappa for t in grid]
     assert r.theta_y >= max(vals) - 1e-9
@@ -115,7 +116,7 @@ def test_horizon_exponent_large_y_limits(toy_arrival, toy_service):
     # exponent theta_y / y falls to the magnitude of the cgf minimum (1)
     thetas, per_slot = [], []
     for y in (2.0, 5.0, 20.0, 400.0):
-        r = bd.horizon_delay_bound(toy_arrival, toy_service, y, 1.0)
+        r = bd.horizon_delay_bound(toy_arrival, toy_service, y, [1.0])[0]
         thetas.append(r.theta)
         per_slot.append(r.theta_y / y)
     assert all(a > b for a, b in zip(thetas, thetas[1:]))
@@ -125,8 +126,8 @@ def test_horizon_exponent_large_y_limits(toy_arrival, toy_service):
 
 
 def test_horizon_backlog_identity_at_y_gamma(toy_arrival, toy_service):
-    probe = bd.horizon_backlog_bound(toy_arrival, toy_service, 0.5, 1.0)
-    r = bd.horizon_backlog_bound(toy_arrival, toy_service, probe.y_gamma, 1.0)
+    probe = bd.horizon_backlog_bound(toy_arrival, toy_service, 0.5, [1.0])[0]
+    r = bd.horizon_backlog_bound(toy_arrival, toy_service, probe.y_gamma, [1.0])[0]
     gamma = stability_root(toy_arrival, toy_service).theta_star
     assert r.theta == pytest.approx(gamma, abs=1e-8)
     assert r.theta_y == pytest.approx(gamma, abs=1e-8)
@@ -311,12 +312,38 @@ def test_levels_must_be_finite(toy_arrival, toy_service):
         with pytest.raises(ValueError, match="finite"):
             bd.backlog_bounds(toy_arrival, toy_service, [1.0, level])
         with pytest.raises(ValueError, match="finite"):
-            bd.horizon_backlog_bound(toy_arrival, toy_service, 2.0, level)
+            bd.horizon_backlog_bound(toy_arrival, toy_service, 2.0, [level])[0]
     # the delay horizon takes real delays d >= 0, whole or not
     for level in (-3.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="delay level"):
-            bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, level)
-    assert bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, 2.5).level == 2.5
+            bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, [level])[0]
+    assert bd.horizon_delay_bound(toy_arrival, toy_service, 2.0, [2.5])[0].level == 2.5
+
+
+@pytest.mark.parametrize("fn", [bd.horizon_delay_bound, bd.horizon_backlog_bound])
+def test_horizon_bounds_solve_theta_once_for_every_level(delay_figure_channel, fn):
+    # on fresh kernels a level list costs the work of one level and gives the
+    # one-level reports; a bad level anywhere in it raises before any solve
+    def fresh():
+        service = capacity_kernel(np.array([[0.3, 0.7], [0.4, 0.6]]), delay_figure_channel)
+        return single_state_kernel(Constant(0.7 * mean_rate(service))), service
+
+    levels = [0.0, 1.0, 2.5, 4.0]
+    kernels = fresh()
+    done = counters.tally()
+    fn(*kernels, 2.0, levels[:1])
+    one = done()
+    assert one["quadrature_calls"] > 0
+    kernels = fresh()
+    done = counters.tally()
+    reports = fn(*kernels, 2.0, levels)
+    assert done() == one
+    assert reports == [fn(*kernels, 2.0, [x])[0] for x in levels]
+    kernels = fresh()
+    done = counters.tally()
+    with pytest.raises(ValueError, match="level"):
+        fn(*kernels, 2.0, [1.0, 2.0, math.nan])
+    assert not any(done().values())
 
 
 @pytest.mark.parametrize("fn", [bd.delay_bounds, bd.backlog_bounds])
@@ -342,7 +369,7 @@ def test_horizon_multiplier_must_be_finite(y):
     service = single_state_kernel(DiscretePmf((2.0, 4.0), (0.5, 0.5)))
     done = counters.tally()
     with pytest.raises(ValueError, match="horizon multiplier y must be finite"):
-        bd.horizon_delay_bound(arrival, service, y, 2.0)
+        bd.horizon_delay_bound(arrival, service, y, [2.0])[0]
     with pytest.raises(ValueError, match="horizon multiplier y must be finite"):
-        bd.horizon_backlog_bound(arrival, service, y, 2.0)
+        bd.horizon_backlog_bound(arrival, service, y, [2.0])[0]
     assert done()["scalar_solves"] == 0

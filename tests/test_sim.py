@@ -346,6 +346,28 @@ def test_sample_path_states_follow_the_searchsorted_walk_at_every_block_edge(
     assert increments.shape == (horizon,)
 
 
+@given(st.integers(2, 6), st.integers(1, 4), st.sampled_from(_WALK_HORIZONS),
+       st.integers(0, 2**32 - 1))
+def test_controlled_capacity_states_follow_the_searchsorted_walk_of_any_short_plan(
+        n, steps, horizon, seed):
+    # plans of 1-4 steps end inside a block, at a block edge or past the
+    # horizon, and every horizon's last block is padded past it
+    rng = np.random.default_rng(seed)
+    plan = DimensionPlan(tuple(rng.dirichlet(np.ones(n), size=n) for _ in range(steps)),
+                         rng.dirichlet(np.ones(n)))
+    snr = rng.uniform(0.5, 10.0, (n, n))
+    channel = ChannelSpec(3.0, snr, tuple(range(n)))
+    states, capacity = controlled_capacity_process(plan, channel, horizon, seed)
+    assert states.tolist() == searchsorted_walk(plan.transitions, plan.initial, horizon, seed)
+    # the gains follow the walk's uniforms on the same stream
+    replay = np.random.default_rng(seed)
+    replay.choice(n, p=plan.initial)
+    replay.random(horizon)
+    gains = replay.standard_exponential(horizon)
+    expected = 3.0 * np.log2(1.0 + snr[states[:-1], states[1:]] * gains)
+    assert capacity.tolist() == expected.tolist()
+
+
 def test_sample_path_walks_a_periodic_chain_exactly():
     laws = ((Constant(0.0), Constant(1.0)), (Constant(2.0), Constant(3.0)))
     kernel = MapKernel(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), laws,
@@ -364,11 +386,10 @@ def test_a_path_walk_holds_no_machine_word_per_state_and_slot(n):
     # state type and the int64 path; T * n machine words alone take 8n
     kernel = random_kernel(np.random.default_rng(n), n)
     horizon = 200_000
-    cum = sim_module._cumulative_rows(kernel.transition)
     peaks = []
     for call in (lambda: sample_path(kernel, horizon, 3),
-                 lambda: sim_module._path_states(cum, kernel.initial_dist, horizon,
-                                                 np.random.default_rng(3))):
+                 lambda: sim_module._path_states(kernel.transition, kernel.initial_dist,
+                                                 horizon, np.random.default_rng(3))):
         tracemalloc.start()
         try:
             call()
