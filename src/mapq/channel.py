@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import DimensionPlan
-from .laws import DiscretePmf, RayleighCapacity, rayleigh_capacity
+from .laws import DiscretePmf, RayleighCapacity, _rayleigh_capacity
 from .sim import _path_states
 from .spectral import MapKernel
 
@@ -66,8 +66,8 @@ def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizo
     rng = np.random.default_rng(seed)
     states = _path_states(dim.transitions, dim.initial, horizon, rng)
     gains = rng.standard_exponential(len(states) - 1)
-    return states, rayleigh_capacity(gains, channel.snr_matrix[states[:-1], states[1:]],
-                                     channel.bandwidth)
+    return states, _rayleigh_capacity(gains, channel.snr_matrix[states[:-1], states[1:]],
+                                      channel.bandwidth)
 
 
 def quantize_capacity(snr: float, bandwidth: float, n_points: int) -> DiscretePmf:
@@ -79,7 +79,7 @@ def quantize_capacity(snr: float, bandwidth: float, n_points: int) -> DiscretePm
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     levels = (np.arange(n_points) + 0.5) / n_points
-    support = rayleigh_capacity(-np.log1p(-levels), snr, bandwidth)
+    support = _rayleigh_capacity(-np.log1p(-levels), snr, bandwidth)
     probs = np.full(n_points, 1.0 / n_points)
     probs[-1] = 1.0 - probs[:-1].sum()
     return DiscretePmf(tuple(support), tuple(probs))

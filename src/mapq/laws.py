@@ -109,11 +109,7 @@ class DiscretePmf(IncrementLaw):
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        """Cumulative probabilities ending at exactly 1, so that every uniform
-        draw below 1 lands on a support point (probs may sum to 1 - 1e-12)."""
-        cdf = np.cumsum(self.probs)
-        cdf[-1] = 1.0
-        return cdf
+        return _pinned_cdf(np.asarray(self.probs))
 
     @cached_property
     def _inverse(self) -> InverseCdf:
@@ -121,6 +117,18 @@ class DiscretePmf(IncrementLaw):
 
     def sample(self, rng, size):
         return np.asarray(self.support).take(self._inverse(rng.random(size)))
+
+
+def _pinned_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, exactly 1 from each row's last
+    positive entry on, for a law's CDF and a chain's transition rows alike:
+    probabilities may sum to 1 - 1e-12, and a uniform above that sum must
+    land on neither a nonexistent entry nor one of probability 0."""
+    cum = np.cumsum(probs, axis=-1)
+    n = cum.shape[-1]
+    last = n - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cum[np.arange(n) >= last[..., None]] = 1.0
+    return cum
 
 
 def count_at_or_below(points, u, out):
@@ -371,10 +379,10 @@ class RayleighCapacity(IncrementLaw):
 
     def sample(self, rng, size):
         # the draws are exponential(size=size)'s, which multiplies them by its scale 1.0
-        return rayleigh_capacity(rng.standard_exponential(size), self.snr, self.bandwidth)
+        return _rayleigh_capacity(rng.standard_exponential(size), self.snr, self.bandwidth)
 
 
-def rayleigh_capacity(gains, snr, bandwidth):
+def _rayleigh_capacity(gains, snr, bandwidth):
     """bandwidth * log2(1 + snr * gains), computed in place on the float64 array gains."""
     gains *= snr
     gains += 1.0

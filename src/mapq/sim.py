@@ -3,8 +3,9 @@
 Each call draws from one stream seeded by its `seed`, so results are
 reproducible.  All state sampling goes through one successor rule, the
 count of a pinned CDF row's inner entries at or below the uniform
-(`laws.count_at_or_below`), and all increment draws through `_increments`
-(one draw per distinct law).  `tail_estimate` and `martingale_check` walk
+(`laws.count_at_or_below`), and all increment draws through `_increments`,
+one draw per distinct law of the kernel's law table (`MapKernel._law_table`,
+which the transforms read too).  `tail_estimate` and `martingale_check` walk
 their chains with `_blocks`, in blocks of at most `_BLOCK_CELLS`
 replication-slots, each slot moving every chain by its own CDF row alone,
 so their memory is O(replications x block), not O(replications x horizon).
@@ -37,7 +38,7 @@ from .errors import (
     InconclusiveTail,
     UnknownExperiment,
 )
-from .laws import Constant, DiscretePmf, count_at_or_below
+from .laws import Constant, DiscretePmf, _pinned_cdf, count_at_or_below
 from .spectral import MapKernel, mean_rate, perron, single_state_kernel, stability_root
 
 
@@ -51,21 +52,6 @@ _BLOCK_CELLS = 1 << 16
 
 def _stream(seed):
     return np.random.default_rng(seed)
-
-
-def _cumulative_rows(transition: np.ndarray) -> np.ndarray:
-    """Row-wise transition CDFs that are exactly 1 from each row's last
-    positive entry on.
-
-    Rows may sum to 1 - 1e-12; a uniform draw above that sum would
-    otherwise map to the nonexistent state n, or to a state that the row
-    gives probability 0 (whose edge has no increment law to draw from).
-    """
-    cum = np.cumsum(transition, axis=-1)
-    n = transition.shape[-1]
-    last = n - 1 - np.argmax(transition[..., ::-1] > 0, axis=-1)
-    cum[np.arange(n) >= last[..., None]] = 1.0
-    return cum
 
 
 def _state_type(n: int) -> np.dtype:
@@ -112,7 +98,7 @@ def _blocks(kernel: MapKernel, replications: int, horizon: int, rng, step: int):
     n = kernel.n_states
     kind = _state_type(n)
     if n > 1:
-        cum = _cumulative_rows(kernel.transition)
+        cum = _pinned_cdf(kernel.transition)
         inner = np.ascontiguousarray(cum[:, :-1].T)  # row j: column j of every CDF row
         state = rng.choice(n, size=replications, p=kernel.initial_dist).astype(kind)
         COUNTS["state_draws"] += replications
@@ -157,7 +143,7 @@ def _path_states(transitions, initial_dist, horizon, rng) -> np.ndarray:
     n = len(initial_dist)
     if n == 1:
         return np.zeros(horizon + 1, dtype=np.int64)
-    steps = _cumulative_rows(np.reshape(transitions, (-1, n, n)))
+    steps = _pinned_cdf(np.reshape(transitions, (-1, n, n)))
     state = int(rng.choice(n, p=initial_dist))
     u = rng.random(horizon)
     COUNTS["state_draws"] += 1 + horizon
@@ -202,37 +188,36 @@ def _path_states(transitions, initial_dist, horizon, rng) -> np.ndarray:
 
 def _increments(kernel: MapKernel, src, dst, rng) -> np.ndarray:
     """Increments of the (src, dst) transitions, any shape: one draw per
-    distinct law, in the order of `kernel._law_groups`, which holds every
-    transition the samplers can take (`_cumulative_rows` skips the others).
-    Where law g is that of every move out of state g (`_law_is_source`, as
-    in a capacity kernel whose SNR follows the source state) the law index
-    is src itself; otherwise each cell src * n + dst is formed in
-    `_state_type(n)` and reads its law index from the kernel's
-    `_law_of_cell`."""
-    groups = kernel._law_groups
+    distinct law, in the order of the laws of `kernel._law_table`, which
+    holds every transition the samplers can take (the pinned CDF rows skip
+    the others).  Where law g is that of every move out of state g
+    (`_law_is_source`, as in a capacity kernel whose SNR follows the source
+    state) the law index is src itself; otherwise each cell src * n + dst is
+    formed in `_state_type(n)` and reads its law index from the table's
+    `law_of`."""
+    laws, _, law_of = kernel._law_table
     COUNTS["increment_draws"] += src.size
-    if len(groups) == 1:  # the one law takes every slot
-        (law,) = groups
-        return law.sample(rng, src.size).reshape(src.shape)
+    if len(laws) == 1:  # the one law takes every slot
+        return laws[0].sample(rng, src.size).reshape(src.shape)
     if kernel._law_is_source:
-        group = src
+        index = src
     else:
         kind = _state_type(kernel.n_states)
         cell = src.astype(kind)
         cell *= kernel.n_states
         cell += dst.astype(kind, copy=False)
-        group = kernel._law_of_cell.take(cell)
-    out = np.empty(group.size)
-    for g, law in enumerate(groups):
-        at = np.flatnonzero(group == g)  # in row-major order
+        index = law_of.take(cell)
+    out = np.empty(index.size)
+    for g, law in enumerate(laws):
+        at = np.flatnonzero(index == g)  # in row-major order
         if at.size:
             out[at] = law.sample(rng, at.size)
-    return out.reshape(group.shape)
+    return out.reshape(index.shape)
 
 
 def _is_whole(value, least: int) -> bool:
-    """Whether value is a whole number (an Integral: 3.0 is not) >= least."""
-    return isinstance(value, numbers.Integral) and value >= least
+    """Whether value is a whole number (an Integral but no bool: 3.0 is not) >= least."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def sample_path(kernel: MapKernel, horizon: int, seed) -> tuple:

@@ -12,6 +12,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -88,47 +89,38 @@ class MapKernel:
         return pi
 
     @cached_property
-    def _law_groups(self) -> dict:
-        """Rows and columns of the positive transitions per distinct law: equal
-        laws, separate objects or not, are grouped once per kernel."""
-        groups = {}
-        for i, j in zip(*np.nonzero(self.transition > 0)):
-            groups.setdefault(self.law(i, j), []).append((i, j))
-        return {law: np.transpose(cells) for law, cells in groups.items()}
-
-    @cached_property
-    def _law_of_cell(self) -> np.ndarray:
-        """Index in `_law_groups` of each positive transition's law, by cell
-        i * n + j, in the smallest unsigned type that holds the index; the
-        other cells hold 0.  Read-only."""
+    def _law_table(self) -> tuple:
+        """(laws, cells, law_of), built once per kernel: the distinct laws of
+        the positive transitions in row-major order of first use (equal laws,
+        separate objects or not, are one law); the positive cells i * n + j in
+        row-major order; and the index in `laws` of each cell's law, 0 at the
+        other cells, in the smallest unsigned type that holds the law count.
+        The arrays are read-only."""
         n = self.n_states
-        law_of = np.zeros(n * n, dtype=np.min_scalar_type(len(self._law_groups)))
-        for g, (rows, cols) in enumerate(self._law_groups.values()):
-            law_of[rows * n + cols] = g
+        cells = np.flatnonzero(self.transition > 0)
+        index = {}
+        codes = [index.setdefault(self.law(*divmod(c, n)), len(index)) for c in cells.tolist()]
+        law_of = np.zeros(n * n, dtype=np.min_scalar_type(len(index)))
+        law_of[cells] = codes
+        cells.setflags(write=False)
         law_of.setflags(write=False)
-        return law_of
+        return tuple(index), cells, law_of
 
     @cached_property
     def _law_is_source(self) -> bool:
-        """Whether law g of `_law_groups` is that of every positive transition
+        """Whether law g of `_law_table` is that of every positive transition
         out of state g, so that a transition's law index is its source state."""
-        return all((rows == g).all() for g, (rows, _) in enumerate(self._law_groups.values()))
+        _, cells, law_of = self._law_table
+        return bool((law_of[cells] == cells // self.n_states).all())
 
     @cached_property
-    def _transform_groups(self) -> tuple:
-        """(others, stack, cells): (law, rows, cols, p_ij) per law of `_law_groups`
-        that is not a Rayleigh capacity law; the Rayleigh laws, negated or not,
-        as one RayleighStack (None if there are none); and (rows, cols, p_ij)
-        per law of the stack."""
-        p = self.transition
-        others, rayleigh, cells = [], [], []
-        for law, (rows, cols) in self._law_groups.items():
-            if RayleighStack.holds(law):
-                rayleigh.append(law)
-                cells.append((rows, cols, p[rows, cols]))
-            else:
-                others.append((law, rows, cols, p[rows, cols]))
-        return others, RayleighStack(rayleigh) if rayleigh else None, cells
+    def _rayleigh(self) -> tuple:
+        """(stack, held): the Rayleigh laws of `_law_table`, negated or not, as
+        one RayleighStack (None if there are none), and a bool per law of the
+        table that marks them."""
+        laws = self._law_table[0]
+        held = np.array([RayleighStack.holds(law) for law in laws])
+        return RayleighStack([laws[g] for g in np.flatnonzero(held)]) if held.any() else None, held
 
     def _on_chain(self, increments, initial_dist) -> MapKernel:
         """A kernel on this kernel's validated chain, built without a second
@@ -149,13 +141,19 @@ class MapKernel:
     @cached_property
     def negated(self) -> MapKernel:
         """The kernel with every increment law sign-flipped, built once per kernel
-        on its chain; its Rayleigh stack shares this kernel's quadrature nodes."""
-        increments = tuple(
-            tuple(law.inner if isinstance(law, Negated) else Negated(law) for law in row)
-            for row in self.increments
-        )
-        neg = self._on_chain(increments, self.initial_dist)
-        stack, neg_stack = self._transform_groups[1], neg._transform_groups[1]
+        on its chain, flipping each distinct law once.  Its law table is this
+        kernel's cells and law indices with the flipped laws, and its Rayleigh
+        stack shares this kernel's quadrature nodes."""
+        flip = {law: law.inner if isinstance(law, Negated) else Negated(law)
+                for law in dict.fromkeys(chain.from_iterable(self.increments))}
+        neg = self._on_chain(tuple(tuple(map(flip.get, row)) for row in self.increments),
+                             self.initial_dist)
+        # where x and Negated(Negated(x)) both flip to Negated(x), the negated
+        # kernel builds its own table, in which they are one law
+        if len(set(flip.values())) == len(flip):
+            laws, cells, law_of = self._law_table
+            neg.__dict__["_law_table"] = tuple(map(flip.get, laws)), cells, law_of
+        stack, neg_stack = self._rayleigh[0], neg._rayleigh[0]
         # the nodes depend on the snrs alone; the stacks can hold different laws
         # (a doubly negated Rayleigh law is no stack law, but its flip is)
         if stack is not None and np.array_equal(stack.snr, neg_stack.snr):
@@ -235,7 +233,7 @@ class StabilityRoot:
 def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarray:
     """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij, with one
     quadrature for all of the kernel's Rayleigh laws and one transform call per
-    other distinct law.
+    other distinct law, scattered to the cells by their law index.
 
     For an array of theta it is the stack of those matrices, non-finite at a
     theta where a transform diverges; a float theta raises MgfDiverged there,
@@ -247,14 +245,17 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
         if stacked is not None:
             return stacked
     thetas = theta if stack else np.array([theta], dtype=float)
+    laws, cells, law_of = kernel._law_table
+    rayleigh, held = kernel._rayleigh
+    vals = np.empty((len(laws), len(thetas)))  # row g: law g's transform
+    if rayleigh is not None:
+        vals[held] = rayleigh.transform(transform, thetas)
+    for g in np.flatnonzero(~held):
+        vals[g] = getattr(laws[g], transform)(thetas)
     n = kernel.n_states
     out = np.zeros((len(thetas), n, n))
-    others, rayleigh, cells = kernel._transform_groups
-    for law, rows, cols, p in others:
-        out[:, rows, cols] = p * getattr(law, transform)(thetas)[:, None]
-    if rayleigh is not None:
-        for (rows, cols, p), val in zip(cells, rayleigh.transform(transform, thetas)):
-            out[:, rows, cols] = p * val[:, None]
+    out.reshape(len(thetas), n * n)[:, cells] = (kernel.transition.take(cells)
+                                                 * vals[law_of[cells]].T)
     if stack:
         return out
     if not np.isfinite(out).all():

@@ -101,15 +101,28 @@ def test_discrete_pmf_sampler_frequencies():
         assert np.mean(x == value) == pytest.approx(prob, abs=5e-3)
 
 
-def test_discrete_pmf_sample_lands_on_the_last_point_whatever_the_sum_rounds_to():
-    class TopUniforms:
-        def random(self, size):
-            return np.full(size, 1.0 - 2.0 ** -53)
+class _TopUniforms:
+    """Generator stub: every uniform is the largest double below 1."""
 
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+def test_discrete_pmf_sample_lands_on_the_last_point_whatever_the_sum_rounds_to():
     # the probabilities sum to 1 -/+ 1e-13, inside the 1e-12 tolerance
     for last in (0.3 - 1e-13, 0.3 + 1e-13):
         law = DiscretePmf((1.0, 2.0, 5.0), (0.3, 0.4, last))
-        assert law.sample(TopUniforms(), 3).tolist() == [5.0, 5.0, 5.0]
+        assert law.sample(_TopUniforms(), 3).tolist() == [5.0, 5.0, 5.0]
+
+
+def test_discrete_pmf_never_draws_an_atom_of_probability_zero():
+    # the positive atoms sum to about 1 - 1e-12 and the atoms after them have
+    # probability 0: a uniform above that sum lands on the last positive atom,
+    # both where the CDF is counted (3 points) and where it is guided (12)
+    counted = DiscretePmf((0.0, 1.0, 2.0), (0.5, 0.5 - 1e-12, 0.0))
+    assert counted.sample(_TopUniforms(), 3).tolist() == [1.0, 1.0, 1.0]
+    guided = DiscretePmf(tuple(range(12)), (0.1,) * 8 + (0.2 - 5e-13, 0.0, 0.0, 0.0))
+    assert guided.sample(_TopUniforms(), 3).tolist() == [8.0, 8.0, 8.0]
 
 
 @st.composite

@@ -20,7 +20,7 @@ from mapq import sim as sim_module
 from mapq.channel import ChannelSpec, capacity_kernel, controlled_capacity_process
 from mapq.copulas import DimensionPlan
 from mapq.errors import DimensionMismatch, UnknownExperiment
-from mapq.laws import Constant, DiscretePmf
+from mapq.laws import Constant, DiscretePmf, _pinned_cdf
 from mapq.sim import (
     convex_order_leq,
     means_differ,
@@ -218,7 +218,7 @@ def test_block_walk_moves_each_chain_by_its_own_cdf_row(n):
     rng = np.random.default_rng(9)
     start = rng.choice(n, size=5, p=k.initial_dist)
     u = np.vstack([rng.random((min(7, 50 - t), 5)) for t in range(0, 50, 7)])
-    cum = sim_module._cumulative_rows(k.transition)
+    cum = _pinned_cdf(k.transition)
     for r in range(5):
         walk = [int(start[r])]
         for t in range(50):
@@ -230,7 +230,7 @@ def test_successor_tables_take_one_byte_up_to_fifteen_states():
     u = np.random.default_rng(5).random((3, 40))
     for n in range(2, 17):
         p = np.random.default_rng(n).dirichlet(np.ones(n), size=n)
-        cum = sim_module._cumulative_rows(p)
+        cum = _pinned_cdf(p)
         table = sim_module._successors(cum, u)
         assert table.itemsize == (1 if n <= 15 else 2)
         expected = [[[np.searchsorted(cum[i], x, side="right") for i in range(n)] for x in row]
@@ -403,7 +403,7 @@ def test_path_samplers_check_the_horizon_before_drawing(monkeypatch, delay_figur
     monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
     kernel = random_kernel(np.random.default_rng(4), 2)
     dim = DimensionPlan((kernel.transition,), kernel.initial_dist)
-    for bad in (-1, 2.5, 3.0, "3", None):
+    for bad in (-1, 2.5, 3.0, "3", None, True, False):
         with pytest.raises(ValueError, match="horizon must be a whole number"):
             sample_path(kernel, bad, 0)
         with monkeypatch.context() as m:
@@ -561,7 +561,8 @@ def test_tail_and_martingale_take_whole_numbers_before_drawing(monkeypatch, toy_
     assert martingale_check(toy_service, 0.2, np.int32(8), np.int64(50), 3) == (
         martingale_check(toy_service, 0.2, 8, 50, 3))
     monkeypatch.setattr(sim_module, "_stream", lambda seed: _NoDraws())
-    for replications, horizon in ((10.0, 5), (10, 5.5), (10, 5.0), ("10", 5), (10, None)):
+    for replications, horizon in ((10.0, 5), (10, 5.5), (10, 5.0), ("10", 5), (10, None),
+                                  (True, 5), (10, True), (False, 5), (10, False)):
         with pytest.raises(ValueError, match="replications and horizon must be whole numbers"):
             tail_estimate(arrival, toy_service, [1.0], replications, horizon, 0, "backlog")
         with pytest.raises(ValueError, match="replications and horizon must be whole numbers"):

@@ -280,6 +280,30 @@ def test_mixed_kernel_transform_is_each_laws_own():
     assert (f[:, 2, 1] == 0.0).all()
 
 
+def test_entrywise_is_each_cells_product_bit_for_bit():
+    # every law class, equal laws as separate objects and a zero-probability
+    # cell, on a theta stack with one diverging theta
+    rayleigh, pmf = RayleighCapacity(20.0, 3.0), DiscretePmf((0.0, 1.0, 3.0), (0.2, 0.5, 0.3))
+    laws = ((Constant(1.0), pmf, Constant(9.0)),
+            (Shifted(pmf, 0.5), rayleigh, Negated(RayleighCapacity(5.0, 0.3))),
+            (Negated(Negated(RayleighCapacity(20.0, 2.0))), Constant(1.0),
+             RayleighCapacity(20.0, 3.0)))
+    p = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
+    k = MapKernel(("a", "b", "c"), p, laws, np.full(3, 1.0 / 3.0))
+    assert k._law_table[0] == (laws[0][0], pmf, laws[1][0], rayleigh, laws[1][2], laws[2][0])
+    thetas = np.array([-0.3, 0.0, 0.2, 800.0])
+    for kind, fn in (("mgf", transform_matrix), ("tilted_mean", _transform_derivative)):
+        expected = np.zeros((len(thetas), 3, 3))
+        for i, j in zip(*np.nonzero(p)):
+            expected[:, i, j] = p[i, j] * getattr(laws[i][j], kind)(thetas)
+        got = spectral_module._entrywise(k, thetas, kind, kind)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.isfinite(got[-1]).all()
+        assert fn(k, 0.2).tobytes() == expected[2].tobytes()
+        with pytest.raises(MgfDiverged, match="not finite at theta=800.0"):
+            fn(k, 800.0)
+
+
 def test_stacked_transform_evaluates_each_step_in_one_buffer():
     # 201 theta of a 4-law kernel: the quadrature's peak is at most twice its
     # (law, theta, node) buffer at the finest step it reaches
@@ -294,7 +318,7 @@ def test_stacked_transform_evaluates_each_step_in_one_buffer():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    stack = k._transform_groups[1]
+    stack = k._rayleigh[0]
     m = stack._level_nodes(len(stack._nodes))[0].shape[1]
     assert len(stack.inner) == 4
     assert peak <= 2 * 8 * 4 * len(thetas) * m
@@ -630,13 +654,31 @@ def test_a_capacity_kernel_family_is_validated_once(monkeypatch):
     assert len(checks) == 1
     assert neg.stationary is k.stationary and neg.transition is k.transition
     # the negated laws' quadrature runs on the nodes of the plain ones
-    assert neg._transform_groups[1]._nodes is k._transform_groups[1]._nodes
+    assert neg._rayleigh[0]._nodes is k._rayleigh[0]._nodes
     started = k.started_at([0.2, 0.3, 0.5])
     assert len(checks) == 1 and started.stationary is k.stationary
     assert started.initial_dist.tolist() == [0.2, 0.3, 0.5]
     assert not started.initial_dist.flags.writeable
     with pytest.raises(ValueError, match="initial_dist must be a length-n probability vector"):
         k.started_at([0.2, 0.3, 0.6])
+
+
+def test_a_negated_kernel_shares_the_law_table_and_flips_each_law_once(monkeypatch):
+    k = _row_constant_capacity_kernel()
+    flips = count_calls(monkeypatch, Negated, "__init__")
+    neg = k.negated
+    assert len(flips) == 3  # nine cells, three distinct laws
+    (laws, cells, law_of), (neg_laws, neg_cells, neg_law_of) = k._law_table, neg._law_table
+    assert neg_cells is cells and neg_law_of is law_of
+    assert neg_laws == tuple(Negated(law) for law in laws)
+    assert neg.negated._law_table[0] == laws
+    # x and Negated(Negated(x)) flip to one law, so that table is built anew
+    r = RayleighCapacity(20.0, 10.0)
+    k = MapKernel(("a", "b"), np.full((2, 2), 0.5), ((r, Negated(Negated(r))),) * 2,
+                  np.array([0.5, 0.5]))
+    assert len(k._law_table[0]) == 2
+    neg_laws, _, neg_law_of = k.negated._law_table
+    assert neg_laws == (Negated(r),) and neg_law_of.tolist() == [0, 0, 0, 0]
 
 
 def test_a_negated_kernel_shares_quadrature_nodes_only_on_equal_snrs():
