@@ -5,6 +5,11 @@ kappa^A(theta) + kappa^{-S}(theta) = 0; the delay tail decays at rate
 kappa^A(theta*) and the backlog tail at rate theta*.  Upper and lower
 bounds differ only by level-independent constants built from the Perron
 eigenvector spreads of the two chains.
+
+The finite-horizon bounds share one exponent: a level x covers y x slots
+of service against (y - lag) x slots of arrivals and adds shift theta x, so
+theta_y = shift theta - y kappa^{-S}(theta) - (y - lag) kappa^A(theta) at
+its maximizer theta; delay takes (shift, lag) = (0, 1), backlog (1, 0).
 """
 
 from __future__ import annotations
@@ -128,63 +133,54 @@ def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
                           h_minus, h_plus, root.theta_star, "0")
 
 
-def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d_range) -> list:
-    """Finite-horizon delay bounds with horizon multiplier y > 1, one per
-    delay d >= 0 of `d_range`, all checked before the one theta solve.
-
-    theta solves y kappa'^{-S}(theta) = -(y-1) kappa'^A(theta); the branch
-    records whether the bound applies to P(D(t)>d; t<=yd) (y < y_gamma) or
-    to the long-horizon remainder (y > y_gamma).
-    """
-    if not (math.isfinite(y) and y > 1):
-        raise ValueError(f"delay horizon multiplier y must be finite and > 1, got {y!r}")
-    d_range = [_delay_level(d, whole=False) for d in d_range]
+def _horizon_rows(arrival: MapKernel, service: MapKernel, y: float, levels, shift: float,
+                  lag: float, arrival_top, what: str) -> list:
+    """Per level x, h+ (varpi_S h^{-S}) e^{-theta_y x} with h+ = (arrival_top(h^A) /
+    min h^A) / min h^{-S}, at the root theta of y kappa'^{-S} + (y - lag) kappa'^A
+    = shift (`what`); y_gamma, where theta = theta*, is (shift + lag kappa'^A) /
+    (kappa'^A + kappa'^{-S}) at theta*, and the branch is the side of it y lies on."""
     root = stability_root(arrival, service)
     neg_service = root.neg_service.kernel
     da_g = root.arrival.kappa_dot
-    ds_g = root.neg_service.kappa_dot
-    y_gamma = da_g / (da_g + ds_g)
-
+    y_gamma = (shift + lag * da_g) / (da_g + root.neg_service.kappa_dot)
     theta = positive_root(
         lambda t: (y * cgf_as("negated service", neg_service, t, derivative=True)
-                   + (y - 1) * cgf_as("arrival", arrival, t, derivative=True)),
-        "horizon delay equation y kappa'^-S + (y - 1) kappa'^A",
+                   + (y - lag) * cgf_as("arrival", arrival, t, derivative=True) - shift),
+        what,
         stacked=[(k, t) for k in (arrival, neg_service) for t in ("mgf", "tilted_mean")],
     )
     sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
-    theta_y = -y * sol_s.kappa - (y - 1) * sol_a.kappa
-    h_a, h_s = sol_a.h, sol_s.h
-    h_plus = (h_a.max() / h_a.min()) / h_s.min()
-    factor = float(service.initial_dist @ h_s)
+    theta_y = shift * theta - y * sol_s.kappa - (y - lag) * sol_a.kappa
+    h_plus = (arrival_top(sol_a.h) / sol_a.h.min()) / sol_s.h.min()
+    factor = float(service.initial_dist @ sol_s.h)
     branch = "short-horizon" if y < y_gamma else "long-horizon-remainder"
-    return [HorizonBoundReport(d, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
-            for d in d_range for raw in [h_plus * factor * math.exp(-d * theta_y)]]
+    return [HorizonBoundReport(x, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
+            for x in levels for raw in [h_plus * factor * math.exp(-x * theta_y)]]
+
+
+def horizon_delay_bound(arrival: MapKernel, service: MapKernel, y: float, d_range) -> list:
+    """Finite-horizon delay bounds with horizon multiplier y > 1, one per
+    delay d >= 0 of `d_range`, all checked before the one theta solve:
+    _horizon_rows with (shift, lag) = (0, 1) and max h^A.  The branch records
+    whether the bound applies to P(D(t)>d; t<=yd) (y < y_gamma) or to the
+    long-horizon remainder (y > y_gamma)."""
+    if not (math.isfinite(y) and y > 1):
+        raise ValueError(f"delay horizon multiplier y must be finite and > 1, got {y!r}")
+    d_range = [_delay_level(d, whole=False) for d in d_range]
+    return _horizon_rows(arrival, service, y, d_range, 0.0, 1.0, np.max,
+                         "horizon delay equation y kappa'^-S + (y - 1) kappa'^A")
 
 
 def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b_range) -> list:
     """Finite-horizon backlog bounds with horizon multiplier y > 0, one per
-    finite level of `b_range`, all checked before the one theta solve."""
+    finite level of `b_range`, all checked before the one theta solve:
+    _horizon_rows with (shift, lag) = (1, 0) and varpi_A h^A."""
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"horizon multiplier y must be finite and positive, got {y!r}")
     b_range = [_finite_level(b) for b in b_range]
-    root = stability_root(arrival, service)
-    neg_service = root.neg_service.kernel
-    y_gamma = 1.0 / (root.arrival.kappa_dot + root.neg_service.kappa_dot)
-
-    theta = positive_root(
-        lambda t: y * (cgf_as("arrival", arrival, t, derivative=True)
-                       + cgf_as("negated service", neg_service, t, derivative=True)) - 1.0,
-        "horizon backlog equation y (kappa'^A + kappa'^-S) - 1",
-        stacked=[(k, t) for k in (arrival, neg_service) for t in ("mgf", "tilted_mean")],
-    )
-    sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
-    theta_y = theta - y * (sol_a.kappa + sol_s.kappa)
-    h_a, h_s = sol_a.h, sol_s.h
-    h_plus = 1.0 / (h_a.min() * h_s.min())
-    factor = float(arrival.initial_dist @ h_a) * float(service.initial_dist @ h_s)
-    branch = "short-horizon" if y < y_gamma else "long-horizon-remainder"
-    return [HorizonBoundReport(b, y, theta, theta_y, y_gamma, branch, _clamp(raw), raw)
-            for b in b_range for raw in [h_plus * factor * math.exp(-b * theta_y)]]
+    return _horizon_rows(arrival, service, y, b_range, 1.0, 0.0,
+                         lambda h_a: arrival.initial_dist @ h_a,
+                         "horizon backlog equation y (kappa'^A + kappa'^-S) - 1")
 
 
 # interior points per round of dcc_upper's section search

@@ -415,11 +415,13 @@ class Shifted(IncrementLaw):
             raise ValueError(f"shift offset must be finite, got {self.offset!r}")
 
     def mgf(self, theta):
-        return _safe_exp(theta * self.offset) * self.inner.mgf(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(theta * self.offset) * self.inner.mgf(theta)
 
     def tilted_mean(self, theta):
-        shift = _safe_exp(theta * self.offset)
-        return shift * (self.inner.tilted_mean(theta) + self.offset * self.inner.mgf(theta))
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = np.exp(theta * self.offset)
+            return shift * (self.inner.tilted_mean(theta) + self.offset * self.inner.mgf(theta))
 
     def sample(self, rng, size):
         return self.inner.sample(rng, size) + self.offset

@@ -125,12 +125,20 @@ def test_horizon_exponent_large_y_limits(toy_arrival, toy_service):
     assert per_slot[-1] == pytest.approx(1.0, abs=5e-3)
 
 
-def test_horizon_backlog_identity_at_y_gamma(toy_arrival, toy_service):
-    probe = bd.horizon_backlog_bound(toy_arrival, toy_service, 0.5, [1.0])[0]
-    r = bd.horizon_backlog_bound(toy_arrival, toy_service, probe.y_gamma, [1.0])[0]
-    gamma = stability_root(toy_arrival, toy_service).theta_star
-    assert r.theta == pytest.approx(gamma, abs=1e-8)
-    assert r.theta_y == pytest.approx(gamma, abs=1e-8)
+@pytest.mark.parametrize("fn, lam, rate", [
+    (bd.horizon_backlog_bound, 1.0, lambda root: root.theta_star),
+    # y_gamma = 2 > 1 against the toy service, where theta* = 1 and kappa^A(theta*) = 2
+    (bd.horizon_delay_bound, 2.0, lambda root: root.arrival.kappa),
+], ids=["backlog", "delay"])
+def test_horizon_identity_at_y_gamma(toy_service, fn, lam, rate):
+    # at y = y_gamma the horizon optimizer is theta* and the exponent is the
+    # family's asymptotic rate: theta* for backlog, kappa^A(theta*) for delay
+    arrival = single_state_kernel(Constant(lam))
+    probe = fn(arrival, toy_service, 1.5, [1.0])[0]
+    r = fn(arrival, toy_service, probe.y_gamma, [1.0])[0]
+    root = stability_root(arrival, toy_service)
+    assert r.theta == pytest.approx(root.theta_star, abs=1e-8)
+    assert r.theta_y == pytest.approx(rate(root), abs=1e-8)
 
 
 def test_constant_arrival_backlog_is_rescaled_delay(toy_service):

@@ -28,6 +28,17 @@ def test_channel_spec_validation():
         ChannelSpec(20.0, np.array([[1.0, -1.0], [1.0, 1.0]]), ("a", "b"))
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda channel: controlled_capacity_process(
+        dependence_control([one_param_frechet(0.5)], [0.2, 0.3, 0.5]), channel, 10, 1),
+     "plan dimension does not match"),
+    (lambda channel: quantize_capacity(10, 1, 0), "n_points must be at least 1"),
+], ids=["three-state-plan", "no-quantization-points"])
+def test_channel_helpers_reject_bad_inputs(delay_figure_channel, make, match):
+    with pytest.raises(ValueError, match=match):
+        make(delay_figure_channel)
+
+
 def test_capacity_kernel_maps_snr_entries(delay_figure_channel):
     p = np.array([[0.3, 0.7], [0.4, 0.6]])
     k = capacity_kernel(p, delay_figure_channel)

@@ -223,6 +223,11 @@ def test_delay_levels_must_be_whole_slots(tmp_path, toy_cfg):
     # a horizon multiplier that is not finite is bad input too, not a failed root search
     ["bounds", "--mode", "horizon", "--y", "nan"],
     ["bounds", "--mode", "horizon", "--y", "inf"],
+    # a DCC tail probability outside (0, 1), and numeric lists that do not parse
+    ["bounds", "--mode", "dcc", "--levels", "5", "--epsilon", "0"],
+    ["bounds", "--mode", "dcc", "--levels", "5", "--epsilon", "1.5"],
+    ["bounds", "--levels", "1,x"],
+    ["spectral", "--theta=0.5,x"],
 ])
 def test_meaningless_levels_exit_2(tmp_path, toy_cfg, argv):
     assert _run(argv + ["--config", toy_cfg, "--out", str(tmp_path)]) == EXIT_PARSE
@@ -428,6 +433,27 @@ def test_control_product_copula_rows_equal_varpi(tmp_path):
     assert np.allclose(fragment["kernel"]["transition"], [[0.3, 0.7], [0.3, 0.7]])
 
 
+@pytest.mark.parametrize("family, rows", [("m", [[1.0, 0.0], [0.0, 1.0]]),
+                                          ("w", [[0.0, 1.0], [1.0, 0.0]])])
+def test_control_frechet_bound_copulas_write_their_permutations(tmp_path, family, rows):
+    # on the uniform marginal the upper bound M keeps the state, the lower bound W flips it
+    doc = yaml.safe_load(CONTROL_CFG)
+    doc["copulas"].update(varpi=[0.5, 0.5], copula={"family": family})
+    cfg = _write(tmp_path, "ctl.yaml", yaml.safe_dump(doc))
+    out = tmp_path / "o8"
+    assert _run(["control", "--config", cfg, "--out", str(out)]) == 0
+    fragment = yaml.safe_load((out / "control_kernel.yaml").read_text(encoding="utf-8"))
+    assert fragment["kernel"]["transition"] == rows
+
+
+def test_channel_service_without_a_transition_exits_2(tmp_path, toy_config_text, capsys):
+    doc = yaml.safe_load(toy_config_text)
+    doc["service"] = {"channel": CHANNEL}
+    cfg = _write(tmp_path, "chan.yaml", yaml.safe_dump(doc))
+    assert _run(["spectral", "--config", cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+    assert "channel service needs a transition matrix" in capsys.readouterr().err
+
+
 def test_control_zero_mass_state_exits_5(tmp_path):
     doc = yaml.safe_load(CONTROL_CFG)
     doc["copulas"]["varpi"] = [0.0, 1.0]
@@ -595,7 +621,8 @@ def test_ordercheck_out_writes_the_printed_report(tmp_path, capsys):
 @pytest.mark.parametrize("option, text", [
     ("--pmf-x", "1,0.5,2\n3,0.5,4\n"),  # a PMF file has two columns
     ("--samples-x", "0.1,abc\n0.2,0.3\n"),
-], ids=["pmf-three-columns", "samples-unparsable"])
+    ("--pmf-x", "1,abc\n"),
+], ids=["pmf-three-columns", "samples-unparsable", "pmf-unparsable"])
 def test_ordercheck_bad_input_file_exits_2(tmp_path, capsys, option, text):
     bad = _write(tmp_path, "bad.csv", text)
     good = _write(tmp_path, "good.csv", "1,1\n" if option == "--pmf-x" else "0.1,0.2\n")
@@ -784,6 +811,10 @@ def test_bad_experiment_channel_exits_2(tmp_path, toy_config_text, capsys, comma
                  "steps": [{"family": "p"}]}),
     ("copulas", {"copula": {"family": "frechet1", "alpha": 0.5},
                  "dimensions": [{"varpi": [0.3, 0.7], "copula": {"family": "p"}}]}),
+    ("simulation", {"seed": "abc"}),
+    ("copulas", {"dimensions": [{"copula": {"family": "p"}}]}),
+    ("copulas", {"varpi": ["a", "b"], "copula": {"family": "p"}}),
+    ("copulas", {"varpi": [0.5, 0.5], "copula": {"family": "gauss2"}}),
 ])
 @pytest.mark.parametrize("command", ["simulate", "spectral"])
 def test_malformed_section_exits_2(tmp_path, toy_config_text, name, value, command):

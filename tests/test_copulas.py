@@ -109,6 +109,20 @@ def test_one_param_frechet_weights():
         Frechet(math.nan, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Frechet(-0.1, 0.6, 0.5), "nonnegative"),
+    (lambda: Gaussian2(1.0), "rho must lie in"),
+    (lambda: bvn_cdf(0.1, 0.2, -1.0), "rho must lie in"),
+    (lambda: GridCopula(np.zeros((2, 3))), "square"),
+    (lambda: frechet_homogeneous(-1), "lag must be nonnegative"),
+    (lambda: star(Product(), Product(), grid_n=32), "grid_n must be at least 64"),
+], ids=["frechet-negative-weight", "gaussian-rho-1", "bvn-rho-minus-1", "grid-2x3",
+        "homogeneous-negative-lag", "star-coarse-grid"])
+def test_copula_constructors_reject_bad_parameters(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_bvn_cdf_reference_values():
     # independence and symmetry checks against the univariate normal
     assert bvn_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-12)

@@ -13,6 +13,7 @@ from scipy.special import expn, gamma, gammaincc, gammaln
 from conftest import at, quadratures, rayleigh_mean
 from mapq import counters
 from mapq import laws as laws_module
+from mapq.errors import MgfDiverged
 from mapq.laws import (
     Constant,
     DiscretePmf,
@@ -23,6 +24,7 @@ from mapq.laws import (
     Shifted,
     gaussian_quantized,
 )
+from mapq.spectral import perron, single_state_kernel
 
 
 def test_constant_mgf_and_mean():
@@ -60,6 +62,23 @@ def test_a_diverging_theta_is_non_finite_and_leaves_the_others_alone(name):
             assert math.isfinite(value) and value == at(getattr(law, kind), theta)
 
 
+def test_shifted_transforms_stay_quiet_where_the_shift_factor_underflows():
+    # e^{-1.5 * 800} underflows to 0 against an infinite inner transform
+    law = Shifted(DiscretePmf((0.0, 1.0, 3.0), (0.2, 0.5, 0.3)), -1.5)
+    inner = law.inner
+    thetas = np.array([800.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mgf, tilted = law.mgf(thetas), law.tilted_mean(thetas)
+        with pytest.raises(MgfDiverged):
+            perron(single_state_kernel(law), 800.0)
+    assert not np.isfinite(mgf[0]) and not np.isfinite(tilted[0])
+    shift = math.exp(-1.5)
+    assert mgf[1] == pytest.approx(shift * at(inner.mgf, 1.0), rel=1e-15)
+    expected = shift * (at(inner.tilted_mean, 1.0) - 1.5 * at(inner.mgf, 1.0))
+    assert tilted[1] == pytest.approx(expected, rel=1e-15)
+
+
 def test_discrete_pmf_validation():
     with pytest.raises(ValueError):
         DiscretePmf((0.0, 1.0), (0.6, 0.6))
@@ -67,6 +86,8 @@ def test_discrete_pmf_validation():
         DiscretePmf((1.0, 0.0), (0.5, 0.5))
     with pytest.raises(ValueError):
         DiscretePmf((0.0, 1.0), (-0.1, 1.1))
+    with pytest.raises(ValueError, match="equal length"):
+        DiscretePmf((0, 1), (1,))
 
 
 @pytest.mark.parametrize("make", [

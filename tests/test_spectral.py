@@ -46,6 +46,16 @@ def test_kernel_validation():
         MapKernel(("a", "b"), p, laws, np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("transition, increments, match", [
+    (np.full((3, 3), 1.0 / 3.0), ((Constant(0.0),) * 2,) * 2, "transition must be 2x2"),
+    (np.full((2, 2), 0.5), ((Constant(0.0),) * 2, (Constant(0.0),)), "n x n matrix of laws"),
+    (np.full((2, 2), 0.5), ((Constant(0.0), 1.0), (Constant(0.0),) * 2), "not an increment law"),
+], ids=["transition-3x3", "short-increments-row", "non-law-entry"])
+def test_kernel_rejects_a_malformed_layout(transition, increments, match):
+    with pytest.raises(ValueError, match=match):
+        MapKernel(("a", "b"), transition, increments, np.array([0.5, 0.5]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_kernel_rejects_non_finite_entries(bad):
     # a NaN fails no comparison-style check unless the check is written for it
