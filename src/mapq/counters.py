@@ -8,6 +8,7 @@
     rayleigh_integrations  Rayleigh capacity laws integrated: the rows of each
                            quadrature's (law, theta) exponent stack
     quadrature_calls       those quadratures, one per Rayleigh transform of a call
+    quadrature_steps       the steps those quadratures evaluate, step 1/8 included
     bvn_cdf_calls          bivariate normal CDFs (copulas.bvn_cdf, the Gaussian
                            copula's work)
     state_draws            uniforms the state samplers (sim._blocks and
@@ -23,7 +24,8 @@ resets them, so a reader takes differences:
 """
 
 COUNTS = dict.fromkeys(("scalar_solves", "stacked_matrices", "rayleigh_integrations",
-                        "quadrature_calls", "bvn_cdf_calls", "state_draws", "increment_draws"), 0)
+                        "quadrature_calls", "quadrature_steps", "bvn_cdf_calls", "state_draws",
+                        "increment_draws"), 0)
 
 
 def tally():

@@ -198,11 +198,12 @@ class InverseCdf:
 # The nodes depend on the law alone, so a stack of laws computes log(1 + snr g)
 # and the log weights once per step, for all its laws at once from snr-free
 # tables of the step (_de_tables), and a theta costs one exp per node.  The
-# step in t halves from 1/8 to 1/512 until two successive sums agree within
-# _DE_TOL.  With n in [-150, 100] and snr in [1e-4, 1e7] the certified values
-# met 30-digit quadrature within 3.4e-14 (80 random cases; the floor is the
-# rounding of n log(1 + snr g) at large n) and the rule's own 1/512 sums
-# within 5e-14 (7,600 cases); for snr in [1e-30, 1e-4] within 1.4e-15.
+# step in t halves from 1/8 to 1/512, each step adding only its own nodes,
+# until two successive sums agree within _DE_TOL.  With n in [-150, 100] and
+# snr in [1e-4, 1e7] the certified values met 30-digit quadrature within
+# 3.4e-14 (80 random cases; the floor is the rounding of n log(1 + snr g) at
+# large n) and the rule's own 1/512 sums within 5e-14 (7,600 cases); for snr
+# in [1e-30, 1e-4] within 1.4e-15.
 _DE_STEPS = (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512)
 _DE_T = ((-3.75, 3.75), (-5.0, 3.25))  # t-ranges of the tanh-sinh and exp-sinh parts
 _DE_TOL = 1e-9
@@ -260,51 +261,40 @@ def _capacity_integrals(n, nodes, tilted):
     G ~ Exp(1), for each pair (l, t) of the (L, T) exponent array n, whose row l
     belongs to a law of snr snr_l: NaN where two successive steps never agree,
     inf where the value overflows.  nodes(level) gives the laws' (L, m) arrays of
-    log(1 + snr g) and log(weight) - g at the nodes that step adds (level 1: the
-    first two steps).  Each step is evaluated in one (L, T, m) buffer over the
-    rows that still hold an uncertified pair; a pair keeps the sums of the
-    step that certified it."""
+    log(1 + snr g) and log(weight) - g at the nodes that step _DE_STEPS[level]
+    adds.  Each step is evaluated for every pair in one (L, T, m) buffer, until
+    every pair has certified; a pair keeps the sum of the step that certified it."""
     COUNTS["quadrature_calls"] += 1
     COUNTS["rayleigh_integrations"] += n.shape[0]
     out = np.full(n.shape, np.nan)
-    rows = np.arange(n.shape[0])
     pending = np.ones(n.shape, dtype=bool)
     n = n[:, :, None]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for level, h in enumerate(_DE_STEPS[1:], start=1):
+        for level, h in enumerate(_DE_STEPS):
+            COUNTS["quadrature_steps"] += 1
             lg, c = nodes(level)
-            if len(rows) < len(lg):
-                lg, c = lg[rows], c[rows]
             lg = lg[:, None, :]
             terms = np.multiply(n, lg)
             terms += c[:, None, :]
             np.exp(terms, out=terms)
             if tilted:
                 terms *= lg
+            if level == 0:
+                total = h * terms.sum(axis=2)
+                ends = h * terms[:, :, _DE_ENDS].max(axis=2)
+                del terms  # freed before the next step allocates its buffer
+                continue
+            prev, total = total, 0.5 * total + h * terms.sum(axis=2)
+            del terms
             if level == 1:
-                first = _DE_ENDS[-1] + 1  # the nodes of step 1/8 come first
-                prev = 2.0 * h * terms[:, :, :first].sum(axis=2)
-                total = 0.5 * prev + h * terms[:, :, first:].sum(axis=2)
                 # strict, so that a sum of zero (every node underflowed) never certifies
-                end_ok = 2.0 * h * terms[:, :, _DE_ENDS].max(axis=2) < _DE_END * total
-            else:
-                prev, total = total, 0.5 * total + h * terms.sum(axis=2)
-            del terms  # freed before the next step allocates its buffer
+                end_ok = ends < _DE_END * total
             done = (np.abs(total - prev) <= _DE_TOL * total) & end_ok | (total == math.inf)
             certified = done & pending
-            if not certified.any():
-                continue
-            if total.shape == out.shape and certified.all():
-                return total  # every pair certifies at this step
-            i, j = np.nonzero(certified)
-            out[rows[i], j] = total[i, j]
-            pending ^= certified
-            keep_rows = pending.any(axis=1)
-            if not keep_rows.any():
+            out[certified] = total[certified]
+            pending &= ~certified
+            if not pending.any():
                 break
-            if not keep_rows.all():
-                rows, n, total, end_ok, pending = (
-                    a[keep_rows] for a in (rows, n, total, end_ok, pending))
     return out
 
 
@@ -327,16 +317,11 @@ class RayleighStack:
 
     def _level_nodes(self, level):
         """(L, m) arrays of log(1 + snr g) and log(weight) - g at the nodes that
-        `level` of the quadrature adds (level 1: the first two steps), built
-        once per stack for all its laws at once."""
-        while len(self._nodes) < level:
-            k = len(self._nodes) + 1
-            nodes = _de_nodes(self.snr, k)
-            if k == 1:  # the first step's nodes come first
-                first = _de_nodes(self.snr, 0)
-                nodes = tuple(np.concatenate(a, axis=1) for a in zip(first, nodes))
-            self._nodes.append(nodes)
-        return self._nodes[level - 1]
+        step _DE_STEPS[level] of the quadrature adds, built once per stack for
+        all its laws at once."""
+        while len(self._nodes) <= level:
+            self._nodes.append(_de_nodes(self.snr, len(self._nodes)))
+        return self._nodes[level]
 
     def transform(self, kind, thetas):
         """(L, T) array: row l is law l's `kind` ("mgf" or "tilted_mean") at the
@@ -443,6 +428,10 @@ def gaussian_quantized(mean: float, std: float, n_points: int = 96) -> DiscreteP
     near machine precision for moderate theta, which keeps analytic root
     oracles sharp while staying inside the finite-support law machinery.
     """
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean!r}")
+    if not 0 < std < math.inf:
+        raise ValueError(f"std must be positive and finite, got {std!r}")
     nodes, weights = _hermite_rule(n_points)
     support = mean + std * math.sqrt(2.0) * nodes
     probs = weights / math.sqrt(math.pi)

@@ -40,6 +40,9 @@ class MapKernel:
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
         n = len(self.state_labels)
+        # as the CSVs write them, so that 1 and "1" are one label too
+        if len({str(x) for x in self.state_labels}) < n:
+            raise ValueError(f"state labels must be distinct, got {list(self.state_labels)}")
         if p.shape != (n, n):
             raise ValueError(f"transition must be {n}x{n}, got {p.shape}")
         # written so that NaN fails each check

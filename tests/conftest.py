@@ -116,6 +116,54 @@ def lindley_loop(a, c):
     return backlog, delay
 
 
+def lattice_backlog(arrival, service, slots, cap):
+    """(pmf, lost): the exact joint law pmf[i, b] = P(J_T = i, B_T = b), b = 0..cap,
+    of the arrival state and the backlog after `slots` slots of Lindley's
+    recursion B_t = max(B_{t-1} + A_t - c, 0) from B_0 = 0 and J_0 ~ the arrival's
+    initial_dist, and the mass a backlog above cap took out of it.
+
+    A_t is drawn on the move J_{t-1} -> J_t from that edge's law, a Constant or a
+    DiscretePmf of whole values, and the service is one state of a whole
+    Constant c per slot, so every backlog lies on the integers (Lindley 1952;
+    Latouche & Ramaswami 1999)."""
+    rate = service.law(0, 0)
+    assert service.n_states == 1 and isinstance(rate, Constant)
+    assert float(rate.value).is_integer()
+    moves = []  # (source, destination, net step a - c, its probability)
+    for i, j in zip(*np.nonzero(arrival.transition)):
+        law = arrival.law(i, j)
+        if isinstance(law, Constant):
+            law = DiscretePmf((law.value,), (1.0,))
+        for a, q in zip(law.support, law.probs):
+            assert float(a).is_integer()
+            moves.append((i, j, int(a - rate.value), arrival.transition[i, j] * q))
+    pmf = np.zeros((arrival.n_states, cap + 1))
+    pmf[:, 0] = arrival.initial_dist
+    lost = 0.0
+    for _ in range(slots):
+        new = np.zeros_like(pmf)
+        for i, j, step, q in moves:
+            mass = q * pmf[i]
+            if step >= 0:
+                new[j, step:] += mass[:cap + 1 - step]
+                lost += mass[cap + 1 - step:].sum()
+            else:  # a backlog of -step or less empties
+                new[j, 0] += mass[:1 - step].sum()
+                new[j, 1:cap + 1 + step] += mass[1 - step:]
+        pmf = new
+    return pmf, lost
+
+
+def reversible_lattice_arrival():
+    """Two arrival states, lo and hi, on a symmetric chain with whole arrivals
+    (mean 1.6 per slot): pi_i P_ij law_ij is symmetric in (i, j), so the
+    chain run backwards in time is the same MAP."""
+    on_lo, on_hi, across = (DiscretePmf((0.0, 1.0), (0.7, 0.3)),
+                            DiscretePmf((2.0, 5.0), (0.6, 0.4)), Constant(1.0))
+    return MapKernel(("lo", "hi"), np.array([[0.8, 0.2], [0.2, 0.8]]),
+                     ((on_lo, across), (across, on_hi)), np.array([0.5, 0.5]))
+
+
 def rayleigh_mean(bandwidth, snr):
     """Closed-form mean of the Rayleigh capacity law: (W/ln2) e^x E1(x), x = 1/snr.
 

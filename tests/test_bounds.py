@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_calls, frechet_capacity_kernel, random_kernel
+from conftest import (
+    count_calls,
+    frechet_capacity_kernel,
+    lattice_backlog,
+    random_kernel,
+    reversible_lattice_arrival,
+)
 from mapq import bounds as bd
 from mapq import counters
 from mapq.channel import ChannelSpec, capacity_kernel
@@ -53,6 +59,27 @@ def test_backlog_bounds_toy_hand_algebra(toy_arrival, toy_service):
     for r, b in zip(reports, [0.5, 1.5, 3.0]):
         assert r.upper_raw == pytest.approx(math.exp(-2.0 * b), rel=1e-8)
         assert r.lower_raw == pytest.approx(math.exp(-2.0 - 2.0 * b), rel=1e-8)
+
+
+def test_backlog_bounds_hold_the_exact_lattice_tail_of_a_reversible_arrival():
+    # the stationary law of (arrival state, backlog) by Lindley's recursion on
+    # the lattice: 4,000 slots from an empty queue, with under 1e-18 of the
+    # mass above the cap of 600.  Each state row bounds P(B > b | J = i), and
+    # the average row P(B > b); at b = 30 it reads 0.0381 <= 0.0624 <= 0.1191
+    arrival, service = reversible_lattice_arrival(), single_state_kernel(Constant(2.0))
+    pmf, lost = lattice_backlog(arrival, service, 4000, 600)
+    assert lost < 1e-18
+    levels = [2, 5, 10, 20, 30]
+    exact = {}
+    for b in levels:
+        tail = pmf[:, b + 1:].sum(axis=1)
+        for label, p in zip(arrival.state_labels, tail / pmf.sum(axis=1)):
+            exact[b, f"A[{label}]@0,S[s0]@0"] = p
+        exact[b, "average"] = tail.sum()
+    rows = bd.backlog_bounds(arrival, service, levels)
+    assert len(rows) == len(exact)
+    for r in rows:
+        assert r.lower <= exact[r.level, r.conditioning] <= r.upper
 
 
 def test_bound_ratio_is_level_independent():

@@ -922,3 +922,18 @@ def test_yaml_boolean_state_labels_exit_2(tmp_path, capsys):
         assert _run(["spectral", "--config", cfg, "--out", str(out), "--theta", "0.5"]) == 0
         rows = (out / "spectral.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert [line.split(",")[2] for line in rows if ",arrival," in line] == labels
+
+
+@pytest.mark.parametrize("service", [
+    {"kernel": {"states": ["a", "a"], "transition": [[0.5, 0.5], [0.5, 0.5]],
+                "increments": [[{"law": "constant", "value": 3.0}] * 2] * 2}},
+    {"channel": {**CHANNEL, "states": ["hi", "hi"]}, "transition": [[0.5, 0.5], [0.5, 0.5]]},
+], ids=["kernel", "channel"])
+def test_duplicate_state_labels_exit_2(tmp_path, toy_config_text, capsys, service):
+    # the spectral rows of two states named alike could not be told apart
+    doc = yaml.safe_load(toy_config_text)
+    doc["service"] = service
+    cfg = _write(tmp_path, "dup.yaml", yaml.safe_dump(doc))
+    assert _run(["spectral", "--config", cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+    assert "state labels must be distinct" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))

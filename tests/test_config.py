@@ -47,6 +47,10 @@ def test_parse_law_errors():
         parse_law({"law": "pmf", "support": [0], "probs": [0.5]})
     with pytest.raises(ConfigError):
         parse_law({"law": "rayleigh", "bandwidth": 20, "snr": "10dB"})
+    # a spread of 0 or below is named, not reported as a support out of order
+    for std in (0.0, -0.5):
+        with pytest.raises(ConfigError, match="std must be positive"):
+            parse_law({"law": "normal", "mean": 1.0, "std": std})
 
 
 def test_parse_copula_variants():

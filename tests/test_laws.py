@@ -98,8 +98,10 @@ def test_discrete_pmf_validation():
     lambda: Shifted(Constant(1.0), math.inf),
     lambda: RayleighCapacity(math.nan, 10.0),
     lambda: RayleighCapacity(math.inf, 10.0),
+    lambda: gaussian_quantized(math.nan, 1.0),
+    lambda: gaussian_quantized(1.0, math.inf),
 ], ids=["constant-nan", "constant-minus-inf", "support-nan", "probs-nan", "offset-inf",
-        "bandwidth-nan", "bandwidth-inf"])
+        "bandwidth-nan", "bandwidth-inf", "normal-mean-nan", "normal-std-inf"])
 def test_non_finite_law_parameters_are_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
@@ -402,13 +404,10 @@ def test_stack_nodes_are_each_laws_own_bit_for_bit():
     snrs = (1e-30, 1e-4, 1.0, 300.0, 1e7)
     stack = RayleighStack([RayleighCapacity(20.0, snr) for snr in snrs])
     steps = len(laws_module._DE_STEPS)
-    # level 1 holds the first two steps, each later level one more step
-    for level in range(1, steps):
+    # level k holds the nodes that step k adds, and nothing else
+    for level in range(steps):
         rows = stack._level_nodes(level)
         for l, snr in enumerate(snrs):
-            own = _one_law_nodes(snr, level)
-            if level == 1:
-                own = [np.concatenate(a) for a in zip(_one_law_nodes(snr, 0), own)]
-            for got, want in zip(rows, own):
+            for got, want in zip(rows, _one_law_nodes(snr, level)):
                 assert got[l].tobytes() == want.tobytes()
-    assert len(stack._nodes) == steps - 1
+    assert len(stack._nodes) == steps

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     frechet_capacity_kernel,
+    lattice_backlog,
     lindley_loop,
     random_kernel,
+    reversible_lattice_arrival,
     searchsorted_walk,
     short_plan_channel,
 )
@@ -516,6 +518,18 @@ def test_tail_estimate_constant_arrival_delay_backlog_link(toy_service):
     d_est = tail_estimate(arrival, toy_service, [2.0], 20_000, 80, 3, "delay")
     b_est = tail_estimate(arrival, toy_service, [2.0 * lam], 20_000, 80, 3, "backlog")
     assert d_est[0].p_hat == pytest.approx(b_est[0].p_hat, abs=1e-12)
+
+
+def test_tail_estimate_meets_the_exact_lattice_tail():
+    # P(B_400 > b) from an empty queue, exact by Lindley's recursion on the
+    # lattice (about 2e-36 of the mass above the cap of 600); the estimate lies
+    # within 4 binomial standard errors of it at every level
+    arrival, service = reversible_lattice_arrival(), single_state_kernel(Constant(2.0))
+    pmf, lost = lattice_backlog(arrival, service, 400, 600)
+    assert lost < 1e-30
+    for est in tail_estimate(arrival, service, [2, 5, 10, 20, 30], 50_000, 400, seed=1):
+        p = pmf[:, int(est.level) + 1:].sum()
+        assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / est.replications)
 
 
 def test_zero_traffic_has_zero_backlog():

@@ -56,6 +56,17 @@ def test_kernel_rejects_a_malformed_layout(transition, increments, match):
         MapKernel(("a", "b"), transition, increments, np.array([0.5, 0.5]))
 
 
+def test_kernel_rejects_state_labels_the_outputs_cannot_tell_apart():
+    # the CSVs write each label as text, so 1 and "1" are one label
+    laws = ((Constant(0.0),) * 2,) * 2
+    for labels in (("a", "a"), (1, "1")):
+        with pytest.raises(ValueError, match="state labels must be distinct"):
+            MapKernel(labels, np.full((2, 2), 0.5), laws, np.array([0.5, 0.5]))
+    channel = ChannelSpec(20.0, np.full((2, 2), 10.0), ("hi", "hi"))
+    with pytest.raises(ValueError, match="state labels must be distinct"):
+        capacity_kernel(np.full((2, 2), 0.5), channel)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_kernel_rejects_non_finite_entries(bad):
     # a NaN fails no comparison-style check unless the check is written for it
@@ -329,7 +340,7 @@ def test_stacked_transform_evaluates_each_step_in_one_buffer():
     finally:
         tracemalloc.stop()
     stack = k._rayleigh[0]
-    m = stack._level_nodes(len(stack._nodes))[0].shape[1]
+    m = stack._level_nodes(len(stack._nodes) - 1)[0].shape[1]
     assert len(stack.inner) == 4
     assert peak <= 2 * 8 * 4 * len(thetas) * m
 

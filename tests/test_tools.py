@@ -34,8 +34,8 @@ OUTSIDE_CONSUMERS = {
 
 def test_pool_diff_counts_every_work_column_of_this_tree():
     # a scalar solve, a stack of two matrices, one transform of a capacity
-    # kernel with two Rayleigh laws, and a Gaussian copula on one inner row
-    # of two cells
+    # kernel with two Rayleigh laws (certified at step 1/64, the quadrature's
+    # fourth), and a Gaussian copula on one inner row of two cells
     assert pool_diff.WORK == tuple(counters.COUNTS)
     law = DiscretePmf((0.0, 2.0), (0.5, 0.5))
     kernel = spectral.MapKernel(("a", "b"), np.array([[0.6, 0.4], [0.3, 0.7]]),
@@ -53,7 +53,8 @@ def test_pool_diff_counts_every_work_column_of_this_tree():
     sim.tail_estimate(spectral.single_state_kernel(Constant(1.0)), kernel, [1.0], 3, 4, 0)
     assert dict(zip(pool_diff.WORK, done())) == {
         "scalar_solves": 1, "stacked_matrices": 2, "rayleigh_integrations": 2,
-        "quadrature_calls": 1, "bvn_cdf_calls": 2, "state_draws": 21, "increment_draws": 29}
+        "quadrature_calls": 1, "quadrature_steps": 4, "bvn_cdf_calls": 2, "state_draws": 21,
+        "increment_draws": 29}
 
 
 def test_pool_diff_attributes_no_cell_of_a_row_wider_than_its_header():
@@ -70,20 +71,20 @@ def test_pool_diff_names_the_kinds_with_more_work_and_the_moved_failures():
     runs = {"src": {"c1-delay": {"signature": None}, "c1-dcc": {"signature": "exit 3"}},
             "base": {"c1-delay": {"signature": None}, "c1-dcc": {"signature": None}}}
     # a base that keeps no draw counts (None) is compared on the others only
-    work = {"src": {"delay": [4, 0, 6, 2, 0, 7, 7], "dcc": [3, 9, 0, 0, 0, 0, 0]},
-            "base": {"delay": [4, 0, 9, 3, 0, None, None], "dcc": [3, 9, 0, 0, 0, 0, 0]}}
+    work = {"src": {"delay": [4, 0, 6, 2, 8, 0, 7, 7], "dcc": [3, 9, 0, 0, 0, 0, 0, 0]},
+            "base": {"delay": [4, 0, 9, 3, 9, 0, None, None], "dcc": [3, 9, 0, 0, 0, 0, 0, 0]}}
     assert pool_diff._regressions(runs, work) == ([], ["c1-dcc"])
     runs["src"]["c1-dcc"]["signature"] = None
     work["src"]["delay"][3] = 5
-    work["src"]["dcc"][5] = 1
+    work["src"]["dcc"][6] = 1
     assert pool_diff._regressions(runs, work) == (
         ["dcc (state_draws 1 > 0)", "delay (quadrature_calls 5 > 3)"], [])
 
 
 def test_pool_diff_sums_a_count_a_tree_does_not_keep_to_none():
-    problems = {"c1-mart1": {"work": [1, 0, 0, 0, 0, None, None]},
-                "c1-mart2": {"work": [2, 0, 0, 0, 0, None, None]}}
-    assert pool_diff._work_by_kind(problems) == {"mart": [3, 0, 0, 0, 0, None, None]}
+    problems = {"c1-mart1": {"work": [1, 0, 0, 0, 0, 0, None, None]},
+                "c1-mart2": {"work": [2, 0, 0, 0, 0, 0, None, None]}}
+    assert pool_diff._work_by_kind(problems) == {"mart": [3, 0, 0, 0, 0, 0, None, None]}
 
 
 def _references(module, tree):

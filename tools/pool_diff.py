@@ -15,9 +15,9 @@ The report lists, per tree, the jobs that fail their check (against
 perfbench/reference.json for analytic jobs) and, per job kind (the last part
 of the job id), the work the jobs did: what each job added to the counts
 that mapq's solvers and samplers keep in mapq.counters (scalar solves,
-stacked matrices, Rayleigh integrations, quadrature calls, bivariate normal
-CDFs, state draws and increment draws; that module defines each), with "-"
-for a count that a tree does not keep.  With --base it also lists the job
+stacked matrices, Rayleigh integrations, quadrature calls and steps,
+bivariate normal CDFs, state draws and increment draws; that module defines
+each), with "-" for a count that a tree does not keep.  With --base it also lists the job
 kinds where this tree does more of that work than the base (a count that
 either tree does not keep is not compared) and the jobs whose exit code or
 failure differs.  For analytic-fading it then lists how many output files
@@ -48,7 +48,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 # the keys of mapq.counters.COUNTS, in report order
 WORK = ("scalar_solves", "stacked_matrices", "rayleigh_integrations", "quadrature_calls",
-        "bvn_cdf_calls", "state_draws", "increment_draws")
+        "quadrature_steps", "bvn_cdf_calls", "state_draws", "increment_draws")
 
 
 def work_since():
