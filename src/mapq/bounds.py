@@ -146,9 +146,7 @@ def _horizon_rows(arrival: MapKernel, service: MapKernel, y: float, levels, shif
     theta = positive_root(
         lambda t: (y * cgf_as("negated service", neg_service, t, derivative=True)
                    + (y - lag) * cgf_as("arrival", arrival, t, derivative=True) - shift),
-        what,
-        stacked=[(k, t) for k in (arrival, neg_service) for t in ("mgf", "tilted_mean")],
-    )
+        what)
     sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
     theta_y = shift * theta - y * sol_s.kappa - (y - lag) * sol_a.kappa
     h_plus = (arrival_top(sol_a.h) / sol_a.h.min()) / sol_s.h.min()

@@ -34,7 +34,7 @@ from .errors import (
     ZeroMassState,
 )
 from .laws import DiscretePmf
-from .spectral import cgf_as, perron, stacked_transforms
+from .spectral import _stack_ladder, cgf_as, perron
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
@@ -92,17 +92,18 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
     kernels = [("arrival", config.arrival), ("neg_service", config.service.negated)]
     rows = []
     # each kernel's matrices at every theta come from one stack per transform
-    with stacked_transforms([(kernel, transform) for _, kernel in kernels
-                             for transform in ("mgf", "tilted_mean")], thetas):
-        for theta in thetas:
-            # cgf_as names the role in a failure; perron is then a cache hit
-            kappa_dots = [cgf_as(role, kernel, theta, derivative=True) for role, kernel in kernels]
-            sols = [perron(kernel, theta) for _, kernel in kernels]
-            kappa_sum = sols[0].kappa + sols[1].kappa
-            for (role, kernel), sol, kappa_dot in zip(kernels, sols, kappa_dots):
-                for i, label in enumerate(kernel.state_labels):
-                    rows.append((theta, role, label, sol.kappa, kappa_dot, kappa_sum,
-                                 sol.h[i], sol.v[i], sol.pi[i]))
+    for _, kernel in kernels:
+        for transform in ("mgf", "tilted_mean"):
+            _stack_ladder(kernel, transform, thetas)
+    for theta in thetas:
+        # cgf_as names the role in a failure; perron is then a cache hit
+        kappa_dots = [cgf_as(role, kernel, theta, derivative=True) for role, kernel in kernels]
+        sols = [perron(kernel, theta) for _, kernel in kernels]
+        kappa_sum = sols[0].kappa + sols[1].kappa
+        for (role, kernel), sol, kappa_dot in zip(kernels, sols, kappa_dots):
+            for i, label in enumerate(kernel.state_labels):
+                rows.append((theta, role, label, sol.kappa, kappa_dot, kappa_sum,
+                             sol.h[i], sol.v[i], sol.pi[i]))
     path = os.path.join(_out_dir(config, args), "spectral.csv")
     _write_csv(path, ("theta", "role", "state", "kappa", "kappa_dot", "kappa_sum",
                       "h", "v", "pi"), rows)

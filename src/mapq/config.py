@@ -3,6 +3,7 @@ channels, copulas, and simulation settings."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ def _parse_snr(value) -> float:
 
 
 def _state_labels(labels) -> tuple:
+    if not isinstance(labels, list):
+        raise ConfigError(f"state labels must be a list, got {labels!r}")
     labels = tuple(labels)
     if any(isinstance(x, bool) for x in labels):
         raise ConfigError(f"state labels {list(labels)} hold a YAML boolean (unquoted "
@@ -158,6 +161,20 @@ def _count(section: dict, key: str, default: int, where: str) -> int:
     return value
 
 
+def _number(value) -> bool:
+    """Whether value is a number as YAML reads one (an int or a float, not a
+    bool) that a double holds finitely."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int past the largest double
+        return False
+
+
+def _check_seed(value, where: str) -> None:
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{where}.seed must be an integer >= 0, got {value!r}")
+
+
 def _parse_plan(doc: dict) -> PlanSpec:
     """One controlled dimension, or a `dimensions` list of them, each with a
     `varpi` and either a `copula` or a per-step `steps` list, as `horizon`
@@ -200,7 +217,10 @@ def build_config(doc: dict) -> ExperimentConfig:
     if not isinstance(arrival_doc, dict) or len({"constant", "kernel"} & set(arrival_doc)) != 1:
         raise ConfigError("arrival must specify exactly one of: constant, kernel")
     if "constant" in arrival_doc:
-        arrival = single_state_kernel(Constant(float(arrival_doc["constant"])), label="const")
+        rate = arrival_doc["constant"]
+        if not _number(rate):
+            raise ConfigError(f"arrival.constant must be a finite number, got {rate!r}")
+        arrival = single_state_kernel(Constant(float(rate)), label="const")
     else:
         arrival = parse_kernel(arrival_doc["kernel"])
 
@@ -230,8 +250,15 @@ def build_config(doc: dict) -> ExperimentConfig:
                 "max_batches"):
         _count(experiment, key, 1, "experiment")
     rate = experiment.get("rate", 1.0)
-    if type(rate) not in (int, float) or not 0 < rate < float("inf"):
+    if not (_number(rate) and rate > 0):
         raise ConfigError(f"experiment.rate must be a positive finite number, got {rate!r}")
+    # checked, not converted: the sweep prints each alpha as written
+    for key in ("levels", "alphas"):
+        values = experiment.get(key, [])
+        if not (isinstance(values, list) and all(map(_number, values))):
+            raise ConfigError(f"experiment.{key} must be a list of finite numbers, got {values!r}")
+    if "seed" in experiment:
+        _check_seed(experiment["seed"], "experiment")
     if "channel" in experiment:
         experiment["channel"] = parse_channel(experiment["channel"])
     experiment["service"] = (parse_kernel(experiment["service"]) if "service" in experiment
@@ -241,8 +268,10 @@ def build_config(doc: dict) -> ExperimentConfig:
     metric = sim_doc.get("metric", "delay")
     if metric not in ("delay", "backlog"):
         raise ConfigError(f"simulation.metric must be delay or backlog, got {metric!r}")
+    seed = sim_doc.get("seed")
+    if seed is not None:
+        _check_seed(seed, "simulation")
     try:
-        seed = None if sim_doc.get("seed") is None else int(sim_doc["seed"])
         levels = tuple(float(x) for x in sim_doc.get("levels", (1, 2, 3, 4)))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad simulation section: {exc}") from exc

@@ -57,7 +57,7 @@ class IncompatibleCopula(MapqError):
 
 
 class DimensionMismatch(MapqError):
-    """Sample matrices must have matching column dimensions."""
+    """Sample matrices must have matching column dimensions and 2 rows or more each."""
 
 
 class UnknownExperiment(MapqError):

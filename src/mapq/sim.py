@@ -423,12 +423,15 @@ def supermodular_battery(samples_x, samples_y) -> OrderReport:
 
     Marginals are compared first (two-sample Kolmogorov-Smirnov at level
     _KS_LEVEL, Bonferroni-corrected); if they differ the verdict is
-    inconclusive, since the supermodular order fixes marginals.
+    inconclusive, since the supermodular order fixes marginals.  Each
+    sample needs 2 rows at least, for its standard errors.
     """
     x = np.asarray(samples_x, dtype=float)
     y = np.asarray(samples_y, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"sample shapes {x.shape} and {y.shape} do not align")
+    if min(len(x), len(y)) < 2:
+        raise DimensionMismatch(f"samples of {len(x)} and {len(y)} rows: each needs 2 or more")
     # imported here: scipy.stats is slow to import, and only this check needs it
     from scipy.stats import ks_2samp
 

@@ -9,7 +9,6 @@ cumulant generating function kappa(theta) of the additive part.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -34,7 +33,7 @@ class MapKernel:
     # perron's solutions by theta, filled on success only
     _solutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # transform matrices by (transform, theta) stacked ahead of their scalar
-    # solves (stacked_transforms), which empties it when its block exits
+    # calls (_stack_ladder); each stays until the scalar call at its theta takes it
     _ladder: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -240,10 +239,13 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
 
     For an array of theta it is the stack of those matrices, non-finite at a
     theta where a transform diverges; a float theta raises MgfDiverged there,
-    and takes the matrix stacked for it (stacked_transforms) if there is one.
+    and takes the matrix stacked for it if there is one: the first float call
+    at _LADDER[0] stacks its transform's whole ladder first (_stack_ladder).
     """
     stack = isinstance(theta, np.ndarray)
     if not stack:
+        if theta == _LADDER[0] and (transform, theta) not in kernel._ladder:
+            _stack_ladder(kernel, transform)
         stacked = kernel._ladder.pop((transform, theta), None)
         if stacked is not None:
             return stacked
@@ -502,7 +504,7 @@ def _zeroin(f, lo, hi, what: str) -> float:
 
 
 # the first points of positive_root's bracket ladder 1e-3 * 2^k (doubling is
-# exact), whose transforms a root may compute as one stack
+# exact), whose transforms a kernel computes as one stack (_entrywise)
 _LADDER = tuple(1e-3 * 2.0 ** k for k in range(8))
 
 
@@ -510,7 +512,9 @@ def _stack_ladder(kernel: MapKernel, transform: str, thetas=_LADDER):
     """Put the kernel's `transform` matrices ("mgf" or "tilted_mean") at
     `thetas` (positive_root's _LADDER points by default) on its _ladder map,
     from one _entrywise stack: the finite ones, and no transform matrix of a
-    theta that perron has solved."""
+    theta that perron has solved.  The scalar call at such a theta returns
+    the stacked matrix, which equals its own bit for bit; a non-finite one is
+    not kept, so that call raises as it would unstacked."""
     thetas = np.array([t for t in thetas if transform != "mgf" or t not in kernel._solutions])
     if len(thetas):
         rows = _entrywise(kernel, thetas, transform, transform)
@@ -518,31 +522,14 @@ def _stack_ladder(kernel: MapKernel, transform: str, thetas=_LADDER):
                               if np.isfinite(row).all())
 
 
-@contextmanager
-def stacked_transforms(stacked, thetas):
-    """Within the block, each (kernel, transform) of `stacked` has its
-    transforms at `thetas` computed ahead, as one stack (_stack_ladder); the
-    scalar call at such a theta returns the stacked matrix, which equals its
-    own bit for bit.  A non-finite matrix is not kept, so that call raises as
-    it would unstacked, and the kernels keep none once the block exits."""
-    try:
-        for kernel, transform in stacked:
-            _stack_ladder(kernel, transform, thetas)
-        yield
-    finally:
-        for kernel, _ in stacked:
-            kernel._ladder.clear()
-
-
-def positive_root(f, what: str, stacked=()) -> float:
+def positive_root(f, what: str) -> float:
     """The one positive root of a cgf equation f that is negative just above 0:
     bracketed by doubling from 1e-3 (halving below it when f(1e-3) > 0), then
     refined by Brent's zeroin (_zeroin).  A transform that diverges or an
     eigensolve that fails first raises NoRootInDomain naming `what` and theta,
     as do a NaN value and a refinement that does not converge.
 
-    Each (kernel, transform) of `stacked` has its transforms at the _LADDER
-    points computed first (stacked_transforms)."""
+    Starting at _LADDER[0], it stacks each kernel's ladder there (_entrywise)."""
 
     def value(theta):
         try:
@@ -552,25 +539,24 @@ def positive_root(f, what: str, stacked=()) -> float:
             # spans more magnitudes than the eigensolve resolves
             raise NoRootInDomain(f"{what}: no root below theta={theta}, where {exc}") from exc
 
-    with stacked_transforms(stacked, _LADDER):
-        lo, hi = 0.0, 1e-3
-        for _ in range(128):
-            if value(hi) > 0:
+    lo, hi = 0.0, _LADDER[0]
+    for _ in range(128):
+        if value(hi) > 0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NoRootInDomain(f"{what} never crossed zero up to theta={hi}")
+    if lo == 0.0:
+        # the root lies below 1e-3: halve towards the origin until f is
+        # negative; at theta = 0 a cgf is exactly 0, the trivial root
+        for _ in range(64):
+            lo = 0.5 * hi
+            if value(lo) < 0:
                 break
-            lo, hi = hi, 2.0 * hi
+            hi = lo
         else:
-            raise NoRootInDomain(f"{what} never crossed zero up to theta={hi}")
-        if lo == 0.0:
-            # the root lies below 1e-3: halve towards the origin until f is
-            # negative; at theta = 0 a cgf is exactly 0, the trivial root
-            for _ in range(64):
-                lo = 0.5 * hi
-                if value(lo) < 0:
-                    break
-                hi = lo
-            else:
-                raise NoRootInDomain(f"{what} stays nonnegative down to theta={lo}")
-        return _zeroin(value, lo, hi, what)
+            raise NoRootInDomain(f"{what} stays nonnegative down to theta={lo}")
+    return _zeroin(value, lo, hi, what)
 
 
 # largest |kappa^A + kappa^{-S}| accepted at the root
@@ -592,8 +578,7 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     def f(theta):
         return cgf_as("arrival", arrival, theta) + cgf_as("negated service", neg_service, theta)
 
-    theta = positive_root(f, "combined cgf kappa^A + kappa^-S",
-                          stacked=((arrival, "mgf"), (neg_service, "mgf")))
+    theta = positive_root(f, "combined cgf kappa^A + kappa^-S")
     residual = abs(f(theta))
     if residual > _ROOT_RESIDUAL_TOL:
         raise NoRootInDomain(f"combined cgf kappa^A + kappa^-S: root residual {residual!r} "

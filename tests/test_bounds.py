@@ -14,8 +14,9 @@ from conftest import (
     reversible_lattice_arrival,
 )
 from mapq import bounds as bd
-from mapq import counters
+from mapq import counters, spectral
 from mapq.channel import ChannelSpec, capacity_kernel
+from mapq.copulas import one_param_frechet, transition_from_copula
 from mapq.errors import UnstableQueue
 from mapq.laws import Constant, DiscretePmf
 from mapq.spectral import (
@@ -379,6 +380,23 @@ def test_horizon_bounds_solve_theta_once_for_every_level(delay_figure_channel, f
     with pytest.raises(ValueError, match="level"):
         fn(*kernels, 2.0, [1.0, 2.0, math.nan])
     assert not any(done().values())
+
+
+def test_horizon_bound_reads_the_ladder_rows_its_stability_root_left(monkeypatch):
+    # the README channel: theta* lies below the ladder's top, so the mgf rows
+    # above the bracket stay on the kernels and the horizon walk reads them;
+    # it stacks only the derivative's ladder of each kernel
+    channel = ChannelSpec(20.0, np.array([[1e4, 1e4], [10.0, 10.0]]), ("hi", "lo"))
+    p, _ = transition_from_copula(one_param_frechet(0.5), np.array([0.3, 0.7]))
+    service = capacity_kernel(p, channel)
+    arrival = single_state_kernel(Constant(60.0))
+    stability_root(arrival, service)
+    stacks = count_calls(monkeypatch, spectral, "_stack_ladder")
+    done = counters.tally()
+    r = bd.horizon_delay_bound(arrival, service, 2.0, [4])[0]
+    assert [args[1] for args in stacks] == ["tilted_mean", "tilted_mean"]
+    assert done()["quadrature_calls"] == 17
+    assert r.theta == 0.04403853764961096 and r.bound == 0.36570676001138286
 
 
 @pytest.mark.parametrize("fn", [bd.delay_bounds, bd.backlog_bounds])

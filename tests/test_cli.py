@@ -603,6 +603,10 @@ def test_ordercheck_samples_and_dimension_mismatch(tmp_path, capsys):
     assert "verdict: holds" in capsys.readouterr().out
     bad = _write(tmp_path, "bad.csv", "\n".join(",".join(map(str, r)) for r in rng.random((50, 3))))
     assert _run(["ordercheck", "--samples-x", xs, "--samples-y", bad]) == 2
+    # one row has no standard error
+    one = _write(tmp_path, "one.csv", "0.1,0.2\n")
+    assert _run(["ordercheck", "--samples-x", one, "--samples-y", one]) == 2
+    assert "each needs 2 or more" in capsys.readouterr().err
 
 
 def test_ordercheck_needs_inputs():
@@ -658,7 +662,7 @@ def test_spectral_stacks_each_transform_of_a_kernel_once(tmp_path, capsys, monke
                                  _pmf([0.0, 1.0], [0.5, 0.5])),
            "service": _two_state(["good", "bad"], *rayleigh)}
     cfg = _write(tmp_path, "fading.yaml", yaml.safe_dump(doc))
-    stacks = count_calls(monkeypatch, spectral, "_stack_ladder")
+    stacks = count_calls(monkeypatch, cli, "_stack_ladder")
     done = counters.tally()
     assert _run(["spectral", "--config", cfg, "--out", str(tmp_path),
                  "--theta=-0.5,0,0.5,1.5"]) == 0
@@ -672,7 +676,6 @@ def test_spectral_stacks_each_transform_of_a_kernel_once(tmp_path, capsys, monke
             in capsys.readouterr().err)
     assert done()["scalar_solves"] == 2
     assert [args[1] for args in stacks] == ["mgf", "tilted_mean"] * 4
-    assert not any(kernel._ladder for kernel, *_ in stacks)
 
 
 @pytest.mark.parametrize("theta, code, message", [
@@ -815,6 +818,21 @@ def test_bad_experiment_channel_exits_2(tmp_path, toy_config_text, capsys, comma
     ("copulas", {"dimensions": [{"copula": {"family": "p"}}]}),
     ("copulas", {"varpi": ["a", "b"], "copula": {"family": "p"}}),
     ("copulas", {"varpi": [0.5, 0.5], "copula": {"family": "gauss2"}}),
+    # a value of the wrong type, or a seed that is no whole number >= 0
+    ("arrival", {"constant": [1]}),
+    ("experiment", {"levels": [1, "x"]}),
+    ("experiment", {"levels": 5}),
+    ("experiment", {"alphas": 5}),
+    ("experiment", {"alphas": ["x"]}),
+    ("experiment", {"seed": "x"}),
+    ("experiment", {"seed": 1.5}),
+    ("simulation", {"seed": 1.5}),
+    ("simulation", {"seed": True}),
+    ("simulation", {"seed": -1}),
+    # a string of state labels is no list of them
+    ("service", {"kernel": {"states": "ab", "transition": [[0.5, 0.5], [0.5, 0.5]],
+                            "increments": [[{"law": "constant", "value": 3.0}] * 2] * 2}}),
+    ("experiment", {"channel": {"bandwidth": 20, "snr": [[10, 10], [1, 1]], "states": "ab"}}),
 ])
 @pytest.mark.parametrize("command", ["simulate", "spectral"])
 def test_malformed_section_exits_2(tmp_path, toy_config_text, name, value, command):

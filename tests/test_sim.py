@@ -639,6 +639,9 @@ def test_supermodular_battery_marginal_precheck():
 def test_supermodular_battery_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         supermodular_battery(np.ones((10, 2)), np.ones((10, 3)))
+    # one row has no standard error
+    with pytest.raises(DimensionMismatch, match="samples of 10 and 1 rows"):
+        supermodular_battery(np.ones((10, 2)), np.ones((1, 2)))
 
 
 # ---------------------------------------------------------------------------

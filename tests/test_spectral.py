@@ -618,7 +618,7 @@ def test_ladder_stack_skips_the_transform_matrices_perron_has_solved():
     assert ("tilted_mean", solved) in k._ladder
 
 
-def test_a_diverged_ladder_row_is_left_out_and_its_scalar_call_raises():
+def test_a_diverged_ladder_row_is_left_out_and_its_scalar_call_raises(monkeypatch):
     # e^{6000 theta} overflows from theta = 0.128, the ladder's last point
     k = single_state_kernel(Constant(6000.0))
     top = spectral_module._LADDER[-1]
@@ -635,23 +635,33 @@ def test_a_diverged_ladder_row_is_left_out_and_its_scalar_call_raises():
     failures = []
     for stack in (False, True):
         kernel = single_state_kernel(Constant(6000.0))
-        with pytest.raises(NoRootInDomain) as err:
-            spectral_module.positive_root(lambda t: perron(kernel, t).kappa - 7000.0 * t, "f",
-                                          stacked=[(kernel, "mgf")] if stack else [])
+        with monkeypatch.context() as m, pytest.raises(NoRootInDomain) as err:
+            if not stack:
+                m.setattr(spectral_module, "_stack_ladder", lambda *args: None)
+            spectral_module.positive_root(lambda t: perron(kernel, t).kappa - 7000.0 * t, "f")
         failures.append(str(err.value))
         assert kernel._ladder == {}
     assert failures[0] == failures[1] and f"theta={top}" in failures[0]
 
 
 def test_stability_root_on_stacked_ladder_transforms_is_the_unstacked_root(monkeypatch):
-    # theta* is about 0.027, so the walk leaves the rows from 0.064 up unread
+    # theta* is about 0.027, so the walk leaves the rows from 0.064 up unread,
+    # and they stay on the kernels
     roots = []
-    for ladder in (spectral_module._LADDER, ()):
-        monkeypatch.setattr(spectral_module, "_LADDER", ladder)
+    for stack in (True, False):
         arrival = random_kernel(np.random.default_rng(32), 2, mean_offset=30.0, spread=0.5)
         service = _row_constant_capacity_kernel()
-        roots.append(stability_root(arrival, service))
-        assert arrival._ladder == {} and service.negated._ladder == {}
+        with monkeypatch.context() as m:
+            if not stack:
+                m.setattr(spectral_module, "_stack_ladder", lambda *args: None)
+            roots.append(stability_root(arrival, service))
+        for k in (arrival, service.negated):
+            left = dict(k._ladder)
+            assert sorted(left) == ([("mgf", t) for t in spectral_module._LADDER[6:]]
+                                    if stack else [])
+            k._ladder.clear()
+            for (_, theta), row in left.items():
+                assert transform_matrix(k, theta).tobytes() == row.tobytes()
     stacked, unstacked = roots
     assert 0.02 < stacked.theta_star < 0.032
     assert stacked.theta_star == unstacked.theta_star
