@@ -69,9 +69,12 @@ def _write_csv(path, header, rows):
 
 def _float_list(text):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"numeric list {text!r} names no number")
+    return values
 
 
 def _out_dir(config, args):

@@ -252,11 +252,14 @@ def build_config(doc: dict) -> ExperimentConfig:
     rate = experiment.get("rate", 1.0)
     if not (_number(rate) and rate > 0):
         raise ConfigError(f"experiment.rate must be a positive finite number, got {rate!r}")
-    # checked, not converted: the sweep prints each alpha as written
-    for key in ("levels", "alphas"):
-        values = experiment.get(key, [])
-        if not (isinstance(values, list) and all(map(_number, values))):
-            raise ConfigError(f"experiment.{key} must be a list of finite numbers, got {values!r}")
+    # checked, not converted: the sweep prints each alpha as written; it
+    # orders two alphas at least, by the tails at one level at least
+    for key, least in (("levels", 1), ("alphas", 2)):
+        values = experiment.get(key)
+        if key in experiment and not (isinstance(values, list) and len(values) >= least
+                                      and all(map(_number, values))):
+            raise ConfigError(f"experiment.{key} must be a list of {least} or more finite "
+                              f"numbers, got {values!r}")
     if "seed" in experiment:
         _check_seed(experiment["seed"], "experiment")
     if "channel" in experiment:
@@ -271,10 +274,11 @@ def build_config(doc: dict) -> ExperimentConfig:
     seed = sim_doc.get("seed")
     if seed is not None:
         _check_seed(seed, "simulation")
-    try:
-        levels = tuple(float(x) for x in sim_doc.get("levels", (1, 2, 3, 4)))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad simulation section: {exc}") from exc
+    levels = sim_doc.get("levels", [1, 2, 3, 4])
+    if not (isinstance(levels, list) and levels and all(map(_number, levels))):
+        raise ConfigError(f"simulation.levels must be a non-empty list of finite numbers, "
+                          f"got {levels!r}")
+    levels = tuple(map(float, levels))
     return ExperimentConfig(
         arrival=arrival,
         service=service,

@@ -94,29 +94,34 @@ class DiscretePmf(IncrementLaw):
         object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "probs", tuple(probs))
 
-    def _arrays(self):
-        return np.asarray(self.support), np.asarray(self.probs)
+    @cached_property
+    def _arrays(self) -> tuple:
+        """(support, probs) as float arrays, built once per law; read-only."""
+        arrays = np.array(self.support), np.array(self.probs)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def mgf(self, theta):
-        x, p = self._arrays()
+        x, p = self._arrays
         with np.errstate(over="ignore"):
             return np.sum(p * np.exp(np.multiply.outer(theta, x)), axis=-1)
 
     def tilted_mean(self, theta):
-        x, p = self._arrays()
+        x, p = self._arrays
         with np.errstate(over="ignore", invalid="ignore"):
             return np.sum(p * x * np.exp(np.multiply.outer(theta, x)), axis=-1)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return _pinned_cdf(np.asarray(self.probs))
+        return _pinned_cdf(self._arrays[1])
 
     @cached_property
     def _inverse(self) -> InverseCdf:
         return InverseCdf(self._cdf)
 
     def sample(self, rng, size):
-        return np.asarray(self.support).take(self._inverse(rng.random(size)))
+        return self._arrays[0].take(self._inverse(rng.random(size)))
 
 
 def _pinned_cdf(probs: np.ndarray) -> np.ndarray:

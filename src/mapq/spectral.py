@@ -116,6 +116,15 @@ class MapKernel:
         return bool((law_of[cells] == cells // self.n_states).all())
 
     @cached_property
+    def _cell_terms(self) -> tuple:
+        """(p, law_of_cell, others), built once per kernel for _entrywise: the
+        transition at the positive cells of `_law_table`, each such cell's law
+        index, and the indices of the table's laws outside its Rayleigh stack."""
+        _, cells, law_of = self._law_table
+        return (self.transition.take(cells), law_of[cells],
+                np.flatnonzero(~self._rayleigh[1]).tolist())
+
+    @cached_property
     def _rayleigh(self) -> tuple:
         """(stack, held): the Rayleigh laws of `_law_table`, negated or not, as
         one RayleighStack (None if there are none), and a bool per law of the
@@ -250,17 +259,17 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
         if stacked is not None:
             return stacked
     thetas = theta if stack else np.array([theta], dtype=float)
-    laws, cells, law_of = kernel._law_table
+    laws, cells, _ = kernel._law_table
     rayleigh, held = kernel._rayleigh
+    p, law_of_cell, others = kernel._cell_terms
     vals = np.empty((len(laws), len(thetas)))  # row g: law g's transform
     if rayleigh is not None:
         vals[held] = rayleigh.transform(transform, thetas)
-    for g in np.flatnonzero(~held):
+    for g in others:
         vals[g] = getattr(laws[g], transform)(thetas)
     n = kernel.n_states
     out = np.zeros((len(thetas), n, n))
-    out.reshape(len(thetas), n * n)[:, cells] = (kernel.transition.take(cells)
-                                                 * vals[law_of[cells]].T)
+    out.reshape(len(thetas), n * n)[:, cells] = p * vals[law_of_cell].T
     if stack:
         return out
     if not np.isfinite(out).all():
@@ -311,43 +320,42 @@ def _check(theta, failed, lam, positive, residual):
         raise NoConvergence(f"eigen residual {residual!r} above {_RESIDUAL_TOL} at theta={theta}")
 
 
+def _scaled(f: np.ndarray):
+    """(f, e): f exactly as it is with e = 0, or, where its largest entry lies
+    beyond 2^_EXP_LIMIT (or below 2^-_EXP_LIMIT), f scaled by 2^-e with e its
+    binary exponent.  LAPACK's geev returns a wrong eigenvalue once entries
+    pass about 1e138 (or fall below 1e-138); e goes back into kappa."""
+    e = math.frexp(f.max())[1]
+    return (f, 0) if abs(e) <= _EXP_LIMIT else (np.ldexp(f, -e), e)
+
+
 def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
-    """SpectralSolution at theta from the one finite transform matrix f: one
-    _eig call gives both eigenvector sides, and a one-state kernel needs none
-    (kappa = log F, h = v = pi = [1]).  Raises the NoConvergence of the first
-    check of _check that fails.
+    """SpectralSolution at theta from the one finite transform matrix f of a
+    kernel of two states or more: one _eig call gives both eigenvector sides,
+    which are checked as the rows of one (2, n) array.  Raises the
+    NoConvergence of the first check of _check that fails.
 
     The Perron root of a nonnegative irreducible matrix has the largest real
     part; on a periodic chain -lambda ties with it in modulus.  Its
     eigenvectors are real up to rounding, so their real parts are kept."""
     COUNTS["scalar_solves"] += 1
-    # LAPACK's geev returns a wrong eigenvalue once entries pass about 1e138
-    # (or fall below 1e-138): scale F exactly by a power of two far from 1
-    # and add it back to kappa
-    e = math.frexp(f.max())[1]
-    if abs(e) <= _EXP_LIMIT:
-        e = 0
-    else:
-        f = np.ldexp(f, -e)
-    if len(f) == 1:
-        lam, h, v, positive, residual = float(f[0, 0]), np.ones(1), np.ones(1), True, 0.0
-    else:
-        w, vr, vl = _eig(f)
-        k = w.real.argmax()
-        lam, h, v = float(w.real[k]), vr[:, k].real, vl[k].real
-        if not (np.isfinite(h).all() and np.isfinite(v).all()):
-            _check(theta, True, lam, False, math.nan)
-        # the eigenvectors' sign is arbitrary, and multiplying by -1 is exact
-        h = h * math.copysign(1.0, h.sum())
-        v = v * math.copysign(1.0, v.sum())
-        positive = h.min() > 0 and v.min() > 0
-        # relative residuals of both eigenpairs, which scaling h or v leaves
-        # unchanged; lam <= 0 fails anyway, so dividing by at least the smallest
-        # normal double (times a unit vector's max entry) is safe
-        scale = max(lam, _TINY)
-        residual = float(np.maximum(abs(f @ h - lam * h).max() / (scale * abs(h).max()),
-                                    abs(v @ f - lam * v).max() / (scale * abs(v).max())))
-    _check(theta, False, lam, positive, residual)
+    f, e = _scaled(f)
+    w, vr, vl = _eig(f)
+    k = w.real.argmax()
+    lam = float(w.real[k])
+    hv = np.array([vr[:, k].real, vl[k].real])  # rows h and v
+    if not np.isfinite(hv).all():
+        _check(theta, True, lam, False, math.nan)
+    # the eigenvectors' sign is arbitrary, and multiplying by -1 is exact
+    hv *= np.copysign(1.0, hv.sum(axis=1))[:, None]
+    h, v = hv
+    # relative residuals of both eigenpairs, which scaling h or v leaves
+    # unchanged; lam <= 0 fails anyway, so dividing by at least the smallest
+    # normal double (times a unit vector's max entry) is safe
+    scale = max(lam, _TINY)
+    residual = float((abs(np.array([f @ h, v @ f]) - lam * hv).max(axis=1)
+                      / (scale * abs(hv).max(axis=1))).max())
+    _check(theta, False, lam, hv.min() > 0, residual)
     pi = kernel.stationary
     h = h / float(pi @ h)
     v = v / float(v @ h)
@@ -357,38 +365,32 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
 
 
 def _solve_batched(kernel: MapKernel, f):
-    """(h, ok) at every matrix of the stack f: _solve_one's scaling and
-    Perron pick, with one _eig call for the whole stack, and its sign fix and
-    checks as array operations over the stack; a one-state kernel needs no
-    eigensolve (h = [1]).  ok is False where a row fails a check of _check,
-    and h is normalized to pi . h = 1 where ok and NaN elsewhere."""
+    """(h, ok) at every matrix of the stack f, whose kernel has two states or
+    more: _solve_one's scaling and Perron pick, with one _eig call for the
+    whole stack, and its sign fix and checks as array operations over the
+    stack.  ok is False where a row fails a check of _check, and h is
+    normalized to pi . h = 1 where ok and NaN elsewhere."""
     e = np.frexp(f.max(axis=(1, 2)))[1]
     e[np.abs(e) <= _EXP_LIMIT] = 0
     # ldexp by 0 leaves every other matrix's bits unchanged
     scaled = np.ldexp(f, -e[:, None, None]) if e.any() else f
-    t, n = f.shape[:2]
-    if n == 1:
-        lam = scaled[:, 0, 0]
-        h = np.ones((t, 1))
-        positive = np.ones(t, dtype=bool)
-        residual = np.zeros(t)
-    else:
-        COUNTS["stacked_matrices"] += t
-        w, vr, vl = _eig(scaled)
-        rows = np.arange(t)
-        k = w.real.argmax(axis=1)
-        lam = w.real[rows, k]
-        hv = np.stack([vr[rows, :, k].real, vl[rows, k].real])
-        hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
-        positive = hv.min(axis=(0, 2)) > 0
-        h, v = hv
-        scale = np.maximum(lam, _TINY)
-        residual = np.maximum(
-            abs((scaled @ h[:, :, None])[:, :, 0] - lam[:, None] * h).max(axis=1)
-            / (scale * abs(h).max(axis=1)),
-            abs((v[:, None, :] @ scaled)[:, 0, :] - lam[:, None] * v).max(axis=1)
-            / (scale * abs(v).max(axis=1)),
-        )
+    t = len(f)
+    COUNTS["stacked_matrices"] += t
+    w, vr, vl = _eig(scaled)
+    rows = np.arange(t)
+    k = w.real.argmax(axis=1)
+    lam = w.real[rows, k]
+    hv = np.stack([vr[rows, :, k].real, vl[rows, k].real])
+    hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
+    positive = hv.min(axis=(0, 2)) > 0
+    h, v = hv
+    scale = np.maximum(lam, _TINY)
+    residual = np.maximum(
+        abs((scaled @ h[:, :, None])[:, :, 0] - lam[:, None] * h).max(axis=1)
+        / (scale * abs(h).max(axis=1)),
+        abs((v[:, None, :] @ scaled)[:, 0, :] - lam[:, None] * v).max(axis=1)
+        / (scale * abs(v).max(axis=1)),
+    )
     # a row whose eigensolve failed is NaN and fails every check; each failed
     # row is NaN before the normalization, which keeps it silent
     ok = (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
@@ -396,16 +398,32 @@ def _solve_batched(kernel: MapKernel, f):
     return h / (h @ kernel.stationary)[:, None], ok
 
 
+# h = v = [1]: the Perron vectors of every one-state kernel
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
+
+
 def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     """Dominant eigentriple of the transform matrix at theta, solved once per
-    (kernel, theta) and kept on the kernel.
+    (kernel, theta) and kept on the kernel: by _solve_one, or for a one-state
+    kernel in closed form, kappa = log F (scaled as _solve_one scales it),
+    h = v = pi = [1] and residual 0, with no eigensolve.
 
     h and v are scaled so that pi . h = 1 and v . h = 1, and are read-only;
     at theta = 0 this reduces to h = ones and v = pi.
     """
     sol = kernel._solutions.get(theta)
     if sol is None:
-        sol = _solve_one(kernel, theta, transform_matrix(kernel, theta))
+        f = transform_matrix(kernel, theta)
+        if kernel.n_states > 1:
+            sol = _solve_one(kernel, theta, f)
+        else:
+            COUNTS["scalar_solves"] += 1
+            f, e = _scaled(f)
+            lam = float(f[0, 0])
+            _check(theta, False, lam, True, 0.0)
+            sol = SpectralSolution(theta, math.log(lam) + e * math.log(2.0), _ONE, _ONE,
+                                   kernel.stationary, 0.0, kernel)
         if len(kernel._solutions) >= _SOLUTION_LIMIT:
             kernel._solutions.clear()
         kernel._solutions[theta] = sol
@@ -425,17 +443,24 @@ def cgf_as(role: str, kernel: MapKernel, theta: float, derivative: bool = False)
 
 def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
     """perron's h at every theta of `thetas` as one PerronStack, from one
-    transform_matrix call for the whole stack and one _eig call for its
-    finite matrices; it neither reads nor fills perron's cache.
+    transform_matrix call for the whole stack and one _solve_batched call for
+    its finite matrices; it neither reads nor fills perron's cache.  A
+    one-state kernel's stack is p_00 times its law's transform, solved in
+    closed form: h = [1] wherever that is finite and positive.
 
     A theta fails alone, as an unsolved NaN row: a non-finite transform matrix
     or a failed check of _check.  Only perron words the error at a theta.
     """
     thetas = np.asarray(thetas, dtype=float)
+    if kernel.n_states == 1:
+        m = kernel.transition[0, 0] * kernel.law(0, 0).mgf(thetas)
+        solved = np.isfinite(m) & (m > 0)
+        return PerronStack(thetas, np.where(solved, 1.0, np.nan)[:, None], solved)
     f = transform_matrix(kernel, thetas)
     finite = np.isfinite(f).all(axis=(1, 2))
-    t, n = f.shape[:2]
-    h, solved = np.full((t, n), np.nan), np.zeros(t, dtype=bool)
+    if finite.all():
+        return PerronStack(thetas, *_solve_batched(kernel, f))
+    h, solved = np.full(f.shape[:2], np.nan), np.zeros(len(f), dtype=bool)
     h[finite], solved[finite] = _solve_batched(kernel, f[finite])
     return PerronStack(thetas, h, solved)
 

@@ -18,7 +18,7 @@ from mapq import counters, spectral
 from mapq.channel import ChannelSpec, capacity_kernel
 from mapq.copulas import one_param_frechet, transition_from_copula
 from mapq.errors import UnstableQueue
-from mapq.laws import Constant, DiscretePmf
+from mapq.laws import Constant, DiscretePmf, RayleighCapacity
 from mapq.spectral import (
     MapKernel,
     mean_rate,
@@ -397,6 +397,32 @@ def test_horizon_bound_reads_the_ladder_rows_its_stability_root_left(monkeypatch
     assert [args[1] for args in stacks] == ["tilted_mean", "tilted_mean"]
     assert done()["quadrature_calls"] == 17
     assert r.theta == 0.04403853764961096 and r.bound == 0.36570676001138286
+
+
+def test_dcc_stacks_no_transform_of_a_constant_arrival(monkeypatch):
+    # a one-state arrival's Perron stacks are closed forms: neither the grid
+    # nor a section round builds its transform matrices
+    channel = ChannelSpec(20.0, np.array([[1e4, 1e4], [10.0, 10.0]]), ("hi", "lo"))
+    p, _ = transition_from_copula(one_param_frechet(0.5), np.array([0.3, 0.7]))
+    service = capacity_kernel(p, channel)
+    arrival = single_state_kernel(Constant(60.0))
+    stability_root(arrival, service)
+    entries = count_calls(monkeypatch, spectral, "_entrywise")
+    r = bd.dcc_upper(arrival, service, [10], 1e-3)[0]
+    assert not [args for args in entries
+                if args[0] is arrival and isinstance(args[1], np.ndarray)]
+    assert r.value == 5.678669618438717 and r.theta_opt == 0.20947326149604462
+
+
+def test_one_state_rayleigh_root_keeps_one_quadrature_for_its_ladder():
+    # the closed-form solve reads F[0, 0] from the transform matrix, so the
+    # ladder's stacked rows still serve a one-state Rayleigh service
+    service = single_state_kernel(RayleighCapacity(20.0, 100.0))
+    arrival = single_state_kernel(Constant(60.0))
+    done = counters.tally()
+    root = stability_root(arrival, service)
+    assert done()["quadrature_calls"] == 8 and done()["quadrature_steps"] == 16
+    assert root.theta_star == 0.08244589147567793
 
 
 @pytest.mark.parametrize("fn", [bd.delay_bounds, bd.backlog_bounds])

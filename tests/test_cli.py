@@ -130,14 +130,23 @@ service:
     assert _run(["bounds", "--config", cfg, "--mode", "delay", "--levels", "1"]) == 3
 
 
-def test_eigensolver_failure_exits_3(tmp_path, toy_cfg, monkeypatch):
-    # LinAlgError subclasses ValueError, which alone would map to exit 2
+def test_eigensolver_failure_exits_3(tmp_path, toy_config_text, monkeypatch):
+    # LinAlgError subclasses ValueError, which alone would map to exit 2; the
+    # service has two states, since a one-state kernel is solved in closed form
+    doc = yaml.safe_load(toy_config_text)
+    doc["service"] = _two_state(["good", "bad"], _pmf([2.0, 4.0], [0.5, 0.5]),
+                                _pmf([1.0, 5.0], [0.5, 0.5]))
+    cfg = _write(tmp_path, "two_state.yaml", yaml.safe_dump(doc))
+    calls = []
+
     def failing_solve(*args, **kwargs):
+        calls.append(args)
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
     monkeypatch.setattr(spectral, "_solve_one", failing_solve)
-    assert _run(["bounds", "--config", toy_cfg, "--mode", "delay", "--levels", "1",
+    assert _run(["bounds", "--config", cfg, "--mode", "delay", "--levels", "1",
                  "--out", str(tmp_path)]) == 3
+    assert len(calls) == 1
 
 
 def test_parse_error_exits_2(tmp_path):
@@ -695,6 +704,19 @@ def test_theta_exit_codes_before_any_solve(tmp_path, toy_cfg, capsys, theta, cod
     assert done()["scalar_solves"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--mode", "delay", "--levels", ","],
+    ["bounds", "--mode", "dcc", "--levels", ","],
+    ["simulate", "--levels", ","],
+    ["spectral", "--theta=,"],
+])
+def test_a_list_flag_that_names_no_number_exits_2(tmp_path, toy_cfg, capsys, argv):
+    # a header-only CSV would say nothing; the list is bad input
+    assert _run(argv + ["--config", toy_cfg, "--out", str(tmp_path)]) == EXIT_PARSE
+    assert "names no number" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_ordercheck_experiment_without_config(capsys):
     # an experiment that needs no config runs without one
     assert _run(["ordercheck", "--experiment", "subchannel-aggregation"]) == 0
@@ -833,6 +855,14 @@ def test_bad_experiment_channel_exits_2(tmp_path, toy_config_text, capsys, comma
     ("service", {"kernel": {"states": "ab", "transition": [[0.5, 0.5], [0.5, 0.5]],
                             "increments": [[{"law": "constant", "value": 3.0}] * 2] * 2}}),
     ("experiment", {"channel": {"bandwidth": 20, "snr": [[10, 10], [1, 1]], "states": "ab"}}),
+    # no level to estimate at, a bool or a NaN where a level goes, and a sweep
+    # with fewer than two alphas to order
+    ("simulation", {"levels": []}),
+    ("simulation", {"levels": [True, 2]}),
+    ("simulation", {"levels": [float("nan")]}),
+    ("experiment", {"alphas": []}),
+    ("experiment", {"alphas": [0.5]}),
+    ("experiment", {"levels": []}),
 ])
 @pytest.mark.parametrize("command", ["simulate", "spectral"])
 def test_malformed_section_exits_2(tmp_path, toy_config_text, name, value, command):

@@ -819,6 +819,70 @@ def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
     assert big.solved[0] and big.h[0, 0] == 1.0
 
 
+def test_one_state_perron_makes_no_eigensolve_call(monkeypatch):
+    # perron decides the one-state case itself; a two-state kernel still goes
+    # through _solve_one, once per theta
+    service, theta_star = _gate_failing_service()
+    solves = count_calls(monkeypatch, spectral_module, "_solve_one")
+    k = single_state_kernel(DiscretePmf((-2.0, 0.5, 3.0), (0.2, 0.5, 0.3)))
+    for theta in (-1.0, 0.0, 0.7):
+        sol = perron(k, theta)
+        assert not sol.h.flags.writeable and not sol.v.flags.writeable
+    assert solves == []
+    perron(service, 0.5 * theta_star + 1e-3)
+    assert len(solves) == 1
+
+
+def test_one_state_perron_grid_takes_the_law_transform_alone(monkeypatch):
+    # no stacked transform matrix and no batched solve: the stack is p_00 times
+    # the law's transform, solved where it is finite and positive
+    k = single_state_kernel(DiscretePmf((-2.0, 0.5, 3.0), (0.2, 0.5, 0.3)))
+    batched = count_calls(monkeypatch, spectral_module, "_solve_batched")
+    entries = count_calls(monkeypatch, spectral_module, "_entrywise")
+    thetas = np.array([-400.0, -1.0, 0.0, 0.7, 400.0])
+    stack = perron_grid(k, thetas)
+    assert batched == [] and entries == []
+    assert stack.solved.tolist() == [False, True, True, True, False]
+    assert np.isnan(stack.h[[0, 4]]).all() and (stack.h[1:4] == 1.0).all()
+    assert stack.h.shape == (5, 1)
+
+
+def test_two_state_perron_grid_of_finite_matrices_is_one_batched_solve(monkeypatch):
+    # an all-finite stack goes to _solve_batched as it is, not as a masked copy
+    service, theta_star = _gate_failing_service()
+    stacks = []
+    monkeypatch.setattr(spectral_module, "transform_matrix",
+                        lambda *args: stacks.append(transform_matrix(*args)) or stacks[-1])
+    batched = count_calls(monkeypatch, spectral_module, "_solve_batched")
+    thetas = np.array([0.25, 0.5, 1.0]) * theta_star
+    stack = perron_grid(service.negated, thetas)
+    assert len(batched) == 1 and batched[0][1] is stacks[0] and stack.solved.all()
+    for k, theta in enumerate(thetas):
+        _assert_row_is_solution(stack, k, perron(service.negated, theta))
+
+
+def test_solve_one_checks_h_and_v_as_the_rows_of_one_array():
+    # the (2, n) checks give the bits of checking h and v one by one
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        k = random_kernel(rng, int(rng.integers(2, 6)))
+        theta = float(rng.uniform(-0.5, 0.5))
+        f = transform_matrix(k, theta)
+        sol = spectral_module._solve_one(k, theta, f)
+        w, vr, vl = spectral_module._eig(f)
+        j = w.real.argmax()
+        lam = float(w.real[j])
+        h, v = vr[:, j].real, vl[j].real
+        h = h * math.copysign(1.0, h.sum())
+        v = v * math.copysign(1.0, v.sum())
+        residual = max(abs(f @ h - lam * h).max() / (lam * abs(h).max()),
+                       abs(v @ f - lam * v).max() / (lam * abs(v).max()))
+        h = h / float(k.stationary @ h)
+        assert sol.residual == residual and sol.kappa == math.log(lam)
+        assert sol.h.tolist() == h.tolist()
+        assert sol.v.tolist() == (v / float(v @ h)).tolist()
+
+
 def test_perron_grid_scales_a_multi_state_stack_by_powers_of_two():
     # the largest entries of F lie near 2^253, 2^508, 2^763 and 2^1017: the last
     # three pass 2^400, and unscaled dgeev fails the residual check there

@@ -8,6 +8,7 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 from mapq import copulas, counters, sim, spectral
 from mapq.channel import ChannelSpec, capacity_kernel
@@ -85,6 +86,28 @@ def test_pool_diff_sums_a_count_a_tree_does_not_keep_to_none():
     problems = {"c1-mart1": {"work": [1, 0, 0, 0, 0, 0, None, None]},
                 "c1-mart2": {"work": [2, 0, 0, 0, 0, 0, None, None]}}
     assert pool_diff._work_by_kind(problems) == {"mart": [3, 0, 0, 0, 0, 0, None, None]}
+
+
+def test_pool_diff_time_summarizes_paired_ratios_per_kind():
+    # synthetic timings: dcc runs at 0.8..1.2 of base, delay at exactly half
+    timings = [("dcc", r, 1.0) for r in (1.2, 0.8, 1.0, 0.9, 1.1)]
+    timings += [("delay", 0.001 * k, 0.002 * k) for k in (1, 2, 3)]
+    summary = pool_diff.ratio_summary(timings)
+    assert list(summary) == ["dcc", "delay", "all"]
+    assert summary["dcc"] == (5, 0.9, 1.0, 1.1)
+    assert summary["delay"] == (3, 0.5, 0.5, 0.5)
+    assert summary["all"][0] == 8 and summary["all"][2] == pytest.approx(0.85, abs=1e-15)
+
+
+def test_pool_diff_time_runs_every_job_once_a_pass_in_alternating_order():
+    schedule = pool_diff.timing_schedule(5, 3)
+    assert [(p, i) for p, i, _ in schedule[:5]] == [(0, i) for i in range(5)]
+    for p in range(4):
+        assert sorted(i for q, i, _ in schedule if q == p) == list(range(5))
+    # shuffled, and the same shuffle on every call
+    assert [i for p, i, _ in schedule if p == 1] != list(range(5))
+    assert schedule == pool_diff.timing_schedule(5, 3)
+    assert [first for *_, first in schedule] == [k % 2 == 0 for k in range(20)]
 
 
 def _references(module, tree):

@@ -3,6 +3,7 @@
     python3 tools/pool_diff.py                     # this checkout's src/
     python3 tools/pool_diff.py --base OTHER/src    # and compare with another tree
     python3 tools/pool_diff.py --workload simulate-fading --seed 1 --base OTHER/src
+    python3 tools/pool_diff.py --base OTHER/src --time 5   # and time both trees
 
 Each tree's jobs run in-process in one child interpreter that imports mapq
 from that tree; the jobs, their checks and the output parser come from
@@ -31,6 +32,16 @@ tails.csv, the hits of each tree and |p_hat - p_hat_base| in binomial
 standard errors of the pooled estimate, then how many library return
 values are byte-identical, naming any that differ.
 
+With --time PASSES (analytic-fading with --base only) it then times the
+two trees against each other.  Each tree gets one warm child interpreter
+that reads job indices on stdin and answers with the seconds each job took.
+Every delay, backlog, horizon and dcc job runs in both children back to
+back, the order of the two alternating from one job to the next, in one
+warm pass and then PASSES passes, each in a fixed shuffled order.  It
+prints, per job kind and over all of them, the median and quartiles of
+t_src / t_base over jobs x passes; the warm pass is not counted.  Timing
+leaves the exit status alone.
+
 The exit status is 1 when a job of this tree fails its check and, with
 --base, when a job kind does more work than the base or a job's exit code
 or failure differs; else 0.
@@ -40,15 +51,20 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import time
+import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 # the keys of mapq.counters.COUNTS, in report order
 WORK = ("scalar_solves", "stacked_matrices", "rayleigh_integrations", "quadrature_calls",
         "quadrature_steps", "bvn_cdf_calls", "state_draws", "increment_draws")
+# the analytic job kinds that --time times
+TIMED = ("delay", "backlog", "horizon", "dcc")
 
 
 def work_since():
@@ -60,19 +76,23 @@ def work_since():
     return lambda: [done().get(k) for k in WORK]
 
 
-def run_tree(src, out, workload, seed):
-    """Child: run the workload's jobs with mapq from `src`; write problems.json to `out`."""
+def _jobs(src, out, workload, seed):
+    """Child: the workload's jobs, writing under `out`, with mapq from `src`."""
     sys.path[:0] = [os.path.abspath(src), PERFBENCH]
-    import checks
-    import numpy as np
     import workloads
 
     reference = workloads.load_reference(os.path.join(PERFBENCH, "reference.json"))
     if workload == "analytic-fading":
-        jobs = workloads.build(workload, 0, out, reference, entries=workloads.analytic_pool())
-    else:
-        jobs = workloads.build(workload, seed, out, reference)
-        os.makedirs(os.path.join(out, "lib"), exist_ok=True)
+        return workloads.build(workload, 0, out, reference, entries=workloads.analytic_pool())
+    os.makedirs(os.path.join(out, "lib"), exist_ok=True)
+    return workloads.build(workload, seed, out, reference)
+
+
+def run_tree(src, out, workload, seed):
+    """Child: run the workload's jobs with mapq from `src`; write problems.json to `out`."""
+    jobs = _jobs(src, out, workload, seed)
+    import checks
+    import numpy as np
 
     def as_bytes(value):
         if isinstance(value, tuple):
@@ -105,6 +125,87 @@ def run_tree(src, out, workload, seed):
                             "work": done()}
     with open(os.path.join(out, "problems.json"), "w", encoding="utf-8") as fh:
         json.dump(problems, fh)
+
+
+def serve_timings(src, out):
+    """Child: print the ids of the analytic-fading jobs as one JSON line, then
+    run each job index read on stdin and print the seconds it took, until
+    stdin closes."""
+    reply = sys.stdout  # the CLI jobs redirect sys.stdout while they run
+    jobs = _jobs(src, out, "analytic-fading", 0)
+    print(json.dumps([job.id for job in jobs]), file=reply, flush=True)
+    for line in iter(sys.stdin.readline, ""):
+        job = jobs[int(line)]
+        start = time.perf_counter()
+        try:
+            job.run()
+        except Exception:  # the child keeps serving; the job is timed all the same
+            traceback.print_exc()
+        print(repr(time.perf_counter() - start), file=reply, flush=True)
+
+
+def timing_schedule(n_jobs, passes):
+    """(pass, job index, whether src runs first) for every pair of runs: pass 0
+    (the warm pass) in index order, then passes 1..`passes`, each in the
+    order of random.Random(pass).shuffle; src runs first at every other pair."""
+    pairs = []
+    for p in range(passes + 1):
+        order = list(range(n_jobs))
+        if p:
+            random.Random(p).shuffle(order)
+        pairs += [(p, i) for i in order]
+    return [(p, i, k % 2 == 0) for k, (p, i) in enumerate(pairs)]
+
+
+def ratio_summary(timings):
+    """{kind: (pairs, first quartile, median, third quartile)} of t_src / t_base
+    over the (kind, t_src, t_base) timings, per kind in sorted order and then
+    over them all as "all"."""
+    import numpy as np
+
+    ratios = {}
+    for kind, t_src, t_base in timings:
+        ratios.setdefault(kind, []).append(t_src / t_base)
+    ratios = dict(sorted(ratios.items()))
+    ratios["all"] = [r for kind_ratios in ratios.values() for r in kind_ratios]
+    return {kind: (len(r), *map(float, np.percentile(r, [25, 50, 75])))
+            for kind, r in ratios.items()}
+
+
+def _time_trees(trees, work, passes):
+    """Time the TIMED jobs of both trees against each other (see the module doc)."""
+    children = {name: subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--serve", src,
+         "--out", os.path.join(work, f"time-{name}")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) for name, src in trees.items()}
+    try:
+        ids = [json.loads(child.stdout.readline()) for child in children.values()]
+        if ids[0] != ids[1]:
+            raise RuntimeError("the two trees build different job lists")
+        timed = [(i, job_id.rsplit("-", 1)[-1]) for i, job_id in enumerate(ids[0])
+                 if job_id.rsplit("-", 1)[-1] in TIMED]
+
+        def run(name, index):
+            child = children[name]
+            child.stdin.write(f"{index}\n")
+            child.stdin.flush()
+            return float(child.stdout.readline())
+
+        timings = []
+        for p, k, src_first in timing_schedule(len(timed), passes):
+            index, kind = timed[k]
+            order = ("src", "base") if src_first else ("base", "src")
+            t = {name: run(name, index) for name in order}
+            if p:
+                timings.append((kind, t["src"], t["base"]))
+    finally:
+        for child in children.values():
+            child.stdin.close()
+            child.wait()
+    print(f"timing: {len(timed)} jobs x {passes} passes after 1 warm pass;"
+          " t_src / t_base per job kind: median [quartiles] (pairs)")
+    for kind, (n, q1, median, q3) in ratio_summary(timings).items():
+        print(f"  {kind}: {median:.4f} [{q1:.4f}, {q3:.4f}] ({n})")
 
 
 def _spawn(src, out, workload, seed):
@@ -238,12 +339,22 @@ def main():
                         default="analytic-fading")
     parser.add_argument("--seed", type=int, default=1,
                         help="run seed of the simulate-fading jobs (default 1)")
+    parser.add_argument("--time", type=int, metavar="PASSES",
+                        help="time the delay, backlog, horizon and dcc jobs of both trees"
+                             " over PASSES shuffled passes (analytic-fading with --base)")
     parser.add_argument("--run", help=argparse.SUPPRESS)
+    parser.add_argument("--serve", help=argparse.SUPPRESS)
     parser.add_argument("--out", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run:
         run_tree(args.run, args.out, args.workload, args.seed)
         return 0
+    if args.serve:
+        serve_timings(args.serve, args.out)
+        return 0
+    if args.time is not None and not (args.base and args.workload == "analytic-fading"
+                                      and args.time >= 1):
+        parser.error("--time takes a positive pass count, with --base, on analytic-fading")
     sys.path.insert(0, PERFBENCH)
     import checks
 
@@ -313,6 +424,8 @@ def main():
                 if unattributed.get(kind):
                     print(f"    {unattributed[kind]} rows not as wide as their header:"
                           " their cells are attributed to no column")
+        if args.time:
+            _time_trees(trees, work, args.time)
     return 1 if failed or regressions else 0
 
 
