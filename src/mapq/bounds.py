@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MgfDiverged, NoConvergence
 from .spectral import (
     MapKernel,
     PerronStack,
@@ -202,8 +201,10 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
     h+ = (max h^A / min h^A) / min h^{-S} and varpi is the service initial
     distribution.  Only 1/d depends on the deadline, so one search serves every
     deadline.  g is evaluated on a 200-point log grid on [theta*/100, theta_max]
-    with theta* added, one perron_grid call per kernel; theta_max = 8 theta*,
-    halved while perron fails there.  A section search then refines the grid
+    with theta* added, one perron_grid call per kernel.  theta_max starts at
+    8 theta*; while g is +inf at the grid's top point theta_max (either
+    kernel's solve fails there) and theta_max > theta*, it is halved and the
+    grid evaluated again.  A section search then refines the grid
     argmin: each round evaluates _SECTION_POINTS equally spaced interior points of
     [a, b] (at first the argmin's grid neighbours) as one stack per kernel and
     keeps the two neighbours of their argmin, until b - a < 1e-12 max(1, b).
@@ -232,18 +233,15 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
                               epsilon, service.initial_dist)
 
     theta_max = 8.0 * theta_star
-    while theta_max > theta_star:
-        try:
-            perron(arrival, theta_max)
-            perron(neg_service, theta_max)
+    while True:
+        grid = np.geomspace(theta_star / 100.0, theta_max, 200)
+        grid = np.unique(np.append(grid, theta_star))
+        values = objective(grid)
+        # far above theta* the service transform's entries can span more
+        # magnitudes than the eigensolve resolves, as in stability_root
+        if values[-1] < math.inf or theta_max <= theta_star:
             break
-        except (MgfDiverged, NoConvergence):
-            # far above theta* the service transform's entries can span more
-            # magnitudes than the eigensolve resolves, as in stability_root
-            theta_max *= 0.5
-    grid = np.geomspace(theta_star / 100.0, theta_max, 200)
-    grid = np.unique(np.append(grid, theta_star))
-    values = objective(grid)
+        theta_max *= 0.5
     k = int(np.argmin(values))
     best = values[k]
     at_root = values[int(np.searchsorted(grid, theta_star))]

@@ -195,7 +195,7 @@ def _increments(kernel: MapKernel, src, dst, rng) -> np.ndarray:
     state) the law index is src itself; otherwise each cell src * n + dst is
     formed in `_state_type(n)` and reads its law index from the table's
     `law_of`."""
-    laws, _, law_of = kernel._law_table
+    laws, _, law_of, *_ = kernel._law_table
     COUNTS["increment_draws"] += src.size
     if len(laws) == 1:  # the one law takes every slot
         return laws[0].sample(rng, src.size).reshape(src.shape)

@@ -92,46 +92,40 @@ class MapKernel:
 
     @cached_property
     def _law_table(self) -> tuple:
-        """(laws, cells, law_of), built once per kernel: the distinct laws of
-        the positive transitions in row-major order of first use (equal laws,
-        separate objects or not, are one law); the positive cells i * n + j in
-        row-major order; and the index in `laws` of each cell's law, 0 at the
-        other cells, in the smallest unsigned type that holds the law count.
-        The arrays are read-only."""
+        """(laws, cells, law_of, p, cell_law), built once per kernel: the
+        distinct laws of the positive transitions in row-major order of first
+        use (equal laws, separate objects or not, are one law); the positive
+        cells i * n + j in row-major order; the index in `laws` of each cell's
+        law, 0 at the other cells, in the smallest unsigned type that holds the
+        law count; and the per-cell terms, the transition and the law index at
+        the positive cells.  The arrays are read-only."""
         n = self.n_states
         cells = np.flatnonzero(self.transition > 0)
         index = {}
         codes = [index.setdefault(self.law(*divmod(c, n)), len(index)) for c in cells.tolist()]
         law_of = np.zeros(n * n, dtype=np.min_scalar_type(len(index)))
         law_of[cells] = codes
-        cells.setflags(write=False)
-        law_of.setflags(write=False)
-        return tuple(index), cells, law_of
+        arrays = cells, law_of, self.transition.take(cells), law_of[cells]
+        for a in arrays:
+            a.setflags(write=False)
+        return tuple(index), *arrays
 
     @cached_property
     def _law_is_source(self) -> bool:
         """Whether law g of `_law_table` is that of every positive transition
         out of state g, so that a transition's law index is its source state."""
-        _, cells, law_of = self._law_table
-        return bool((law_of[cells] == cells // self.n_states).all())
-
-    @cached_property
-    def _cell_terms(self) -> tuple:
-        """(p, law_of_cell, others), built once per kernel for _entrywise: the
-        transition at the positive cells of `_law_table`, each such cell's law
-        index, and the indices of the table's laws outside its Rayleigh stack."""
-        _, cells, law_of = self._law_table
-        return (self.transition.take(cells), law_of[cells],
-                np.flatnonzero(~self._rayleigh[1]).tolist())
+        _, cells, _, _, cell_law = self._law_table
+        return bool((cell_law == cells // self.n_states).all())
 
     @cached_property
     def _rayleigh(self) -> tuple:
-        """(stack, held): the Rayleigh laws of `_law_table`, negated or not, as
-        one RayleighStack (None if there are none), and a bool per law of the
-        table that marks them."""
+        """(stack, held, others): the Rayleigh laws of `_law_table`, negated or
+        not, as one RayleighStack (None if there are none), a bool per law of
+        the table that marks them, and the indices of the other laws."""
         laws = self._law_table[0]
         held = np.array([RayleighStack.holds(law) for law in laws])
-        return RayleighStack([laws[g] for g in np.flatnonzero(held)]) if held.any() else None, held
+        stack = RayleighStack([laws[g] for g in np.flatnonzero(held)]) if held.any() else None
+        return stack, held, np.flatnonzero(~held).tolist()
 
     def _on_chain(self, increments, initial_dist) -> MapKernel:
         """A kernel on this kernel's validated chain, built without a second
@@ -153,7 +147,7 @@ class MapKernel:
     def negated(self) -> MapKernel:
         """The kernel with every increment law sign-flipped, built once per kernel
         on its chain, flipping each distinct law once.  Its law table is this
-        kernel's cells and law indices with the flipped laws, and its Rayleigh
+        kernel's with the flipped laws, every array shared, and its Rayleigh
         stack shares this kernel's quadrature nodes."""
         flip = {law: law.inner if isinstance(law, Negated) else Negated(law)
                 for law in dict.fromkeys(chain.from_iterable(self.increments))}
@@ -162,8 +156,8 @@ class MapKernel:
         # where x and Negated(Negated(x)) both flip to Negated(x), the negated
         # kernel builds its own table, in which they are one law
         if len(set(flip.values())) == len(flip):
-            laws, cells, law_of = self._law_table
-            neg.__dict__["_law_table"] = tuple(map(flip.get, laws)), cells, law_of
+            laws, *arrays = self._law_table
+            neg.__dict__["_law_table"] = tuple(map(flip.get, laws)), *arrays
         stack, neg_stack = self._rayleigh[0], neg._rayleigh[0]
         # the nodes depend on the snrs alone; the stacks can hold different laws
         # (a doubly negated Rayleigh law is no stack law, but its flip is)
@@ -259,9 +253,8 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
         if stacked is not None:
             return stacked
     thetas = theta if stack else np.array([theta], dtype=float)
-    laws, cells, _ = kernel._law_table
-    rayleigh, held = kernel._rayleigh
-    p, law_of_cell, others = kernel._cell_terms
+    laws, cells, _, p, cell_law = kernel._law_table
+    rayleigh, held, others = kernel._rayleigh
     vals = np.empty((len(laws), len(thetas)))  # row g: law g's transform
     if rayleigh is not None:
         vals[held] = rayleigh.transform(transform, thetas)
@@ -269,7 +262,7 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
         vals[g] = getattr(laws[g], transform)(thetas)
     n = kernel.n_states
     out = np.zeros((len(thetas), n, n))
-    out.reshape(len(thetas), n * n)[:, cells] = p * vals[law_of_cell].T
+    out.reshape(len(thetas), n * n)[:, cells] = p * vals[cell_law].T
     if stack:
         return out
     if not np.isfinite(out).all():

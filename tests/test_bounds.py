@@ -62,14 +62,14 @@ def test_backlog_bounds_toy_hand_algebra(toy_arrival, toy_service):
         assert r.lower_raw == pytest.approx(math.exp(-2.0 - 2.0 * b), rel=1e-8)
 
 
-def test_backlog_bounds_hold_the_exact_lattice_tail_of_a_reversible_arrival():
-    # the stationary law of (arrival state, backlog) by Lindley's recursion on
-    # the lattice: 4,000 slots from an empty queue, with under 1e-18 of the
-    # mass above the cap of 600.  Each state row bounds P(B > b | J = i), and
-    # the average row P(B > b); at b = 30 it reads 0.0381 <= 0.0624 <= 0.1191
-    arrival, service = reversible_lattice_arrival(), single_state_kernel(Constant(2.0))
+def _assert_backlog_rows_hold_the_lattice_tail(arrival, service, lost_below):
+    """Every backlog_bounds row at b = 2, 5, 10, 20, 30 holds the exact tail of
+    the lattice: the stationary law of (arrival state, backlog) by Lindley's
+    recursion, 4,000 slots from an empty queue with under `lost_below` of the
+    mass above the cap of 600.  A state row bounds P(B > b | J = i), and the
+    average row P(B > b)."""
     pmf, lost = lattice_backlog(arrival, service, 4000, 600)
-    assert lost < 1e-18
+    assert lost < lost_below
     levels = [2, 5, 10, 20, 30]
     exact = {}
     for b in levels:
@@ -79,8 +79,40 @@ def test_backlog_bounds_hold_the_exact_lattice_tail_of_a_reversible_arrival():
         exact[b, "average"] = tail.sum()
     rows = bd.backlog_bounds(arrival, service, levels)
     assert len(rows) == len(exact)
-    for r in rows:
-        assert r.lower <= exact[r.level, r.conditioning] <= r.upper
+    held = [(r.level, r.conditioning) for r in rows
+            if r.lower <= exact[r.level, r.conditioning] <= r.upper]
+    assert held == list(exact)
+
+
+def test_backlog_bounds_hold_the_exact_lattice_tail_of_a_reversible_arrival():
+    # at b = 30 the average row reads 0.0381 <= 0.0624 <= 0.1191
+    _assert_backlog_rows_hold_the_lattice_tail(
+        reversible_lattice_arrival(), single_state_kernel(Constant(2.0)), 1e-18)
+
+
+def test_backlog_bounds_hold_the_exact_lattice_tail_of_a_reversible_three_state_arrival():
+    # a symmetric chain with law(i, j) = law(j, i) (mean 2.7 per slot) runs
+    # backwards in time as the same MAP, so the forward h gives each row
+    lo, mid, hi = DiscretePmf((0.0, 1.0), (0.6, 0.4)), DiscretePmf((1.0, 4.0), (0.5, 0.5)), \
+        Constant(6.0)
+    x01, x02, x12 = Constant(2.0), Constant(3.0), DiscretePmf((0.0, 5.0), (0.5, 0.5))
+    p = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
+    arrival = MapKernel(("lo", "mid", "hi"), p, ((lo, x01, x02), (x01, mid, x12), (x02, x12, hi)),
+                        np.full(3, 1.0 / 3.0))
+    _assert_backlog_rows_hold_the_lattice_tail(arrival, single_state_kernel(Constant(3.0)), 1e-15)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 22: the per-state backlog rows take the "
+                   "forward h, where the backlog conditions on the time-reversed chain")
+def test_backlog_bounds_hold_the_exact_lattice_tail_of_a_cyclic_arrival():
+    # a cyclic chain that brings 3 on 0 -> 1 and 7 on 2 -> 0 is not reversible.
+    # The rows A[s0] and A[s1] fall below the exact tail at every level: at
+    # b = 30 their upper bounds are 5.38e-6 and 5.69e-6 against 1.53e-5 and 1.27e-5
+    c0, c3, c7 = Constant(0.0), Constant(3.0), Constant(7.0)
+    p = np.array([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]])
+    arrival = MapKernel(("s0", "s1", "s2"), p, ((c0, c3, c0), (c0, c0, c0), (c7, c0, c0)),
+                        np.full(3, 1.0 / 3.0))
+    _assert_backlog_rows_hold_the_lattice_tail(arrival, single_state_kernel(Constant(3.0)), 1e-100)
 
 
 def test_bound_ratio_is_level_independent():
@@ -254,10 +286,10 @@ def test_dcc_large_deadline_falls_below_asymptotic_cap(toy_arrival, toy_service)
 def test_dcc_upper_solves_its_grid_in_one_stacked_eigensolve_per_kernel(
         monkeypatch, toy_arrival, toy_service):
     # with a golden-section refinement dcc_upper(toy, [10], 1e-3) made up to 146
-    # single-matrix solves: 2 mean rates, 36 for theta*, 2 for the theta_max
+    # single-matrix solves: 2 mean rates, 36 for theta*, 2 for a theta_max
     # probe and 106 for the golden section.  The grid and every round of the
     # section search are now one stack per kernel, which a one-state kernel
-    # solves in closed form, so only theta* and the probe solve one matrix
+    # solves in closed form, so only theta* solves one matrix
     grids = count_calls(monkeypatch, bd, "perron_grid")
     arrival = single_state_kernel(toy_arrival.law(0, 0), label="const")
     service = single_state_kernel(toy_service.law(0, 0))
@@ -308,10 +340,11 @@ def test_dcc_objective_stack_matches_the_formula_per_theta():
     assert got[-1] == math.inf
 
 
-def test_dcc_upper_backs_off_where_the_eigensolve_fails():
+def test_dcc_upper_backs_off_where_the_eigensolve_fails(monkeypatch):
     # from 2 theta* up the negated service transform has entries 1e-19 and
-    # 1e-35 apart, and perron rejects the eigenpair (NoConvergence); the
-    # theta_max probe and the grid treat that like a diverged MGF
+    # 1e-35 apart, and perron rejects the eigenpair (NoConvergence); the grid
+    # treats that like a diverged MGF, g = +inf, so theta_max halves down from
+    # 8 theta* until the grid's top point solves
     m = (5.248, 9.908)
     laws = tuple(
         tuple(DiscretePmf((m[j] - 0.3, m[j], m[j] + 0.3), (0.25, 0.5, 0.25)) for j in range(2))
@@ -319,9 +352,32 @@ def test_dcc_upper_backs_off_where_the_eigensolve_fails():
     )
     service = MapKernel(("s0", "s1"), np.array([[0.32, 0.68], [0.614, 0.386]]), laws,
                         np.array([0.5, 0.5]))
-    r = bd.dcc_upper(single_state_kernel(Constant(5.4428)), service, [10.0], 1e-3)[0]
-    assert math.isfinite(r.value) and math.isfinite(r.value_at_root)
-    assert 0.0 <= r.value <= r.value_at_root
+    arrival = single_state_kernel(Constant(5.4428))
+    grids = count_calls(monkeypatch, bd, "perron_grid")
+    r = bd.dcc_upper(arrival, service, [10.0], 1e-3)[0]
+    theta_star = stability_root(arrival, service).theta_star
+    # one grid per kernel at each theta_max: 8, 4 and 2 theta* fail at their
+    # top, and the last, theta* itself, has 200 points
+    tops = [(len(args[1]), args[1][-1] / theta_star) for args in grids[:8]]
+    assert tops == [(201, 8.0)] * 2 + [(201, 4.0)] * 2 + [(201, 2.0)] * 2 + [(200, 1.0)] * 2
+    assert r.value == r.value_at_root == 0.17834516811753576
+    assert r.theta_opt == 4.055950779394227
+
+
+def test_dcc_upper_solves_nothing_beyond_its_root_where_the_grid_top_solves(
+        delay_figure_channel, monkeypatch):
+    # the grid's top point 8 theta* solves, so no theta_max is halved and no
+    # scalar solve runs beside the grid: solvability is read off the grid's g
+    arrival = random_kernel(np.random.default_rng(3), 2, mean_offset=1.0, spread=0.5)
+    service = capacity_kernel(np.array([[0.3, 0.7], [0.4, 0.6]]), delay_figure_channel)
+    theta_star = stability_root(arrival, service).theta_star
+    grids = count_calls(monkeypatch, bd, "perron_grid")
+    done = counters.tally()
+    r = bd.dcc_upper(arrival, service, [10.0], 1e-3)[0]
+    assert done()["scalar_solves"] == 0
+    assert [args[1][-1] for args in grids[:2]] == [8.0 * theta_star] * 2
+    assert [len(args[1]) for args in grids].count(201) == 2
+    assert r.value == 0.18125100985436265 and r.theta_opt == 17.700403605679398
 
 
 @pytest.mark.parametrize("d, eps", [(20.0, 1e-2), (10.0, 1e-3), (5.0, 0.05)])

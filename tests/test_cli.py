@@ -494,7 +494,9 @@ def test_nan_state_mass_exits_2(tmp_path, capsys, copula, command):
         [{"law": "pmf", "support": [2.0, 4.0], "probs": [math.nan, 0.5]}]]}}),
     ("service", {"channel": {**CHANNEL, "bandwidth": math.nan},
                  "transition": [[0.5, 0.5], [0.5, 0.5]]}),
-], ids=["constant-nan", "constant-minus-inf", "probs-nan", "bandwidth-nan"])
+    # an int past the largest double, which float() cannot hold
+    ("arrival", {"constant": 10 ** 400}),
+], ids=["constant-nan", "constant-minus-inf", "probs-nan", "bandwidth-nan", "constant-400-digits"])
 @pytest.mark.parametrize("command", ["spectral", "bounds"])
 def test_non_finite_law_parameters_exit_2(tmp_path, toy_config_text, capsys, section, value,
                                           command):

@@ -134,6 +134,13 @@ def test_bvn_cdf_reference_values():
         assert bvn_cdf(0.0, 0.0, rho) == pytest.approx(exact, abs=1e-9)
 
 
+@pytest.mark.parametrize("rho", [-0.5, 0.0, 0.8])
+def test_bvn_cdf_at_an_infinite_limit_is_exact(rho):
+    # a = -inf leaves no mass, and b = +inf leaves the marginal Phi(a)
+    assert bvn_cdf(-math.inf, 0.3, rho) == 0.0
+    assert bvn_cdf(0.3, math.inf, rho) == float(ndtr(0.3))
+
+
 LATTICE = np.linspace(-3.0, 3.0, 7)  # holds 0, where alpha_a or alpha_b is infinite
 
 

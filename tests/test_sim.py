@@ -636,6 +636,16 @@ def test_supermodular_battery_marginal_precheck():
     assert supermodular_battery(x, y).verdict == "inconclusive"
 
 
+def test_supermodular_battery_is_inconclusive_where_no_statistic_is_significant():
+    # a sample against itself: equal marginals, and every mean difference 0
+    x = np.random.default_rng(5).random((2000, 2))
+    report = supermodular_battery(x, x)
+    assert report.verdict == "inconclusive"
+    assert report.note == "necessary-condition battery, not a decision procedure"
+    assert report.statistics and all(s.mean_difference == 0.0 < s.std_err
+                                      for s in report.statistics)
+
+
 def test_supermodular_battery_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         supermodular_battery(np.ones((10, 2)), np.ones((10, 3)))

@@ -447,6 +447,40 @@ def test_positive_root_failure_names_the_equation_and_theta(error):
         spectral_module.positive_root(f, "rising equation")
 
 
+def test_positive_root_names_a_bracket_search_without_a_sign_change():
+    # f = -theta stays negative up to 1e-3 * 2^128, and f = theta stays
+    # positive down to 1e-3 * 2^-64
+    top, bottom = re.escape(str(1e-3 * 2.0 ** 128)), re.escape(str(1e-3 * 2.0 ** -64))
+    with pytest.raises(NoRootInDomain, match=f"^falling equation never crossed zero up to "
+                                             f"theta={top}$"):
+        spectral_module.positive_root(lambda t: -t, "falling equation")
+    with pytest.raises(NoRootInDomain, match=f"^rising equation stays nonnegative down to "
+                                             f"theta={bottom}$"):
+        spectral_module.positive_root(lambda t: t, "rising equation")
+
+
+def test_zeroin_returns_an_endpoint_where_f_is_exactly_zero():
+    # as brentq does, with no step beyond the two endpoint values
+    for root in (0.25, 1.0):
+        thetas = []
+        f = _recording(lambda t: t - root, thetas)
+        assert spectral_module._zeroin(f, 0.25, 1.0, "edge equation") == root
+        assert thetas == [0.25, 1.0]
+
+
+def test_stability_root_names_a_root_residual_above_its_gate(monkeypatch):
+    # a root search that returns theta = 1, where the toy's combined cgf
+    # theta^2 - 2 theta is -1
+    monkeypatch.setattr(spectral_module, "positive_root", lambda f, what: 1.0)
+    arrival = single_state_kernel(Constant(1.0))
+    service = single_state_kernel(gaussian_quantized(3.0, math.sqrt(2.0)))
+    with pytest.raises(NoRootInDomain, match=r"^combined cgf kappa\^A \+ kappa\^-S: root "
+                                             r"residual \S+ above 1e-10 at theta=1\.0$") as raised:
+        stability_root(arrival, service)
+    residual = float(str(raised.value).split("residual ")[1].split()[0])
+    assert residual == pytest.approx(1.0, rel=1e-12)
+
+
 def _pmf_service_beyond_the_eigensolve():
     laws = ((DiscretePmf((2.0, 4.8), (0.5, 0.5)),) * 2, (DiscretePmf((0.3, 2.4), (0.5, 0.5)),) * 2)
     return MapKernel(("s0", "s1"), np.array([[0.53, 0.47], [0.28, 0.72]]), laws,
@@ -699,8 +733,11 @@ def test_a_negated_kernel_shares_the_law_table_and_flips_each_law_once(monkeypat
     flips = count_calls(monkeypatch, Negated, "__init__")
     neg = k.negated
     assert len(flips) == 3  # nine cells, three distinct laws
-    (laws, cells, law_of), (neg_laws, neg_cells, neg_law_of) = k._law_table, neg._law_table
-    assert neg_cells is cells and neg_law_of is law_of
+    (laws, *arrays), (neg_laws, *neg_arrays) = k._law_table, neg._law_table
+    # cells, law_of and the per-cell terms p and cell_law, all shared
+    assert len(neg_arrays) == len(arrays) == 4
+    assert all(a is b for a, b in zip(neg_arrays, arrays))
+    assert not any(a.flags.writeable for a in arrays)
     assert neg_laws == tuple(Negated(law) for law in laws)
     assert neg.negated._law_table[0] == laws
     # x and Negated(Negated(x)) flip to one law, so that table is built anew
@@ -708,8 +745,9 @@ def test_a_negated_kernel_shares_the_law_table_and_flips_each_law_once(monkeypat
     k = MapKernel(("a", "b"), np.full((2, 2), 0.5), ((r, Negated(Negated(r))),) * 2,
                   np.array([0.5, 0.5]))
     assert len(k._law_table[0]) == 2
-    neg_laws, _, neg_law_of = k.negated._law_table
+    neg_laws, _, neg_law_of, _, neg_cell_law = k.negated._law_table
     assert neg_laws == (Negated(r),) and neg_law_of.tolist() == [0, 0, 0, 0]
+    assert neg_cell_law.tolist() == [0, 0, 0, 0]
 
 
 def test_a_negated_kernel_shares_quadrature_nodes_only_on_equal_snrs():

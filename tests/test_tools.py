@@ -74,12 +74,16 @@ def test_pool_diff_names_the_kinds_with_more_work_and_the_moved_failures():
     # a base that keeps no draw counts (None) is compared on the others only
     work = {"src": {"delay": [4, 0, 6, 2, 8, 0, 7, 7], "dcc": [3, 9, 0, 0, 0, 0, 0, 0]},
             "base": {"delay": [4, 0, 9, 3, 9, 0, None, None], "dcc": [3, 9, 0, 0, 0, 0, 0, 0]}}
-    assert pool_diff._regressions(runs, work) == ([], ["c1-dcc"])
+    assert pool_diff._changes(runs, work) == (
+        [], ["delay (rayleigh_integrations 6 < 9)", "delay (quadrature_calls 2 < 3)",
+             "delay (quadrature_steps 8 < 9)"], ["c1-dcc"])
     runs["src"]["c1-dcc"]["signature"] = None
-    work["src"]["delay"][3] = 5
+    work["src"]["delay"][2:5] = [9, 5, 9]
     work["src"]["dcc"][6] = 1
-    assert pool_diff._regressions(runs, work) == (
-        ["dcc (state_draws 1 > 0)", "delay (quadrature_calls 5 > 3)"], [])
+    work["src"]["dcc"][0] = 2
+    assert pool_diff._changes(runs, work) == (
+        ["dcc (state_draws 1 > 0)", "delay (quadrature_calls 5 > 3)"],
+        ["dcc (scalar_solves 2 < 3)"], [])
 
 
 def test_pool_diff_sums_a_count_a_tree_does_not_keep_to_none():

@@ -19,9 +19,9 @@ that mapq's solvers and samplers keep in mapq.counters (scalar solves,
 stacked matrices, Rayleigh integrations, quadrature calls and steps,
 bivariate normal CDFs, state draws and increment draws; that module defines
 each), with "-" for a count that a tree does not keep.  With --base it also lists the job
-kinds where this tree does more of that work than the base (a count that
-either tree does not keep is not compared) and the jobs whose exit code or
-failure differs.  For analytic-fading it then lists how many output files
+kinds where this tree does more of that work than the base, those where it
+does less (a count that either tree does not keep is not compared) and the
+jobs whose exit code or failure differs.  For analytic-fading it then lists how many output files
 are byte-identical, the configs whose files differ (with how many files
 each), the worst relative difference of a numeric cell per job kind and,
 per CSV column whose cells move, the worst relative difference and the
@@ -225,18 +225,19 @@ def _work_by_kind(problems):
     return out
 
 
-def _regressions(runs, work_by_kind):
+def _changes(runs, work_by_kind):
     """(the job kinds that do more of some work in src than in base, each with
-    the count that grew; the jobs whose exit code or failure differs).  A
-    count that either tree does not keep is not compared."""
+    the count that grew; those that do less, each with the count that fell;
+    the jobs whose exit code or failure differs).  A count that either tree
+    does not keep is not compared."""
     base = work_by_kind["base"]
-    more = [f"{kind} ({name} {n} > {b})"
-            for kind, done in sorted(work_by_kind["src"].items())
-            for name, n, b in zip(WORK, done, base.get(kind, done))
-            if None not in (n, b) and n > b]
+    counts = [(kind, name, n, b) for kind, done in sorted(work_by_kind["src"].items())
+              for name, n, b in zip(WORK, done, base.get(kind, done)) if None not in (n, b)]
+    more = [f"{kind} ({name} {n} > {b})" for kind, name, n, b in counts if n > b]
+    less = [f"{kind} ({name} {n} < {b})" for kind, name, n, b in counts if n < b]
     moved = [job_id for job_id, info in sorted(runs["src"].items())
              if info["signature"] != runs["base"].get(job_id, {}).get("signature")]
-    return more, moved
+    return more, less, moved
 
 
 def _worst(a, b, where, worst):
@@ -375,8 +376,9 @@ def main():
                 print(f"    {kind}: {' / '.join('-' if n is None else str(n) for n in done)}")
         regressions = []
         if args.base:
-            more, moved_exit = _regressions(runs, work_by_kind)
-            print("more work than base: " + (", ".join(more) if more else "none"))
+            more, less, moved_exit = _changes(runs, work_by_kind)
+            print("more work than base: " + (", ".join(more) or "none"))
+            print("less work than base: " + (", ".join(less) or "none"))
             print("exit codes or failures that differ: " + (", ".join(moved_exit) or "none"))
             regressions = more + moved_exit
         if args.base and args.workload == "simulate-fading":
