@@ -247,9 +247,18 @@ def _read_samples(path) -> np.ndarray:
         raise ConfigError(f"cannot parse sample file {path}: {exc}") from exc
 
 
+# ordercheck's modes, each named by the destinations of its flags
+_ORDER_MODES = (("pmf_x", "pmf_y"), ("samples_x", "samples_y"), ("experiment",))
+
+
 def cmd_ordercheck(config, args) -> int:
+    given = [mode for mode in _ORDER_MODES if any(getattr(args, d) for d in mode)]
+    if len(given) != 1 or not all(getattr(args, d) for d in given[0]):
+        flags = [f"--{d.replace('_', '-')}" for mode in given for d in mode if getattr(args, d)]
+        raise ConfigError("ordercheck needs exactly one of --pmf-x with --pmf-y, --samples-x "
+                          f"with --samples-y, or --experiment; got {', '.join(flags) or 'none'}")
     lines = []
-    if args.pmf_x and args.pmf_y:
+    if args.pmf_x:
         x = _read_pmf(args.pmf_x)
         y = _read_pmf(args.pmf_y)
         means = sim.means_differ(x, y)
@@ -264,7 +273,7 @@ def cmd_ordercheck(config, args) -> int:
         for t in np.union1d(np.asarray(x.support), np.asarray(y.support)):
             lines.append(f"{_fmt(float(t))},{_fmt(sim.stop_loss(x, float(t)))},"
                          f"{_fmt(sim.stop_loss(y, float(t)))}")
-    elif args.samples_x and args.samples_y:
+    elif args.samples_x:
         x = _read_samples(args.samples_x)
         y = _read_samples(args.samples_y)
         report = sim.supermodular_battery(x, y)
@@ -273,7 +282,7 @@ def cmd_ordercheck(config, args) -> int:
         lines.append("statistic,mean_difference,std_err")
         for s in report.statistics:
             lines.append(f"{s.name},{_fmt(s.mean_difference)},{_fmt(s.std_err)}")
-    elif args.experiment:
+    else:
         params = {**(config.experiment if config is not None else {}),
                   "name": args.experiment}
         if args.seed is not None:
@@ -287,10 +296,6 @@ def cmd_ordercheck(config, args) -> int:
             lines.append(f"{k},{_fmt(v)}")
         if result.order_report is not None:
             lines.append(f"battery_verdict: {result.order_report.verdict}")
-    else:
-        raise ConfigError(
-            "ordercheck needs --pmf-x/--pmf-y, --samples-x/--samples-y, or --experiment"
-        )
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:

@@ -49,38 +49,20 @@ class IncrementLaw:
         raise NotImplementedError
 
 
-def _safe_exp(x):
-    """e^x elementwise, inf where it overflows."""
-    with np.errstate(over="ignore"):
-        return np.exp(x)
-
-
-@dataclass(frozen=True)
-class Constant(IncrementLaw):
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"constant increment must be finite, got {self.value!r}")
-
-    def mgf(self, theta):
-        return _safe_exp(theta * self.value)
-
-    def tilted_mean(self, theta):
-        return self.value * _safe_exp(theta * self.value)
-
-    def sample(self, rng, size):
-        return np.full(size, float(self.value))
-
-
 @dataclass(frozen=True)
 class DiscretePmf(IncrementLaw):
+    """Finite-support law, P(X = support[k]) = probs[k]; one atom makes it a
+    constant (`Constant`), whose sample draws no uniform.  The transforms sum
+    the atoms by numpy's add reduction, which starts from +0.0: a negative
+    atom's tilted mean that underflows is +0.0, not -0.0."""
+
     support: tuple
     probs: tuple
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
+        # copies, kept read-only as _arrays: a caller's arrays stay writeable
+        support = np.array(self.support, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         if support.ndim != 1 or support.shape != probs.shape:
             raise ValueError("support and probs must be 1-d and equal length")
         if not (np.isfinite(support).all() and np.isfinite(probs).all()):
@@ -91,26 +73,21 @@ class DiscretePmf(IncrementLaw):
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
+        support.setflags(write=False)
+        probs.setflags(write=False)
         object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "probs", tuple(probs))
-
-    @cached_property
-    def _arrays(self) -> tuple:
-        """(support, probs) as float arrays, built once per law; read-only."""
-        arrays = np.array(self.support), np.array(self.probs)
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
+        object.__setattr__(self, "_arrays", (support, probs))
 
     def mgf(self, theta):
         x, p = self._arrays
         with np.errstate(over="ignore"):
-            return np.sum(p * np.exp(np.multiply.outer(theta, x)), axis=-1)
+            return np.add.reduce(p * np.exp(np.multiply.outer(theta, x)), axis=-1)
 
     def tilted_mean(self, theta):
         x, p = self._arrays
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.sum(p * x * np.exp(np.multiply.outer(theta, x)), axis=-1)
+            return np.add.reduce(p * x * np.exp(np.multiply.outer(theta, x)), axis=-1)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -121,7 +98,15 @@ class DiscretePmf(IncrementLaw):
         return InverseCdf(self._cdf)
 
     def sample(self, rng, size):
-        return self._arrays[0].take(self._inverse(rng.random(size)))
+        x = self._arrays[0]
+        if len(x) == 1:
+            return np.full(size, x[0])
+        return x.take(self._inverse(rng.random(size)))
+
+
+def Constant(value: float) -> DiscretePmf:
+    """The law of a constant increment `value`: the one-atom DiscretePmf."""
+    return DiscretePmf((value,), (1.0,))
 
 
 def _pinned_cdf(probs: np.ndarray) -> np.ndarray:

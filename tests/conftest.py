@@ -122,21 +122,19 @@ def lattice_backlog(arrival, service, slots, cap):
     recursion B_t = max(B_{t-1} + A_t - c, 0) from B_0 = 0 and J_0 ~ the arrival's
     initial_dist, and the mass a backlog above cap took out of it.
 
-    A_t is drawn on the move J_{t-1} -> J_t from that edge's law, a Constant or a
-    DiscretePmf of whole values, and the service is one state of a whole
-    Constant c per slot, so every backlog lies on the integers (Lindley 1952;
-    Latouche & Ramaswami 1999)."""
-    rate = service.law(0, 0)
-    assert service.n_states == 1 and isinstance(rate, Constant)
-    assert float(rate.value).is_integer()
+    A_t is drawn on the move J_{t-1} -> J_t from that edge's law, a DiscretePmf
+    of whole values (a Constant is one atom), and the service is one state of
+    a whole constant c per slot, Constant(c), so every backlog lies on the
+    integers (Lindley 1952; Latouche & Ramaswami 1999)."""
+    assert service.n_states == 1
+    (rate,) = service.law(0, 0).support
+    assert float(rate).is_integer()
     moves = []  # (source, destination, net step a - c, its probability)
     for i, j in zip(*np.nonzero(arrival.transition)):
         law = arrival.law(i, j)
-        if isinstance(law, Constant):
-            law = DiscretePmf((law.value,), (1.0,))
         for a, q in zip(law.support, law.probs):
             assert float(a).is_integer()
-            moves.append((i, j, int(a - rate.value), arrival.transition[i, j] * q))
+            moves.append((i, j, int(a - rate), arrival.transition[i, j] * q))
     pmf = np.zeros((arrival.n_states, cap + 1))
     pmf[:, 0] = arrival.initial_dist
     lost = 0.0

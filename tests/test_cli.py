@@ -624,6 +624,19 @@ def test_ordercheck_needs_inputs():
     assert _run(["ordercheck"]) == 2
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["--pmf-y", "y.csv", "--samples-x", "missing.csv"], "--pmf-x, --pmf-y, --samples-x"),
+    (["--experiment", "subchannel-aggregation"], "--pmf-x, --experiment"),
+], ids=["half-pair-beside-a-pair", "two-modes"])
+def test_ordercheck_runs_one_complete_mode_only(tmp_path, capsys, monkeypatch, extra, named):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "x.csv", "1,1\n")
+    _write(tmp_path, "y.csv", "0,0.5\n2,0.5\n")
+    assert _run(["ordercheck", "--pmf-x", "x.csv", *extra]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"got {named}\n")
+
+
 def test_ordercheck_out_writes_the_printed_report(tmp_path, capsys):
     x = _write(tmp_path, "x.csv", "1,1\n")
     y = _write(tmp_path, "y.csv", "0,0.5\n2,0.5\n")

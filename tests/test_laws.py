@@ -38,6 +38,52 @@ def test_constant_overflow_is_inf():
     assert at(Constant(1.0).mgf, 1e9) == math.inf
 
 
+def test_a_constant_is_a_one_atom_pmf():
+    law = Constant(2.5)
+    assert isinstance(law, DiscretePmf)
+    assert law.support == (2.5,) and law.probs == (1.0,)
+
+
+@pytest.mark.parametrize("v", [0.0, 3.0, -2.0, 2.5])
+def test_constant_transforms_are_the_closed_forms_bit_for_bit(v):
+    # e^{theta v} overflows and underflows at the ends of thetas
+    thetas = np.array([-1e3, -400.0, -1.0, 0.0, 0.7, 1.0, 400.0, 1e3])
+    with np.errstate(over="ignore"):
+        mgf, tilted = np.exp(thetas * v), v * np.exp(thetas * v)
+    law = Constant(v)
+    assert law.mgf(thetas).tobytes() == mgf.tobytes()
+    # + 0.0 turns the -0.0 of an underflowed negative v into +0.0 and leaves
+    # every other value alone (see the next test)
+    assert law.tilted_mean(thetas).tobytes() == (tilted + 0.0).tobytes()
+
+
+def test_an_underflowed_tilted_mean_of_a_negative_constant_is_plus_zero():
+    theta = np.array([400.0])
+    assert np.signbit(-2.0 * np.exp(theta * -2.0))  # the one term is -0.0
+    value = Constant(-2.0).tilted_mean(theta)
+    assert value.tolist() == [0.0] and not np.signbit(value).any()
+
+
+@pytest.mark.parametrize("law", [Constant(2.5), DiscretePmf((4.0,), (1.0,))],
+                         ids=["constant", "one-atom-pmf"])
+def test_a_one_atom_law_samples_without_drawing(law):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    x = law.sample(rng, 4)
+    assert x.dtype == np.float64 and x.tolist() == [law.support[0]] * 4
+    assert rng.bit_generator.state == state
+
+
+def test_discrete_pmf_keeps_read_only_copies_of_the_arrays_it_is_built_from():
+    support, probs = np.array([0.0, 1.0]), np.array([0.25, 0.75])
+    law = DiscretePmf(support, probs)
+    assert support.flags.writeable and probs.flags.writeable
+    assert "_arrays" in vars(law)  # set on construction
+    assert not any(a.flags.writeable for a in law._arrays)
+    support[0] = -1.0
+    assert law._arrays[0].tolist() == [0.0, 1.0] and law.support == (0.0, 1.0)
+
+
 # one law of each class, with a theta at which its transforms diverge
 DIVERGING = {
     "constant": (Constant(2.0), 1e9),

@@ -481,6 +481,17 @@ def test_stability_root_names_a_root_residual_above_its_gate(monkeypatch):
     assert residual == pytest.approx(1.0, rel=1e-12)
 
 
+def test_an_eigen_residual_above_the_gate_fails_the_solve(monkeypatch):
+    # the residual of this kernel at theta = 0.4 is 7.8e-16, above a gate of 0
+    kernel = random_kernel(np.random.default_rng(7), 3)
+    monkeypatch.setattr(spectral_module, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(NoConvergence, match=r"^eigen residual \S+ above 0\.0 at theta=0\.4$"):
+        perron(kernel, 0.4)
+    assert kernel._solutions == {}
+    stack = perron_grid(kernel, [0.4])
+    assert stack.solved.tolist() == [False] and np.isnan(stack.h).all()
+
+
 def _pmf_service_beyond_the_eigensolve():
     laws = ((DiscretePmf((2.0, 4.8), (0.5, 0.5)),) * 2, (DiscretePmf((0.3, 2.4), (0.5, 0.5)),) * 2)
     return MapKernel(("s0", "s1"), np.array([[0.53, 0.47], [0.28, 0.72]]), laws,
