@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import DimensionPlan
-from .laws import DiscretePmf, RayleighCapacity, _rayleigh_capacity
+from .laws import RayleighCapacity, _rayleigh_capacity
 from .sim import _path_states
 from .spectral import MapKernel
 
@@ -69,17 +69,3 @@ def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizo
     return states, _rayleigh_capacity(gains, channel.snr_matrix[states[:-1], states[1:]],
                                       channel.bandwidth)
 
-
-def quantize_capacity(snr: float, bandwidth: float, n_points: int) -> DiscretePmf:
-    """Equal-mass quantile PMF of the Rayleigh capacity law.
-
-    Mass 1/n at the capacity quantile of level (k - 0.5)/n; the mean is
-    within 1% of the continuous mean for n >= 256.
-    """
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
-    levels = (np.arange(n_points) + 0.5) / n_points
-    support = _rayleigh_capacity(-np.log1p(-levels), snr, bandwidth)
-    probs = np.full(n_points, 1.0 / n_points)
-    probs[-1] = 1.0 - probs[:-1].sum()
-    return DiscretePmf(tuple(support), tuple(probs))

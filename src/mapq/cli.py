@@ -106,7 +106,7 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
         for (role, kernel), sol, kappa_dot in zip(kernels, sols, kappa_dots):
             for i, label in enumerate(kernel.state_labels):
                 rows.append((theta, role, label, sol.kappa, kappa_dot, kappa_sum,
-                             sol.h[i], sol.v[i], sol.pi[i]))
+                             sol.h[i], sol.v[i], kernel.stationary[i]))
     path = os.path.join(_out_dir(config, args), "spectral.csv")
     _write_csv(path, ("theta", "role", "state", "kappa", "kappa_dot", "kappa_sum",
                       "h", "v", "pi"), rows)
@@ -257,6 +257,10 @@ def cmd_ordercheck(config, args) -> int:
         flags = [f"--{d.replace('_', '-')}" for mode in given for d in mode if getattr(args, d)]
         raise ConfigError("ordercheck needs exactly one of --pmf-x with --pmf-y, --samples-x "
                           f"with --samples-y, or --experiment; got {', '.join(flags) or 'none'}")
+    unused = [f"--{d}" for d in ("seed", "config") if getattr(args, d) is not None]
+    if unused and not args.experiment:
+        raise ConfigError("ordercheck reads --seed and --config only with --experiment; "
+                          f"got {', '.join(unused)}")
     lines = []
     if args.pmf_x:
         x = _read_pmf(args.pmf_x)

@@ -144,9 +144,9 @@ _COUNTED_POINTS = 8
 
 
 class InverseCdf:
-    """Inverse of a nondecreasing CDF that ends at exactly 1: called on an
-    array of uniforms u in [0, 1), it returns searchsorted(cdf, u, side="right")
-    with no binary search per draw.
+    """Inverse of a nondecreasing CDF of two points or more that ends at
+    exactly 1: called on an array of uniforms u in [0, 1), it returns
+    searchsorted(cdf, u, side="right") with no binary search per draw.
 
     Up to _COUNTED_POINTS points the index is counted (`count_at_or_below`).
     A longer CDF goes through a guide table (Chen & Asau 1974; Devroye 1986,
@@ -168,8 +168,6 @@ class InverseCdf:
             self.crowded = np.searchsorted(cdf, edges[1:], side="left") - self.lo > 1
 
     def __call__(self, u):
-        if len(self.cdf) == 1:
-            return np.zeros(u.shape, dtype=np.intp)
         if len(self.cdf) <= _COUNTED_POINTS:
             return count_at_or_below(self.cdf[:-1], u, np.empty(u.shape, dtype=np.uint8))
         k = (u * self.cells).astype(np.intp)

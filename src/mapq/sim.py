@@ -59,20 +59,17 @@ def _state_type(n: int) -> np.dtype:
     return np.min_scalar_type(n * n)
 
 
-def _successors(cum, u, out=None):
-    """Successor table, shape u.shape + (n,), in `_state_type(n)`, written to
-    `out` if given: entry i is row i's successor, the first j with
+def _successors(cum, u, out):
+    """Write the successor table to `out`, shape u.shape + (n,) in
+    `_state_type(n)`: entry i is row i's successor, the first j with
     u < cum[..., i, j], for pinned CDF rows `cum` (a matrix, or a stack
     broadcasting against u).  Each is the count of the row's n - 1 inner
     columns at or below u (`count_at_or_below`, the one successor rule),
     taken over u as a whole in one contiguous column, then stored."""
     n = cum.shape[-1]
-    kind = _state_type(n)
-    table = np.empty(u.shape + (n,), dtype=kind) if out is None else out
-    col = np.empty(u.shape, dtype=kind)
+    col = np.empty(u.shape, dtype=out.dtype)
     for i in range(n):
-        table[..., i] = count_at_or_below((cum[..., i, j] for j in range(n - 1)), u, col)
-    return table
+        out[..., i] = count_at_or_below((cum[..., i, j] for j in range(n - 1)), u, col)
 
 
 def _blocks(kernel: MapKernel, replications: int, horizon: int, rng, step: int):

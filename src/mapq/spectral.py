@@ -205,7 +205,6 @@ class SpectralSolution:
     kappa: float
     h: np.ndarray
     v: np.ndarray
-    pi: np.ndarray
     residual: float
     kernel: MapKernel = field(compare=False, repr=False)
 
@@ -349,12 +348,11 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
     residual = float((abs(np.array([f @ h, v @ f]) - lam * hv).max(axis=1)
                       / (scale * abs(hv).max(axis=1))).max())
     _check(theta, False, lam, hv.min() > 0, residual)
-    pi = kernel.stationary
-    h = h / float(pi @ h)
+    h = h / float(kernel.stationary @ h)
     v = v / float(v @ h)
     h.setflags(write=False)
     v.setflags(write=False)
-    return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, pi, residual, kernel)
+    return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, residual, kernel)
 
 
 def _solve_batched(kernel: MapKernel, f):
@@ -400,10 +398,11 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
     """Dominant eigentriple of the transform matrix at theta, solved once per
     (kernel, theta) and kept on the kernel: by _solve_one, or for a one-state
     kernel in closed form, kappa = log F (scaled as _solve_one scales it),
-    h = v = pi = [1] and residual 0, with no eigensolve.
+    h = v = [1] and residual 0, with no eigensolve.
 
-    h and v are scaled so that pi . h = 1 and v . h = 1, and are read-only;
-    at theta = 0 this reduces to h = ones and v = pi.
+    h and v are scaled so that pi . h = 1 and v . h = 1, pi the kernel's
+    stationary law, and are read-only; at theta = 0 this reduces to h = ones
+    and v = pi.
     """
     sol = kernel._solutions.get(theta)
     if sol is None:
@@ -415,8 +414,8 @@ def perron(kernel: MapKernel, theta: float) -> SpectralSolution:
             f, e = _scaled(f)
             lam = float(f[0, 0])
             _check(theta, False, lam, True, 0.0)
-            sol = SpectralSolution(theta, math.log(lam) + e * math.log(2.0), _ONE, _ONE,
-                                   kernel.stationary, 0.0, kernel)
+            sol = SpectralSolution(theta, math.log(lam) + e * math.log(2.0), _ONE, _ONE, 0.0,
+                                   kernel)
         if len(kernel._solutions) >= _SOLUTION_LIMIT:
             kernel._solutions.clear()
         kernel._solutions[theta] = sol

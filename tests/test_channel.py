@@ -6,13 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import at, random_kernel, rayleigh_mean, searchsorted_walk, short_plan_channel
-from mapq.channel import (
-    ChannelSpec,
-    capacity_kernel,
-    controlled_capacity_process,
-    quantize_capacity,
-)
+from conftest import random_kernel, rayleigh_mean, searchsorted_walk, short_plan_channel
+from mapq.channel import ChannelSpec, capacity_kernel, controlled_capacity_process
 from mapq.copulas import DimensionPlan, dependence_control, one_param_frechet
 from mapq.laws import RayleighCapacity
 from mapq.spectral import mean_rate
@@ -32,8 +27,7 @@ def test_channel_spec_validation():
     (lambda channel: controlled_capacity_process(
         dependence_control([one_param_frechet(0.5)], [0.2, 0.3, 0.5]), channel, 10, 1),
      "plan dimension does not match"),
-    (lambda channel: quantize_capacity(10, 1, 0), "n_points must be at least 1"),
-], ids=["three-state-plan", "no-quantization-points"])
+], ids=["three-state-plan"])
 def test_channel_helpers_reject_bad_inputs(delay_figure_channel, make, match):
     with pytest.raises(ValueError, match=match):
         make(delay_figure_channel)
@@ -58,12 +52,6 @@ def test_capacity_kernel_mean_rate_mixes_states(delay_figure_channel):
     hi = rayleigh_mean(20.0, math.exp(0.5))
     lo = rayleigh_mean(20.0, 0.7 * math.exp(0.5))
     assert mean_rate(k) == pytest.approx(0.3 * hi + 0.7 * lo, rel=1e-9)
-
-
-def test_quantize_capacity_mean_accuracy():
-    q = quantize_capacity(10.0, 20.0, 256)
-    assert at(q.tilted_mean, 0.0) == pytest.approx(rayleigh_mean(20.0, 10.0), rel=1e-2)
-    assert len(q.support) == 256
 
 
 def test_controlled_capacity_process_reproducible(power_control_channel):

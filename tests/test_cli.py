@@ -627,8 +627,12 @@ def test_ordercheck_needs_inputs():
 @pytest.mark.parametrize("extra, named", [
     (["--pmf-y", "y.csv", "--samples-x", "missing.csv"], "--pmf-x, --pmf-y, --samples-x"),
     (["--experiment", "subchannel-aggregation"], "--pmf-x, --experiment"),
-], ids=["half-pair-beside-a-pair", "two-modes"])
-def test_ordercheck_runs_one_complete_mode_only(tmp_path, capsys, monkeypatch, extra, named):
+    # --seed and --config are read only by --experiment
+    (["--pmf-y", "y.csv", "--seed", "3"], "--seed"),
+    (["--pmf-y", "y.csv", "--config", "toy.yaml"], "--config"),
+], ids=["half-pair-beside-a-pair", "two-modes", "seed-beside-a-pair", "config-beside-a-pair"])
+def test_ordercheck_runs_one_complete_mode_only(tmp_path, toy_cfg, capsys, monkeypatch, extra,
+                                                named):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "x.csv", "1,1\n")
     _write(tmp_path, "y.csv", "0,0.5\n2,0.5\n")

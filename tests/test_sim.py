@@ -233,7 +233,8 @@ def test_successor_tables_take_one_byte_up_to_fifteen_states():
     for n in range(2, 17):
         p = np.random.default_rng(n).dirichlet(np.ones(n), size=n)
         cum = _pinned_cdf(p)
-        table = sim_module._successors(cum, u)
+        table = np.empty(u.shape + (n,), dtype=sim_module._state_type(n))
+        sim_module._successors(cum, u, table)
         assert table.itemsize == (1 if n <= 15 else 2)
         expected = [[[np.searchsorted(cum[i], x, side="right") for i in range(n)] for x in row]
                     for row in u]

@@ -1,7 +1,9 @@
 """Spectral quantities of Markov additive kernels: eigentriples, cgf, roots."""
 
+import inspect
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -90,14 +92,14 @@ def test_single_state_constant_cgf_is_linear():
 
 
 def test_one_state_perron_is_closed_form(monkeypatch):
-    # kappa = log F, h = v = pi = [1], with no LAPACK call
+    # kappa = log F, h = v = [1], with no LAPACK call
     done = counters.tally()
     lapack = count_calls(monkeypatch, spectral_module, "_eig")
     k = single_state_kernel(DiscretePmf((-2.0, 0.5, 3.0), (0.2, 0.5, 0.3)))
     for theta in (-3.0, -0.1, 0.0, 0.7, 2.0):
         sol = perron(k, theta)
         assert sol.kappa == math.log(transform_matrix(k, theta)[0, 0])
-        assert sol.h.tolist() == sol.v.tolist() == sol.pi.tolist() == [1.0]
+        assert sol.h.tolist() == sol.v.tolist() == sol.kernel.stationary.tolist() == [1.0]
         assert sol.residual == 0.0
     assert lapack == [] and done()["stacked_matrices"] == 0
 
@@ -129,8 +131,8 @@ def test_perron_at_zero_reduces_to_chain_quantities():
     sol = perron(k, 0.0)
     assert sol.kappa == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(sol.h, 1.0, atol=1e-9)
-    assert np.allclose(sol.v, sol.pi, atol=1e-9)
-    assert np.allclose(sol.pi @ k.transition, sol.pi, atol=1e-10)
+    assert np.allclose(sol.v, sol.kernel.stationary, atol=1e-9)
+    assert np.allclose(sol.kernel.stationary @ k.transition, sol.kernel.stationary, atol=1e-10)
 
 
 def test_transform_matrix_entries():
@@ -405,7 +407,7 @@ def test_stationary_distribution_is_solved_once_and_read_only(monkeypatch):
     solves = count_calls(monkeypatch, np.linalg, "lstsq")
     k = random_kernel(np.random.default_rng(5), 3)
     pi = k.stationary
-    assert k.stationary is pi and perron(k, 0.4).pi is pi
+    assert k.stationary is pi and perron(k, 0.4).kernel.stationary is pi
     assert len(solves) == 1
     with pytest.raises(ValueError):
         pi[0] = 0.5
@@ -568,6 +570,43 @@ def test_zeroin_is_brentq_on_random_kernel_equations(monkeypatch):
             monkeypatch, lambda t: 2.0 * perron(s, t).kappa_dot + perron(a, t).kappa_dot,
             "horizon delay equation"))
     assert False not in horizon and horizon.count(True) >= 30
+
+
+def test_zeroin_is_brentq_where_the_extrapolation_divides_by_zero():
+    # values near 1e-160 make the slopes' product dblk * dpre underflow to 0,
+    # where brentq.c divides to inf or NaN and bisects; _zeroin takes the
+    # ZeroDivisionError branch to the same bisection
+    from scipy.optimize import brentq  # the reference; mapq itself never imports it
+
+    def f(theta):
+        return 1e-160 * math.expm1(3.0 * (theta - 0.3))
+
+    code = spectral_module._zeroin.__code__
+    lines, first = inspect.getsourcelines(code)
+    handler = first + next(i for i, line in enumerate(lines) if "except ZeroDivisionError" in line)
+    handled = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == handler + 1:
+                handled.append(frame.f_lineno)
+            return line
+        return line
+
+    ours, theirs = [], []
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        root = spectral_module._zeroin(_recording(f, ours), 0.0, 1.0, "underflow equation")
+    finally:
+        sys.settrace(outer)
+    expected = brentq(_recording(f, theirs), 0.0, 1.0, xtol=spectral_module._XTOL,
+                      rtol=spectral_module._RTOL, maxiter=spectral_module._MAXITER)
+    assert ours == theirs and root.hex() == float(expected).hex()
+    assert handled
 
 
 def test_zeroin_names_a_nan_value_and_theta():

@@ -26,7 +26,6 @@ OUTSIDE_CONSUMERS = {
     "sim.martingale_check": "perfbench's simulate-fading library jobs",
     "counters.tally": "tools/pool_diff.py's work columns",
     "bounds.horizon_backlog_bound": "a backlog form of `bounds --mode horizon` (ROADMAP)",
-    "channel.quantize_capacity": "the lattice oracle of ROADMAP item 9",
     "copulas.star": "criterion_06's star-product identities",
     "copulas.frechet_compose": "criterion_06's star-product identities",
     "copulas.frechet_homogeneous": "criterion_06's star-product identities",
