@@ -89,7 +89,7 @@ def _sandwich_rows(arrival: MapKernel, service: MapKernel, levels, root, f_a,
     alone."""
     labels = [f"S[{ls}]@0" if arrival.n_states == 1 else f"A[{la}]@{arrival_time},S[{ls}]@0"
               for la in arrival.state_labels for ls in service.state_labels]
-    pairs = (f_a[:, None] * root.neg_service.h).ravel()
+    pairs = (f_a[:, None] * root.service.h).ravel()
     weights = np.outer(arrival.initial_dist, service.initial_dist).ravel()
     out = []
     for x in levels:
@@ -113,7 +113,7 @@ def delay_bounds(arrival: MapKernel, service: MapKernel, d_range) -> list:
     """
     d_range = [_delay_level(d, whole=arrival.n_states > 1) for d in d_range]
     root = stability_root(arrival, service)
-    h_a, h_s = root.arrival.h, root.neg_service.h
+    h_a, h_s = root.arrival.h, root.service.h
     kappa = root.arrival.kappa
     h_plus = (h_a.max() / h_a.min()) / h_s.min()
     h_minus = math.exp(-kappa) * (h_a.min() / h_a.max()) ** 2 / h_s.max()
@@ -125,7 +125,7 @@ def backlog_bounds(arrival: MapKernel, service: MapKernel, b_range) -> list:
     """Double-sided P(B > b) bounds with factor h^A_{J_0} h^{-S}_{J_0} e^{-theta b}."""
     b_range = [_finite_level(b) for b in b_range]
     root = stability_root(arrival, service)
-    h_a, h_s = root.arrival.h, root.neg_service.h
+    h_a, h_s = root.arrival.h, root.service.h
     h_plus = 1.0 / (h_a.min() * h_s.min())
     h_minus = math.exp(-root.arrival.kappa) * h_a.min() / (h_a.max() ** 2 * h_s.max())
     return _sandwich_rows(arrival, service, b_range, root, h_a,
@@ -139,14 +139,14 @@ def _horizon_rows(arrival: MapKernel, service: MapKernel, y: float, levels, shif
     = shift (`what`); y_gamma, where theta = theta*, is (shift + lag kappa'^A) /
     (kappa'^A + kappa'^{-S}) at theta*, and the branch is the side of it y lies on."""
     root = stability_root(arrival, service)
-    neg_service = root.neg_service.kernel
     da_g = root.arrival.kappa_dot
-    y_gamma = (shift + lag * da_g) / (da_g + root.neg_service.kappa_dot)
+    # kappa'^{-S}(theta) = -kappa'^S(-theta)
+    y_gamma = (shift + lag * da_g) / (da_g - root.service.kappa_dot)
     theta = positive_root(
-        lambda t: (y * cgf_as("negated service", neg_service, t, derivative=True)
+        lambda t: (-y * cgf_as("negated service", service, -t, derivative=True)
                    + (y - lag) * cgf_as("arrival", arrival, t, derivative=True) - shift),
         what)
-    sol_a, sol_s = perron(arrival, theta), perron(neg_service, theta)
+    sol_a, sol_s = perron(arrival, theta), perron(service, -theta)
     theta_y = shift * theta - y * sol_s.kappa - (y - lag) * sol_a.kappa
     h_plus = (arrival_top(sol_a.h) / sol_a.h.min()) / sol_s.h.min()
     factor = float(service.initial_dist @ sol_s.h)
@@ -184,12 +184,13 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b_ra
 _SECTION_POINTS = 15
 
 
-def _dcc_objective(arrival: PerronStack, neg_service: PerronStack, epsilon, varpi_s):
-    """g(theta) per theta of the two stacks, +inf where either kernel's solve failed."""
-    h_a, h_s = arrival.h, neg_service.h
+def _dcc_objective(arrival: PerronStack, service: PerronStack, epsilon, varpi_s):
+    """g(theta) per theta of the arrival stack, with the service stack at
+    -theta, +inf where either kernel's solve failed."""
+    h_a, h_s = arrival.h, service.h
     h_plus = (h_a.max(axis=1) / h_a.min(axis=1)) / h_s.min(axis=1)
     g = (-1.0 / arrival.theta) * (np.log(epsilon / (h_plus[:, None] * h_s)) @ varpi_s)
-    g[~(arrival.solved & neg_service.solved)] = math.inf
+    g[~(arrival.solved & service.solved)] = math.inf
     return g
 
 
@@ -225,11 +226,10 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
         if not (math.isfinite(d) and d > 0):
             raise ValueError(f"deadline must be finite slots > 0, got {d!r}")
     root = stability_root(arrival, service)
-    neg_service = root.neg_service.kernel
     theta_star = root.theta_star
 
     def objective(thetas):
-        return _dcc_objective(perron_grid(arrival, thetas), perron_grid(neg_service, thetas),
+        return _dcc_objective(perron_grid(arrival, thetas), perron_grid(service, -thetas),
                               epsilon, service.initial_dist)
 
     theta_max = 8.0 * theta_star

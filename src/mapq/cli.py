@@ -92,18 +92,20 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
     for theta in thetas:
         if not math.isfinite(theta):
             raise ConfigError(f"--theta must be finite, got {theta}")
-    kernels = [("arrival", config.arrival), ("neg_service", config.service.negated)]
+    # the negated service at theta is the service at -theta, with kappa_dot negated
+    kernels = [("arrival", config.arrival, 1.0), ("neg_service", config.service, -1.0)]
     rows = []
     # each kernel's matrices at every theta come from one stack per transform
-    for _, kernel in kernels:
+    for _, kernel, sign in kernels:
         for transform in ("mgf", "tilted_mean"):
-            _stack_ladder(kernel, transform, thetas)
+            _stack_ladder(kernel, transform, [sign * theta for theta in thetas])
     for theta in thetas:
         # cgf_as names the role in a failure; perron is then a cache hit
-        kappa_dots = [cgf_as(role, kernel, theta, derivative=True) for role, kernel in kernels]
-        sols = [perron(kernel, theta) for _, kernel in kernels]
+        kappa_dots = [sign * cgf_as(role, kernel, sign * theta, derivative=True)
+                      for role, kernel, sign in kernels]
+        sols = [perron(kernel, sign * theta) for _, kernel, sign in kernels]
         kappa_sum = sols[0].kappa + sols[1].kappa
-        for (role, kernel), sol, kappa_dot in zip(kernels, sols, kappa_dots):
+        for (role, kernel, _), sol, kappa_dot in zip(kernels, sols, kappa_dots):
             for i, label in enumerate(kernel.state_labels):
                 rows.append((theta, role, label, sol.kappa, kappa_dot, kappa_sum,
                              sol.h[i], sol.v[i], kernel.stationary[i]))
@@ -115,6 +117,10 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
 
 
 def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
+    for flag, mode in (("y", "horizon"), ("epsilon", "dcc")):
+        if getattr(args, flag) is not None and args.mode != mode:
+            raise ConfigError(f"bounds reads --{flag} only with --mode {mode}, "
+                              f"not with --mode {args.mode}")
     levels = _float_list(args.levels) if args.levels else [1.0, 2.0, 4.0, 8.0]
     path = os.path.join(_out_dir(config, args), f"bounds_{args.mode}.csv")
     arrival = config.arrival
@@ -129,14 +135,16 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
         _write_csv(path, ("level", "conditioning", "lower", "upper", "theta_star",
                           "lower_clamped", "upper_clamped"), rows)
     elif args.mode == "horizon":
-        reports = bd.horizon_delay_bound(arrival, config.service, args.y, levels)
+        y = 2.0 if args.y is None else args.y
+        reports = bd.horizon_delay_bound(arrival, config.service, y, levels)
         rows = [(r.level, r.y, r.theta, r.theta_y, r.y_gamma, r.branch,
                  r.bound, r.bound != r.bound_raw) for r in reports]
         _write_csv(path, ("level", "y", "theta", "theta_y", "y_gamma", "branch",
                           "bound", "clamped"), rows)
     else:  # dcc
-        reports = bd.dcc_upper(arrival, config.service, levels, args.epsilon)
-        rows = [(level, args.epsilon, r.value, r.theta_opt, r.asymptotic_cap, r.value_at_root)
+        epsilon = 1e-6 if args.epsilon is None else args.epsilon
+        reports = bd.dcc_upper(arrival, config.service, levels, epsilon)
+        rows = [(level, epsilon, r.value, r.theta_opt, r.asymptotic_cap, r.value_at_root)
                 for level, r in zip(levels, reports)]
         _write_csv(path, ("deadline", "epsilon", "value", "theta_opt",
                           "asymptotic_cap", "value_at_root"), rows)
@@ -333,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands["bounds"]
     p.add_argument("--levels", help="comma-separated level list (default 1,2,4,8)")
     p.add_argument("--mode", choices=("delay", "backlog", "horizon", "dcc"), default="delay")
-    p.add_argument("--y", type=float, default=2.0, help="horizon multiplier for horizon bounds")
-    p.add_argument("--epsilon", type=float, default=1e-6, help="violation probability for dcc")
+    p.add_argument("--y", type=float, help="horizon multiplier, --mode horizon only (default 2)")
+    p.add_argument("--epsilon", type=float,
+                   help="violation probability, --mode dcc only (default 1e-6)")
     p = commands["simulate"]
     p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     p.add_argument("--levels", help="comma-separated level list (overrides config)")

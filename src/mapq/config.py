@@ -23,21 +23,30 @@ def parse_law(doc) -> object:
         raise ConfigError(f"increment law needs a 'law' tag: {doc!r}")
     try:
         if tag == "constant":
-            return Constant(float(doc["value"]))
+            return Constant(_real(doc["value"], "value"))
         if tag == "pmf":
-            return DiscretePmf(tuple(map(float, doc["support"])), tuple(map(float, doc["probs"])))
+            return DiscretePmf(tuple(_real(x, "support") for x in doc["support"]),
+                               tuple(_real(x, "probs") for x in doc["probs"]))
         if tag == "rayleigh":
-            return RayleighCapacity(float(doc["bandwidth"]), _parse_snr(doc["snr"]))
+            return RayleighCapacity(_real(doc["bandwidth"], "bandwidth"), _parse_snr(doc["snr"]))
         if tag == "negated":
             return Negated(parse_law(doc["inner"]))
         if tag == "shifted":
-            return Shifted(parse_law(doc["inner"]), float(doc["offset"]))
+            return Shifted(parse_law(doc["inner"]), _real(doc["offset"], "offset"))
         if tag == "normal":
-            return gaussian_quantized(float(doc["mean"]), float(doc["std"]),
-                                      int(doc.get("points", 96)))
+            return gaussian_quantized(_real(doc["mean"], "mean"), _real(doc["std"], "std"),
+                                      _count(doc, "points", 96, "normal"))
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {tag!r} law descriptor: {exc}") from exc
     raise ConfigError(f"unknown increment law {tag!r}")
+
+
+def _real(value, key: str) -> float:
+    """float(value) for a number or a numeric string (YAML 1.1 reads 1e4 as
+    one); a YAML boolean is no number, and raises ValueError naming key."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got the YAML boolean {value!r}")
+    return float(value)
 
 
 def _parse_snr(value) -> float:

@@ -287,21 +287,13 @@ def _capacity_integrals(n, nodes, tilted):
 
 
 class RayleighStack:
-    """Rayleigh capacity laws, each plain or Negated, whose transforms are
-    integrated together: row l of a transform is law l's, at theta for a plain
-    law and at -theta inside a Negated one, from one _capacity_integrals call."""
+    """RayleighCapacity laws whose transforms are integrated together: row l
+    of a transform is law l's, from one _capacity_integrals call."""
 
     def __init__(self, laws):
-        self.inner = tuple(law.inner if isinstance(law, Negated) else law for law in laws)
-        self.sign = np.array([[-1.0 if isinstance(law, Negated) else 1.0] for law in laws])
-        self.scale = np.array([[law.bandwidth / _LN2] for law in self.inner])
-        self.snr = np.array([law.snr for law in self.inner])
+        self.scale = np.array([[law.bandwidth / _LN2] for law in laws])
+        self.snr = np.array([law.snr for law in laws])
         self._nodes = []
-
-    @staticmethod
-    def holds(law) -> bool:
-        """Whether law is a RayleighCapacity, plain or Negated."""
-        return isinstance(law.inner if isinstance(law, Negated) else law, RayleighCapacity)
 
     def _level_nodes(self, level):
         """(L, m) arrays of log(1 + snr g) and log(weight) - g at the nodes that
@@ -315,9 +307,8 @@ class RayleighStack:
         """(L, T) array: row l is law l's `kind` ("mgf" or "tilted_mean") at the
         1-d array thetas, non-finite where it diverges."""
         tilted = kind == "tilted_mean"
-        # the sign flips exactly, so n and the tilted mean are the plain law's, negated
-        val = _capacity_integrals(self.sign * thetas * self.scale, self._level_nodes, tilted)
-        return self.sign * (self.scale * val) if tilted else val
+        val = _capacity_integrals(thetas * self.scale, self._level_nodes, tilted)
+        return self.scale * val if tilted else val
 
 
 @dataclass(frozen=True)

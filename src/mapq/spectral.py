@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .counters import COUNTS
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
-from .laws import IncrementLaw, Negated, RayleighStack
+from .laws import IncrementLaw, RayleighCapacity, RayleighStack
 
 # a kernel's perron solutions are cleared at this many, so a long-lived process stays bounded
 _SOLUTION_LIMIT = 4096
@@ -119,51 +118,25 @@ class MapKernel:
 
     @cached_property
     def _rayleigh(self) -> tuple:
-        """(stack, held, others): the Rayleigh laws of `_law_table`, negated or
-        not, as one RayleighStack (None if there are none), a bool per law of
-        the table that marks them, and the indices of the other laws."""
+        """(stack, held, others): the RayleighCapacity laws of `_law_table` as
+        one RayleighStack (None if there are none), a bool per law of the
+        table that marks them, and the indices of the other laws."""
         laws = self._law_table[0]
-        held = np.array([RayleighStack.holds(law) for law in laws])
+        held = np.array([isinstance(law, RayleighCapacity) for law in laws])
         stack = RayleighStack([laws[g] for g in np.flatnonzero(held)]) if held.any() else None
         return stack, held, np.flatnonzero(~held).tolist()
 
-    def _on_chain(self, increments, initial_dist) -> MapKernel:
-        """A kernel on this kernel's validated chain, built without a second
-        __post_init__: it shares the chain's stationary array."""
-        kernel = object.__new__(MapKernel)
-        kernel.__dict__.update(state_labels=self.state_labels, transition=self.transition,
-                               increments=increments, initial_dist=initial_dist,
-                               _solutions={}, _ladder={}, stationary=self.stationary)
-        return kernel
-
     def started_at(self, initial_dist) -> MapKernel:
         """This kernel with another initial distribution, which is validated; the
-        chain and the laws are not validated again."""
+        chain and the laws are not validated again, and the stationary array
+        is shared."""
         w = _initial_dist(initial_dist, self.n_states)
         w.setflags(write=False)
-        return self._on_chain(self.increments, w)
-
-    @cached_property
-    def negated(self) -> MapKernel:
-        """The kernel with every increment law sign-flipped, built once per kernel
-        on its chain, flipping each distinct law once.  Its law table is this
-        kernel's with the flipped laws, every array shared, and its Rayleigh
-        stack shares this kernel's quadrature nodes."""
-        flip = {law: law.inner if isinstance(law, Negated) else Negated(law)
-                for law in dict.fromkeys(chain.from_iterable(self.increments))}
-        neg = self._on_chain(tuple(tuple(map(flip.get, row)) for row in self.increments),
-                             self.initial_dist)
-        # where x and Negated(Negated(x)) both flip to Negated(x), the negated
-        # kernel builds its own table, in which they are one law
-        if len(set(flip.values())) == len(flip):
-            laws, *arrays = self._law_table
-            neg.__dict__["_law_table"] = tuple(map(flip.get, laws)), *arrays
-        stack, neg_stack = self._rayleigh[0], neg._rayleigh[0]
-        # the nodes depend on the snrs alone; the stacks can hold different laws
-        # (a doubly negated Rayleigh law is no stack law, but its flip is)
-        if stack is not None and np.array_equal(stack.snr, neg_stack.snr):
-            neg_stack._nodes = stack._nodes
-        return neg
+        kernel = object.__new__(MapKernel)
+        kernel.__dict__.update(state_labels=self.state_labels, transition=self.transition,
+                               increments=self.increments, initial_dist=w,
+                               _solutions={}, _ladder={}, stationary=self.stationary)
+        return kernel
 
 
 def _initial_dist(w, n: int) -> np.ndarray:
@@ -228,10 +201,15 @@ class PerronStack:
 
 @dataclass(frozen=True)
 class StabilityRoot:
+    """The root theta* and both kernels' solutions there: `arrival` at theta*,
+    `service` at -theta*.  kappa^{-S}(theta) is kappa^S(-theta), so
+    service.kappa is kappa^{-S}(theta*) and service.h is h^{-S}; but
+    service.kappa_dot is kappa'^S(-theta*), which is -kappa'^{-S}(theta*)."""
+
     theta_star: float
     residual: float
     arrival: SpectralSolution
-    neg_service: SpectralSolution
+    service: SpectralSolution
 
 
 def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarray:
@@ -242,12 +220,13 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
     For an array of theta it is the stack of those matrices, non-finite at a
     theta where a transform diverges; a float theta raises MgfDiverged there,
     and takes the matrix stacked for it if there is one: the first float call
-    at _LADDER[0] stacks its transform's whole ladder first (_stack_ladder).
+    at +-_LADDER[0] stacks its transform's whole ladder, of theta's sign,
+    first (_stack_ladder).
     """
     stack = isinstance(theta, np.ndarray)
     if not stack:
-        if theta == _LADDER[0] and (transform, theta) not in kernel._ladder:
-            _stack_ladder(kernel, transform)
+        if abs(theta) == _LADDER[0] and (transform, theta) not in kernel._ladder:
+            _stack_ladder(kernel, transform, np.copysign(_LADDER, theta))
         stacked = kernel._ladder.pop((transform, theta), None)
         if stacked is not None:
             return stacked
@@ -521,13 +500,14 @@ def _zeroin(f, lo, hi, what: str) -> float:
 
 
 # the first points of positive_root's bracket ladder 1e-3 * 2^k (doubling is
-# exact), whose transforms a kernel computes as one stack (_entrywise)
+# exact), whose transforms a kernel computes as one stack (_entrywise); a
+# kernel evaluated at -theta, as the service is, stacks them negated
 _LADDER = tuple(1e-3 * 2.0 ** k for k in range(8))
 
 
-def _stack_ladder(kernel: MapKernel, transform: str, thetas=_LADDER):
+def _stack_ladder(kernel: MapKernel, transform: str, thetas):
     """Put the kernel's `transform` matrices ("mgf" or "tilted_mean") at
-    `thetas` (positive_root's _LADDER points by default) on its _ladder map,
+    `thetas` (positive_root's _LADDER points, of either sign) on its _ladder map,
     from one _entrywise stack: the finite ones, and no transform matrix of a
     theta that perron has solved.  The scalar call at such a theta returns
     the stacked matrix, which equals its own bit for bit; a non-finite one is
@@ -546,7 +526,8 @@ def positive_root(f, what: str) -> float:
     eigensolve that fails first raises NoRootInDomain naming `what` and theta,
     as do a NaN value and a refinement that does not converge.
 
-    Starting at _LADDER[0], it stacks each kernel's ladder there (_entrywise)."""
+    Starting at _LADDER[0], it stacks each kernel's ladder there (_entrywise),
+    at -_LADDER for a kernel that f evaluates at -theta."""
 
     def value(theta):
         try:
@@ -581,7 +562,9 @@ _ROOT_RESIDUAL_TOL = 1e-10
 
 
 def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
-    """Positive root theta* of kappa^A(theta) + kappa^{-S}(theta) = 0.
+    """Positive root theta* of kappa^A(theta) + kappa^{-S}(theta) = 0, with
+    kappa^{-S}(theta) = kappa^S(-theta): the transform of -S at theta is that
+    of S at -theta, law by law.
 
     kappa is convex through the origin with negative drift at a stable
     queue, so there is at most one positive root.
@@ -590,14 +573,13 @@ def stability_root(arrival: MapKernel, service: MapKernel) -> StabilityRoot:
     drift_s = mean_rate(service)
     if drift_a >= drift_s:
         raise UnstableQueue(drift_a, drift_s)
-    neg_service = service.negated
 
     def f(theta):
-        return cgf_as("arrival", arrival, theta) + cgf_as("negated service", neg_service, theta)
+        return cgf_as("arrival", arrival, theta) + cgf_as("negated service", service, -theta)
 
     theta = positive_root(f, "combined cgf kappa^A + kappa^-S")
     residual = abs(f(theta))
     if residual > _ROOT_RESIDUAL_TOL:
         raise NoRootInDomain(f"combined cgf kappa^A + kappa^-S: root residual {residual!r} "
                              f"above {_ROOT_RESIDUAL_TOL} at theta={theta}")
-    return StabilityRoot(theta, residual, perron(arrival, theta), perron(neg_service, theta))
+    return StabilityRoot(theta, residual, perron(arrival, theta), perron(service, -theta))

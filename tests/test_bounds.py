@@ -163,10 +163,11 @@ def test_horizon_backlog_toy_closed_form(toy_arrival, toy_service):
 
 def test_horizon_exponent_is_concave_maximum(toy_arrival, toy_service):
     y = 2.0
-    neg = toy_service.negated
     r = bd.horizon_delay_bound(toy_arrival, toy_service, y, [1.0])[0]
     grid = np.linspace(0.05, 2.45, 49)
-    vals = [-y * perron(neg, t).kappa - (y - 1.0) * perron(toy_arrival, t).kappa for t in grid]
+    # kappa^{-S}(t) is the service's kappa at -t
+    vals = [-y * perron(toy_service, -t).kappa - (y - 1.0) * perron(toy_arrival, t).kappa
+            for t in grid]
     assert r.theta_y >= max(vals) - 1e-9
 
 
@@ -239,7 +240,7 @@ def test_delay_rows_are_the_service_factor_times_the_decay():
         arrival = MapKernel(("on", "off"), transition, increments, np.array(initial))
         rows.append(bd.delay_bounds(arrival, service, [0, 1, 3]))
     root = stability_root(arrival, service)
-    h_a, h_s = root.arrival.h, root.neg_service.h
+    h_a, h_s = root.arrival.h, root.service.h
     kappa = root.arrival.kappa
     h_plus = (h_a.max() / h_a.min()) / h_s.min()
     h_minus = math.exp(-kappa) * (h_a.min() / h_a.max()) ** 2 / h_s.max()
@@ -328,12 +329,12 @@ def test_dcc_objective_stack_matches_the_formula_per_theta():
     p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
     arrival = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
     service = random_kernel(np.random.default_rng(21), 2, mean_offset=3.0, spread=1.5)
-    neg = service.negated
     thetas = np.append(np.geomspace(1e-3, 0.5, 19), 5.0)
     d, eps, varpi = 7.0, 1e-4, service.initial_dist
-    got = bd._dcc_objective(perron_grid(arrival, thetas), perron_grid(neg, thetas), eps, varpi) / d
+    got = bd._dcc_objective(perron_grid(arrival, thetas), perron_grid(service, -thetas), eps,
+                            varpi) / d
     for theta, g in zip(thetas[:-1], got[:-1]):
-        h_a, h_s = perron(arrival, theta).h, perron(neg, theta).h
+        h_a, h_s = perron(arrival, theta).h, perron(service, -theta).h
         h_plus = (h_a.max() / h_a.min()) / h_s.min()
         expected = float(varpi @ ((-1.0 / (theta * d)) * np.log(eps / (h_plus * h_s))))
         assert g == pytest.approx(expected, rel=1e-13)
@@ -356,10 +357,11 @@ def test_dcc_upper_backs_off_where_the_eigensolve_fails(monkeypatch):
     grids = count_calls(monkeypatch, bd, "perron_grid")
     r = bd.dcc_upper(arrival, service, [10.0], 1e-3)[0]
     theta_star = stability_root(arrival, service).theta_star
-    # one grid per kernel at each theta_max: 8, 4 and 2 theta* fail at their
-    # top, and the last, theta* itself, has 200 points
+    # one grid per kernel at each theta_max, the service's at -theta: 8, 4
+    # and 2 theta* fail at their top, and the last, theta* itself, has 200 points
     tops = [(len(args[1]), args[1][-1] / theta_star) for args in grids[:8]]
-    assert tops == [(201, 8.0)] * 2 + [(201, 4.0)] * 2 + [(201, 2.0)] * 2 + [(200, 1.0)] * 2
+    assert tops == [(n, sign * top) for n, top in ((201, 8.0), (201, 4.0), (201, 2.0), (200, 1.0))
+                    for sign in (1.0, -1.0)]
     assert r.value == r.value_at_root == 0.17834516811753576
     assert r.theta_opt == 4.055950779394227
 
@@ -375,7 +377,7 @@ def test_dcc_upper_solves_nothing_beyond_its_root_where_the_grid_top_solves(
     done = counters.tally()
     r = bd.dcc_upper(arrival, service, [10.0], 1e-3)[0]
     assert done()["scalar_solves"] == 0
-    assert [args[1][-1] for args in grids[:2]] == [8.0 * theta_star] * 2
+    assert [args[1][-1] for args in grids[:2]] == [8.0 * theta_star, -8.0 * theta_star]
     assert [len(args[1]) for args in grids].count(201) == 2
     assert r.value == 0.18125100985436265 and r.theta_opt == 17.700403605679398
 

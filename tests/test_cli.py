@@ -102,6 +102,34 @@ def test_bounds_horizon_and_dcc_modes(tmp_path, toy_cfg):
     assert float(line[5]) == pytest.approx(0.34538776394910684, rel=1e-9)
 
 
+@pytest.mark.parametrize("mode, flag", [
+    ("delay", "--y"), ("backlog", "--y"), ("dcc", "--y"), (None, "--y"),
+    ("delay", "--epsilon"), ("backlog", "--epsilon"), ("horizon", "--epsilon"),
+])
+def test_bounds_rejects_a_flag_its_mode_ignores(tmp_path, toy_cfg, capsys, mode, flag):
+    # --y is read by the horizon mode alone and --epsilon by dcc alone; the
+    # default mode is delay
+    out = tmp_path / "unwritten"
+    argv = ["bounds", "--config", toy_cfg, flag, "0.5", "--out", str(out)]
+    assert _run(argv + (["--mode", mode] if mode else [])) == EXIT_PARSE
+    needs = "horizon" if flag == "--y" else "dcc"
+    assert (f"error: config: bounds reads {flag} only with --mode {needs}, not with --mode "
+            f"{mode or 'delay'}\n") == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, flag, default", [("horizon", "--y", "2"),
+                                                 ("dcc", "--epsilon", "1e-6")])
+def test_bounds_mode_flags_have_their_defaults(tmp_path, toy_cfg, mode, flag, default):
+    files = []
+    for given in ([flag, default], []):
+        out = tmp_path / str(len(files))
+        assert _run(["bounds", "--config", toy_cfg, "--mode", mode, "--levels", "2",
+                     *given, "--out", str(out)]) == 0
+        files.append((out / f"bounds_{mode}.csv").read_bytes())
+    assert files[0] == files[1]
+
+
 def test_unstable_config_exits_4(tmp_path, toy_config_text):
     doc = yaml.safe_load(toy_config_text)
     doc["arrival"]["constant"] = 99.0
@@ -789,7 +817,8 @@ def test_consecutive_calls_share_one_parser_and_nothing_else(toy_cfg, monkeypatc
     assert main(["bounds", "--config", toy_cfg, "--mode", "dcc", "--levels", "9",
                  "--epsilon", "1e-3"]) == 0
     assert main(["bounds", "--config", toy_cfg]) == 0
-    assert (seen[1].mode, seen[1].levels, seen[1].epsilon) == ("delay", None, 1e-6)
+    # an unset mode flag is None; cmd_bounds gives it its default
+    assert (seen[1].mode, seen[1].levels, seen[1].epsilon) == ("delay", None, None)
     # a rejected flag leaves the next call as it was
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--config", toy_cfg, "--seed", "1"])

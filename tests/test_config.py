@@ -53,6 +53,39 @@ def test_parse_law_errors():
             parse_law({"law": "normal", "mean": 1.0, "std": std})
 
 
+_ONE = {"law": "constant", "value": 1}
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"law": "constant", "value": True}, "value must be a number, got the YAML boolean True"),
+    ({"law": "pmf", "support": [0, True], "probs": [0.5, 0.5]}, "support must be a number"),
+    ({"law": "pmf", "support": [0, 1], "probs": [False, 1]}, "probs must be a number"),
+    ({"law": "rayleigh", "bandwidth": True, "snr": 10}, "bandwidth must be a number"),
+    ({"law": "shifted", "inner": _ONE, "offset": True}, "offset must be a number"),
+    ({"law": "normal", "mean": False, "std": 1.0}, "mean must be a number"),
+    ({"law": "normal", "mean": 0.0, "std": True}, "std must be a number"),
+    ({"law": "normal", "mean": 0.0, "std": 1.0, "points": 2.7},
+     r"^normal\.points must be a positive integer, got 2\.7$"),
+    ({"law": "normal", "mean": 0.0, "std": 1.0, "points": True}, "got True$"),
+    ({"law": "normal", "mean": 0.0, "std": 1.0, "points": "5"}, "got '5'$"),
+    ({"law": "normal", "mean": 0.0, "std": 1.0, "points": 0}, "got 0$"),
+], ids=["constant-bool", "support-bool", "probs-bool", "bandwidth-bool", "offset-bool",
+        "mean-bool", "std-bool", "points-float", "points-bool", "points-string", "points-0"])
+def test_a_law_descriptor_checks_its_numbers_instead_of_converting_them(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_law(doc)
+
+
+def test_a_law_descriptor_reads_numeric_strings_and_snr_forms():
+    # YAML 1.1 reads 1e4 as a string
+    assert parse_law({"law": "constant", "value": "1e4"}) == Constant(1e4)
+    assert parse_law({"law": "rayleigh", "bandwidth": "20", "snr": "1e4"}) == RayleighCapacity(
+        20.0, 1e4)
+    assert parse_law({"law": "rayleigh", "bandwidth": 20, "snr": "db:40"}).snr == 1e4
+    normal = parse_law({"law": "normal", "mean": "1", "std": 0.5, "points": 7})
+    assert len(normal.support) == 7
+
+
 def test_parse_copula_variants():
     assert isinstance(parse_copula({"family": "p"}), Product)
     f = parse_copula({"family": "frechet", "weights": [0.1, 0.6, 0.3]})

@@ -385,17 +385,16 @@ def _assert_rows_are_the_laws_own(laws, thetas):
 
 def test_rayleigh_stack_equals_the_per_law_quadrature():
     rng = np.random.default_rng(14)
-    laws = []
-    for bandwidth in (1.0, 20.0, math.log(2.0), 3.7, 20.0, 180.0, 20.0, 1.0):
-        law = RayleighCapacity(bandwidth, 10.0 ** rng.uniform(-4.0, 7.0))
-        laws.append(Negated(law) if rng.random() < 0.5 else law)
-    assert any(isinstance(law, Negated) for law in laws)
-    assert not all(isinstance(law, Negated) for law in laws)
-    # both signs of theta, and exponents from a few thousandths to past overflow
+    laws = [RayleighCapacity(bandwidth, 10.0 ** rng.uniform(-4.0, 7.0))
+            for bandwidth in (1.0, 20.0, math.log(2.0), 3.7, 20.0, 180.0, 20.0, 1.0)]
+    # both signs of theta, each theta also negated (a stack at -theta is how
+    # a negated service is evaluated), and exponents from a few thousandths
+    # to past overflow
     thetas = np.concatenate([rng.uniform(-4.0, 4.0, 40), [-1e-3, 0.0, 2e-3]])
     _assert_rows_are_the_laws_own(laws, thetas)
+    _assert_rows_are_the_laws_own(laws, -thetas)
     # the stack's pairs certify at different steps
-    steps = {_certifying_step(getattr(law, "inner", law), theta, tilted)
+    steps = {_certifying_step(law, theta, tilted)
              for law in laws for theta in thetas[::4] for tilted in (False, True)}
     assert len(steps) >= 3
 
@@ -412,15 +411,15 @@ def test_rayleigh_stack_pairs_certify_at_their_own_steps():
 
 
 def test_rayleigh_stack_keeps_a_nan_and_an_overflowed_pair_apart():
-    laws = (RayleighCapacity(20.0, 10.0), Negated(RayleighCapacity(5.0, 0.3)))
-    thetas = np.array([0.3, np.nan, 50.0, -50.0])
+    laws = (RayleighCapacity(20.0, 10.0), RayleighCapacity(5.0, 0.3))
+    thetas = np.array([0.3, np.nan, 10.0, -50.0, 50.0])
     stack = _assert_rows_are_the_laws_own(laws, thetas)
     mgf = stack.transform("mgf", thetas)
-    # a NaN theta never certifies; theta = 50 overflows the plain law, and
-    # -50 the negated one, which every other pair survives
+    # a NaN theta never certifies; theta = 10 overflows the first law alone,
+    # and 50 both, which every other pair survives
     assert np.isnan(mgf[:, 1]).all()
-    assert mgf[0, 2] == math.inf and mgf[1, 3] == math.inf
-    assert np.isfinite(mgf[:, [0]]).all() and np.isfinite([mgf[0, 3], mgf[1, 2]]).all()
+    assert mgf[0, 2] == math.inf and (mgf[:, 4] == math.inf).all()
+    assert np.isfinite(mgf[:, [0, 3]]).all() and np.isfinite(mgf[1, 2])
 
 
 def _one_law_nodes(snr, step):

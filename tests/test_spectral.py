@@ -119,10 +119,10 @@ def test_one_state_perron_rejects_an_underflowed_transform():
 
 
 def test_toy_service_cgf_quadratic(toy_service):
-    # negated toy service has cgf -3*theta + theta^2
-    neg = toy_service.negated
+    # negated toy service has cgf -3*theta + theta^2, the service's at -theta
     for theta in (0.25, 1.0, 2.0, 2.5):
-        assert perron(neg, theta).kappa == pytest.approx(-3.0 * theta + theta**2, abs=1e-10)
+        assert perron(toy_service, -theta).kappa == pytest.approx(-3.0 * theta + theta**2,
+                                                                  abs=1e-10)
 
 
 def test_perron_at_zero_reduces_to_chain_quantities():
@@ -174,16 +174,34 @@ def test_cgf_properties_on_random_kernels(seed, n):
         assert perron(k, t).kappa_dot == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
-@given(st.integers(0, 10_000))
+def _mixed_law(rng):
+    """A random DiscretePmf, RayleighCapacity or Shifted law."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return DiscretePmf(tuple(np.sort(rng.normal(0.0, 1.0, 3))), (0.3, 0.4, 0.3))
+    law = RayleighCapacity(float(rng.uniform(1.0, 20.0)), float(rng.uniform(0.1, 50.0)))
+    return law if kind == 1 else Shifted(law, float(rng.normal(0.0, 5.0)))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.floats(-0.3, 0.3))
 @settings(max_examples=20)
-def test_negate_is_cgf_reflection_and_involution(seed):
+def test_a_negated_kernel_at_theta_is_the_kernel_at_minus_theta_bit_for_bit(seed, n, theta):
+    # the transform of -X at theta is that of X at -theta, law by law, so
+    # every quantity of the negated kernel is the plain one's (the
+    # derivatives negated) to the bit
     rng = np.random.default_rng(seed)
-    k = random_kernel(rng, 2)
-    neg = k.negated
-    for t in (-0.4, 0.2, 0.5):
-        assert perron(neg, t).kappa == pytest.approx(perron(k, -t).kappa, abs=1e-12)
-    back = neg.negated
-    assert back.increments == k.increments
+    p = rng.dirichlet(np.full(n, 2.0), size=n)
+    laws = tuple(tuple(_mixed_law(rng) for _ in range(n)) for _ in range(n))
+    labels = tuple(f"s{i}" for i in range(n))
+    k = MapKernel(labels, p, laws, np.full(n, 1.0 / n))
+    neg = MapKernel(labels, p, tuple(tuple(map(Negated, row)) for row in laws), np.full(n, 1.0 / n))
+    assert transform_matrix(neg, theta).tobytes() == transform_matrix(k, -theta).tobytes()
+    assert (_transform_derivative(neg, theta).tobytes()
+            == (-_transform_derivative(k, -theta)).tobytes())
+    sol, plain = perron(neg, theta), perron(k, -theta)
+    assert np.float64(sol.kappa).tobytes() == np.float64(plain.kappa).tobytes()
+    assert sol.h.tobytes() == plain.h.tobytes() and sol.v.tobytes() == plain.v.tobytes()
+    assert np.float64(sol.kappa_dot).tobytes() == np.float64(-plain.kappa_dot).tobytes()
 
 
 def test_mean_rate_is_pi_weighted_average():
@@ -273,9 +291,9 @@ def test_transform_quadrature_once_per_distinct_law(monkeypatch):
     fresh = _row_constant_capacity_kernel()
     assert perron(fresh, 0.2).kappa == perron(k, 0.2).kappa
     assert quadratures(done) == (3, 9)
-    # a stack of theta takes one integration per distinct law, negated or not
+    # a stack of theta takes one integration per distinct law, at either sign
     integrals = count_calls(monkeypatch, laws_module, "_capacity_integrals")
-    perron_grid(fresh.negated, [0.1, 0.2, 0.3])
+    perron_grid(fresh, [-0.1, -0.2, -0.3])
     assert quadratures(done) == (4, 12)
     assert integrals[-1][0].shape == (3, 3)
 
@@ -290,8 +308,9 @@ def test_mixed_kernel_transform_is_each_laws_own():
     thetas = np.array([-0.7, -0.1, 0.0, 0.05, 0.3])
     done = counters.tally()
     f = transform_matrix(k, thetas)
-    # the two Rayleigh laws, negated or not, in one quadrature; Shifted keeps its own
-    assert quadratures(done) == (2, 3)
+    # the plain Rayleigh law in the kernel's quadrature; Negated and Shifted
+    # integrate their inner laws on their own
+    assert quadratures(done) == (3, 3)
     for kind, fn in (("mgf", transform_matrix), ("tilted_mean", _transform_derivative)):
         for t, theta in enumerate(thetas):
             matrix = fn(k, float(theta))
@@ -331,8 +350,8 @@ def test_stacked_transform_evaluates_each_step_in_one_buffer():
     # 201 theta of a 4-law kernel: the quadrature's peak is at most twice its
     # (law, theta, node) buffer at the finest step it reaches
     snr = np.repeat(np.array([[10.0], [5.0], [1.0], [0.3]]), 4, axis=1)
-    k = capacity_kernel(np.full((4, 4), 0.25), ChannelSpec(20.0, snr, tuple("abcd"))).negated
-    thetas = np.linspace(0.5, 40.0, 201)
+    k = capacity_kernel(np.full((4, 4), 0.25), ChannelSpec(20.0, snr, tuple("abcd")))
+    thetas = -np.linspace(0.5, 40.0, 201)
     transform_matrix(k, thetas)  # builds the node arrays
     tracemalloc.start()
     try:
@@ -343,7 +362,7 @@ def test_stacked_transform_evaluates_each_step_in_one_buffer():
         tracemalloc.stop()
     stack = k._rayleigh[0]
     m = stack._level_nodes(len(stack._nodes) - 1)[0].shape[1]
-    assert len(stack.inner) == 4
+    assert len(stack.snr) == 4
     assert peak <= 2 * 8 * 4 * len(thetas) * m
 
 
@@ -359,9 +378,8 @@ def test_perron_keeps_its_solutions_on_the_kernel():
     assert work() == (1, 3)
     assert perron(k, 0.2) is sol
     assert work() == (1, 3)
-    # the negated kernel is built once, so its solutions are kept too
-    assert k.negated is k.negated
-    assert perron(k.negated, -0.2) is perron(k.negated, -0.2)
+    # a solution at another theta is kept beside it
+    assert perron(k, -0.2) is perron(k, -0.2)
     assert work() == (2, 6)
     # a value-equal kernel built separately shares nothing
     twin = _row_constant_capacity_kernel()
@@ -378,11 +396,10 @@ def test_perron_keeps_no_failure():
         with pytest.raises(MgfDiverged, match=r"theta=5\.0"):
             perron(k, 5.0)
     service, theta_star = _gate_failing_service()
-    neg = service.negated
     for _ in range(2):
         with pytest.raises(NoConvergence):
-            perron(neg, 4.0 * theta_star)
-    assert 5.0 not in k._solutions and 4.0 * theta_star not in neg._solutions
+            perron(service, -4.0 * theta_star)
+    assert 5.0 not in k._solutions and -4.0 * theta_star not in service._solutions
 
 
 def test_perron_cache_stays_within_its_bound(monkeypatch):
@@ -509,8 +526,10 @@ def _pmf_service_beyond_the_eigensolve():
      lambda: single_state_kernel(gaussian_quantized(801.0, math.sqrt(2.0)))),
 ], ids=["negated-service", "arrival"])
 def test_stability_root_failure_names_the_kernel_role(role, arrival, service):
+    # the service's own argument is -theta
+    sign = "-" if role == "negated service" else ""
     with pytest.raises(NoRootInDomain, match=rf"combined cgf .* theta=\d.*where the {role} "
-                                             rf"kernel fails: .* theta=\d"):
+                                             rf"kernel fails: .* theta={sign}\d"):
         stability_root(single_state_kernel(arrival()), service())
 
 
@@ -561,13 +580,13 @@ def test_zeroin_is_brentq_on_random_kernel_equations(monkeypatch):
         arrival = random_kernel(rng, 2)
         service = random_kernel(rng, 1 + len(pairs) % 4, mean_offset=0.5)
         if mean_rate(arrival) < mean_rate(service):
-            pairs.append((arrival, service.negated))
+            pairs.append((arrival, service))
     horizon = []
     for a, s in pairs:
-        assert _refines_as_brentq(monkeypatch, lambda t: perron(a, t).kappa + perron(s, t).kappa,
+        assert _refines_as_brentq(monkeypatch, lambda t: perron(a, t).kappa + perron(s, -t).kappa,
                                   "stability equation")
         horizon.append(_refines_as_brentq(
-            monkeypatch, lambda t: 2.0 * perron(s, t).kappa_dot + perron(a, t).kappa_dot,
+            monkeypatch, lambda t: -2.0 * perron(s, -t).kappa_dot + perron(a, t).kappa_dot,
             "horizon delay equation"))
     assert False not in horizon and horizon.count(True) >= 30
 
@@ -634,15 +653,17 @@ def test_stability_root_carries_its_solutions_at_theta_star():
     arrival = random_kernel(rng, 2, mean_offset=1.0, spread=0.5)
     service = random_kernel(rng, 3, mean_offset=2.0, spread=0.5)
     root = stability_root(arrival, service)
-    for sol, kernel in ((root.arrival, arrival), (root.neg_service, service.negated)):
+    # the service's solution is at -theta*
+    for sol, kernel, theta in ((root.arrival, arrival, root.theta_star),
+                               (root.service, service, -root.theta_star)):
         # a value-equal kernel keeps no solutions, so this solves theta* again
         fresh = MapKernel(kernel.state_labels, kernel.transition, kernel.increments,
                           kernel.initial_dist)
-        again = perron(fresh, root.theta_star)
-        assert sol.theta == root.theta_star
+        again = perron(fresh, theta)
+        assert sol.theta == theta
         assert sol.kappa == again.kappa and np.array_equal(sol.h, again.h)
         assert sol.kappa_dot == again.kappa_dot
-    assert root.residual == abs(root.arrival.kappa + root.neg_service.kappa)
+    assert root.residual == abs(root.arrival.kappa + root.service.kappa)
 
 
 def test_kappa_dot_is_computed_once_and_only_when_read(monkeypatch):
@@ -675,30 +696,37 @@ def test_mean_rate_is_the_stationary_mean_with_no_eigensolve():
     lambda: single_state_kernel(Constant(0.7)),
 ], ids=["rayleigh", "pmf", "one-state-constant"])
 def test_ladder_stack_rows_are_the_scalar_transforms_bit_for_bit(make):
-    k = make()
-    for transform, scalar in (("mgf", transform_matrix), ("tilted_mean", _transform_derivative)):
-        spectral_module._stack_ladder(k, transform)
-        stacked = dict(k._ladder)
-        assert sorted(t for _, t in stacked) == list(spectral_module._LADDER)
-        k._ladder.clear()
-        for (_, theta), row in stacked.items():
-            assert scalar(k, theta).tobytes() == row.tobytes()
-        # a scalar call at a stacked theta returns the stacked row, once
-        k._ladder.update(stacked)
-        theta = spectral_module._LADDER[3]
-        assert scalar(k, theta) is stacked[(transform, theta)]
-        assert scalar(k, theta) is not stacked[(transform, theta)]
-        k._ladder.clear()
+    # the ladder, and the negated ladder that a kernel evaluated at -theta stacks
+    for ladder in (spectral_module._LADDER, [-t for t in spectral_module._LADDER]):
+        k = make()
+        for transform, scalar in (("mgf", transform_matrix),
+                                  ("tilted_mean", _transform_derivative)):
+            # the first scalar call at the ladder's first point stacks the rest
+            scalar(k, ladder[0])
+            assert sorted(k._ladder) == sorted((transform, t) for t in ladder[1:])
+            k._ladder.clear()
+            spectral_module._stack_ladder(k, transform, ladder)
+            stacked = dict(k._ladder)
+            assert sorted(t for _, t in stacked) == sorted(ladder)
+            k._ladder.clear()
+            for (_, theta), row in stacked.items():
+                assert scalar(k, theta).tobytes() == row.tobytes()
+            # a scalar call at a stacked theta returns the stacked row, once
+            k._ladder.update(stacked)
+            theta = ladder[3]
+            assert scalar(k, theta) is stacked[(transform, theta)]
+            assert scalar(k, theta) is not stacked[(transform, theta)]
+            k._ladder.clear()
 
 
 def test_ladder_stack_skips_the_transform_matrices_perron_has_solved():
     k = random_kernel(np.random.default_rng(31), 2)
     solved = spectral_module._LADDER[2]
     perron(k, solved)
-    spectral_module._stack_ladder(k, "mgf")
+    spectral_module._stack_ladder(k, "mgf", spectral_module._LADDER)
     assert ("mgf", solved) not in k._ladder and len(k._ladder) == 7
     k._ladder.clear()
-    spectral_module._stack_ladder(k, "tilted_mean")
+    spectral_module._stack_ladder(k, "tilted_mean", spectral_module._LADDER)
     assert ("tilted_mean", solved) in k._ladder
 
 
@@ -708,7 +736,7 @@ def test_a_diverged_ladder_row_is_left_out_and_its_scalar_call_raises(monkeypatc
     top = spectral_module._LADDER[-1]
     with pytest.raises(MgfDiverged) as unstacked:
         transform_matrix(single_state_kernel(Constant(6000.0)), top)
-    spectral_module._stack_ladder(k, "mgf")
+    spectral_module._stack_ladder(k, "mgf", spectral_module._LADDER)
     assert sorted(t for _, t in k._ladder) == list(spectral_module._LADDER[:-1])
     with pytest.raises(MgfDiverged) as stacked:
         transform_matrix(k, top)
@@ -739,9 +767,10 @@ def test_stability_root_on_stacked_ladder_transforms_is_the_unstacked_root(monke
             if not stack:
                 m.setattr(spectral_module, "_stack_ladder", lambda *args: None)
             roots.append(stability_root(arrival, service))
-        for k in (arrival, service.negated):
+        # the service, at -theta, keeps the rows of the negated ladder
+        for k, sign in ((arrival, 1.0), (service, -1.0)):
             left = dict(k._ladder)
-            assert sorted(left) == ([("mgf", t) for t in spectral_module._LADDER[6:]]
+            assert sorted(left) == (sorted(("mgf", sign * t) for t in spectral_module._LADDER[6:])
                                     if stack else [])
             k._ladder.clear()
             for (_, theta), row in left.items():
@@ -749,8 +778,7 @@ def test_stability_root_on_stacked_ladder_transforms_is_the_unstacked_root(monke
     stacked, unstacked = roots
     assert 0.02 < stacked.theta_star < 0.032
     assert stacked.theta_star == unstacked.theta_star
-    for a, b in ((stacked.arrival, unstacked.arrival),
-                 (stacked.neg_service, unstacked.neg_service)):
+    for a, b in ((stacked.arrival, unstacked.arrival), (stacked.service, unstacked.service)):
         assert a.kappa == b.kappa and a.h.tobytes() == b.h.tobytes()
 
 
@@ -765,57 +793,20 @@ def test_stability_root_quadratures_on_a_fresh_capacity_kernel():
 def test_a_capacity_kernel_family_is_validated_once(monkeypatch):
     checks = count_calls(monkeypatch, MapKernel, "__post_init__")
     k = _row_constant_capacity_kernel()
-    neg = k.negated
     assert len(checks) == 1
-    assert neg.stationary is k.stationary and neg.transition is k.transition
-    # the negated laws' quadrature runs on the nodes of the plain ones
-    assert neg._rayleigh[0]._nodes is k._rayleigh[0]._nodes
     started = k.started_at([0.2, 0.3, 0.5])
     assert len(checks) == 1 and started.stationary is k.stationary
+    assert started.transition is k.transition and started.increments is k.increments
     assert started.initial_dist.tolist() == [0.2, 0.3, 0.5]
     assert not started.initial_dist.flags.writeable
     with pytest.raises(ValueError, match="initial_dist must be a length-n probability vector"):
         k.started_at([0.2, 0.3, 0.6])
 
 
-def test_a_negated_kernel_shares_the_law_table_and_flips_each_law_once(monkeypatch):
-    k = _row_constant_capacity_kernel()
-    flips = count_calls(monkeypatch, Negated, "__init__")
-    neg = k.negated
-    assert len(flips) == 3  # nine cells, three distinct laws
-    (laws, *arrays), (neg_laws, *neg_arrays) = k._law_table, neg._law_table
-    # cells, law_of and the per-cell terms p and cell_law, all shared
-    assert len(neg_arrays) == len(arrays) == 4
-    assert all(a is b for a, b in zip(neg_arrays, arrays))
-    assert not any(a.flags.writeable for a in arrays)
-    assert neg_laws == tuple(Negated(law) for law in laws)
-    assert neg.negated._law_table[0] == laws
-    # x and Negated(Negated(x)) flip to one law, so that table is built anew
-    r = RayleighCapacity(20.0, 10.0)
-    k = MapKernel(("a", "b"), np.full((2, 2), 0.5), ((r, Negated(Negated(r))),) * 2,
-                  np.array([0.5, 0.5]))
-    assert len(k._law_table[0]) == 2
-    neg_laws, _, neg_law_of, _, neg_cell_law = k.negated._law_table
-    assert neg_laws == (Negated(r),) and neg_law_of.tolist() == [0, 0, 0, 0]
-    assert neg_cell_law.tolist() == [0, 0, 0, 0]
-
-
-def test_a_negated_kernel_shares_quadrature_nodes_only_on_equal_snrs():
-    # a doubly negated Rayleigh law is no stack law, and its flip is one, so
-    # the two kernels' stacks hold different laws
-    r1, r2 = RayleighCapacity(20.0, 10.0), RayleighCapacity(20.0, 0.5)
-    k = MapKernel(("a", "b"), np.full((2, 2), 0.5), ((r1, Negated(Negated(r2))),) * 2,
-                  np.array([0.5, 0.5]))
-    transform_matrix(k, 0.1)
-    neg = k.negated
-    twin = MapKernel(neg.state_labels, neg.transition, neg.increments, neg.initial_dist)
-    assert transform_matrix(neg, -0.1).tobytes() == transform_matrix(twin, -0.1).tobytes()
-
-
 def _gate_failing_service():
     """The 2-state service of test_dcc_upper_backs_off_where_the_eigensolve_fails
-    and its theta* against constant arrivals at rate 5.4428; from about 2 theta*
-    up perron rejects the eigenpair of its negation."""
+    and its theta* against constant arrivals at rate 5.4428; from about -2 theta*
+    down perron rejects its eigenpair."""
     m = (5.248, 9.908)
     laws = tuple(
         tuple(DiscretePmf((m[j] - 0.3, m[j], m[j] + 0.3), (0.25, 0.5, 0.25)) for j in range(2))
@@ -829,11 +820,11 @@ def _gate_failing_service():
 
 def test_perron_failures_name_theta():
     service, theta_star = _gate_failing_service()
-    theta = 4.0 * theta_star
+    theta = -4.0 * theta_star
     with pytest.raises(NoConvergence, match=f"theta={theta}"):
-        perron(service.negated, theta)
-    stack = perron_grid(service.negated, [theta, 0.5 * theta_star])
-    _assert_row_failed(stack, 0, service.negated, NoConvergence, theta)
+        perron(service, theta)
+    stack = perron_grid(service, [theta, -0.5 * theta_star])
+    _assert_row_failed(stack, 0, service, NoConvergence, theta)
 
 
 def _assert_row_is_solution(stack, k, sol):
@@ -857,8 +848,8 @@ def test_perron_grid_matches_perron_slice_by_slice(case):
     else:
         snr = np.array([[300.0] * 3, [20.0] * 3, [0.7] * 3])
         p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
-        kernel = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c"))).negated
-        thetas = np.geomspace(1e-3, 0.5, 21)
+        kernel = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
+        thetas = -np.geomspace(1e-3, 0.5, 21)
     stack = perron_grid(kernel, thetas)
     assert stack.h.shape == (len(thetas), kernel.n_states)
     assert stack.solved.all()
@@ -868,14 +859,13 @@ def test_perron_grid_matches_perron_slice_by_slice(case):
 
 def test_perron_grid_fails_each_theta_alone():
     service, theta_star = _gate_failing_service()
-    neg = service.negated
-    # at theta -100 the negated transforms overflow; 4 theta* fails the residual gate
-    thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star, 1.5 * theta_star]
-    got = perron_grid(neg, thetas)
-    _assert_row_failed(got, 1, neg, MgfDiverged, -100.0)
-    _assert_row_failed(got, 3, neg, NoConvergence, thetas[3])
+    # at theta 100 the transforms overflow; -4 theta* fails the residual gate
+    thetas = [-0.5 * theta_star, 100.0, -theta_star, -4.0 * theta_star, -1.5 * theta_star]
+    got = perron_grid(service, thetas)
+    _assert_row_failed(got, 1, service, MgfDiverged, 100.0)
+    _assert_row_failed(got, 3, service, NoConvergence, thetas[3])
     for k in (0, 2, 4):
-        _assert_row_is_solution(got, k, perron(neg, thetas[k]))
+        _assert_row_is_solution(got, k, perron(service, thetas[k]))
 
 
 def test_perron_grid_makes_one_eig_call_per_stack(monkeypatch):
@@ -883,10 +873,10 @@ def test_perron_grid_makes_one_eig_call_per_stack(monkeypatch):
     # residual gate or not, is a matrix of the stack's one _eig call, and
     # no scalar solve
     service, theta_star = _gate_failing_service()
-    thetas = [0.5 * theta_star, -100.0, theta_star, 4.0 * theta_star]
+    thetas = [-0.5 * theta_star, 100.0, -theta_star, -4.0 * theta_star]
     done = counters.tally()
     lapack = count_calls(monkeypatch, spectral_module, "_eig")
-    perron_grid(service.negated, thetas)
+    perron_grid(service, thetas)
     assert len(lapack) == 1 and np.isfinite(lapack[0][0]).all()
     assert len(lapack[0][0]) == done()["stacked_matrices"] == 3 and done()["scalar_solves"] == 0
 
@@ -942,11 +932,11 @@ def test_two_state_perron_grid_of_finite_matrices_is_one_batched_solve(monkeypat
     monkeypatch.setattr(spectral_module, "transform_matrix",
                         lambda *args: stacks.append(transform_matrix(*args)) or stacks[-1])
     batched = count_calls(monkeypatch, spectral_module, "_solve_batched")
-    thetas = np.array([0.25, 0.5, 1.0]) * theta_star
-    stack = perron_grid(service.negated, thetas)
+    thetas = np.array([-0.25, -0.5, -1.0]) * theta_star
+    stack = perron_grid(service, thetas)
     assert len(batched) == 1 and batched[0][1] is stacks[0] and stack.solved.all()
     for k, theta in enumerate(thetas):
-        _assert_row_is_solution(stack, k, perron(service.negated, theta))
+        _assert_row_is_solution(stack, k, perron(service, theta))
 
 
 def test_solve_one_checks_h_and_v_as_the_rows_of_one_array():
@@ -995,13 +985,12 @@ def test_perron_grid_of_no_theta_is_empty():
 
 def test_perron_grid_where_every_theta_fails():
     service, theta_star = _gate_failing_service()
-    neg = service.negated
-    # the two large theta fail the residual gate, the negative ones overflow
-    thetas = [4.0 * theta_star, -100.0, 6.0 * theta_star, -200.0]
-    stack = perron_grid(neg, thetas)
+    # the two large negative theta fail the residual gate, the positive ones overflow
+    thetas = [-4.0 * theta_star, 100.0, -6.0 * theta_star, 200.0]
+    stack = perron_grid(service, thetas)
     assert not stack.solved.any()
     for k, (theta, error) in enumerate(zip(thetas, (NoConvergence, MgfDiverged) * 2)):
-        _assert_row_failed(stack, k, neg, error, theta)
+        _assert_row_failed(stack, k, service, error, theta)
 
 
 def _oracle_perron(kernel, theta):

@@ -35,9 +35,9 @@ values are byte-identical, naming any that differ.
 With --time PASSES (analytic-fading with --base only) it then times the
 two trees against each other.  Each tree gets one warm child interpreter
 that reads job indices on stdin and answers with the seconds each job took.
-Every delay, backlog, horizon and dcc job runs in both children back to
-back, the order of the two alternating from one job to the next, in one
-warm pass and then PASSES passes, each in a fixed shuffled order.  It
+Every spectral, delay, backlog, horizon and dcc job runs in both children
+back to back, the order of the two alternating from one job to the next, in
+one warm pass and then PASSES passes, each in a fixed shuffled order.  It
 prints, per job kind and over all of them, the median and quartiles of
 t_src / t_base over jobs x passes; the warm pass is not counted.  Timing
 leaves the exit status alone.
@@ -64,7 +64,7 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 WORK = ("scalar_solves", "stacked_matrices", "rayleigh_integrations", "quadrature_calls",
         "quadrature_steps", "bvn_cdf_calls", "state_draws", "increment_draws")
 # the analytic job kinds that --time times
-TIMED = ("delay", "backlog", "horizon", "dcc")
+TIMED = ("spectral", "delay", "backlog", "horizon", "dcc")
 
 
 def work_since():
@@ -341,8 +341,8 @@ def main():
     parser.add_argument("--seed", type=int, default=1,
                         help="run seed of the simulate-fading jobs (default 1)")
     parser.add_argument("--time", type=int, metavar="PASSES",
-                        help="time the delay, backlog, horizon and dcc jobs of both trees"
-                             " over PASSES shuffled passes (analytic-fading with --base)")
+                        help="time the spectral, delay, backlog, horizon and dcc jobs of both"
+                             " trees over PASSES shuffled passes (analytic-fading with --base)")
     parser.add_argument("--run", help=argparse.SUPPRESS)
     parser.add_argument("--serve", help=argparse.SUPPRESS)
     parser.add_argument("--out", help=argparse.SUPPRESS)
