@@ -38,16 +38,12 @@ class ChannelSpec:
         snr.setflags(write=False)
 
 
-def capacity_kernel(transition, channel: ChannelSpec) -> MapKernel:
-    """Markov additive service kernel: increment (i, j) is the Rayleigh
-    capacity at the (i, j) entry of the SNR matrix."""
-    transition = np.asarray(transition, dtype=float)
-    n = len(channel.power_states)
+def capacity_kernel(transition, channel: ChannelSpec, initial_dist=None) -> MapKernel:
+    """Markov additive service kernel: increment (i, j) is the Rayleigh capacity
+    at SNR entry (i, j).  With no initial_dist the chain starts at its stationary law."""
     increments = tuple(tuple(RayleighCapacity(channel.bandwidth, float(snr)) for snr in row)
                        for row in channel.snr_matrix)
-    # start the chain at its stationary distribution unless told otherwise
-    probe = MapKernel(channel.power_states, transition, increments, np.full(n, 1.0 / n))
-    return probe.started_at(probe.stationary)
+    return MapKernel(channel.power_states, transition, increments, initial_dist)
 
 
 def controlled_capacity_process(dim: DimensionPlan, channel: ChannelSpec, horizon: int,

@@ -88,7 +88,7 @@ def _out_dir(config, args):
 
 
 def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
-    thetas = _float_list(args.theta) if args.theta else [0.0, 0.5, 1.0]
+    thetas = _float_list(args.theta) if args.theta is not None else [0.0, 0.5, 1.0]
     for theta in thetas:
         if not math.isfinite(theta):
             raise ConfigError(f"--theta must be finite, got {theta}")
@@ -121,7 +121,7 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
         if getattr(args, flag) is not None and args.mode != mode:
             raise ConfigError(f"bounds reads --{flag} only with --mode {mode}, "
                               f"not with --mode {args.mode}")
-    levels = _float_list(args.levels) if args.levels else [1.0, 2.0, 4.0, 8.0]
+    levels = _float_list(args.levels) if args.levels is not None else [1.0, 2.0, 4.0, 8.0]
     path = os.path.join(_out_dir(config, args), f"bounds_{args.mode}.csv")
     arrival = config.arrival
     if args.mode in ("delay", "backlog"):
@@ -194,7 +194,7 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
     if seed is None:
         raise ConfigError("simulate needs a seed (config simulation.seed or --seed)")
     metric = args.mode or config.metric
-    levels = _float_list(args.levels) if args.levels else list(config.levels)
+    levels = _float_list(args.levels) if args.levels is not None else list(config.levels)
     # the bounds first: an unstable queue exits before the Monte Carlo runs
     bound_map = {}
     theta_star = math.nan

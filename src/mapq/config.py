@@ -49,12 +49,24 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _array(value, key: str) -> np.ndarray:
+    """np.asarray(value, dtype=float) for a number or nested lists of them; a
+    YAML boolean anywhere in value raises ValueError naming key, by _real's rule."""
+    items = [value]
+    for item in items:  # grows by the elements of each list it meets
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, bool):
+            _real(item, key)
+    return np.asarray(value, dtype=float)
+
+
 def _parse_snr(value) -> float:
     """Linear SNR from a number or a numeric string (YAML 1.1 reads 1e4 as
     one), or from a 'db:<decibels>' string."""
     if isinstance(value, str) and value.startswith("db:"):
         return 10.0 ** (float(value[3:]) / 10.0)
-    return float(value)
+    return _real(value, "snr")
 
 
 def _state_labels(labels) -> tuple:
@@ -70,10 +82,10 @@ def _state_labels(labels) -> tuple:
 def parse_kernel(doc) -> MapKernel:
     try:
         states = _state_labels(doc["states"])
-        transition = np.asarray(doc["transition"], dtype=float)
+        transition = _array(doc["transition"], "transition")
         increments = tuple(tuple(map(parse_law, row)) for row in doc["increments"])
-        initial = np.asarray(doc.get("initial_dist", np.full(len(states), 1.0 / len(states))),
-                             dtype=float)
+        initial = _array(doc.get("initial_dist", np.full(len(states), 1.0 / len(states))),
+                         "initial_dist")
         return MapKernel(states, transition, increments, initial)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad kernel config: {exc}") from exc
@@ -89,14 +101,14 @@ def parse_copula(doc) -> cp.CopulaSpec:
         if family == "p":
             return cp.Product()
         if family == "frechet":
-            w = [float(x) for x in doc["weights"]]
+            w = [_real(x, "weights") for x in doc["weights"]]
             return cp.Frechet(*w)
         if family == "frechet1":
-            return cp.one_param_frechet(float(doc["alpha"]))
+            return cp.one_param_frechet(_real(doc["alpha"], "alpha"))
         if family == "gauss2":
-            return cp.Gaussian2(float(doc["rho"]))
+            return cp.Gaussian2(_real(doc["rho"], "rho"))
         if family == "grid":
-            return cp.GridCopula(np.asarray(doc["values"], dtype=float))
+            return cp.GridCopula(_array(doc["values"], "values"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad copula descriptor: {exc}") from exc
     raise ConfigError(f"unknown copula family {doc.get('family')!r}")
@@ -106,7 +118,7 @@ def parse_channel(doc) -> ChannelSpec:
     try:
         states = _state_labels(doc["states"])
         snr = np.array([[_parse_snr(x) for x in row] for row in doc["snr"]], dtype=float)
-        return ChannelSpec(float(doc["bandwidth"]), snr, states)
+        return ChannelSpec(_real(doc["bandwidth"], "bandwidth"), snr, states)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad channel config: {exc}") from exc
 
@@ -200,7 +212,7 @@ def _parse_plan(doc: dict) -> PlanSpec:
         for dim in dimensions or [doc]:
             if "varpi" not in dim:
                 raise ConfigError("each controlled dimension needs a varpi distribution")
-            varpi.append(np.asarray(dim["varpi"], dtype=float))
+            varpi.append(_array(dim["varpi"], "varpi"))
             if "steps" in dim and "copula" in dim:
                 raise ConfigError("a controlled dimension takes a copula or a steps list, "
                                   "not both")
@@ -242,15 +254,19 @@ def build_config(doc: dict) -> ExperimentConfig:
     else:
         channel = parse_channel(service_doc["channel"])
         varpi = service_doc.get("varpi")
-        if "transition" in service_doc:
-            transition = np.asarray(service_doc["transition"], dtype=float)
-        elif "copula" in service_doc and varpi is not None:
-            transition, _ = cp.transition_from_copula(parse_copula(service_doc["copula"]), varpi)
-        else:
-            raise ConfigError("channel service needs a transition matrix, or a copula and varpi")
-        service = capacity_kernel(transition, channel)
-        if varpi is not None:
-            service = service.started_at(varpi)
+        try:
+            varpi = None if varpi is None else _array(varpi, "varpi")
+            if "transition" in service_doc:
+                transition = _array(service_doc["transition"], "transition")
+            elif "copula" in service_doc and varpi is not None:
+                transition, _ = cp.transition_from_copula(parse_copula(service_doc["copula"]),
+                                                          varpi)
+            else:
+                raise ConfigError("channel service needs a transition matrix, or a copula and "
+                                  "varpi")
+            service = capacity_kernel(transition, channel, varpi)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad channel service: {exc}") from exc
 
     # the experiment's channel and service parsed; the config's service by default
     experiment = dict(_section(doc, "experiment"))

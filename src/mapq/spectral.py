@@ -25,10 +25,13 @@ _SOLUTION_LIMIT = 4096
 
 @dataclass(frozen=True)
 class MapKernel:
+    """A Markov additive kernel, validated once on construction.  Given no
+    initial_dist, its chain starts at its stationary law: initial_dist is stationary."""
+
     state_labels: tuple
     transition: np.ndarray
     increments: tuple  # tuple of tuples of IncrementLaw, indexed (source, dest)
-    initial_dist: np.ndarray
+    initial_dist: np.ndarray | None = None
     # perron's solutions by theta, filled on success only
     _solutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # transform matrices by (transform, theta) stacked ahead of their scalar
@@ -48,7 +51,13 @@ class MapKernel:
             raise ValueError("transition entries must be nonnegative and finite")
         if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12:
             raise ValueError("transition rows must sum to 1 within 1e-12")
-        w = _initial_dist(self.initial_dist, n)
+        w = self.initial_dist
+        if w is not None:
+            w = np.asarray(w, dtype=float)
+            # written so that NaN fails each check
+            nonnegative_finite = np.all((w >= 0) & (w < np.inf))
+            if w.shape != (n,) or not (nonnegative_finite and abs(w.sum() - 1.0) <= 1e-12):
+                raise ValueError("initial_dist must be a length-n probability vector")
         if len(self.increments) != n or any(len(row) != n for row in self.increments):
             raise ValueError("increments must be an n x n matrix of laws")
         for row in self.increments:
@@ -60,8 +69,8 @@ class MapKernel:
         object.__setattr__(self, "state_labels", tuple(self.state_labels))
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "increments", tuple(tuple(r) for r in self.increments))
-        object.__setattr__(self, "initial_dist", w)
-        self.transition.setflags(write=False)
+        p.setflags(write=False)
+        object.__setattr__(self, "initial_dist", self.stationary if w is None else w)
         self.initial_dist.setflags(write=False)
 
     @property
@@ -125,28 +134,6 @@ class MapKernel:
         held = np.array([isinstance(law, RayleighCapacity) for law in laws])
         stack = RayleighStack([laws[g] for g in np.flatnonzero(held)]) if held.any() else None
         return stack, held, np.flatnonzero(~held).tolist()
-
-    def started_at(self, initial_dist) -> MapKernel:
-        """This kernel with another initial distribution, which is validated; the
-        chain and the laws are not validated again, and the stationary array
-        is shared."""
-        w = _initial_dist(initial_dist, self.n_states)
-        w.setflags(write=False)
-        kernel = object.__new__(MapKernel)
-        kernel.__dict__.update(state_labels=self.state_labels, transition=self.transition,
-                               increments=self.increments, initial_dist=w,
-                               _solutions={}, _ladder={}, stationary=self.stationary)
-        return kernel
-
-
-def _initial_dist(w, n: int) -> np.ndarray:
-    """w as a float array if it is a length-n probability vector, else ValueError."""
-    w = np.asarray(w, dtype=float)
-    # written so that NaN fails each check
-    nonnegative_finite = np.all((w >= 0) & (w < np.inf))
-    if w.shape != (n,) or not (nonnegative_finite and abs(w.sum() - 1.0) <= 1e-12):
-        raise ValueError("initial_dist must be a length-n probability vector")
-    return w
 
 
 def _irreducible(p: np.ndarray) -> bool:

@@ -56,8 +56,7 @@ def frechet_capacity_kernel(channel, alpha, varpi=(0.3, 0.7)):
     """Capacity kernel whose state chain realizes a one-parameter Frechet copula."""
     varpi = np.asarray(varpi, dtype=float)
     p, _ = transition_from_copula(one_param_frechet(alpha), varpi)
-    k = capacity_kernel(p, channel)
-    return MapKernel(k.state_labels, k.transition, k.increments, varpi)
+    return capacity_kernel(p, channel, varpi)
 
 
 def random_kernel(rng, n, mean_offset=0.0, spread=1.0, concentration=2.0):

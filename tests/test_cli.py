@@ -756,6 +756,10 @@ def test_theta_exit_codes_before_any_solve(tmp_path, toy_cfg, capsys, theta, cod
     ["bounds", "--mode", "dcc", "--levels", ","],
     ["simulate", "--levels", ","],
     ["spectral", "--theta=,"],
+    # an empty flag is no request for the default list
+    ["bounds", "--mode", "delay", "--levels="],
+    ["simulate", "--levels="],
+    ["spectral", "--theta="],
 ])
 def test_a_list_flag_that_names_no_number_exits_2(tmp_path, toy_cfg, capsys, argv):
     # a header-only CSV would say nothing; the list is bad input

@@ -21,7 +21,7 @@ from mapq.config import (
 from mapq.copulas import Frechet, Gaussian2, GridCopula, Product
 from mapq.errors import ConfigError
 from mapq.laws import Constant, DiscretePmf, Negated, RayleighCapacity, Shifted
-from mapq.spectral import transform_matrix
+from mapq.spectral import MapKernel, transform_matrix
 
 
 def test_parse_law_variants():
@@ -74,6 +74,42 @@ _ONE = {"law": "constant", "value": 1}
 def test_a_law_descriptor_checks_its_numbers_instead_of_converting_them(doc, match):
     with pytest.raises(ConfigError, match=match):
         parse_law(doc)
+
+
+_CHANNEL = {"bandwidth": 20, "snr": [[10, 10], [1, 1]], "states": ["hi", "lo"]}
+_KERNEL = {"states": ["a", "b"], "transition": [[0.5, 0.5], [0.5, 0.5]],
+           "increments": [[_ONE, _ONE], [_ONE, _ONE]]}
+
+
+def _channel_service(**service):
+    return {"arrival": {"constant": 1.0},
+            "service": {"channel": _CHANNEL, "transition": [[0.5, 0.5], [0.5, 0.5]], **service}}
+
+
+@pytest.mark.parametrize("parse, doc, match", [
+    (parse_law, {"law": "rayleigh", "bandwidth": 20, "snr": True}, "snr must be a number"),
+    (parse_channel, {**_CHANNEL, "bandwidth": True}, "bandwidth must be a number"),
+    (parse_channel, {**_CHANNEL, "snr": [[10, 10], [True, 1]]}, "snr must be a number"),
+    (parse_kernel, {**_KERNEL, "transition": [[0.5, 0.5], [True, False]]},
+     "transition must be a number"),
+    (parse_kernel, {**_KERNEL, "initial_dist": [True, False]}, "initial_dist must be a number"),
+    (build_config, _channel_service(transition=[[0.5, 0.5], [True, False]]),
+     "transition must be a number"),
+    (build_config, _channel_service(varpi=[False, True]), "varpi must be a number"),
+    (parse_copula, {"family": "frechet1", "alpha": True}, "alpha must be a number"),
+    (parse_copula, {"family": "gauss2", "rho": False}, "rho must be a number"),
+    (parse_copula, {"family": "frechet", "weights": [True, 0, 0]}, "weights must be a number"),
+    (parse_copula, {"family": "grid", "values": [[0, 0], [0, True]]}, "values must be a number"),
+    (build_config, {**_channel_service(),
+                    "copulas": {"varpi": [True, False], "copula": {"family": "p"}}},
+     "varpi must be a number"),
+], ids=["rayleigh-snr", "channel-bandwidth", "channel-snr", "kernel-transition",
+        "kernel-initial-dist", "service-transition", "service-varpi", "copula-alpha",
+        "copula-rho", "copula-weights", "copula-grid-values", "copulas-varpi"])
+def test_a_yaml_boolean_is_no_number_wherever_config_reads_one(parse, doc, match):
+    # each of these read true/false as 1.0/0.0, and most of them then parsed
+    with pytest.raises(ConfigError, match=match):
+        parse(doc)
 
 
 def test_a_law_descriptor_reads_numeric_strings_and_snr_forms():
@@ -142,6 +178,24 @@ def test_channel_service_with_copula():
     assert cfg.service_channel.snr_matrix[0, 0] == pytest.approx(1e4)
     assert np.allclose(cfg.service.transition, [[0.2875, 0.7125], [0.3054, 0.6946]], atol=5e-5)
     assert np.allclose(cfg.service.initial_dist, [0.3, 0.7])
+
+
+@pytest.mark.parametrize("varpi", [None, [0.3, 0.7]])
+def test_a_channel_service_is_validated_once(monkeypatch, varpi):
+    checks = count_calls(monkeypatch, MapKernel, "__post_init__")
+    cfg = build_config(_channel_service() if varpi is None else _channel_service(varpi=varpi))
+    # the constant arrival's one-state kernel, then the service
+    assert len(checks) == 2 and checks[1][0] is cfg.service
+    if varpi is None:
+        assert cfg.service.initial_dist is cfg.service.stationary
+    else:
+        assert cfg.service.initial_dist.tolist() == varpi
+
+
+def test_a_channel_service_the_kernel_rejects_is_a_config_error():
+    # as a kernel service's is; it was a bare ValueError out of build_config
+    with pytest.raises(ConfigError, match="bad channel service: initial_dist must be"):
+        build_config(_channel_service(varpi=[0.5, 0.6]))
 
 
 def test_load_config_reads_the_simulation_and_output_sections(tmp_path, toy_config_text):

@@ -790,17 +790,27 @@ def test_stability_root_quadratures_on_a_fresh_capacity_kernel():
     assert quadratures(done) == (9, 27)
 
 
-def test_a_capacity_kernel_family_is_validated_once(monkeypatch):
+def test_a_capacity_kernel_is_validated_once_and_starts_where_told(monkeypatch):
     checks = count_calls(monkeypatch, MapKernel, "__post_init__")
-    k = _row_constant_capacity_kernel()
+    p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
+    channel = ChannelSpec(20.0, np.full((3, 3), 10.0), ("a", "b", "c"))
+    k = capacity_kernel(p, channel, [0.2, 0.3, 0.5])
     assert len(checks) == 1
-    started = k.started_at([0.2, 0.3, 0.5])
-    assert len(checks) == 1 and started.stationary is k.stationary
-    assert started.transition is k.transition and started.increments is k.increments
-    assert started.initial_dist.tolist() == [0.2, 0.3, 0.5]
-    assert not started.initial_dist.flags.writeable
+    assert k.initial_dist.tolist() == [0.2, 0.3, 0.5]
+    assert not k.initial_dist.flags.writeable
     with pytest.raises(ValueError, match="initial_dist must be a length-n probability vector"):
-        k.started_at([0.2, 0.3, 0.6])
+        capacity_kernel(p, channel, [0.2, 0.3, 0.6])
+
+
+def test_a_kernel_given_no_initial_dist_starts_at_its_stationary_law():
+    k = _row_constant_capacity_kernel()
+    assert k.initial_dist is k.stationary
+    assert not k.initial_dist.flags.writeable
+    assert np.allclose(k.initial_dist @ k.transition, k.initial_dist, rtol=0, atol=1e-12)
+    laws = ((Constant(0.0),) * 2,) * 2
+    pinned = MapKernel(("a", "b"), np.array([[0.5, 0.5], [0.25, 0.75]]), laws)
+    assert pinned.initial_dist is pinned.stationary
+    assert pinned.initial_dist.tolist() == pytest.approx([1 / 3, 2 / 3], rel=1e-14)
 
 
 def _gate_failing_service():
