@@ -78,7 +78,7 @@ def _float_list(text):
 
 
 def _out_dir(config, args):
-    out = args.out or config.output_dir
+    out = config.output_dir if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -190,6 +190,8 @@ def cmd_control(config: cf.ExperimentConfig, args) -> int:
 
 
 def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
+    if args.seed is not None:
+        cf._check_seed(args.seed, "--seed")
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
         raise ConfigError("simulate needs a seed (config simulation.seed or --seed)")
@@ -298,6 +300,7 @@ def cmd_ordercheck(config, args) -> int:
         params = {**(config.experiment if config is not None else {}),
                   "name": args.experiment}
         if args.seed is not None:
+            cf._check_seed(args.seed, "--seed")
             params["seed"] = args.seed
         result = sim.ordering_experiment(params)
         lines.append(f"experiment: {result.name}")
@@ -310,7 +313,7 @@ def cmd_ordercheck(config, args) -> int:
             lines.append(f"battery_verdict: {result.order_report.verdict}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out:
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "order_report.txt"), "w",
                   encoding="utf-8", newline="\n") as fh:
@@ -370,6 +373,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":  # not the config's directory: an empty --out= names none
+            raise ConfigError("--out must name a directory, got ''")
         config = cf.load_config(args.config) if args.config else None
         return _COMMANDS[args.command](config, args)
     except UnstableQueue as exc:

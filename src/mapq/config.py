@@ -49,6 +49,16 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _finite(value) -> float | None:
+    """_real(value) where that is a finite number, else None: a YAML boolean,
+    a non-numeric string, NaN and the infinities are no finite number."""
+    try:
+        x = _real(value, "")
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _array(value, key: str) -> np.ndarray:
     """np.asarray(value, dtype=float) for a number or nested lists of them; a
     YAML boolean anywhere in value raises ValueError naming key, by _real's rule."""
@@ -191,9 +201,11 @@ def _number(value) -> bool:
         return False
 
 
-def _check_seed(value, where: str) -> None:
+def _check_seed(value, name: str) -> None:
+    """Raise ConfigError naming name ("simulation.seed", "--seed", ...) unless
+    value is an int (not a bool) >= 0."""
     if type(value) is not int or value < 0:
-        raise ConfigError(f"{where}.seed must be an integer >= 0, got {value!r}")
+        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _parse_plan(doc: dict) -> PlanSpec:
@@ -238,10 +250,11 @@ def build_config(doc: dict) -> ExperimentConfig:
     if not isinstance(arrival_doc, dict) or len({"constant", "kernel"} & set(arrival_doc)) != 1:
         raise ConfigError("arrival must specify exactly one of: constant, kernel")
     if "constant" in arrival_doc:
-        rate = arrival_doc["constant"]
-        if not _number(rate):
-            raise ConfigError(f"arrival.constant must be a finite number, got {rate!r}")
-        arrival = single_state_kernel(Constant(float(rate)), label="const")
+        rate = _finite(arrival_doc["constant"])
+        if rate is None:
+            raise ConfigError(f"arrival.constant must be a finite number, "
+                              f"got {arrival_doc['constant']!r}")
+        arrival = single_state_kernel(Constant(rate), label="const")
     else:
         arrival = parse_kernel(arrival_doc["kernel"])
 
@@ -274,9 +287,12 @@ def build_config(doc: dict) -> ExperimentConfig:
     for key in ("replications", "horizon", "samples", "subchannels", "flows", "dimensions",
                 "max_batches"):
         _count(experiment, key, 1, "experiment")
-    rate = experiment.get("rate", 1.0)
-    if not (_number(rate) and rate > 0):
-        raise ConfigError(f"experiment.rate must be a positive finite number, got {rate!r}")
+    if "rate" in experiment:
+        rate = _finite(experiment["rate"])
+        if not (rate is not None and rate > 0):
+            raise ConfigError(f"experiment.rate must be a positive finite number, "
+                              f"got {experiment['rate']!r}")
+        experiment["rate"] = rate
     # checked, not converted: the sweep prints each alpha as written; it
     # orders two alphas at least, by the tails at one level at least
     for key, least in (("levels", 1), ("alphas", 2)):
@@ -286,7 +302,7 @@ def build_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"experiment.{key} must be a list of {least} or more finite "
                               f"numbers, got {values!r}")
     if "seed" in experiment:
-        _check_seed(experiment["seed"], "experiment")
+        _check_seed(experiment["seed"], "experiment.seed")
     if "channel" in experiment:
         experiment["channel"] = parse_channel(experiment["channel"])
     experiment["service"] = (parse_kernel(experiment["service"]) if "service" in experiment
@@ -298,12 +314,15 @@ def build_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"simulation.metric must be delay or backlog, got {metric!r}")
     seed = sim_doc.get("seed")
     if seed is not None:
-        _check_seed(seed, "simulation")
+        _check_seed(seed, "simulation.seed")
     levels = sim_doc.get("levels", [1, 2, 3, 4])
-    if not (isinstance(levels, list) and levels and all(map(_number, levels))):
+    values = tuple(map(_finite, levels)) if isinstance(levels, list) else ()
+    if not values or None in values:
         raise ConfigError(f"simulation.levels must be a non-empty list of finite numbers, "
                           f"got {levels!r}")
-    levels = tuple(map(float, levels))
+    directory = _section(doc, "output").get("directory", ".")
+    if not (isinstance(directory, str) and directory):
+        raise ConfigError(f"output.directory must be a non-empty string, got {directory!r}")
     return ExperimentConfig(
         arrival=arrival,
         service=service,
@@ -314,6 +333,6 @@ def build_config(doc: dict) -> ExperimentConfig:
         horizon=_count(sim_doc, "horizon", 1000, "simulation"),
         replications=_count(sim_doc, "replications", 10_000, "simulation"),
         metric=metric,
-        levels=levels,
-        output_dir=str(_section(doc, "output").get("directory", ".")),
+        levels=values,
+        output_dir=directory,
     )

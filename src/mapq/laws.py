@@ -286,29 +286,40 @@ def _capacity_integrals(n, nodes, tilted):
     return out
 
 
-class RayleighStack:
-    """RayleighCapacity laws whose transforms are integrated together: row l
-    of a transform is law l's, from one _capacity_integrals call."""
+class LawStack:
+    """Laws whose transforms are evaluated together: row g of a transform is
+    law g's.  The RayleighCapacity laws are integrated in one
+    _capacity_integrals call, on quadrature nodes the stack builds once for
+    all of them; every other law is evaluated by its own call."""
 
     def __init__(self, laws):
-        self.scale = np.array([[law.bandwidth / _LN2] for law in laws])
-        self.snr = np.array([law.snr for law in laws])
+        self.laws = tuple(laws)
+        self._held = np.array([isinstance(law, RayleighCapacity) for law in self.laws], dtype=bool)
+        rayleigh = [law for law, held in zip(self.laws, self._held) if held]
+        self.scale = np.array([[law.bandwidth / _LN2] for law in rayleigh])
+        self.snr = np.array([law.snr for law in rayleigh])
         self._nodes = []
 
     def _level_nodes(self, level):
         """(L, m) arrays of log(1 + snr g) and log(weight) - g at the nodes that
         step _DE_STEPS[level] of the quadrature adds, built once per stack for
-        all its laws at once."""
+        all its RayleighCapacity laws at once."""
         while len(self._nodes) <= level:
             self._nodes.append(_de_nodes(self.snr, len(self._nodes)))
         return self._nodes[level]
 
     def transform(self, kind, thetas):
-        """(L, T) array: row l is law l's `kind` ("mgf" or "tilted_mean") at the
-        1-d array thetas, non-finite where it diverges."""
-        tilted = kind == "tilted_mean"
-        val = _capacity_integrals(thetas * self.scale, self._level_nodes, tilted)
-        return self.scale * val if tilted else val
+        """(G, T) array: row g is law g's `kind` ("mgf" or "tilted_mean") at the
+        1-d array thetas (a float is one theta), non-finite where it diverges."""
+        thetas = np.atleast_1d(thetas)
+        out = np.empty((len(self.laws), len(thetas)))
+        if len(self.snr):
+            tilted = kind == "tilted_mean"
+            val = _capacity_integrals(thetas * self.scale, self._level_nodes, tilted)
+            out[self._held] = self.scale * val if tilted else val
+        for g in np.flatnonzero(~self._held):
+            out[g] = getattr(self.laws[g], kind)(thetas)
+        return out
 
 
 @dataclass(frozen=True)
@@ -318,7 +329,7 @@ class RayleighCapacity(IncrementLaw):
     X = bandwidth * log2(1 + snr * G), G ~ Exp(1).  The MGF E[(1 + snr G)^n],
     n = theta * bandwidth / ln 2, has no closed form for general theta; both
     transforms are integrated by _capacity_integrals for all theta of a call at
-    once, as the one-law RayleighStack.
+    once, as the one-law LawStack.
     """
 
     bandwidth: float
@@ -331,9 +342,9 @@ class RayleighCapacity(IncrementLaw):
             raise ValueError(f"snr must be positive and finite, got {self.snr!r}")
 
     @cached_property
-    def _stack(self) -> RayleighStack:
+    def _stack(self) -> LawStack:
         """The law as a one-law stack, which keeps its quadrature nodes."""
-        return RayleighStack((self,))
+        return LawStack((self,))
 
     def mgf(self, theta):
         return self._stack.transform("mgf", theta)[0]

@@ -185,14 +185,14 @@ def _path_states(transitions, initial_dist, horizon, rng) -> np.ndarray:
 
 def _increments(kernel: MapKernel, src, dst, rng) -> np.ndarray:
     """Increments of the (src, dst) transitions, any shape: one draw per
-    distinct law, in the order of the laws of `kernel._law_table`, which
+    distinct law, in the order of `kernel._law_table`'s `LawStack.laws`, which
     holds every transition the samplers can take (the pinned CDF rows skip
     the others).  Where law g is that of every move out of state g
     (`_law_is_source`, as in a capacity kernel whose SNR follows the source
     state) the law index is src itself; otherwise each cell src * n + dst is
     formed in `_state_type(n)` and reads its law index from the table's
     `law_of`."""
-    laws, _, law_of, *_ = kernel._law_table
+    laws, law_of = kernel._law_table[0].laws, kernel._law_table[2]
     COUNTS["increment_draws"] += src.size
     if len(laws) == 1:  # the one law takes every slot
         return laws[0].sample(rng, src.size).reshape(src.shape)

@@ -17,7 +17,7 @@ from numpy.linalg import _umath_linalg
 
 from .counters import COUNTS
 from .errors import MgfDiverged, NoConvergence, NoRootInDomain, UnstableQueue
-from .laws import IncrementLaw, RayleighCapacity, RayleighStack
+from .laws import IncrementLaw, LawStack
 
 # a kernel's perron solutions are cleared at this many, so a long-lived process stays bounded
 _SOLUTION_LIMIT = 4096
@@ -101,8 +101,9 @@ class MapKernel:
     @cached_property
     def _law_table(self) -> tuple:
         """(laws, cells, law_of, p, cell_law), built once per kernel: the
-        distinct laws of the positive transitions in row-major order of first
-        use (equal laws, separate objects or not, are one law); the positive
+        LawStack of the distinct laws of the positive transitions, `laws.laws`
+        in row-major order of first use (equal laws, separate objects or not,
+        are one law), which evaluates their transforms together; the positive
         cells i * n + j in row-major order; the index in `laws` of each cell's
         law, 0 at the other cells, in the smallest unsigned type that holds the
         law count; and the per-cell terms, the transition and the law index at
@@ -116,7 +117,7 @@ class MapKernel:
         arrays = cells, law_of, self.transition.take(cells), law_of[cells]
         for a in arrays:
             a.setflags(write=False)
-        return tuple(index), *arrays
+        return LawStack(index), *arrays
 
     @cached_property
     def _law_is_source(self) -> bool:
@@ -124,16 +125,6 @@ class MapKernel:
         out of state g, so that a transition's law index is its source state."""
         _, cells, _, _, cell_law = self._law_table
         return bool((cell_law == cells // self.n_states).all())
-
-    @cached_property
-    def _rayleigh(self) -> tuple:
-        """(stack, held, others): the RayleighCapacity laws of `_law_table` as
-        one RayleighStack (None if there are none), a bool per law of the
-        table that marks them, and the indices of the other laws."""
-        laws = self._law_table[0]
-        held = np.array([isinstance(law, RayleighCapacity) for law in laws])
-        stack = RayleighStack([laws[g] for g in np.flatnonzero(held)]) if held.any() else None
-        return stack, held, np.flatnonzero(~held).tolist()
 
 
 def _irreducible(p: np.ndarray) -> bool:
@@ -200,9 +191,9 @@ class StabilityRoot:
 
 
 def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarray:
-    """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij, with one
-    quadrature for all of the kernel's Rayleigh laws and one transform call per
-    other distinct law, scattered to the cells by their law index.
+    """Matrix of p_ij * law_ij.<transform>(theta) over the positive p_ij: one
+    transform call of the kernel's LawStack, which evaluates each distinct law
+    once, scattered to the cells by their law index.
 
     For an array of theta it is the stack of those matrices, non-finite at a
     theta where a transform diverges; a float theta raises MgfDiverged there,
@@ -219,12 +210,7 @@ def _entrywise(kernel: MapKernel, theta, transform: str, what: str) -> np.ndarra
             return stacked
     thetas = theta if stack else np.array([theta], dtype=float)
     laws, cells, _, p, cell_law = kernel._law_table
-    rayleigh, held, others = kernel._rayleigh
-    vals = np.empty((len(laws), len(thetas)))  # row g: law g's transform
-    if rayleigh is not None:
-        vals[held] = rayleigh.transform(transform, thetas)
-    for g in others:
-        vals[g] = getattr(laws[g], transform)(thetas)
+    vals = laws.transform(transform, thetas)  # row g: law g's transform
     n = kernel.n_states
     out = np.zeros((len(thetas), n, n))
     out.reshape(len(thetas), n * n)[:, cells] = p * vals[cell_law].T
@@ -411,7 +397,7 @@ def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
     """
     thetas = np.asarray(thetas, dtype=float)
     if kernel.n_states == 1:
-        m = kernel.transition[0, 0] * kernel.law(0, 0).mgf(thetas)
+        m = kernel.transition[0, 0] * kernel._law_table[0].transform("mgf", thetas)[0]
         solved = np.isfinite(m) & (m > 0)
         return PerronStack(thetas, np.where(solved, 1.0, np.nan)[:, None], solved)
     f = transform_matrix(kernel, thetas)

@@ -1037,3 +1037,39 @@ def test_duplicate_state_labels_exit_2(tmp_path, toy_config_text, capsys, servic
     assert _run(["spectral", "--config", cfg, "--out", str(tmp_path)]) == EXIT_PARSE
     assert "state labels must be distinct" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, directory, named", [
+    (["spectral", "--config", "toy.yaml", "--out="], "cfgdir", "--out"),
+    (["ordercheck", "--experiment", "subchannel-aggregation", "--out="], "cfgdir", "--out"),
+    (["spectral", "--config", "toy.yaml"], "", "output.directory"),
+    (["spectral", "--config", "toy.yaml"], None, "output.directory"),
+    (["spectral", "--config", "toy.yaml"], ["a"], "output.directory"),
+], ids=["spectral-empty-out", "ordercheck-empty-out", "empty-directory", "null-directory",
+        "list-directory"])
+def test_an_output_directory_that_names_none_exits_2(tmp_path, toy_config_text, capsys,
+                                                     monkeypatch, argv, directory, named):
+    # an empty --out= once fell back to the config's directory (or, for
+    # ordercheck, wrote no report); "" failed at makedirs, and null and [a]
+    # wrote into ./None and ./['a']
+    monkeypatch.chdir(tmp_path)
+    doc = yaml.safe_load(toy_config_text)
+    doc["output"] = {"directory": directory}
+    _write(tmp_path, "toy.yaml", yaml.safe_dump(doc))
+    assert _run(argv) == EXIT_PARSE
+    assert f"error: config: {named} must" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.yaml"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "toy.yaml", "--seed=-1"],
+    ["ordercheck", "--experiment", "subchannel-aggregation", "--seed=-1"],
+], ids=["simulate", "ordercheck"])
+def test_a_negative_seed_flag_exits_2_before_any_draw(tmp_path, toy_cfg, capsys, monkeypatch,
+                                                      argv):
+    # numpy's "expected non-negative integer" named no flag
+    monkeypatch.chdir(tmp_path)
+    done = counters.tally()
+    assert _run(argv) == EXIT_PARSE
+    assert "error: config: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert done()["state_draws"] == done()["increment_draws"] == 0

@@ -293,3 +293,42 @@ def test_snr_strings_are_numbers_unless_db_prefixed():
         channel["snr"][1][1] = bad
         with pytest.raises(ConfigError, match="bad channel config"):
             parse_channel(channel)
+
+
+def test_numeric_strings_read_as_the_numbers_they_name():
+    # YAML 1.1 reads 1e0 and 1e-1 as strings, as the law descriptors' numbers
+    doc = yaml.safe_load("arrival: {constant: 1e0}\n"
+                         "service: {kernel: {states: [s], transition: [[1.0]],"
+                         " increments: [[{law: constant, value: 3.0}]]}}\n"
+                         "simulation: {levels: [1e0, 2]}\nexperiment: {rate: 1e-1}\n")
+    assert doc["arrival"]["constant"] == "1e0" and doc["experiment"]["rate"] == "1e-1"
+    cfg = build_config(doc)
+    plain = build_config({**doc, "arrival": {"constant": 1.0},
+                          "simulation": {"levels": [1.0, 2]}, "experiment": {"rate": 0.1}})
+    assert cfg.arrival.law(0, 0) == plain.arrival.law(0, 0) == Constant(1.0)
+    assert cfg.arrival.transition.tolist() == plain.arrival.transition.tolist()
+    assert cfg.levels == plain.levels == (1.0, 2.0)
+    assert type(cfg.experiment["rate"]) is float and cfg.experiment["rate"] == 0.1
+
+
+@pytest.mark.parametrize("value", [True, "x", "nan", float("nan"), "-inf", float("inf")])
+@pytest.mark.parametrize("section, key, place", [
+    ("arrival", "constant", lambda v: v),
+    ("simulation", "levels", lambda v: [1, v]),
+    ("experiment", "rate", lambda v: v),
+])
+def test_a_number_that_is_no_finite_number_is_a_config_error(toy_config_text, value, section,
+                                                              key, place):
+    doc = yaml.safe_load(toy_config_text)
+    doc[section] = {**doc.get(section, {}), key: place(value)}
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+        build_config(doc)
+
+
+@pytest.mark.parametrize("directory", ["", None, ["a"]])
+def test_the_output_directory_is_a_non_empty_string(toy_config_text, directory):
+    # "" once failed at makedirs, None wrote into ./None and [a] into ./['a']
+    doc = yaml.safe_load(toy_config_text)
+    doc["output"] = {"directory": directory}
+    with pytest.raises(ConfigError, match="output.directory must be a non-empty string"):
+        build_config(doc)

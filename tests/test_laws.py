@@ -18,9 +18,9 @@ from mapq.laws import (
     Constant,
     DiscretePmf,
     InverseCdf,
+    LawStack,
     Negated,
     RayleighCapacity,
-    RayleighStack,
     Shifted,
     gaussian_quantized,
 )
@@ -374,7 +374,7 @@ def _certifying_step(law, theta, tilted):
 def _assert_rows_are_the_laws_own(laws, thetas):
     """Each row of the stack's transforms equals its law's own call: equal as
     doubles (so bit for bit, no value being zero), NaN at the same pairs."""
-    stack = RayleighStack(laws)
+    stack = LawStack(laws)
     for kind in ("mgf", "tilted_mean"):
         rows = stack.transform(kind, thetas)
         assert rows.shape == (len(laws), len(thetas))
@@ -424,7 +424,7 @@ def test_rayleigh_stack_keeps_a_nan_and_an_overflowed_pair_apart():
 
 def _one_law_nodes(snr, step):
     """The nodes of one law at quadrature step `step`, evaluated one law at a
-    time: the oracle of RayleighStack's node rows."""
+    time: the oracle of LawStack's node rows."""
     x = 1.0 / snr
     s1 = math.log1p(snr)
     t = laws_module._de_ts(*laws_module._DE_T[0], step)
@@ -443,7 +443,7 @@ def _one_law_nodes(snr, step):
 
 def test_stack_nodes_are_each_laws_own_bit_for_bit():
     snrs = (1e-30, 1e-4, 1.0, 300.0, 1e7)
-    stack = RayleighStack([RayleighCapacity(20.0, snr) for snr in snrs])
+    stack = LawStack([RayleighCapacity(20.0, snr) for snr in snrs])
     steps = len(laws_module._DE_STEPS)
     # level k holds the nodes that step k adds, and nothing else
     for level in range(steps):
@@ -452,3 +452,20 @@ def test_stack_nodes_are_each_laws_own_bit_for_bit():
             for got, want in zip(rows, _one_law_nodes(snr, level)):
                 assert got[l].tobytes() == want.tobytes()
     assert len(stack._nodes) == steps
+
+
+def test_a_stack_of_every_law_class_is_each_laws_own_bit_for_bit():
+    pmf = DiscretePmf((0.0, 1.0, 3.0), (0.2, 0.5, 0.3))
+    laws = (pmf, Constant(2.0), Shifted(pmf, 0.5), Negated(RayleighCapacity(5.0, 0.3)),
+            RayleighCapacity(20.0, 10.0), RayleighCapacity(20.0, 3.0))
+    stack = LawStack(laws)
+    thetas = np.array([-0.7, 0.0, 0.3, 800.0])  # every law but the negated one diverges at 800
+    for kind in ("mgf", "tilted_mean"):
+        done = counters.tally()
+        rows = stack.transform(kind, thetas)
+        # one quadrature for both plain Rayleigh rows, and one for the
+        # negated law's inner law, which integrates on its own one-law stack
+        assert quadratures(done) == (2, 3)
+        for row, law in zip(rows, laws):
+            assert row.tobytes() == getattr(law, kind)(thetas).tobytes()
+        assert not np.isfinite(rows[:, -1]).all() and np.isfinite(rows[3]).all()

@@ -332,7 +332,7 @@ def test_entrywise_is_each_cells_product_bit_for_bit():
              RayleighCapacity(20.0, 3.0)))
     p = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
     k = MapKernel(("a", "b", "c"), p, laws, np.full(3, 1.0 / 3.0))
-    assert k._law_table[0] == (laws[0][0], pmf, laws[1][0], rayleigh, laws[1][2], laws[2][0])
+    assert k._law_table[0].laws == (laws[0][0], pmf, laws[1][0], rayleigh, laws[1][2], laws[2][0])
     thetas = np.array([-0.3, 0.0, 0.2, 800.0])
     for kind, fn in (("mgf", transform_matrix), ("tilted_mean", _transform_derivative)):
         expected = np.zeros((len(thetas), 3, 3))
@@ -360,7 +360,7 @@ def test_stacked_transform_evaluates_each_step_in_one_buffer():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    stack = k._rayleigh[0]
+    stack = k._law_table[0]
     m = stack._level_nodes(len(stack._nodes) - 1)[0].shape[1]
     assert len(stack.snr) == 4
     assert peak <= 2 * 8 * 4 * len(thetas) * m

@@ -173,3 +173,13 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def test_spectral_leaves_the_choice_of_shared_quadratures_to_laws():
+    # which laws evaluate together is LawStack's rule alone: spectral reads no
+    # concrete law class
+    tree = ast.parse((SRC / "spectral.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "laws"
+                for alias in node.names}
+    assert imported == {"IncrementLaw", "LawStack"}
