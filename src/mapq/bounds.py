@@ -21,7 +21,6 @@ import numpy as np
 
 from .spectral import (
     MapKernel,
-    PerronStack,
     cgf_as,
     perron,
     perron_grid,
@@ -184,13 +183,13 @@ def horizon_backlog_bound(arrival: MapKernel, service: MapKernel, y: float, b_ra
 _SECTION_POINTS = 15
 
 
-def _dcc_objective(arrival: PerronStack, service: PerronStack, epsilon, varpi_s):
-    """g(theta) per theta of the arrival stack, with the service stack at
-    -theta, +inf where either kernel's solve failed."""
-    h_a, h_s = arrival.h, service.h
+def _dcc_objective(thetas, h_a, h_s, epsilon, varpi_s):
+    """g(theta) per theta of `thetas`, from perron_grid's rows h_a of the
+    arrival at theta and h_s of the service at -theta; +inf where either row
+    is NaN (its solve failed), which is where h+ is NaN."""
     h_plus = (h_a.max(axis=1) / h_a.min(axis=1)) / h_s.min(axis=1)
-    g = (-1.0 / arrival.theta) * (np.log(epsilon / (h_plus[:, None] * h_s)) @ varpi_s)
-    g[~(arrival.solved & service.solved)] = math.inf
+    g = (-1.0 / thetas) * (np.log(epsilon / (h_plus[:, None] * h_s)) @ varpi_s)
+    g[np.isnan(h_plus)] = math.inf
     return g
 
 
@@ -229,7 +228,7 @@ def dcc_upper(arrival: MapKernel, service: MapKernel, deadlines, epsilon: float)
     theta_star = root.theta_star
 
     def objective(thetas):
-        return _dcc_objective(perron_grid(arrival, thetas), perron_grid(service, -thetas),
+        return _dcc_objective(thetas, perron_grid(arrival, thetas), perron_grid(service, -thetas),
                               epsilon, service.initial_dist)
 
     theta_max = 8.0 * theta_star

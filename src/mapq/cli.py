@@ -78,8 +78,16 @@ def _float_list(text):
 
 
 def _out_dir(config, args):
-    out = config.output_dir if args.out is None else args.out
-    os.makedirs(out, exist_ok=True)
+    """The output directory, --out or else the config's output.directory, made
+    if it is missing; one that cannot be made is a ConfigError naming its source."""
+    if args.out is None:
+        out, source = config.output_dir, "output.directory"
+    else:
+        out, source = args.out, "--out"
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{source} {out!r} cannot be made a directory: {exc}") from exc
     return out
 
 
@@ -92,6 +100,7 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
     for theta in thetas:
         if not math.isfinite(theta):
             raise ConfigError(f"--theta must be finite, got {theta}")
+    out = _out_dir(config, args)
     # the negated service at theta is the service at -theta, with kappa_dot negated
     kernels = [("arrival", config.arrival, 1.0), ("neg_service", config.service, -1.0)]
     rows = []
@@ -100,16 +109,18 @@ def cmd_spectral(config: cf.ExperimentConfig, args) -> int:
         for transform in ("mgf", "tilted_mean"):
             _stack_ladder(kernel, transform, [sign * theta for theta in thetas])
     for theta in thetas:
-        # cgf_as names the role in a failure; perron is then a cache hit
-        kappa_dots = [sign * cgf_as(role, kernel, sign * theta, derivative=True)
-                      for role, kernel, sign in kernels]
+        # cgf_as names the role in a failure as the root searches do; perron
+        # is then a cache hit
+        kappa_dots = [sign * cgf_as("arrival" if sign > 0 else "negated service", kernel,
+                                    sign * theta, derivative=True)
+                      for _, kernel, sign in kernels]
         sols = [perron(kernel, sign * theta) for _, kernel, sign in kernels]
         kappa_sum = sols[0].kappa + sols[1].kappa
         for (role, kernel, _), sol, kappa_dot in zip(kernels, sols, kappa_dots):
             for i, label in enumerate(kernel.state_labels):
                 rows.append((theta, role, label, sol.kappa, kappa_dot, kappa_sum,
                              sol.h[i], sol.v[i], kernel.stationary[i]))
-    path = os.path.join(_out_dir(config, args), "spectral.csv")
+    path = os.path.join(out, "spectral.csv")
     _write_csv(path, ("theta", "role", "state", "kappa", "kappa_dot", "kappa_sum",
                       "h", "v", "pi"), rows)
     print(path)
@@ -155,10 +166,10 @@ def cmd_bounds(config: cf.ExperimentConfig, args) -> int:
 def cmd_control(config: cf.ExperimentConfig, args) -> int:
     if config.copulas is None:
         raise ConfigError("control command needs a copulas section")
+    out = _out_dir(config, args)
     spec = config.copulas
     # dimensions are planned independently (a product spatial copula)
     plan = [cp.dependence_control(steps, w0) for steps, w0 in zip(spec.temporal, spec.varpi)]
-    out = _out_dir(config, args)
     rows = []
     for d, dim in enumerate(plan):
         for step, p in enumerate(dim.transitions):
@@ -197,6 +208,7 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
         raise ConfigError("simulate needs a seed (config simulation.seed or --seed)")
     metric = args.mode or config.metric
     levels = _float_list(args.levels) if args.levels is not None else list(config.levels)
+    out = _out_dir(config, args)
     # the bounds first: an unstable queue exits before the Monte Carlo runs
     bound_map = {}
     theta_star = math.nan
@@ -217,7 +229,6 @@ def cmd_simulate(config: cf.ExperimentConfig, args) -> int:
         lo, up = bound_map.get(e.level, (math.nan, math.nan))
         rows.append((e.level, e.p_hat, e.std_err, e.hits, e.replications,
                      e.conclusive, lo, up, theta_star))
-    out = _out_dir(config, args)
     path = os.path.join(out, "tails.csv")
     _write_csv(path, ("level", "p_hat", "std_err", "hits", "replications",
                       "conclusive", "lower", "upper", "theta_star"), rows)
@@ -271,6 +282,10 @@ def cmd_ordercheck(config, args) -> int:
     if unused and not args.experiment:
         raise ConfigError("ordercheck reads --seed and --config only with --experiment; "
                           f"got {', '.join(unused)}")
+    if args.seed is not None:
+        cf._check_seed(args.seed, "--seed")
+    if args.out is not None:
+        _out_dir(config, args)
     lines = []
     if args.pmf_x:
         x = _read_pmf(args.pmf_x)
@@ -300,7 +315,6 @@ def cmd_ordercheck(config, args) -> int:
         params = {**(config.experiment if config is not None else {}),
                   "name": args.experiment}
         if args.seed is not None:
-            cf._check_seed(args.seed, "--seed")
             params["seed"] = args.seed
         result = sim.ordering_experiment(params)
         lines.append(f"experiment: {result.name}")
@@ -314,7 +328,6 @@ def cmd_ordercheck(config, args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "order_report.txt"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -192,15 +192,6 @@ def _count(section: dict, key: str, default: int, where: str) -> int:
     return value
 
 
-def _number(value) -> bool:
-    """Whether value is a number as YAML reads one (an int or a float, not a
-    bool) that a double holds finitely."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int past the largest double
-        return False
-
-
 def _check_seed(value, name: str) -> None:
     """Raise ConfigError naming name ("simulation.seed", "--seed", ...) unless
     value is an int (not a bool) >= 0."""
@@ -293,14 +284,18 @@ def build_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"experiment.rate must be a positive finite number, "
                               f"got {experiment['rate']!r}")
         experiment["rate"] = rate
-    # checked, not converted: the sweep prints each alpha as written; it
-    # orders two alphas at least, by the tails at one level at least
+    # a number is kept as written, since the sweep prints each alpha so, and a
+    # numeric string becomes its float; the sweep orders two alphas at least,
+    # by the tails at one level at least
     for key, least in (("levels", 1), ("alphas", 2)):
-        values = experiment.get(key)
-        if key in experiment and not (isinstance(values, list) and len(values) >= least
-                                      and all(map(_number, values))):
+        if key not in experiment:
+            continue
+        values = experiment[key]
+        if not (isinstance(values, list) and len(values) >= least
+                and None not in map(_finite, values)):
             raise ConfigError(f"experiment.{key} must be a list of {least} or more finite "
                               f"numbers, got {values!r}")
+        experiment[key] = [_finite(x) if isinstance(x, str) else x for x in values]
     if "seed" in experiment:
         _check_seed(experiment["seed"], "experiment.seed")
     if "channel" in experiment:

@@ -167,17 +167,6 @@ class SpectralSolution:
 
 
 @dataclass(frozen=True)
-class PerronStack:
-    """perron's h at every theta of a stack: row k of h (T, n) is the solution
-    at theta[k], and solved[k] is False, with row k all NaN, exactly where
-    perron raises MgfDiverged or NoConvergence at theta[k]."""
-
-    theta: np.ndarray
-    h: np.ndarray
-    solved: np.ndarray
-
-
-@dataclass(frozen=True)
 class StabilityRoot:
     """The root theta* and both kernels' solutions there: `arrival` at theta*,
     `service` at -theta*.  kappa^{-S}(theta) is kappa^S(-theta), so
@@ -307,12 +296,12 @@ def _solve_one(kernel: MapKernel, theta, f: np.ndarray) -> SpectralSolution:
     return SpectralSolution(theta, math.log(lam) + e * math.log(2.0), h, v, residual, kernel)
 
 
-def _solve_batched(kernel: MapKernel, f):
-    """(h, ok) at every matrix of the stack f, whose kernel has two states or
+def _solve_batched(kernel: MapKernel, f) -> np.ndarray:
+    """h (T, n) at every matrix of the stack f, whose kernel has two states or
     more: _solve_one's scaling and Perron pick, with one _eig call for the
     whole stack, and its sign fix and checks as array operations over the
-    stack.  ok is False where a row fails a check of _check, and h is
-    normalized to pi . h = 1 where ok and NaN elsewhere."""
+    stack, h and v the rows of one (2, T, n) array.  Row k is normalized to
+    pi . h = 1, or all NaN where matrix k fails a check of _check."""
     e = np.frexp(f.max(axis=(1, 2)))[1]
     e[np.abs(e) <= _EXP_LIMIT] = 0
     # ldexp by 0 leaves every other matrix's bits unchanged
@@ -323,22 +312,17 @@ def _solve_batched(kernel: MapKernel, f):
     rows = np.arange(t)
     k = w.real.argmax(axis=1)
     lam = w.real[rows, k]
-    hv = np.stack([vr[rows, :, k].real, vl[rows, k].real])
+    hv = np.stack([vr[rows, :, k].real, vl[rows, k].real])  # rows h and v
     hv *= np.copysign(1.0, hv.sum(axis=2))[:, :, None]
-    positive = hv.min(axis=(0, 2)) > 0
     h, v = hv
-    scale = np.maximum(lam, _TINY)
-    residual = np.maximum(
-        abs((scaled @ h[:, :, None])[:, :, 0] - lam[:, None] * h).max(axis=1)
-        / (scale * abs(h).max(axis=1)),
-        abs((v[:, None, :] @ scaled)[:, 0, :] - lam[:, None] * v).max(axis=1)
-        / (scale * abs(v).max(axis=1)),
-    )
+    fhv = np.stack([(scaled @ h[:, :, None])[:, :, 0], (v[:, None, :] @ scaled)[:, 0, :]])
+    residual = (abs(fhv - lam[:, None] * hv).max(axis=2)
+                / (np.maximum(lam, _TINY) * abs(hv).max(axis=2))).max(axis=0)
     # a row whose eigensolve failed is NaN and fails every check; each failed
     # row is NaN before the normalization, which keeps it silent
-    ok = (lam > 0) & positive & (residual <= _RESIDUAL_TOL)
+    ok = (lam > 0) & (hv.min(axis=(0, 2)) > 0) & (residual <= _RESIDUAL_TOL)
     h = np.where(ok[:, None], h, np.nan)
-    return h / (h @ kernel.stationary)[:, None], ok
+    return h / (h @ kernel.stationary)[:, None]
 
 
 # h = v = [1]: the Perron vectors of every one-state kernel
@@ -385,28 +369,28 @@ def cgf_as(role: str, kernel: MapKernel, theta: float, derivative: bool = False)
         raise type(exc)(f"the {role} kernel fails: {exc}") from exc
 
 
-def perron_grid(kernel: MapKernel, thetas) -> PerronStack:
-    """perron's h at every theta of `thetas` as one PerronStack, from one
-    transform_matrix call for the whole stack and one _solve_batched call for
-    its finite matrices; it neither reads nor fills perron's cache.  A
-    one-state kernel's stack is p_00 times its law's transform, solved in
-    closed form: h = [1] wherever that is finite and positive.
+def perron_grid(kernel: MapKernel, thetas) -> np.ndarray:
+    """perron's h at every theta of `thetas`, row k at thetas[k], as one (T, n)
+    array, from one transform_matrix call for the whole stack and one
+    _solve_batched call for its finite matrices; it neither reads nor fills
+    perron's cache.  A one-state kernel's stack is p_00 times its law's
+    transform, solved in closed form: h = [1] wherever that is finite and positive.
 
-    A theta fails alone, as an unsolved NaN row: a non-finite transform matrix
-    or a failed check of _check.  Only perron words the error at a theta.
+    A theta fails alone, as an all-NaN row, exactly where perron raises
+    MgfDiverged (a non-finite transform matrix) or NoConvergence (a failed
+    check of _check).  Only perron words the error at a theta.
     """
     thetas = np.asarray(thetas, dtype=float)
     if kernel.n_states == 1:
         m = kernel.transition[0, 0] * kernel._law_table[0].transform("mgf", thetas)[0]
-        solved = np.isfinite(m) & (m > 0)
-        return PerronStack(thetas, np.where(solved, 1.0, np.nan)[:, None], solved)
+        return np.where(np.isfinite(m) & (m > 0), 1.0, np.nan)[:, None]
     f = transform_matrix(kernel, thetas)
     finite = np.isfinite(f).all(axis=(1, 2))
     if finite.all():
-        return PerronStack(thetas, *_solve_batched(kernel, f))
-    h, solved = np.full(f.shape[:2], np.nan), np.zeros(len(f), dtype=bool)
-    h[finite], solved[finite] = _solve_batched(kernel, f[finite])
-    return PerronStack(thetas, h, solved)
+        return _solve_batched(kernel, f)
+    h = np.full(f.shape[:2], np.nan)
+    h[finite] = _solve_batched(kernel, f[finite])
+    return h
 
 
 def mean_rate(kernel: MapKernel) -> float:

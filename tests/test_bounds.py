@@ -331,8 +331,8 @@ def test_dcc_objective_stack_matches_the_formula_per_theta():
     service = random_kernel(np.random.default_rng(21), 2, mean_offset=3.0, spread=1.5)
     thetas = np.append(np.geomspace(1e-3, 0.5, 19), 5.0)
     d, eps, varpi = 7.0, 1e-4, service.initial_dist
-    got = bd._dcc_objective(perron_grid(arrival, thetas), perron_grid(service, -thetas), eps,
-                            varpi) / d
+    got = bd._dcc_objective(thetas, perron_grid(arrival, thetas), perron_grid(service, -thetas),
+                            eps, varpi) / d
     for theta, g in zip(thetas[:-1], got[:-1]):
         h_a, h_s = perron(arrival, theta).h, perron(service, -theta).h
         h_plus = (h_a.max() / h_a.min()) / h_s.min()

@@ -1073,3 +1073,43 @@ def test_a_negative_seed_flag_exits_2_before_any_draw(tmp_path, toy_cfg, capsys,
     assert _run(argv) == EXIT_PARSE
     assert "error: config: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert done()["state_draws"] == done()["increment_draws"] == 0
+
+
+@pytest.mark.parametrize("argv, source", [
+    *[(command + ["--config", "plan.yaml", "--out", "afile"], "--out")
+      for command in (["spectral"], ["bounds", "--mode", "delay"], ["control"], ["simulate"])],
+    *[(command + ["--config", "afile.yaml"], "output.directory")
+      for command in (["spectral"], ["bounds", "--mode", "delay"], ["control"], ["simulate"])],
+    (["ordercheck", "--experiment", "subchannel-aggregation", "--out", "afile"], "--out"),
+], ids=lambda x: x[0] if isinstance(x, list) else x)
+def test_an_output_directory_that_cannot_be_made_exits_2_before_any_work(
+        tmp_path, toy_config_text, capsys, monkeypatch, argv, source):
+    # the directory is an ordinary file: makedirs raised FileExistsError, a
+    # traceback and exit 1, after spectral and simulate had computed everything
+    # and ordercheck had printed its report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    doc = yaml.safe_load(toy_config_text)
+    doc["copulas"] = yaml.safe_load(CONTROL_CFG)["copulas"]
+    _write(tmp_path, "plan.yaml", yaml.safe_dump(doc))
+    doc["output"] = {"directory": "afile"}
+    _write(tmp_path, "afile.yaml", yaml.safe_dump(doc))
+    done = counters.tally()
+    assert _run(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: config: {source} 'afile' cannot be made a directory: ")
+    assert "Traceback" not in err and out == ""
+    assert done() == dict.fromkeys(counters.COUNTS, 0)
+    assert (tmp_path / "afile").is_file()
+
+
+def test_spectral_names_the_negated_service_as_the_root_searches_do(tmp_path, toy_config_text,
+                                                                   capsys):
+    # the CSV role stays neg_service; a failure names the kernel "negated service"
+    doc = yaml.safe_load(toy_config_text)
+    doc["service"] = {"kernel": {"states": ["only"], "transition": [[1.0]],
+                                 "increments": [[_pmf([-1000.0, 3.0], [0.5, 0.5])]]}}
+    cfg = _write(tmp_path, "far.yaml", yaml.safe_dump(doc))
+    assert _run(["spectral", "--config", cfg, "--out", str(tmp_path), "--theta", "1"]) == 3
+    assert capsys.readouterr().err == ("error: numeric: the negated service kernel fails: "
+                                       "transform matrix not finite at theta=-1.0\n")

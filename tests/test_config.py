@@ -311,11 +311,36 @@ def test_numeric_strings_read_as_the_numbers_they_name():
     assert type(cfg.experiment["rate"]) is float and cfg.experiment["rate"] == 0.1
 
 
+def test_experiment_levels_and_alphas_read_numeric_strings_and_keep_numbers_as_written(
+        toy_config_text):
+    # the sweep prints each alpha as written, so README's 0 stays the label alpha=0
+    doc = yaml.safe_load(toy_config_text + "experiment: {levels: [1e0, 2, 2.5],"
+                                           " alphas: [-5e-1, 0, 0.5]}\n")
+    assert doc["experiment"] == {"levels": ["1e0", 2, 2.5], "alphas": ["-5e-1", 0, 0.5]}
+    experiment = build_config(doc).experiment
+    assert experiment["levels"] == [1.0, 2, 2.5] and experiment["alphas"] == [-0.5, 0, 0.5]
+    assert [type(x) for x in experiment["levels"]] == [float, int, float]
+    assert [type(x) for x in experiment["alphas"]] == [float, int, float]
+    assert [f"alpha={a}" for a in experiment["alphas"]] == ["alpha=-0.5", "alpha=0",
+                                                            "alpha=0.5"]
+
+
+@pytest.mark.parametrize("key, values", [("levels", []), ("alphas", ["1e0"]), ("alphas", [])])
+def test_experiment_lists_keep_their_least_lengths(toy_config_text, key, values):
+    # a sweep orders two alphas at least, by the tails at one level at least
+    doc = yaml.safe_load(toy_config_text)
+    doc["experiment"] = {key: values}
+    with pytest.raises(ConfigError, match=f"experiment.{key} must be a list of"):
+        build_config(doc)
+
+
 @pytest.mark.parametrize("value", [True, "x", "nan", float("nan"), "-inf", float("inf")])
 @pytest.mark.parametrize("section, key, place", [
     ("arrival", "constant", lambda v: v),
     ("simulation", "levels", lambda v: [1, v]),
     ("experiment", "rate", lambda v: v),
+    ("experiment", "levels", lambda v: [1, v]),
+    ("experiment", "alphas", lambda v: [0, v]),
 ])
 def test_a_number_that_is_no_finite_number_is_a_config_error(toy_config_text, value, section,
                                                               key, place):

@@ -507,8 +507,8 @@ def test_an_eigen_residual_above_the_gate_fails_the_solve(monkeypatch):
     with pytest.raises(NoConvergence, match=r"^eigen residual \S+ above 0\.0 at theta=0\.4$"):
         perron(kernel, 0.4)
     assert kernel._solutions == {}
-    stack = perron_grid(kernel, [0.4])
-    assert stack.solved.tolist() == [False] and np.isnan(stack.h).all()
+    h = perron_grid(kernel, [0.4])
+    assert h.shape == (1, 3) and np.isnan(h).all()
 
 
 def _pmf_service_beyond_the_eigensolve():
@@ -833,21 +833,22 @@ def test_perron_failures_name_theta():
     theta = -4.0 * theta_star
     with pytest.raises(NoConvergence, match=f"theta={theta}"):
         perron(service, theta)
-    stack = perron_grid(service, [theta, -0.5 * theta_star])
-    _assert_row_failed(stack, 0, service, NoConvergence, theta)
+    h = perron_grid(service, [theta, -0.5 * theta_star])
+    _assert_row_failed(h, 0, service, NoConvergence, theta)
 
 
-def _assert_row_is_solution(stack, k, sol):
-    assert stack.solved[k] and stack.theta[k] == sol.theta
-    np.testing.assert_allclose(stack.h[k], sol.h, rtol=1e-12)
+def _assert_row_is_solution(h, k, sol):
+    """Row k of perron_grid's h is perron's solution `sol`, with no NaN."""
+    assert not np.isnan(h[k]).any()
+    np.testing.assert_allclose(h[k], sol.h, rtol=1e-12)
 
 
-def _assert_row_failed(stack, k, kernel, error, theta):
-    """Row k of the stack is NaN at theta, where perron raises `error` naming theta."""
+def _assert_row_failed(h, k, kernel, error, theta):
+    """Row k of perron_grid's h is all NaN at theta, where perron raises
+    `error` naming theta."""
     with pytest.raises(error, match=f"theta={re.escape(str(theta))}"):
         perron(kernel, theta)
-    assert stack.theta[k] == theta and not stack.solved[k]
-    assert np.isnan(stack.h[k]).all()
+    assert np.isnan(h[k]).all()
 
 
 @pytest.mark.parametrize("case", ["random", "rayleigh"])
@@ -860,11 +861,10 @@ def test_perron_grid_matches_perron_slice_by_slice(case):
         p = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
         kernel = capacity_kernel(p, ChannelSpec(20.0, snr, ("a", "b", "c")))
         thetas = -np.geomspace(1e-3, 0.5, 21)
-    stack = perron_grid(kernel, thetas)
-    assert stack.h.shape == (len(thetas), kernel.n_states)
-    assert stack.solved.all()
+    h = perron_grid(kernel, thetas)
+    assert h.shape == (len(thetas), kernel.n_states)
     for k, theta in enumerate(thetas):
-        _assert_row_is_solution(stack, k, perron(kernel, theta))
+        _assert_row_is_solution(h, k, perron(kernel, theta))
 
 
 def test_perron_grid_fails_each_theta_alone():
@@ -898,13 +898,13 @@ def test_perron_grid_of_a_one_state_kernel_is_closed_form(monkeypatch):
     kernel = single_state_kernel(gaussian_quantized(3.0, math.sqrt(2.0)))
     # at rate 400 the transform e^400 is scaled by a power of two first
     thetas = np.array([-1.0, 0.0, 0.4, 2.5])
-    stack = perron_grid(kernel, thetas)
+    h = perron_grid(kernel, thetas)
     big = perron_grid(single_state_kernel(Constant(400.0)), [1.0])
     assert done()["stacked_matrices"] == 0 and lapack == []
     for k, theta in enumerate(thetas):
-        _assert_row_is_solution(stack, k, perron(kernel, theta))
-    assert (stack.h == 1.0).all()
-    assert big.solved[0] and big.h[0, 0] == 1.0
+        _assert_row_is_solution(h, k, perron(kernel, theta))
+    assert (h == 1.0).all()
+    assert big.tolist() == [[1.0]]
 
 
 def test_one_state_perron_makes_no_eigensolve_call(monkeypatch):
@@ -928,11 +928,10 @@ def test_one_state_perron_grid_takes_the_law_transform_alone(monkeypatch):
     batched = count_calls(monkeypatch, spectral_module, "_solve_batched")
     entries = count_calls(monkeypatch, spectral_module, "_entrywise")
     thetas = np.array([-400.0, -1.0, 0.0, 0.7, 400.0])
-    stack = perron_grid(k, thetas)
+    h = perron_grid(k, thetas)
     assert batched == [] and entries == []
-    assert stack.solved.tolist() == [False, True, True, True, False]
-    assert np.isnan(stack.h[[0, 4]]).all() and (stack.h[1:4] == 1.0).all()
-    assert stack.h.shape == (5, 1)
+    assert np.isnan(h[[0, 4]]).all() and (h[1:4] == 1.0).all()
+    assert h.shape == (5, 1)
 
 
 def test_two_state_perron_grid_of_finite_matrices_is_one_batched_solve(monkeypatch):
@@ -943,10 +942,10 @@ def test_two_state_perron_grid_of_finite_matrices_is_one_batched_solve(monkeypat
                         lambda *args: stacks.append(transform_matrix(*args)) or stacks[-1])
     batched = count_calls(monkeypatch, spectral_module, "_solve_batched")
     thetas = np.array([-0.25, -0.5, -1.0]) * theta_star
-    stack = perron_grid(service, thetas)
-    assert len(batched) == 1 and batched[0][1] is stacks[0] and stack.solved.all()
+    h = perron_grid(service, thetas)
+    assert len(batched) == 1 and batched[0][1] is stacks[0]
     for k, theta in enumerate(thetas):
-        _assert_row_is_solution(stack, k, perron(service, theta))
+        _assert_row_is_solution(h, k, perron(service, theta))
 
 
 def test_solve_one_checks_h_and_v_as_the_rows_of_one_array():
@@ -981,26 +980,25 @@ def test_perron_grid_scales_a_multi_state_stack_by_powers_of_two():
     thetas = np.array([0.5, 1.0, 1.5, 2.0])
     exponents = np.frexp(transform_matrix(kernel, thetas).max(axis=(1, 2)))[1]
     assert exponents.tolist() == [253, 508, 763, 1017]
-    stack = perron_grid(kernel, thetas)
+    h = perron_grid(kernel, thetas)
     for k, theta in enumerate(thetas):
-        _assert_row_is_solution(stack, k, perron(kernel, theta))
+        _assert_row_is_solution(h, k, perron(kernel, theta))
 
 
 def test_perron_grid_of_no_theta_is_empty():
     kernel = random_kernel(np.random.default_rng(13), 3)
-    stack = perron_grid(kernel, [])
-    assert stack.theta.shape == stack.solved.shape == (0,)
-    assert stack.h.shape == (0, 3)
+    assert perron_grid(kernel, []).shape == (0, 3)
+    assert perron_grid(single_state_kernel(Constant(1.0)), []).shape == (0, 1)
 
 
 def test_perron_grid_where_every_theta_fails():
     service, theta_star = _gate_failing_service()
     # the two large negative theta fail the residual gate, the positive ones overflow
     thetas = [-4.0 * theta_star, 100.0, -6.0 * theta_star, 200.0]
-    stack = perron_grid(service, thetas)
-    assert not stack.solved.any()
+    h = perron_grid(service, thetas)
+    assert np.isnan(h).all()
     for k, (theta, error) in enumerate(zip(thetas, (NoConvergence, MgfDiverged) * 2)):
-        _assert_row_failed(stack, k, service, error, theta)
+        _assert_row_failed(h, k, service, error, theta)
 
 
 def _oracle_perron(kernel, theta):
@@ -1043,9 +1041,9 @@ def test_perron_grid_mixing_real_and_complex_spectra_matches_perron():
     complex_pair = [bool(np.iscomplex(np.linalg.eigvals(f)).any())
                     for f in transform_matrix(kernel, thetas)]
     assert complex_pair == [True, False, True, False, True, False]
-    stack = perron_grid(kernel, thetas)
+    h = perron_grid(kernel, thetas)
     for k, theta in enumerate(thetas):
-        _assert_row_is_solution(stack, k, perron(kernel, theta))
+        _assert_row_is_solution(h, k, perron(kernel, theta))
 
 
 def _fail_dgeev_on(monkeypatch, bad):

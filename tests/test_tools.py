@@ -113,6 +113,20 @@ def test_pool_diff_time_runs_every_job_once_a_pass_in_alternating_order():
     assert [first for *_, first in schedule] == [k % 2 == 0 for k in range(20)]
 
 
+def test_pool_diff_counts_the_source_lines_of_each_tree(tmp_path):
+    # mapq/*.py alone: a file elsewhere in the tree, or not a .py file, is not counted
+    for name, files in (("a", {"x.py": "1\n2\n3\n", "y.py": "1\n2"}), ("b", {"x.py": "1\n"})):
+        (tmp_path / name / "mapq").mkdir(parents=True)
+        for file, text in files.items():
+            (tmp_path / name / "mapq" / file).write_text(text, encoding="utf-8")
+        (tmp_path / name / "mapq" / "notes.txt").write_text("1\n2\n", encoding="utf-8")
+        (tmp_path / name / "other.py").write_text("1\n", encoding="utf-8")
+    assert pool_diff.source_lines(tmp_path / "a") == 5
+    assert pool_diff.source_lines(tmp_path / "b") == 1
+    assert pool_diff.source_lines(SRC.parent) == sum(
+        len(p.read_text(encoding="utf-8").splitlines()) for p in SRC.glob("*.py"))
+
+
 def _references(module, tree):
     """{top-level node: the "module.name" strings it uses}, resolving names
     imported from sibling modules and attributes of an imported sibling."""

@@ -32,6 +32,9 @@ tails.csv, the hits of each tree and |p_hat - p_hat_base| in binomial
 standard errors of the pooled estimate, then how many library return
 values are byte-identical, naming any that differ.
 
+With --base it also prints the line count of each tree's mapq/*.py and
+their difference, the net change in source size.
+
 With --time PASSES (analytic-fading with --base only) it then times the
 two trees against each other.  Each tree gets one warm child interpreter
 that reads job indices on stdin and answers with the seconds each job took.
@@ -48,6 +51,7 @@ or failure differs; else 0.
 """
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -206,6 +210,15 @@ def _time_trees(trees, work, passes):
           " t_src / t_base per job kind: median [quartiles] (pairs)")
     for kind, (n, q1, median, q3) in ratio_summary(timings).items():
         print(f"  {kind}: {median:.4f} [{q1:.4f}, {q3:.4f}] ({n})")
+
+
+def source_lines(src):
+    """The total line count of the mapq/*.py files of the tree `src`."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "mapq", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def _spawn(src, out, workload, seed):
@@ -376,6 +389,9 @@ def main():
                 print(f"    {kind}: {' / '.join('-' if n is None else str(n) for n in done)}")
         regressions = []
         if args.base:
+            lines = {name: source_lines(src) for name, src in trees.items()}
+            print(f"mapq/*.py lines: src {lines['src']:,}, base {lines['base']:,},"
+                  f" difference {lines['src'] - lines['base']:+,}")
             more, less, moved_exit = _changes(runs, work_by_kind)
             print("more work than base: " + (", ".join(more) or "none"))
             print("less work than base: " + (", ".join(less) or "none"))
